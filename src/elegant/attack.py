@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Graph
 from .fairness import UndefinedMetricError, accuracy, bias_value, delta_eo, delta_sp
-from .gnn import predict_classes
+from .gnn import _softmax, predict_classes
 from .pipeline import ABSTAIN, CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream
 
@@ -25,12 +25,6 @@ logger = logging.getLogger(__name__)
 
 ATTACK_LABEL = "substitute"
 DEFAULT_GRID = ((1, 0.1), (2, 1.0), (4, 10.0), (8, 100.0))
-
-
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, metric: str = "sp", nodes=None):
@@ -98,8 +92,7 @@ def structure_attack_random(g: Graph, vulnerable, budget_edges: int, seed: int) 
         return g
     rng = substream(seed, DOMAIN_ATTACK, 0)
     pick = rng.choice(pairs.shape[0], size=budget_edges, replace=False)
-    flips = frozenset((int(u), int(v)) for u, v in pairs[pick])
-    return Graph(n=g.n, edges=g.edges.symmetric_difference(flips))
+    return g.flip(pairs[pick])
 
 
 def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges: int, metric: str = "sp", nodes=None, pool_size: int = 256, seed: int = 0) -> Graph:
@@ -117,34 +110,32 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
         raise ValueError(f"budget {budget_edges} exceeds the {pairs.shape[0]} eligible pairs")
     eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
     current = g
-    flipped = set()
+    open_mask = np.ones(pairs.shape[0], dtype=bool)  # pairs not yet committed
     rng = substream(seed, DOMAIN_ATTACK, 1)
     for step in range(budget_edges):
-        open_pos = [i for i in range(pairs.shape[0]) if (int(pairs[i, 0]), int(pairs[i, 1])) not in flipped]
-        if not open_pos:
+        open_pos = np.flatnonzero(open_mask)
+        if open_pos.size == 0:
             break
-        if len(open_pos) > pool_size:
-            chosen = rng.choice(len(open_pos), size=pool_size, replace=False)
-            candidates = [open_pos[int(c)] for c in chosen]
+        if open_pos.size > pool_size:
+            candidates = open_pos[rng.choice(open_pos.size, size=pool_size, replace=False)]
         else:
             candidates = open_pos
-        best_pair = None
+        best = None
         best_bias = -1.0
         for ci in candidates:
-            pair = (int(pairs[ci, 0]), int(pairs[ci, 1]))
-            trial = Graph(n=g.n, edges=current.edges.symmetric_difference({pair}))
+            trial = current.flip(pairs[ci : ci + 1])
             try:
                 b = bias_value(predict_classes(model, trial, X), labels, eval_nodes, metric)
             except UndefinedMetricError:
                 continue
             if b > best_bias:
                 best_bias = b
-                best_pair = pair
-        if best_pair is None:
+                best = ci
+        if best is None:
             break
-        flipped.add(best_pair)
-        current = Graph(n=g.n, edges=current.edges.symmetric_difference({best_pair}))
-        logger.debug("greedy flip %d: %s, bias %.4f", step, best_pair, best_bias)
+        open_mask[best] = False
+        current = current.flip(pairs[best : best + 1])
+        logger.debug("greedy flip %d: %s, bias %.4f", step, tuple(pairs[best].tolist()), best_bias)
     return current
 
 

@@ -75,6 +75,9 @@ DEFAULTS = {
     "attack": {"grid": [list(cell) for cell in DEFAULT_GRID], "eta_multiplier": 1.5},
 }
 
+# per-test-set fields of fcr.json, a subset of CertificationReport.to_json_dict()
+FCR_PER_SET_KEYS = ("outcome", "eps_A", "eps_X", "bias", "accuracy", "n_outer_positive")
+
 SWEEP_VALUES = {
     "sigma": [5e-3, 5e-2, 5e-1, 5.0],
     "beta": [0.6, 0.7, 0.8, 0.9],
@@ -318,25 +321,11 @@ def cmd_fcr(cfg: dict) -> int:
         noise, g, X, labels, split, scfg, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta
     )
     payload = result.summary()
-    payload["per_set"] = [
-        {
-            "outcome": r.outcome,
-            "eps_A": None if r.budgets is None else r.budgets.eps_A,
-            "eps_X": None if r.budgets is None else r.budgets.eps_X,
-            "bias": r.selected_bias,
-            "accuracy": r.accuracy,
-            "n_outer_positive": r.n_outer_positive,
-        }
-        for r in result.reports
-    ]
-    payload["eta"] = {
-        "value": eta.eta,
-        "provenance": eta.provenance,
-        "multiplier": eta.multiplier,
-        "vanilla_bias": eta.vanilla_bias,
-    }
-    payload["config"] = result.reports[0].to_json_dict()["config"]
-    payload["conventions"] = result.reports[0].to_json_dict()["conventions"]
+    reports = [r.to_json_dict() for r in result.reports]
+    payload["per_set"] = [{k: d[k] for k in FCR_PER_SET_KEYS} for d in reports]
+    payload["eta"] = reports[0]["config"]["eta"]
+    payload["config"] = reports[0]["config"]
+    payload["conventions"] = reports[0]["conventions"]
     seeds = cfg["fcr"].get("seeds")
     if seeds:
         per_seed = []

@@ -1,9 +1,13 @@
 """Graph, label, and split containers plus dataset loading.
 
-Graphs are undirected and stored as a frozenset of (u, v) pairs with u < v;
-attribute matrices are plain float64 numpy arrays of shape (n, d).  Edge
-files may list each pair in both directions (the common export format for
-directed adjacency dumps); loading deduplicates them.
+A graph is its node count n plus one sorted, duplicate-free (m, 2) int64
+edge array whose rows (u, v) satisfy u < v; every layer reads that array
+and flips node pairs through `Graph.flip`, a set XOR on the linear keys
+u * n + v.  `Graph.edges` derives a frozenset of (u, v) tuples on demand
+for callers that want set semantics.  Attribute matrices are plain float64
+numpy arrays of shape (n, d).  Edge files may list each pair in both
+directions (the common export format for directed adjacency dumps);
+loading deduplicates them.
 """
 
 from __future__ import annotations
@@ -23,36 +27,80 @@ class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected graph on nodes 0..n-1 with canonical (u < v) edge pairs."""
+    """Undirected graph on nodes 0..n-1 with canonical (u < v) edge rows.
 
-    n: int
-    edges: frozenset
+    edges may be any iterable of pairs or an (m, 2) integer array, in any
+    row order; rows are stored sorted by (u, v).  Rows with u >= v, ids
+    outside 0..n-1, duplicate rows and a wrong shape raise DataError.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DataError(f"graph needs at least one node, got n={self.n}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise DataError(f"edge ({u}, {v}) violates 0 <= u < v < {self.n}")
+    __slots__ = ("n", "_edges")
+
+    def __init__(self, n: int, edges=()):
+        if n < 1:
+            raise DataError(f"graph needs at least one node, got n={n}")
+        n = int(n)
+        e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise DataError(f"edges must form an (m, 2) array, got shape {e.shape}")
+        bad = (e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= n)
+        if bad.any():
+            u, v = e[np.argmax(bad)]
+            raise DataError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
+        keys = e[:, 0] * n + e[:, 1]
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            e, keys = e[order], keys[order]
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if dup.size:
+                u, v = e[dup[0]]
+                raise DataError(f"duplicate edge ({u}, {v})")
+        e.flags.writeable = False
+        self.n = n
+        self._edges = e
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._edges, other._edges)
+
+    def __hash__(self):
+        return hash((self.n, self._edges.tobytes()))
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, n_edges={self.n_edges})"
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self._edges.shape[0]
+
+    @property
+    def edges(self) -> frozenset:
+        """Read-only set view: the edge rows as (u, v) tuples of Python ints."""
+        return frozenset(map(tuple, self._edges.tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a sorted (m, 2) int array; deterministic order."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
+        """Edges as the stored sorted, read-only (m, 2) int64 array."""
+        return self._edges
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self._edges.ravel(), minlength=self.n)
+
+    def flip(self, pairs) -> "Graph":
+        """Toggle node pairs: present edges drop, absent ones appear.
+
+        pairs takes the same forms as the constructor's edges and must be
+        canonical and duplicate-free too.  Flipping the same pairs twice
+        restores the graph.
+        """
+        keys = np.setxor1d(self._keys(), Graph(self.n, pairs)._keys(), assume_unique=True)
+        return Graph(self.n, np.column_stack((keys // self.n, keys % self.n)))
+
+    def _keys(self) -> np.ndarray:
+        return self._edges[:, 0] * self.n + self._edges[:, 1]
 
 
 @dataclass(frozen=True)
@@ -122,10 +170,10 @@ def load_dataset(edge_file: str, attribute_file: str, label_file: str):
     """Load an attributed, labeled graph from three text files.
 
     label_file: CSV rows node_id,label,sensitive (optional header); node ids
-    must be exactly 0..n-1.  attribute_file: CSV with n rows of d floats
-    (optional header).  edge_file: one pair per line, whitespace or comma
-    separated; self loops and duplicate pairs are dropped with a logged
-    count, out-of-range endpoints raise.
+    must be exactly 0..n-1.  attribute_file: CSV with n rows of d finite
+    floats (optional header); nan or inf raises.  edge_file: one pair per
+    line, whitespace or comma separated; self loops and duplicate pairs are
+    dropped with a logged count, out-of-range endpoints raise.
 
     Returns (Graph, X, NodeLabels) with X float64 of shape (n, d).
     """
@@ -160,10 +208,12 @@ def load_dataset(edge_file: str, attribute_file: str, label_file: str):
         raise DataError(f"{attribute_file}: non-numeric attribute value ({exc})") from exc
     if X.ndim != 2:
         raise DataError(f"{attribute_file}: ragged attribute rows")
+    bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad_rows.size:
+        raise DataError(f"{attribute_file}: non-finite attribute value (nan or inf) in the row of node {bad_rows[0]}")
 
-    pairs = set()
+    pairs = []
     dropped_loops = 0
-    dropped_dupes = 0
     with open(edge_file) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -181,16 +231,14 @@ def load_dataset(edge_file: str, attribute_file: str, label_file: str):
             if u == v:
                 dropped_loops += 1
                 continue
-            pair = (u, v) if u < v else (v, u)
-            if pair in pairs:
-                dropped_dupes += 1
-            else:
-                pairs.add(pair)
+            pairs.append((u, v) if u < v else (v, u))
+    edges = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+    dropped_dupes = len(pairs) - edges.shape[0]
     if dropped_loops:
         logger.warning("%s: dropped %d self loops", edge_file, dropped_loops)
     if dropped_dupes:
         logger.warning("%s: dropped %d duplicate pairs (directed listings collapse)", edge_file, dropped_dupes)
-    return Graph(n=n, edges=frozenset(pairs)), X, labels
+    return Graph(n, edges), X, labels
 
 
 def normalize_attributes(X: np.ndarray) -> np.ndarray:

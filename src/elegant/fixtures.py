@@ -54,13 +54,13 @@ def make_sbm(
     iu, iv = np.triu_indices(n, k=1)
     p = np.where(y_clean[iu] == y_clean[iv], p_in, p_out)
     keep = rng.random(p.size) < p
-    edges = frozenset((int(a), int(b)) for a, b in zip(iu[keep], iv[keep]))
+    edges = np.column_stack((iu[keep], iv[keep]))  # triu order: already sorted by (u, v)
 
     X = rng.standard_normal((n, d))
     X[:, :signal_cols] += signal_shift * (2.0 * y_clean[:, None] - 1.0)
     X[:, signal_cols : signal_cols + leak_cols] += leak_shift * (2.0 * s[:, None] - 1.0)
     y = np.where(rng.random(n) < label_noise, 1 - y_clean, y_clean)
-    return Graph(n=n, edges=edges), X, NodeLabels(y=y, s=s)
+    return Graph(n, edges), X, NodeLabels(y=y, s=s)
 
 
 def make_german_like(seed: int = 0):
@@ -105,9 +105,9 @@ def write_dataset(directory: str, g: Graph, X: np.ndarray, labels: NodeLabels) -
     """
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "edges.txt"), "w") as fh:
-        both = sorted(list(g.edges) + [(v, u) for u, v in g.edges])
-        for u, v in both:
-            fh.write(f"{u} {v}\n")
+        e = g.edge_array()
+        both = np.concatenate([e, e[:, ::-1]])
+        np.savetxt(fh, both[np.lexsort((both[:, 1], both[:, 0]))], fmt="%d")
     with open(os.path.join(directory, "features.csv"), "w") as fh:
         fh.write(",".join(f"c{j}" for j in range(X.shape[1])) + "\n")
         for row in X:

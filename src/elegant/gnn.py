@@ -370,8 +370,7 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
         if pairs is not None:
             flip = rng.random(pairs.shape[0]) < cfg.train_noise_flip_prob
             if flip.any():
-                flipped = frozenset((int(u), int(v)) for u, v in pairs[flip])
-                ops = cls.build_ops(Graph(n=g.n, edges=g.edges.symmetric_difference(flipped)))
+                ops = cls.build_ops(g.flip(pairs[flip]))
             Xe = np.array(X, copy=True)
             Xe[vul] += cfg.train_noise_std * rng.standard_normal((vul.size, X.shape[1]))
         loss, grads, _ = model.loss_grads(ops, Xe, y, train_idx, dropout=cfg.dropout, rng=rng)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import CertifiedBudgets, attribute_radius, structure_budget
+from .certify import CertifiedBudgets, attribute_radius, joint_attribute_budget, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound, binomial_lower_bound_vec
 from .fairness import BiasThreshold
@@ -36,7 +36,6 @@ from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
     domain_size,
-    eligible_pairs,
     sample_attribute_noise,
     sample_structure_mask,
 )
@@ -150,7 +149,6 @@ class PredictionCache:
         d = X.shape[1]
         vul_idx = np.array(vul, dtype=np.int64)
         classes = np.empty((cfg.n_outer, cfg.n_inner, n), dtype=np.uint8)
-        pair_count = eligible_pairs(n, vul).shape[0]
 
         def run_outer(o: int) -> None:
             mask = sample_structure_mask(cfg, g, vul, stream_id=o)
@@ -167,7 +165,7 @@ class PredictionCache:
         else:
             for o in range(cfg.n_outer):
                 run_outer(o)
-        return cls(classes=classes, vulnerable=vul, noise_domain=pair_count)
+        return cls(classes=classes, vulnerable=vul, noise_domain=domain_size(n, len(vul)))
 
 
 def _bias_matrix(classes: np.ndarray, labels, test_idx: np.ndarray, metric: str):
@@ -279,10 +277,8 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         "indicator": "strict inequality, bias < eta",
         "undefined_metric": "indicator forced to 0, logged",
         "budget_unit": "unordered node pairs (flips of eps_A distinct pairs)",
-        "d_convention": cfg.d_convention,
-        "noise_domain_size": int(
-            cache.noise_domain if cfg.d_convention == "deduplicated" else domain_size(g.n, len(vul), "literal")
-        ),
+        "d_convention": "deduplicated",
+        "noise_domain_size": int(cache.noise_domain),
         "tie_break": "smallest bias, then smallest stream id",
     }
 
@@ -313,8 +309,7 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         return abstain(f"outer fair-vote bound {outer.lower:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)")
 
     eps_a = structure_budget(float(outer.lower), cfg.beta, cfg.k_max)
-    radii = [r.attribute_radius for r in records if r.inner_certified]
-    eps_x = float(min(radii))
+    eps_x = joint_attribute_budget(r.attribute_radius for r in records if r.inner_certified)
     prediction, sel_bias = select_fair_output(records)
     acc = float((prediction.argmax(axis=1)[test_idx] == labels.y[test_idx]).mean())
     return CertificationReport(

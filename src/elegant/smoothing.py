@@ -4,8 +4,10 @@ Every draw comes from a counter-based Philox generator keyed purely by
 (master_seed, domain, stream_id), so any sample can be regenerated in
 isolation and parallel schedules cannot change results.  Structure noise
 flips each eligible pair (a pair with at least one vulnerable endpoint)
-independently with probability 1 - beta; attribute noise adds isotropic
-Gaussian rows of scale sigma to the vulnerable rows.
+independently with probability 1 - beta; a mask holds the flipped rows of
+the sorted (D, 2) `eligible_pairs` array and is applied with `Graph.flip`.
+Attribute noise adds isotropic Gaussian rows of scale sigma to the
+vulnerable rows.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ class SmoothingConfig:
     k_max: cap of the structure budget search.
     strict: abstain the whole run when an inner vote stays undecided; when
         False an undecided outer sample is counted as a vote against.
-    d_convention: "deduplicated" counts unordered eligible pairs once;
-        "literal" reports n * |V_vul| (mirrored pairs double counted) for
-        comparison with conventions that enumerate ordered pairs.
     """
 
     sigma: float = 0.25
@@ -65,7 +64,6 @@ class SmoothingConfig:
     master_seed: int = 0
     k_max: int = 64
     strict: bool = True
-    d_convention: str = "deduplicated"
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -82,8 +80,6 @@ class SmoothingConfig:
             raise ValueError(f"metric must be 'sp' or 'eo', got {self.metric!r}")
         if self.k_max < 0:
             raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
-        if self.d_convention not in ("deduplicated", "literal"):
-            raise ValueError(f"unknown d_convention {self.d_convention!r}")
 
 
 @dataclass(frozen=True)
@@ -96,56 +92,36 @@ class AttributeNoise:
 
 @dataclass(frozen=True)
 class StructureMask:
-    """Set of pairs to flip, plus the size of the pair domain it was drawn from."""
+    """Pairs to flip as a (k, 2) int array of eligible-pair rows, plus the domain size D."""
 
-    pairs: frozenset
+    pairs: np.ndarray
     domain_size: int
-
-    def to_text(self) -> str:
-        lines = [f"{u} {v}" for u, v in sorted(self.pairs)]
-        return "\n".join([str(self.domain_size)] + lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StructureMask":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        d = int(lines[0])
-        pairs = set()
-        for ln in lines[1:]:
-            u, v = (int(p) for p in ln.split())
-            pairs.add((u, v) if u < v else (v, u))
-        return cls(pairs=frozenset(pairs), domain_size=d)
 
 
 def eligible_pairs(n: int, vulnerable) -> np.ndarray:
     """All unordered pairs with at least one vulnerable endpoint, sorted.
 
-    Shape (D, 2) with D = |V|(n - |V|) + C(|V|, 2); the diagonal is excluded.
+    Shape (D, 2) with D = |V|(n - |V|) + C(|V|, 2); the diagonal is excluded
+    and each vulnerable-vulnerable pair appears once.
     """
-    vul = sorted(set(int(i) for i in vulnerable))
-    if not vul:
+    vul = np.unique(np.fromiter(vulnerable, dtype=np.int64))
+    if vul.size == 0:
         raise ValueError("vulnerable set must be nonempty")
     if vul[0] < 0 or vul[-1] >= n:
         raise ValueError("vulnerable ids out of range")
-    vset = set(vul)
-    pairs = []
-    for v in vul:
-        for u in range(n):
-            if u == v:
-                continue
-            if u in vset and u > v:
-                continue  # vulnerable-vulnerable pair counted once
-            pairs.append((min(u, v), max(u, v)))
-    arr = np.array(sorted(set(pairs)), dtype=np.int64)
-    return arr
+    is_vul = np.zeros(n, dtype=bool)
+    is_vul[vul] = True
+    a = np.repeat(vul, n)  # vulnerable endpoint
+    b = np.tile(np.arange(n, dtype=np.int64), vul.size)  # any other node
+    keep = ~is_vul[b] | (b > a)  # vulnerable-vulnerable pairs once, from the smaller id
+    a, b = a[keep], b[keep]
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.column_stack((keys // n, keys % n))
 
 
-def domain_size(n: int, n_vul: int, convention: str = "deduplicated") -> int:
-    """Size of the structure noise domain under either counting convention."""
-    if convention == "deduplicated":
-        return n_vul * (n - n_vul) + comb(n_vul, 2)
-    if convention == "literal":
-        return n * n_vul
-    raise ValueError(f"unknown convention {convention!r}")
+def domain_size(n: int, n_vul: int) -> int:
+    """Number of eligible pairs: unordered pairs with a vulnerable endpoint."""
+    return n_vul * (n - n_vul) + comb(n_vul, 2)
 
 
 def sample_structure_mask(cfg: SmoothingConfig, g, vulnerable, stream_id: int) -> StructureMask:
@@ -153,8 +129,7 @@ def sample_structure_mask(cfg: SmoothingConfig, g, vulnerable, stream_id: int) -
     pairs = eligible_pairs(g.n, vulnerable)
     rng = substream(cfg.master_seed, DOMAIN_STRUCTURE, stream_id)
     flip = rng.random(pairs.shape[0]) < (1.0 - cfg.beta)
-    chosen = frozenset((int(u), int(v)) for u, v in pairs[flip])
-    return StructureMask(pairs=chosen, domain_size=pairs.shape[0])
+    return StructureMask(pairs=pairs[flip], domain_size=pairs.shape[0])
 
 
 def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: int) -> AttributeNoise:
@@ -169,9 +144,7 @@ def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: 
 
 def apply_structure_mask(g, mask: StructureMask):
     """Flip the masked pairs: present edges drop, absent ones appear."""
-    from .data import Graph  # local import to avoid a cycle at module load
-
-    return Graph(n=g.n, edges=g.edges.symmetric_difference(mask.pairs))
+    return g.flip(mask.pairs)
 
 
 def apply_attribute_noise(X: np.ndarray, noise: AttributeNoise) -> np.ndarray:

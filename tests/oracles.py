@@ -123,3 +123,22 @@ def finite_difference_loss_grads(model, ops, X, y, train_idx, step=1e-5):
         flat[i] = orig
         gf[i] = (hi - lo) / (2 * step)
     return grads, gX
+
+
+def eligible_pairs_oracle(n, vulnerable):
+    """Sorted (u, v) tuples, u < v, with at least one vulnerable endpoint.
+
+    Double loop over vulnerable nodes and all nodes; a set absorbs the
+    vulnerable-vulnerable pairs the loop meets twice.
+    """
+    pairs = set()
+    for v in set(vulnerable):
+        for u in range(n):
+            if u != v:
+                pairs.add((min(u, v), max(u, v)))
+    return sorted(pairs)
+
+
+def flip_oracle(edges, pairs):
+    """Edge set after toggling pairs: frozenset symmetric difference of tuples."""
+    return frozenset(edges).symmetric_difference(frozenset(pairs))

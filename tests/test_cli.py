@@ -183,6 +183,28 @@ def test_exit_code_missing_dataset_files(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
+def test_exit_code_non_finite_attributes(tmp_path, capsys):
+    (tmp_path / "e.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "x.csv").write_text("1.0,2.0\n3.0,inf\n5.0,6.0\n")
+    (tmp_path / "y.csv").write_text("0,0,0\n1,1,1\n2,1,0\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "dataset": {
+                    "fixture": None,
+                    "edges": str(tmp_path / "e.txt"),
+                    "attributes": str(tmp_path / "x.csv"),
+                    "labels": str(tmp_path / "y.csv"),
+                }
+            }
+        )
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "x.csv" in err and "node 1" in err
+
+
 def test_unknown_fixture_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"fixture": "mystery"}}))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elegant.data import (
     DataError,
@@ -14,6 +16,7 @@ from elegant.data import (
     sample_test_sets,
 )
 from elegant.fixtures import bundled_fixture_dir, make_small, write_dataset
+from oracles import flip_oracle
 
 
 def test_graph_accepts_canonical_pairs():
@@ -32,6 +35,61 @@ def test_graph_rejects_bad_pairs():
         Graph(n=3, edges=frozenset({(0, 3)}))
     with pytest.raises(DataError):
         Graph(n=0, edges=frozenset())
+
+
+def test_graph_canonicalizes_any_pair_form():
+    rows = [(1, 3), (0, 2), (0, 1)]
+    g = Graph(4, np.array(rows))
+    np.testing.assert_array_equal(g.edge_array(), [[0, 1], [0, 2], [1, 3]])
+    assert g.edge_array().dtype == np.int64
+    assert not g.edge_array().flags.writeable
+    assert g == Graph(4, rows) == Graph(4, frozenset(rows)) == Graph(4, iter(rows))
+    assert hash(g) == hash(Graph(4, rows))
+    assert g != Graph(5, rows)
+    assert g != Graph(4, rows[:2])
+    # the set view holds plain Python ints
+    assert g.edges == frozenset(rows)
+    assert all(type(x) is int for pair in g.edges for x in pair)
+
+
+@pytest.mark.parametrize(
+    "edges,fragment",
+    [
+        ([(0, 1), (1, 2), (0, 1)], "duplicate edge \\(0, 1\\)"),
+        ([(0, 1), (2, 1)], "edge \\(2, 1\\) violates"),
+        ([(2, 2)], "violates"),
+        ([(-1, 2)], "violates"),
+        ([(0, 4)], "violates"),
+        (np.zeros((2, 3), dtype=np.int64), "shape"),
+        (np.array([0, 1]), "shape"),
+    ],
+    ids=["duplicate", "reversed", "self-loop", "negative", "out-of-range", "three-columns", "one-dimensional"],
+)
+def test_graph_rejects_malformed_edge_arrays(edges, fragment):
+    with pytest.raises(DataError, match=fragment):
+        Graph(4, np.asarray(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_flip_matches_set_symmetric_difference(data):
+    n = data.draw(st.integers(2, 12))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(all_pairs)))
+    pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
+    g = Graph(n, edges)
+    flipped = g.flip(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert flipped.edges == flip_oracle(edges, pairs)
+    assert flipped.edge_array().tolist() == sorted(map(list, flip_oracle(edges, pairs)))
+    assert flipped.flip(pairs) == g
+
+
+def test_flip_rejects_bad_pairs():
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(DataError):
+        g.flip([(1, 2), (1, 2)])
+    with pytest.raises(DataError):
+        g.flip([(2, 1)])
 
 
 def test_empty_graph_edge_array_shape():
@@ -122,6 +180,15 @@ def test_loader_rejects_non_numeric_attributes(tmp_path):
     attrs = _write(tmp_path, "x.csv", "1.0\noops\n")
     labels = _write(tmp_path, "y.csv", "0,0,0\n1,1,1\n")
     with pytest.raises(DataError, match="non-numeric"):
+        load_dataset(edges, attrs, labels)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_loader_rejects_non_finite_attributes(tmp_path, bad):
+    edges = _write(tmp_path, "e.txt", "")
+    attrs = _write(tmp_path, "x.csv", f"a,b\n1.0,2.0\n3.0,4.0\n5.0,{bad}\n")
+    labels = _write(tmp_path, "y.csv", "0,0,0\n1,1,1\n2,0,1\n")
+    with pytest.raises(DataError, match="x.csv: non-finite attribute value .* node 2"):
         load_dataset(edges, attrs, labels)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from elegant.data import Graph
@@ -18,6 +20,7 @@ from elegant.smoothing import (
     sample_structure_mask,
     substream,
 )
+from oracles import eligible_pairs_oracle
 
 
 def test_substream_reproducible_and_order_free():
@@ -65,7 +68,6 @@ def test_substream_first_draws_look_uniform():
         {"eta": -0.1},
         {"metric": "parity"},
         {"k_max": -1},
-        {"d_convention": "???"},
     ],
 )
 def test_config_validation(kwargs):
@@ -90,10 +92,20 @@ def test_eligible_pairs_validation():
 
 
 def test_domain_size_conventions():
-    assert domain_size(100, 5, "deduplicated") == 5 * 95 + 10
-    assert domain_size(100, 5, "literal") == 500
-    with pytest.raises(ValueError):
-        domain_size(100, 5, "other")
+    # unordered pairs, vulnerable-vulnerable pairs counted once
+    assert domain_size(100, 5) == 5 * 95 + 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eligible_pairs_match_brute_force(data):
+    n = data.draw(st.integers(1, 25))
+    vulnerable = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    pairs = eligible_pairs(n, vulnerable)
+    want = eligible_pairs_oracle(n, vulnerable)
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [list(p) for p in want]
+    assert pairs.shape == (domain_size(n, len(set(vulnerable))), 2)
 
 
 def test_structure_mask_flip_rate():
@@ -114,20 +126,14 @@ def test_structure_mask_pairs_are_eligible_and_deterministic():
     cfg = SmoothingConfig(beta=0.6, master_seed=3)
     mask = sample_structure_mask(cfg, g, vul, stream_id=4)
     allowed = set(map(tuple, eligible_pairs(30, vul).tolist()))
-    assert set(mask.pairs) <= allowed
+    assert mask.pairs.ndim == 2 and mask.pairs.shape[1] == 2
+    assert set(map(tuple, mask.pairs.tolist())) <= allowed
+    assert mask.pairs.tolist() == sorted(mask.pairs.tolist())
     assert mask.domain_size == len(allowed)
     again = sample_structure_mask(cfg, g, vul, stream_id=4)
-    assert mask.pairs == again.pairs
+    np.testing.assert_array_equal(mask.pairs, again.pairs)
     other = sample_structure_mask(cfg, g, vul, stream_id=5)
-    assert mask.pairs != other.pairs
-
-
-def test_structure_mask_text_round_trip():
-    mask = StructureMask(pairs=frozenset({(0, 3), (1, 2)}), domain_size=9)
-    back = StructureMask.from_text(mask.to_text())
-    assert back == mask
-    # reversed pairs normalize on read
-    assert StructureMask.from_text("4\n3 1\n").pairs == frozenset({(1, 3)})
+    assert not np.array_equal(mask.pairs, other.pairs)
 
 
 def test_attribute_noise_scale_and_shape():
@@ -153,7 +159,7 @@ def test_attribute_noise_deterministic():
 
 def test_apply_structure_mask_flips_both_ways():
     g = Graph(n=4, edges=frozenset({(0, 1), (2, 3)}))
-    mask = StructureMask(pairs=frozenset({(0, 1), (1, 2)}), domain_size=5)
+    mask = StructureMask(pairs=np.array([[0, 1], [1, 2]]), domain_size=5)
     out = apply_structure_mask(g, mask)
     assert out.edges == frozenset({(2, 3), (1, 2)})
     # applying the same mask twice restores the original graph
