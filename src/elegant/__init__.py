@@ -26,7 +26,6 @@ from .certify import (
     CertifiedBudgets,
     RegionTable,
     attribute_radius,
-    brute_force_bound_oracle,
     joint_attribute_budget,
     positive_prob_lower_bound,
     region_table,
@@ -34,7 +33,7 @@ from .certify import (
 )
 from .data import Graph, NodeLabels, SplitSpec, load_dataset, make_splits, normalize_attributes, sample_test_sets
 from .estimate import ProbabilityBound, beta_quantile, binomial_lower_bound, std_normal_quantile
-from .fairness import BiasThreshold, accuracy, bias_indicator, delta_eo, delta_sp
+from .fairness import BiasThreshold, accuracy, delta_eo, delta_sp
 from .pipeline import CertificationReport, certify_and_predict, fcr_run, prop1_bound, select_fair_output
 from .smoothing import SmoothingConfig, sample_attribute_noise, sample_structure_mask
 
@@ -53,9 +52,7 @@ __all__ = [
     "accuracy",
     "attribute_radius",
     "beta_quantile",
-    "bias_indicator",
     "binomial_lower_bound",
-    "brute_force_bound_oracle",
     "certify_and_predict",
     "delta_eo",
     "delta_sp",

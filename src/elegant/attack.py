@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from .data import Graph
-from .fairness import UndefinedMetricError, accuracy, bias_value, delta_eo, delta_sp
+from .fairness import EQUAL_OPPORTUNITY, UndefinedMetricError, accuracy, bias_value, delta_eo, delta_sp, sensitive_groups
 from .gnn import _softmax, predict_classes
 from .pipeline import ABSTAIN, CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream
@@ -44,14 +44,7 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     if budget_l2 == 0:
         return np.array(X, copy=True)
     idx = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
-    sv = labels.s[idx]
-    if metric == "eo":
-        keep = labels.y[idx] == 1
-        idx, sv = idx[keep], sv[keep]
-    g0 = idx[sv == 0]
-    g1 = idx[sv == 1]
-    if g0.size == 0 or g1.size == 0:
-        raise UndefinedMetricError("one sensitive group is empty; surrogate undefined")
+    g0, g1 = sensitive_groups(idx, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
 
     ops = model.build_ops(g)
     logits = model.forward(ops, X)

@@ -8,10 +8,9 @@ Structure side: with symmetric Bernoulli pair flips (keep probability
 beta > 1/2), the worst case over all perturbations that differ in exactly k
 pairs is a Neyman-Pearson problem whose optimum is attained region by
 region on the likelihood ratio of the flip noise.  Region tables, the
-greedy bound, and the budget search live here, together with two redundant
-routes used to cross-check them: a full-dimension recomputation of the
-region probabilities and an exact rational enumeration of all 2^k noise
-patterns.
+greedy bound, and the budget search live here; the test suite cross-checks
+them against a full-dimension recomputation of the region probabilities
+and an exact rational enumeration of all 2^k noise patterns.
 """
 
 from __future__ import annotations
@@ -88,43 +87,6 @@ def region_table(k: int, beta: float) -> RegionTable:
         prob_clean=tuple(clean),
         prob_perturbed=tuple(clean[::-1]),
     )
-
-
-def region_probs_full(d_total: int, k: int, beta: float):
-    """Region probabilities recomputed over the full noise dimension.
-
-    Groups all noise outcomes on d_total pairs by total flip count j and by
-    the ratio index m of the k perturbed pairs, then sums exact outcome
-    probabilities.  The d_total - k untouched pairs must marginalize out,
-    so the result agrees with region_table(k, beta) entry by entry; the
-    redundant route guards the combinatorial bookkeeping.
-
-    Returns (ratio_index, prob_clean, prob_perturbed) ordered by decreasing
-    index.
-    """
-    if k < 1 or k > d_total:
-        raise ValueError(f"need 1 <= k <= d_total, got k={k}, d_total={d_total}")
-    _check_beta(beta)
-    index = []
-    clean = []
-    pert = []
-    for m in range(k, -k - 1, -2):
-        f_p = (k - m) // 2  # flips the noise applies to the perturbed pairs
-        ways_p = comb(k, f_p)
-        terms_c = []
-        terms_p = []
-        for j in range(f_p, d_total - k + f_p + 1):
-            f_u = j - f_p
-            count = ways_p * comb(d_total - k, f_u)
-            terms_c.append(count * beta ** (d_total - j) * (1.0 - beta) ** j)
-            # reaching the same outcome from the perturbed base flips the
-            # complementary k - f_p pairs instead
-            j_alt = (k - f_p) + f_u
-            terms_p.append(count * beta ** (d_total - j_alt) * (1.0 - beta) ** j_alt)
-        index.append(m)
-        clean.append(fsum(terms_c))
-        pert.append(fsum(terms_p))
-    return tuple(index), tuple(clean), tuple(pert)
 
 
 def positive_prob_lower_bound(p_lower: float, k: int, beta: float) -> float:
@@ -233,42 +195,3 @@ def joint_attribute_budget(per_sample_radii) -> float:
     if any(r < 0.0 for r in radii):
         raise ValueError("radii must be nonnegative")
     return min(radii)
-
-
-@lru_cache(maxsize=64)
-def _oracle_states(k: int, beta_exact: Fraction):
-    """All 2^k noise patterns as (prob_clean, prob_perturbed), sorted by ratio."""
-    b = beta_exact
-    out = []
-    for bits in range(2**k):
-        flipped = bits.bit_count()
-        pc = b ** (k - flipped) * (1 - b) ** flipped
-        pp = b**flipped * (1 - b) ** (k - flipped)
-        out.append((pc / pp, pc, pp))
-    out.sort(key=lambda t: t[0], reverse=True)
-    return tuple((pc, pp) for _, pc, pp in out)
-
-
-def brute_force_bound_oracle(p_lower: float, k: int, beta: float) -> Fraction:
-    """Exact Neyman-Pearson optimum by enumerating every noise pattern singly.
-
-    Independent of the region-table route: no binomial coefficients, each of
-    the 2^k patterns carries its own rational probability pair and the
-    greedy runs over the sorted patterns.  Intended for tests; k <= 20.
-    """
-    if not 0 <= k <= 20:
-        raise ValueError(f"oracle enumerates 2^k states, need 0 <= k <= 20, got {k}")
-    if not 0.0 <= p_lower <= 1.0:
-        raise ValueError(f"p_lower must lie in [0, 1], got {p_lower}")
-    if k == 0:
-        return Fraction(p_lower)
-    _check_beta(beta)
-    remaining = Fraction(p_lower)
-    total = Fraction(0)
-    for pc, pp in _oracle_states(k, Fraction(beta)):
-        if remaining <= 0:
-            break
-        take = pc if pc <= remaining else remaining
-        total += take * pp / pc
-        remaining -= take
-    return total if total < 1 else Fraction(1)

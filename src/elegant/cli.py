@@ -184,12 +184,17 @@ def _model_paths(cfg: dict):
     return os.path.join(cfg["out"], "model.bin"), os.path.join(cfg["out"], "model_noise.bin")
 
 
-def load_models(cfg: dict):
-    vanilla_path, noise_path = _model_paths(cfg)
-    for p in (vanilla_path, noise_path):
+def load_models(cfg: dict, d: int):
+    """The vanilla and noise-augmented models; each must take d attributes."""
+    paths = _model_paths(cfg)
+    for p in paths:
         if not os.path.exists(p):
             raise DataError(f"missing model file {p}; run the train command first")
-    return load_model(vanilla_path), load_model(noise_path)
+    models = tuple(load_model(p) for p in paths)
+    for p, model in zip(paths, models):
+        if model.d != d:
+            raise DataError(f"{p}: model takes {model.d} attributes, the dataset has {d}")
+    return models
 
 
 def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=None) -> BiasThreshold:
@@ -303,7 +308,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_certify(cfg: dict) -> int:
     g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg)
+    vanilla, noise = load_models(cfg, X.shape[1])
     eta = resolve_eta(cfg, vanilla, g, X, labels, split)
     scfg = smoothing_config(cfg, eta)
     report = certify_and_predict(noise, g, X, labels, split, split.test_pool, scfg, jobs=cfg["jobs"], eta=eta)
@@ -314,7 +319,7 @@ def cmd_certify(cfg: dict) -> int:
 
 def cmd_fcr(cfg: dict) -> int:
     g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg)
+    vanilla, noise = load_models(cfg, X.shape[1])
     eta = resolve_eta(cfg, vanilla, g, X, labels, split)
     scfg = smoothing_config(cfg, eta)
     result = fcr_run(
@@ -366,7 +371,7 @@ def cmd_sweep(cfg: dict, axis: str | None = None, values=None, threshold_grid=No
     values = values if values is not None else (cfg["sweep"]["values"] or SWEEP_VALUES[axis])
     thresholds = threshold_grid if threshold_grid is not None else (cfg["sweep"]["thresholds"] or SWEEP_THRESHOLDS[axis])
     g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg)
+    vanilla, noise = load_models(cfg, X.shape[1])
     eta = resolve_eta(cfg, vanilla, g, X, labels, split)
     base = smoothing_config(cfg, eta)
     rows = []
@@ -391,7 +396,7 @@ def cmd_sweep(cfg: dict, axis: str | None = None, values=None, threshold_grid=No
 
 def cmd_attack(cfg: dict) -> int:
     g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg)
+    vanilla, noise = load_models(cfg, X.shape[1])
     eta = resolve_eta(cfg, vanilla, g, X, labels, split, multiplier_override=cfg["attack"].get("eta_multiplier"))
     scfg = smoothing_config(cfg, eta)
     grid = [tuple(cell) for cell in cfg["attack"]["grid"]]

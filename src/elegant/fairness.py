@@ -1,11 +1,13 @@
-"""Group fairness metrics and the bias indicator.
+"""Group fairness metrics and the bias threshold.
 
 Both metrics compare the two groups induced by a binary sensitive
 attribute over a node subset: statistical parity looks at positive
-prediction rates, equal opportunity at true positive rates.  A metric is
-undefined when one of its subgroups is empty; callers decide how to treat
-that (the certification pipeline counts such draws as biased-free votes of
-0 and logs them).
+prediction rates, equal opportunity at true positive rates.
+sensitive_groups is the one place those groups are formed, for the
+metrics here, the certification pipeline and the attribute attack.  A
+metric is undefined when one of its groups is empty; callers decide how to
+treat that (the certification pipeline forces such draws' indicator votes
+to 0 and logs them).
 """
 
 from __future__ import annotations
@@ -68,30 +70,38 @@ def _classes_of(yhat: np.ndarray) -> np.ndarray:
     return yhat
 
 
-def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:
-    """Statistical parity gap |P(yhat=1 | s=0) - P(yhat=1 | s=1)| over nodes."""
-    idx = np.asarray(list(nodes), dtype=np.int64)
-    if idx.size == 0:
-        raise UndefinedMetricError("empty node set")
-    cls = _classes_of(yhat)[idx]
+def sensitive_groups(nodes, s, y=None) -> tuple[np.ndarray, np.ndarray]:
+    """The node ids with s = 0 and with s = 1 among nodes, in input order.
+
+    Passing y keeps only the label-1 nodes, the population equal
+    opportunity compares.  Raises UndefinedMetricError when either group is
+    empty.
+    """
+    idx = np.asarray(nodes, dtype=np.int64)
+    if y is not None:
+        idx = idx[np.asarray(y)[idx] == 1]
     sv = np.asarray(s)[idx]
-    g0 = cls[sv == 0]
-    g1 = cls[sv == 1]
+    g0 = idx[sv == 0]
+    g1 = idx[sv == 1]
     if g0.size == 0 or g1.size == 0:
         raise UndefinedMetricError("one sensitive group is empty on this node set")
-    return float(abs((g0 == 1).mean() - (g1 == 1).mean()))
+    return g0, g1
+
+
+def _positive_rate_gap(yhat: np.ndarray, groups) -> float:
+    cls = _classes_of(yhat)
+    g0, g1 = groups
+    return float(abs((cls[g0] == 1).mean() - (cls[g1] == 1).mean()))
+
+
+def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:
+    """Statistical parity gap |P(yhat=1 | s=0) - P(yhat=1 | s=1)| over nodes."""
+    return _positive_rate_gap(yhat, sensitive_groups(list(nodes), s))
 
 
 def delta_eo(yhat: np.ndarray, y: np.ndarray, s: np.ndarray, nodes) -> float:
     """Equal opportunity gap: statistical parity restricted to y = 1 nodes."""
-    idx = np.asarray(list(nodes), dtype=np.int64)
-    if idx.size == 0:
-        raise UndefinedMetricError("empty node set")
-    yv = np.asarray(y)[idx]
-    pos = idx[yv == 1]
-    if pos.size == 0:
-        raise UndefinedMetricError("no positive-label nodes in this node set")
-    return delta_sp(yhat, s, pos)
+    return _positive_rate_gap(yhat, sensitive_groups(list(nodes), s, y))
 
 
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
@@ -108,15 +118,3 @@ def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
     if metric == EQUAL_OPPORTUNITY:
         return delta_eo(yhat, labels.y, labels.s, nodes)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def bias_indicator(model, g, X, eta: BiasThreshold, metric: str, test_nodes, labels) -> int:
-    """1 when the model's bias on the test nodes is strictly below eta.
-
-    Raises UndefinedMetricError when the metric is undefined on the node
-    set; the caller chooses the fallback.
-    """
-    from .gnn import predict_classes  # deferred to keep import order flexible
-
-    cls = predict_classes(model, g, X)
-    return int(bias_value(cls, labels, test_nodes, metric) < eta.eta)

@@ -1,11 +1,21 @@
 """Numpy node classifiers: two-layer GCN and GraphSAGE-mean.
 
-Both models are trained full batch with plain gradient descent and manual
-backpropagation; analytic input gradients are exposed for the attack code
-and checked against finite differences in the tests.  The certification
-pipeline needs tens of thousands of forward passes per run, so each model
-also implements a batched forward over many attribute perturbations that
-touch only a few rows.
+Backbone contract.  Certification (pipeline.PredictionCache and
+certify_and_predict) needs only `backbone` (a name), `build_ops(g)` (the
+propagation operator of a graph), `forward(ops, X)` (logits, shape (n, C))
+and `forward_many(ops, X, rows, deltas)` (logits, shape (B, n, C), for B
+perturbations of the given attribute rows).  The attacks add
+`input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits) in X.
+`train` builds the two reference backbones below through `init`,
+`loss_grads`, `params` and `replace`.
+
+Both reference backbones share one base, _TwoLayer: each writes its layer
+algebra once as a forward pass (_pass) and its reverse (_backward), and
+prediction, full-batch training with manual backpropagation and input
+gradients all derive from those two.  The certification pipeline needs
+tens of thousands of forward passes per run, so each backbone also
+implements a batched forward over many attribute perturbations that touch
+only a few rows.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import Graph
+from .data import DataError, Graph
 from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream
 
 logger = logging.getLogger(__name__)
@@ -91,52 +101,130 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
-class GcnModel:
-    """logits = A_hat relu(A_hat X W1 + b1) W2 + b2"""
+def _relu_dropout(z1, dropout, rng):
+    """Hidden activations and the inverted-dropout mask (None in eval mode)."""
+    h = np.maximum(z1, 0.0)
+    mask = None
+    if dropout > 0.0:
+        mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+        h = h * mask
+    return h, mask
 
-    backbone = "gcn"
 
-    def __init__(self, W1, b1, W2, b2):
-        self.W1 = np.asarray(W1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.W2 = np.asarray(W2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
+def _relu_dropout_grad(dh, z1, mask):
+    """Gradient of _relu_dropout's output pulled back to z1."""
+    if mask is not None:
+        dh = dh * mask
+    return dh * (z1 > 0.0)
 
-    @property
-    def d(self):
-        return self.W1.shape[0]
 
-    @property
-    def h(self):
-        return self.W1.shape[1]
+def _cross_entropy(logits, y, train_idx):
+    """Mean cross entropy on train_idx and its gradient in the logits."""
+    p = _softmax(logits)
+    idx = np.asarray(train_idx, dtype=np.int64)
+    eps = 1e-12
+    loss = -np.mean(np.log(p[idx, np.asarray(y)[idx]] + eps))
+    g = np.zeros_like(p)
+    g[idx] = p[idx]
+    g[idx, np.asarray(y)[idx]] -= 1.0
+    g /= idx.size
+    return float(loss), g
 
-    @property
-    def C(self):
-        return self.W2.shape[1]
+
+class _TwoLayer:
+    """Weights, training loss and input gradients shared by the two backbones.
+
+    A backbone lists its weights in weight_names (matrices W*, biases b*,
+    each name ending in its layer number) and writes its layer algebra
+    twice: _pass, the one forward pass, returning (z1, h, mask, logits)
+    with h the hidden activations after dropout; and _backward, its
+    reverse, returning (param_grads, dX) for a given logit gradient.
+    forward, loss_grads and input_grad derive from those two.
+    """
+
+    backbone: str
+    weight_names: tuple
+
+    def __init__(self, **weights):
+        if set(weights) != set(self.weight_names):
+            raise TypeError(f"{type(self).__name__} takes weights {self.weight_names}, got {tuple(weights)}")
+        for name in self.weight_names:
+            setattr(self, name, np.asarray(weights[name], dtype=np.float64))
+
+    @classmethod
+    def weight_shapes(cls, d, hidden, classes) -> dict:
+        """Shape of every weight of a d -> hidden -> classes model."""
+        dims = {"1": (d, hidden), "2": (hidden, classes)}
+        return {name: dims[name[-1]][1:] if name.startswith("b") else dims[name[-1]] for name in cls.weight_names}
 
     @classmethod
     def init(cls, rng, d, hidden, classes=2):
-        return cls(
-            W1=_glorot(rng, d, hidden),
-            b1=np.zeros(hidden),
-            W2=_glorot(rng, hidden, classes),
-            b2=np.zeros(classes),
-        )
+        """Glorot matrices drawn in weight_names order; zero biases."""
+        shapes = cls.weight_shapes(d, hidden, classes)
+        return cls(**{name: np.zeros(s) if len(s) == 1 else _glorot(rng, *s) for name, s in shapes.items()})
+
+    @property
+    def d(self):
+        return getattr(self, self.weight_names[0]).shape[0]
+
+    @property
+    def h(self):
+        return self.b1.shape[0]
+
+    @property
+    def C(self):
+        return self.b2.shape[0]
 
     def params(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+        return {name: getattr(self, name) for name in self.weight_names}
 
     def replace(self, params):
-        return GcnModel(**params)
+        return type(self)(**params)
+
+    def forward(self, ops, X):
+        """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
+        return self._pass(ops, X)[-1]
+
+    def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
+        """Mean cross entropy on train_idx and its parameter/input gradients."""
+        z1, h, mask, logits = self._pass(ops, X, dropout, rng)
+        loss, dlogits = _cross_entropy(logits, y, train_idx)
+        grads, dX = self._backward(ops, X, z1, h, mask, dlogits)
+        return loss, grads, dX
+
+    def input_grad(self, ops, X, dlogits):
+        """Backpropagate an arbitrary logit gradient to the inputs (eval mode)."""
+        z1, h, mask, _ = self._pass(ops, X)
+        return self._backward(ops, X, z1, h, mask, dlogits)[1]
+
+
+class GcnModel(_TwoLayer):
+    """logits = A_hat relu(A_hat X W1 + b1) W2 + b2"""
+
+    backbone = "gcn"
+    weight_names = ("W1", "b1", "W2", "b2")
+    # bound in each backbone's own namespace, so a per-class wrapper (a tracer,
+    # a profiler) patches one backbone and leaves the other alone
+    forward = _TwoLayer.forward
+    loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
     def build_ops(g: Graph):
         return normalize_adjacency(g)
 
-    def forward(self, ops, X):
+    def _pass(self, ops, X, dropout=0.0, rng=None):
         z1 = ops @ (X @ self.W1) + self.b1
-        h = np.maximum(z1, 0.0)
-        return ops @ (h @ self.W2) + self.b2
+        h, mask = _relu_dropout(z1, dropout, rng)
+        return z1, h, mask, ops @ (h @ self.W2) + self.b2
+
+    def _backward(self, ops, X, z1, h, mask, dlogits):
+        ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
+        grads = {"W2": h.T @ ag2, "b2": dlogits.sum(axis=0)}
+        dz1 = _relu_dropout_grad(ag2 @ self.W2.T, z1, mask)
+        adz1 = ops @ dz1
+        grads["W1"] = X.T @ adz1
+        grads["b1"] = dz1.sum(axis=0)
+        return grads, adz1 @ self.W1.T
 
     def forward_many(self, ops, X, rows, deltas):
         """Forward over a batch of row perturbations of X.
@@ -155,100 +243,31 @@ class GcnModel:
             out[b] = ops @ out[b]
         return out + self.b2
 
-    def _forward_cached(self, ops, X, dropout=0.0, rng=None):
-        z1 = ops @ (X @ self.W1) + self.b1
-        h = np.maximum(z1, 0.0)
-        mask = None
-        if dropout > 0.0:
-            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-            h = h * mask
-        z2 = ops @ (h @ self.W2) + self.b2
-        return z1, h, mask, z2
 
-    def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
-        """Mean cross entropy on train_idx and its parameter/input gradients."""
-        z1, h, mask, z2 = self._forward_cached(ops, X, dropout, rng)
-        p = _softmax(z2)
-        idx = np.asarray(train_idx, dtype=np.int64)
-        eps = 1e-12
-        loss = -np.mean(np.log(p[idx, np.asarray(y)[idx]] + eps))
-        g2 = np.zeros_like(p)
-        g2[idx] = p[idx]
-        g2[idx, np.asarray(y)[idx]] -= 1.0
-        g2 /= idx.size
-        ag2 = ops @ g2  # A_hat is symmetric, so A_hat^T g = A_hat g
-        grads = {
-            "W2": h.T @ ag2,
-            "b2": g2.sum(axis=0),
-        }
-        dh = ag2 @ self.W2.T
-        if mask is not None:
-            dh = dh * mask
-        dz1 = dh * (z1 > 0.0)
-        adz1 = ops @ dz1
-        grads["W1"] = X.T @ adz1
-        grads["b1"] = dz1.sum(axis=0)
-        dX = adz1 @ self.W1.T
-        return float(loss), grads, dX
-
-    def input_grad(self, ops, X, dlogits):
-        """Backpropagate an arbitrary logit gradient to the inputs (eval mode)."""
-        z1 = ops @ (X @ self.W1) + self.b1
-        dh = (ops @ dlogits) @ self.W2.T
-        dz1 = dh * (z1 > 0.0)
-        return (ops @ dz1) @ self.W1.T
-
-
-class SageModel:
+class SageModel(_TwoLayer):
     """h = relu(X Ws1 + (M X) Wn1 + b1); logits = h Ws2 + (M h) Wn2 + b2"""
 
     backbone = "sage"
-
-    def __init__(self, Ws1, Wn1, b1, Ws2, Wn2, b2):
-        self.Ws1 = np.asarray(Ws1, dtype=np.float64)
-        self.Wn1 = np.asarray(Wn1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.Ws2 = np.asarray(Ws2, dtype=np.float64)
-        self.Wn2 = np.asarray(Wn2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-
-    @property
-    def d(self):
-        return self.Ws1.shape[0]
-
-    @property
-    def h(self):
-        return self.Ws1.shape[1]
-
-    @property
-    def C(self):
-        return self.Ws2.shape[1]
-
-    @classmethod
-    def init(cls, rng, d, hidden, classes=2):
-        return cls(
-            Ws1=_glorot(rng, d, hidden),
-            Wn1=_glorot(rng, d, hidden),
-            b1=np.zeros(hidden),
-            Ws2=_glorot(rng, hidden, classes),
-            Wn2=_glorot(rng, hidden, classes),
-            b2=np.zeros(classes),
-        )
-
-    def params(self):
-        return {"Ws1": self.Ws1, "Wn1": self.Wn1, "b1": self.b1, "Ws2": self.Ws2, "Wn2": self.Wn2, "b2": self.b2}
-
-    def replace(self, params):
-        return SageModel(**params)
+    weight_names = ("Ws1", "Wn1", "b1", "Ws2", "Wn2", "b2")
+    forward = _TwoLayer.forward
+    loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
     def build_ops(g: Graph):
         return mean_aggregator(g)
 
-    def forward(self, ops, X):
+    def _pass(self, ops, X, dropout=0.0, rng=None):
         z1 = X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1
-        h = np.maximum(z1, 0.0)
-        return h @ self.Ws2 + (ops @ h) @ self.Wn2 + self.b2
+        h, mask = _relu_dropout(z1, dropout, rng)
+        return z1, h, mask, h @ self.Ws2 + (ops @ h) @ self.Wn2 + self.b2
+
+    def _backward(self, ops, X, z1, h, mask, dlogits):
+        grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}
+        dz1 = _relu_dropout_grad(dlogits @ self.Ws2.T + (ops.T @ dlogits) @ self.Wn2.T, z1, mask)
+        grads["Ws1"] = X.T @ dz1
+        grads["Wn1"] = (ops @ X).T @ dz1
+        grads["b1"] = dz1.sum(axis=0)
+        return grads, dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
 
     def forward_many(self, ops, X, rows, deltas):
         rows = np.asarray(rows, dtype=np.int64)
@@ -263,79 +282,14 @@ class SageModel:
             out[b] = ops @ out[b]
         return h @ self.Ws2 + out + self.b2
 
-    def _forward_cached(self, ops, X, dropout=0.0, rng=None):
-        z1 = X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1
-        h = np.maximum(z1, 0.0)
-        mask = None
-        if dropout > 0.0:
-            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-            h = h * mask
-        z2 = h @ self.Ws2 + (ops @ h) @ self.Wn2 + self.b2
-        return z1, h, mask, z2
-
-    def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
-        z1, h, mask, z2 = self._forward_cached(ops, X, dropout, rng)
-        p = _softmax(z2)
-        idx = np.asarray(train_idx, dtype=np.int64)
-        eps = 1e-12
-        loss = -np.mean(np.log(p[idx, np.asarray(y)[idx]] + eps))
-        g2 = np.zeros_like(p)
-        g2[idx] = p[idx]
-        g2[idx, np.asarray(y)[idx]] -= 1.0
-        g2 /= idx.size
-        mtg2 = ops.T @ g2
-        grads = {
-            "Ws2": h.T @ g2,
-            "Wn2": (ops @ h).T @ g2,
-            "b2": g2.sum(axis=0),
-        }
-        dh = g2 @ self.Ws2.T + mtg2 @ self.Wn2.T
-        if mask is not None:
-            dh = dh * mask
-        dz1 = dh * (z1 > 0.0)
-        grads["Ws1"] = X.T @ dz1
-        grads["Wn1"] = (ops @ X).T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        dX = dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
-        return float(loss), grads, dX
-
-    def input_grad(self, ops, X, dlogits):
-        z1 = X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1
-        dh = dlogits @ self.Ws2.T + (ops.T @ dlogits) @ self.Wn2.T
-        dz1 = dh * (z1 > 0.0)
-        return dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
-
 
 BACKBONES = {"gcn": GcnModel, "sage": SageModel}
-
-
-def forward(model, a_hat, X) -> np.ndarray:
-    """Logits for every node under a prebuilt propagation operator."""
-    return model.forward(a_hat, X)
-
-
-def gradients(model, a_hat, X, y, train_set):
-    """Analytic gradients of the mean training cross entropy.
-
-    Returns (param_grads, input_grad); evaluation mode, no dropout.  The
-    finite-difference suite drives this function directly.
-    """
-    _, grads, dX = model.loss_grads(a_hat, X, y, np.asarray(train_set, dtype=np.int64))
-    return grads, dX
 
 
 def predict_classes(model, g: Graph, X) -> np.ndarray:
     """Hard class per node; ties resolve to the lowest class index."""
     logits = model.forward(model.build_ops(g), X)
     return logits.argmax(axis=1)
-
-
-def predict(model, g: Graph, X) -> np.ndarray:
-    """One-hot prediction matrix of shape (n, C)."""
-    cls = predict_classes(model, g, X)
-    out = np.zeros((cls.shape[0], model.C), dtype=np.int64)
-    out[np.arange(cls.shape[0]), cls] = 1
-    return out
 
 
 def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", augment: bool = False):
@@ -411,8 +365,22 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
-    with np.load(path, allow_pickle=False) as arch:
-        meta = json.loads(str(arch["meta"]))
-        cls = BACKBONES[meta["backbone"]]
-        weights = {k: arch[k] for k in arch.files if k != "meta"}
+    """Read a save_model container.
+
+    Raises DataError naming the file when it is unreadable, names an unknown
+    backbone, or holds weights whose names or shapes do not fit its meta.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as arch:
+            meta = dict(json.loads(str(arch["meta"])))
+            weights = {k: arch[k] for k in arch.files if k != "meta"}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a model file written by save_model ({exc})") from exc
+    cls = BACKBONES.get(meta.get("backbone"))
+    if cls is None:
+        raise DataError(f"{path}: unknown backbone {meta.get('backbone')!r}")
+    want = cls.weight_shapes(meta.get("d"), meta.get("hidden"), meta.get("classes"))
+    got = {k: v.shape for k, v in weights.items()}
+    if got != want:
+        raise DataError(f"{path}: weights {got} do not match its {cls.backbone} meta, which needs {want}")
     return cls(**weights)

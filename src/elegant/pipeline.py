@@ -31,7 +31,7 @@ import numpy as np
 from .certify import CertifiedBudgets, attribute_radius, joint_attribute_budget, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound, binomial_lower_bound_vec
-from .fairness import BiasThreshold
+from .fairness import EQUAL_OPPORTUNITY, BiasThreshold, UndefinedMetricError, sensitive_groups
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -169,16 +169,11 @@ class PredictionCache:
 
 
 def _bias_matrix(classes: np.ndarray, labels, test_idx: np.ndarray, metric: str):
-    """Bias of every cached prediction on the test set; None when undefined."""
-    s = labels.s[test_idx]
-    if metric == "eo":
-        keep = labels.y[test_idx] == 1
-        test_idx = test_idx[keep]
-        s = s[keep]
-    g0 = test_idx[s == 0]
-    g1 = test_idx[s == 1]
-    if g0.size == 0 or g1.size == 0:
-        return None
+    """Bias of every cached prediction on the test set.
+
+    Raises UndefinedMetricError when the metric is undefined on the set.
+    """
+    g0, g1 = sensitive_groups(test_idx, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
     r0 = (classes[:, :, g0] == 1).mean(axis=2)
     r1 = (classes[:, :, g1] == 1).mean(axis=2)
     return np.abs(r0 - r1)
@@ -227,8 +222,9 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
     if cache is None:
         cache = PredictionCache.build(model, g, X, vul, cfg, jobs=jobs)
 
-    bias = _bias_matrix(cache.classes, labels, test_idx, cfg.metric)
-    if bias is None:
+    try:
+        bias = _bias_matrix(cache.classes, labels, test_idx, cfg.metric)
+    except UndefinedMetricError:
         logger.warning("bias metric undefined on this test set; all indicators forced to 0")
         indicator = np.zeros((cfg.n_outer, cfg.n_inner), dtype=bool)
         bias = np.full((cfg.n_outer, cfg.n_inner), np.nan)

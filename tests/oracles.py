@@ -2,8 +2,9 @@
 
 Nothing here imports the package or scipy: normal quantiles come from
 bisection on an erf-based CDF, incomplete-beta values from Simpson
-integration, and the Neyman-Pearson optimum from exact rational
-enumeration.  Slow and simple on purpose.
+integration, the Neyman-Pearson optimum from exact rational enumeration,
+the region probabilities from a sum over every flip count, and gradients
+from central differences.  Slow and simple on purpose.
 """
 
 import math
@@ -66,8 +67,8 @@ def beta_quantile(a, b, q, iters=80, panels=20_000):
 def np_bound_exact(p_lower, k, beta):
     """Neyman-Pearson optimum over all 2^k patterns, exact rationals.
 
-    Deliberately duplicates the package's own test oracle so suite results
-    never hinge on a single enumeration.
+    No binomial coefficients: each pattern carries its own probability pair
+    and the greedy runs over the patterns sorted by likelihood ratio.
     """
     pl = Fraction(p_lower)
     b = Fraction(beta)
@@ -87,6 +88,39 @@ def np_bound_exact(p_lower, k, beta):
         total += take * pp / pc
         remaining -= take
     return total if total < 1 else Fraction(1)
+
+
+def region_probs_full(d_total, k, beta):
+    """Region probabilities recomputed over the full noise dimension.
+
+    Groups all noise outcomes on d_total pairs by total flip count j and by
+    the ratio index m of the k perturbed pairs, then sums exact outcome
+    probabilities.  The d_total - k untouched pairs must marginalize out,
+    so the result agrees with certify.region_table(k, beta) entry by entry.
+
+    Returns (ratio_index, prob_clean, prob_perturbed) ordered by decreasing
+    index.
+    """
+    index = []
+    clean = []
+    pert = []
+    for m in range(k, -k - 1, -2):
+        f_p = (k - m) // 2  # flips the noise applies to the perturbed pairs
+        ways_p = math.comb(k, f_p)
+        terms_c = []
+        terms_p = []
+        for j in range(f_p, d_total - k + f_p + 1):
+            f_u = j - f_p
+            count = ways_p * math.comb(d_total - k, f_u)
+            terms_c.append(count * beta ** (d_total - j) * (1.0 - beta) ** j)
+            # reaching the same outcome from the perturbed base flips the
+            # complementary k - f_p pairs instead
+            j_alt = (k - f_p) + f_u
+            terms_p.append(count * beta ** (d_total - j_alt) * (1.0 - beta) ** j_alt)
+        index.append(m)
+        clean.append(math.fsum(terms_c))
+        pert.append(math.fsum(terms_p))
+    return tuple(index), tuple(clean), tuple(pert)
 
 
 def finite_difference_loss_grads(model, ops, X, y, train_idx, step=1e-5):
@@ -123,6 +157,24 @@ def finite_difference_loss_grads(model, ops, X, y, train_idx, step=1e-5):
         flat[i] = orig
         gf[i] = (hi - lo) / (2 * step)
     return grads, gX
+
+
+def finite_difference_input_grad(model, ops, X, G, step=1e-5):
+    """Central differences of sum(G * model.forward(ops, X)) in every entry of X."""
+    import numpy as np
+
+    gX = np.zeros_like(X)
+    flat = X.reshape(-1)
+    gf = gX.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = float(np.sum(G * model.forward(ops, X)))
+        flat[i] = orig - step
+        lo = float(np.sum(G * model.forward(ops, X)))
+        flat[i] = orig
+        gf[i] = (hi - lo) / (2 * step)
+    return gX
 
 
 def eligible_pairs_oracle(n, vulnerable):

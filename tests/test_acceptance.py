@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from elegant.certify import (
     attribute_radius,
     positive_prob_lower_bound,
-    region_probs_full,
     region_table,
     structure_budget,
 )
@@ -32,10 +31,10 @@ from elegant.cli import (
 )
 from elegant.data import Graph
 from elegant.estimate import beta_quantile, binomial_lower_bound_vec, std_normal_quantile
-from elegant.gnn import GcnModel, gradients
+from elegant.gnn import GcnModel
 from elegant.pipeline import CERTIFIED, certify_and_predict, fcr_run
 from elegant.smoothing import eligible_pairs
-from oracles import finite_difference_loss_grads, norm_cdf, np_bound_exact
+from oracles import finite_difference_loss_grads, norm_cdf, np_bound_exact, region_probs_full
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +111,7 @@ def test_gcn_gradients_match_finite_differences():
         idx = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
         model = GcnModel.init(rng, d=d, hidden=h, classes=2)
         ops = model.build_ops(g)
-        grads, dX = gradients(model, ops, X, y, idx)
+        _, grads, dX = model.loss_grads(ops, X, y, idx)
         fd_grads, fd_X = finite_difference_loss_grads(model, ops, X, y, idx, step=1e-5)
         for name in fd_grads:
             a, f = grads[name], fd_grads[name]
@@ -149,7 +148,7 @@ def test_certificates_survive_inbudget_perturbations(sbm200_run):
     args = make_parser().parse_args(["fcr", "--out", sbm200_run["out"], "--seed", "0"])
     cfg = build_config(sbm200_run["config"], args)
     g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg)
+    vanilla, noise = load_models(cfg, X.shape[1])
     eta = resolve_eta(cfg, vanilla, g, X, labels, split)
     scfg = smoothing_config(cfg, eta)
 

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from elegant.certify import (
     attribute_radius,
-    brute_force_bound_oracle,
     joint_attribute_budget,
     positive_prob_lower_bound,
-    region_probs_full,
     region_table,
     structure_budget,
 )
@@ -64,7 +62,7 @@ def test_region_table_rejects_bad_inputs():
 @pytest.mark.parametrize("d_total,k", [(1, 1), (5, 1), (5, 5), (12, 3), (20, 7)])
 @pytest.mark.parametrize("beta", [0.6, 0.8, 0.9])
 def test_full_dimension_route_matches_reduced_table(d_total, k, beta):
-    idx_full, clean_full, pert_full = region_probs_full(d_total, k, beta)
+    idx_full, clean_full, pert_full = oracles.region_probs_full(d_total, k, beta)
     t = region_table(k, beta)
     assert idx_full == t.ratio_index
     for a, b in zip(clean_full, t.prob_clean):
@@ -98,15 +96,7 @@ def test_bound_edge_cases():
 @pytest.mark.parametrize("p", [0.55, 0.7, 0.9, 0.99, 0.999])
 def test_bound_matches_enumeration_oracles(k, beta, p):
     got = positive_prob_lower_bound(p, k, beta)
-    ours = float(brute_force_bound_oracle(p, k, beta))
-    theirs = float(oracles.np_bound_exact(p, k, beta))
-    assert ours == pytest.approx(theirs, abs=1e-15)
-    assert got == pytest.approx(ours, abs=1e-12)
-
-
-def test_oracle_rejects_large_k():
-    with pytest.raises(ValueError):
-        brute_force_bound_oracle(0.9, 21, 0.8)
+    assert got == pytest.approx(float(oracles.np_bound_exact(p, k, beta)), abs=1e-12)
 
 
 def test_structure_budget_frozen_values():

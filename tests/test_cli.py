@@ -4,10 +4,12 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from elegant.cli import build_config, load_world, main, make_parser
 from elegant.fixtures import bundled_fixture_dir
+from elegant.gnn import GcnModel, save_model
 
 
 def _write_config(path, extra=None):
@@ -164,6 +166,53 @@ def test_exit_code_missing_models(tmp_path, capsys):
     rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "empty")])
     assert rc == 3
     assert "train command" in capsys.readouterr().err
+
+
+def _write_model_pair(out, write):
+    """Call write(path) for both model files of an output directory."""
+    out.mkdir()
+    for name in ("model.bin", "model_noise.bin"):
+        write(out / name)
+
+
+def test_exit_code_weights_not_matching_meta(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json")
+    gcn = GcnModel.init(np.random.default_rng(0), d=8, hidden=4)
+    meta = {"backbone": "sage", "d": 8, "hidden": 4, "classes": 2, "layers": 2, "activation": "relu"}
+
+    def write(path):
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **gcn.params())
+
+    _write_model_pair(tmp_path / "run", write)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "model.bin" in err and "sage" in err
+
+
+def test_exit_code_unreadable_model_file(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json")
+    _write_model_pair(tmp_path / "text", lambda path: path.write_text("not a model\n"))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "text")]) == 3
+    assert "model.bin: not a model file" in capsys.readouterr().err
+
+    def no_meta(path):
+        with open(path, "wb") as fh:
+            np.savez(fh, W1=np.zeros((8, 4)))
+
+    _write_model_pair(tmp_path / "bare", no_meta)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "bare")]) == 3
+    assert "model.bin: not a model file" in capsys.readouterr().err
+
+
+def test_exit_code_model_width_not_matching_dataset(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json")
+    _, X, _, _ = load_world(build_config(cfg, make_parser().parse_args(["certify"])))
+    model = GcnModel.init(np.random.default_rng(0), d=X.shape[1] + 1, hidden=4)
+    _write_model_pair(tmp_path / "run", lambda path: save_model(model, path))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "model.bin" in err and f"{X.shape[1] + 1} attributes" in err
 
 
 def test_exit_code_missing_dataset_files(tmp_path, capsys):

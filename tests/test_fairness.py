@@ -1,17 +1,17 @@
-"""Group fairness metrics, thresholds, and the bias indicator."""
+"""Group fairness metrics, group splitting and thresholds."""
 
 import numpy as np
 import pytest
 
-from elegant.data import Graph, NodeLabels
+from elegant.data import NodeLabels
 from elegant.fairness import (
     BiasThreshold,
     UndefinedMetricError,
     accuracy,
-    bias_indicator,
     bias_value,
     delta_eo,
     delta_sp,
+    sensitive_groups,
 )
 
 S = np.array([0, 0, 0, 0, 1, 1, 1, 1])
@@ -50,6 +50,17 @@ def test_metrics_undefined_on_degenerate_sets():
         delta_sp(yhat, S, [])
 
 
+def test_sensitive_groups_keep_input_order():
+    g0, g1 = sensitive_groups([6, 1, 4, 0, 5], S)
+    np.testing.assert_array_equal(g0, [1, 0])
+    np.testing.assert_array_equal(g1, [6, 4, 5])
+    g0, g1 = sensitive_groups(np.array([7, 5, 2, 1, 4, 0]), S, Y)  # label-1 nodes only
+    np.testing.assert_array_equal(g0, [1, 0])
+    np.testing.assert_array_equal(g1, [5, 4])
+    with pytest.raises(UndefinedMetricError):
+        sensitive_groups([4, 5, 2], S, Y)  # node 2 has y = 0, so no s = 0 node is left
+
+
 def test_accuracy():
     yhat = np.array([1, 1, 0, 0, 1, 1, 1, 1])
     assert accuracy(yhat, Y, range(8)) == pytest.approx(7 / 8)
@@ -78,52 +89,3 @@ def test_threshold_constructors():
         BiasThreshold.relative(0.0, 0.4)
     with pytest.raises(ValueError):
         BiasThreshold(eta=0.1, provenance="scaled")
-
-
-class _FixedModel:
-    """Stand-in classifier with pinned logits, for indicator tests."""
-
-    def __init__(self, logits):
-        self._logits = np.asarray(logits, dtype=float)
-
-    @staticmethod
-    def build_ops(g):
-        return None
-
-    def forward(self, ops, X):
-        return self._logits
-
-
-def _world(preds, s):
-    n = len(preds)
-    g = Graph(n=n, edges=frozenset())
-    X = np.zeros((n, 1))
-    labels = NodeLabels(y=np.zeros(n, dtype=int), s=np.asarray(s))
-    logits = np.eye(2)[np.asarray(preds)]
-    return _FixedModel(logits), g, X, labels
-
-
-def test_bias_indicator_strict_inequality():
-    # groups of 4: rates 3/4 vs 1/2, bias exactly 0.25
-    preds = [1, 1, 1, 0, 1, 1, 0, 0]
-    s = [0, 0, 0, 0, 1, 1, 1, 1]
-    model, g, X, labels = _world(preds, s)
-    at = lambda eta: bias_indicator(model, g, X, BiasThreshold.absolute(eta), "sp", range(8), labels)
-    assert at(0.25) == 0  # boundary equality counts as biased
-    assert at(0.2500001) == 1
-    assert at(0.2499999) == 0
-
-
-def test_bias_indicator_zero_eta_never_fair():
-    preds = [1, 1, 0, 0]
-    s = [0, 0, 1, 1]
-    model, g, X, labels = _world(preds, s)
-    assert bias_indicator(model, g, X, BiasThreshold.absolute(0.0), "sp", range(4), labels) == 0
-
-
-def test_bias_indicator_propagates_undefined_metric():
-    preds = [1, 0, 1]
-    s = [0, 0, 0]
-    model, g, X, labels = _world(preds, s)
-    with pytest.raises(UndefinedMetricError):
-        bias_indicator(model, g, X, BiasThreshold.absolute(0.5), "sp", range(3), labels)

@@ -9,16 +9,14 @@ from elegant.gnn import (
     SageModel,
     TrainConfig,
     TrainingDivergedError,
-    gradients,
     load_model,
     mean_aggregator,
     normalize_adjacency,
-    predict,
     predict_classes,
     save_model,
     train,
 )
-from oracles import finite_difference_loss_grads
+from oracles import finite_difference_input_grad, finite_difference_loss_grads
 
 PATH3 = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
 
@@ -78,10 +76,13 @@ def test_gradients_match_finite_differences(backbone):
     for _ in range(10):
         model, g, X, y, idx = _random_instance(rng, backbone)
         ops = model.build_ops(g)
-        grads, dX = gradients(model, ops, X, y, idx)
+        _, grads, dX = model.loss_grads(ops, X, y, idx)
         fd_grads, fd_X = finite_difference_loss_grads(model, ops, X, y, idx)
         worst = max(worst, _max_rel_err(grads, fd_grads))
-        worst = max(worst, float(np.max(np.abs(dX - fd_X) / np.maximum(1.0, np.abs(fd_X)))))
+        worst = max(worst, _max_rel_err({"X": dX}, {"X": fd_X}))
+        G = rng.standard_normal((g.n, model.C))
+        fd_in = finite_difference_input_grad(model, ops, X, G)
+        worst = max(worst, _max_rel_err({"X": model.input_grad(ops, X, G)}, {"X": fd_in}))
     assert worst <= 1e-4
 
 
@@ -91,7 +92,7 @@ def test_gradient_near_zero_at_confident_fit():
     model = GcnModel(W1=[[1.0, -1.0]], b1=[0.0, 0.0], W2=[[5.0, -5.0], [-5.0, 5.0]], b2=[0.0, 0.0])
     g = Graph(n=2, edges=frozenset())
     ops = model.build_ops(g)
-    grads, _ = gradients(model, ops, X, np.array([0, 1]), [0, 1])
+    _, grads, _ = model.loss_grads(ops, X, np.array([0, 1]), [0, 1])
     assert all(np.abs(v).max() < 1e-3 for v in grads.values())
 
 
@@ -107,7 +108,7 @@ def test_linear_activation_two_node_hand_case():
     # dL/dz2 = (softmax - onehot(y)) / n_train with y = [1, 1]; A_hat = I so
     # the chain rule collapses to plain matrix products
     p1 = 1 / (1 + np.exp(2 * logits[:, 0]))
-    grads, dX = gradients(model, ops, X, np.array([1, 1]), [0, 1])
+    _, grads, dX = model.loss_grads(ops, X, np.array([1, 1]), [0, 1])
     dz = np.stack([1 - p1, p1 - 1], axis=1) / 2
     w2t = np.array([[1.0], [-1.0]])
     np.testing.assert_allclose(grads["W2"], (X + 5).T @ dz, atol=1e-12)
@@ -133,9 +134,6 @@ def test_predict_tie_breaks_to_class_zero():
     g = Graph(n=4, edges=frozenset({(0, 1)}))
     X = np.ones((4, 3))
     np.testing.assert_array_equal(predict_classes(model, g, X), 0)
-    onehot = predict(model, g, X)
-    np.testing.assert_array_equal(onehot[:, 0], 1)
-    np.testing.assert_array_equal(onehot[:, 1], 0)
 
 
 def test_forward_many_matches_single_forwards():

@@ -94,16 +94,16 @@ def test_eta_zero_abstains():
     assert rep.abstain_reason
 
 
-class _GroupBiasedModel(_ConstantModel):
-    """Class 1 exactly on one sensitive group; bias is 1 on every draw."""
+class _FixedClassModel(_ConstantModel):
+    """Predicts a given class vector on every draw; class s is bias 1."""
 
-    def __init__(self, s):
+    def __init__(self, classes):
         super().__init__()
-        self.s = np.asarray(s)
+        self.classes = np.asarray(classes)
 
     def forward(self, ops, X):
         out = np.zeros((X.shape[0], 2))
-        out[np.arange(X.shape[0]), self.s] = 1.0
+        out[np.arange(X.shape[0]), self.classes] = 1.0
         return out
 
     def forward_many(self, ops, X, rows, deltas):
@@ -113,12 +113,24 @@ class _GroupBiasedModel(_ConstantModel):
 def test_certifiably_biased_model_abstains_without_undecided():
     g, X, labels, split = _world()
     cfg = SmoothingConfig(n_outer=30, n_inner=20, eta=0.5, master_seed=0)
-    rep = certify_and_predict(_GroupBiasedModel(labels.s), g, X, labels, split, split.test_pool, cfg)
+    rep = certify_and_predict(_FixedClassModel(labels.s), g, X, labels, split, split.test_pool, cfg)
     # every inner vote certifies the biased side; strict mode has nothing
     # undecided, the outer bound just fails
     assert rep.outcome == ABSTAIN
     assert rep.n_outer_positive == 0
     assert "outer" in rep.abstain_reason
+
+
+def test_indicator_is_strict_at_eta():
+    g, X, labels, split = _world()
+    # class 1 on 6 of the 12 s=0 nodes and 3 of the 12 s=1 nodes: bias exactly 1/2 - 1/4
+    classes = np.zeros(g.n, dtype=int)
+    classes[[0, 2, 4, 6, 8, 10, 1, 3, 5]] = 1
+    model = _FixedClassModel(classes)
+    cfg = SmoothingConfig(n_outer=4, n_inner=10, eta=0.25, master_seed=0)
+    for eta, n1 in ((0.25, 0), (np.nextafter(0.25, 1.0), cfg.n_inner)):
+        rep = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(eta))
+        assert [r.n1 for r in rep.records] == [n1] * cfg.n_outer
 
 
 class _StreamParityModel(_ConstantModel):
@@ -222,7 +234,7 @@ def test_select_fair_output_skips_uncertified():
 def test_prediction_cache_jobs_do_not_change_classes():
     g, X, labels, split = _world()
     cfg = SmoothingConfig(n_outer=12, n_inner=6, master_seed=5)
-    model = _GroupBiasedModel(labels.s)
+    model = _FixedClassModel(labels.s)
     c1 = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=1)
     c4 = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=4)
     np.testing.assert_array_equal(c1.classes, c4.classes)
