@@ -139,13 +139,14 @@ def _bound_exact(p_lower: float, k: int, beta: float) -> Fraction:
 
 
 def structure_budget(p_lower: float, beta: float, k_max: int = DEFAULT_K_MAX) -> int:
-    """Largest number of pair flips the smoothed positive vote provably survives.
+    """Number of pair flips the smoothed positive vote provably survives.
 
-    Scans k = 1 .. k_max and keeps the largest k whose Neyman-Pearson bound
-    stays strictly above 1/2.  Float bounds within BOUNDARY_SLACK of 1/2
-    are re-decided exactly, so ties at the boundary never certify.  Returns
-    0 when not even one flip is certified; p_lower <= 1/2 certifies nothing
-    and logs a warning.
+    The certificate covers every k <= eps_A, so the budget is the length of
+    the certified prefix: k = 1, 2, ... up to k_max while the Neyman-Pearson
+    bound stays strictly above 1/2, stopping at the first k that fails.
+    Float bounds within BOUNDARY_SLACK of 1/2 are re-decided exactly, so
+    ties at the boundary never certify.  Returns 0 when not even one flip is
+    certified; p_lower <= 1/2 certifies nothing and logs a warning.
     """
     _check_beta(beta)
     if k_max < 0:
@@ -155,16 +156,15 @@ def structure_budget(p_lower: float, beta: float, k_max: int = DEFAULT_K_MAX) ->
     if p_lower <= 0.5:
         logger.warning("structure budget degenerate: p_lower=%.6g <= 1/2 certifies nothing", p_lower)
         return 0
-    budget = 0
     for k in range(1, k_max + 1):
         bound = positive_prob_lower_bound(p_lower, k, beta)
         if abs(bound - 0.5) <= BOUNDARY_SLACK:
             certified = _bound_exact(p_lower, k, beta) > Fraction(1, 2)
         else:
             certified = bound > 0.5
-        if certified:
-            budget = k
-    return budget
+        if not certified:
+            return k - 1
+    return k_max
 
 
 def attribute_radius(p_lower: float, sigma: float) -> float:

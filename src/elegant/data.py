@@ -150,7 +150,7 @@ def _open_rows(path):
     with open(path, newline="") as fh:
         sniff = fh.read(4096)
         fh.seek(0)
-        delim = "," if "," in sniff.splitlines()[0] else None
+        delim = "," if "," in next(iter(sniff.splitlines()), "") else None
         if delim:
             yield from csv.reader(fh)
         else:

@@ -4,10 +4,11 @@ Both metrics compare the two groups induced by a binary sensitive
 attribute over a node subset: statistical parity looks at positive
 prediction rates, equal opportunity at true positive rates.
 sensitive_groups is the one place those groups are formed, for the
-metrics here, the certification pipeline and the attribute attack.  A
-metric is undefined when one of its groups is empty; callers decide how to
-treat that (the certification pipeline forces such draws' indicator votes
-to 0 and logs them).
+metrics here, the certification pipeline and the attribute attack, and
+positive_rate_gap the one kernel comparing their class-1 rates.  A metric
+is undefined when one of its groups is empty; callers decide how to treat
+that (the certification pipeline forces such draws' indicator votes to 0
+and logs them).
 """
 
 from __future__ import annotations
@@ -88,20 +89,25 @@ def sensitive_groups(nodes, s, y=None) -> tuple[np.ndarray, np.ndarray]:
     return g0, g1
 
 
-def _positive_rate_gap(yhat: np.ndarray, groups) -> float:
-    cls = _classes_of(yhat)
+def positive_rate_gap(classes: np.ndarray, groups) -> np.ndarray:
+    """|class-1 rate on g0 - class-1 rate on g1| over the last axis of hard classes.
+
+    The leading shape is kept: one prediction (n,) or a whole cache
+    (n_outer, n_inner, n).  Indexing before comparing keeps temporaries
+    group-sized.
+    """
     g0, g1 = groups
-    return float(abs((cls[g0] == 1).mean() - (cls[g1] == 1).mean()))
+    return np.abs((classes[..., g0] == 1).mean(-1) - (classes[..., g1] == 1).mean(-1))
 
 
 def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:
     """Statistical parity gap |P(yhat=1 | s=0) - P(yhat=1 | s=1)| over nodes."""
-    return _positive_rate_gap(yhat, sensitive_groups(list(nodes), s))
+    return float(positive_rate_gap(_classes_of(yhat), sensitive_groups(list(nodes), s)))
 
 
 def delta_eo(yhat: np.ndarray, y: np.ndarray, s: np.ndarray, nodes) -> float:
     """Equal opportunity gap: statistical parity restricted to y = 1 nodes."""
-    return _positive_rate_gap(yhat, sensitive_groups(list(nodes), s, y))
+    return float(positive_rate_gap(_classes_of(yhat), sensitive_groups(list(nodes), s, y)))
 
 
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:

@@ -9,13 +9,11 @@ perturbations of the given attribute rows).  The attacks add
 `train` builds the two reference backbones below through `init`,
 `loss_grads`, `params` and `replace`.
 
-Both reference backbones share one base, _TwoLayer: each writes its layer
-algebra once as a forward pass (_pass) and its reverse (_backward), and
-prediction, full-batch training with manual backpropagation and input
-gradients all derive from those two.  The certification pipeline needs
-tens of thousands of forward passes per run, so each backbone also
-implements a batched forward over many attribute perturbations that touch
-only a few rows.
+Both reference backbones share one base, _TwoLayer: each writes
+`build_ops`, one forward pass (_pass, optionally batched over perturbations
+of a few attribute rows) and its reverse (_backward).  Prediction, the
+certification pipeline's batched inference, full-batch training with manual
+backpropagation and input gradients all derive from those two.
 """
 
 from __future__ import annotations
@@ -62,30 +60,30 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
+def _adjacency(g: Graph, self_loops: bool):
+    """Symmetric 0/1 adjacency (plus the identity with self_loops) and its row sums."""
+    e = g.edge_array()
+    loops = np.arange(g.n if self_loops else 0)
+    rows = np.concatenate([e[:, 0], e[:, 1], loops])
+    cols = np.concatenate([e[:, 1], e[:, 0], loops])
+    a = sparse.csr_matrix((np.ones(rows.shape[0], dtype=np.float64), (rows, cols)), shape=(g.n, g.n))
+    return a, np.asarray(a.sum(axis=1)).ravel()
+
+
 def normalize_adjacency(g: Graph) -> sparse.csr_matrix:
     """Symmetric degree-normalized adjacency with self loops.
 
     A_hat = D^{-1/2} (A + I) D^{-1/2}, the standard GCN propagation
     operator; D counts the self loop.
     """
-    e = g.edge_array()
-    rows = np.concatenate([e[:, 0], e[:, 1], np.arange(g.n)])
-    cols = np.concatenate([e[:, 1], e[:, 0], np.arange(g.n)])
-    vals = np.ones(rows.shape[0], dtype=np.float64)
-    a = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    dinv = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
-    d = sparse.diags(dinv)
+    a, deg = _adjacency(g, self_loops=True)
+    d = sparse.diags(1.0 / np.sqrt(deg))
     return (d @ a @ d).tocsr()
 
 
 def mean_aggregator(g: Graph) -> sparse.csr_matrix:
     """Row-normalized adjacency without self loops; isolated rows stay zero."""
-    e = g.edge_array()
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    vals = np.ones(rows.shape[0], dtype=np.float64)
-    a = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    a, deg = _adjacency(g, self_loops=False)
     inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
     return (sparse.diags(inv) @ a).tocsr()
 
@@ -118,6 +116,25 @@ def _relu_dropout_grad(dh, z1, mask):
     return dh * (z1 > 0.0)
 
 
+def _shifted(z, ops, rows, deltas, W):
+    """z, or for deltas (B, r, d) the batch z + ops[:, rows] @ (deltas[b] @ W), shape (B, n, k).
+
+    Perturbing X[rows] moves ops @ (X @ W) only through the operator columns at rows.
+    """
+    if deltas is None:
+        return z
+    return z + np.einsum("nr,brk->bnk", ops[:, rows].toarray(), deltas @ W, optimize=True)
+
+
+def _propagate(ops, Y):
+    """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k)."""
+    if Y.ndim == 2:
+        return ops @ Y
+    B, n, k = Y.shape
+    out = ops @ Y.transpose(1, 0, 2).reshape(n, B * k)
+    return out.reshape(n, B, k).transpose(1, 0, 2)
+
+
 def _cross_entropy(logits, y, train_idx):
     """Mean cross entropy on train_idx and its gradient in the logits."""
     p = _softmax(logits)
@@ -139,7 +156,10 @@ class _TwoLayer:
     twice: _pass, the one forward pass, returning (z1, h, mask, logits)
     with h the hidden activations after dropout; and _backward, its
     reverse, returning (param_grads, dX) for a given logit gradient.
-    forward, loss_grads and input_grad derive from those two.
+    Given rows and deltas (B, len(rows), d), _pass runs on the B inputs
+    with X[rows] += deltas[b] and every array it returns gains a leading
+    batch axis.  forward, forward_many, loss_grads and input_grad derive
+    from those two.
     """
 
     backbone: str
@@ -185,6 +205,10 @@ class _TwoLayer:
         """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
         return self._pass(ops, X)[-1]
 
+    def forward_many(self, ops, X, rows, deltas):
+        """Logits (B, n, C) for B perturbations of X: X[rows] += deltas[b], deltas (B, len(rows), d)."""
+        return self._pass(ops, X, rows=np.asarray(rows, dtype=np.int64), deltas=deltas)[-1]
+
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
         """Mean cross entropy on train_idx and its parameter/input gradients."""
         z1, h, mask, logits = self._pass(ops, X, dropout, rng)
@@ -206,16 +230,18 @@ class GcnModel(_TwoLayer):
     # bound in each backbone's own namespace, so a per-class wrapper (a tracer,
     # a profiler) patches one backbone and leaves the other alone
     forward = _TwoLayer.forward
+    forward_many = _TwoLayer.forward_many
     loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
     def build_ops(g: Graph):
         return normalize_adjacency(g)
 
-    def _pass(self, ops, X, dropout=0.0, rng=None):
-        z1 = ops @ (X @ self.W1) + self.b1
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None):
+        z1 = _shifted(ops @ (X @ self.W1), ops, rows, deltas, self.W1)
+        z1 += self.b1
         h, mask = _relu_dropout(z1, dropout, rng)
-        return z1, h, mask, ops @ (h @ self.W2) + self.b2
+        return z1, h, mask, _propagate(ops, h @ self.W2) + self.b2
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
@@ -226,40 +252,26 @@ class GcnModel(_TwoLayer):
         grads["b1"] = dz1.sum(axis=0)
         return grads, adz1 @ self.W1.T
 
-    def forward_many(self, ops, X, rows, deltas):
-        """Forward over a batch of row perturbations of X.
-
-        deltas has shape (B, len(rows), d); returns logits (B, n, C).  Only
-        the perturbed columns of A_hat are revisited, so the base pass is
-        shared across the batch.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        base1 = ops @ (X @ self.W1)  # (n, h)
-        cols = np.asarray(ops[:, rows].todense())  # (n, r)
-        shift = np.einsum("nr,brh->bnh", cols, deltas @ self.W1, optimize=True)
-        h = np.maximum(base1[None, :, :] + shift + self.b1, 0.0)
-        out = h @ self.W2  # (B, n, C)
-        for b in range(out.shape[0]):  # sparse matmul per batch entry, C is small
-            out[b] = ops @ out[b]
-        return out + self.b2
-
 
 class SageModel(_TwoLayer):
-    """h = relu(X Ws1 + (M X) Wn1 + b1); logits = h Ws2 + (M h) Wn2 + b2"""
+    """h = relu(X Ws1 + (M X) Wn1 + b1); logits = h Ws2 + M (h Wn2) + b2"""
 
     backbone = "sage"
     weight_names = ("Ws1", "Wn1", "b1", "Ws2", "Wn2", "b2")
     forward = _TwoLayer.forward
+    forward_many = _TwoLayer.forward_many
     loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
     def build_ops(g: Graph):
         return mean_aggregator(g)
 
-    def _pass(self, ops, X, dropout=0.0, rng=None):
-        z1 = X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None):
+        z1 = _shifted(X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1, ops, rows, deltas, self.Wn1)
+        if deltas is not None:
+            z1[:, rows] += deltas @ self.Ws1
         h, mask = _relu_dropout(z1, dropout, rng)
-        return z1, h, mask, h @ self.Ws2 + (ops @ h) @ self.Wn2 + self.b2
+        return z1, h, mask, h @ self.Ws2 + _propagate(ops, h @ self.Wn2) + self.b2
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}
@@ -268,19 +280,6 @@ class SageModel(_TwoLayer):
         grads["Wn1"] = (ops @ X).T @ dz1
         grads["b1"] = dz1.sum(axis=0)
         return grads, dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
-
-    def forward_many(self, ops, X, rows, deltas):
-        rows = np.asarray(rows, dtype=np.int64)
-        base = X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1  # (n, h)
-        cols = np.asarray(ops[:, rows].todense())
-        z1 = np.repeat(base[None, :, :], deltas.shape[0], axis=0)
-        z1 += np.einsum("nr,brh->bnh", cols, deltas @ self.Wn1, optimize=True)
-        z1[:, rows, :] += deltas @ self.Ws1
-        h = np.maximum(z1, 0.0)
-        out = h @ self.Wn2
-        for b in range(out.shape[0]):
-            out[b] = ops @ out[b]
-        return h @ self.Ws2 + out + self.b2
 
 
 BACKBONES = {"gcn": GcnModel, "sage": SageModel}

@@ -31,7 +31,7 @@ import numpy as np
 from .certify import CertifiedBudgets, attribute_radius, joint_attribute_budget, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound, binomial_lower_bound_vec
-from .fairness import EQUAL_OPPORTUNITY, BiasThreshold, UndefinedMetricError, sensitive_groups
+from .fairness import EQUAL_OPPORTUNITY, BiasThreshold, UndefinedMetricError, positive_rate_gap, sensitive_groups
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -168,17 +168,6 @@ class PredictionCache:
         return cls(classes=classes, vulnerable=vul, noise_domain=domain_size(n, len(vul)))
 
 
-def _bias_matrix(classes: np.ndarray, labels, test_idx: np.ndarray, metric: str):
-    """Bias of every cached prediction on the test set.
-
-    Raises UndefinedMetricError when the metric is undefined on the set.
-    """
-    g0, g1 = sensitive_groups(test_idx, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
-    r0 = (classes[:, :, g0] == 1).mean(axis=2)
-    r1 = (classes[:, :, g1] == 1).mean(axis=2)
-    return np.abs(r0 - r1)
-
-
 def select_fair_output(records) -> tuple:
     """Smallest-bias candidate among inner-certified samples.
 
@@ -223,7 +212,8 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         cache = PredictionCache.build(model, g, X, vul, cfg, jobs=jobs)
 
     try:
-        bias = _bias_matrix(cache.classes, labels, test_idx, cfg.metric)
+        groups = sensitive_groups(test_idx, labels.s, labels.y if cfg.metric == EQUAL_OPPORTUNITY else None)
+        bias = positive_rate_gap(cache.classes, groups)
     except UndefinedMetricError:
         logger.warning("bias metric undefined on this test set; all indicators forced to 0")
         indicator = np.zeros((cfg.n_outer, cfg.n_inner), dtype=bool)

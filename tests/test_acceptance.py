@@ -7,6 +7,7 @@ a guarantee carries a time box the elapsed wall time is asserted too.
 import json
 import os
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,13 @@ def test_reference_pipeline_certifies_benchmark_fixture(german_run):
 def test_budget_monotonicity_properties(p, q, beta, sigma, budgets, thresholds):
     lo, hi = sorted((p, q))
     assert structure_budget(lo, beta, k_max=8) <= structure_budget(hi, beta, k_max=8)
+
+    # the certificate covers every k <= eps_A: the exact bound never rises
+    # with k, and the budget is the length of the certified prefix
+    bounds = [Fraction(hi)] + [np_bound_exact(hi, k, beta) for k in range(1, 9)]
+    assert all(b1 <= b0 for b0, b1 in zip(bounds, bounds[1:]))
+    prefix = next((k - 1 for k in range(1, 9) if bounds[k] <= Fraction(1, 2)), 8)
+    assert structure_budget(hi, beta, k_max=8) == prefix
 
     assert attribute_radius(hi, sigma) == pytest.approx(sigma * attribute_radius(hi, 1.0), rel=1e-12)
     assert attribute_radius(lo, sigma) <= attribute_radius(hi, sigma) + 1e-9

@@ -232,10 +232,11 @@ def test_exit_code_missing_dataset_files(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
-def test_exit_code_non_finite_attributes(tmp_path, capsys):
+def _write_file_dataset(tmp_path, attributes="1.0,2.0\n3.0,4.0\n5.0,6.0\n", labels="0,0,0\n1,1,1\n2,1,0\n"):
+    """A three-node dataset in files plus a config that points at them."""
     (tmp_path / "e.txt").write_text("0 1\n1 2\n")
-    (tmp_path / "x.csv").write_text("1.0,2.0\n3.0,inf\n5.0,6.0\n")
-    (tmp_path / "y.csv").write_text("0,0,0\n1,1,1\n2,1,0\n")
+    (tmp_path / "x.csv").write_text(attributes)
+    (tmp_path / "y.csv").write_text(labels)
     cfg = tmp_path / "c.json"
     cfg.write_text(
         json.dumps(
@@ -249,9 +250,22 @@ def test_exit_code_non_finite_attributes(tmp_path, capsys):
             }
         )
     )
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    return str(cfg)
+
+
+def test_exit_code_non_finite_attributes(tmp_path, capsys):
+    cfg = _write_file_dataset(tmp_path, attributes="1.0,2.0\n3.0,inf\n5.0,6.0\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert "x.csv" in err and "node 1" in err
+
+
+@pytest.mark.parametrize("empty", ["attributes", "labels"])
+def test_exit_code_empty_dataset_file(tmp_path, capsys, empty):
+    cfg = _write_file_dataset(tmp_path, **{empty: ""})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert {"attributes": "x.csv", "labels": "y.csv"}[empty] in err
 
 
 def test_unknown_fixture_is_config_error(tmp_path, capsys):

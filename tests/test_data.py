@@ -1,5 +1,8 @@
 """Containers, the three-file loader, splits, and test-set sampling."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,3 +298,29 @@ def test_write_dataset_round_trip(tmp_path):
     assert g2 == g
     np.testing.assert_allclose(X2, X)
     np.testing.assert_array_equal(lab2.y, lab.y)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = np.array([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+    # %.10g rounds values within 5e-10 of the largest double up to inf, so stay below
+    cells = draw(st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=n * d, max_size=n * d))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return Graph(n, edges), np.array(cells).reshape(n, d), NodeLabels(y=draw(bits), s=draw(bits))
+
+
+@given(_datasets())
+@settings(max_examples=60, deadline=None)
+def test_write_then_load_round_trips(dataset):
+    g, X, lab = dataset
+    with tempfile.TemporaryDirectory() as root:
+        write_dataset(root, g, X, lab)
+        g2, X2, lab2 = load_dataset(*(os.path.join(root, f) for f in ("edges.txt", "features.csv", "labels.csv")))
+    assert g2 == g
+    np.testing.assert_allclose(X2, X, rtol=5e-10, atol=1e-300)
+    np.testing.assert_array_equal(lab2.y, lab.y)
+    np.testing.assert_array_equal(lab2.s, lab.s)

@@ -11,6 +11,7 @@ from elegant.fairness import (
     bias_value,
     delta_eo,
     delta_sp,
+    positive_rate_gap,
     sensitive_groups,
 )
 
@@ -59,6 +60,16 @@ def test_sensitive_groups_keep_input_order():
     np.testing.assert_array_equal(g1, [5, 4])
     with pytest.raises(UndefinedMetricError):
         sensitive_groups([4, 5, 2], S, Y)  # node 2 has y = 0, so no s = 0 node is left
+
+
+def test_positive_rate_gap_keeps_leading_shape():
+    rng = np.random.default_rng(3)
+    classes = rng.integers(0, 2, size=(3, 4, 8)).astype(np.uint8)
+    gaps = positive_rate_gap(classes, sensitive_groups(range(8), S))
+    assert gaps.shape == (3, 4)
+    for o in range(3):
+        for i in range(4):
+            assert gaps[o, i] == delta_sp(classes[o, i], S, range(8))
 
 
 def test_accuracy():

@@ -148,6 +148,10 @@ def test_forward_many_matches_single_forwards():
             Xb = X.copy()
             Xb[rows] += deltas[b]
             np.testing.assert_allclose(batched[b], model.forward(ops, Xb), atol=1e-10)
+        # one pass serves both: with zero perturbations the batch is forward bit for bit
+        unperturbed = model.forward_many(ops, X, rows, np.zeros_like(deltas))
+        for b in range(6):
+            np.testing.assert_array_equal(unperturbed[b], model.forward(ops, X))
 
 
 def _train_world(n=60, seed=0):
