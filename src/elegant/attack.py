@@ -16,9 +16,9 @@ import logging
 import numpy as np
 
 from .data import Graph
-from .fairness import EQUAL_OPPORTUNITY, UndefinedMetricError, accuracy, bias_value, delta_eo, delta_sp, sensitive_groups
+from .fairness import EQUAL_OPPORTUNITY, UndefinedMetricError, bias_value, prediction_metrics, sensitive_groups
 from .gnn import _softmax, predict_classes
-from .pipeline import ABSTAIN, CERTIFIED, certify_and_predict
+from .pipeline import CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream
 
 logger = logging.getLogger(__name__)
@@ -153,20 +153,7 @@ def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, gri
         X_adv = attribute_attack(model, g_adv, X, labels, vul, float(budget_l2), cfg.metric, nodes=pool)
         logger.info("%s attack at budgets (%d flips, %.3g L2)", ATTACK_LABEL, int(budget_edges), float(budget_l2))
 
-        cls = predict_classes(model, g_adv, X_adv)
-        rows.append(
-            {
-                "budget_edges": int(budget_edges),
-                "budget_l2": float(budget_l2),
-                "model": model.backbone,
-                "accuracy": accuracy(cls, labels.y, pool),
-                "delta_sp": delta_sp(cls, labels.s, pool),
-                "delta_eo": delta_eo(cls, labels.y, labels.s, pool),
-                "outcome": "-",
-                "within_certified": "-",
-            }
-        )
-
+        undefended = prediction_metrics(predict_classes(model, g_adv, X_adv), labels, pool)
         report = certify_and_predict(smoothed_model, g_adv, X_adv, labels, split, split.test_pool, cfg, jobs=jobs, eta=eta)
         within = (
             "-"
@@ -174,30 +161,21 @@ def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, gri
             else str(bool(budget_edges <= clean_eps_a and budget_l2 <= clean_eps_x)).lower()
         )
         if report.outcome == CERTIFIED:
-            sel = report.selected_prediction.argmax(axis=1)
-            rows.append(
-                {
-                    "budget_edges": int(budget_edges),
-                    "budget_l2": float(budget_l2),
-                    "model": f"smoothed-{smoothed_model.backbone}",
-                    "accuracy": accuracy(sel, labels.y, pool),
-                    "delta_sp": delta_sp(sel, labels.s, pool),
-                    "delta_eo": delta_eo(sel, labels.y, labels.s, pool),
-                    "outcome": report.outcome,
-                    "within_certified": within,
-                }
-            )
+            smoothed = prediction_metrics(report.selected_prediction, labels, pool)
         else:
+            smoothed = dict.fromkeys(undefended, "NA")
+        for name, metrics, outcome, within_cell in (
+            (model.backbone, undefended, "-", "-"),
+            (f"smoothed-{smoothed_model.backbone}", smoothed, report.outcome, within),
+        ):
             rows.append(
                 {
                     "budget_edges": int(budget_edges),
                     "budget_l2": float(budget_l2),
-                    "model": f"smoothed-{smoothed_model.backbone}",
-                    "accuracy": "NA",
-                    "delta_sp": "NA",
-                    "delta_eo": "NA",
-                    "outcome": ABSTAIN,
-                    "within_certified": within,
+                    "model": name,
+                    **metrics,
+                    "outcome": outcome,
+                    "within_certified": within_cell,
                 }
             )
     meta = {

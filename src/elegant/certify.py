@@ -56,10 +56,6 @@ class RegionTable:
     prob_clean: tuple[float, ...]
     prob_perturbed: tuple[float, ...]
 
-    def ratio(self, position: int) -> float:
-        b = self.beta
-        return (b / (1.0 - b)) ** self.ratio_index[position]
-
 
 def _check_beta(beta: float) -> None:
     if not 0.5 < beta < 1.0:

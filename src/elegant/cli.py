@@ -30,10 +30,10 @@ import numpy as np
 
 from .attack import DEFAULT_GRID, evaluate_under_attack
 from .data import DataError, load_dataset, make_splits, normalize_attributes
-from .fairness import BiasThreshold, bias_value, delta_eo, delta_sp, accuracy
+from .fairness import BiasThreshold, bias_value, prediction_metrics
 from .fixtures import bundled_fixture_dir, make_german_like, make_small
 from .gnn import TrainConfig, load_model, predict_classes, save_model, train
-from .pipeline import CERTIFIED, PredictionCache, certify_and_predict, fcr_run
+from .pipeline import CERTIFIED, certify_and_predict, fcr_run
 from .smoothing import SmoothingConfig
 
 logger = logging.getLogger(__name__)
@@ -231,6 +231,22 @@ def smoothing_config(cfg: dict, eta: BiasThreshold) -> SmoothingConfig:
     )
 
 
+def _prepare(cfg: dict, eta_multiplier=None):
+    """What every certifying command starts from: (world, vanilla, noise, eta, scfg).
+
+    world is load_world's (g, X, labels, split); eta_multiplier overrides a
+    relative eta's configured multiplier.
+    """
+    world = g, X, labels, split = load_world(cfg)
+    vanilla, noise = load_models(cfg, X.shape[1])
+    eta = resolve_eta(cfg, vanilla, *world, multiplier_override=eta_multiplier)
+    return world, vanilla, noise, eta, smoothing_config(cfg, eta)
+
+
+def _fcr(cfg: dict, world, noise, scfg: SmoothingConfig, eta: BiasThreshold):
+    return fcr_run(noise, *world, scfg, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta)
+
+
 def _nine_digits(obj):
     """Round every float to 9 significant digits for stable artifacts."""
     if isinstance(obj, float):
@@ -273,15 +289,10 @@ def cmd_train(cfg: dict) -> int:
     save_model(vanilla, vanilla_path)
     save_model(noise, noise_path)
 
-    pool = split.test_pool
-    metrics = {}
-    for name, model in (("vanilla", vanilla), ("noise_augmented", noise)):
-        cls = predict_classes(model, g, X)
-        metrics[name] = {
-            "accuracy": accuracy(cls, labels.y, pool),
-            "delta_sp": delta_sp(cls, labels.s, pool),
-            "delta_eo": delta_eo(cls, labels.y, labels.s, pool),
-        }
+    metrics = {
+        name: prediction_metrics(predict_classes(model, g, X), labels, split.test_pool)
+        for name, model in (("vanilla", vanilla), ("noise_augmented", noise))
+    }
     metrics["meta"] = {
         "backbone": cfg["backbone"],
         "seed": cfg["seed"],
@@ -307,24 +318,16 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_certify(cfg: dict) -> int:
-    g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg, X.shape[1])
-    eta = resolve_eta(cfg, vanilla, g, X, labels, split)
-    scfg = smoothing_config(cfg, eta)
-    report = certify_and_predict(noise, g, X, labels, split, split.test_pool, scfg, jobs=cfg["jobs"], eta=eta)
+    world, _, noise, eta, scfg = _prepare(cfg)
+    report = certify_and_predict(noise, *world, world[-1].test_pool, scfg, jobs=cfg["jobs"], eta=eta)
     write_json(os.path.join(cfg["out"], "certify.json"), report.to_json_dict())
     logger.info("certification outcome: %s", report.outcome)
     return 0
 
 
 def cmd_fcr(cfg: dict) -> int:
-    g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg, X.shape[1])
-    eta = resolve_eta(cfg, vanilla, g, X, labels, split)
-    scfg = smoothing_config(cfg, eta)
-    result = fcr_run(
-        noise, g, X, labels, split, scfg, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta
-    )
+    world, _, noise, eta, scfg = _prepare(cfg)
+    result = _fcr(cfg, world, noise, scfg, eta)
     payload = result.summary()
     reports = [r.to_json_dict() for r in result.reports]
     payload["per_set"] = [{k: d[k] for k in FCR_PER_SET_KEYS} for d in reports]
@@ -333,13 +336,7 @@ def cmd_fcr(cfg: dict) -> int:
     payload["conventions"] = reports[0]["conventions"]
     seeds = cfg["fcr"].get("seeds")
     if seeds:
-        per_seed = []
-        for s in seeds:
-            alt = replace(scfg, master_seed=int(s))
-            alt_result = fcr_run(
-                noise, g, X, labels, split, alt, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta
-            )
-            per_seed.append(alt_result.fcr)
+        per_seed = [_fcr(cfg, world, noise, replace(scfg, master_seed=int(s)), eta).fcr for s in seeds]
         payload["fcr_per_seed"] = per_seed
         payload["fcr_std_across_seeds"] = float(np.std(np.array(per_seed)))
     write_json(os.path.join(cfg["out"], "fcr.json"), payload)
@@ -370,16 +367,10 @@ def cmd_sweep(cfg: dict, axis: str | None = None, values=None, threshold_grid=No
         raise ConfigError(f"sweep axis must be sigma or beta, got {axis!r}")
     values = values if values is not None else (cfg["sweep"]["values"] or SWEEP_VALUES[axis])
     thresholds = threshold_grid if threshold_grid is not None else (cfg["sweep"]["thresholds"] or SWEEP_THRESHOLDS[axis])
-    g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg, X.shape[1])
-    eta = resolve_eta(cfg, vanilla, g, X, labels, split)
-    base = smoothing_config(cfg, eta)
+    world, _, noise, eta, base = _prepare(cfg)
     rows = []
     for v in values:
-        scfg = replace(base, **{axis: float(v)})
-        result = fcr_run(
-            noise, g, X, labels, split, scfg, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta
-        )
+        result = _fcr(cfg, world, noise, replace(base, **{axis: float(v)}), eta)
         budgets = [
             (r.budgets.eps_X if axis == "sigma" else r.budgets.eps_A)
             for r in result.reports
@@ -395,12 +386,9 @@ def cmd_sweep(cfg: dict, axis: str | None = None, values=None, threshold_grid=No
 
 
 def cmd_attack(cfg: dict) -> int:
-    g, X, labels, split = load_world(cfg)
-    vanilla, noise = load_models(cfg, X.shape[1])
-    eta = resolve_eta(cfg, vanilla, g, X, labels, split, multiplier_override=cfg["attack"].get("eta_multiplier"))
-    scfg = smoothing_config(cfg, eta)
+    world, vanilla, noise, eta, scfg = _prepare(cfg, eta_multiplier=cfg["attack"].get("eta_multiplier"))
     grid = [tuple(cell) for cell in cfg["attack"]["grid"]]
-    rows, meta = evaluate_under_attack(vanilla, noise, g, X, labels, split, grid, scfg, eta=eta, jobs=cfg["jobs"])
+    rows, meta = evaluate_under_attack(vanilla, noise, *world, grid, scfg, eta=eta, jobs=cfg["jobs"])
     fields = ["budget_edges", "budget_l2", "model", "accuracy", "delta_sp", "delta_eo", "outcome", "within_certified"]
     write_csv(os.path.join(cfg["out"], "attack.csv"), fields, rows)
     write_json(os.path.join(cfg["out"], "attack.json"), meta)

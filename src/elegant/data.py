@@ -304,7 +304,7 @@ def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, incl
         raise DataError(f"ratio {ratio} yields empty test sets for pool of {pool.size}")
     if len(include) > size:
         raise DataError(f"cannot force {len(include)} nodes into test sets of size {size}")
-    rest = np.array([i for i in pool if i not in set(include)], dtype=np.int64)
+    rest = pool[~np.isin(pool, include)]  # in pool order, which the seeded draws index into
     out = []
     for j in range(count):
         rng = substream(seed, DOMAIN_TESTSET, j)

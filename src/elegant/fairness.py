@@ -117,6 +117,15 @@ def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
     return float((_classes_of(yhat)[idx] == np.asarray(y)[idx]).mean())
 
 
+def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:
+    """Accuracy, statistical parity gap and equal opportunity gap over nodes."""
+    return {
+        "accuracy": accuracy(yhat, labels.y, nodes),
+        "delta_sp": delta_sp(yhat, labels.s, nodes),
+        "delta_eo": delta_eo(yhat, labels.y, labels.s, nodes),
+    }
+
+
 def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
     """Dispatch to the requested metric; labels carries both y and s."""
     if metric == STATISTICAL_PARITY:

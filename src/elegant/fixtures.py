@@ -101,7 +101,9 @@ def write_dataset(directory: str, g: Graph, X: np.ndarray, labels: NodeLabels) -
     """Write the three-file text format load_dataset reads.
 
     Edges are listed in both directions, matching the usual directed
-    adjacency dumps the loader deduplicates.
+    adjacency dumps the loader deduplicates.  Attributes are written as the
+    shortest decimal that parses back to the same double, so every finite
+    value round-trips exactly.
     """
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "edges.txt"), "w") as fh:
@@ -111,7 +113,7 @@ def write_dataset(directory: str, g: Graph, X: np.ndarray, labels: NodeLabels) -
     with open(os.path.join(directory, "features.csv"), "w") as fh:
         fh.write(",".join(f"c{j}" for j in range(X.shape[1])) + "\n")
         for row in X:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
     with open(os.path.join(directory, "labels.csv"), "w") as fh:
         fh.write("node_id,label,sensitive\n")
         for i in range(labels.n):

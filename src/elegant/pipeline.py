@@ -17,14 +17,16 @@ All certification effort happens on a prediction cache of shape
 The cache depends only on (model, graph, X, vulnerable, config), so one
 cache serves every test set drawn from the same pool, and its entries are
 pure functions of the substream key, which makes results independent of
-worker scheduling.
+worker scheduling.  A cache keeps the SmoothingConfig it was built with;
+certify_and_predict refuses one built for another vulnerable set, shape,
+sigma, beta or master seed.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,6 +46,16 @@ logger = logging.getLogger(__name__)
 
 CERTIFIED = "CERTIFIED"
 ABSTAIN = "ABSTAIN"
+
+# how every certificate is computed; each report adds its noise_domain_size
+CONVENTIONS = {
+    "estimation": "one-sided Clopper-Pearson: alpha quantile of Beta(successes, failures + 1)",
+    "indicator": "strict inequality, bias < eta",
+    "undefined_metric": "indicator forced to 0, logged",
+    "budget_unit": "unordered node pairs (flips of eps_A distinct pairs)",
+    "d_convention": "deduplicated",
+    "tie_break": "smallest bias, then smallest stream id",
+}
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,6 @@ class CertificationReport:
     abstain_reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
         return {
             "outcome": self.outcome,
             "eps_A": None if self.budgets is None else int(self.budgets.eps_A),
@@ -100,15 +111,7 @@ class CertificationReport:
             "prop1_bound": float(self.prop1_bound),
             "abstain_reason": self.abstain_reason,
             "config": {
-                "sigma": cfg.sigma,
-                "beta": cfg.beta,
-                "n_outer": cfg.n_outer,
-                "n_inner": cfg.n_inner,
-                "alpha": cfg.alpha,
-                "metric": cfg.metric,
-                "master_seed": cfg.master_seed,
-                "k_max": cfg.k_max,
-                "strict": cfg.strict,
+                **asdict(self.config),
                 "eta": {
                     "value": float(self.eta.eta),
                     "provenance": self.eta.provenance,
@@ -135,10 +138,10 @@ def prop1_bound(n: int) -> float:
 class PredictionCache:
     """Hard classes of the model under every (structure mask, Gaussian draw) pair."""
 
-    def __init__(self, classes: np.ndarray, vulnerable: tuple, noise_domain: int):
+    def __init__(self, classes: np.ndarray, vulnerable: tuple, config: SmoothingConfig):
         self.classes = classes  # (n_outer, n_inner, n) uint8
         self.vulnerable = vulnerable
-        self.noise_domain = noise_domain
+        self.config = config
 
     @classmethod
     def build(cls, model, g: Graph, X, vulnerable, cfg: SmoothingConfig, jobs: int = 1):
@@ -165,7 +168,21 @@ class PredictionCache:
         else:
             for o in range(cfg.n_outer):
                 run_outer(o)
-        return cls(classes=classes, vulnerable=vul, noise_domain=domain_size(n, len(vul)))
+        return cls(classes=classes, vulnerable=vul, config=cfg)
+
+    def check(self, vulnerable: tuple, n: int, cfg: SmoothingConfig) -> None:
+        """Raise ValueError naming the first field in which this cache differs from a call."""
+        n_outer, n_inner, cache_n = self.classes.shape
+        fields = {
+            "vulnerable": (self.vulnerable, vulnerable),
+            "n_outer": (n_outer, cfg.n_outer),
+            "n_inner": (n_inner, cfg.n_inner),
+            "n": (cache_n, n),
+            **{f: (getattr(self.config, f), getattr(cfg, f)) for f in ("sigma", "beta", "master_seed")},
+        }
+        for name, (built, wanted) in fields.items():
+            if built != wanted:
+                raise ValueError(f"prediction cache was built for {name}={built!r}, this call has {name}={wanted!r}")
 
 
 def select_fair_output(records) -> tuple:
@@ -195,7 +212,9 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
     model must already be the backbone the smoothing wraps (for defended
     runs, the noise-augmented one).  eta defaults to an absolute threshold
     of cfg.eta; cache may be shared across calls with identical
-    (model, g, X, vulnerable, cfg).
+    (model, g, X, vulnerable, cfg).  A cache whose vulnerable set, shape,
+    sigma, beta or master_seed differs from this call raises ValueError;
+    matching the model, graph and attributes is left to the caller.
     """
     if eta is None:
         eta = BiasThreshold.absolute(cfg.eta)
@@ -210,6 +229,7 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         raise ValueError("vulnerable nodes must belong to the test set")
     if cache is None:
         cache = PredictionCache.build(model, g, X, vul, cfg, jobs=jobs)
+    cache.check(vul, g.n, cfg)
 
     try:
         groups = sensitive_groups(test_idx, labels.s, labels.y if cfg.metric == EQUAL_OPPORTUNITY else None)
@@ -258,49 +278,26 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
 
     n_pos = int(cert_pos.sum())
     outer = binomial_lower_bound(n_pos, cfg.n_outer - n_pos, cfg.alpha)
-    conventions = {
-        "estimation": "one-sided Clopper-Pearson: alpha quantile of Beta(successes, failures + 1)",
-        "indicator": "strict inequality, bias < eta",
-        "undefined_metric": "indicator forced to 0, logged",
-        "budget_unit": "unordered node pairs (flips of eps_A distinct pairs)",
-        "d_convention": "deduplicated",
-        "noise_domain_size": int(cache.noise_domain),
-        "tie_break": "smallest bias, then smallest stream id",
-    }
-
-    def abstain(reason: str) -> CertificationReport:
-        logger.info("certification abstains: %s", reason)
-        return CertificationReport(
-            outcome=ABSTAIN,
-            budgets=None,
-            selected_prediction=None,
-            selected_bias=None,
-            accuracy=None,
-            eta=eta,
-            metric=cfg.metric,
-            n_outer_positive=n_pos,
-            outer_lower_bound=float(outer.lower),
-            prop1_bound=prop1_bound(n_pos),
-            records=records,
-            config=cfg,
-            conventions=conventions,
-            test_set=tuple(int(i) for i in test_idx),
-            abstain_reason=reason,
-        )
-
+    reason = None
     if cfg.strict and undecided.any():
         first = int(np.flatnonzero(undecided)[0])
-        return abstain(f"undecided inner vote at outer sample {first} (n1={int(n1[first])}, n0={int(n0[first])})")
-    if outer.lower <= 0.5:
-        return abstain(f"outer fair-vote bound {outer.lower:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)")
+        reason = f"undecided inner vote at outer sample {first} (n1={int(n1[first])}, n0={int(n0[first])})"
+    elif outer.lower <= 0.5:
+        reason = f"outer fair-vote bound {outer.lower:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)"
 
-    eps_a = structure_budget(float(outer.lower), cfg.beta, cfg.k_max)
-    eps_x = joint_attribute_budget(r.attribute_radius for r in records if r.inner_certified)
-    prediction, sel_bias = select_fair_output(records)
-    acc = float((prediction.argmax(axis=1)[test_idx] == labels.y[test_idx]).mean())
+    budgets = prediction = sel_bias = acc = None
+    if reason is None:
+        budgets = CertifiedBudgets(
+            eps_A=structure_budget(float(outer.lower), cfg.beta, cfg.k_max),
+            eps_X=joint_attribute_budget(r.attribute_radius for r in records if r.inner_certified),
+        )
+        prediction, sel_bias = select_fair_output(records)
+        acc = float((prediction.argmax(axis=1)[test_idx] == labels.y[test_idx]).mean())
+    else:
+        logger.info("certification abstains: %s", reason)
     return CertificationReport(
-        outcome=CERTIFIED,
-        budgets=CertifiedBudgets(eps_A=eps_a, eps_X=eps_x),
+        outcome=CERTIFIED if reason is None else ABSTAIN,
+        budgets=budgets,
         selected_prediction=prediction,
         selected_bias=sel_bias,
         accuracy=acc,
@@ -311,8 +308,9 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         prop1_bound=prop1_bound(n_pos),
         records=records,
         config=cfg,
-        conventions=conventions,
+        conventions={**CONVENTIONS, "noise_domain_size": domain_size(g.n, len(vul))},
         test_set=tuple(int(i) for i in test_idx),
+        abstain_reason=reason,
     )
 
 

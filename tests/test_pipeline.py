@@ -1,5 +1,7 @@
 """Certification pipeline: vote aggregation, abstain rules, selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,41 @@ def test_prediction_cache_jobs_do_not_change_classes():
     c1 = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=1)
     c4 = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=4)
     np.testing.assert_array_equal(c1.classes, c4.classes)
+
+
+# field the cache differs in -> (vulnerable set, n, config change) it is built with
+_CACHE_MISMATCHES = {
+    "vulnerable": ((0, 2), 24, {}),
+    "n_outer": ((0, 1), 24, {"n_outer": 20}),
+    "n_inner": ((0, 1), 24, {"n_inner": 4}),
+    "n": ((0, 1), 26, {}),
+    "sigma": ((0, 1), 24, {"sigma": 0.5}),
+    "beta": ((0, 1), 24, {"beta": 0.8}),
+    "master_seed": ((0, 1), 24, {"master_seed": 6}),
+}
+
+
+@pytest.mark.parametrize("field", list(_CACHE_MISMATCHES))
+def test_mismatched_cache_is_rejected(field):
+    vul, n, change = _CACHE_MISMATCHES[field]
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=12, n_inner=6, eta=0.25, master_seed=5)
+    g_built, X_built, _, _ = _world(n=n)
+    cache = PredictionCache.build(_ConstantModel(), g_built, X_built, vul, replace(cfg, **change))
+    with pytest.raises(ValueError, match=f"built for {field}="):
+        certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, cache=cache)
+
+
+def test_cache_built_for_another_eta_is_reused():
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=12, n_inner=6, eta=0.25, master_seed=5)
+    model = _ConstantModel()
+    cache = PredictionCache.build(model, g, X, split.vulnerable, replace(cfg, eta=0.9))
+    cached = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg, cache=cache)
+    fresh = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg)
+    assert cached.outcome == CERTIFIED
+    assert cached.to_json_dict() == fresh.to_json_dict()
+    assert [r.n1 for r in cached.records] == [r.n1 for r in fresh.records]
 
 
 def test_fcr_run_shares_cache_and_counts(caplog):
