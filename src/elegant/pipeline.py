@@ -38,6 +38,7 @@ from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
     domain_size,
+    eligible_pairs,
     sample_attribute_noise,
     sample_structure_mask,
 )
@@ -151,10 +152,11 @@ class PredictionCache:
         n = g.n
         d = X.shape[1]
         vul_idx = np.array(vul, dtype=np.int64)
+        pairs = eligible_pairs(n, vul)
         classes = np.empty((cfg.n_outer, cfg.n_inner, n), dtype=np.uint8)
 
         def run_outer(o: int) -> None:
-            mask = sample_structure_mask(cfg, g, vul, stream_id=o)
+            mask = sample_structure_mask(cfg, g, vul, stream_id=o, pairs=pairs)
             ops = model.build_ops(apply_structure_mask(g, mask))
             deltas = np.stack(
                 [sample_attribute_noise(cfg, vul, d, o * cfg.n_inner + i).block for i in range(cfg.n_inner)]
@@ -354,6 +356,7 @@ def fcr_run(model, g: Graph, X, labels, split, cfg: SmoothingConfig, ratio: floa
     reports = tuple(
         certify_and_predict(model, g, X, labels, split, ts, cfg, jobs=jobs, cache=cache, eta=eta) for ts in sets
     )
-    fcr = sum(1 for r in reports if r.outcome == CERTIFIED) / len(reports)
-    logger.info("fraction of certified test sets: %.4f (%d/%d)", fcr, int(fcr * count), count)
+    n_certified = sum(1 for r in reports if r.outcome == CERTIFIED)
+    fcr = n_certified / len(reports)
+    logger.info("fraction of certified test sets: %.4f (%d/%d)", fcr, n_certified, count)
     return FcrResult(fcr=fcr, count=count, reports=reports)

@@ -45,7 +45,10 @@ class SmoothingConfig:
     beta: probability an eligible pair keeps its state (must exceed 1/2).
     n_outer: Bernoulli structure masks drawn per certification.
     n_inner: Gaussian attribute draws per structure mask.
-    alpha: total miscoverage of the Monte-Carlo confidence bounds.
+    alpha: miscoverage of each Monte-Carlo confidence bound.  The pipeline
+        spends it separately on every inner Clopper-Pearson bound and again
+        on the outer one, with no union bound; what that implies for the
+        joint certificate is open (ROADMAP item 1).
     eta: bias threshold the indicator compares against.
     metric: "sp" or "eo".
     master_seed: root of every substream.
@@ -124,9 +127,14 @@ def domain_size(n: int, n_vul: int) -> int:
     return n_vul * (n - n_vul) + comb(n_vul, 2)
 
 
-def sample_structure_mask(cfg: SmoothingConfig, g, vulnerable, stream_id: int) -> StructureMask:
-    """Bernoulli mask over the eligible pairs: each flips with probability 1 - beta."""
-    pairs = eligible_pairs(g.n, vulnerable)
+def sample_structure_mask(cfg: SmoothingConfig, g, vulnerable, stream_id: int, pairs=None) -> StructureMask:
+    """Bernoulli mask over the eligible pairs: each flips with probability 1 - beta.
+
+    pairs, if given, must be eligible_pairs(g.n, vulnerable); a caller
+    drawing many masks passes it to enumerate the pairs once.
+    """
+    if pairs is None:
+        pairs = eligible_pairs(g.n, vulnerable)
     rng = substream(cfg.master_seed, DOMAIN_STRUCTURE, stream_id)
     flip = rng.random(pairs.shape[0]) < (1.0 - cfg.beta)
     return StructureMask(pairs=pairs[flip], domain_size=pairs.shape[0])

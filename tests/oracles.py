@@ -194,3 +194,32 @@ def eligible_pairs_oracle(n, vulnerable):
 def flip_oracle(edges, pairs):
     """Edge set after toggling pairs: frozenset symmetric difference of tuples."""
     return frozenset(edges).symmetric_difference(frozenset(pairs))
+
+
+def forward_many_oracle(model, ops, X, rows, deltas):
+    """Logits (B, n, C) of a reference backbone for B perturbations X[rows] += deltas[b].
+
+    The batched algebra in one unchunked pass: every (B, n, h) intermediate
+    is materialized at once, in freshly allocated arrays.
+    """
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = ops[:, rows].toarray()
+
+    def shifted(z, W):
+        return z + np.einsum("nr,brk->bnk", cols, deltas @ W, optimize=True)
+
+    def propagate(Y):
+        B, n, k = Y.shape
+        return (ops @ Y.transpose(1, 0, 2).reshape(n, B * k)).reshape(n, B, k).transpose(1, 0, 2)
+
+    if model.backbone == "gcn":
+        z1 = shifted(ops @ (X @ model.W1), model.W1)
+        z1 += model.b1
+        h = np.maximum(z1, 0.0)
+        return propagate(h @ model.W2) + model.b2
+    z1 = shifted(X @ model.Ws1 + (ops @ X) @ model.Wn1 + model.b1, model.Wn1)
+    z1[:, rows] += deltas @ model.Ws1
+    h = np.maximum(z1, 0.0)
+    return h @ model.Ws2 + propagate(h @ model.Wn2) + model.b2

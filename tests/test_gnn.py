@@ -1,8 +1,11 @@
 """Backbones: propagation operators, gradients, training, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from elegant import gnn
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.gnn import (
     GcnModel,
@@ -16,7 +19,7 @@ from elegant.gnn import (
     save_model,
     train,
 )
-from oracles import finite_difference_input_grad, finite_difference_loss_grads
+from oracles import finite_difference_input_grad, finite_difference_loss_grads, forward_many_oracle
 
 PATH3 = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
 
@@ -152,6 +155,55 @@ def test_forward_many_matches_single_forwards():
         unperturbed = model.forward_many(ops, X, rows, np.zeros_like(deltas))
         for b in range(6):
             np.testing.assert_array_equal(unperturbed[b], model.forward(ops, X))
+
+
+def _random_sparse_graph(rng, n, m):
+    """Up to m distinct random edges."""
+    keys = rng.choice(n * n, size=min(4 * m, n * n), replace=False)
+    u, v = keys // n, keys % n
+    keep = u < v
+    return Graph(n=n, edges=np.column_stack((u[keep], v[keep]))[:m])
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("n, d, h", [(7, 3, 4), (120, 9, 16)])
+def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n, d, h):
+    rng = np.random.default_rng(23)
+    g = _random_sparse_graph(rng, n, 3 * n)
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
+    ops = model.build_ops(g)
+    rows = np.array([1, 3, n - 1])
+    c = 3
+    monkeypatch.setattr(gnn, "FORWARD_MANY_CHUNK_BYTES", c * 8 * n * h)
+    for B in (1, c - 1, c, c + 1, 2 * c + 3):
+        deltas = rng.standard_normal((B, rows.size, d))
+        np.testing.assert_array_equal(
+            model.forward_many(ops, X, rows, deltas), forward_many_oracle(model, ops, X, rows, deltas)
+        )
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_forward_many_memory_is_bounded_by_the_chunk(cls):
+    rng = np.random.default_rng(29)
+    n, d, rows = 1000, 27, np.arange(12)
+    g = _random_sparse_graph(rng, n, 5 * n)
+    X = rng.standard_normal((n, d))
+    model = cls.init(rng, d=d, hidden=64, classes=2)
+    ops = model.build_ops(g)
+    c = gnn.FORWARD_MANY_CHUNK_BYTES // (8 * n * model.h)
+    assert 2 * c <= 150
+
+    def peak(B):
+        deltas = rng.standard_normal((B, rows.size, d))
+        tracemalloc.start()
+        try:
+            model.forward_many(ops, X, rows, deltas)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(150) < 2 * peak(c)
 
 
 def _train_world(n=60, seed=0):

@@ -1,10 +1,13 @@
 """Certification pipeline: vote aggregation, abstain rules, selection."""
 
+import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from elegant import pipeline, smoothing
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.fairness import BiasThreshold
 from elegant.pipeline import (
@@ -242,6 +245,26 @@ def test_prediction_cache_jobs_do_not_change_classes():
     np.testing.assert_array_equal(c1.classes, c4.classes)
 
 
+def test_cache_build_enumerates_eligible_pairs_once(monkeypatch):
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=5, n_inner=3, master_seed=5)
+    calls = {"eligible_pairs": 0, "sample_structure_mask": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counted(name, getattr(smoothing, name))
+        for module in (smoothing, pipeline):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
+    PredictionCache.build(_FixedClassModel(labels.s), g, X, split.vulnerable, cfg)
+    assert calls == {"eligible_pairs": 1, "sample_structure_mask": 5}
+
+
 # field the cache differs in -> (vulnerable set, n, config change) it is built with
 _CACHE_MISMATCHES = {
     "vulnerable": ((0, 2), 24, {}),
@@ -288,6 +311,17 @@ def test_fcr_run_shares_cache_and_counts(caplog):
     assert summary["n_certified"] == 6
     assert summary["mean_bias"] == 0.0
     assert summary["mean_eps_A"] >= 1.0
+
+
+def test_fcr_run_logs_the_exact_certified_count(monkeypatch, caplog):
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=4, n_inner=3, eta=0.25, master_seed=1)
+    outcomes = iter([CERTIFIED] * 29 + [ABSTAIN] * 71)
+    monkeypatch.setattr(pipeline, "certify_and_predict", lambda *a, **k: SimpleNamespace(outcome=next(outcomes)))
+    with caplog.at_level(logging.INFO, logger="elegant.pipeline"):
+        res = fcr_run(_ConstantModel(), g, X, labels, split, cfg, ratio=0.75, count=100, cache=object())
+    assert res.fcr == 0.29
+    assert "(29/100)" in caplog.text
 
 
 def test_report_json_dict_is_stable():

@@ -134,6 +134,10 @@ def test_structure_mask_pairs_are_eligible_and_deterministic():
     np.testing.assert_array_equal(mask.pairs, again.pairs)
     other = sample_structure_mask(cfg, g, vul, stream_id=5)
     assert not np.array_equal(mask.pairs, other.pairs)
+    # passing the enumerated pairs draws the same mask from the same stream
+    given = sample_structure_mask(cfg, g, vul, stream_id=4, pairs=eligible_pairs(30, vul))
+    np.testing.assert_array_equal(mask.pairs, given.pairs)
+    assert given.domain_size == mask.domain_size
 
 
 def test_attribute_noise_scale_and_shape():
