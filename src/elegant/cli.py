@@ -126,8 +126,6 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be positive, got {args.jobs}")
         cfg["jobs"] = args.jobs
     if getattr(args, "out", None) is not None:
         cfg["out"] = args.out
@@ -143,6 +141,8 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
         raise ConfigError(f"backbone must be gcn or sage, got {cfg['backbone']!r}")
     if cfg["metric"] not in ("sp", "eo"):
         raise ConfigError(f"metric must be sp or eo, got {cfg['metric']!r}")
+    if isinstance(cfg["jobs"], bool) or not isinstance(cfg["jobs"], int) or cfg["jobs"] < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {cfg['jobs']!r}")
     return cfg
 
 

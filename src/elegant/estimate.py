@@ -55,26 +55,17 @@ def binomial_lower_bound(n_success: int, n_fail: int, alpha: float) -> Probabili
     Returns the alpha quantile of Beta(n_success, n_fail + 1), the
     Clopper-Pearson bound: with probability at least 1 - alpha over the
     sampling, the true success probability is >= the bound.  n_success = 0
-    gives bound 0 exactly.
+    gives bound 0 exactly.  The bound itself, and the input checks, come
+    from binomial_lower_bound_vec.
 
     Parameters
     ----------
     n_success, n_fail : nonnegative counts with at least one trial total.
     alpha : miscoverage level in (0, 1).
     """
-    if n_success < 0 or n_fail < 0:
-        raise ValueError(f"counts must be nonnegative, got {n_success}, {n_fail}")
-    total = n_success + n_fail
-    if total < 1:
-        raise ValueError("at least one trial is required")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    if n_success == 0:
-        lower = 0.0
-    else:
-        lower = beta_quantile(n_success, n_fail + 1, alpha)
+    lower = float(binomial_lower_bound_vec(n_success, n_fail, alpha))
     return ProbabilityBound(
-        point=n_success / total,
+        point=n_success / (n_success + n_fail),
         lower=lower,
         n_success=int(n_success),
         n_fail=int(n_fail),

@@ -9,8 +9,10 @@ confidence bound on the probability that a random mask produces a
 certifiably fair vote; p_lower > 1/2 makes the run CERTIFIED with a
 structure budget from the region-table search and an attribute budget
 equal to the smallest certified inner radius.  The returned prediction is
-the sampled output with the smallest observed bias among inner-certified
-samples, ties resolved by stream id.
+the class vector of the sampled output with the smallest observed bias
+among the indicator-fair draws of inner-certified samples, ties resolved
+by stream id; it is picked by one masked argmin over the (n_outer,
+n_inner) bias matrix.
 
 All certification effort happens on a prediction cache of shape
 (n_outer, n_inner, n): hard classes of the model under every noise pair.
@@ -76,20 +78,18 @@ class OuterSampleRecord:
     inner_certified: bool
     decided: bool
     attribute_radius: float | None
-    candidate_classes: np.ndarray | None
-    candidate_bias: float | None
-    candidate_stream: int | None
 
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """One test set's certificate; selected_prediction is the released draw's (n,) uint8 classes."""
+
     outcome: str
     budgets: CertifiedBudgets | None
     selected_prediction: np.ndarray | None
     selected_bias: float | None
     accuracy: float | None
     eta: BiasThreshold
-    metric: str
     n_outer_positive: int
     outer_lower_bound: float
     prop1_bound: float
@@ -105,7 +105,7 @@ class CertificationReport:
             "eps_A": None if self.budgets is None else int(self.budgets.eps_A),
             "eps_X": None if self.budgets is None else float(self.budgets.eps_X),
             "eta": float(self.eta.eta),
-            "metric": self.metric,
+            "metric": self.config.metric,
             "bias": None if self.selected_bias is None else float(self.selected_bias),
             "accuracy": None if self.accuracy is None else float(self.accuracy),
             "n_outer_positive": int(self.n_outer_positive),
@@ -187,25 +187,18 @@ class PredictionCache:
                 raise ValueError(f"prediction cache was built for {name}={built!r}, this call has {name}={wanted!r}")
 
 
-def select_fair_output(records) -> tuple:
-    """Smallest-bias candidate among inner-certified samples.
+def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarray) -> tuple:
+    """Class vector and bias of the smallest-bias eligible draw.
 
-    Returns (one_hot_prediction, bias); ties resolve to the smallest
-    stream id.  Raises when no record is inner certified.
+    classes is (n_outer, n_inner, n), bias and eligible (n_outer, n_inner).
+    Returns (classes[o, i].copy(), bias[o, i]); the first minimum in
+    row-major order is the smallest stream id o * n_inner + i, so ties
+    resolve to it.  Raises ValueError when no draw is eligible.
     """
-    best = None
-    for r in records:
-        if not r.inner_certified or r.candidate_classes is None:
-            continue
-        key = (r.candidate_bias, r.candidate_stream)
-        if best is None or key < (best.candidate_bias, best.candidate_stream):
-            best = r
-    if best is None:
+    if not eligible.any():
         raise ValueError("no inner-certified sample to select from")
-    cls = best.candidate_classes
-    out = np.zeros((cls.shape[0], max(2, int(cls.max()) + 1)), dtype=np.int64)
-    out[np.arange(cls.shape[0]), cls] = 1
-    return out, float(best.candidate_bias)
+    o, i = np.unravel_index(np.argmin(np.where(eligible, bias, np.inf)), bias.shape)
+    return classes[o, i].copy(), float(bias[o, i])
 
 
 def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> CertificationReport:
@@ -251,32 +244,19 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
     cert_neg = (n0 > n1) & (low_neg > 0.5)
     undecided = ~(cert_pos | cert_neg)
 
-    records = []
-    for o in range(cfg.n_outer):
-        radius = None
-        cand_cls = cand_bias = cand_stream = None
-        if cert_pos[o]:
-            radius = attribute_radius(float(low_pos[o]), cfg.sigma)
-            fair_draws = np.flatnonzero(indicator[o])
-            i_star = fair_draws[np.argmin(bias[o, fair_draws])]  # first min: lowest inner id
-            cand_cls = cache.classes[o, i_star].copy()
-            cand_bias = float(bias[o, i_star])
-            cand_stream = o * cfg.n_inner + int(i_star)
-        records.append(
-            OuterSampleRecord(
-                stream_id=o,
-                n1=int(n1[o]),
-                n0=int(n0[o]),
-                inner_lower_bound=float(low_pos[o]),
-                inner_certified=bool(cert_pos[o]),
-                decided=bool(~undecided[o]),
-                attribute_radius=radius,
-                candidate_classes=cand_cls,
-                candidate_bias=cand_bias,
-                candidate_stream=cand_stream,
-            )
+    radii = [attribute_radius(float(p), cfg.sigma) if c else None for p, c in zip(low_pos, cert_pos)]
+    records = tuple(
+        OuterSampleRecord(
+            stream_id=o,
+            n1=int(n1[o]),
+            n0=int(n0[o]),
+            inner_lower_bound=float(low_pos[o]),
+            inner_certified=bool(cert_pos[o]),
+            decided=not undecided[o],
+            attribute_radius=radii[o],
         )
-    records = tuple(records)
+        for o in range(cfg.n_outer)
+    )
 
     n_pos = int(cert_pos.sum())
     outer = binomial_lower_bound(n_pos, cfg.n_outer - n_pos, cfg.alpha)
@@ -291,10 +271,10 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
     if reason is None:
         budgets = CertifiedBudgets(
             eps_A=structure_budget(float(outer.lower), cfg.beta, cfg.k_max),
-            eps_X=joint_attribute_budget(r.attribute_radius for r in records if r.inner_certified),
+            eps_X=joint_attribute_budget(r for r in radii if r is not None),
         )
-        prediction, sel_bias = select_fair_output(records)
-        acc = float((prediction.argmax(axis=1)[test_idx] == labels.y[test_idx]).mean())
+        prediction, sel_bias = select_fair_output(cache.classes, bias, indicator & cert_pos[:, None])
+        acc = float((prediction[test_idx] == labels.y[test_idx]).mean())
     else:
         logger.info("certification abstains: %s", reason)
     return CertificationReport(
@@ -304,7 +284,6 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         selected_bias=sel_bias,
         accuracy=acc,
         eta=eta,
-        metric=cfg.metric,
         n_outer_positive=n_pos,
         outer_lower_bound=float(outer.lower),
         prop1_bound=prop1_bound(n_pos),

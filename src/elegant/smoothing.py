@@ -95,10 +95,9 @@ class AttributeNoise:
 
 @dataclass(frozen=True)
 class StructureMask:
-    """Pairs to flip as a (k, 2) int array of eligible-pair rows, plus the domain size D."""
+    """Pairs to flip as a (k, 2) int array of eligible-pair rows."""
 
     pairs: np.ndarray
-    domain_size: int
 
 
 def eligible_pairs(n: int, vulnerable) -> np.ndarray:
@@ -137,7 +136,7 @@ def sample_structure_mask(cfg: SmoothingConfig, g, vulnerable, stream_id: int, p
         pairs = eligible_pairs(g.n, vulnerable)
     rng = substream(cfg.master_seed, DOMAIN_STRUCTURE, stream_id)
     flip = rng.random(pairs.shape[0]) < (1.0 - cfg.beta)
-    return StructureMask(pairs=pairs[flip], domain_size=pairs.shape[0])
+    return StructureMask(pairs=pairs[flip])
 
 
 def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: int) -> AttributeNoise:

@@ -223,3 +223,26 @@ def forward_many_oracle(model, ops, X, rows, deltas):
     z1[:, rows] += deltas @ model.Ws1
     h = np.maximum(z1, 0.0)
     return h @ model.Ws2 + propagate(h @ model.Wn2) + model.b2
+
+
+def select_fair_output_oracle(classes, bias, indicator, inner_certified):
+    """Per-record selection: each inner-certified outer sample offers its first
+    smallest-bias indicator-fair draw, and the smallest (bias, stream id) key wins.
+
+    Returns (class list of the winning draw, its bias), or None when no
+    outer sample offers a draw.
+    """
+    n_inner = len(bias[0])
+    best = None
+    for o, certified in enumerate(inner_certified):
+        fair = [i for i in range(n_inner) if indicator[o][i]]
+        if not certified or not fair:
+            continue
+        i_star = min(fair, key=lambda i: bias[o][i])  # min keeps the first of equal keys
+        key = (float(bias[o][i_star]), o * n_inner + i_star)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    o, i = divmod(best[1], n_inner)
+    return [int(c) for c in classes[o][i]], best[0]

@@ -335,3 +335,11 @@ def test_load_world_from_explicit_files(tmp_path, monkeypatch):
 
 def test_jobs_must_be_positive():
     assert main(["train", "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, "4", True])
+def test_jobs_from_config_file_must_be_a_positive_int(tmp_path, capsys, jobs):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"jobs": jobs}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "jobs must be a positive integer" in capsys.readouterr().err

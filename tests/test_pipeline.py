@@ -7,15 +7,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from elegant import pipeline, smoothing
 from elegant.data import Graph, NodeLabels, SplitSpec
-from elegant.fairness import BiasThreshold
+from elegant.estimate import binomial_lower_bound
+from elegant.fairness import BiasThreshold, bias_value
 from elegant.pipeline import (
     ABSTAIN,
     CERTIFIED,
     CertificationReport,
     FcrResult,
-    OuterSampleRecord,
     PredictionCache,
     certify_and_predict,
     fcr_run,
@@ -77,7 +78,8 @@ def test_constant_fair_model_certifies():
     assert rep.budgets.eps_A >= 1
     assert rep.budgets.eps_X > 0
     assert rep.prop1_bound == pytest.approx(0.5**60)
-    np.testing.assert_array_equal(rep.selected_prediction[:, 1], 1)
+    assert rep.selected_prediction.dtype == np.uint8
+    np.testing.assert_array_equal(rep.selected_prediction, np.ones(g.n))
     assert rep.accuracy == pytest.approx(0.5)
 
 
@@ -195,45 +197,85 @@ def test_test_set_validation():
         certify_and_predict(_ConstantModel(), g, X, labels, bad, split.test_pool, cfg)
 
 
-def _record(stream, bias, certified=True, classes=None):
-    return OuterSampleRecord(
-        stream_id=stream,
-        n1=10,
-        n0=0,
-        inner_lower_bound=0.9,
-        inner_certified=certified,
-        decided=True,
-        attribute_radius=0.5 if certified else None,
-        candidate_classes=classes if classes is not None else np.array([1, 0, 1]),
-        candidate_bias=bias,
-        candidate_stream=stream,
-    )
+def _grid(bias, eligible=None):
+    """Cache classes[o, i] = [o, i, 7], so the picked draw names itself."""
+    bias = np.asarray(bias, dtype=np.float64)
+    n_outer, n_inner = bias.shape
+    classes = np.array([[[o, i, 7] for i in range(n_inner)] for o in range(n_outer)], dtype=np.uint8)
+    return classes, bias, np.ones(bias.shape, dtype=bool) if eligible is None else np.asarray(eligible)
 
 
 def test_select_fair_output_minimum_bias():
-    recs = [_record(0, 0.4), _record(1, 0.1), _record(2, 0.2)]
-    pred, bias = select_fair_output(recs)
-    assert bias == 0.1
-    np.testing.assert_array_equal(pred.argmax(axis=1), [1, 0, 1])
+    classes, bias, eligible = _grid([[0.4, 0.3], [0.1, 0.2], [0.2, 0.5]])
+    pred, b = select_fair_output(classes, bias, eligible)
+    assert b == 0.1
+    assert pred.dtype == np.uint8
+    np.testing.assert_array_equal(pred, [1, 0, 7])
+    pred[0] = 9
+    assert classes[1, 0, 0] == 1  # the selection is a copy
 
 
 def test_select_fair_output_tie_breaks_on_stream():
-    recs = [
-        _record(3, 0.2, classes=np.array([0, 0, 0])),
-        _record(1, 0.2, classes=np.array([1, 1, 1])),
-    ]
-    _, bias = select_fair_output(recs)
-    pred, _ = select_fair_output(recs)
-    assert bias == 0.2
-    np.testing.assert_array_equal(pred.argmax(axis=1), [1, 1, 1])  # stream 1 wins
+    # equal bias at (0, 3) and (1, 0): stream id 3 comes before 4
+    bias = np.full((2, 4), 0.5)
+    bias[0, 3] = bias[1, 0] = 0.2
+    pred, b = select_fair_output(*_grid(bias))
+    assert b == 0.2
+    np.testing.assert_array_equal(pred, [0, 3, 7])
 
 
 def test_select_fair_output_skips_uncertified():
-    recs = [_record(0, 0.05, certified=False), _record(1, 0.3)]
-    _, bias = select_fair_output(recs)
-    assert bias == 0.3
+    eligible = np.array([[False, True], [True, False]])
+    classes, bias, _ = _grid([[0.05, 0.3], [0.2, 0.1]])
+    pred, b = select_fair_output(classes, bias, eligible)
+    assert b == 0.2
+    np.testing.assert_array_equal(pred, [1, 0, 7])
     with pytest.raises(ValueError):
-        select_fair_output([_record(0, 0.1, certified=False)])
+        select_fair_output(classes, bias, np.zeros_like(eligible))
+
+
+def _random_cache_world(seed, eta=0.6, n_outer=12, n_inner=6):
+    """The eight-node world with a hand-built cache of uniform random classes.
+
+    Two groups of four put every bias on a multiple of 1/4, so equal-bias
+    draws, within and across outer samples, are common.
+    """
+    g, X, labels, split = _world(n=8)
+    cfg = SmoothingConfig(n_outer=n_outer, n_inner=n_inner, eta=eta, master_seed=seed, strict=False)
+    classes = np.random.default_rng(seed).integers(0, 2, (n_outer, n_inner, g.n), dtype=np.uint8)
+    return g, X, labels, split, cfg, PredictionCache(classes, split.vulnerable, cfg)
+
+
+def _draw_evidence(cache, labels, nodes, cfg):
+    """Per-draw bias and indicator, and per-outer inner certification, from the scalar public functions."""
+    n_outer, n_inner, _ = cache.classes.shape
+    bias = [[bias_value(cache.classes[o, i], labels, nodes, cfg.metric) for i in range(n_inner)] for o in range(n_outer)]
+    indicator = [[b < cfg.eta for b in row] for row in bias]
+    certified = []
+    for row in indicator:
+        n1 = sum(row)
+        certified.append(n1 > n_inner - n1 and binomial_lower_bound(n1, n_inner - n1, cfg.alpha).lower > 0.5)
+    return bias, indicator, certified
+
+
+def test_selection_matches_the_per_record_oracle():
+    n_certified = n_tied = 0
+    for seed in range(40):
+        g, X, labels, split, cfg, cache = _random_cache_world(seed)
+        # the cache stands in for the model, which is never called
+        rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache)
+        if rep.outcome != CERTIFIED:
+            continue
+        n_certified += 1
+        bias, indicator, certified = _draw_evidence(cache, labels, split.test_pool, cfg)
+        assert [r.inner_certified for r in rep.records] == certified
+        classes, sel_bias = oracles.select_fair_output_oracle(cache.classes, bias, indicator, certified)
+        assert rep.selected_prediction.tolist() == classes
+        assert rep.selected_bias == sel_bias
+        eligible = [b for o, row in enumerate(bias) if certified[o] for b, fair in zip(row, indicator[o]) if fair]
+        n_tied += eligible.count(min(eligible)) > 1
+    assert n_certified >= 20
+    assert n_tied >= 20
 
 
 def test_prediction_cache_jobs_do_not_change_classes():
@@ -340,12 +382,21 @@ def test_report_json_dict_is_stable():
 
 
 def test_certified_bias_always_below_eta():
-    # randomized property over several seeds on the tiny world
-    g, X, labels, split = _world()
-    for seed in range(5):
-        cfg = SmoothingConfig(n_outer=15, n_inner=8, eta=0.3, master_seed=seed)
-        rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg)
-        if rep.outcome == CERTIFIED:
+    # random caches hold fair and biased draws alike; a certified run must
+    # release the classes of an indicator-fair draw of an inner-certified
+    # outer sample, and report that draw's own bias
+    n_certified = 0
+    for seed in range(20):
+        for eta in (0.3, 0.6):
+            g, X, labels, split, cfg, cache = _random_cache_world(seed, eta=eta)
+            rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache)
+            if rep.outcome != CERTIFIED:
+                continue
+            n_certified += 1
+            assert bias_value(rep.selected_prediction, labels, split.test_pool, cfg.metric) == rep.selected_bias
             assert rep.selected_bias < cfg.eta
+            drawn = (cache.classes == rep.selected_prediction).all(axis=2)
+            assert any(rep.records[o].inner_certified for o in np.flatnonzero(drawn.any(axis=1)))
             assert rep.budgets.eps_A >= 0
             assert rep.budgets.eps_X >= 0
+    assert n_certified >= 10

@@ -129,7 +129,6 @@ def test_structure_mask_pairs_are_eligible_and_deterministic():
     assert mask.pairs.ndim == 2 and mask.pairs.shape[1] == 2
     assert set(map(tuple, mask.pairs.tolist())) <= allowed
     assert mask.pairs.tolist() == sorted(mask.pairs.tolist())
-    assert mask.domain_size == len(allowed)
     again = sample_structure_mask(cfg, g, vul, stream_id=4)
     np.testing.assert_array_equal(mask.pairs, again.pairs)
     other = sample_structure_mask(cfg, g, vul, stream_id=5)
@@ -137,7 +136,6 @@ def test_structure_mask_pairs_are_eligible_and_deterministic():
     # passing the enumerated pairs draws the same mask from the same stream
     given = sample_structure_mask(cfg, g, vul, stream_id=4, pairs=eligible_pairs(30, vul))
     np.testing.assert_array_equal(mask.pairs, given.pairs)
-    assert given.domain_size == mask.domain_size
 
 
 def test_attribute_noise_scale_and_shape():
@@ -163,7 +161,7 @@ def test_attribute_noise_deterministic():
 
 def test_apply_structure_mask_flips_both_ways():
     g = Graph(n=4, edges=frozenset({(0, 1), (2, 3)}))
-    mask = StructureMask(pairs=np.array([[0, 1], [1, 2]]), domain_size=5)
+    mask = StructureMask(pairs=np.array([[0, 1], [1, 2]]))
     out = apply_structure_mask(g, mask)
     assert out.edges == frozenset({(2, 3), (1, 2)})
     # applying the same mask twice restores the original graph
