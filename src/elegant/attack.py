@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from .data import Graph
-from .fairness import EQUAL_OPPORTUNITY, UndefinedMetricError, bias_value, prediction_metrics, sensitive_groups
+from .fairness import EQUAL_OPPORTUNITY, bias_value, prediction_metrics, sensitive_groups
 from .gnn import _softmax, predict_classes
 from .pipeline import CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream
@@ -92,8 +92,11 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
     """Greedy pair flips: per step, commit the candidate that maximizes bias.
 
     Each step scores a random pool of candidate pairs by the hard bias of
-    the model after flipping that single pair, then commits the best one.
-    Committed flips persist across steps; exactly budget_edges pairs end up
+    the model after flipping that single pair (model.forward_flips gives
+    all of their logits from one clean pass), then commits the first
+    candidate of maximal bias.  Committed flips persist across steps;
+    exactly budget_edges pairs end up flipped.  Raises UndefinedMetricError
+    when the metric is undefined on the evaluated nodes, whatever is
     flipped.
     """
     if budget_edges < 0:
@@ -102,33 +105,23 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
     if budget_edges > pairs.shape[0]:
         raise ValueError(f"budget {budget_edges} exceeds the {pairs.shape[0]} eligible pairs")
     eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
+    # the groups do not depend on the flips, so an empty one is an error before any scoring
+    sensitive_groups(eval_nodes, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
     current = g
     open_mask = np.ones(pairs.shape[0], dtype=bool)  # pairs not yet committed
     rng = substream(seed, DOMAIN_ATTACK, 1)
     for step in range(budget_edges):
         open_pos = np.flatnonzero(open_mask)
-        if open_pos.size == 0:
-            break
         if open_pos.size > pool_size:
             candidates = open_pos[rng.choice(open_pos.size, size=pool_size, replace=False)]
         else:
             candidates = open_pos
-        best = None
-        best_bias = -1.0
-        for ci in candidates:
-            trial = current.flip(pairs[ci : ci + 1])
-            try:
-                b = bias_value(predict_classes(model, trial, X), labels, eval_nodes, metric)
-            except UndefinedMetricError:
-                continue
-            if b > best_bias:
-                best_bias = b
-                best = ci
-        if best is None:
-            break
+        logits = model.forward_flips(current, X, pairs[candidates])
+        biases = [bias_value(z.argmax(axis=1), labels, eval_nodes, metric) for z in logits]
+        best = candidates[int(np.argmax(biases))]  # the first maximum, as a strict > scan keeps
         open_mask[best] = False
         current = current.flip(pairs[best : best + 1])
-        logger.debug("greedy flip %d: %s, bias %.4f", step, tuple(pairs[best].tolist()), best_bias)
+        logger.debug("greedy flip %d: %s, bias %.4f", step, tuple(pairs[best].tolist()), max(biases))
     return current
 
 

@@ -63,14 +63,6 @@ class BiasThreshold:
         )
 
 
-def _classes_of(yhat: np.ndarray) -> np.ndarray:
-    """Accept either a one-hot (n, C) matrix or a class vector."""
-    yhat = np.asarray(yhat)
-    if yhat.ndim == 2:
-        return yhat.argmax(axis=1)
-    return yhat
-
-
 def sensitive_groups(nodes, s, y=None) -> tuple[np.ndarray, np.ndarray]:
     """The node ids with s = 0 and with s = 1 among nodes, in input order.
 
@@ -102,19 +94,19 @@ def positive_rate_gap(classes: np.ndarray, groups) -> np.ndarray:
 
 def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:
     """Statistical parity gap |P(yhat=1 | s=0) - P(yhat=1 | s=1)| over nodes."""
-    return float(positive_rate_gap(_classes_of(yhat), sensitive_groups(list(nodes), s)))
+    return float(positive_rate_gap(np.asarray(yhat), sensitive_groups(list(nodes), s)))
 
 
 def delta_eo(yhat: np.ndarray, y: np.ndarray, s: np.ndarray, nodes) -> float:
     """Equal opportunity gap: statistical parity restricted to y = 1 nodes."""
-    return float(positive_rate_gap(_classes_of(yhat), sensitive_groups(list(nodes), s, y)))
+    return float(positive_rate_gap(np.asarray(yhat), sensitive_groups(list(nodes), s, y)))
 
 
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
     idx = np.asarray(list(nodes), dtype=np.int64)
     if idx.size == 0:
         raise UndefinedMetricError("empty node set")
-    return float((_classes_of(yhat)[idx] == np.asarray(y)[idx]).mean())
+    return float((np.asarray(yhat)[idx] == np.asarray(y)[idx]).mean())
 
 
 def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:

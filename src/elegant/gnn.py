@@ -5,17 +5,22 @@ certify_and_predict) needs only `backbone` (a name), `build_ops(g)` (the
 propagation operator of a graph), `forward(ops, X)` (logits, shape (n, C))
 and `forward_many(ops, X, rows, deltas)` (logits, shape (B, n, C), for B
 perturbations of the given attribute rows).  The attacks add
-`input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits) in X.
-`train` builds the two reference backbones below through `init`,
-`loss_grads`, `params` and `replace`.
+`input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits) in X,
+and `forward_flips(g, X, pairs)` (logits, shape (B, n, C), of the B graphs
+g with the single pair pairs[b] flipped).  `train` builds the two
+reference backbones below through `init`, `loss_grads`, `params` and
+`replace`.
 
 Both reference backbones share one base, _TwoLayer: each writes
 `build_ops`, one forward pass (_pass, optionally batched over perturbations
-of a few attribute rows) and its reverse (_backward).  Prediction, the
-certification pipeline's batched inference, full-batch training with manual
-backpropagation and input gradients all derive from those two.  Batched
-inference runs its draws in chunks with layer 1 computed in place in one
-reused buffer, so its memory is O(chunk n h), not O(B n h).
+of a few attribute rows, or run on an operator with a few rows swapped)
+and its reverse (_backward).  Prediction, the certification pipeline's
+batched inference, the greedy attack's single-flip scoring, full-batch
+training with manual backpropagation and input gradients all derive from
+those two.  Batched inference runs its draws in chunks with layer 1
+computed in place in one reused buffer, so its memory is O(chunk n h), not
+O(B n h).  Single-flip scoring rebuilds only the operator rows a flip
+changes, and its logits equal a full rebuild bit for bit.
 """
 
 from __future__ import annotations
@@ -77,22 +82,64 @@ def _adjacency(g: Graph, self_loops: bool):
     return a, np.asarray(a.sum(axis=1)).ravel()
 
 
+def _flip_adjacency(a, deg, u, v):
+    """_adjacency's (a, deg) for the graph with the pair (u, v), u != v, toggled, as the same canonical CSR."""
+    ptr, idx = a.indptr, a.indices
+    # where v sits, or would sit, among row u's sorted columns, and u in row v
+    at = [ptr[u] + np.searchsorted(idx[ptr[u] : ptr[u + 1]], v), ptr[v] + np.searchsorted(idx[ptr[v] : ptr[v + 1]], u)]
+    sign = -1 if at[0] < ptr[u + 1] and idx[at[0]] == v else 1
+    indices = np.delete(idx, at) if sign < 0 else np.insert(idx, at, [v, u])
+    indptr = ptr.copy()
+    indptr[u + 1 :] += sign
+    indptr[v + 1 :] += sign
+    deg = deg.copy()
+    deg[[u, v]] += sign
+    return sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=a.shape), deg
+
+
+def _diag(x):
+    """diag(x) as CSR, cheaper to build than sparse.diags, which a product converts to CSR anyway.
+
+    That conversion drops the zeros of x; here they stay, but a zero only
+    ever scales an empty adjacency row (degree 0), so the products agree.
+    """
+    i = np.arange(x.size + 1)
+    return sparse.csr_matrix((x, i[:-1], i), shape=(x.size, x.size))
+
+
+def _normalized_rows(a, deg, rows=slice(None)):
+    """Rows of D^{-1/2} A D^{-1/2} for the adjacency a and its row sums deg.
+
+    A restriction to some rows runs the same sparse products on them, so it
+    equals those rows of the full operator bit for bit, index order included.
+    """
+    d = 1.0 / np.sqrt(deg)
+    return _diag(d[rows]) @ a[rows] @ _diag(d)
+
+
+def _mean_rows(a, deg, rows=slice(None)):
+    """Rows of D^{-1} A for the adjacency a and its row sums deg; zero rows where deg is 0.
+
+    Restricted as _normalized_rows.  Each row stores its columns in
+    descending order, an artifact of scipy's product that the weights
+    trained on this operator depend on, so it is kept.
+    """
+    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+    return _diag(inv[rows]) @ a[rows]
+
+
 def normalize_adjacency(g: Graph) -> sparse.csr_matrix:
     """Symmetric degree-normalized adjacency with self loops.
 
     A_hat = D^{-1/2} (A + I) D^{-1/2}, the standard GCN propagation
     operator; D counts the self loop.
     """
-    a, deg = _adjacency(g, self_loops=True)
-    d = sparse.diags(1.0 / np.sqrt(deg))
-    return (d @ a @ d).tocsr()
+    return _normalized_rows(*_adjacency(g, self_loops=True))
 
 
 def mean_aggregator(g: Graph) -> sparse.csr_matrix:
     """Row-normalized adjacency without self loops; isolated rows stay zero."""
-    a, deg = _adjacency(g, self_loops=False)
-    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return (sparse.diags(inv) @ a).tocsr()
+    return _mean_rows(*_adjacency(g, self_loops=False))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -123,28 +170,40 @@ def _relu_dropout_grad(dh, z1, mask):
     return dh * (z1 > 0.0)
 
 
-def _shifted(z, ops, rows, deltas, W, out=None):
-    """z, or for deltas (B, r, d) the batch z + ops[:, rows] @ (deltas[b] @ W), shape (B, n, k), written into out if given.
+def _shifted(z, cols, deltas, W, out=None):
+    """z, or for deltas (B, r, d) the batch z + cols @ (deltas[b] @ W), shape (B, n, k), written into out if given.
 
     Perturbing X[rows] moves ops @ (X @ W) only through the operator columns
-    at rows.  The shift is one BLAS product per draw, written straight into
-    the C-contiguous out; each element is the same r-term dot product as in
-    a single product over all draws, and z is added after it.
+    at rows, cols = ops[:, rows] as a dense array.  The shift is one BLAS
+    product per draw, written straight into the C-contiguous out; each
+    element is the same r-term dot product as in a single product over all
+    draws, and z is added after it.
     """
     if deltas is None:
         return z
-    out = np.matmul(ops[:, rows].toarray(), deltas @ W, out=out)
+    out = np.matmul(cols, deltas @ W, out=out)
     out += z
     return out
 
 
-def _propagate(ops, Y):
-    """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k)."""
-    if Y.ndim == 2:
-        return ops @ Y
-    B, n, k = Y.shape
-    out = ops @ Y.transpose(1, 0, 2).reshape(n, B * k)
-    return out.reshape(n, B, k).transpose(1, 0, 2)
+def _propagate(ops, Y, patch=None, clean=None):
+    """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k).
+
+    For Y (n, k), clean may hold ops @ Y already, and patch = (R, rows)
+    stands for the operator whose rows R are the CSR rows: its product is
+    ops @ Y with rows R recomputed.  Each row of a sparse-dense product
+    reads only its own operator row, so that is the patched operator's
+    product bit for bit.
+    """
+    if Y.ndim == 3:
+        B, n, k = Y.shape
+        out = ops @ Y.transpose(1, 0, 2).reshape(n, B * k)
+        return out.reshape(n, B, k).transpose(1, 0, 2)
+    if patch is None:
+        return ops @ Y if clean is None else clean
+    out = ops @ Y if clean is None else clean.copy()
+    out[patch[0]] = patch[1] @ Y
+    return out
 
 
 def _cross_entropy(logits, y, train_idx):
@@ -168,12 +227,22 @@ class _TwoLayer:
     twice: _pass, the one forward pass, returning (z1, h, mask, logits)
     with h the hidden activations after dropout; and _backward, its
     reverse, returning (param_grads, dX) for a given logit gradient.
-    Given rows and deltas (B, len(rows), d), _pass runs on the B inputs
-    with X[rows] += deltas[b] and every array it returns gains a leading
-    batch axis; given also a C-contiguous (B, n, h) buffer out, it
-    computes layer 1 in place there (eval mode only: z1 is then
-    overwritten by h).  forward, forward_many, loss_grads and input_grad
-    derive from those two.
+    _pass starts from _pre(ops, X), layer 1's products of the operator
+    before any shift; a caller running several passes on one (ops, X)
+    computes that once and passes it as pre, with deltas or a patch, whose
+    fresh arrays layer 1 then updates in place.
+    Given rows, deltas (B, len(rows), d) and cols = ops[:, rows] as a
+    dense array, _pass runs on the B inputs with X[rows] += deltas[b] and
+    every array it returns gains a leading batch axis; given also a
+    C-contiguous (B, n, h) buffer out, it computes layer 1 in place there
+    (eval mode only: z1 is then overwritten by h).  Given patch = (R,
+    rows), _pass runs on ops with its rows R replaced by the CSR rows.
+    forward, forward_many, forward_flips, loss_grads and input_grad derive
+    from those two.
+
+    A backbone also names its operator: self_loops (whether its adjacency
+    holds the identity), _operator (the operator, or some of its rows, from
+    _adjacency's output) and _flip_rows (the rows a flipped pair changes).
     """
 
     backbone: str
@@ -224,19 +293,43 @@ class _TwoLayer:
 
         The draws run in chunks through one reused, C-contiguous layer-1
         buffer of FORWARD_MANY_CHUNK_BYTES, so memory is O(chunk n h), not
-        O(B n h).  Each draw's arithmetic is the same as in one unchunked
-        batch, so the logits are too, bit for bit; that holds only while
-        the buffer stays C-contiguous (a strided h @ W2 leaves BLAS and
-        moves the last bits).
+        O(B n h); layer 1's clean products and the operator columns at rows
+        are computed once per call.  Each draw's arithmetic is the same as
+        in one unchunked batch, so the logits are too, bit for bit; that
+        holds only while the buffer stays C-contiguous (a strided h @ W2
+        leaves BLAS and moves the last bits).
         """
         rows = np.asarray(rows, dtype=np.int64)
         B, n = deltas.shape[0], X.shape[0]
         chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (8 * n * self.h))
         buf = np.empty((min(chunk, B), n, self.h))
+        pre, cols = self._pre(ops, X), ops[:, rows].toarray()
         logits = np.empty((B, n, self.C))
         for start in range(0, B, chunk):
             part = deltas[start : start + chunk]
-            logits[start : start + len(part)] = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)])[-1]
+            logits[start : start + len(part)] = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre)[-1]
+        return logits
+
+    def forward_flips(self, g: Graph, X, pairs):
+        """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
+
+        logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X) bit
+        for bit.  The clean operator and layer 1's products are computed
+        once; each flip rebuilds only the operator rows it changes, by the
+        builder's own sparse products, and reruns _pass with those rows
+        swapped in.  Dense products stay full-shape, since a row subset of
+        a BLAS product need not equal those rows of the full one; memory
+        per flip is O(n h).
+        """
+        a, deg = _adjacency(g, self.self_loops)
+        ops = self._operator(a, deg)
+        pre = self._pre(ops, X)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        logits = np.empty((pairs.shape[0], g.n, self.C))
+        for b, (u, v) in enumerate(pairs):
+            flipped, flipped_deg = _flip_adjacency(a, deg, u, v)
+            R = self._flip_rows(flipped, u, v)
+            logits[b] = self._pass(ops, X, pre=pre, patch=(R, self._operator(flipped, flipped_deg, R)))[-1]
         return logits
 
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
@@ -257,21 +350,34 @@ class GcnModel(_TwoLayer):
 
     backbone = "gcn"
     weight_names = ("W1", "b1", "W2", "b2")
+    self_loops = True
+    _operator = staticmethod(_normalized_rows)
     # bound in each backbone's own namespace, so a per-class wrapper (a tracer,
     # a profiler) patches one backbone and leaves the other alone
     forward = _TwoLayer.forward
     forward_many = _TwoLayer.forward_many
+    forward_flips = _TwoLayer.forward_flips
     loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
     def build_ops(g: Graph):
         return normalize_adjacency(g)
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None):
-        z1 = _shifted(ops @ (X @ self.W1), ops, rows, deltas, self.W1, out)
+    @staticmethod
+    def _flip_rows(a, u, v):
+        """u and v, whose degrees move, and their neighbours in the flipped a, whose columns u, v do; self loops put u, v in their own rows."""
+        return np.union1d(a.indices[a.indptr[u] : a.indptr[u + 1]], a.indices[a.indptr[v] : a.indptr[v + 1]])
+
+    def _pre(self, ops, X, patch=None, pre=None):
+        """(X W1, A_hat X W1); given pre, patch recomputes only its rows."""
+        XW, AXW = pre or (X @ self.W1, None)
+        return XW, _propagate(ops, XW, patch, AXW)
+
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, patch=None):
+        z1 = _shifted(self._pre(ops, X, patch, pre)[1], cols, deltas, self.W1, out)
         z1 += self.b1
         h, mask = _relu_dropout(z1, dropout, rng, out)
-        return z1, h, mask, _propagate(ops, h @ self.W2) + self.b2
+        return z1, h, mask, _propagate(ops, h @ self.W2, patch) + self.b2
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
@@ -288,20 +394,36 @@ class SageModel(_TwoLayer):
 
     backbone = "sage"
     weight_names = ("Ws1", "Wn1", "b1", "Ws2", "Wn2", "b2")
+    self_loops = False
+    _operator = staticmethod(_mean_rows)
     forward = _TwoLayer.forward
     forward_many = _TwoLayer.forward_many
+    forward_flips = _TwoLayer.forward_flips
     loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
     def build_ops(g: Graph):
         return mean_aggregator(g)
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None):
-        z1 = _shifted(X @ self.Ws1 + (ops @ X) @ self.Wn1 + self.b1, ops, rows, deltas, self.Wn1, out)
+    @staticmethod
+    def _flip_rows(a, u, v):
+        """u and v alone: a row of M reads only its own degree and entries."""
+        return np.array([u, v])
+
+    def _pre(self, ops, X, patch=None, pre=None):
+        """(X Ws1, M X, X Ws1 + (M X) Wn1 + b1); given pre, patch recomputes M X only in its rows."""
+        if pre and patch is None:
+            return pre
+        XWs, MX = pre[:2] if pre else (X @ self.Ws1, None)
+        MX = _propagate(ops, X, patch, MX)
+        return XWs, MX, XWs + MX @ self.Wn1 + self.b1
+
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, patch=None):
+        z1 = _shifted(self._pre(ops, X, patch, pre)[2], cols, deltas, self.Wn1, out)
         if deltas is not None:
             z1[:, rows] += deltas @ self.Ws1
         h, mask = _relu_dropout(z1, dropout, rng, out)
-        return z1, h, mask, h @ self.Ws2 + _propagate(ops, h @ self.Wn2) + self.b2
+        return z1, h, mask, h @ self.Ws2 + _propagate(ops, h @ self.Wn2, patch) + self.b2
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}

@@ -1,10 +1,12 @@
 """Independent reference implementations used by the test suite.
 
-Nothing here imports the package or scipy: normal quantiles come from
-bisection on an erf-based CDF, incomplete-beta values from Simpson
-integration, the Neyman-Pearson optimum from exact rational enumeration,
-the region probabilities from a sum over every flip count, and gradients
-from central differences.  Slow and simple on purpose.
+Nothing here imports scipy, and only the greedy-attack oracle, which
+replays the library's own candidate pools, imports the package: normal
+quantiles come from bisection on an erf-based CDF, incomplete-beta values
+from Simpson integration, the Neyman-Pearson optimum from exact rational
+enumeration, the region probabilities from a sum over every flip count,
+gradients from central differences, and single-flip logits from one full
+operator rebuild per flip.  Slow and simple on purpose.
 """
 
 import math
@@ -223,6 +225,54 @@ def forward_many_oracle(model, ops, X, rows, deltas):
     z1[:, rows] += deltas @ model.Ws1
     h = np.maximum(z1, 0.0)
     return h @ model.Ws2 + propagate(h @ model.Wn2) + model.b2
+
+
+def flip_logits_oracle(model, g, X, pairs):
+    """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]): one full build_ops and forward per flip."""
+    import numpy as np
+
+    return np.stack([model.forward(model.build_ops(g.flip(pairs[b : b + 1])), X) for b in range(len(pairs))])
+
+
+def structure_attack_greedy_oracle(model, g, X, labels, vulnerable, budget_edges, metric="sp", nodes=None, pool_size=256, seed=0):
+    """The greedy structure attack as one loop over candidates: flip the pair,
+    rebuild the operator, run forward and score the hard bias, keeping the
+    first strict maximum; a candidate with an undefined metric is skipped."""
+    import numpy as np
+
+    from elegant.fairness import UndefinedMetricError, bias_value
+    from elegant.gnn import predict_classes
+    from elegant.smoothing import DOMAIN_ATTACK, eligible_pairs, substream
+
+    pairs = eligible_pairs(g.n, vulnerable)
+    eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
+    current = g
+    open_mask = np.ones(pairs.shape[0], dtype=bool)
+    rng = substream(seed, DOMAIN_ATTACK, 1)
+    for step in range(budget_edges):
+        open_pos = np.flatnonzero(open_mask)
+        if open_pos.size == 0:
+            break
+        if open_pos.size > pool_size:
+            candidates = open_pos[rng.choice(open_pos.size, size=pool_size, replace=False)]
+        else:
+            candidates = open_pos
+        best = None
+        best_bias = -1.0
+        for ci in candidates:
+            trial = current.flip(pairs[ci : ci + 1])
+            try:
+                b = bias_value(predict_classes(model, trial, X), labels, eval_nodes, metric)
+            except UndefinedMetricError:
+                continue
+            if b > best_bias:
+                best_bias = b
+                best = ci
+        if best is None:
+            break
+        open_mask[best] = False
+        current = current.flip(pairs[best : best + 1])
+    return current
 
 
 def select_fair_output_oracle(classes, bias, indicator, inner_certified):

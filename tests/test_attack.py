@@ -13,8 +13,10 @@ from elegant.attack import (
 )
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.fairness import UndefinedMetricError
+from elegant.gnn import BACKBONES
 from elegant.pipeline import ABSTAIN, CERTIFIED
 from elegant.smoothing import SmoothingConfig, eligible_pairs
+from oracles import structure_attack_greedy_oracle
 
 
 def _world(n=24, vul=(0, 1)):
@@ -46,6 +48,10 @@ class _LinearModel:
         for b in range(deltas.shape[0]):
             out[b, rows] += deltas[b] @ self.W
         return out
+
+    def forward_flips(self, g, X, pairs):
+        # the logits ignore the graph
+        return np.repeat(self.forward(None, X)[None], len(pairs), axis=0)
 
     def input_grad(self, ops, X, dlogit):
         return dlogit @ self.W.T
@@ -153,6 +159,32 @@ def test_structure_attack_greedy_respects_budget_and_eligibility():
     assert diff <= allowed
     again = structure_attack_greedy(model, g, X, labels, split.vulnerable, 3, seed=0)
     assert g_adv.edges == again.edges
+
+
+def test_structure_attack_greedy_undefined_metric_raises():
+    g, X, labels, split = _world(n=12)
+    model = _LinearModel(np.array([[1.0, -1.0], [0.5, 0.2], [-0.3, 0.9]]))
+    one_group = np.flatnonzero(labels.s == 0)
+    with pytest.raises(UndefinedMetricError):
+        structure_attack_greedy(model, g, X, labels, split.vulnerable, 3, nodes=one_group)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("metric", ["sp", "eo"])
+@pytest.mark.parametrize("pool_size", [8, 500])
+def test_structure_attack_greedy_matches_the_per_candidate_oracle(backbone, metric, pool_size):
+    n, vul = 30, (0, 5, 7)  # 84 open pairs: a pool of 8 samples them, one of 500 takes all
+    rng = np.random.default_rng(41)
+    keys = rng.choice(n * n, size=4 * n, replace=False)
+    g = Graph(n=n, edges={(int(min(k // n, k % n)), int(max(k // n, k % n))) for k in keys if k // n != k % n})
+    X = rng.standard_normal((n, 4))
+    labels = NodeLabels(y=rng.integers(0, 2, size=n), s=rng.integers(0, 2, size=n))
+    model = BACKBONES[backbone].init(rng, d=4, hidden=8)
+    nodes = range(6, n)
+    for seed in (0, 1, 2):
+        got = structure_attack_greedy(model, g, X, labels, vul, 3, metric, nodes=nodes, pool_size=pool_size, seed=seed)
+        want = structure_attack_greedy_oracle(model, g, X, labels, vul, 3, metric, nodes=nodes, pool_size=pool_size, seed=seed)
+        assert got == want
 
 
 def test_evaluate_under_attack_row_schema():

@@ -24,12 +24,6 @@ def test_delta_sp_hand_case():
     assert delta_sp(yhat, S, range(8)) == pytest.approx(0.5)
 
 
-def test_delta_sp_accepts_one_hot():
-    yhat = np.array([1, 1, 1, 0, 1, 0, 0, 0])
-    onehot = np.eye(2, dtype=int)[yhat]
-    assert delta_sp(onehot, S, range(8)) == delta_sp(yhat, S, range(8))
-
-
 def test_delta_sp_symmetric_in_groups():
     yhat = np.array([0, 0, 0, 1, 1, 1, 1, 1])
     assert delta_sp(yhat, S, range(8)) == delta_sp(yhat, 1 - S, range(8))
@@ -75,7 +69,7 @@ def test_positive_rate_gap_keeps_leading_shape():
 def test_accuracy():
     yhat = np.array([1, 1, 0, 0, 1, 1, 1, 1])
     assert accuracy(yhat, Y, range(8)) == pytest.approx(7 / 8)
-    assert accuracy(np.eye(2, dtype=int)[yhat], Y, [0, 7]) == pytest.approx(0.5)
+    assert accuracy(yhat, Y, [0, 7]) == pytest.approx(0.5)
 
 
 def test_bias_value_dispatch():

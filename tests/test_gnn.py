@@ -19,7 +19,7 @@ from elegant.gnn import (
     save_model,
     train,
 )
-from oracles import finite_difference_input_grad, finite_difference_loss_grads, forward_many_oracle
+from oracles import finite_difference_input_grad, finite_difference_loss_grads, flip_logits_oracle, forward_many_oracle
 
 PATH3 = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
 
@@ -204,6 +204,25 @@ def test_forward_many_memory_is_bounded_by_the_chunk(cls):
             tracemalloc.stop()
 
     assert peak(150) < 2 * peak(c)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("n, d, h", [(9, 3, 4), (120, 9, 16)])
+def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
+    rng = np.random.default_rng(31)
+    e = _random_sparse_graph(rng, n, 2 * n).edge_array()
+    kept = e[e[:, 1] != n - 1]
+    # node n - 1 keeps one edge, to node 0: flipping (0, n - 1) removes its last edge
+    g = Graph(n=n, edges=np.vstack([kept, [[0, n - 1]]]))
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
+    keys = set(map(tuple, g.edge_array().tolist()))
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in keys]
+    added = np.array(absent)[rng.choice(len(absent), size=6, replace=False)]
+    removed = kept[rng.choice(len(kept), size=6, replace=False)]
+    pairs = np.vstack([added, removed, [[0, n - 1]]])
+    assert mean_aggregator(g.flip([(0, n - 1)]))[n - 1].nnz == 0
+    np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
 
 
 def _train_world(n=60, seed=0):
