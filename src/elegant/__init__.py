@@ -32,7 +32,7 @@ from .certify import (
     structure_budget,
 )
 from .data import Graph, NodeLabels, SplitSpec, load_dataset, make_splits, normalize_attributes, sample_test_sets
-from .estimate import ProbabilityBound, beta_quantile, binomial_lower_bound, std_normal_quantile
+from .estimate import ProbabilityBound, binomial_lower_bound, std_normal_quantile
 from .fairness import BiasThreshold, accuracy, delta_eo, delta_sp
 from .pipeline import CertificationReport, certify_and_predict, fcr_run, prop1_bound, select_fair_output
 from .smoothing import SmoothingConfig, sample_attribute_noise, sample_structure_mask
@@ -51,7 +51,6 @@ __all__ = [
     "SplitSpec",
     "accuracy",
     "attribute_radius",
-    "beta_quantile",
     "binomial_lower_bound",
     "certify_and_predict",
     "delta_eo",

@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from .data import Graph
-from .fairness import EQUAL_OPPORTUNITY, bias_value, prediction_metrics, sensitive_groups
+from .fairness import bias_value, metric_groups, prediction_metrics
 from .gnn import _softmax, predict_classes
 from .pipeline import CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream
@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 ATTACK_LABEL = "substitute"
 DEFAULT_GRID = ((1, 0.1), (2, 1.0), (4, 10.0), (8, 100.0))
+GREEDY_POOL_SIZE = 256
 
 
 def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, metric: str = "sp", nodes=None):
@@ -44,7 +45,7 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     if budget_l2 == 0:
         return np.array(X, copy=True)
     idx = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
-    g0, g1 = sensitive_groups(idx, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
+    g0, g1 = metric_groups(idx, labels, metric)
 
     ops = model.build_ops(g)
     logits = model.forward(ops, X)
@@ -88,26 +89,39 @@ def structure_attack_random(g: Graph, vulnerable, budget_edges: int, seed: int) 
     return g.flip(pairs[pick])
 
 
-def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges: int, metric: str = "sp", nodes=None, pool_size: int = 256, seed: int = 0) -> Graph:
+def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges: int, metric: str = "sp", nodes=None, pool_size: int = GREEDY_POOL_SIZE, seed: int = 0) -> Graph:
     """Greedy pair flips: per step, commit the candidate that maximizes bias.
 
-    Each step scores a random pool of candidate pairs by the hard bias of
-    the model after flipping that single pair (model.forward_flips gives
-    all of their logits from one clean pass), then commits the first
+    Each step scores a random pool of pool_size candidate pairs by the hard
+    bias of the model after flipping that single pair (model.forward_flips
+    gives all of their logits from one clean pass), then commits the first
     candidate of maximal bias.  Committed flips persist across steps;
     exactly budget_edges pairs end up flipped.  Raises UndefinedMetricError
     when the metric is undefined on the evaluated nodes, whatever is
     flipped.
     """
+    return g.flip(_greedy_pairs(model, g, X, labels, vulnerable, budget_edges, metric, nodes, pool_size, seed))
+
+
+def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, nodes, pool_size, seed) -> np.ndarray:
+    """structure_attack_greedy's committed pairs, (budget_edges, 2) in commit order.
+
+    Neither the candidate draws nor the open pairs depend on the budget, so
+    under one seed a budget's pairs are the first that many of any larger
+    budget's.
+    """
     if budget_edges < 0:
         raise ValueError(f"budget_edges must be nonnegative, got {budget_edges}")
+    if pool_size < 1:
+        raise ValueError(f"pool_size must be positive, got {pool_size}")
     pairs = eligible_pairs(g.n, vulnerable)
     if budget_edges > pairs.shape[0]:
         raise ValueError(f"budget {budget_edges} exceeds the {pairs.shape[0]} eligible pairs")
     eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
     # the groups do not depend on the flips, so an empty one is an error before any scoring
-    sensitive_groups(eval_nodes, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
+    metric_groups(eval_nodes, labels, metric)
     current = g
+    committed = []
     open_mask = np.ones(pairs.shape[0], dtype=bool)  # pairs not yet committed
     rng = substream(seed, DOMAIN_ATTACK, 1)
     for step in range(budget_edges):
@@ -120,9 +134,10 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
         biases = [bias_value(z.argmax(axis=1), labels, eval_nodes, metric) for z in logits]
         best = candidates[int(np.argmax(biases))]  # the first maximum, as a strict > scan keeps
         open_mask[best] = False
+        committed.append(best)
         current = current.flip(pairs[best : best + 1])
         logger.debug("greedy flip %d: %s, bias %.4f", step, tuple(pairs[best].tolist()), max(biases))
-    return current
+    return pairs[np.array(committed, dtype=np.int64)]
 
 
 def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, grid, cfg, eta=None, jobs: int = 1):
@@ -133,16 +148,19 @@ def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, gri
     and applied to both victims.  Structure flips happen first, then the
     attribute step on the flipped graph.  Returns (rows, meta) where rows
     are CSV-ready dicts and meta records the clean certificate used for the
-    within_certified column.
+    within_certified column.  The greedy attack runs once, at the grid's
+    largest edge budget; each cell flips that run's first budget_edges
+    pairs, which is the greedy run at its own budget.
     """
     pool = np.asarray(split.test_pool, dtype=np.int64)
     vul = split.vulnerable
     clean = certify_and_predict(smoothed_model, g, X, labels, split, split.test_pool, cfg, jobs=jobs, eta=eta)
     clean_eps_a = clean.budgets.eps_A if clean.outcome == CERTIFIED else None
     clean_eps_x = clean.budgets.eps_X if clean.outcome == CERTIFIED else None
+    greedy = _greedy_pairs(model, g, X, labels, vul, max((int(b) for b, _ in grid), default=0), cfg.metric, pool, GREEDY_POOL_SIZE, cfg.master_seed)
     rows = []
     for budget_edges, budget_l2 in grid:
-        g_adv = structure_attack_greedy(model, g, X, labels, vul, int(budget_edges), cfg.metric, nodes=pool, seed=cfg.master_seed)
+        g_adv = g.flip(greedy[: int(budget_edges)])
         X_adv = attribute_attack(model, g_adv, X, labels, vul, float(budget_l2), cfg.metric, nodes=pool)
         logger.info("%s attack at budgets (%d flips, %.3g L2)", ATTACK_LABEL, int(budget_edges), float(budget_l2))
 

@@ -24,15 +24,15 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .attack import DEFAULT_GRID, evaluate_under_attack
 from .data import DataError, load_dataset, make_splits, normalize_attributes
-from .fairness import BiasThreshold, bias_value, prediction_metrics
+from .fairness import METRICS, BiasThreshold, bias_value, prediction_metrics
 from .fixtures import bundled_fixture_dir, make_german_like, make_small
-from .gnn import TrainConfig, load_model, predict_classes, save_model, train
+from .gnn import BACKBONES, TrainConfig, load_model, predict_classes, save_model, train
 from .pipeline import CERTIFIED, certify_and_predict, fcr_run
 from .smoothing import SmoothingConfig
 
@@ -49,27 +49,12 @@ DEFAULTS = {
     "seed": 0,
     "jobs": 1,
     "out": ".",
-    "metric": "sp",
-    "eta": {"mode": "relative", "multiplier": 1.25},
+    "metric": SmoothingConfig.metric,
+    "eta": {"mode": "relative", "multiplier": 1.25, "value": None},
     "splits": {"train_frac": 0.3, "val_frac": 0.45, "vul_frac": 0.05},
-    "train": {
-        "lr": 5e-2,
-        "epochs": 200,
-        "weight_decay": 5e-4,
-        "dropout": 0.6,
-        "hidden": 64,
-        "train_noise_flip_prob": 2e-4,
-        "train_noise_std": 2e-5,
-    },
-    "smoothing": {
-        "sigma": 0.25,
-        "beta": 0.9,
-        "n_outer": 200,
-        "n_inner": 150,
-        "alpha": 0.3,
-        "k_max": 64,
-        "strict": True,
-    },
+    # the library's fields and defaults; seed, eta and metric come from the top level
+    "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
+    "smoothing": {k: v for k, v in asdict(SmoothingConfig()).items() if k not in ("eta", "metric", "master_seed")},
     "fcr": {"ratio": 0.9, "count": 100, "seeds": None},
     "sweep": {"axis": "sigma", "values": None, "thresholds": None},
     "attack": {"grid": [list(cell) for cell in DEFAULT_GRID], "eta_multiplier": 1.5},
@@ -123,24 +108,19 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
             cfg["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"ELEGANT_SEED must be an integer, got {env_seed!r}") from exc
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        cfg["jobs"] = args.jobs
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    if getattr(args, "backbone", None) is not None:
-        cfg["backbone"] = args.backbone
-    if getattr(args, "metric", None) is not None:
-        cfg["metric"] = args.metric
-    if getattr(args, "eta", None) is not None:
-        cfg["eta"] = {"mode": "absolute", "value": args.eta}
-    if getattr(args, "eta_mult", None) is not None:
-        cfg["eta"] = {"mode": "relative", "multiplier": args.eta_mult}
-    if cfg["backbone"] not in ("gcn", "sage"):
-        raise ConfigError(f"backbone must be gcn or sage, got {cfg['backbone']!r}")
-    if cfg["metric"] not in ("sp", "eo"):
-        raise ConfigError(f"metric must be sp or eo, got {cfg['metric']!r}")
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    for key in ("seed", "jobs", "out", "backbone", "metric"):
+        cfg[key] = flags.get(key, cfg[key])
+    for key in ("axis", "values", "thresholds"):
+        cfg["sweep"][key] = flags.get(key, cfg["sweep"][key])
+    if "eta" in flags:
+        cfg["eta"] = {"mode": "absolute", "value": flags["eta"]}
+    if "eta_mult" in flags:
+        cfg["eta"] = {"mode": "relative", "multiplier": flags["eta_mult"]}
+    if cfg["backbone"] not in BACKBONES:
+        raise ConfigError(f"backbone must be {' or '.join(BACKBONES)}, got {cfg['backbone']!r}")
+    if cfg["metric"] not in METRICS:
+        raise ConfigError(f"metric must be {' or '.join(METRICS)}, got {cfg['metric']!r}")
     if isinstance(cfg["jobs"], bool) or not isinstance(cfg["jobs"], int) or cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be a positive integer, got {cfg['jobs']!r}")
     return cfg
@@ -149,9 +129,9 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
 def load_world(cfg: dict):
     """Dataset plus node splits for this config; attributes min-max scaled."""
     ds = cfg["dataset"]
-    if "fixture" in ds and ds["fixture"]:
+    if ds["fixture"]:
         name = ds["fixture"]
-        fixture_seed = int(ds.get("fixture_seed", 0) or 0)
+        fixture_seed = int(ds["fixture_seed"] or 0)
         if name == "sbm-german":
             g, X, labels = make_german_like(seed=fixture_seed)
         elif name == "sbm-small":
@@ -167,7 +147,7 @@ def load_world(cfg: dict):
             raise ConfigError(f"unknown fixture {name!r}")
     else:
         for key in ("edges", "attributes", "labels"):
-            if not ds.get(key):
+            if not ds[key]:
                 raise ConfigError(f"dataset config needs {key!r} (or a fixture name)")
         g, X, labels = load_dataset(ds["edges"], ds["attributes"], ds["labels"])
     X = normalize_attributes(X)
@@ -200,14 +180,14 @@ def load_models(cfg: dict, d: int):
 def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=None) -> BiasThreshold:
     """Absolute threshold straight from config, or relative to the vanilla bias."""
     spec = cfg["eta"]
-    mode = spec.get("mode", "relative")
+    mode = spec["mode"]
     if mode == "absolute":
-        if "value" not in spec:
+        if spec["value"] is None:
             raise ConfigError("absolute eta needs a 'value'")
         return BiasThreshold.absolute(float(spec["value"]))
     if mode != "relative":
         raise ConfigError(f"eta mode must be absolute or relative, got {mode!r}")
-    mult = float(multiplier_override if multiplier_override is not None else spec.get("multiplier", 1.25))
+    mult = float(multiplier_override if multiplier_override is not None else spec["multiplier"])
     cls = predict_classes(vanilla, g, X)
     vanilla_bias = bias_value(cls, labels, split.test_pool, cfg["metric"])
     eta = BiasThreshold.relative(mult, vanilla_bias)
@@ -216,19 +196,9 @@ def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=Non
 
 
 def smoothing_config(cfg: dict, eta: BiasThreshold) -> SmoothingConfig:
-    sm = cfg["smoothing"]
-    return SmoothingConfig(
-        sigma=float(sm["sigma"]),
-        beta=float(sm["beta"]),
-        n_outer=int(sm["n_outer"]),
-        n_inner=int(sm["n_inner"]),
-        alpha=float(sm["alpha"]),
-        eta=float(eta.eta),
-        metric=cfg["metric"],
-        master_seed=int(cfg["seed"]),
-        k_max=int(sm["k_max"]),
-        strict=bool(sm["strict"]),
-    )
+    """The config's smoothing block, each value cast to its default's type, plus eta, metric and seed."""
+    sm = {k: type(DEFAULTS["smoothing"][k])(v) for k, v in cfg["smoothing"].items()}
+    return SmoothingConfig(**sm, eta=float(eta.eta), metric=cfg["metric"], master_seed=int(cfg["seed"]))
 
 
 def _prepare(cfg: dict, eta_multiplier=None):
@@ -334,7 +304,7 @@ def cmd_fcr(cfg: dict) -> int:
     payload["eta"] = reports[0]["config"]["eta"]
     payload["config"] = reports[0]["config"]
     payload["conventions"] = reports[0]["conventions"]
-    seeds = cfg["fcr"].get("seeds")
+    seeds = cfg["fcr"]["seeds"]
     if seeds:
         per_seed = [_fcr(cfg, world, noise, replace(scfg, master_seed=int(s)), eta).fcr for s in seeds]
         payload["fcr_per_seed"] = per_seed
@@ -361,12 +331,12 @@ def threshold_fractions(budgets, thresholds, count) -> dict:
     return out
 
 
-def cmd_sweep(cfg: dict, axis: str | None = None, values=None, threshold_grid=None) -> int:
-    axis = axis or cfg["sweep"]["axis"]
-    if axis not in ("sigma", "beta"):
-        raise ConfigError(f"sweep axis must be sigma or beta, got {axis!r}")
-    values = values if values is not None else (cfg["sweep"]["values"] or SWEEP_VALUES[axis])
-    thresholds = threshold_grid if threshold_grid is not None else (cfg["sweep"]["thresholds"] or SWEEP_THRESHOLDS[axis])
+def cmd_sweep(cfg: dict) -> int:
+    axis = cfg["sweep"]["axis"]
+    if axis not in SWEEP_VALUES:
+        raise ConfigError(f"sweep axis must be {' or '.join(SWEEP_VALUES)}, got {axis!r}")
+    values = cfg["sweep"]["values"] or SWEEP_VALUES[axis]
+    thresholds = cfg["sweep"]["thresholds"] or SWEEP_THRESHOLDS[axis]
     world, _, noise, eta, base = _prepare(cfg)
     rows = []
     for v in values:
@@ -386,7 +356,7 @@ def cmd_sweep(cfg: dict, axis: str | None = None, values=None, threshold_grid=No
 
 
 def cmd_attack(cfg: dict) -> int:
-    world, vanilla, noise, eta, scfg = _prepare(cfg, eta_multiplier=cfg["attack"].get("eta_multiplier"))
+    world, vanilla, noise, eta, scfg = _prepare(cfg, eta_multiplier=cfg["attack"]["eta_multiplier"])
     grid = [tuple(cell) for cell in cfg["attack"]["grid"]]
     rows, meta = evaluate_under_attack(vanilla, noise, *world, grid, scfg, eta=eta, jobs=cfg["jobs"])
     fields = ["budget_edges", "budget_l2", "model", "accuracy", "delta_sp", "delta_eo", "outcome", "within_certified"]
@@ -395,13 +365,22 @@ def cmd_attack(cfg: dict) -> int:
     return 0
 
 
+COMMANDS = {
+    "train": (cmd_train, "fit the undefended and noise-augmented backbones"),
+    "certify": (cmd_certify, "certify the smoothed model on the full test pool"),
+    "fcr": (cmd_fcr, "certify sampled test sets and report the certified fraction"),
+    "sweep": (cmd_sweep, "fcr across a noise-parameter axis"),
+    "attack": (cmd_attack, "attack both models over a budget grid"),
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="master seed (overrides ELEGANT_SEED and the config)")
     p.add_argument("--jobs", type=int, help="worker threads for certification")
     p.add_argument("--out", help="artifact directory (default from config, '.')")
-    p.add_argument("--backbone", choices=["gcn", "sage"], help="classifier architecture")
-    p.add_argument("--metric", choices=["sp", "eo"], help="bias metric")
+    p.add_argument("--backbone", choices=list(BACKBONES), help="classifier architecture")
+    p.add_argument("--metric", choices=list(METRICS), help="bias metric")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--eta", type=float, help="absolute bias threshold")
     group.add_argument("--eta-mult", type=float, dest="eta_mult", help="threshold = multiplier * vanilla bias")
@@ -417,17 +396,11 @@ def _csv_floats(text: str):
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elegant", description="Certified fairness defense for graph node classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("train", "fit the undefended and noise-augmented backbones"),
-        ("certify", "certify the smoothed model on the full test pool"),
-        ("fcr", "certify sampled test sets and report the certified fraction"),
-        ("sweep", "fcr across a noise-parameter axis"),
-        ("attack", "attack both models over a budget grid"),
-    ):
+    for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
         if name == "sweep":
-            p.add_argument("--axis", choices=["sigma", "beta"], help="parameter to sweep")
+            p.add_argument("--axis", choices=list(SWEEP_VALUES), help="parameter to sweep")
             p.add_argument("--values", type=_csv_floats, help="comma-separated parameter values")
             p.add_argument("--thresholds", type=_csv_floats, help="comma-separated budget thresholds")
     return parser
@@ -439,17 +412,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args.config, args)
         os.makedirs(cfg["out"], exist_ok=True)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "certify":
-            return cmd_certify(cfg)
-        if args.command == "fcr":
-            return cmd_fcr(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, axis=getattr(args, "axis", None), values=getattr(args, "values", None), threshold_grid=getattr(args, "thresholds", None))
-        if args.command == "attack":
-            return cmd_attack(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

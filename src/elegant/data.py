@@ -86,9 +86,6 @@ class Graph:
         """Edges as the stored sorted, read-only (m, 2) int64 array."""
         return self._edges
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self._edges.ravel(), minlength=self.n)
-
     def flip(self, pairs) -> "Graph":
         """Toggle node pairs: present edges drop, absent ones appear.
 

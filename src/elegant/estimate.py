@@ -34,21 +34,6 @@ def std_normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-def beta_quantile(a: float, b: float, q: float) -> float:
-    """Quantile of the Beta(a, b) distribution.
-
-    Parameters
-    ----------
-    a, b : positive shape parameters.
-    q : quantile level in (0, 1).
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"Beta shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie strictly in (0, 1), got {q}")
-    return float(special.betaincinv(a, b, q))
-
-
 def binomial_lower_bound(n_success: int, n_fail: int, alpha: float) -> ProbabilityBound:
     """One-sided lower confidence bound for a binomial proportion.
 

@@ -2,10 +2,11 @@
 
 Both metrics compare the two groups induced by a binary sensitive
 attribute over a node subset: statistical parity looks at positive
-prediction rates, equal opportunity at true positive rates.
-sensitive_groups is the one place those groups are formed, for the
-metrics here, the certification pipeline and the attribute attack, and
-positive_rate_gap the one kernel comparing their class-1 rates.  A metric
+prediction rates, equal opportunity at true positive rates.  METRICS
+names them.  sensitive_groups is the one place those groups are formed
+and metric_groups the one place a metric picks its population, for the
+metrics here, the certification pipeline and both attacks;
+positive_rate_gap is the one kernel comparing their class-1 rates.  A metric
 is undefined when one of its groups is empty; callers decide how to treat
 that (the certification pipeline forces such draws' indicator votes to 0
 and logs them).
@@ -22,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 STATISTICAL_PARITY = "sp"
 EQUAL_OPPORTUNITY = "eo"
+METRICS = (STATISTICAL_PARITY, EQUAL_OPPORTUNITY)
 
 
 class UndefinedMetricError(ValueError):
@@ -81,6 +83,18 @@ def sensitive_groups(nodes, s, y=None) -> tuple[np.ndarray, np.ndarray]:
     return g0, g1
 
 
+def metric_groups(nodes, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sensitive groups metric compares among nodes; labels carries both y and s.
+
+    Statistical parity compares all of nodes, equal opportunity only the
+    label-1 ones.  Raises ValueError on an unknown metric and
+    UndefinedMetricError when either group is empty.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    return sensitive_groups(nodes, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
+
+
 def positive_rate_gap(classes: np.ndarray, groups) -> np.ndarray:
     """|class-1 rate on g0 - class-1 rate on g1| over the last axis of hard classes.
 
@@ -119,9 +133,5 @@ def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:
 
 
 def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
-    """Dispatch to the requested metric; labels carries both y and s."""
-    if metric == STATISTICAL_PARITY:
-        return delta_sp(yhat, labels.s, nodes)
-    if metric == EQUAL_OPPORTUNITY:
-        return delta_eo(yhat, labels.y, labels.s, nodes)
-    raise ValueError(f"unknown metric {metric!r}")
+    """The requested metric's gap over nodes; labels carries both y and s."""
+    return float(positive_rate_gap(np.asarray(yhat), metric_groups(list(nodes), labels, metric)))

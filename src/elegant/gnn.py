@@ -11,13 +11,14 @@ g with the single pair pairs[b] flipped).  `train` builds the two
 reference backbones below through `init`, `loss_grads`, `params` and
 `replace`.
 
-Both reference backbones share one base, _TwoLayer: each writes
-`build_ops`, one forward pass (_pass, optionally batched over perturbations
-of a few attribute rows, or run on an operator with a few rows swapped)
-and its reverse (_backward).  Prediction, the certification pipeline's
-batched inference, the greedy attack's single-flip scoring, full-batch
-training with manual backpropagation and input gradients all derive from
-those two.  Batched inference runs its draws in chunks with layer 1
+Both reference backbones share one base, _TwoLayer: each names its
+operator (`self_loops` and `_operator`, from which the one `build_ops`
+derives) and writes one forward pass (_pass, optionally batched over
+perturbations of a few attribute rows, or run on an operator with a few
+rows swapped) and its reverse (_backward).  Prediction, the certification
+pipeline's batched inference, the greedy attack's single-flip scoring,
+full-batch training with manual backpropagation and input gradients all
+derive from those.  Batched inference runs its draws in chunks with layer 1
 computed in place in one reused buffer, so its memory is O(chunk n h), not
 O(B n h).  Single-flip scoring rebuilds only the operator rows a flip
 changes, and its logits equal a full rebuild bit for bit.
@@ -41,6 +42,8 @@ logger = logging.getLogger(__name__)
 # n=1000, h=64 (24 draws) one 150-draw GCN mask took about 42 ms on a
 # 2-core VM; chunks of 8 draws took 61 ms and a single 150-draw chunk 67 ms.
 FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
+# heavy-ball momentum of train's gradient steps
+MOMENTUM = 0.9
 
 
 class TrainingDivergedError(RuntimeError):
@@ -54,7 +57,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     dropout: float = 0.6
     hidden: int = 64
-    momentum: float = 0.9
     train_noise_flip_prob: float = 2e-4
     train_noise_std: float = 2e-5
     seed: int = 0
@@ -68,8 +70,6 @@ class TrainConfig:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.hidden < 1:
             raise ValueError(f"hidden width must be positive, got {self.hidden}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 def _adjacency(g: Graph, self_loops: bool):
@@ -126,20 +126,6 @@ def _mean_rows(a, deg, rows=slice(None)):
     """
     inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
     return _diag(inv[rows]) @ a[rows]
-
-
-def normalize_adjacency(g: Graph) -> sparse.csr_matrix:
-    """Symmetric degree-normalized adjacency with self loops.
-
-    A_hat = D^{-1/2} (A + I) D^{-1/2}, the standard GCN propagation
-    operator; D counts the self loop.
-    """
-    return _normalized_rows(*_adjacency(g, self_loops=True))
-
-
-def mean_aggregator(g: Graph) -> sparse.csr_matrix:
-    """Row-normalized adjacency without self loops; isolated rows stay zero."""
-    return _mean_rows(*_adjacency(g, self_loops=False))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -243,6 +229,8 @@ class _TwoLayer:
     A backbone also names its operator: self_loops (whether its adjacency
     holds the identity), _operator (the operator, or some of its rows, from
     _adjacency's output) and _flip_rows (the rows a flipped pair changes).
+    build_ops, the one operator builder, and forward_flips's row patches
+    both run _operator, so they agree bit for bit.
     """
 
     backbone: str
@@ -283,6 +271,10 @@ class _TwoLayer:
 
     def replace(self, params):
         return type(self)(**params)
+
+    def build_ops(self, g: Graph):
+        """The propagation operator of g: _operator over _adjacency(g, self_loops)."""
+        return self._operator(*_adjacency(g, self.self_loops))
 
     def forward(self, ops, X):
         """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
@@ -346,22 +338,22 @@ class _TwoLayer:
 
 
 class GcnModel(_TwoLayer):
-    """logits = A_hat relu(A_hat X W1 + b1) W2 + b2"""
+    """logits = A_hat relu(A_hat X W1 + b1) W2 + b2, A_hat = D^{-1/2} (A + I) D^{-1/2}
+
+    D counts the self loop, so an isolated node's operator row is its
+    identity row.
+    """
 
     backbone = "gcn"
     weight_names = ("W1", "b1", "W2", "b2")
     self_loops = True
     _operator = staticmethod(_normalized_rows)
-    # bound in each backbone's own namespace, so a per-class wrapper (a tracer,
-    # a profiler) patches one backbone and leaves the other alone
+    # bound in the GCN's own namespace, where perfbench's per-layer tracer
+    # patches them, so its wrappers leave SAGE alone
+    build_ops = _TwoLayer.build_ops
     forward = _TwoLayer.forward
     forward_many = _TwoLayer.forward_many
-    forward_flips = _TwoLayer.forward_flips
     loss_grads = _TwoLayer.loss_grads
-
-    @staticmethod
-    def build_ops(g: Graph):
-        return normalize_adjacency(g)
 
     @staticmethod
     def _flip_rows(a, u, v):
@@ -390,20 +382,15 @@ class GcnModel(_TwoLayer):
 
 
 class SageModel(_TwoLayer):
-    """h = relu(X Ws1 + (M X) Wn1 + b1); logits = h Ws2 + M (h Wn2) + b2"""
+    """h = relu(X Ws1 + (M X) Wn1 + b1); logits = h Ws2 + M (h Wn2) + b2, M = D^{-1} A
+
+    M has no self loops; an isolated node's row stays zero.
+    """
 
     backbone = "sage"
     weight_names = ("Ws1", "Wn1", "b1", "Ws2", "Wn2", "b2")
     self_loops = False
     _operator = staticmethod(_mean_rows)
-    forward = _TwoLayer.forward
-    forward_many = _TwoLayer.forward_many
-    forward_flips = _TwoLayer.forward_flips
-    loss_grads = _TwoLayer.loss_grads
-
-    @staticmethod
-    def build_ops(g: Graph):
-        return mean_aggregator(g)
 
     @staticmethod
     def _flip_rows(a, u, v):
@@ -434,7 +421,7 @@ class SageModel(_TwoLayer):
         return grads, dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
 
 
-BACKBONES = {"gcn": GcnModel, "sage": SageModel}
+BACKBONES = {cls.backbone: cls for cls in (GcnModel, SageModel)}
 
 
 def predict_classes(model, g: Graph, X) -> np.ndarray:
@@ -453,13 +440,12 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
     Validation accuracy is always measured on clean data; ties keep the
     earlier weights.  epochs = 0 returns the initial weights.
     """
-    cls = BACKBONES[backbone]
     rng = substream(cfg.seed, DOMAIN_TRAIN, 0)
-    model = cls.init(rng, d=X.shape[1], hidden=cfg.hidden, classes=2)
+    model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden, classes=2)
     y = labels.y
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
-    clean_ops = cls.build_ops(g)
+    clean_ops = model.build_ops(g)
     vul = np.asarray(split.vulnerable, dtype=np.int64)
     pairs = eligible_pairs(g.n, split.vulnerable) if (augment and vul.size) else None
 
@@ -475,7 +461,7 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
         if pairs is not None:
             flip = rng.random(pairs.shape[0]) < cfg.train_noise_flip_prob
             if flip.any():
-                ops = cls.build_ops(g.flip(pairs[flip]))
+                ops = model.build_ops(g.flip(pairs[flip]))
             Xe = np.array(X, copy=True)
             Xe[vul] += cfg.train_noise_std * rng.standard_normal((vul.size, X.shape[1]))
         loss, grads, _ = model.loss_grads(ops, Xe, y, train_idx, dropout=cfg.dropout, rng=rng)
@@ -487,7 +473,7 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
             step = grads[name]
             if name.startswith("W"):
                 step = step + cfg.weight_decay * value
-            velocity[name] = cfg.momentum * velocity[name] - cfg.lr * step
+            velocity[name] = MOMENTUM * velocity[name] - cfg.lr * step
             new[name] = value + velocity[name]
         model = model.replace(new)
         if val_idx.size:

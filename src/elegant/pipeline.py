@@ -35,7 +35,7 @@ import numpy as np
 from .certify import CertifiedBudgets, attribute_radius, joint_attribute_budget, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound, binomial_lower_bound_vec
-from .fairness import EQUAL_OPPORTUNITY, BiasThreshold, UndefinedMetricError, positive_rate_gap, sensitive_groups
+from .fairness import BiasThreshold, UndefinedMetricError, metric_groups, positive_rate_gap
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -227,8 +227,7 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
     cache.check(vul, g.n, cfg)
 
     try:
-        groups = sensitive_groups(test_idx, labels.s, labels.y if cfg.metric == EQUAL_OPPORTUNITY else None)
-        bias = positive_rate_gap(cache.classes, groups)
+        bias = positive_rate_gap(cache.classes, metric_groups(test_idx, labels, cfg.metric))
     except UndefinedMetricError:
         logger.warning("bias metric undefined on this test set; all indicators forced to 0")
         indicator = np.zeros((cfg.n_outer, cfg.n_inner), dtype=bool)

@@ -17,6 +17,9 @@ from math import comb
 
 import numpy as np
 
+from .certify import DEFAULT_K_MAX
+from .fairness import METRICS
+
 # substream domains; disjoint keys keep every consumer independent
 DOMAIN_STRUCTURE = 1
 DOMAIN_ATTRIBUTE = 2
@@ -50,7 +53,7 @@ class SmoothingConfig:
         on the outer one, with no union bound; what that implies for the
         joint certificate is open (ROADMAP item 1).
     eta: bias threshold the indicator compares against.
-    metric: "sp" or "eo".
+    metric: one of fairness.METRICS.
     master_seed: root of every substream.
     k_max: cap of the structure budget search.
     strict: abstain the whole run when an inner vote stays undecided; when
@@ -65,7 +68,7 @@ class SmoothingConfig:
     eta: float = 0.1
     metric: str = "sp"
     master_seed: int = 0
-    k_max: int = 64
+    k_max: int = DEFAULT_K_MAX
     strict: bool = True
 
     def __post_init__(self):
@@ -79,8 +82,8 @@ class SmoothingConfig:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.metric not in ("sp", "eo"):
-            raise ValueError(f"metric must be 'sp' or 'eo', got {self.metric!r}")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be {' or '.join(map(repr, METRICS))}, got {self.metric!r}")
         if self.k_max < 0:
             raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
 

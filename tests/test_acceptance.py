@@ -31,7 +31,7 @@ from elegant.cli import (
     threshold_fractions,
 )
 from elegant.data import Graph
-from elegant.estimate import beta_quantile, binomial_lower_bound_vec, std_normal_quantile
+from elegant.estimate import binomial_lower_bound_vec, std_normal_quantile
 from elegant.gnn import GcnModel
 from elegant.pipeline import CERTIFIED, certify_and_predict, fcr_run
 from elegant.smoothing import eligible_pairs
@@ -129,10 +129,11 @@ def test_quantile_kernels_round_trip_and_coverage():
     worst = max(abs(norm_cdf(std_normal_quantile(float(p))) - float(p)) for p in grid)
     assert worst <= 1e-10
 
-    # Beta(n, 1) has the closed-form quantile alpha ** (1/n)
+    # the bound after n successes and no failure is the alpha quantile of
+    # Beta(n, 1), which has the closed form alpha ** (1/n)
     for n in (1, 2, 3, 5, 10, 50, 100, 200, 500):
         for alpha in (0.05, 0.3, 0.5, 0.9):
-            assert abs(beta_quantile(n, 1.0, alpha) - alpha ** (1.0 / n)) <= 1e-10
+            assert abs(float(binomial_lower_bound_vec(n, 0, alpha)) - alpha ** (1.0 / n)) <= 1e-10
 
     # one-sided lower bounds cover the truth at least 1 - alpha of the time
     rng = np.random.default_rng(7)

@@ -6,6 +6,7 @@ import pytest
 from elegant.attack import (
     ATTACK_LABEL,
     DEFAULT_GRID,
+    _greedy_pairs,
     attribute_attack,
     evaluate_under_attack,
     structure_attack_greedy,
@@ -110,6 +111,12 @@ def test_attribute_attack_validation():
         attribute_attack(model, g, X, labels, (), 1.0)
 
 
+def test_attribute_attack_unknown_metric_raises():
+    g, X, labels, split = _world()
+    with pytest.raises(ValueError, match="unknown metric 'xx'"):
+        attribute_attack(_LinearModel(np.eye(3, 2)), g, X, labels, split.vulnerable, 1.0, metric="xx")
+
+
 def test_attribute_attack_eo_single_group_slice_raises():
     g, X, _, split = _world()
     # y and s tile identically, so the label-1 slice is all one group
@@ -167,6 +174,31 @@ def test_structure_attack_greedy_undefined_metric_raises():
     one_group = np.flatnonzero(labels.s == 0)
     with pytest.raises(UndefinedMetricError):
         structure_attack_greedy(model, g, X, labels, split.vulnerable, 3, nodes=one_group)
+
+
+@pytest.mark.parametrize("pool_size", [0, -1])
+def test_structure_attack_greedy_pool_size_must_be_positive(pool_size):
+    g, X, labels, split = _world(n=12)
+    model = _LinearModel(np.array([[1.0, -1.0], [0.5, 0.2], [-0.3, 0.9]]))
+    with pytest.raises(ValueError, match="pool_size"):
+        structure_attack_greedy(model, g, X, labels, split.vulnerable, 2, pool_size=pool_size)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_greedy_budgets_are_prefixes_of_the_largest_run(backbone):
+    # evaluate_under_attack runs the greedy attack once and slices each cell's budget from it
+    n, vul = 30, (0, 5, 7)
+    rng = np.random.default_rng(43)
+    keys = rng.choice(n * n, size=4 * n, replace=False)
+    g = Graph(n=n, edges={(int(min(k // n, k % n)), int(max(k // n, k % n))) for k in keys if k // n != k % n})
+    X = rng.standard_normal((n, 4))
+    labels = NodeLabels(y=rng.integers(0, 2, size=n), s=rng.integers(0, 2, size=n))
+    model = BACKBONES[backbone].init(rng, d=4, hidden=8)
+    longest = _greedy_pairs(model, g, X, labels, vul, 8, "sp", range(6, n), 16, 3)
+    assert longest.shape == (8, 2)
+    for budget in (1, 2, 4, 8):
+        want = structure_attack_greedy(model, g, X, labels, vul, budget, nodes=range(6, n), pool_size=16, seed=3)
+        assert g.flip(longest[:budget]) == want
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from elegant.cli import build_config, load_world, main, make_parser
+from elegant.cli import ConfigError, build_config, load_world, main, make_parser, resolve_eta
 from elegant.fixtures import bundled_fixture_dir
 from elegant.gnn import GcnModel, save_model
 
@@ -135,6 +135,37 @@ def test_attack_artifacts(workdir):
     # the attack threshold uses its own multiplier, not the certify default
     assert meta["eta"] == pytest.approx(1.5 * vanilla_bias, rel=1e-6)
     assert meta["metric"] == "sp"
+
+
+def _certify_with(workdir, tmp_path, **extra):
+    """certify.json of a certify run on workdir's models under a config with extra top-level keys."""
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("model.bin", "model_noise.bin"):
+        (out / name).write_bytes(open(os.path.join(workdir["out"], name), "rb").read())
+    cfg = _write_config(tmp_path / "c.json", extra)
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "certify.json") as fh:
+        return json.load(fh)
+
+
+def test_absolute_eta_from_config_file(workdir, tmp_path):
+    report = _certify_with(workdir, tmp_path, eta={"mode": "absolute", "value": 0.1})
+    assert report["eta"] == 0.1
+    assert report["config"]["eta"]["provenance"] == "absolute"
+
+
+def test_absolute_eta_without_value_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("ELEGANT_SEED", raising=False)
+    cfg = build_config(_write_config(tmp_path / "c.json", {"eta": {"mode": "absolute"}}), _args(["certify"]))
+    with pytest.raises(ConfigError, match="absolute eta needs a 'value'"):
+        resolve_eta(cfg, None, None, None, None, None)  # the absolute branch reads no model or data
+
+
+def test_smoothing_values_keep_their_default_types(workdir, tmp_path):
+    report = _certify_with(workdir, tmp_path, smoothing={"sigma": 1, "n_outer": 60.0, "n_inner": 40})
+    assert report["config"]["sigma"] == 1.0 and isinstance(report["config"]["sigma"], float)
+    assert report["config"]["n_outer"] == 60 and isinstance(report["config"]["n_outer"], int)
 
 
 def test_fcr_exit_code_when_nothing_certifies(workdir, tmp_path):
@@ -308,6 +339,15 @@ def test_eta_flag_overrides_config(monkeypatch):
     assert cfg["eta"] == {"mode": "absolute", "value": 0.2}
     cfg = build_config(None, _args(["certify", "--eta-mult", "2.0"]))
     assert cfg["eta"] == {"mode": "relative", "multiplier": 2.0}
+
+
+def test_sweep_flags_land_in_the_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("ELEGANT_SEED", raising=False)
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"sweep": {"axis": "beta", "values": [0.7], "thresholds": [0, 4]}}))
+    assert build_config(str(cfg_file), _args(["sweep"]))["sweep"] == {"axis": "beta", "values": [0.7], "thresholds": [0, 4]}
+    argv = ["sweep", "--axis", "sigma", "--values", "0.5,5", "--thresholds", ""]
+    assert build_config(str(cfg_file), _args(argv))["sweep"] == {"axis": "sigma", "values": [0.5, 5.0], "thresholds": []}
 
 
 def test_load_world_from_explicit_files(tmp_path, monkeypatch):

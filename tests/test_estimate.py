@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elegant.estimate import (
-    beta_quantile,
     binomial_lower_bound,
     binomial_lower_bound_vec,
     std_normal_quantile,
@@ -20,7 +19,8 @@ import oracles
 PHI_INV_0975 = 1.9599639845400536
 PHI_INV_09 = 1.2815515655446004
 
-# frozen from Simpson integration + bisection (oracles.beta_quantile)
+# frozen from Simpson integration + bisection (oracles.beta_quantile); the
+# Clopper-Pearson bound for (a, b - 1, q) is the q quantile of Beta(a, b)
 BETA_5_3_MEDIAN = 0.635883913551917
 BETA_180_21_Q03 = 0.8852182717006383
 
@@ -51,25 +51,14 @@ def test_normal_quantile_domain():
 
 
 def test_beta_quantile_frozen_values():
-    assert beta_quantile(5, 3, 0.5) == pytest.approx(BETA_5_3_MEDIAN, abs=1e-10)
-    assert beta_quantile(180, 21, 0.3) == pytest.approx(BETA_180_21_Q03, abs=1e-10)
+    assert binomial_lower_bound(5, 2, 0.5).lower == pytest.approx(BETA_5_3_MEDIAN, abs=1e-10)
+    assert binomial_lower_bound(180, 20, 0.3).lower == pytest.approx(BETA_180_21_Q03, abs=1e-10)
 
 
 def test_beta_quantile_closed_form_b_equals_one():
-    # Beta(n, 1) has CDF x^n, so the q quantile is q^(1/n)
-    for n in (1, 2, 10, 100, 150, 200):
-        assert beta_quantile(n, 1, 0.3) == pytest.approx(0.3 ** (1.0 / n), abs=1e-10)
-
-
-def test_beta_quantile_domain():
-    with pytest.raises(ValueError):
-        beta_quantile(0, 1, 0.5)
-    with pytest.raises(ValueError):
-        beta_quantile(1, -2, 0.5)
-    with pytest.raises(ValueError):
-        beta_quantile(1, 1, 0.0)
-    with pytest.raises(ValueError):
-        beta_quantile(1, 1, 1.0)
+    # Beta(n, 1), the bound after n successes and no failure, has CDF x^n, so its q quantile is q^(1/n)
+    ns = np.array([1, 2, 10, 100, 150, 200])
+    np.testing.assert_allclose(binomial_lower_bound_vec(ns, 0, 0.3), 0.3 ** (1.0 / ns), rtol=0, atol=1e-10)
 
 
 def test_binomial_lower_bound_basic():
@@ -144,4 +133,4 @@ def test_bound_monotone_in_alpha_and_successes(n, k, a1, a2):
 def test_quantile_matches_simpson_oracle_on_grid():
     for a, b, q in [(2, 5, 0.25), (7, 7, 0.5), (30, 4, 0.1), (1, 1, 0.7)]:
         ref = oracles.beta_quantile(a, b, q)
-        assert beta_quantile(a, b, q) == pytest.approx(ref, abs=5e-10)
+        assert binomial_lower_bound(a, b - 1, q).lower == pytest.approx(ref, abs=5e-10)

@@ -11,6 +11,7 @@ from elegant.fairness import (
     bias_value,
     delta_eo,
     delta_sp,
+    metric_groups,
     positive_rate_gap,
     sensitive_groups,
 )
@@ -79,6 +80,16 @@ def test_bias_value_dispatch():
     assert bias_value(yhat, labels, range(8), "eo") == delta_eo(yhat, Y, S, range(8))
     with pytest.raises(ValueError):
         bias_value(yhat, labels, range(8), "dp")
+
+
+def test_metric_groups_pick_each_metrics_population():
+    labels = NodeLabels(y=Y, s=S)
+    nodes = np.arange(8)
+    for metric, y in (("sp", None), ("eo", Y)):
+        for got, want in zip(metric_groups(nodes, labels, metric), sensitive_groups(nodes, S, y)):
+            np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="unknown metric 'dp'"):
+        metric_groups(nodes, labels, "dp")
 
 
 def test_threshold_constructors():
