@@ -34,7 +34,7 @@ from .certify import (
 from .data import Graph, NodeLabels, SplitSpec, load_dataset, make_splits, normalize_attributes, sample_test_sets
 from .estimate import ProbabilityBound, binomial_lower_bound, std_normal_quantile
 from .fairness import BiasThreshold, accuracy, delta_eo, delta_sp
-from .pipeline import CertificationReport, certify_and_predict, fcr_run, prop1_bound, select_fair_output
+from .pipeline import CertificationReport, certify_and_predict, certify_sets, fcr_run, prop1_bound, select_fair_output
 from .smoothing import SmoothingConfig, sample_attribute_noise, sample_structure_mask
 
 __version__ = "0.1.0"
@@ -53,6 +53,7 @@ __all__ = [
     "attribute_radius",
     "binomial_lower_bound",
     "certify_and_predict",
+    "certify_sets",
     "delta_eo",
     "delta_sp",
     "fcr_run",

@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 
 
 DEFAULTS = {
-    "dataset": {"fixture": "sbm-german", "fixture_seed": 0, "edges": None, "attributes": None, "labels": None},
+    "dataset": {"fixture": "sbm-german", "fixture_seed": None, "edges": None, "attributes": None, "labels": None},
     "backbone": "gcn",
     "seed": 0,
     "jobs": 1,
@@ -131,11 +131,11 @@ def load_world(cfg: dict):
     ds = cfg["dataset"]
     if ds["fixture"]:
         name = ds["fixture"]
-        fixture_seed = int(ds["fixture_seed"] or 0)
-        if name == "sbm-german":
-            g, X, labels = make_german_like(seed=fixture_seed)
-        elif name == "sbm-small":
-            g, X, labels = make_small(seed=fixture_seed or 7)
+        generators = {"sbm-german": make_german_like, "sbm-small": make_small}
+        if name in generators:
+            # fixture_seed None means the generator's own default seed
+            seed = ds["fixture_seed"]
+            g, X, labels = generators[name]() if seed is None else generators[name](seed=int(seed))
         elif name == "sbm200":
             root = bundled_fixture_dir("sbm200")
             g, X, labels = load_dataset(

@@ -307,5 +307,5 @@ def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, incl
         rng = substream(seed, DOMAIN_TESTSET, j)
         draw = rng.choice(rest, size=size - len(include), replace=False)
         members = np.sort(np.concatenate([draw, np.array(include, dtype=np.int64)]))
-        out.append(tuple(int(i) for i in members))
+        out.append(tuple(members.tolist()))
     return out

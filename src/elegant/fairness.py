@@ -95,25 +95,39 @@ def metric_groups(nodes, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
     return sensitive_groups(nodes, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
 
 
-def positive_rate_gap(classes: np.ndarray, groups) -> np.ndarray:
-    """|class-1 rate on g0 - class-1 rate on g1| over the last axis of hard classes.
+def positive_rate_gap(classes: np.ndarray, pairs) -> np.ndarray:
+    """|class-1 rate on g0 - class-1 rate on g1| for each of K group pairs (g0, g1).
 
-    The leading shape is kept: one prediction (n,) or a whole cache
-    (n_outer, n_inner, n).  Indexing before comparing keeps temporaries
-    group-sized.
+    classes holds hard classes over its last axis with any leading shape:
+    one prediction (n,) or a whole cache (n_outer, n_inner, n).  Returns
+    (K, *lead).  The class-1 indicator of the pairs' node union is gathered
+    once, as float32, and multiplied by the (2K, nodes) 0/1 membership
+    matrix.  The counts are exact, since float32 holds every integer up to
+    2^24, and count / size in float64 is bit for bit numpy's mean of the
+    gathered bool array.
     """
-    g0, g1 = groups
-    return np.abs((classes[..., g0] == 1).mean(-1) - (classes[..., g1] == 1).mean(-1))
+    g0s, g1s = zip(*pairs)
+    groups = [np.asarray(g, dtype=np.int64) for g in g0s + g1s]
+    nodes, inverse = np.unique(np.concatenate(groups), return_inverse=True)
+    sizes = np.array([g.size for g in groups])
+    col = np.repeat(np.arange(sizes.size), sizes)
+    # one row per group, every pair's g0 first; a node listed twice counts twice, as in a mean
+    member = np.bincount(col * nodes.size + inverse, minlength=sizes.size * nodes.size).astype(np.float32)
+    hits = (classes[..., nodes] == 1).astype(np.float32).reshape(-1, nodes.size)
+    rates = (member.reshape(sizes.size, nodes.size) @ hits.T) / sizes[:, None].astype(np.float64)
+    k = sizes.size // 2
+    gap = rates[:k] - rates[k:]
+    return np.abs(gap, out=gap).reshape(k, *classes.shape[:-1])
 
 
 def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:
     """Statistical parity gap |P(yhat=1 | s=0) - P(yhat=1 | s=1)| over nodes."""
-    return float(positive_rate_gap(np.asarray(yhat), sensitive_groups(list(nodes), s)))
+    return float(positive_rate_gap(np.asarray(yhat), [sensitive_groups(list(nodes), s)])[0])
 
 
 def delta_eo(yhat: np.ndarray, y: np.ndarray, s: np.ndarray, nodes) -> float:
     """Equal opportunity gap: statistical parity restricted to y = 1 nodes."""
-    return float(positive_rate_gap(np.asarray(yhat), sensitive_groups(list(nodes), s, y)))
+    return float(positive_rate_gap(np.asarray(yhat), [sensitive_groups(list(nodes), s, y)])[0])
 
 
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
@@ -134,4 +148,4 @@ def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:
 
 def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
     """The requested metric's gap over nodes; labels carries both y and s."""
-    return float(positive_rate_gap(np.asarray(yhat), metric_groups(list(nodes), labels, metric)))
+    return float(positive_rate_gap(np.asarray(yhat), [metric_groups(list(nodes), labels, metric)])[0])

@@ -20,8 +20,15 @@ The cache depends only on (model, graph, X, vulnerable, config), so one
 cache serves every test set drawn from the same pool, and its entries are
 pure functions of the substream key, which makes results independent of
 worker scheduling.  A cache keeps the SmoothingConfig it was built with;
-certify_and_predict refuses one built for another vulnerable set, shape,
-sigma, beta or master seed.
+certify_sets refuses one built for another vulnerable set, shape, sigma,
+beta or master seed.
+
+certify_sets certifies many test sets on one cache, as fcr_run does for
+its sampled sets; certify_and_predict is certify_sets on one set.  The
+sets go in chunks: one fairness.positive_rate_gap call gives a chunk's
+(k, n_outer, n_inner) bias from exact group counts, and one pair of
+Clopper-Pearson calls its inner bounds; each set's decision, selection
+and report then follow on its own slice.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .certify import CertifiedBudgets, attribute_radius, joint_attribute_budget, structure_budget
 from .data import Graph, sample_test_sets
-from .estimate import binomial_lower_bound, binomial_lower_bound_vec
+from .estimate import binomial_lower_bound_vec
 from .fairness import BiasThreshold, UndefinedMetricError, metric_groups, positive_rate_gap
 from .smoothing import (
     SmoothingConfig,
@@ -49,6 +56,10 @@ logger = logging.getLogger(__name__)
 
 CERTIFIED = "CERTIFIED"
 ABSTAIN = "ABSTAIN"
+
+# certify_sets handles its sets in chunks whose float64 group rates (two per
+# set and draw) take this many bytes: about 43 sets on a 20 x 150 cache
+CERTIFY_CHUNK_BYTES = 2 * 2**20
 
 # how every certificate is computed; each report adds its noise_domain_size
 CONVENTIONS = {
@@ -201,79 +212,104 @@ def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarr
     return classes[o, i].copy(), float(bias[o, i])
 
 
-def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> CertificationReport:
-    """Certify the smoothed bias indicator on one test set and pick an output.
+def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> tuple:
+    """Certify the smoothed bias indicator on each test set and pick its output.
 
-    model must already be the backbone the smoothing wraps (for defended
-    runs, the noise-augmented one).  eta defaults to an absolute threshold
-    of cfg.eta; cache may be shared across calls with identical
-    (model, g, X, vulnerable, cfg).  A cache whose vulnerable set, shape,
-    sigma, beta or master_seed differs from this call raises ValueError;
-    matching the model, graph and attributes is left to the caller.
+    Returns one CertificationReport per set, in order.  model must already
+    be the backbone the smoothing wraps (for defended runs, the
+    noise-augmented one).  eta defaults to an absolute threshold of
+    cfg.eta; cache may be shared across calls with identical
+    (model, g, X, vulnerable, cfg).  Every set is validated, then one cache
+    serves them all; a cache whose vulnerable set, shape, sigma, beta or
+    master_seed differs from this call raises ValueError, and matching the
+    model, graph and attributes is left to the caller.  The sets are
+    certified in chunks of CERTIFY_CHUNK_BYTES worth of group rates: one
+    group-count kernel call and one pair of inner bounds per chunk.
     """
     if eta is None:
         eta = BiasThreshold.absolute(cfg.eta)
-    test_idx = np.asarray(sorted(int(i) for i in test_set), dtype=np.int64)
-    pool = set(split.test_pool)
-    if not set(test_idx.tolist()) <= pool:
-        raise ValueError("test set must lie in the test pool")
     vul = tuple(sorted(set(int(i) for i in split.vulnerable)))
     if not vul:
         raise ValueError("vulnerable set must be nonempty")
-    if not set(vul) <= set(test_idx.tolist()):
-        raise ValueError("vulnerable nodes must belong to the test set")
+    pool = set(split.test_pool)
+    test_idx = []
+    for test_set in test_sets:
+        idx = np.sort(np.fromiter(test_set, dtype=np.int64))
+        members = set(idx.tolist())
+        if not members <= pool:
+            raise ValueError("test set must lie in the test pool")
+        if not members.issuperset(vul):
+            raise ValueError("vulnerable nodes must belong to the test set")
+        test_idx.append(idx)
     if cache is None:
         cache = PredictionCache.build(model, g, X, vul, cfg, jobs=jobs)
     cache.check(vul, g.n, cfg)
 
-    try:
-        bias = positive_rate_gap(cache.classes, metric_groups(test_idx, labels, cfg.metric))
-    except UndefinedMetricError:
-        logger.warning("bias metric undefined on this test set; all indicators forced to 0")
-        indicator = np.zeros((cfg.n_outer, cfg.n_inner), dtype=bool)
-        bias = np.full((cfg.n_outer, cfg.n_inner), np.nan)
-    else:
-        indicator = bias < eta.eta
+    domain = domain_size(g.n, len(vul))
+    chunk = max(1, CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner))
+    reports = []
+    for start in range(0, len(test_idx), chunk):
+        idxs = test_idx[start : start + chunk]
+        pairs = []
+        defined = np.ones(len(idxs), dtype=bool)
+        for j, idx in enumerate(idxs):
+            try:
+                pairs.append(metric_groups(idx, labels, cfg.metric))
+            except UndefinedMetricError:
+                logger.warning("bias metric undefined on test set %d; all its indicators forced to 0", start + j)
+                defined[j] = False
+        bias = np.full((len(idxs), cfg.n_outer, cfg.n_inner), np.nan)
+        if pairs:
+            bias[defined] = positive_rate_gap(cache.classes, pairs)
+        indicator = bias < eta.eta  # NaN compares False: an undefined set's indicators are 0
 
-    n1 = indicator.sum(axis=1).astype(np.int64)
-    n0 = cfg.n_inner - n1
-    low_pos = binomial_lower_bound_vec(n1, n0, cfg.alpha)
-    low_neg = binomial_lower_bound_vec(n0, n1, cfg.alpha)
-    cert_pos = (n1 > n0) & (low_pos > 0.5)
-    cert_neg = (n0 > n1) & (low_neg > 0.5)
-    undecided = ~(cert_pos | cert_neg)
+        n1 = indicator.sum(axis=2)
+        n0 = cfg.n_inner - n1
+        low_pos = binomial_lower_bound_vec(n1, n0, cfg.alpha)
+        cert_pos = (n1 > n0) & (low_pos > 0.5)
+        cert_neg = (n0 > n1) & (binomial_lower_bound_vec(n0, n1, cfg.alpha) > 0.5)
+        undecided = ~(cert_pos | cert_neg)
+        n_pos = cert_pos.sum(axis=1)
+        outer_low = binomial_lower_bound_vec(n_pos, cfg.n_outer - n_pos, cfg.alpha)
+        for j, idx in enumerate(idxs):
+            evidence = (bias[j], indicator[j], n1[j], low_pos[j], cert_pos[j], undecided[j], float(outer_low[j]))
+            reports.append(_report(cache, labels, cfg, eta, domain, idx, *evidence))
+    return tuple(reports)
 
-    radii = [attribute_radius(float(p), cfg.sigma) if c else None for p, c in zip(low_pos, cert_pos)]
+
+def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, n1, low_pos, cert_pos, undecided, outer_low) -> CertificationReport:
+    """One set's outcome, budgets, selection and evidence from its per-draw bias and inner votes."""
+    n1, lows, certified, open_votes = n1.tolist(), low_pos.tolist(), cert_pos.tolist(), undecided.tolist()
+    radii = [attribute_radius(p, cfg.sigma) if c else None for p, c in zip(lows, certified)]
     records = tuple(
         OuterSampleRecord(
             stream_id=o,
-            n1=int(n1[o]),
-            n0=int(n0[o]),
-            inner_lower_bound=float(low_pos[o]),
-            inner_certified=bool(cert_pos[o]),
-            decided=not undecided[o],
+            n1=n1[o],
+            n0=cfg.n_inner - n1[o],
+            inner_lower_bound=lows[o],
+            inner_certified=certified[o],
+            decided=not open_votes[o],
             attribute_radius=radii[o],
         )
         for o in range(cfg.n_outer)
     )
 
     n_pos = int(cert_pos.sum())
-    outer = binomial_lower_bound(n_pos, cfg.n_outer - n_pos, cfg.alpha)
     reason = None
     if cfg.strict and undecided.any():
         first = int(np.flatnonzero(undecided)[0])
-        reason = f"undecided inner vote at outer sample {first} (n1={int(n1[first])}, n0={int(n0[first])})"
-    elif outer.lower <= 0.5:
-        reason = f"outer fair-vote bound {outer.lower:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)"
+        reason = f"undecided inner vote at outer sample {first} (n1={n1[first]}, n0={cfg.n_inner - n1[first]})"
+    elif outer_low <= 0.5:
+        reason = f"outer fair-vote bound {outer_low:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)"
 
     budgets = prediction = sel_bias = acc = None
     if reason is None:
         budgets = CertifiedBudgets(
-            eps_A=structure_budget(float(outer.lower), cfg.beta, cfg.k_max),
+            eps_A=structure_budget(outer_low, cfg.beta, cfg.k_max),
             eps_X=joint_attribute_budget(r for r in radii if r is not None),
         )
         prediction, sel_bias = select_fair_output(cache.classes, bias, indicator & cert_pos[:, None])
-        acc = float((prediction[test_idx] == labels.y[test_idx]).mean())
+        acc = float((prediction[idx] == labels.y[idx]).mean())
     else:
         logger.info("certification abstains: %s", reason)
     return CertificationReport(
@@ -284,14 +320,19 @@ def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: Smooth
         accuracy=acc,
         eta=eta,
         n_outer_positive=n_pos,
-        outer_lower_bound=float(outer.lower),
+        outer_lower_bound=outer_low,
         prop1_bound=prop1_bound(n_pos),
         records=records,
         config=cfg,
-        conventions={**CONVENTIONS, "noise_domain_size": domain_size(g.n, len(vul))},
-        test_set=tuple(int(i) for i in test_idx),
+        conventions={**CONVENTIONS, "noise_domain_size": domain},
+        test_set=tuple(idx.tolist()),
         abstain_reason=reason,
     )
+
+
+def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> CertificationReport:
+    """Certify one test set: certify_sets on (test_set,)."""
+    return certify_sets(model, g, X, labels, split, (test_set,), cfg, jobs=jobs, cache=cache, eta=eta)[0]
 
 
 @dataclass(frozen=True)
@@ -329,11 +370,7 @@ def fcr_run(model, g: Graph, X, labels, split, cfg: SmoothingConfig, ratio: floa
     sets.
     """
     sets = sample_test_sets(split, ratio, count, seed=cfg.master_seed, include=split.vulnerable)
-    if cache is None:
-        cache = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=jobs)
-    reports = tuple(
-        certify_and_predict(model, g, X, labels, split, ts, cfg, jobs=jobs, cache=cache, eta=eta) for ts in sets
-    )
+    reports = certify_sets(model, g, X, labels, split, sets, cfg, jobs=jobs, cache=cache, eta=eta)
     n_certified = sum(1 for r in reports if r.outcome == CERTIFIED)
     fcr = n_certified / len(reports)
     logger.info("fraction of certified test sets: %.4f (%d/%d)", fcr, n_certified, count)

@@ -5,8 +5,9 @@ replays the library's own candidate pools, imports the package: normal
 quantiles come from bisection on an erf-based CDF, incomplete-beta values
 from Simpson integration, the Neyman-Pearson optimum from exact rational
 enumeration, the region probabilities from a sum over every flip count,
-gradients from central differences, and single-flip logits from one full
-operator rebuild per flip.  Slow and simple on purpose.
+gradients from central differences, single-flip logits from one full
+operator rebuild per flip, and group rate gaps from one gather and bool
+mean per group.  Slow and simple on purpose.
 """
 
 import math
@@ -296,3 +297,9 @@ def select_fair_output_oracle(classes, bias, indicator, inner_certified):
         return None
     o, i = divmod(best[1], n_inner)
     return [int(c) for c in classes[o][i]], best[0]
+
+
+def positive_rate_gap_oracle(classes, groups):
+    """|class-1 rate on g0 - class-1 rate on g1| for one pair: a gather and a bool mean per group."""
+    g0, g1 = groups
+    return abs((classes[..., g0] == 1).mean(-1) - (classes[..., g1] == 1).mean(-1))

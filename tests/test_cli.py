@@ -310,6 +310,22 @@ def _args(argv):
     return make_parser().parse_args(argv)
 
 
+def test_fixture_seed_reaches_the_generator(tmp_path, monkeypatch):
+    monkeypatch.delenv("ELEGANT_SEED", raising=False)
+
+    def world(fixture, seed=None):
+        ds = {"fixture": fixture} if seed is None else {"fixture": fixture, "fixture_seed": seed}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dataset": ds}))
+        g, X, labels, _ = load_world(build_config(str(path), _args(["train"])))
+        return g.edge_array().tobytes(), X.tobytes(), labels.y.tobytes(), labels.s.tobytes()
+
+    # an explicit seed, 0 included, picks the world; no seed keeps each fixture's default
+    assert world("sbm-small", 0) != world("sbm-small", 7)
+    assert world("sbm-small") == world("sbm-small", 7)
+    assert world("sbm-german") == world("sbm-german", 0)
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"seed": 5}))

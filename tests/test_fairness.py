@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elegant.data import NodeLabels
 from elegant.fairness import (
@@ -15,6 +17,7 @@ from elegant.fairness import (
     positive_rate_gap,
     sensitive_groups,
 )
+from oracles import positive_rate_gap_oracle
 
 S = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 Y = np.array([1, 1, 0, 0, 1, 1, 1, 0])
@@ -60,11 +63,41 @@ def test_sensitive_groups_keep_input_order():
 def test_positive_rate_gap_keeps_leading_shape():
     rng = np.random.default_rng(3)
     classes = rng.integers(0, 2, size=(3, 4, 8)).astype(np.uint8)
-    gaps = positive_rate_gap(classes, sensitive_groups(range(8), S))
-    assert gaps.shape == (3, 4)
+    gaps = positive_rate_gap(classes, [sensitive_groups(range(8), S)])
+    assert gaps.shape == (1, 3, 4)
     for o in range(3):
         for i in range(4):
-            assert gaps[o, i] == delta_sp(classes[o, i], S, range(8))
+            assert gaps[0, o, i] == delta_sp(classes[o, i], S, range(8))
+
+
+@st.composite
+def _gap_cases(draw):
+    """Hard classes with a leading shape of () or (o, i), and K group pairs over their n nodes."""
+    n = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (2, 3)]))
+    classes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 3, lead + (n,), dtype=np.uint8)
+    group = st.one_of(st.just(list(range(n))), st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    pairs = draw(st.lists(st.tuples(group, group), min_size=1, max_size=4))
+    return classes, [(np.array(g0), np.array(g1)) for g0, g1 in pairs]
+
+
+_WHOLE_POOL_CASE = (
+    np.random.default_rng(5).integers(0, 2, (2, 3, 6), dtype=np.uint8),
+    # size-1 groups, a pair overlapping them, and the whole pool against one node
+    [(np.array([0]), np.array([5])), (np.array([0, 1]), np.array([1, 5])), (np.arange(6), np.array([3]))],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_gap_cases())
+@example(case=_WHOLE_POOL_CASE)
+@example(case=(_WHOLE_POOL_CASE[0][0, 0], _WHOLE_POOL_CASE[1][:1]))
+def test_positive_rate_gap_equals_the_gather_mean_oracle(case):
+    classes, pairs = case
+    gaps = positive_rate_gap(classes, pairs)
+    assert gaps.shape == (len(pairs),) + classes.shape[:-1]
+    for gap, pair in zip(gaps, pairs):
+        assert gap.tobytes() == np.asarray(positive_rate_gap_oracle(classes, pair)).tobytes()
 
 
 def test_accuracy():

@@ -1,6 +1,7 @@
 """Certification pipeline: vote aggregation, abstain rules, selection."""
 
 import logging
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import oracles
 from elegant import pipeline, smoothing
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.estimate import binomial_lower_bound
-from elegant.fairness import BiasThreshold, bias_value
+from elegant.fairness import BiasThreshold, UndefinedMetricError, bias_value, metric_groups
 from elegant.pipeline import (
     ABSTAIN,
     CERTIFIED,
@@ -19,6 +20,7 @@ from elegant.pipeline import (
     FcrResult,
     PredictionCache,
     certify_and_predict,
+    certify_sets,
     fcr_run,
     prop1_bound,
     select_fair_output,
@@ -234,13 +236,13 @@ def test_select_fair_output_skips_uncertified():
         select_fair_output(classes, bias, np.zeros_like(eligible))
 
 
-def _random_cache_world(seed, eta=0.6, n_outer=12, n_inner=6):
+def _random_cache_world(seed, eta=0.6, n_outer=12, n_inner=6, vul=(0, 1)):
     """The eight-node world with a hand-built cache of uniform random classes.
 
     Two groups of four put every bias on a multiple of 1/4, so equal-bias
     draws, within and across outer samples, are common.
     """
-    g, X, labels, split = _world(n=8)
+    g, X, labels, split = _world(n=8, vul=vul)
     cfg = SmoothingConfig(n_outer=n_outer, n_inner=n_inner, eta=eta, master_seed=seed, strict=False)
     classes = np.random.default_rng(seed).integers(0, 2, (n_outer, n_inner, g.n), dtype=np.uint8)
     return g, X, labels, split, cfg, PredictionCache(classes, split.vulnerable, cfg)
@@ -358,12 +360,69 @@ def test_fcr_run_shares_cache_and_counts(caplog):
 def test_fcr_run_logs_the_exact_certified_count(monkeypatch, caplog):
     g, X, labels, split = _world()
     cfg = SmoothingConfig(n_outer=4, n_inner=3, eta=0.25, master_seed=1)
-    outcomes = iter([CERTIFIED] * 29 + [ABSTAIN] * 71)
-    monkeypatch.setattr(pipeline, "certify_and_predict", lambda *a, **k: SimpleNamespace(outcome=next(outcomes)))
+    reports = tuple(SimpleNamespace(outcome=o) for o in [CERTIFIED] * 29 + [ABSTAIN] * 71)
+    monkeypatch.setattr(pipeline, "certify_sets", lambda *a, **k: reports)
     with caplog.at_level(logging.INFO, logger="elegant.pipeline"):
         res = fcr_run(_ConstantModel(), g, X, labels, split, cfg, ratio=0.75, count=100, cache=object())
     assert res.fcr == 0.29
     assert "(29/100)" in caplog.text
+
+
+def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
+    # three sets per chunk; set 4, mid-chunk, holds only s = 0 nodes, so its metric is undefined
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * 12 * 6)
+    outcomes = []
+    for seed in range(6):
+        g, X, labels, split, cfg, cache = _random_cache_world(seed, vul=(0,))
+        rng = np.random.default_rng(seed)
+        sets = [tuple(sorted([0, 1, *rng.choice(np.arange(2, 8), size=rng.integers(1, 6), replace=False).tolist()])) for _ in range(8)]
+        sets[4] = (0, 2, 4, 6)
+        monkeypatch.setattr(pipeline, "sample_test_sets", lambda *a, **k: sets)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="elegant.pipeline"):
+            res = fcr_run(None, g, X, labels, split, cfg, count=len(sets), cache=cache)
+        assert [r.getMessage() for r in caplog.records] == ["bias metric undefined on test set 4; all its indicators forced to 0"]
+        assert len(res.reports) == len(sets)
+        for ts, rep in zip(sets, res.reports):
+            one = certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache)
+            assert rep.test_set == one.test_set == ts
+            assert rep.to_json_dict() == one.to_json_dict()
+            n1 = [r.n1 for r in rep.records]
+            assert n1 == [r.n1 for r in one.records]
+            try:
+                groups = metric_groups(np.array(ts), labels, cfg.metric)
+            except UndefinedMetricError:
+                assert n1 == [0] * cfg.n_outer
+            else:
+                bias = oracles.positive_rate_gap_oracle(cache.classes, groups)
+                assert n1 == (bias < cfg.eta).sum(axis=1).tolist()
+            if rep.outcome == CERTIFIED:
+                assert rep.selected_prediction.tobytes() == one.selected_prediction.tobytes()
+                assert rep.selected_bias == oracles.positive_rate_gap_oracle(rep.selected_prediction, groups)
+            else:
+                assert rep.selected_prediction is None and one.selected_prediction is None
+            outcomes.append(rep.outcome)
+    assert outcomes.count(CERTIFIED) >= 10
+    assert outcomes.count(ABSTAIN) >= 6
+
+
+def test_certify_sets_memory_is_bounded_by_the_chunk():
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=20, n_inner=300, eta=0.25, master_seed=0)
+    cache = PredictionCache(np.ones((cfg.n_outer, cfg.n_inner, g.n), dtype=np.uint8), split.vulnerable, cfg)
+    c = pipeline.CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner)
+    assert c >= 2
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            reports = certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache)
+            assert [r.outcome for r in reports] == [CERTIFIED] * count
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6 * c) < 2 * peak(c)
 
 
 def test_report_json_dict_is_stable():
