@@ -3,9 +3,9 @@
 The attackers here are deliberately simple stand-ins (labelled
 "substitute" in every output) for stronger published fairness attacks:
 an analytic gradient ascent on a soft bias surrogate for the attribute
-side, and random or greedy pair flips for the structure side.  They
-operate under exactly the certified threat model: attribute changes touch
-only vulnerable rows with a hard L2 cap, structure changes flip only
+side, and greedy pair flips for the structure side.  They operate under
+exactly the certified threat model: attribute changes touch only
+vulnerable rows with a hard L2 cap, structure changes flip only
 vulnerable-incident pairs with a hard edge-count cap.
 """
 
@@ -42,6 +42,8 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     vul = np.asarray(sorted(set(int(i) for i in vulnerable)), dtype=np.int64)
     if vul.size == 0:
         raise ValueError("vulnerable set must be nonempty")
+    if vul[0] < 0 or vul[-1] >= g.n:
+        raise ValueError("vulnerable ids out of range")
     if budget_l2 == 0:
         return np.array(X, copy=True)
     idx = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
@@ -73,20 +75,6 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     out = np.array(X, copy=True)
     out[vul] += delta
     return out
-
-
-def structure_attack_random(g: Graph, vulnerable, budget_edges: int, seed: int) -> Graph:
-    """Flip exactly budget_edges uniformly chosen eligible pairs."""
-    if budget_edges < 0:
-        raise ValueError(f"budget_edges must be nonnegative, got {budget_edges}")
-    pairs = eligible_pairs(g.n, vulnerable)
-    if budget_edges > pairs.shape[0]:
-        raise ValueError(f"budget {budget_edges} exceeds the {pairs.shape[0]} eligible pairs")
-    if budget_edges == 0:
-        return g
-    rng = substream(seed, DOMAIN_ATTACK, 0)
-    pick = rng.choice(pairs.shape[0], size=budget_edges, replace=False)
-    return g.flip(pairs[pick])
 
 
 def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges: int, metric: str = "sp", nodes=None, pool_size: int = GREEDY_POOL_SIZE, seed: int = 0) -> Graph:

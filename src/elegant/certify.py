@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log, log1p
 
-from .estimate import std_normal_quantile
+import numpy as np
+from scipy import special
 
 logger = logging.getLogger(__name__)
 
@@ -163,24 +164,24 @@ def structure_budget(p_lower: float, beta: float, k_max: int = DEFAULT_K_MAX) ->
     return k_max
 
 
-def attribute_radius(p_lower: float, sigma: float) -> float:
-    """Certified L2 radius on the vulnerable attribute rows.
+def attribute_radius(p_lower, sigma: float):
+    """Certified L2 radius on the vulnerable attribute rows, elementwise.
 
     For a binary vote the Gaussian certificate is
     sigma / 2 * (Phi^{-1}(p_lower) - Phi^{-1}(1 - p_lower)), which collapses
     to sigma * Phi^{-1}(p_lower) by symmetry of the normal quantile.  Votes
     with p_lower <= 1/2 certify nothing and get radius 0; p_lower = 1 means
     the vote never changes under the noise and the radius is unbounded.
+    p_lower may be a scalar, which returns a float, or an array, which
+    returns an array of its shape.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0.0 <= p_lower <= 1.0:
+    p = np.asarray(p_lower, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p_lower must lie in [0, 1], got {p_lower}")
-    if p_lower <= 0.5:
-        return 0.0
-    if p_lower == 1.0:
-        return float("inf")
-    return sigma * std_normal_quantile(p_lower)
+    radius = np.where(p <= 0.5, 0.0, sigma * special.ndtri(p))  # ndtri(1) is inf
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def joint_attribute_budget(per_sample_radii) -> float:

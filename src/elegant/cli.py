@@ -413,9 +413,6 @@ def main(argv=None) -> int:
         cfg = build_config(args.config, args)
         os.makedirs(cfg["out"], exist_ok=True)
         return COMMANDS[args.command][0](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -27,8 +27,17 @@ certify_sets certifies many test sets on one cache, as fcr_run does for
 its sampled sets; certify_and_predict is certify_sets on one set.  The
 sets go in chunks: one fairness.positive_rate_gap call gives a chunk's
 (k, n_outer, n_inner) bias from exact group counts, and one pair of
-Clopper-Pearson calls its inner bounds; each set's decision, selection
-and report then follow on its own slice.
+Clopper-Pearson calls and one attribute_radius call its (k, n_outer)
+evidence; each set's decision, selection and report then follow on its
+own slice.
+
+A report's records is that evidence for its set: a read-only numpy record
+array with one row per outer sample, in stream order, and the fields n1
+(indicator-fair inner draws), inner_lower_bound (Clopper-Pearson bound on
+the fair-draw probability), inner_certified, decided (False when neither
+the fair nor the biased side certified) and attribute_radius (NaN where
+the inner vote did not certify).  records[o].n1 reads one sample,
+records.n1 the whole column.
 """
 
 from __future__ import annotations
@@ -73,25 +82,6 @@ CONVENTIONS = {
 
 
 @dataclass(frozen=True)
-class OuterSampleRecord:
-    """Certification evidence for one structure mask.
-
-    inner_lower_bound is the Clopper-Pearson bound on the probability that
-    a Gaussian draw under this mask is indicator-fair; inner_certified means
-    that bound cleared 1/2 (so attribute_radius is present exactly then).
-    decided is False when neither the fair nor the biased side certified.
-    """
-
-    stream_id: int
-    n1: int
-    n0: int
-    inner_lower_bound: float
-    inner_certified: bool
-    decided: bool
-    attribute_radius: float | None
-
-
-@dataclass(frozen=True)
 class CertificationReport:
     """One test set's certificate; selected_prediction is the released draw's (n,) uint8 classes."""
 
@@ -104,7 +94,7 @@ class CertificationReport:
     n_outer_positive: int
     outer_lower_bound: float
     prop1_bound: float
-    records: tuple
+    records: np.recarray
     config: SmoothingConfig
     conventions: dict
     test_set: tuple
@@ -268,37 +258,28 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
         low_pos = binomial_lower_bound_vec(n1, n0, cfg.alpha)
         cert_pos = (n1 > n0) & (low_pos > 0.5)
         cert_neg = (n0 > n1) & (binomial_lower_bound_vec(n0, n1, cfg.alpha) > 0.5)
-        undecided = ~(cert_pos | cert_neg)
         n_pos = cert_pos.sum(axis=1)
         outer_low = binomial_lower_bound_vec(n_pos, cfg.n_outer - n_pos, cfg.alpha)
+        radius = np.where(cert_pos, attribute_radius(low_pos, cfg.sigma), np.nan)
+        records = np.rec.fromarrays(
+            [n1, low_pos, cert_pos, cert_pos | cert_neg, radius],
+            names="n1,inner_lower_bound,inner_certified,decided,attribute_radius",
+        )
+        records.flags.writeable = False
         for j, idx in enumerate(idxs):
-            evidence = (bias[j], indicator[j], n1[j], low_pos[j], cert_pos[j], undecided[j], float(outer_low[j]))
-            reports.append(_report(cache, labels, cfg, eta, domain, idx, *evidence))
+            reports.append(_report(cache, labels, cfg, eta, domain, idx, bias[j], indicator[j], records[j], float(outer_low[j])))
     return tuple(reports)
 
 
-def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, n1, low_pos, cert_pos, undecided, outer_low) -> CertificationReport:
-    """One set's outcome, budgets, selection and evidence from its per-draw bias and inner votes."""
-    n1, lows, certified, open_votes = n1.tolist(), low_pos.tolist(), cert_pos.tolist(), undecided.tolist()
-    radii = [attribute_radius(p, cfg.sigma) if c else None for p, c in zip(lows, certified)]
-    records = tuple(
-        OuterSampleRecord(
-            stream_id=o,
-            n1=n1[o],
-            n0=cfg.n_inner - n1[o],
-            inner_lower_bound=lows[o],
-            inner_certified=certified[o],
-            decided=not open_votes[o],
-            attribute_radius=radii[o],
-        )
-        for o in range(cfg.n_outer)
-    )
-
+def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, records, outer_low) -> CertificationReport:
+    """One set's outcome, budgets, selection and evidence from its per-draw bias and outer-sample records."""
+    cert_pos, undecided = records.inner_certified, ~records.decided
     n_pos = int(cert_pos.sum())
     reason = None
     if cfg.strict and undecided.any():
         first = int(np.flatnonzero(undecided)[0])
-        reason = f"undecided inner vote at outer sample {first} (n1={n1[first]}, n0={cfg.n_inner - n1[first]})"
+        n1 = int(records.n1[first])
+        reason = f"undecided inner vote at outer sample {first} (n1={n1}, n0={cfg.n_inner - n1})"
     elif outer_low <= 0.5:
         reason = f"outer fair-vote bound {outer_low:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)"
 
@@ -306,7 +287,7 @@ def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, n1, low_pos, 
     if reason is None:
         budgets = CertifiedBudgets(
             eps_A=structure_budget(outer_low, cfg.beta, cfg.k_max),
-            eps_X=joint_attribute_budget(r for r in radii if r is not None),
+            eps_X=joint_attribute_budget(records.attribute_radius[cert_pos]),
         )
         prediction, sel_bias = select_fair_output(cache.classes, bias, indicator & cert_pos[:, None])
         acc = float((prediction[idx] == labels.y[idx]).mean())

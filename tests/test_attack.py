@@ -10,7 +10,6 @@ from elegant.attack import (
     attribute_attack,
     evaluate_under_attack,
     structure_attack_greedy,
-    structure_attack_random,
 )
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.fairness import UndefinedMetricError
@@ -111,6 +110,14 @@ def test_attribute_attack_validation():
         attribute_attack(model, g, X, labels, (), 1.0)
 
 
+@pytest.mark.parametrize("bad", [-1, 24])
+def test_attribute_attack_rejects_out_of_range_vulnerable_ids(bad):
+    # -1 would otherwise index the last row, and n past the end
+    g, X, labels, _ = _world()
+    with pytest.raises(ValueError, match="vulnerable ids out of range"):
+        attribute_attack(_LinearModel(np.eye(3, 2)), g, X, labels, (0, bad), 1.0)
+
+
 def test_attribute_attack_unknown_metric_raises():
     g, X, labels, split = _world()
     with pytest.raises(ValueError, match="unknown metric 'xx'"):
@@ -125,35 +132,6 @@ def test_attribute_attack_eo_single_group_slice_raises():
     model = _LinearModel(np.eye(3, 2))
     with pytest.raises(UndefinedMetricError):
         attribute_attack(model, g, X, labels, split.vulnerable, 1.0, metric="eo")
-
-
-def test_structure_attack_random_flips_exact_count():
-    g, _, _, split = _world()
-    allowed = {tuple(int(x) for x in row) for row in eligible_pairs(g.n, split.vulnerable)}
-    for budget in (1, 3, 7):
-        g_adv = structure_attack_random(g, split.vulnerable, budget, seed=3)
-        diff = g.edges.symmetric_difference(g_adv.edges)
-        assert len(diff) == budget
-        assert diff <= allowed
-    assert structure_attack_random(g, split.vulnerable, 0, seed=3) is g
-
-
-def test_structure_attack_random_is_deterministic():
-    g, _, _, split = _world()
-    a = structure_attack_random(g, split.vulnerable, 4, seed=11)
-    b = structure_attack_random(g, split.vulnerable, 4, seed=11)
-    c = structure_attack_random(g, split.vulnerable, 4, seed=12)
-    assert a.edges == b.edges
-    assert a.edges != c.edges
-
-
-def test_structure_attack_random_validation():
-    g, _, _, split = _world()
-    with pytest.raises(ValueError, match="nonnegative"):
-        structure_attack_random(g, split.vulnerable, -1, seed=0)
-    n_pairs = eligible_pairs(g.n, split.vulnerable).shape[0]
-    with pytest.raises(ValueError, match="eligible"):
-        structure_attack_random(g, split.vulnerable, n_pairs + 1, seed=0)
 
 
 def test_structure_attack_greedy_respects_budget_and_eligibility():
@@ -174,6 +152,16 @@ def test_structure_attack_greedy_undefined_metric_raises():
     one_group = np.flatnonzero(labels.s == 0)
     with pytest.raises(UndefinedMetricError):
         structure_attack_greedy(model, g, X, labels, split.vulnerable, 3, nodes=one_group)
+
+
+def test_structure_attack_greedy_budget_validation():
+    g, X, labels, split = _world(n=12)
+    model = _LinearModel(np.eye(3, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        structure_attack_greedy(model, g, X, labels, split.vulnerable, -1)
+    n_pairs = eligible_pairs(g.n, split.vulnerable).shape[0]
+    with pytest.raises(ValueError, match="eligible"):
+        structure_attack_greedy(model, g, X, labels, split.vulnerable, n_pairs + 1)
 
 
 @pytest.mark.parametrize("pool_size", [0, -1])

@@ -3,6 +3,7 @@
 import logging
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from elegant.certify import (
     region_table,
     structure_budget,
 )
+from elegant.estimate import std_normal_quantile
 
 import oracles
 
@@ -173,6 +175,22 @@ def test_attribute_radius_edge_cases():
         attribute_radius(0.9, -1.0)
     with pytest.raises(ValueError):
         attribute_radius(1.5, 1.0)
+
+
+def test_attribute_radius_array_equals_scalar_calls():
+    p = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.9, 0.999, 1.0])
+    for sigma in (0.05, 0.5, 3.0):
+        got = attribute_radius(p.reshape(2, 4), sigma)
+        assert got.shape == (2, 4)
+        want = np.array([attribute_radius(float(x), sigma) for x in p])
+        assert got.ravel().tobytes() == want.tobytes()
+        inside = (p > 0.5) & (p < 1.0)
+        assert want[inside].tolist() == [sigma * std_normal_quantile(x) for x in p[inside]]
+    assert type(attribute_radius(0.9, 0.5)) is float
+    assert type(attribute_radius(np.float64(0.3), 0.5)) is float
+    for bad in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="p_lower"):
+            attribute_radius(np.array([0.9, bad]), 1.0)
 
 
 @given(

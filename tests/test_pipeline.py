@@ -1,5 +1,6 @@
 """Certification pipeline: vote aggregation, abstain rules, selection."""
 
+import itertools
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 import oracles
 from elegant import pipeline, smoothing
+from elegant.certify import attribute_radius
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.estimate import binomial_lower_bound
 from elegant.fairness import BiasThreshold, UndefinedMetricError, bias_value, metric_groups
@@ -280,6 +282,40 @@ def test_selection_matches_the_per_record_oracle():
     assert n_tied >= 20
 
 
+def test_records_match_the_scalar_oracles():
+    # eta 0.1 makes certifiably biased inner votes common, eta 0.6 certifiably fair ones
+    seen = {"certified": 0, "biased": 0, "undecided": 0, "CERTIFIED": 0}
+    for seed, eta in itertools.product(range(20), (0.1, 0.6)):
+        g, X, labels, split, cfg, cache = _random_cache_world(seed, eta=eta)
+        rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache)
+        records = rep.records
+        assert records.shape == (cfg.n_outer,)
+        _, indicator, certified = _draw_evidence(cache, labels, split.test_pool, cfg)
+        radii = []
+        for o, row in enumerate(indicator):
+            n1 = sum(row)
+            n0 = cfg.n_inner - n1
+            low = binomial_lower_bound(n1, n0, cfg.alpha).lower
+            decided = certified[o] or (n0 > n1 and binomial_lower_bound(n0, n1, cfg.alpha).lower > 0.5)
+            r = records[o]
+            assert (r.n1, r.inner_lower_bound, r.inner_certified, r.decided) == (n1, low, certified[o], decided)
+            if certified[o]:
+                radii.append(attribute_radius(low, cfg.sigma))
+                assert r.attribute_radius == radii[-1]
+            else:
+                assert np.isnan(r.attribute_radius)
+            seen["certified"] += certified[o]
+            seen["biased"] += decided and not certified[o]
+            seen["undecided"] += not decided
+        np.testing.assert_array_equal(np.isnan(records.attribute_radius), ~records.inner_certified)
+        with pytest.raises(ValueError, match="read-only"):
+            records.n1[0] = 0
+        if rep.outcome == CERTIFIED:
+            seen["CERTIFIED"] += 1
+            assert rep.budgets.eps_X == min(radii)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_prediction_cache_jobs_do_not_change_classes():
     g, X, labels, split = _world()
     cfg = SmoothingConfig(n_outer=12, n_inner=6, master_seed=5)
@@ -387,8 +423,8 @@ def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
             one = certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache)
             assert rep.test_set == one.test_set == ts
             assert rep.to_json_dict() == one.to_json_dict()
-            n1 = [r.n1 for r in rep.records]
-            assert n1 == [r.n1 for r in one.records]
+            assert rep.records.tobytes() == one.records.tobytes()
+            n1 = rep.records.n1.tolist()
             try:
                 groups = metric_groups(np.array(ts), labels, cfg.metric)
             except UndefinedMetricError:
