@@ -27,6 +27,24 @@ class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
 
 
+def pair_array(pairs, n: int) -> np.ndarray:
+    """pairs (any iterable of pairs or an (m, 2) integer array) as a new int64 (m, 2) array.
+
+    Raises DataError for a wrong shape or for the first row outside
+    0 <= u < v < n.
+    """
+    e = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise DataError(f"edges must form an (m, 2) array, got shape {e.shape}")
+    bad = (e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= n)
+    if bad.any():
+        u, v = e[np.argmax(bad)]
+        raise DataError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
+    return e
+
+
 class Graph:
     """Undirected graph on nodes 0..n-1 with canonical (u < v) edge rows.
 
@@ -41,15 +59,7 @@ class Graph:
         if n < 1:
             raise DataError(f"graph needs at least one node, got n={n}")
         n = int(n)
-        e = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise DataError(f"edges must form an (m, 2) array, got shape {e.shape}")
-        bad = (e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= n)
-        if bad.any():
-            u, v = e[np.argmax(bad)]
-            raise DataError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
+        e = pair_array(edges, n)
         keys = e[:, 0] * n + e[:, 1]
         if not (keys[1:] > keys[:-1]).all():
             order = np.argsort(keys, kind="stable")

@@ -13,15 +13,17 @@ reference backbones below through `init`, `loss_grads`, `params` and
 
 Both reference backbones share one base, _TwoLayer: each names its
 operator (`self_loops` and `_operator`, from which the one `build_ops`
-derives) and writes one forward pass (_pass, optionally batched over
-perturbations of a few attribute rows, or run on an operator with a few
-rows swapped) and its reverse (_backward).  Prediction, the certification
-pipeline's batched inference, the greedy attack's single-flip scoring,
-full-batch training with manual backpropagation and input gradients all
-derive from those.  Batched inference runs its draws in chunks with layer 1
-computed in place in one reused buffer, so its memory is O(chunk n h), not
-O(B n h).  Single-flip scoring rebuilds only the operator rows a flip
-changes, and its logits equal a full rebuild bit for bit.
+derives) and writes its layer algebra once, as a forward pass (_pass,
+optionally batched over perturbations of a few attribute rows) built from
+per-layer pieces, and its reverse (_backward).  Prediction, the
+certification pipeline's batched inference, the greedy attack's
+single-flip scoring, full-batch training with manual backpropagation and
+input gradients all derive from those.  Batched inference runs its draws
+in chunks with layer 1 computed in place in one reused buffer, so its
+memory is O(chunk n h), not O(B n h).  Single-flip scoring works in groups
+of flips: one stacked build gives the operator rows each flip changes, and
+the elementwise steps rerun only on those rows, while every dense product
+stays full-shape, so its logits equal a full rebuild bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import DataError, Graph
+from .data import DataError, Graph, pair_array
 from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream
 
 logger = logging.getLogger(__name__)
@@ -42,6 +44,12 @@ logger = logging.getLogger(__name__)
 # n=1000, h=64 (24 draws) one 150-draw GCN mask took about 42 ms on a
 # 2-core VM; chunks of 8 draws took 61 ms and a single 150-draw chunk 67 ms.
 FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
+# Working memory of one forward_flips group, which sets how many candidate
+# flips share one stacked operator build.  A candidate is charged
+# 8 n (14 + 3 C) bytes, its share of the stacked degrees, operator diagonal
+# and index arrays and of the layer-2 products; tracemalloc measured about
+# 165 kB per candidate on sbm-german (n=1000, C=2).
+FORWARD_FLIPS_GROUP_BYTES = 4 * 2**20
 # heavy-ball momentum of train's gradient steps
 MOMENTUM = 0.9
 
@@ -82,19 +90,36 @@ def _adjacency(g: Graph, self_loops: bool):
     return a, np.asarray(a.sum(axis=1)).ravel()
 
 
-def _flip_adjacency(a, deg, u, v):
-    """_adjacency's (a, deg) for the graph with the pair (u, v), u != v, toggled, as the same canonical CSR."""
-    ptr, idx = a.indptr, a.indices
-    # where v sits, or would sit, among row u's sorted columns, and u in row v
-    at = [ptr[u] + np.searchsorted(idx[ptr[u] : ptr[u + 1]], v), ptr[v] + np.searchsorted(idx[ptr[v] : ptr[v + 1]], u)]
-    sign = -1 if at[0] < ptr[u + 1] and idx[at[0]] == v else 1
-    indices = np.delete(idx, at) if sign < 0 else np.insert(idx, at, [v, u])
-    indptr = ptr.copy()
-    indptr[u + 1 :] += sign
-    indptr[v + 1 :] += sign
-    deg = deg.copy()
-    deg[[u, v]] += sign
-    return sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=a.shape), deg
+def _stacked_flips(a, deg, u, v):
+    """_adjacency's (a, deg) for the B graphs with the pair (u[b], v[b]) toggled, as one block-diagonal graph on B*n nodes.
+
+    Block b, nodes b*n to b*n + n - 1, is graph b.  It holds only the rows
+    of u[b], v[b] and their neighbours in a, which covers every row a flip
+    changes or a backbone's _flip_rows reads: each is the flipped graph's
+    canonical CSR row, its sorted columns offset by b*n.  The degrees are
+    the B graphs' row sums in full.
+    """
+    n, B = a.shape[0], u.size
+    base = np.arange(B) * n
+    ends = a[np.concatenate([u, v])]
+    near = np.repeat(np.concatenate([base, base]), np.diff(ends.indptr)) + ends.indices
+    rows = np.unique(np.concatenate([near, base + u, base + v]))
+    held = a[rows % n]
+    keys = np.repeat(rows, np.diff(held.indptr)) * n + held.indices  # block row * n + column, ascending
+    toggles = np.column_stack([(base + u) * n + v, (base + v) * n + u]).ravel()  # ascending, as u < v
+    at = np.searchsorted(keys, toggles)
+    present = at < keys.size
+    present[present] = keys[at[present]] == toggles[present]
+    drop, add = at[present], ~present
+    keys = np.insert(np.delete(keys, drop), at[add] - np.searchsorted(drop, at[add]), toggles[add])
+    block_rows = keys // n
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(block_rows, minlength=B * n))])
+    stacked = sparse.csr_matrix((np.ones(keys.size), keys % n + block_rows // n * n, indptr), shape=(B * n, B * n))
+    sign = np.where(present[::2], -1, 1)
+    stacked_deg = np.tile(deg, B)
+    stacked_deg[base + u] += sign
+    stacked_deg[base + v] += sign
+    return stacked, stacked_deg
 
 
 def _diag(x):
@@ -172,24 +197,18 @@ def _shifted(z, cols, deltas, W, out=None):
     return out
 
 
-def _propagate(ops, Y, patch=None, clean=None):
+def _propagate(ops, Y):
     """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k).
 
-    For Y (n, k), clean may hold ops @ Y already, and patch = (R, rows)
-    stands for the operator whose rows R are the CSR rows: its product is
-    ops @ Y with rows R recomputed.  Each row of a sparse-dense product
-    reads only its own operator row, so that is the patched operator's
-    product bit for bit.
+    Each element of a sparse-dense product sums its operator row's terms in
+    the row's stored order, whatever the other columns hold, so every
+    ops @ Y[b] equals its own product bit for bit.
     """
     if Y.ndim == 3:
         B, n, k = Y.shape
         out = ops @ Y.transpose(1, 0, 2).reshape(n, B * k)
         return out.reshape(n, B, k).transpose(1, 0, 2)
-    if patch is None:
-        return ops @ Y if clean is None else clean
-    out = ops @ Y if clean is None else clean.copy()
-    out[patch[0]] = patch[1] @ Y
-    return out
+    return ops @ Y
 
 
 def _cross_entropy(logits, y, train_idx):
@@ -210,25 +229,29 @@ class _TwoLayer:
 
     A backbone lists its weights in weight_names (matrices W*, biases b*,
     each name ending in its layer number) and writes its layer algebra
-    twice: _pass, the one forward pass, returning (z1, h, mask, logits)
-    with h the hidden activations after dropout; and _backward, its
-    reverse, returning (param_grads, dX) for a given logit gradient.
-    _pass starts from _pre(ops, X), layer 1's products of the operator
-    before any shift; a caller running several passes on one (ops, X)
-    computes that once and passes it as pre, with deltas or a patch, whose
-    fresh arrays layer 1 then updates in place.
-    Given rows, deltas (B, len(rows), d) and cols = ops[:, rows] as a
-    dense array, _pass runs on the B inputs with X[rows] += deltas[b] and
+    once, in pieces:
+    - _pre(ops, X), layer 1's products before any shift; its first two
+      entries are S, the operand layer 1 propagates, and ops @ S;
+    - _hidden_rows(pre, Q, rows), layer 1's pre-activation in rows when
+      ops @ S is Q;
+    - _head(h), layer 2's products of the hidden activations h as (own,
+      Y), Y being what layer 2 propagates (own is None if nothing else is
+      left), and _logits(own, P), the logits when ops @ Y is P;
+    - _pass, the forward pass, returning (z1, h, mask, logits) with h the
+      hidden activations after dropout, and _backward, its reverse,
+      returning (param_grads, dX) for a given logit gradient.
+    Given rows, deltas (B, len(rows), d), cols = ops[:, rows] as a dense
+    array and pre, _pass runs on the B inputs with X[rows] += deltas[b] and
     every array it returns gains a leading batch axis; given also a
     C-contiguous (B, n, h) buffer out, it computes layer 1 in place there
-    (eval mode only: z1 is then overwritten by h).  Given patch = (R,
-    rows), _pass runs on ops with its rows R replaced by the CSR rows.
-    forward, forward_many, forward_flips, loss_grads and input_grad derive
-    from those two.
+    (eval mode only: z1 is then overwritten by h).  forward, forward_many,
+    loss_grads and input_grad derive from _pass and _backward;
+    forward_flips runs the pieces itself.
 
     A backbone also names its operator: self_loops (whether its adjacency
     holds the identity), _operator (the operator, or some of its rows, from
-    _adjacency's output) and _flip_rows (the rows a flipped pair changes).
+    _adjacency's output) and _flip_rows (the rows a flipped pair changes,
+    for many pairs of a _stacked_flips graph at once, ascending).
     build_ops, the one operator builder, and forward_flips's row patches
     both run _operator, so they agree bit for bit.
     """
@@ -306,22 +329,50 @@ class _TwoLayer:
         """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
 
         logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X) bit
-        for bit.  The clean operator and layer 1's products are computed
-        once; each flip rebuilds only the operator rows it changes, by the
-        builder's own sparse products, and reruns _pass with those rows
-        swapped in.  Dense products stay full-shape, since a row subset of
-        a BLAS product need not equal those rows of the full one; memory
-        per flip is O(n h).
+        for bit; a pair outside 0 <= u < v < n raises DataError, as
+        Graph.flip does.  The clean pass runs once, then the flips run in
+        groups of FORWARD_FLIPS_GROUP_BYTES.  Per group, one _stacked_flips
+        graph, _flip_rows and _operator give the operator rows each flip
+        changes, by the builder's own sparse products, and one sparse
+        product their layer-1 rows.  Each flip swaps its rows into reused
+        clean work arrays, reruns the elementwise steps (bias, ReLU) on
+        those rows only, runs layer 2's dense products full-shape and
+        restores the rows; one sparse product over the group's columns and
+        one over its changed rows propagate layer 2.  A row of a BLAS
+        product depends on its position, so only full-shape dense products
+        match the clean pass in the rows a flip leaves alone.
         """
+        pairs = pair_array(pairs, g.n)
+        n = g.n
         a, deg = _adjacency(g, self.self_loops)
         ops = self._operator(a, deg)
         pre = self._pre(ops, X)
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        logits = np.empty((pairs.shape[0], g.n, self.C))
-        for b, (u, v) in enumerate(pairs):
-            flipped, flipped_deg = _flip_adjacency(a, deg, u, v)
-            R = self._flip_rows(flipped, u, v)
-            logits[b] = self._pass(ops, X, pre=pre, patch=(R, self._operator(flipped, flipped_deg, R)))[-1]
+        S, clean = pre[0], pre[1]
+        h_clean = np.maximum(self._hidden_rows(pre, clean, slice(None)), 0.0)
+        Q, h = clean.copy(), h_clean.copy()  # work arrays, clean again after every candidate
+        group = max(1, FORWARD_FLIPS_GROUP_BYTES // (8 * n * (14 + 3 * self.C)))
+        logits = np.empty((pairs.shape[0], n, self.C))
+        for start in range(0, pairs.shape[0], group):
+            u, v = pairs[start : start + group].T
+            base = np.arange(u.size) * n
+            stacked, stacked_deg = _stacked_flips(a, deg, u, v)
+            R = self._flip_rows(stacked, base + u, base + v)
+            patch = self._operator(stacked, stacked_deg, R)  # rows R of each flipped operator; columns b*n + j
+            SR = sparse.csr_matrix((patch.data, patch.indices % n, patch.indptr), shape=(R.size, n)) @ S
+            starts, ends = np.searchsorted(R, base), np.searchsorted(R, base + n)
+            owns, Y = [], np.empty((u.size, n, self.C))
+            for b in range(u.size):
+                at = slice(starts[b], ends[b])
+                rows = R[at] - base[b]
+                Q[rows] = SR[at]
+                h[rows] = np.maximum(self._hidden_rows(pre, Q, rows), 0.0)
+                own, Y[b] = self._head(h)
+                owns.append(own)
+                Q[rows], h[rows] = clean[rows], h_clean[rows]
+            P = _propagate(ops, Y)
+            P[R // n, R % n] = patch @ Y.reshape(-1, self.C)
+            for b, own in enumerate(owns):
+                logits[start + b] = self._logits(own, P[b])
         return logits
 
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
@@ -358,18 +409,28 @@ class GcnModel(_TwoLayer):
     @staticmethod
     def _flip_rows(a, u, v):
         """u and v, whose degrees move, and their neighbours in the flipped a, whose columns u, v do; self loops put u, v in their own rows."""
-        return np.union1d(a.indices[a.indptr[u] : a.indptr[u + 1]], a.indices[a.indptr[v] : a.indptr[v + 1]])
+        return np.unique(a[np.concatenate([u, v])].indices)
 
-    def _pre(self, ops, X, patch=None, pre=None):
-        """(X W1, A_hat X W1); given pre, patch recomputes only its rows."""
-        XW, AXW = pre or (X @ self.W1, None)
-        return XW, _propagate(ops, XW, patch, AXW)
+    def _pre(self, ops, X):
+        """(X W1, A_hat X W1)."""
+        XW = X @ self.W1
+        return XW, ops @ XW
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, patch=None):
-        z1 = _shifted(self._pre(ops, X, patch, pre)[1], cols, deltas, self.W1, out)
+    def _hidden_rows(self, pre, Q, rows):
+        return Q[rows] + self.b1
+
+    def _head(self, h):
+        return None, h @ self.W2
+
+    def _logits(self, own, P):
+        return P + self.b2
+
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None):
+        z1 = _shifted((pre or self._pre(ops, X))[1], cols, deltas, self.W1, out)
         z1 += self.b1
         h, mask = _relu_dropout(z1, dropout, rng, out)
-        return z1, h, mask, _propagate(ops, h @ self.W2, patch) + self.b2
+        own, Y = self._head(h)
+        return z1, h, mask, self._logits(own, _propagate(ops, Y))
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
@@ -395,22 +456,29 @@ class SageModel(_TwoLayer):
     @staticmethod
     def _flip_rows(a, u, v):
         """u and v alone: a row of M reads only its own degree and entries."""
-        return np.array([u, v])
+        return np.column_stack([u, v]).ravel()
 
-    def _pre(self, ops, X, patch=None, pre=None):
-        """(X Ws1, M X, X Ws1 + (M X) Wn1 + b1); given pre, patch recomputes M X only in its rows."""
-        if pre and patch is None:
-            return pre
-        XWs, MX = pre[:2] if pre else (X @ self.Ws1, None)
-        MX = _propagate(ops, X, patch, MX)
-        return XWs, MX, XWs + MX @ self.Wn1 + self.b1
+    def _pre(self, ops, X):
+        """(X, M X, X Ws1, X Ws1 + (M X) Wn1 + b1)."""
+        pre = (X, ops @ X, X @ self.Ws1)
+        return *pre, self._hidden_rows(pre, pre[1], slice(None))
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, patch=None):
-        z1 = _shifted(self._pre(ops, X, patch, pre)[2], cols, deltas, self.Wn1, out)
+    def _hidden_rows(self, pre, Q, rows):
+        return pre[2][rows] + (Q @ self.Wn1)[rows] + self.b1
+
+    def _head(self, h):
+        return h @ self.Ws2, h @ self.Wn2
+
+    def _logits(self, own, P):
+        return own + P + self.b2
+
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None):
+        z1 = _shifted((pre or self._pre(ops, X))[3], cols, deltas, self.Wn1, out)
         if deltas is not None:
             z1[:, rows] += deltas @ self.Ws1
         h, mask = _relu_dropout(z1, dropout, rng, out)
-        return z1, h, mask, h @ self.Ws2 + _propagate(ops, h @ self.Wn2, patch) + self.b2
+        own, Y = self._head(h)
+        return z1, h, mask, self._logits(own, _propagate(ops, Y))
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}

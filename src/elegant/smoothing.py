@@ -12,6 +12,7 @@ vulnerable rows.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import comb
 
@@ -30,14 +31,36 @@ DOMAIN_ATTACK = 6
 DOMAIN_PROBE = 7
 
 _STREAM_BITS = 56
+# per thread, one generator that _rekeyed points at a stream per draw
+_THREAD = threading.local()
+
+
+def _key(master_seed: int, domain: int, stream_id: int) -> np.ndarray:
+    if stream_id < 0 or stream_id >= 1 << _STREAM_BITS:
+        raise ValueError(f"stream_id out of range: {stream_id}")
+    return np.array([master_seed & 0xFFFFFFFFFFFFFFFF, (domain << _STREAM_BITS) | stream_id], dtype=np.uint64)
 
 
 def substream(master_seed: int, domain: int, stream_id: int) -> np.random.Generator:
     """Generator keyed by (master_seed, domain, stream_id); order independent."""
-    if stream_id < 0 or stream_id >= 1 << _STREAM_BITS:
-        raise ValueError(f"stream_id out of range: {stream_id}")
-    key = (np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF), np.uint64((domain << _STREAM_BITS) | stream_id))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(master_seed, domain, stream_id)))
+
+
+def _rekeyed(master_seed: int, domain: int, stream_id: int) -> np.random.Generator:
+    """substream(master_seed, domain, stream_id), as this thread's one reused generator.
+
+    Setting a Philox's state to the key with counter 0 and an empty buffer
+    gives the stream a fresh Philox(key=key) gives, without building one.
+    The generator is valid only until the thread's next call, so a caller
+    draws from it and lets go.
+    """
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    zero, key = np.zeros(4, dtype=np.uint64), _key(master_seed, domain, stream_id)
+    state = {"counter": zero, "key": key}
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 @dataclass(frozen=True)
@@ -147,8 +170,7 @@ def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: 
     vul = tuple(sorted(set(int(i) for i in vulnerable)))
     if not vul:
         raise ValueError("vulnerable set must be nonempty")
-    rng = substream(cfg.master_seed, DOMAIN_ATTRIBUTE, stream_id)
-    block = cfg.sigma * rng.standard_normal((len(vul), d))
+    block = cfg.sigma * _rekeyed(cfg.master_seed, DOMAIN_ATTRIBUTE, stream_id).standard_normal((len(vul), d))
     return AttributeNoise(block=block, vulnerable=vul)
 
 

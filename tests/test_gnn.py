@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elegant import gnn
-from elegant.data import Graph, NodeLabels, SplitSpec
+from elegant.data import DataError, Graph, NodeLabels, SplitSpec
 from elegant.gnn import (
     GcnModel,
     SageModel,
@@ -231,6 +231,72 @@ def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
     pairs = np.vstack([added, removed, [[0, n - 1]]])
     assert _sage_ops(g.flip([(0, n - 1)]))[n - 1].nnz == 0
     np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
+
+
+def _group_bytes(group, n, model):
+    """A FORWARD_FLIPS_GROUP_BYTES that puts group candidates in one forward_flips group."""
+    return group * 8 * n * (14 + 3 * model.C)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("group", [2, 3])
+def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, group):
+    rng = np.random.default_rng(37)
+    n, d, h = 30, 5, 8
+    e = _random_sparse_graph(rng, n, 2 * n).edge_array()
+    kept = e[(e[:, 1] != n - 1) & (e[:, 0] != 0)]
+    # node n - 1's one edge is (0, n - 1) and node 0's are (0, n - 1) and (0, 4)
+    g = Graph(n=n, edges=np.vstack([kept, [[0, 4], [0, n - 1]]]))
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
+    keys = set(map(tuple, g.edge_array().tolist()))
+    absent = [(u, v) for u in range(1, n - 1) for v in range(u + 1, n - 1) if (u, v) not in keys]
+    # mixed adds and removals: node 0 in five candidates, node n - 1 in four,
+    # (0, n - 1) removes node n - 1's last edge, and one pair repeats
+    pool = np.array(
+        [(0, n - 1), (0, 1), absent[0], kept[0], (0, 4), (3, n - 1), kept[1], (0, 2), absent[1], (1, n - 1), kept[2], (0, n - 1)]
+    )
+    assert _sage_ops(g.flip([(0, n - 1)]))[n - 1].nnz == 0
+    monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", _group_bytes(group, n, model))
+    for B in (1, group - 1, group, group + 1, 2 * group + 3):
+        for pairs in (pool[:B], pool[::-1][:B]):
+            np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+@pytest.mark.parametrize("pair", [(2, 2), (3, 1), (0, 9), (-1, 2)])
+def test_forward_flips_rejects_pairs_graph_flip_rejects(cls, pair):
+    rng = np.random.default_rng(41)
+    g = _random_sparse_graph(rng, 9, 12)
+    model = cls.init(rng, d=3, hidden=4, classes=2)
+    message = rf"edge \({pair[0]}, {pair[1]}\) violates 0 <= u < v < 9"
+    with pytest.raises(DataError, match=message):
+        g.flip([pair])
+    with pytest.raises(DataError, match=message):
+        model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1), pair])
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_forward_flips_memory_is_bounded_by_the_group(cls):
+    rng = np.random.default_rng(43)
+    n, d = 1000, 27
+    g = _random_sparse_graph(rng, n, 5 * n)
+    X = rng.standard_normal((n, d))
+    model = cls.init(rng, d=d, hidden=64, classes=2)
+    u = rng.integers(0, n - 1, size=256)
+    pairs = np.column_stack([u, rng.integers(u + 1, n)])
+    group = gnn.FORWARD_FLIPS_GROUP_BYTES // _group_bytes(1, n, model)
+    assert 2 * group <= 256
+
+    def peak(B):
+        tracemalloc.start()
+        try:
+            model.forward_flips(g, X, pairs[:B])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(256) < 2 * peak(group)
 
 
 def _train_world(n=60, seed=0):

@@ -1,11 +1,14 @@
 """Substreams, noise samplers, and the eligible-pair domain."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from elegant import smoothing
 from elegant.data import Graph
 from elegant.smoothing import (
     DOMAIN_ATTRIBUTE,
@@ -157,6 +160,37 @@ def test_attribute_noise_deterministic():
     np.testing.assert_array_equal(a.block, b.block)
     with pytest.raises(ValueError):
         sample_attribute_noise(cfg, (), d=4, stream_id=0)
+
+
+def test_attribute_noise_threads_each_draw_their_own_streams(monkeypatch):
+    """Four threads re-key their generators in lockstep; each draw still equals a fresh substream's."""
+    cfg = SmoothingConfig(sigma=0.3, master_seed=12)
+    vul, d, threads = (7, 2, 5), 6, 4
+    all_keyed = threading.Barrier(threads)
+    rekeyed = smoothing._rekeyed
+
+    def rekey_then_wait(*key):
+        rng = rekeyed(*key)
+        all_keyed.wait(timeout=10)  # every thread re-keys before any draws
+        return rng
+
+    monkeypatch.setattr(smoothing, "_rekeyed", rekey_then_wait)
+    ids = {t: [t, t + threads, t + 2 * threads, 2**56 - 1 - t, 2] for t in range(threads)}
+    blocks = {}
+
+    def draw(t):
+        blocks[t] = [sample_attribute_noise(cfg, vul, d, stream_id=i).block for i in ids[t]]
+
+    workers = [threading.Thread(target=draw, args=(t,)) for t in ids]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+        assert not w.is_alive()
+    for t, stream_ids in ids.items():
+        for i, block in zip(stream_ids, blocks[t]):
+            want = cfg.sigma * substream(cfg.master_seed, DOMAIN_ATTRIBUTE, i).standard_normal((len(vul), d))
+            np.testing.assert_array_equal(block, want)
 
 
 def test_apply_structure_mask_flips_both_ways():
