@@ -45,10 +45,8 @@ logger = logging.getLogger(__name__)
 # 2-core VM; chunks of 8 draws took 61 ms and a single 150-draw chunk 67 ms.
 FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
 # Working memory of one forward_flips group, which sets how many candidate
-# flips share one stacked operator build.  A candidate is charged
-# 8 n (14 + 3 C) bytes, its share of the stacked degrees, operator diagonal
-# and index arrays and of the layer-2 products; tracemalloc measured about
-# 165 kB per candidate on sbm-german (n=1000, C=2).
+# flips share one stacked operator build; _flip_charges prices each
+# candidate from n and from the adjacency entries its flipped rows hold.
 FORWARD_FLIPS_GROUP_BYTES = 4 * 2**20
 # heavy-ball momentum of train's gradient steps
 MOMENTUM = 0.9
@@ -120,6 +118,38 @@ def _stacked_flips(a, deg, u, v):
     stacked_deg[base + u] += sign
     stacked_deg[base + v] += sign
     return stacked, stacked_deg
+
+
+def _flip_charges(a, deg, pairs, C):
+    """Bytes of forward_flips working memory charged to each pair (u, v) of pairs.
+
+    A pair pays 8 (5 + 3 C) bytes per node, its share of the stacked
+    degrees and diagonals and of the layer-2 products, and 80 bytes per
+    adjacency entry of its _stacked_flips block, its share of the stacked
+    indices, operator rows and patch products.  The block holds the rows
+    of u, v and their neighbours, at most deg + a @ deg entries at u plus
+    the same at v, so a dense graph or a hub endpoint shrinks the group.
+    tracemalloc measured about 45-65 kB per pair plus at most 74 bytes per
+    entry (n = 1000, 2n to 20n random edges, with and without a node joined
+    to all others).
+    """
+    reach = deg + a @ deg
+    return 8 * (a.shape[0] * (5 + 3 * C) + 10 * (reach[pairs[:, 0]] + reach[pairs[:, 1]] + 2))
+
+
+def _flip_groups(charges):
+    """(start, stop) of consecutive candidates whose charges sum to at most FORWARD_FLIPS_GROUP_BYTES.
+
+    A candidate charged more than that forms a group alone.
+    """
+    start, total = 0, 0.0
+    for i, charge in enumerate(charges):
+        if i > start and total + charge > FORWARD_FLIPS_GROUP_BYTES:
+            yield start, i
+            start, total = i, 0.0
+        total += charge
+    if charges.size:
+        yield start, charges.size
 
 
 def _diag(x):
@@ -331,14 +361,15 @@ class _TwoLayer:
         logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X) bit
         for bit; a pair outside 0 <= u < v < n raises DataError, as
         Graph.flip does.  The clean pass runs once, then the flips run in
-        groups of FORWARD_FLIPS_GROUP_BYTES.  Per group, one _stacked_flips
-        graph, _flip_rows and _operator give the operator rows each flip
-        changes, by the builder's own sparse products, and one sparse
-        product their layer-1 rows.  Each flip swaps its rows into reused
-        clean work arrays, reruns the elementwise steps (bias, ReLU) on
-        those rows only, runs layer 2's dense products full-shape and
-        restores the rows; one sparse product over the group's columns and
-        one over its changed rows propagate layer 2.  A row of a BLAS
+        groups whose _flip_charges sum to at most FORWARD_FLIPS_GROUP_BYTES
+        (a candidate charged more forms a group alone).  Per group, one
+        _stacked_flips graph, _flip_rows and _operator give the operator
+        rows each flip changes, by the builder's own sparse products, and
+        one sparse product their layer-1 rows.  Each flip swaps its rows
+        into reused clean work arrays, reruns the elementwise steps (bias,
+        ReLU) on those rows only, runs layer 2's dense products full-shape
+        and restores the rows; one sparse product over the group's columns
+        and one over its changed rows propagate layer 2.  A row of a BLAS
         product depends on its position, so only full-shape dense products
         match the clean pass in the rows a flip leaves alone.
         """
@@ -350,10 +381,9 @@ class _TwoLayer:
         S, clean = pre[0], pre[1]
         h_clean = np.maximum(self._hidden_rows(pre, clean, slice(None)), 0.0)
         Q, h = clean.copy(), h_clean.copy()  # work arrays, clean again after every candidate
-        group = max(1, FORWARD_FLIPS_GROUP_BYTES // (8 * n * (14 + 3 * self.C)))
         logits = np.empty((pairs.shape[0], n, self.C))
-        for start in range(0, pairs.shape[0], group):
-            u, v = pairs[start : start + group].T
+        for start, stop in _flip_groups(_flip_charges(a, deg, pairs, self.C)):
+            u, v = pairs[start:stop].T
             base = np.arange(u.size) * n
             stacked, stacked_deg = _stacked_flips(a, deg, u, v)
             R = self._flip_rows(stacked, base + u, base + v)

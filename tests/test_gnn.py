@@ -233,9 +233,9 @@ def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
     np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
 
 
-def _group_bytes(group, n, model):
-    """A FORWARD_FLIPS_GROUP_BYTES that puts group candidates in one forward_flips group."""
-    return group * 8 * n * (14 + 3 * model.C)
+def _flip_charges(model, g, pairs):
+    """forward_flips's per-candidate group charges for model on g."""
+    return gnn._flip_charges(*gnn._adjacency(g, model.self_loops), pairs, model.C)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
@@ -257,8 +257,11 @@ def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, gr
         [(0, n - 1), (0, 1), absent[0], kept[0], (0, 4), (3, n - 1), kept[1], (0, 2), absent[1], (1, n - 1), kept[2], (0, n - 1)]
     )
     assert _sage_ops(g.flip([(0, n - 1)]))[n - 1].nnz == 0
-    monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", _group_bytes(group, n, model))
-    for B in (1, group - 1, group, group + 1, 2 * group + 3):
+    charges = _flip_charges(model, g, pool)
+    monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", group * charges.mean())
+    sizes = [stop - start for start, stop in gnn._flip_groups(charges)]
+    assert len(sizes) >= 3 and max(sizes) >= 2
+    for B in range(1, pool.shape[0] + 1):
         for pairs in (pool[:B], pool[::-1][:B]):
             np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
 
@@ -277,26 +280,33 @@ def test_forward_flips_rejects_pairs_graph_flip_rejects(cls, pair):
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
-def test_forward_flips_memory_is_bounded_by_the_group(cls):
+@pytest.mark.parametrize("hub", [False, True])
+def test_forward_flips_memory_is_bounded_by_the_group(cls, hub):
     rng = np.random.default_rng(43)
     n, d = 1000, 27
     g = _random_sparse_graph(rng, n, 5 * n)
+    u = rng.integers(0, n - 1, size=256)
+    if hub:
+        # node 0 joined to every node, and every candidate flips a pair at it
+        g = Graph(n=n, edges=g.edges | {(0, j) for j in range(1, n)})
+        u[:] = 0
+    pairs = np.column_stack([u, rng.integers(u + 1, n)])
     X = rng.standard_normal((n, d))
     model = cls.init(rng, d=d, hidden=64, classes=2)
-    u = rng.integers(0, n - 1, size=256)
-    pairs = np.column_stack([u, rng.integers(u + 1, n)])
-    group = gnn.FORWARD_FLIPS_GROUP_BYTES // _group_bytes(1, n, model)
+    group = next(gnn._flip_groups(_flip_charges(model, g, pairs)))[1]
     assert 2 * group <= 256
 
-    def peak(B):
+    def working(B):
+        """tracemalloc peak of B candidates, less their (B, n, C) logits."""
         tracemalloc.start()
         try:
-            model.forward_flips(g, X, pairs[:B])
-            return tracemalloc.get_traced_memory()[1]
+            logits = model.forward_flips(g, X, pairs[:B])
+            return tracemalloc.get_traced_memory()[1] - logits.nbytes
         finally:
             tracemalloc.stop()
 
-    assert peak(256) < 2 * peak(group)
+    assert working(256) < 2 * working(group)
+    assert working(256) < working(1) + gnn.FORWARD_FLIPS_GROUP_BYTES
 
 
 def _train_world(n=60, seed=0):

@@ -25,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 
+BACKBONES = ("gcn", "sage")
 COMMANDS = ("train", "certify", "fcr", "sweep", "attack")
 ARTIFACTS = ("metrics.json", "certify.json", "fcr.json", "sweep.csv", "attack.csv", "attack.json", "model.bin", "model_noise.bin")
 CONFIG = {
@@ -57,9 +58,8 @@ def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"), help="source tree holding the elegant package (default: this checkout's src)")
-    p.add_argument("--backbones", default="gcn,sage", help="comma-separated backbones (default: gcn,sage)")
     args = p.parse_args(argv)
-    for backbone in args.backbones.split(","):
+    for backbone in BACKBONES:
         with tempfile.TemporaryDirectory() as out:
             print("\n".join(digests(os.path.abspath(args.src), backbone, out)), flush=True)
     return 0
