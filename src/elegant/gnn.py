@@ -20,7 +20,15 @@ certification pipeline's batched inference, the greedy attack's
 single-flip scoring, full-batch training with manual backpropagation and
 input gradients all derive from those.  Batched inference runs its draws
 in chunks with layer 1 computed in place in one reused buffer, so its
-memory is O(chunk n h), not O(B n h).  Single-flip scoring works in groups
+memory is O(chunk n h), not O(B n h).  Its layer-1 bias add (GCN) and
+ReLU read two C-contiguous (n, h) tiles built once per call, b1 on every
+row and zeros: against a broadcast (h,) row or a scalar, numpy's loops
+miss their contiguous fast path (at n=1000, h=64 on a 2-core VM, per
+24-draw chunk, the ReLU took about 620 us against 0.0 and 180-250 us
+against the zero tile, the bias add about 470 us against the row and
+175-260 us against its tile; a 150-draw GCN mask went from 13.2 to 9.2
+ms).  The tiles hold 16 n h bytes, 1 MB at n=1000, and give the same
+bits.  Single-flip scoring works in groups
 of flips: one stacked build gives the operator rows each flip changes, and
 the elementwise steps rerun only on those rows, while every dense product
 stays full-shape, so its logits equal a full rebuild bit for bit.
@@ -41,8 +49,9 @@ from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream
 logger = logging.getLogger(__name__)
 
 # Size of forward_many's layer-1 buffer, which sets its chunk of draws.  At
-# n=1000, h=64 (24 draws) one 150-draw GCN mask took about 42 ms on a
-# 2-core VM; chunks of 8 draws took 61 ms and a single 150-draw chunk 67 ms.
+# n=1000, h=64 (24 draws) one 150-draw GCN mask took about 9.6 ms on a
+# 2-core VM; chunks of 4 / 8 / 12 / 48 draws took 11.0 / 10.0 / 9.7 / 12.4
+# ms and a single 150-draw chunk 17 ms (medians of three rounds of 15).
 FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
 # Working memory of one forward_flips group, which sets how many candidate
 # flips share one stacked operator build; _flip_charges prices each
@@ -194,9 +203,15 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
-def _relu_dropout(z1, dropout, rng, out=None):
-    """Hidden activations and the inverted-dropout mask (None in eval mode); the ReLU writes into out if given."""
-    h = np.maximum(z1, 0.0, out=out)
+def _relu_dropout(z1, dropout, rng, out=None, zero=0.0):
+    """Hidden activations and the inverted-dropout mask (None in eval mode); the ReLU writes into out if given.
+
+    zero is the ReLU's second operand: the scalar 0.0, or forward_many's
+    zero tile, which gives the same bits.  np.maximum returns its second
+    operand on a tie, so z1 must stay first: a -0.0 in z1 then becomes
+    +0.0 either way.
+    """
+    h = np.maximum(z1, zero, out=out)
     mask = None
     if dropout > 0.0:
         mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
@@ -274,9 +289,10 @@ class _TwoLayer:
     array and pre, _pass runs on the B inputs with X[rows] += deltas[b] and
     every array it returns gains a leading batch axis; given also a
     C-contiguous (B, n, h) buffer out, it computes layer 1 in place there
-    (eval mode only: z1 is then overwritten by h).  forward, forward_many,
-    loss_grads and input_grad derive from _pass and _backward;
-    forward_flips runs the pieces itself.
+    (eval mode only: z1 is then overwritten by h); given tiles, the pair
+    _tiles(n), it adds b1 and runs the ReLU against those.  forward,
+    forward_many, loss_grads and input_grad derive from _pass and
+    _backward; forward_flips runs the pieces itself.
 
     A backbone also names its operator: self_loops (whether its adjacency
     holds the identity), _operator (the operator, or some of its rows, from
@@ -343,17 +359,31 @@ class _TwoLayer:
         in one unchunked batch, so the logits are too, bit for bit; that
         holds only while the buffer stays C-contiguous (a strided h @ W2
         leaves BLAS and moves the last bits).
+
+        The bias add and ReLU take same-shape operands, _tiles(n), built
+        once per call next to the clean products: against a broadcast (h,)
+        row or a scalar, numpy's inner loop is h elements long or misses
+        its contiguous fast path, and the two steps took about half of a
+        mask's time (6.3 of 13 ms at n=1000, h=64).  Elementwise, the tiles
+        give the scalar forms' bits, a -0.0 into the ReLU included, since z1
+        stays its first operand.  They cost 16 n h bytes per call, the
+        order of the clean products already held.
         """
         rows = np.asarray(rows, dtype=np.int64)
         B, n = deltas.shape[0], X.shape[0]
         chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (8 * n * self.h))
         buf = np.empty((min(chunk, B), n, self.h))
         pre, cols = self._pre(ops, X), ops[:, rows].toarray()
+        tiles = self._tiles(n)
         logits = np.empty((B, n, self.C))
         for start in range(0, B, chunk):
             part = deltas[start : start + chunk]
-            logits[start : start + len(part)] = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre)[-1]
+            logits[start : start + len(part)] = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[-1]
         return logits
+
+    def _tiles(self, n):
+        """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h)."""
+        return np.tile(self.b1, (n, 1)), np.zeros((n, self.h))
 
     def forward_flips(self, g: Graph, X, pairs):
         """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
@@ -455,10 +485,11 @@ class GcnModel(_TwoLayer):
     def _logits(self, own, P):
         return P + self.b2
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None):
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
+        bias, zero = tiles or (self.b1, 0.0)
         z1 = _shifted((pre or self._pre(ops, X))[1], cols, deltas, self.W1, out)
-        z1 += self.b1
-        h, mask = _relu_dropout(z1, dropout, rng, out)
+        z1 += bias
+        h, mask = _relu_dropout(z1, dropout, rng, out, zero)
         own, Y = self._head(h)
         return z1, h, mask, self._logits(own, _propagate(ops, Y))
 
@@ -502,11 +533,13 @@ class SageModel(_TwoLayer):
     def _logits(self, own, P):
         return own + P + self.b2
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None):
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
+        # b1 is already in pre[3], so only the zero tile is used
+        zero = tiles[1] if tiles else 0.0
         z1 = _shifted((pre or self._pre(ops, X))[3], cols, deltas, self.Wn1, out)
         if deltas is not None:
             z1[:, rows] += deltas @ self.Ws1
-        h, mask = _relu_dropout(z1, dropout, rng, out)
+        h, mask = _relu_dropout(z1, dropout, rng, out, zero)
         own, Y = self._head(h)
         return z1, h, mask, self._logits(own, _propagate(ops, Y))
 

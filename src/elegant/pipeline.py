@@ -261,25 +261,32 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
         n_pos = cert_pos.sum(axis=1)
         outer_low = binomial_lower_bound_vec(n_pos, cfg.n_outer - n_pos, cfg.alpha)
         radius = np.where(cert_pos, attribute_radius(low_pos, cfg.sigma), np.nan)
+        decided = cert_pos | cert_neg
         records = np.rec.fromarrays(
-            [n1, low_pos, cert_pos, cert_pos | cert_neg, radius],
+            [n1, low_pos, cert_pos, decided, radius],
             names="n1,inner_lower_bound,inner_certified,decided,attribute_radius",
         )
         records.flags.writeable = False
         for j, idx in enumerate(idxs):
-            reports.append(_report(cache, labels, cfg, eta, domain, idx, bias[j], indicator[j], records[j], float(outer_low[j])))
+            votes = n1[j], cert_pos[j], decided[j], radius[j]
+            reports.append(_report(cache, labels, cfg, eta, domain, idx, bias[j], indicator[j], votes, records[j], float(outer_low[j])))
     return tuple(reports)
 
 
-def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, records, outer_low) -> CertificationReport:
-    """One set's outcome, budgets, selection and evidence from its per-draw bias and outer-sample records."""
-    cert_pos, undecided = records.inner_certified, ~records.decided
+def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, votes, records, outer_low) -> CertificationReport:
+    """One set's outcome, budgets, selection and evidence from its per-draw bias and outer-sample votes.
+
+    votes holds the plain arrays records is built from, (n1, inner_certified,
+    decided, attribute_radius), read here instead of records' fields, since
+    every recarray field read costs a getfield call.
+    """
+    n1, cert_pos, decided, radius = votes
     n_pos = int(cert_pos.sum())
     reason = None
-    if cfg.strict and undecided.any():
-        first = int(np.flatnonzero(undecided)[0])
-        n1 = int(records.n1[first])
-        reason = f"undecided inner vote at outer sample {first} (n1={n1}, n0={cfg.n_inner - n1})"
+    if cfg.strict and not decided.all():
+        first = int(np.flatnonzero(~decided)[0])
+        k = int(n1[first])
+        reason = f"undecided inner vote at outer sample {first} (n1={k}, n0={cfg.n_inner - k})"
     elif outer_low <= 0.5:
         reason = f"outer fair-vote bound {outer_low:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)"
 
@@ -287,7 +294,7 @@ def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, records, oute
     if reason is None:
         budgets = CertifiedBudgets(
             eps_A=structure_budget(outer_low, cfg.beta, cfg.k_max),
-            eps_X=joint_attribute_budget(records.attribute_radius[cert_pos]),
+            eps_X=joint_attribute_budget(radius[cert_pos]),
         )
         prediction, sel_bias = select_fair_output(cache.classes, bias, indicator & cert_pos[:, None])
         acc = float((prediction[idx] == labels.y[idx]).mean())

@@ -191,6 +191,46 @@ def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n
         )
 
 
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_forward_many_equals_the_unchunked_oracle_at_production_shape(backbone):
+    # sbm-german's shape: n=1000, d=27, h=64, 12 vulnerable rows, 150 draws,
+    # at the real chunk size: several full chunks and a remainder
+    rng = np.random.default_rng(47)
+    n, d, h, B = 1000, 27, 64, 150
+    g = _random_sparse_graph(rng, n, 5 * n)
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
+    model.b1 = rng.standard_normal(h)  # init's zero bias would leave the bias add untested
+    ops = model.build_ops(g)
+    rows = np.sort(rng.choice(n, size=12, replace=False))
+    chunk = gnn.FORWARD_MANY_CHUNK_BYTES // (8 * n * h)
+    assert 2 * chunk < B and B % chunk
+    deltas = rng.standard_normal((B, rows.size, d))
+    np.testing.assert_array_equal(model.forward_many(ops, X, rows, deltas), forward_many_oracle(model, ops, X, rows, deltas))
+
+
+def test_forward_many_tiles_give_the_scalar_operands_bits():
+    rng = np.random.default_rng(53)
+    n, h = 50, 16
+    model = GcnModel.init(rng, d=3, hidden=h, classes=2)
+    model.b1 = np.array([0.0, -0.0, -1.5, 2.25] * (h // 4))
+    # +0.0, -0.0, negative and positive entries, in a (chunk, n, h) batch
+    z = rng.choice([0.0, -0.0, -1.0, 1.0], size=(3, n, h)) * rng.uniform(1.0, 2.0, size=(3, n, h))
+    zeros = z == 0.0
+    assert (zeros & np.signbit(z)).any() and (zeros & ~np.signbit(z)).any() and (z < 0).any() and (z > 0).any()
+    bias, zero = model._tiles(n)
+    assert bias.shape == zero.shape == (n, h) and bias.flags.c_contiguous and zero.flags.c_contiguous
+
+    def bits(a):
+        return a.view(np.uint64)
+
+    np.testing.assert_array_equal(bits(z + bias), bits(z + model.b1))
+    out = z.copy()
+    relu, mask = gnn._relu_dropout(out, 0.0, None, out=out, zero=zero)
+    assert relu is out and mask is None
+    np.testing.assert_array_equal(bits(relu), bits(np.maximum(z, 0.0)))
+
+
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
 def test_forward_many_memory_is_bounded_by_the_chunk(cls):
     rng = np.random.default_rng(29)

@@ -2,14 +2,21 @@
 
 Runs `elegant train`, `certify`, `fcr`, `sweep` and `attack` for both
 backbones at seed 0 with n_outer 60, n_inner 40 and FCR test sets of ratio
-0.5, count 3, then prints one `<backbone>/<file> <sha256>` line per artifact
-and model file, plus each command's exit code.  Run it in two checkouts and
-`diff` the outputs to check that a change leaves every artifact
-byte-identical:
+0.5, count 3, each with `--jobs N` (default 1), then prints one
+`<backbone>/<file> <sha256>` line per artifact and model file, plus each
+command's exit code.  It exits with status 1 if any command exited
+non-zero.  Run it in two checkouts and `diff` the outputs to check that a
+change leaves every artifact byte-identical:
 
     python tools/artifact_digests.py > after.txt
     python tools/artifact_digests.py --src ../parent/src > before.txt
     diff before.txt after.txt
+
+or at two `--jobs` values to check that worker threads change no byte:
+
+    python tools/artifact_digests.py --jobs 1 > jobs1.txt
+    python tools/artifact_digests.py --jobs 2 > jobs2.txt
+    diff jobs1.txt jobs2.txt
 
 Float results depend on the BLAS build and the CPU, so digests are only
 comparable between runs on one machine.
@@ -36,33 +43,38 @@ CONFIG = {
 }
 
 
-def digests(src: str, backbone: str, out: str) -> list[str]:
-    """Run every command for one backbone into out; return its report lines."""
+def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str], bool]:
+    """Run every command for one backbone into out; return its report lines and whether every command exited 0."""
     config = os.path.join(out, "config.json")
     with open(config, "w") as fh:
         json.dump(CONFIG, fh)
     env = dict(os.environ, PYTHONPATH=src)
-    lines = []
+    lines, ok = [], True
     for command in COMMANDS:
-        argv = [sys.executable, "-m", "elegant", command, "--config", config, "--out", out, "--backbone", backbone]
+        argv = [sys.executable, "-m", "elegant", command, "--config", config, "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
         code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
         lines.append(f"{backbone}/{command} exit {code}")
+        ok = ok and code == 0
     for name in ARTIFACTS:
         path = os.path.join(out, name)
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest() if os.path.exists(path) else "missing"
         lines.append(f"{backbone}/{name} {digest}")
-    return lines
+    return lines, ok
 
 
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"), help="source tree holding the elegant package (default: this checkout's src)")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads passed to every command (default: 1)")
     args = p.parse_args(argv)
+    ok = True
     for backbone in BACKBONES:
         with tempfile.TemporaryDirectory() as out:
-            print("\n".join(digests(os.path.abspath(args.src), backbone, out)), flush=True)
-    return 0
+            lines, passed = digests(os.path.abspath(args.src), backbone, out, args.jobs)
+            print("\n".join(lines), flush=True)
+            ok = ok and passed
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
