@@ -82,7 +82,7 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
 
     Each step scores a random pool of pool_size candidate pairs by the hard
     bias of the model after flipping that single pair (model.forward_flips
-    gives all of their logits from one clean pass), then commits the first
+    gives all of their classes from one clean pass), then commits the first
     candidate of maximal bias.  Committed flips persist across steps;
     exactly budget_edges pairs end up flipped.  Raises UndefinedMetricError
     when the metric is undefined on the evaluated nodes, whatever is
@@ -112,14 +112,15 @@ def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, 
     committed = []
     open_mask = np.ones(pairs.shape[0], dtype=bool)  # pairs not yet committed
     rng = substream(seed, DOMAIN_ATTACK, 1)
+    scored = np.empty((min(pool_size, pairs.shape[0]), g.n), dtype=np.uint8)  # each candidate's classes
     for step in range(budget_edges):
         open_pos = np.flatnonzero(open_mask)
         if open_pos.size > pool_size:
             candidates = open_pos[rng.choice(open_pos.size, size=pool_size, replace=False)]
         else:
             candidates = open_pos
-        logits = model.forward_flips(current, X, pairs[candidates])
-        biases = [bias_value(z.argmax(axis=1), labels, eval_nodes, metric) for z in logits]
+        classes = model.forward_flips(current, X, pairs[candidates], out=scored[: candidates.size])
+        biases = [bias_value(c, labels, eval_nodes, metric) for c in classes]
         best = candidates[int(np.argmax(biases))]  # the first maximum, as a strict > scan keeps
         open_mask[best] = False
         committed.append(best)

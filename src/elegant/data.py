@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import DOMAIN_SPLIT, DOMAIN_TESTSET, substream
+from .smoothing import DOMAIN_SPLIT, DOMAIN_TESTSET, _rekeyed, substream
 
 logger = logging.getLogger(__name__)
 
@@ -294,7 +294,8 @@ def make_splits(g: Graph, seed: int, train_frac: float = 0.3, val_frac: float = 
 def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, include=()) -> list:
     """Sample `count` test sets of size round(ratio * |pool|) from the pool.
 
-    Draws are uniform without replacement on a per-set substream.  When
+    Draws are uniform without replacement on a per-set substream, read
+    through one re-keyed generator rather than a new one per set.  When
     `include` is nonempty those nodes are forced into every set and only
     the remainder is drawn, keeping the total size unchanged.
     """
@@ -314,8 +315,7 @@ def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, incl
     rest = pool[~np.isin(pool, include)]  # in pool order, which the seeded draws index into
     out = []
     for j in range(count):
-        rng = substream(seed, DOMAIN_TESTSET, j)
-        draw = rng.choice(rest, size=size - len(include), replace=False)
+        draw = _rekeyed(seed, DOMAIN_TESTSET, j).choice(rest, size=size - len(include), replace=False)
         members = np.sort(np.concatenate([draw, np.array(include, dtype=np.int64)]))
         out.append(tuple(members.tolist()))
     return out

@@ -3,13 +3,16 @@
 Backbone contract.  Certification (pipeline.PredictionCache and
 certify_and_predict) needs only `backbone` (a name), `build_ops(g)` (the
 propagation operator of a graph), `forward(ops, X)` (logits, shape (n, C))
-and `forward_many(ops, X, rows, deltas)` (logits, shape (B, n, C), for B
-perturbations of the given attribute rows).  The attacks add
-`input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits) in X,
-and `forward_flips(g, X, pairs)` (logits, shape (B, n, C), of the B graphs
-g with the single pair pairs[b] flipped).  `train` builds the two
-reference backbones below through `init`, `loss_grads`, `params` and
-`replace`.
+and `forward_many(ops, X, rows, deltas, out=None)` (logits, shape
+(B, n, C), for B perturbations of the given attribute rows).  The attacks
+add `input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits)
+in X, and `forward_flips(g, X, pairs, out=None)` (logits, shape (B, n, C),
+of the B graphs g with the single pair pairs[b] flipped).  Given out, a
+(B, n) uint8 array, both batched calls write the hard classes,
+logits.argmax(axis=2), into it instead and return it; the pipeline and the
+greedy attack always pass it, since they read only classes.  `train`
+builds the two reference backbones below through `init`, `loss_grads`,
+`params` and `replace`.
 
 Both reference backbones share one base, _TwoLayer: each names its
 operator (`self_loops` and `_operator`, from which the one `build_ops`
@@ -28,7 +31,10 @@ miss their contiguous fast path (at n=1000, h=64 on a 2-core VM, per
 against the zero tile, the bias add about 470 us against the row and
 175-260 us against its tile; a 150-draw GCN mask went from 13.2 to 9.2
 ms).  The tiles hold 16 n h bytes, 1 MB at n=1000, and give the same
-bits.  Single-flip scoring works in groups
+bits.  Asked for classes, a chunk adds each class's b2 on its own strided
+(chunk, n) view of the layer-2 product and picks the first maximum
+straight into the caller's uint8 rows, so neither the (B, n, C) logits
+nor their argmax pass exist.  Single-flip scoring works in groups
 of flips: one stacked build gives the operator rows each flip changes, and
 the elementwise steps rerun only on those rows, while every dense product
 stays full-shape, so its logits equal a full rebuild bit for bit.
@@ -256,6 +262,27 @@ def _propagate(ops, Y):
     return ops @ Y
 
 
+def _first_max(logits, out):
+    """Index of the first maximum across the same-shape arrays logits (one per class), written into the uint8 out.
+
+    Picks as ndarray.argmax over a stacked class axis does: a tie, -0.0
+    against +0.0 included, goes to the lowest class, and a NaN wins at its
+    first position.  Two classes take one comparison, l1 > l0, which is
+    argmax except where l1 is NaN and l0 is not; a NaN anywhere in l1
+    makes its max NaN and sends the call to the general scan.
+    """
+    if len(logits) == 2 and not np.isnan(logits[1].max()):
+        np.greater(logits[1], logits[0], out=out.view(bool))
+        return out
+    best = logits[0]
+    out[...] = 0
+    for c, z in enumerate(logits[1:], 1):
+        take = (z > best) | (np.isnan(z) & ~np.isnan(best))
+        best = np.where(take, z, best)
+        out[take] = c
+    return out
+
+
 def _cross_entropy(logits, y, train_idx):
     """Mean cross entropy on train_idx and its gradient in the logits."""
     p = _softmax(logits)
@@ -281,10 +308,12 @@ class _TwoLayer:
       ops @ S is Q;
     - _head(h), layer 2's products of the hidden activations h as (own,
       Y), Y being what layer 2 propagates (own is None if nothing else is
-      left), and _logits(own, P), the logits when ops @ Y is P;
-    - _pass, the forward pass, returning (z1, h, mask, logits) with h the
-      hidden activations after dropout, and _backward, its reverse,
-      returning (param_grads, dX) for a given logit gradient.
+      left), and _logits(own, P, c), the logits when ops @ Y is P, of
+      every class or of class c alone, by the same elementwise steps;
+    - _pass, the forward pass, returning (z1, h, mask, own, P) with h the
+      hidden activations after dropout, so the logits are _logits(own, P),
+      and _backward, its reverse, returning (param_grads, dX) for a given
+      logit gradient.
     Given rows, deltas (B, len(rows), d), cols = ops[:, rows] as a dense
     array and pre, _pass runs on the B inputs with X[rows] += deltas[b] and
     every array it returns gains a leading batch axis; given also a
@@ -347,10 +376,15 @@ class _TwoLayer:
 
     def forward(self, ops, X):
         """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
-        return self._pass(ops, X)[-1]
+        return self._logits(*self._pass(ops, X)[3:])
 
-    def forward_many(self, ops, X, rows, deltas):
+    def forward_many(self, ops, X, rows, deltas, out=None):
         """Logits (B, n, C) for B perturbations of X: X[rows] += deltas[b], deltas (B, len(rows), d).
+
+        Given out, a (B, n) uint8 array, it writes each draw's hard classes
+        there instead, logits.argmax(axis=2) bit for bit, and returns out:
+        each chunk computes every class's (chunk, n) logits on their own and
+        _first_max picks among them, so no (B, n, C) logits array is built.
 
         The draws run in chunks through one reused, C-contiguous layer-1
         buffer of FORWARD_MANY_CHUNK_BYTES, so memory is O(chunk n h), not
@@ -375,22 +409,32 @@ class _TwoLayer:
         buf = np.empty((min(chunk, B), n, self.h))
         pre, cols = self._pre(ops, X), ops[:, rows].toarray()
         tiles = self._tiles(n)
-        logits = np.empty((B, n, self.C))
+        logits = np.empty((B, n, self.C)) if out is None else None
         for start in range(0, B, chunk):
             part = deltas[start : start + chunk]
-            logits[start : start + len(part)] = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[-1]
-        return logits
+            own, P = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[3:]
+            self._emit(own, P, logits, out, slice(start, start + len(part)))
+        return logits if out is None else out
+
+    def _emit(self, own, P, logits, out, at):
+        """Write the logits _logits(own, P) into logits[at], or, when logits is None, their hard classes into out[at]."""
+        if logits is not None:
+            logits[at] = self._logits(own, P)
+        else:
+            _first_max([self._logits(own, P, c) for c in range(self.C)], out[at])
 
     def _tiles(self, n):
         """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h)."""
         return np.tile(self.b1, (n, 1)), np.zeros((n, self.h))
 
-    def forward_flips(self, g: Graph, X, pairs):
+    def forward_flips(self, g: Graph, X, pairs, out=None):
         """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
 
         logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X) bit
         for bit; a pair outside 0 <= u < v < n raises DataError, as
-        Graph.flip does.  The clean pass runs once, then the flips run in
+        Graph.flip does.  Given out, a (B, n) uint8 array, it writes each
+        flip's hard classes there instead, as forward_many does, and
+        returns out.  The clean pass runs once, then the flips run in
         groups whose _flip_charges sum to at most FORWARD_FLIPS_GROUP_BYTES
         (a candidate charged more forms a group alone).  Per group, one
         _stacked_flips graph, _flip_rows and _operator give the operator
@@ -411,7 +455,7 @@ class _TwoLayer:
         S, clean = pre[0], pre[1]
         h_clean = np.maximum(self._hidden_rows(pre, clean, slice(None)), 0.0)
         Q, h = clean.copy(), h_clean.copy()  # work arrays, clean again after every candidate
-        logits = np.empty((pairs.shape[0], n, self.C))
+        logits = np.empty((pairs.shape[0], n, self.C)) if out is None else None
         for start, stop in _flip_groups(_flip_charges(a, deg, pairs, self.C)):
             u, v = pairs[start:stop].T
             base = np.arange(u.size) * n
@@ -432,19 +476,19 @@ class _TwoLayer:
             P = _propagate(ops, Y)
             P[R // n, R % n] = patch @ Y.reshape(-1, self.C)
             for b, own in enumerate(owns):
-                logits[start + b] = self._logits(own, P[b])
-        return logits
+                self._emit(own, P[b], logits, out, start + b)
+        return logits if out is None else out
 
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
         """Mean cross entropy on train_idx and its parameter/input gradients."""
-        z1, h, mask, logits = self._pass(ops, X, dropout, rng)
-        loss, dlogits = _cross_entropy(logits, y, train_idx)
+        z1, h, mask, own, P = self._pass(ops, X, dropout, rng)
+        loss, dlogits = _cross_entropy(self._logits(own, P), y, train_idx)
         grads, dX = self._backward(ops, X, z1, h, mask, dlogits)
         return loss, grads, dX
 
     def input_grad(self, ops, X, dlogits):
         """Backpropagate an arbitrary logit gradient to the inputs (eval mode)."""
-        z1, h, mask, _ = self._pass(ops, X)
+        z1, h, mask = self._pass(ops, X)[:3]
         return self._backward(ops, X, z1, h, mask, dlogits)[1]
 
 
@@ -482,8 +526,8 @@ class GcnModel(_TwoLayer):
     def _head(self, h):
         return None, h @ self.W2
 
-    def _logits(self, own, P):
-        return P + self.b2
+    def _logits(self, own, P, c=slice(None)):
+        return P[..., c] + self.b2[c]
 
     def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
         bias, zero = tiles or (self.b1, 0.0)
@@ -491,7 +535,7 @@ class GcnModel(_TwoLayer):
         z1 += bias
         h, mask = _relu_dropout(z1, dropout, rng, out, zero)
         own, Y = self._head(h)
-        return z1, h, mask, self._logits(own, _propagate(ops, Y))
+        return z1, h, mask, own, _propagate(ops, Y)
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
@@ -530,8 +574,8 @@ class SageModel(_TwoLayer):
     def _head(self, h):
         return h @ self.Ws2, h @ self.Wn2
 
-    def _logits(self, own, P):
-        return own + P + self.b2
+    def _logits(self, own, P, c=slice(None)):
+        return own[..., c] + P[..., c] + self.b2[c]
 
     def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
         # b1 is already in pre[3], so only the zero tile is used
@@ -541,7 +585,7 @@ class SageModel(_TwoLayer):
             z1[:, rows] += deltas @ self.Ws1
         h, mask = _relu_dropout(z1, dropout, rng, out, zero)
         own, Y = self._head(h)
-        return z1, h, mask, self._logits(own, _propagate(ops, Y))
+        return z1, h, mask, own, _propagate(ops, Y)
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}

@@ -16,12 +16,15 @@ n_inner) bias matrix.
 
 All certification effort happens on a prediction cache of shape
 (n_outer, n_inner, n): hard classes of the model under every noise pair.
-The cache depends only on (model, graph, X, vulnerable, config), so one
-cache serves every test set drawn from the same pool, and its entries are
-pure functions of the substream key, which makes results independent of
-worker scheduling.  A cache keeps the SmoothingConfig it was built with;
-certify_sets refuses one built for another vulnerable set, shape, sigma,
-beta or master seed.
+Per structure mask, one sample_attribute_noise call draws the n_inner
+Gaussian blocks and the backbone's forward_many writes their classes
+straight into the mask's uint8 cache rows (its out=), so the build holds
+no logits.  The cache depends only on (model, graph, X, vulnerable,
+config), so one cache serves every test set drawn from the same pool, and
+its entries are pure functions of the substream key, which makes results
+independent of worker scheduling.  A cache keeps the SmoothingConfig it
+was built with; certify_sets refuses one built for another vulnerable set,
+shape, sigma, beta or master seed.
 
 certify_sets certifies many test sets on one cache, as fcr_run does for
 its sampled sets; certify_and_predict is certify_sets on one set.  The
@@ -159,11 +162,8 @@ class PredictionCache:
         def run_outer(o: int) -> None:
             mask = sample_structure_mask(cfg, g, vul, stream_id=o, pairs=pairs)
             ops = model.build_ops(apply_structure_mask(g, mask))
-            deltas = np.stack(
-                [sample_attribute_noise(cfg, vul, d, o * cfg.n_inner + i).block for i in range(cfg.n_inner)]
-            )
-            logits = model.forward_many(ops, X, vul_idx, deltas)
-            classes[o] = logits.argmax(axis=2).astype(np.uint8)
+            deltas = sample_attribute_noise(cfg, vul, d, o * cfg.n_inner, count=cfg.n_inner).block
+            model.forward_many(ops, X, vul_idx, deltas, out=classes[o])
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -262,14 +262,16 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
         outer_low = binomial_lower_bound_vec(n_pos, cfg.n_outer - n_pos, cfg.alpha)
         radius = np.where(cert_pos, attribute_radius(low_pos, cfg.sigma), np.nan)
         decided = cert_pos | cert_neg
+        # a plain structured array: its rows index without recarray.__getitem__ (about 9 us a row)
         records = np.rec.fromarrays(
             [n1, low_pos, cert_pos, decided, radius],
             names="n1,inner_lower_bound,inner_certified,decided,attribute_radius",
-        )
+        ).view(np.ndarray)
         records.flags.writeable = False
         for j, idx in enumerate(idxs):
             votes = n1[j], cert_pos[j], decided[j], radius[j]
-            reports.append(_report(cache, labels, cfg, eta, domain, idx, bias[j], indicator[j], votes, records[j], float(outer_low[j])))
+            row = records[j].view(np.recarray)
+            reports.append(_report(cache, labels, cfg, eta, domain, idx, bias[j], indicator[j], votes, row, float(outer_low[j])))
     return tuple(reports)
 
 

@@ -165,13 +165,21 @@ def sample_structure_mask(cfg: SmoothingConfig, g, vulnerable, stream_id: int, p
     return StructureMask(pairs=pairs[flip])
 
 
-def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: int) -> AttributeNoise:
-    """Isotropic Gaussian rows of scale sigma for the vulnerable nodes."""
+def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: int, count: int | None = None) -> AttributeNoise:
+    """Isotropic Gaussian rows of scale sigma for the vulnerable nodes.
+
+    Given count, the block holds count draws, shape (count, len(vulnerable),
+    d): draw i is stream stream_id + i's block, bit for bit, written in
+    place by one re-keyed generator, so a mask's inner draws cost one call.
+    """
     vul = tuple(sorted(set(int(i) for i in vulnerable)))
     if not vul:
         raise ValueError("vulnerable set must be nonempty")
-    block = cfg.sigma * _rekeyed(cfg.master_seed, DOMAIN_ATTRIBUTE, stream_id).standard_normal((len(vul), d))
-    return AttributeNoise(block=block, vulnerable=vul)
+    block = np.empty((1 if count is None else count, len(vul), d))
+    for i, draw in enumerate(block):
+        _rekeyed(cfg.master_seed, DOMAIN_ATTRIBUTE, stream_id + i).standard_normal(out=draw)
+    block *= cfg.sigma
+    return AttributeNoise(block=block[0] if count is None else block, vulnerable=vul)
 
 
 def apply_structure_mask(g, mask: StructureMask):

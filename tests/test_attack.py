@@ -16,7 +16,7 @@ from elegant.fairness import UndefinedMetricError
 from elegant.gnn import BACKBONES
 from elegant.pipeline import ABSTAIN, CERTIFIED
 from elegant.smoothing import SmoothingConfig, eligible_pairs
-from oracles import structure_attack_greedy_oracle
+from oracles import logits_or_classes, structure_attack_greedy_oracle
 
 
 def _world(n=24, vul=(0, 1)):
@@ -43,15 +43,15 @@ class _LinearModel:
     def forward(self, ops, X):
         return X @ self.W
 
-    def forward_many(self, ops, X, rows, deltas):
-        out = np.repeat((X @ self.W)[None], deltas.shape[0], axis=0)
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        logits = np.repeat((X @ self.W)[None], deltas.shape[0], axis=0)
         for b in range(deltas.shape[0]):
-            out[b, rows] += deltas[b] @ self.W
-        return out
+            logits[b, rows] += deltas[b] @ self.W
+        return logits_or_classes(logits, out)
 
-    def forward_flips(self, g, X, pairs):
+    def forward_flips(self, g, X, pairs, out=None):
         # the logits ignore the graph
-        return np.repeat(self.forward(None, X)[None], len(pairs), axis=0)
+        return logits_or_classes(np.repeat(self.forward(None, X)[None], len(pairs), axis=0), out)
 
     def input_grad(self, ops, X, dlogit):
         return dlogit @ self.W.T
@@ -68,8 +68,8 @@ class _ConstantModel(_LinearModel):
         out[:, 1] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas):
-        return np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0)
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        return logits_or_classes(np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0), out)
 
 
 def test_attribute_attack_hits_budget_exactly():
@@ -253,8 +253,8 @@ class _GroupModel(_LinearModel):
         out[np.arange(X.shape[0]), self.s] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas):
-        return np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0)
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        return logits_or_classes(np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0), out)
 
 
 def test_evaluate_under_attack_abstain_rows_are_na():

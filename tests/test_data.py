@@ -19,6 +19,7 @@ from elegant.data import (
     sample_test_sets,
 )
 from elegant.fixtures import bundled_fixture_dir, make_small, write_dataset
+from elegant.smoothing import DOMAIN_TESTSET, substream
 from oracles import flip_oracle
 
 
@@ -241,6 +242,19 @@ def test_sample_test_sets_draws_from_pool():
     # per-set substreams: same seed reproduces, different seed does not
     assert sets == sample_test_sets(sp, ratio=0.9, count=5, seed=3)
     assert sets != sample_test_sets(sp, ratio=0.9, count=5, seed=4)
+
+
+def test_sample_test_sets_equal_fresh_substream_draws():
+    g = Graph(n=300, edges=frozenset())
+    sp = make_splits(g, seed=2)
+    include = sp.vulnerable
+    rest = np.array([i for i in sp.test_pool if i not in set(include)], dtype=np.int64)
+    for seed, ratio in ((0, 0.9), (7, 0.3)):
+        sets = sample_test_sets(sp, ratio=ratio, count=60, seed=seed, include=include)
+        size = round(ratio * len(sp.test_pool)) - len(include)
+        for j, ts in enumerate(sets):
+            draw = substream(seed, DOMAIN_TESTSET, j).choice(rest, size=size, replace=False)
+            assert ts == tuple(sorted(draw.tolist() + list(include)))
 
 
 def test_sample_test_sets_forces_include():

@@ -1,5 +1,6 @@
 """Backbones: propagation operators, gradients, training, persistence."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -186,9 +187,16 @@ def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n
     monkeypatch.setattr(gnn, "FORWARD_MANY_CHUNK_BYTES", c * 8 * n * h)
     for B in (1, c - 1, c, c + 1, 2 * c + 3):
         deltas = rng.standard_normal((B, rows.size, d))
-        np.testing.assert_array_equal(
-            model.forward_many(ops, X, rows, deltas), forward_many_oracle(model, ops, X, rows, deltas)
-        )
+        want = forward_many_oracle(model, ops, X, rows, deltas)
+        np.testing.assert_array_equal(model.forward_many(ops, X, rows, deltas), want)
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+
+
+def _assert_classes_are_the_argmax(batched, args, logits):
+    """batched(*args, out=) fills and returns a (B, n) uint8 out equal to logits.argmax(axis=2)."""
+    out = np.full(logits.shape[:2], 255, dtype=np.uint8)
+    assert batched(*args, out=out) is out
+    np.testing.assert_array_equal(out, logits.argmax(axis=2))
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
@@ -206,7 +214,49 @@ def test_forward_many_equals_the_unchunked_oracle_at_production_shape(backbone):
     chunk = gnn.FORWARD_MANY_CHUNK_BYTES // (8 * n * h)
     assert 2 * chunk < B and B % chunk
     deltas = rng.standard_normal((B, rows.size, d))
-    np.testing.assert_array_equal(model.forward_many(ops, X, rows, deltas), forward_many_oracle(model, ops, X, rows, deltas))
+    want = forward_many_oracle(model, ops, X, rows, deltas)
+    np.testing.assert_array_equal(model.forward_many(ops, X, rows, deltas), want)
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+
+
+@pytest.mark.parametrize("C", [2, 3])
+def test_first_max_picks_as_argmax_on_ties_signed_zeros_and_nans(C):
+    values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+    grid = np.array(list(itertools.product(values, repeat=C))).T  # every C-tuple of values, one per column
+    classes = [grid[c].reshape(-1, 7) for c in range(C)]
+    out = np.full(classes[0].shape, 255, dtype=np.uint8)
+    assert gnn._first_max(classes, out) is out
+    np.testing.assert_array_equal(out, np.stack(classes, axis=2).argmax(axis=2))
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("case", ["equal columns", "nan", "three classes"])
+def test_forward_many_classes_follow_argmax_on_ties_nans_and_more_classes(backbone, case):
+    rng = np.random.default_rng(59)
+    n, d, h, B = 60, 5, 8, 7
+    g = _random_sparse_graph(rng, n, 2 * n)
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=3 if case == "three classes" else 2)
+    layer2 = ("W2",) if backbone == "gcn" else ("Ws2", "Wn2")
+    if case == "equal columns":
+        for name in layer2:
+            getattr(model, name)[:, 1] = getattr(model, name)[:, 0]
+    elif case == "nan":
+        # inf times a zero activation is NaN: some nodes' logits go NaN in class 0, some in class 1, some in both
+        for name in layer2:
+            getattr(model, name)[0, 0] = getattr(model, name)[1, 1] = np.inf
+    ops = model.build_ops(g)
+    rows = np.array([0, 5, 11])
+    deltas = rng.standard_normal((B, rows.size, d))
+    with np.errstate(invalid="ignore"):
+        logits = forward_many_oracle(model, ops, X, rows, deltas)
+        if case == "equal columns":
+            assert (logits[..., 0] == logits[..., 1]).all()
+        elif case == "nan":
+            nan = np.isnan(logits)
+            for pattern in ((True, False), (False, True), (True, True), (False, False)):
+                assert (nan == pattern).all(axis=2).any()
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), logits)
 
 
 def test_forward_many_tiles_give_the_scalar_operands_bits():
@@ -270,7 +320,9 @@ def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
     removed = kept[rng.choice(len(kept), size=6, replace=False)]
     pairs = np.vstack([added, removed, [[0, n - 1]]])
     assert _sage_ops(g.flip([(0, n - 1)]))[n - 1].nnz == 0
-    np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
+    want = flip_logits_oracle(model, g, X, pairs)
+    np.testing.assert_array_equal(model.forward_flips(g, X, pairs), want)
+    _assert_classes_are_the_argmax(model.forward_flips, (g, X, pairs), want)
 
 
 def _flip_charges(model, g, pairs):

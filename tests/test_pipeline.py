@@ -48,10 +48,10 @@ class _ConstantModel:
         out[:, self.cls] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas):
-        out = np.zeros((deltas.shape[0], X.shape[0], self.C))
-        out[:, :, self.cls] = 1.0
-        return out
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        logits = np.zeros((deltas.shape[0], X.shape[0], self.C))
+        logits[:, :, self.cls] = 1.0
+        return oracles.logits_or_classes(logits, out)
 
 
 def _world(n=24, vul=(0, 1)):
@@ -117,8 +117,8 @@ class _FixedClassModel(_ConstantModel):
         out[np.arange(X.shape[0]), self.classes] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas):
-        return np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0)
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        return oracles.logits_or_classes(np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0), out)
 
 
 def test_certifiably_biased_model_abstains_without_undecided():
@@ -151,16 +151,16 @@ class _StreamParityModel(_ConstantModel):
         super().__init__()
         self.s = np.asarray(s)
 
-    def forward_many(self, ops, X, rows, deltas):
-        out = np.zeros((deltas.shape[0], X.shape[0], 2))
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        logits = np.zeros((deltas.shape[0], X.shape[0], 2))
         for b in range(deltas.shape[0]):
             # the noise block is the only thing varying per stream; use its
             # sign as a fair-coin proxy to split the inner votes near 50/50
             if float(deltas[b].ravel()[0]) > 0:
-                out[b, :, 1] = 1.0
+                logits[b, :, 1] = 1.0
             else:
-                out[b, np.arange(X.shape[0]), self.s] = 1.0
-        return out
+                logits[b, np.arange(X.shape[0]), self.s] = 1.0
+        return oracles.logits_or_classes(logits, out)
 
 
 def test_strict_mode_aborts_on_undecided_inner_vote():

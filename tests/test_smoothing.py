@@ -162,6 +162,19 @@ def test_attribute_noise_deterministic():
         sample_attribute_noise(cfg, (), d=4, stream_id=0)
 
 
+@pytest.mark.parametrize("count", [1, 2, 150])
+def test_attribute_noise_count_stacks_the_single_stream_blocks(count):
+    cfg = SmoothingConfig(sigma=0.3, master_seed=5)
+    vul, d = (3, 17, 8), 27
+    for first in (0, 1_000, 2**56 - count):
+        block = sample_attribute_noise(cfg, vul, d, stream_id=first, count=count).block
+        assert block.shape == (count, len(vul), d)
+        want = np.stack([sample_attribute_noise(cfg, vul, d, stream_id=first + i).block for i in range(count)])
+        np.testing.assert_array_equal(block.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError, match="stream_id out of range"):
+        sample_attribute_noise(cfg, vul, d, stream_id=2**56 - count, count=count + 1)
+
+
 def test_attribute_noise_threads_each_draw_their_own_streams(monkeypatch):
     """Four threads re-key their generators in lockstep; each draw still equals a fresh substream's."""
     cfg = SmoothingConfig(sigma=0.3, master_seed=12)

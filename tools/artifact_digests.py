@@ -18,6 +18,12 @@ or at two `--jobs` values to check that worker threads change no byte:
     python tools/artifact_digests.py --jobs 2 > jobs2.txt
     diff jobs1.txt jobs2.txt
 
+or with OpenBLAS held to one thread, to check that its thread count
+changes no byte either:
+
+    OPENBLAS_NUM_THREADS=1 python tools/artifact_digests.py > blas1.txt
+    diff jobs1.txt blas1.txt
+
 Float results depend on the BLAS build and the CPU, so digests are only
 comparable between runs on one machine.
 """
