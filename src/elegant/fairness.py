@@ -5,8 +5,10 @@ attribute over a node subset: statistical parity looks at positive
 prediction rates, equal opportunity at true positive rates.  METRICS
 names them.  sensitive_groups is the one place those groups are formed
 and metric_groups the one place a metric picks its population, for the
-metrics here, the certification pipeline and both attacks;
-positive_rate_gap is the one kernel comparing their class-1 rates.  A metric
+metrics here, the certification pipeline and both attacks.  One kernel
+compares their class-1 rates: positive_rate_gap gathers the hits it
+needs, and rate_gaps reuses hits that class1_hits gathered once for many
+group pairs, as the pipeline does for a whole batch of test sets.  A metric
 is undefined when one of its groups is empty; callers decide how to treat
 that (the certification pipeline forces such draws' indicator votes to 0
 and logs them).
@@ -15,6 +17,7 @@ and logs them).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,29 +98,61 @@ def metric_groups(nodes, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
     return sensitive_groups(nodes, labels.s, labels.y if metric == EQUAL_OPPORTUNITY else None)
 
 
+def class1_hits(classes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The class-1 indicator of classes[..., nodes] as a (rows, nodes) float32 matrix.
+
+    classes holds hard classes over its last axis with any leading shape;
+    rows is the product of that shape.  rate_gaps takes this matrix, so one
+    gather can serve many group pairs over the same nodes.
+    """
+    return (classes[..., nodes] == 1).astype(np.float32).reshape(math.prod(classes.shape[:-1]), nodes.size)
+
+
+def rate_gaps(hits: np.ndarray, nodes: np.ndarray, pairs) -> np.ndarray:
+    """|class-1 rate on g0 - class-1 rate on g1| per row of hits, for each of K group pairs.
+
+    hits is class1_hits over nodes, a sorted duplicate-free array holding
+    every node of the pairs.  Returns (K, rows).
+    """
+    groups = _pair_groups(pairs)
+    return _gaps(hits, nodes.size, groups, np.searchsorted(nodes, np.concatenate(groups)))
+
+
 def positive_rate_gap(classes: np.ndarray, pairs) -> np.ndarray:
     """|class-1 rate on g0 - class-1 rate on g1| for each of K group pairs (g0, g1).
 
     classes holds hard classes over its last axis with any leading shape:
     one prediction (n,) or a whole cache (n_outer, n_inner, n).  Returns
-    (K, *lead).  The class-1 indicator of the pairs' node union is gathered
-    once, as float32, and multiplied by the (2K, nodes) 0/1 membership
-    matrix.  The counts are exact, since float32 holds every integer up to
-    2^24, and count / size in float64 is bit for bit numpy's mean of the
+    (K, *lead), as rate_gaps on the class1_hits of the pairs' node union.
+    """
+    groups = _pair_groups(pairs)
+    nodes, inverse = np.unique(np.concatenate(groups), return_inverse=True)
+    return _gaps(class1_hits(classes, nodes), nodes.size, groups, inverse).reshape(len(pairs), *classes.shape[:-1])
+
+
+def _pair_groups(pairs) -> list:
+    """The pairs' groups as int64 arrays, every pair's g0 first, then every g1."""
+    g0s, g1s = zip(*pairs)
+    return [np.asarray(g, dtype=np.int64) for g in g0s + g1s]
+
+
+def _gaps(hits: np.ndarray, width: int, groups: list, inverse: np.ndarray) -> np.ndarray:
+    """The group-rate kernel: groups[j] sits at hits columns inverse[offset_j : offset_j + size_j].
+
+    The (2K, width) 0/1 membership matrix times hits.T gives each group's
+    class-1 count.  The counts are exact, since float32 holds every
+    integer up to 2^24, so they do not depend on which other nodes hits
+    covers, and count / size in float64 is bit for bit numpy's mean of the
     gathered bool array.
     """
-    g0s, g1s = zip(*pairs)
-    groups = [np.asarray(g, dtype=np.int64) for g in g0s + g1s]
-    nodes, inverse = np.unique(np.concatenate(groups), return_inverse=True)
     sizes = np.array([g.size for g in groups])
     col = np.repeat(np.arange(sizes.size), sizes)
-    # one row per group, every pair's g0 first; a node listed twice counts twice, as in a mean
-    member = np.bincount(col * nodes.size + inverse, minlength=sizes.size * nodes.size).astype(np.float32)
-    hits = (classes[..., nodes] == 1).astype(np.float32).reshape(-1, nodes.size)
-    rates = (member.reshape(sizes.size, nodes.size) @ hits.T) / sizes[:, None].astype(np.float64)
+    # one row per group; a node listed twice counts twice, as in a mean
+    member = np.bincount(col * width + inverse, minlength=sizes.size * width).astype(np.float32)
+    rates = (member.reshape(sizes.size, width) @ hits.T) / sizes[:, None].astype(np.float64)
     k = sizes.size // 2
     gap = rates[:k] - rates[k:]
-    return np.abs(gap, out=gap).reshape(k, *classes.shape[:-1])
+    return np.abs(gap, out=gap)
 
 
 def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:

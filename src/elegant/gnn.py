@@ -27,11 +27,12 @@ memory is O(chunk n h), not O(B n h).  Its layer-1 bias add (GCN) and
 ReLU read two C-contiguous (n, h) tiles built once per call, b1 on every
 row and zeros: against a broadcast (h,) row or a scalar, numpy's loops
 miss their contiguous fast path (at n=1000, h=64 on a 2-core VM, per
-24-draw chunk, the ReLU took about 620 us against 0.0 and 180-250 us
-against the zero tile, the bias add about 470 us against the row and
-175-260 us against its tile; a 150-draw GCN mask went from 13.2 to 9.2
-ms).  The tiles hold 16 n h bytes, 1 MB at n=1000, and give the same
-bits.  Asked for classes, a chunk adds each class's b2 on its own strided
+24-draw chunk, the tiles cut the ReLU's time to about a third and the
+bias add's to about half, and a 150-draw GCN mask's by about 30%; the
+absolute times drift with the VM: the mask took 9.2 ms when the tiles
+went in and 32 ms on a later day, on the plain and on a structure-masked
+operator alike).  The tiles hold 16 n h bytes, 1 MB at n=1000, and give
+the same bits.  Asked for classes, a chunk adds each class's b2 on its own strided
 (chunk, n) view of the layer-2 product and picks the first maximum
 straight into the caller's uint8 rows, so neither the (B, n, C) logits
 nor their argmax pass exist.  Single-flip scoring works in groups
@@ -55,9 +56,10 @@ from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream
 logger = logging.getLogger(__name__)
 
 # Size of forward_many's layer-1 buffer, which sets its chunk of draws.  At
-# n=1000, h=64 (24 draws) one 150-draw GCN mask took about 9.6 ms on a
-# 2-core VM; chunks of 4 / 8 / 12 / 48 draws took 11.0 / 10.0 / 9.7 / 12.4
-# ms and a single 150-draw chunk 17 ms (medians of three rounds of 15).
+# n=1000, h=64 (24 draws) on a 2-core VM, chunks of 4 / 8 / 12 / 48 draws
+# made a 150-draw GCN mask 1.15 / 1.04 / 1.01 / 1.29 times as slow and a
+# single 150-draw chunk 1.8 times (medians of three rounds of 15; 9.6 ms at
+# 24 draws on the day, and absolute times drift with the VM).
 FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
 # Working memory of one forward_flips group, which sets how many candidate
 # flips share one stacked operator build; _flip_charges prices each

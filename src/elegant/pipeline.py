@@ -27,12 +27,16 @@ was built with; certify_sets refuses one built for another vulnerable set,
 shape, sigma, beta or master seed.
 
 certify_sets certifies many test sets on one cache, as fcr_run does for
-its sampled sets; certify_and_predict is certify_sets on one set.  The
-sets go in chunks: one fairness.positive_rate_gap call gives a chunk's
-(k, n_outer, n_inner) bias from exact group counts, and one pair of
-Clopper-Pearson calls and one attribute_radius call its (k, n_outer)
-evidence; each set's decision, selection and report then follow on its
-own slice.
+its sampled sets; certify_and_predict is certify_sets on one set.  Per
+call it gathers the cache's class-1 hits on the sets' nodes once
+(fairness.class1_hits) and tabulates the Clopper-Pearson bound of every
+count a vote can take, with the inner radii; a vote count has only
+n_inner + 1 (outer: n_outer + 1) values.  The sets then go in chunks: one
+fairness.rate_gaps product gives a chunk's (k, n_outer, n_inner) bias
+from exact group counts, the tables its (k, n_outer) evidence by lookup,
+and array operations its outcomes, attribute budgets and selections (one
+select_fair_output call over the chunk's certified sets); only the
+reports themselves are built one set at a time.
 
 A report's records is that evidence for its set: a read-only numpy record
 array with one row per outer sample, in stream order, and the fields n1
@@ -51,10 +55,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import CertifiedBudgets, attribute_radius, joint_attribute_budget, structure_budget
+from .certify import CertifiedBudgets, attribute_radius, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound_vec
-from .fairness import BiasThreshold, UndefinedMetricError, metric_groups, positive_rate_gap
+from .fairness import BiasThreshold, UndefinedMetricError, class1_hits, metric_groups, rate_gaps
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -189,17 +193,42 @@ class PredictionCache:
 
 
 def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarray) -> tuple:
-    """Class vector and bias of the smallest-bias eligible draw.
+    """Class vector and bias of the smallest-bias eligible draw, per set.
 
-    classes is (n_outer, n_inner, n), bias and eligible (n_outer, n_inner).
-    Returns (classes[o, i].copy(), bias[o, i]); the first minimum in
-    row-major order is the smallest stream id o * n_inner + i, so ties
-    resolve to it.  Raises ValueError when no draw is eligible.
+    classes is the (n_outer, n_inner, n) cache; bias and eligible are
+    (n_outer, n_inner), or (*sets, n_outer, n_inner) for many sets.  Picks
+    by one masked argmin over each set's flattened draws; the first
+    minimum is the smallest stream id o * n_inner + i, so ties resolve to
+    it.  A 2-D call returns (classes[o, i].copy(), float(bias[o, i])), a
+    call with set axes the (*sets, n) classes and (*sets,) biases.  Raises
+    ValueError when a set has no eligible draw.
     """
-    if not eligible.any():
+    flat = np.where(eligible, bias, np.inf).reshape(*bias.shape[:-2], -1)
+    if not eligible.any(axis=(-2, -1)).all():
         raise ValueError("no inner-certified sample to select from")
-    o, i = np.unravel_index(np.argmin(np.where(eligible, bias, np.inf)), bias.shape)
-    return classes[o, i].copy(), float(bias[o, i])
+    pick = flat.argmin(axis=-1)
+    draws = classes.reshape(-1, classes.shape[-1])
+    if flat.ndim == 1:
+        return draws[pick].copy(), float(flat[pick])
+    return draws[pick], np.take_along_axis(flat, pick[..., None], axis=-1)[..., 0]
+
+
+def _test_set_indices(test_sets, pool, vulnerable: tuple, n: int) -> list:
+    """Each test set as a sorted int64 array; raises ValueError on a set the pipeline cannot certify."""
+    in_pool = np.isin(np.arange(n), pool)
+    vul = np.array(vulnerable, dtype=np.int64)
+    test_idx = []
+    for j, test_set in enumerate(test_sets):
+        idx = np.sort(np.fromiter(test_set, dtype=np.int64))
+        if idx.size and not (idx[0] >= 0 and idx[-1] < n and in_pool[idx].all()):
+            raise ValueError("test set must lie in the test pool")
+        repeated = idx[1:][idx[1:] == idx[:-1]]
+        if repeated.size:
+            raise ValueError(f"test set {j} lists node {repeated[0]} more than once")
+        if (np.searchsorted(idx, vul, side="right") == np.searchsorted(idx, vul)).any():
+            raise ValueError("vulnerable nodes must belong to the test set")
+        test_idx.append(idx)
+    return test_idx
 
 
 def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> tuple:
@@ -209,115 +238,122 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     be the backbone the smoothing wraps (for defended runs, the
     noise-augmented one).  eta defaults to an absolute threshold of
     cfg.eta; cache may be shared across calls with identical
-    (model, g, X, vulnerable, cfg).  Every set is validated, then one cache
-    serves them all; a cache whose vulnerable set, shape, sigma, beta or
-    master_seed differs from this call raises ValueError, and matching the
-    model, graph and attributes is left to the caller.  The sets are
-    certified in chunks of CERTIFY_CHUNK_BYTES worth of group rates: one
-    group-count kernel call and one pair of inner bounds per chunk.
+    (model, g, X, vulnerable, cfg).  Every set is validated (members in
+    the pool, each listed once, the vulnerable nodes among them), then one
+    cache serves them all; a cache whose vulnerable set, shape, sigma,
+    beta or master_seed differs from this call raises ValueError, and
+    matching the model, graph and attributes is left to the caller.
+
+    The work that does not depend on the set is done once per call: the
+    class-1 hits of every draw on the union of the sets' metric groups,
+    the Clopper-Pearson bound of every possible inner count 0..n_inner
+    and outer count 0..n_outer, the inner radii, and one structure budget
+    per distinct outer bound.  The sets are then certified in chunks of
+    CERTIFY_CHUNK_BYTES worth of group rates: one rate_gaps product gives
+    the chunk's (k, n_outer, n_inner) bias, table lookups its evidence,
+    and array operations its outcomes, attribute budgets and selections.
     """
     if eta is None:
         eta = BiasThreshold.absolute(cfg.eta)
     vul = tuple(sorted(set(int(i) for i in split.vulnerable)))
     if not vul:
         raise ValueError("vulnerable set must be nonempty")
-    pool = set(split.test_pool)
-    test_idx = []
-    for test_set in test_sets:
-        idx = np.sort(np.fromiter(test_set, dtype=np.int64))
-        members = set(idx.tolist())
-        if not members <= pool:
-            raise ValueError("test set must lie in the test pool")
-        if not members.issuperset(vul):
-            raise ValueError("vulnerable nodes must belong to the test set")
-        test_idx.append(idx)
+    test_idx = _test_set_indices(test_sets, split.test_pool, vul, g.n)
     if cache is None:
         cache = PredictionCache.build(model, g, X, vul, cfg, jobs=jobs)
     cache.check(vul, g.n, cfg)
 
+    groups = []
+    for j, idx in enumerate(test_idx):
+        try:
+            groups.append(metric_groups(idx, labels, cfg.metric))
+        except UndefinedMetricError:
+            logger.warning("bias metric undefined on test set %d; all its indicators forced to 0", j)
+            groups.append(None)
+    covered = np.zeros(g.n, dtype=bool)
+    for pair in groups:
+        if pair is not None:
+            covered[pair[0]] = covered[pair[1]] = True
+    nodes = np.flatnonzero(covered)
+    hits = class1_hits(cache.classes, nodes)
+
+    # every count a vote can take: inner n1 in 0..n_inner, outer n_pos in 0..n_outer
+    n1s = np.arange(cfg.n_inner + 1)
+    inner_low = binomial_lower_bound_vec(n1s, cfg.n_inner - n1s, cfg.alpha)
+    inner_certified = (n1s > cfg.n_inner - n1s) & (inner_low > 0.5)
+    # the biased side's bound at n1 is the fair side's at n0 = n_inner - n1
+    inner_decided = inner_certified | ((cfg.n_inner - n1s > n1s) & (inner_low[::-1] > 0.5))
+    inner_radius = np.where(inner_certified, attribute_radius(inner_low, cfg.sigma), np.nan)
+    n_poss = np.arange(cfg.n_outer + 1)
+    outer_low = binomial_lower_bound_vec(n_poss, cfg.n_outer - n_poss, cfg.alpha)
+    eps_a = {}  # structure budget per certified outer count
+
     domain = domain_size(g.n, len(vul))
+    y = np.asarray(labels.y)
     chunk = max(1, CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner))
     reports = []
     for start in range(0, len(test_idx), chunk):
-        idxs = test_idx[start : start + chunk]
-        pairs = []
-        defined = np.ones(len(idxs), dtype=bool)
-        for j, idx in enumerate(idxs):
-            try:
-                pairs.append(metric_groups(idx, labels, cfg.metric))
-            except UndefinedMetricError:
-                logger.warning("bias metric undefined on test set %d; all its indicators forced to 0", start + j)
-                defined[j] = False
-        bias = np.full((len(idxs), cfg.n_outer, cfg.n_inner), np.nan)
-        if pairs:
-            bias[defined] = positive_rate_gap(cache.classes, pairs)
+        pairs = groups[start : start + chunk]
+        defined = np.array([pair is not None for pair in pairs])
+        bias = np.full((len(pairs), cfg.n_outer, cfg.n_inner), np.nan)
+        if defined.any():
+            bias[defined] = rate_gaps(hits, nodes, [pair for pair in pairs if pair is not None]).reshape(-1, cfg.n_outer, cfg.n_inner)
         indicator = bias < eta.eta  # NaN compares False: an undefined set's indicators are 0
 
         n1 = indicator.sum(axis=2)
-        n0 = cfg.n_inner - n1
-        low_pos = binomial_lower_bound_vec(n1, n0, cfg.alpha)
-        cert_pos = (n1 > n0) & (low_pos > 0.5)
-        cert_neg = (n0 > n1) & (binomial_lower_bound_vec(n0, n1, cfg.alpha) > 0.5)
+        cert_pos, decided = inner_certified[n1], inner_decided[n1]
         n_pos = cert_pos.sum(axis=1)
-        outer_low = binomial_lower_bound_vec(n_pos, cfg.n_outer - n_pos, cfg.alpha)
-        radius = np.where(cert_pos, attribute_radius(low_pos, cfg.sigma), np.nan)
-        decided = cert_pos | cert_neg
+        undecided = ~decided.all(axis=1) if cfg.strict else np.zeros(len(pairs), dtype=bool)
+        certified = ~undecided & (outer_low[n_pos] > 0.5)
+        eps_x = np.where(cert_pos, inner_radius[n1], np.inf).min(axis=1)
+        if certified.any():
+            picked, picked_bias = select_fair_output(cache.classes, bias[certified], indicator[certified] & cert_pos[certified][:, :, None])
         # a plain structured array: its rows index without recarray.__getitem__ (about 9 us a row)
         records = np.rec.fromarrays(
-            [n1, low_pos, cert_pos, decided, radius],
+            [n1, inner_low[n1], cert_pos, decided, inner_radius[n1]],
             names="n1,inner_lower_bound,inner_certified,decided,attribute_radius",
         ).view(np.ndarray)
         records.flags.writeable = False
-        for j, idx in enumerate(idxs):
-            votes = n1[j], cert_pos[j], decided[j], radius[j]
-            row = records[j].view(np.recarray)
-            reports.append(_report(cache, labels, cfg, eta, domain, idx, bias[j], indicator[j], votes, row, float(outer_low[j])))
+
+        c = 0
+        for j, idx in enumerate(test_idx[start : start + chunk]):
+            positive = int(n_pos[j])
+            low = float(outer_low[positive])
+            reason = budgets = prediction = sel_bias = acc = None
+            if undecided[j]:
+                first = int(np.argmin(decided[j]))
+                k = int(n1[j, first])
+                reason = f"undecided inner vote at outer sample {first} (n1={k}, n0={cfg.n_inner - k})"
+            elif not certified[j]:
+                reason = f"outer fair-vote bound {low:.6f} <= 1/2 ({positive}/{cfg.n_outer} positive)"
+            if reason is None:
+                if positive not in eps_a:
+                    eps_a[positive] = structure_budget(low, cfg.beta, cfg.k_max)
+                budgets = CertifiedBudgets(eps_A=eps_a[positive], eps_X=float(eps_x[j]))
+                prediction, sel_bias = picked[c], float(picked_bias[c])
+                acc = np.count_nonzero(prediction[idx] == y[idx]) / idx.size
+                c += 1
+            else:
+                logger.info("certification abstains: %s", reason)
+            reports.append(
+                CertificationReport(
+                    outcome=CERTIFIED if reason is None else ABSTAIN,
+                    budgets=budgets,
+                    selected_prediction=prediction,
+                    selected_bias=sel_bias,
+                    accuracy=acc,
+                    eta=eta,
+                    n_outer_positive=positive,
+                    outer_lower_bound=low,
+                    prop1_bound=prop1_bound(positive),
+                    records=records[j].view(np.recarray),
+                    config=cfg,
+                    conventions={**CONVENTIONS, "noise_domain_size": domain},
+                    test_set=tuple(idx.tolist()),
+                    abstain_reason=reason,
+                )
+            )
     return tuple(reports)
-
-
-def _report(cache, labels, cfg, eta, domain, idx, bias, indicator, votes, records, outer_low) -> CertificationReport:
-    """One set's outcome, budgets, selection and evidence from its per-draw bias and outer-sample votes.
-
-    votes holds the plain arrays records is built from, (n1, inner_certified,
-    decided, attribute_radius), read here instead of records' fields, since
-    every recarray field read costs a getfield call.
-    """
-    n1, cert_pos, decided, radius = votes
-    n_pos = int(cert_pos.sum())
-    reason = None
-    if cfg.strict and not decided.all():
-        first = int(np.flatnonzero(~decided)[0])
-        k = int(n1[first])
-        reason = f"undecided inner vote at outer sample {first} (n1={k}, n0={cfg.n_inner - k})"
-    elif outer_low <= 0.5:
-        reason = f"outer fair-vote bound {outer_low:.6f} <= 1/2 ({n_pos}/{cfg.n_outer} positive)"
-
-    budgets = prediction = sel_bias = acc = None
-    if reason is None:
-        budgets = CertifiedBudgets(
-            eps_A=structure_budget(outer_low, cfg.beta, cfg.k_max),
-            eps_X=joint_attribute_budget(radius[cert_pos]),
-        )
-        prediction, sel_bias = select_fair_output(cache.classes, bias, indicator & cert_pos[:, None])
-        acc = float((prediction[idx] == labels.y[idx]).mean())
-    else:
-        logger.info("certification abstains: %s", reason)
-    return CertificationReport(
-        outcome=CERTIFIED if reason is None else ABSTAIN,
-        budgets=budgets,
-        selected_prediction=prediction,
-        selected_bias=sel_bias,
-        accuracy=acc,
-        eta=eta,
-        n_outer_positive=n_pos,
-        outer_lower_bound=outer_low,
-        prop1_bound=prop1_bound(n_pos),
-        records=records,
-        config=cfg,
-        conventions={**CONVENTIONS, "noise_domain_size": domain},
-        test_set=tuple(idx.tolist()),
-        abstain_reason=reason,
-    )
 
 
 def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> CertificationReport:

@@ -1,13 +1,15 @@
 """Independent reference implementations used by the test suite.
 
-Nothing here imports scipy, and only the greedy-attack oracle, which
-replays the library's own candidate pools, imports the package: normal
-quantiles come from bisection on an erf-based CDF, incomplete-beta values
-from Simpson integration, the Neyman-Pearson optimum from exact rational
-enumeration, the region probabilities from a sum over every flip count,
-gradients from central differences, single-flip logits from one full
-operator rebuild per flip, and group rate gaps from one gather and bool
-mean per group.  Slow and simple on purpose.
+Nothing here imports scipy, and only two oracles import the package: the
+greedy attack's, which replays the library's own candidate pools, and the
+per-set certificate's, which chains the library's scalar public functions
+one draw and one outer sample at a time.  Normal quantiles come from
+bisection on an erf-based CDF, incomplete-beta values from Simpson
+integration, the Neyman-Pearson optimum from exact rational enumeration,
+the region probabilities from a sum over every flip count, gradients from
+central differences, single-flip logits from one full operator rebuild per
+flip, and group rate gaps from one gather and bool mean per group.  Slow
+and simple on purpose.
 """
 
 import math
@@ -311,3 +313,67 @@ def positive_rate_gap_oracle(classes, groups):
     """|class-1 rate on g0 - class-1 rate on g1| for one pair: a gather and a bool mean per group."""
     g0, g1 = groups
     return abs((classes[..., g0] == 1).mean(-1) - (classes[..., g1] == 1).mean(-1))
+
+
+def certify_set_oracle(classes, labels, test_set, cfg, eta):
+    """One test set's certificate from scalar calls, draw by draw and outer sample by outer sample.
+
+    classes is the (n_outer, n_inner, n) cache and eta the threshold value.
+    bias_value gives each draw's bias (an undefined metric makes every
+    indicator 0), binomial_lower_bound each outer sample's two inner bounds
+    and the outer bound, attribute_radius each certified sample's radius;
+    structure_budget, min over the radii, select_fair_output_oracle and a
+    bool mean finish a certified set.  Returns (fields, records bytes,
+    selected prediction bytes or None), where fields are the certificate's
+    entries of CertificationReport.to_json_dict.
+    """
+    import numpy as np
+
+    from elegant.certify import attribute_radius, structure_budget
+    from elegant.estimate import binomial_lower_bound
+    from elegant.fairness import UndefinedMetricError, bias_value
+
+    nodes = sorted(test_set)
+    n_outer, n_inner, _ = classes.shape
+    try:
+        bias = [[bias_value(classes[o, i], labels, nodes, cfg.metric) for i in range(n_inner)] for o in range(n_outer)]
+    except UndefinedMetricError:
+        bias = [[float("nan")] * n_inner for _ in range(n_outer)]
+    indicator = [[b < eta for b in row] for row in bias]
+    rows, radii, undecided = [], [], []
+    for o, fair in enumerate(indicator):
+        n1 = sum(fair)
+        n0 = n_inner - n1
+        low = binomial_lower_bound(n1, n0, alpha=cfg.alpha).lower
+        certified = n1 > n0 and low > 0.5
+        decided = certified or (n0 > n1 and binomial_lower_bound(n0, n1, alpha=cfg.alpha).lower > 0.5)
+        radius = attribute_radius(low, cfg.sigma) if certified else float("nan")
+        if certified:
+            radii.append(radius)
+        if not decided:
+            undecided.append((o, n1, n0))
+        rows.append((n1, low, certified, decided, radius))
+    records = np.array(rows, dtype=[("n1", "<i8"), ("inner_lower_bound", "<f8"), ("inner_certified", "?"), ("decided", "?"), ("attribute_radius", "<f8")])
+    n_pos = len(radii)
+    outer = binomial_lower_bound(n_pos, n_outer - n_pos, alpha=cfg.alpha).lower
+    fields = {"n_outer_positive": n_pos, "prop1_bound": 0.5**n_pos}
+    reason = None
+    if cfg.strict and undecided:
+        o, n1, n0 = undecided[0]
+        reason = f"undecided inner vote at outer sample {o} (n1={n1}, n0={n0})"
+    elif outer <= 0.5:
+        reason = f"outer fair-vote bound {outer:.6f} <= 1/2 ({n_pos}/{n_outer} positive)"
+    if reason is not None:
+        fields.update(outcome="ABSTAIN", eps_A=None, eps_X=None, bias=None, accuracy=None, abstain_reason=reason)
+        return fields, records.tobytes(), None
+    prediction, selected_bias = select_fair_output_oracle(classes, bias, indicator, [r[2] for r in rows])
+    prediction = np.array(prediction, dtype=np.uint8)
+    fields.update(
+        outcome="CERTIFIED",
+        eps_A=structure_budget(outer, cfg.beta, cfg.k_max),
+        eps_X=min(radii),
+        bias=selected_bias,
+        accuracy=float(np.mean([prediction[v] == labels.y[v] for v in nodes])),
+        abstain_reason=None,
+    )
+    return fields, records.tobytes(), prediction.tobytes()

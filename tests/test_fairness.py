@@ -11,10 +11,12 @@ from elegant.fairness import (
     UndefinedMetricError,
     accuracy,
     bias_value,
+    class1_hits,
     delta_eo,
     delta_sp,
     metric_groups,
     positive_rate_gap,
+    rate_gaps,
     sensitive_groups,
 )
 from oracles import positive_rate_gap_oracle
@@ -98,6 +100,9 @@ def test_positive_rate_gap_equals_the_gather_mean_oracle(case):
     assert gaps.shape == (len(pairs),) + classes.shape[:-1]
     for gap, pair in zip(gaps, pairs):
         assert gap.tobytes() == np.asarray(positive_rate_gap_oracle(classes, pair)).tobytes()
+    # hits gathered on every node, a superset of the pairs' union, give the same bits
+    every = np.arange(classes.shape[-1])
+    assert rate_gaps(class1_hits(classes, every), every, pairs).tobytes() == gaps.tobytes()
 
 
 def test_accuracy():

@@ -196,6 +196,10 @@ def test_test_set_validation():
     cfg = SmoothingConfig(n_outer=4, n_inner=4, master_seed=0)
     with pytest.raises(ValueError, match="vulnerable nodes"):
         certify_and_predict(_ConstantModel(), g, X, labels, split, (4, 5, 6), cfg)
+    small_pool = SplitSpec(train=(2,), validation=(), test_pool=tuple(range(3, g.n)) + (0, 1), vulnerable=split.vulnerable)
+    for outside in (2, -1, g.n):
+        with pytest.raises(ValueError, match="lie in the test pool"):
+            certify_and_predict(_ConstantModel(), g, X, labels, small_pool, (0, 1, 3, outside), cfg)
     bad = SplitSpec(train=(), validation=(), test_pool=split.test_pool, vulnerable=())
     with pytest.raises(ValueError, match="nonempty"):
         certify_and_predict(_ConstantModel(), g, X, labels, bad, split.test_pool, cfg)
@@ -236,6 +240,17 @@ def test_select_fair_output_skips_uncertified():
     np.testing.assert_array_equal(pred, [1, 0, 7])
     with pytest.raises(ValueError):
         select_fair_output(classes, bias, np.zeros_like(eligible))
+
+
+def test_select_fair_output_takes_set_axes():
+    classes, bias, _ = _grid([[0.05, 0.3], [0.2, 0.1]])
+    eligible = np.array([[[False, True], [True, False]], [[True, True], [True, True]]])
+    preds, biases = select_fair_output(classes, np.stack([bias, bias]), eligible)
+    assert preds.dtype == np.uint8
+    assert preds.tolist() == [[1, 0, 7], [0, 0, 7]]
+    assert biases.tolist() == [0.2, 0.05]
+    with pytest.raises(ValueError):
+        select_fair_output(classes, np.stack([bias, bias]), eligible & np.array([True, False])[:, None, None])
 
 
 def _random_cache_world(seed, eta=0.6, n_outer=12, n_inner=6, vul=(0, 1)):
@@ -440,6 +455,68 @@ def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
             outcomes.append(rep.outcome)
     assert outcomes.count(CERTIFIED) >= 10
     assert outcomes.count(ABSTAIN) >= 6
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_certify_sets_equals_the_scalar_oracle(monkeypatch, per_chunk, strict):
+    # sets of 2 to 8 nodes; set 4, mid-chunk, holds only s = 0 nodes, so its metric is undefined
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 12 * 6)
+    seen = dict.fromkeys(["CERTIFIED", "undecided", "outer", "tied"], 0)
+    for seed, eta in itertools.product(range(12), (0.3, 0.6)):
+        g, X, labels, split, cfg, cache = _random_cache_world(seed, eta=eta, vul=(0,))
+        cfg = replace(cfg, strict=strict)
+        rng = np.random.default_rng([seed, 1])
+        sets = [(0, *sorted(rng.choice(np.arange(1, 8), size=rng.integers(1, 8), replace=False).tolist())) for _ in range(7)]
+        sets[4] = (0, 2, 4, 6)
+        reports = certify_sets(None, g, X, labels, split, sets, cfg, cache=cache)
+        assert [r.test_set for r in reports] == sets
+        for ts, rep in zip(sets, reports):
+            fields, records, prediction = oracles.certify_set_oracle(cache.classes, labels, ts, cfg, eta)
+            d = rep.to_json_dict()
+            assert {k: d[k] for k in fields} == fields
+            assert rep.abstain_reason == fields["abstain_reason"]
+            assert rep.records.tobytes() == records
+            assert (None if rep.selected_prediction is None else rep.selected_prediction.tobytes()) == prediction
+            if rep.outcome == CERTIFIED:
+                seen["CERTIFIED"] += 1
+                bias, indicator, certified = _draw_evidence(cache, labels, ts, cfg)
+                eligible = [b for o, row in enumerate(bias) if certified[o] for b, fair in zip(row, indicator[o]) if fair]
+                seen["tied"] += eligible.count(min(eligible)) > 1
+            else:
+                seen[rep.abstain_reason.split()[0]] += 1
+    assert min(seen[k] for k in ("CERTIFIED", "outer", "tied")) >= 10, seen
+    assert (seen["undecided"] >= 10) == strict, seen
+
+
+def test_certify_sets_rejects_a_node_listed_twice():
+    g, X, labels, split, cfg, cache = _random_cache_world(3, eta=0.6)
+    with pytest.raises(ValueError, match="test set 1 lists node 7 more than once"):
+        certify_sets(None, g, X, labels, split, [split.test_pool, split.test_pool + (7, 7, 7)], cfg, cache=cache)
+
+
+def test_certify_sets_work_per_call_is_fixed(monkeypatch):
+    g, X, labels, split, cfg, cache = _random_cache_world(0)
+    calls = {"class1_hits": 0, "counts": 0}
+    hits, bound = pipeline.class1_hits, pipeline.binomial_lower_bound_vec
+
+    def counted_hits(*args):
+        calls["class1_hits"] += 1
+        return hits(*args)
+
+    def counted_bound(n_success, n_fail, alpha):
+        calls["counts"] += np.size(n_success)
+        return bound(n_success, n_fail, alpha)
+
+    monkeypatch.setattr(pipeline, "class1_hits", counted_hits)
+    monkeypatch.setattr(pipeline, "binomial_lower_bound_vec", counted_bound)
+    # three sets per chunk, so 200 sets take 67 chunks
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * cfg.n_outer * cfg.n_inner)
+    for count in (1, 200):
+        calls.update(class1_hits=0, counts=0)
+        assert len(certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache)) == count
+        assert calls["class1_hits"] == 1
+        assert calls["counts"] <= cfg.n_inner + cfg.n_outer + 2
 
 
 def test_certify_sets_memory_is_bounded_by_the_chunk():

@@ -2,7 +2,7 @@
 
 Runs `elegant train`, `certify`, `fcr`, `sweep` and `attack` for both
 backbones at seed 0 with n_outer 60, n_inner 40 and FCR test sets of ratio
-0.5, count 3, each with `--jobs N` (default 1), then prints one
+0.5, count 120, each with `--jobs N` (default 1), then prints one
 `<backbone>/<file> <sha256>` line per artifact and model file, plus each
 command's exit code.  It exits with status 1 if any command exited
 non-zero.  Run it in two checkouts and `diff` the outputs to check that a
@@ -45,7 +45,8 @@ CONFIG = {
     "dataset": {"fixture": "sbm200"},
     "seed": 0,
     "smoothing": {"n_outer": 60, "n_inner": 40},
-    "fcr": {"ratio": 0.5, "count": 3},
+    # pipeline.certify_sets takes 54 sets per chunk at 60 x 40, so 120 sets span three chunks
+    "fcr": {"ratio": 0.5, "count": 120},
 }
 
 
