@@ -291,13 +291,14 @@ def make_splits(g: Graph, seed: int, train_frac: float = 0.3, val_frac: float = 
     )
 
 
-def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, include=()) -> list:
+def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, include=()) -> np.ndarray:
     """Sample `count` test sets of size round(ratio * |pool|) from the pool.
 
-    Draws are uniform without replacement on a per-set substream, read
-    through one re-keyed generator rather than a new one per set.  When
-    `include` is nonempty those nodes are forced into every set and only
-    the remainder is drawn, keeping the total size unchanged.
+    Returns a read-only (count, size) int64 matrix whose row j, sorted,
+    is set j.  Draws are uniform without replacement on a per-set
+    substream, read through one re-keyed generator rather than a new one
+    per set.  When `include` is nonempty those nodes are forced into every
+    set and only the remainder is drawn, keeping the total size unchanged.
     """
     if not 0 < ratio <= 1:
         raise DataError(f"ratio must lie in (0, 1], got {ratio}")
@@ -313,9 +314,11 @@ def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, incl
     if len(include) > size:
         raise DataError(f"cannot force {len(include)} nodes into test sets of size {size}")
     rest = pool[~np.isin(pool, include)]  # in pool order, which the seeded draws index into
-    out = []
+    drawn = size - len(include)
+    sets = np.empty((count, size), dtype=np.int64)
+    sets[:, drawn:] = include
     for j in range(count):
-        draw = _rekeyed(seed, DOMAIN_TESTSET, j).choice(rest, size=size - len(include), replace=False)
-        members = np.sort(np.concatenate([draw, np.array(include, dtype=np.int64)]))
-        out.append(tuple(members.tolist()))
-    return out
+        sets[j, :drawn] = _rekeyed(seed, DOMAIN_TESTSET, j).choice(rest, size=drawn, replace=False)
+    sets.sort(axis=1)
+    sets.flags.writeable = False
+    return sets

@@ -27,16 +27,22 @@ was built with; certify_sets refuses one built for another vulnerable set,
 shape, sigma, beta or master seed.
 
 certify_sets certifies many test sets on one cache, as fcr_run does for
-its sampled sets; certify_and_predict is certify_sets on one set.  Per
-call it gathers the cache's class-1 hits on the sets' nodes once
-(fairness.class1_hits) and tabulates the Clopper-Pearson bound of every
+the (count, size) matrix sample_test_sets draws; certify_and_predict is
+certify_sets on one set.  Any batch of sets, a matrix or a sequence of
+sets of unequal sizes, becomes one flat layout: every set's sorted nodes
+in one array, with per-set offsets.  Validation, the metric groups
+(fairness.metric_sides), the membership scatter and accuracy are array
+operations over that layout.  Per call it gathers the cache's class-1 hits
+once (fairness.class1_hits), one column block per sensitive side holding
+that side's group nodes, and tabulates the Clopper-Pearson bound of every
 count a vote can take, with the inner radii; a vote count has only
 n_inner + 1 (outer: n_outer + 1) values.  The sets then go in chunks: one
-fairness.rate_gaps product gives a chunk's (k, n_outer, n_inner) bias
-from exact group counts, the tables its (k, n_outer) evidence by lookup,
-and array operations its outcomes, attribute budgets and selections (one
-select_fair_output call over the chunk's certified sets); only the
-reports themselves are built one set at a time.
+fairness.rate_gaps call, one count product per side, gives a chunk's
+(k, n_outer, n_inner) bias from exact group counts, the tables its
+(k, n_outer) evidence by lookup, and array operations its outcomes,
+attribute budgets and selections (one select_fair_output call over the
+chunk's certified sets); only the reports themselves are built one set at
+a time.
 
 A report's records is that evidence for its set: a read-only numpy record
 array with one row per outer sample, in stream order, and the fields n1
@@ -49,6 +55,7 @@ records.n1 the whole column.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -58,7 +65,7 @@ import numpy as np
 from .certify import CertifiedBudgets, attribute_radius, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound_vec
-from .fairness import BiasThreshold, UndefinedMetricError, class1_hits, metric_groups, rate_gaps
+from .fairness import BiasThreshold, class1_hits, metric_sides, rate_gaps
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -213,27 +220,56 @@ def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarr
     return draws[pick], np.take_along_axis(flat, pick[..., None], axis=-1)[..., 0]
 
 
-def _test_set_indices(test_sets, pool, vulnerable: tuple, n: int) -> list:
-    """Each test set as a sorted int64 array; raises ValueError on a set the pipeline cannot certify."""
-    in_pool = np.isin(np.arange(n), pool)
+def _flat_sets(test_sets, pool, vulnerable: tuple, n: int) -> tuple:
+    """The test sets as one flat layout: (nodes, set of each node, offsets).
+
+    test_sets is a (count, size) matrix or a sequence of node sequences of
+    any sizes.  nodes holds every set's members, sorted within each set and
+    sets in order; set j is nodes[offsets[j] : offsets[j + 1]].  Raises
+    ValueError naming the set and the node when a set holds a node outside
+    the pool, lists a node twice or lacks a vulnerable node.
+    """
+    if isinstance(test_sets, np.ndarray) and test_sets.ndim == 2:
+        sizes = np.full(len(test_sets), test_sets.shape[1], dtype=np.int64)
+        flat = test_sets.astype(np.int64, copy=False).ravel()
+    else:
+        test_sets = list(test_sets)
+        sizes = np.fromiter(map(len, test_sets), np.int64, len(test_sets))
+        flat = np.fromiter(itertools.chain.from_iterable(test_sets), np.int64, int(sizes.sum()))
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    inside = flat.clip(0, n - 1)
+    outside = (inside != flat) | ~np.isin(np.arange(n), pool)[inside]
+    if outside.any():
+        i = np.argmax(outside)
+        raise ValueError(f"test set {seg[i]} must lie in the test pool; node {flat[i]} does not")
+    # one sort orders every set: set j's keys j * n + node sit below set j + 1's
+    key = np.sort(seg * n + flat)
+    flat = key - seg * n
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        i = repeated[0]
+        raise ValueError(f"test set {seg[i]} lists node {flat[i]} more than once")
     vul = np.array(vulnerable, dtype=np.int64)
-    test_idx = []
-    for j, test_set in enumerate(test_sets):
-        idx = np.sort(np.fromiter(test_set, dtype=np.int64))
-        if idx.size and not (idx[0] >= 0 and idx[-1] < n and in_pool[idx].all()):
-            raise ValueError("test set must lie in the test pool")
-        repeated = idx[1:][idx[1:] == idx[:-1]]
-        if repeated.size:
-            raise ValueError(f"test set {j} lists node {repeated[0]} more than once")
-        if (np.searchsorted(idx, vul, side="right") == np.searchsorted(idx, vul)).any():
-            raise ValueError("vulnerable nodes must belong to the test set")
-        test_idx.append(idx)
-    return test_idx
+    lacking = np.bincount(seg[np.isin(np.arange(n), vul)[flat]], minlength=sizes.size) < vul.size
+    if lacking.any():
+        j = np.argmax(lacking)
+        node = np.setdiff1d(vul, flat[seg == j])[0]
+        raise ValueError(f"vulnerable nodes must belong to the test set; test set {j} lacks node {node}")
+    return flat, seg, np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _columns(nodes: np.ndarray, n: int) -> tuple:
+    """The sorted distinct ids among nodes, and each entry's position among them."""
+    covered = np.zeros(n, dtype=bool)
+    covered[nodes] = True
+    return np.flatnonzero(covered), (np.cumsum(covered) - 1)[nodes]
 
 
 def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> tuple:
     """Certify the smoothed bias indicator on each test set and pick its output.
 
+    test_sets is a (count, size) node matrix, as sample_test_sets returns,
+    or a sequence of node sequences of any sizes; both take one path.
     Returns one CertificationReport per set, in order.  model must already
     be the backbone the smoothing wraps (for defended runs, the
     noise-augmented one).  eta defaults to an absolute threshold of
@@ -242,40 +278,42 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     the pool, each listed once, the vulnerable nodes among them), then one
     cache serves them all; a cache whose vulnerable set, shape, sigma,
     beta or master_seed differs from this call raises ValueError, and
-    matching the model, graph and attributes is left to the caller.
+    matching the model, graph and attributes is left to the caller.  No
+    sets return () before any cache is built.
 
-    The work that does not depend on the set is done once per call: the
-    class-1 hits of every draw on the union of the sets' metric groups,
-    the Clopper-Pearson bound of every possible inner count 0..n_inner
-    and outer count 0..n_outer, the inner radii, and one structure budget
-    per distinct outer bound.  The sets are then certified in chunks of
-    CERTIFY_CHUNK_BYTES worth of group rates: one rate_gaps product gives
-    the chunk's (k, n_outer, n_inner) bias, table lookups its evidence,
-    and array operations its outcomes, attribute budgets and selections.
+    The sets become one flat layout, every set's sorted nodes in one
+    array, and the work that does not depend on the set is done once per
+    call on it: validation, the metric groups, the class-1 hits of every
+    draw on each sensitive side's union of group nodes, the
+    Clopper-Pearson bound of every possible inner count 0..n_inner and
+    outer count 0..n_outer, the inner radii, and one structure budget per
+    distinct outer bound.  The sets are then certified in chunks of
+    CERTIFY_CHUNK_BYTES worth of group rates: one rate_gaps product per
+    sensitive side gives the chunk's (k, n_outer, n_inner) bias, table
+    lookups its evidence, and array operations its outcomes, attribute
+    budgets, selections and accuracies.
     """
     if eta is None:
         eta = BiasThreshold.absolute(cfg.eta)
     vul = tuple(sorted(set(int(i) for i in split.vulnerable)))
     if not vul:
         raise ValueError("vulnerable set must be nonempty")
-    test_idx = _test_set_indices(test_sets, split.test_pool, vul, g.n)
+    flat, seg, offsets = _flat_sets(test_sets, split.test_pool, vul, g.n)
+    count = offsets.size - 1
+    if count == 0:
+        return ()
     if cache is None:
         cache = PredictionCache.build(model, g, X, vul, cfg, jobs=jobs)
     cache.check(vul, g.n, cfg)
 
-    groups = []
-    for j, idx in enumerate(test_idx):
-        try:
-            groups.append(metric_groups(idx, labels, cfg.metric))
-        except UndefinedMetricError:
-            logger.warning("bias metric undefined on test set %d; all its indicators forced to 0", j)
-            groups.append(None)
-    covered = np.zeros(g.n, dtype=bool)
-    for pair in groups:
-        if pair is not None:
-            covered[pair[0]] = covered[pair[1]] = True
-    nodes = np.flatnonzero(covered)
-    hits = class1_hits(cache.classes, nodes)
+    # per sensitive side: the set of each group member and its hits column
+    sides = [(seg[m], *_columns(flat[m], g.n)) for m in metric_sides(flat, labels, cfg.metric)]
+    group_sizes = [np.bincount(sets, minlength=count) for sets, _, _ in sides]
+    for j in np.flatnonzero((group_sizes[0] == 0) | (group_sizes[1] == 0)):
+        logger.warning("bias metric undefined on test set %d; all its indicators forced to 0", j)
+    hits = class1_hits(cache.classes, np.concatenate([nodes for _, nodes, _ in sides]))
+    width = sides[0][1].size
+    blocks = hits[:, :width], hits[:, width:]
 
     # every count a vote can take: inner n1 in 0..n_inner, outer n_pos in 0..n_outer
     n1s = np.arange(cfg.n_inner + 1)
@@ -290,24 +328,35 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
 
     domain = domain_size(g.n, len(vul))
     y = np.asarray(labels.y)
+    members, bounds = flat.tolist(), offsets.tolist()
     chunk = max(1, CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner))
     reports = []
-    for start in range(0, len(test_idx), chunk):
-        pairs = groups[start : start + chunk]
-        defined = np.array([pair is not None for pair in pairs])
-        bias = np.full((len(pairs), cfg.n_outer, cfg.n_inner), np.nan)
-        if defined.any():
-            bias[defined] = rate_gaps(hits, nodes, [pair for pair in pairs if pair is not None]).reshape(-1, cfg.n_outer, cfg.n_inner)
-        indicator = bias < eta.eta  # NaN compares False: an undefined set's indicators are 0
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        k = stop - start
+        chunk_sides = []
+        for block, (sets, _, col) in zip(blocks, sides):
+            lo, hi = np.searchsorted(sets, (start, stop))
+            chunk_sides.append((block, sets[lo:hi] - start, col[lo:hi]))
+        # an undefined set's bias is NaN, which compares False: its indicators are 0
+        bias = rate_gaps(k, *chunk_sides).reshape(k, cfg.n_outer, cfg.n_inner)
+        indicator = bias < eta.eta
 
         n1 = indicator.sum(axis=2)
         cert_pos, decided = inner_certified[n1], inner_decided[n1]
         n_pos = cert_pos.sum(axis=1)
-        undecided = ~decided.all(axis=1) if cfg.strict else np.zeros(len(pairs), dtype=bool)
+        undecided = ~decided.all(axis=1) if cfg.strict else np.zeros(k, dtype=bool)
         certified = ~undecided & (outer_low[n_pos] > 0.5)
         eps_x = np.where(cert_pos, inner_radius[n1], np.inf).min(axis=1)
         if certified.any():
             picked, picked_bias = select_fair_output(cache.classes, bias[certified], indicator[certified] & cert_pos[certified][:, :, None])
+            # accuracy: one gather of the certified sets' nodes in their picked predictions
+            lo, hi = offsets[start], offsets[stop]
+            sets = seg[lo:hi] - start
+            take = certified[sets]
+            nodes, sets = flat[lo:hi][take], sets[take]
+            correct = picked[(np.cumsum(certified) - 1)[sets], nodes] == y[nodes]
+            accuracy = np.bincount(sets[correct], minlength=k) / np.diff(offsets[start : stop + 1])
         # a plain structured array: its rows index without recarray.__getitem__ (about 9 us a row)
         records = np.rec.fromarrays(
             [n1, inner_low[n1], cert_pos, decided, inner_radius[n1]],
@@ -316,22 +365,21 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
         records.flags.writeable = False
 
         c = 0
-        for j, idx in enumerate(test_idx[start : start + chunk]):
+        for j in range(k):
             positive = int(n_pos[j])
             low = float(outer_low[positive])
             reason = budgets = prediction = sel_bias = acc = None
             if undecided[j]:
                 first = int(np.argmin(decided[j]))
-                k = int(n1[j, first])
-                reason = f"undecided inner vote at outer sample {first} (n1={k}, n0={cfg.n_inner - k})"
+                n1_first = int(n1[j, first])
+                reason = f"undecided inner vote at outer sample {first} (n1={n1_first}, n0={cfg.n_inner - n1_first})"
             elif not certified[j]:
                 reason = f"outer fair-vote bound {low:.6f} <= 1/2 ({positive}/{cfg.n_outer} positive)"
             if reason is None:
                 if positive not in eps_a:
                     eps_a[positive] = structure_budget(low, cfg.beta, cfg.k_max)
                 budgets = CertifiedBudgets(eps_A=eps_a[positive], eps_X=float(eps_x[j]))
-                prediction, sel_bias = picked[c], float(picked_bias[c])
-                acc = np.count_nonzero(prediction[idx] == y[idx]) / idx.size
+                prediction, sel_bias, acc = picked[c], float(picked_bias[c]), float(accuracy[j])
                 c += 1
             else:
                 logger.info("certification abstains: %s", reason)
@@ -349,7 +397,7 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
                     records=records[j].view(np.recarray),
                     config=cfg,
                     conventions={**CONVENTIONS, "noise_domain_size": domain},
-                    test_set=tuple(idx.tolist()),
+                    test_set=tuple(members[bounds[start + j] : bounds[start + j + 1]]),
                     abstain_reason=reason,
                 )
             )

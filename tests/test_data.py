@@ -238,10 +238,10 @@ def test_sample_test_sets_draws_from_pool():
     for ts in sets:
         assert len(ts) == size
         assert set(ts) <= set(sp.test_pool)
-        assert ts == tuple(sorted(ts))
+        assert np.array_equal(ts, sorted(ts))
     # per-set substreams: same seed reproduces, different seed does not
-    assert sets == sample_test_sets(sp, ratio=0.9, count=5, seed=3)
-    assert sets != sample_test_sets(sp, ratio=0.9, count=5, seed=4)
+    assert np.array_equal(sets, sample_test_sets(sp, ratio=0.9, count=5, seed=3))
+    assert not np.array_equal(sets, sample_test_sets(sp, ratio=0.9, count=5, seed=4))
 
 
 def test_sample_test_sets_equal_fresh_substream_draws():
@@ -254,7 +254,25 @@ def test_sample_test_sets_equal_fresh_substream_draws():
         size = round(ratio * len(sp.test_pool)) - len(include)
         for j, ts in enumerate(sets):
             draw = substream(seed, DOMAIN_TESTSET, j).choice(rest, size=size, replace=False)
-            assert ts == tuple(sorted(draw.tolist() + list(include)))
+            assert np.array_equal(ts, sorted(draw.tolist() + list(include)))
+
+
+def test_sample_test_sets_return_a_read_only_sorted_matrix():
+    g = Graph(n=300, edges=frozenset())
+    sp = make_splits(g, seed=2)
+    rest = np.array([i for i in sp.test_pool if i not in set(sp.vulnerable)], dtype=np.int64)
+    for include in ((), sp.vulnerable):
+        sets = sample_test_sets(sp, ratio=0.4, count=25, seed=5, include=include)
+        size = round(0.4 * len(sp.test_pool))
+        assert sets.dtype == np.int64 and sets.shape == (25, size)
+        assert not sets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sets[0, 0] = -1
+        assert (np.diff(sets, axis=1) > 0).all()
+        pool = rest if include else np.array(sp.test_pool, dtype=np.int64)
+        for j, row in enumerate(sets):
+            draw = substream(5, DOMAIN_TESTSET, j).choice(pool, size=size - len(include), replace=False)
+            np.testing.assert_array_equal(row, np.sort(np.concatenate([draw, np.array(include, dtype=np.int64)])))
 
 
 def test_sample_test_sets_forces_include():

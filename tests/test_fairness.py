@@ -100,9 +100,10 @@ def test_positive_rate_gap_equals_the_gather_mean_oracle(case):
     assert gaps.shape == (len(pairs),) + classes.shape[:-1]
     for gap, pair in zip(gaps, pairs):
         assert gap.tobytes() == np.asarray(positive_rate_gap_oracle(classes, pair)).tobytes()
-    # hits gathered on every node, a superset of the pairs' union, give the same bits
-    every = np.arange(classes.shape[-1])
-    assert rate_gaps(class1_hits(classes, every), every, pairs).tobytes() == gaps.tobytes()
+    # hits gathered on every node, a superset of either side's nodes, give the same bits
+    hits = class1_hits(classes, np.arange(classes.shape[-1]))
+    sides = [(hits, np.repeat(np.arange(len(pairs)), [g.size for g in groups]), np.concatenate(groups)) for groups in zip(*pairs)]
+    assert rate_gaps(len(pairs), *sides).tobytes() == gaps.tobytes()
 
 
 def test_accuracy():

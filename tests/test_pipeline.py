@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -194,12 +195,16 @@ def test_undefined_metric_forces_zero_indicators(caplog):
 def test_test_set_validation():
     g, X, labels, split = _world()
     cfg = SmoothingConfig(n_outer=4, n_inner=4, master_seed=0)
-    with pytest.raises(ValueError, match="vulnerable nodes"):
+    with pytest.raises(ValueError, match="vulnerable nodes must belong to the test set; test set 0 lacks node 0"):
         certify_and_predict(_ConstantModel(), g, X, labels, split, (4, 5, 6), cfg)
+    with pytest.raises(ValueError, match="vulnerable nodes must belong to the test set; test set 1 lacks node 1"):
+        certify_sets(_ConstantModel(), g, X, labels, split, [(0, 1, 3), (5, 0, 4)], cfg)
     small_pool = SplitSpec(train=(2,), validation=(), test_pool=tuple(range(3, g.n)) + (0, 1), vulnerable=split.vulnerable)
     for outside in (2, -1, g.n):
-        with pytest.raises(ValueError, match="lie in the test pool"):
+        with pytest.raises(ValueError, match=re.escape(f"test set 0 must lie in the test pool; node {outside} does not")):
             certify_and_predict(_ConstantModel(), g, X, labels, small_pool, (0, 1, 3, outside), cfg)
+        with pytest.raises(ValueError, match=re.escape(f"test set 2 must lie in the test pool; node {outside} does not")):
+            certify_sets(_ConstantModel(), g, X, labels, small_pool, np.array([[0, 1, 3], [1, 0, 4], [0, outside, 1]]), cfg)
     bad = SplitSpec(train=(), validation=(), test_pool=split.test_pool, vulnerable=())
     with pytest.raises(ValueError, match="nonempty"):
         certify_and_predict(_ConstantModel(), g, X, labels, bad, split.test_pool, cfg)
@@ -487,6 +492,84 @@ def test_certify_sets_equals_the_scalar_oracle(monkeypatch, per_chunk, strict):
                 seen[rep.abstain_reason.split()[0]] += 1
     assert min(seen[k] for k in ("CERTIFIED", "outer", "tied")) >= 10, seen
     assert (seen["undecided"] >= 10) == strict, seen
+
+
+def _report_fields(rep):
+    """Everything a report holds, in comparable form."""
+    prediction = None if rep.selected_prediction is None else rep.selected_prediction.tobytes()
+    return rep.to_json_dict(), rep.abstain_reason, rep.test_set, rep.outer_lower_bound, rep.records.tobytes(), prediction
+
+
+def _undefined_warnings(sets, labels, metric):
+    """The warning certify_sets logs for each set whose metric is undefined, from metric_groups."""
+    out = []
+    for j, ts in enumerate(sets):
+        try:
+            metric_groups(np.array(ts), labels, metric)
+        except UndefinedMetricError:
+            out.append(f"bias metric undefined on test set {j}; all its indicators forced to 0")
+    return out
+
+
+@pytest.mark.parametrize("metric", ["sp", "eo"])
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_certify_sets_takes_one_path_for_every_input_form(monkeypatch, caplog, per_chunk, metric):
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 12 * 6)
+    for seed in range(6):
+        g, X, labels, split, cfg, cache = _random_cache_world(seed, vul=(0,))
+        # label-1 nodes are 0, 1, 2, 3, 6 and 7, with both s values among them
+        labels = NodeLabels(y=np.array([1, 1, 1, 1, 0, 0, 1, 1]), s=labels.s)
+        cfg = replace(cfg, metric=metric)
+        rng = np.random.default_rng([seed, 2])
+        matrix = np.array([[0, *sorted(rng.choice(np.arange(1, 8), size=4, replace=False).tolist())] for _ in range(7)])
+        # mid-chunk; under eo its label-1 nodes 0, 2 and 6 all have s = 0, so the metric is undefined
+        matrix[4] = (0, 2, 4, 5, 6)
+        matrix.flags.writeable = False
+        unsorted = rng.permuted(matrix, axis=1)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="elegant.pipeline"):
+            want = [_report_fields(r) for r in certify_sets(None, g, X, labels, split, matrix, cfg, cache=cache)]
+        assert [r.getMessage() for r in caplog.records] == _undefined_warnings(matrix, labels, metric)
+        assert ("bias metric undefined on test set 4" in caplog.text) == (metric == "eo")
+        for sets in ([tuple(row) for row in matrix.tolist()], unsorted, [tuple(row) for row in unsorted.tolist()]):
+            assert [_report_fields(r) for r in certify_sets(None, g, X, labels, split, sets, cfg, cache=cache)] == want
+        # sets of 2, 7 and 4 nodes, unsorted, between the rows of the matrix
+        extra = [(0, *rng.choice(np.arange(1, 8), size=size, replace=False).tolist())[::-1] for size in (1, 6, 3)]
+        mixed = [extra[0], *unsorted[:3], extra[1], *unsorted[3:], extra[2]]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="elegant.pipeline"):
+            got = [_report_fields(r) for r in certify_sets(None, g, X, labels, split, mixed, cfg, cache=cache)]
+        assert [r.getMessage() for r in caplog.records] == _undefined_warnings(mixed, labels, metric)
+        assert ("bias metric undefined on test set 6" in caplog.text) == (metric == "eo")
+        alone = [_report_fields(certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache)) for ts in extra]
+        assert got == [alone[0], *want[:3], alone[1], *want[3:], alone[2]]
+        for ts, (d, reason, _, _, records, prediction) in zip(mixed, got):
+            fields, oracle_records, oracle_prediction = oracles.certify_set_oracle(cache.classes, labels, ts, cfg, cfg.eta)
+            assert {k: d[k] for k in fields} == fields and reason == fields["abstain_reason"]
+            assert (records, prediction) == (oracle_records, oracle_prediction)
+
+
+class _CountingModel(_ConstantModel):
+    """A constant model that counts its forward_many calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.forward_many_calls = 0
+
+    def forward_many(self, ops, X, rows, deltas, out=None):
+        self.forward_many_calls += 1
+        return super().forward_many(ops, X, rows, deltas, out=out)
+
+
+def test_certify_sets_with_no_sets_builds_no_cache():
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=4, n_inner=3, eta=0.25, master_seed=0)
+    model = _CountingModel()
+    for sets in ((), [], np.empty((0, 5), dtype=np.int64)):
+        assert certify_sets(model, g, X, labels, split, sets, cfg) == ()
+    assert model.forward_many_calls == 0
+    assert certify_sets(model, g, X, labels, split, [split.test_pool], cfg)[0].outcome == CERTIFIED
+    assert model.forward_many_calls == cfg.n_outer
 
 
 def test_certify_sets_rejects_a_node_listed_twice():

@@ -4,7 +4,9 @@ Runs `elegant train`, `certify`, `fcr`, `sweep` and `attack` for both
 backbones at seed 0 with n_outer 60, n_inner 40 and FCR test sets of ratio
 0.5, count 120, each with `--jobs N` (default 1), then prints one
 `<backbone>/<file> <sha256>` line per artifact and model file, plus each
-command's exit code.  It exits with status 1 if any command exited
+command's exit code.  A last `fcr` run with the equal opportunity metric
+(`"metric": "eo"`) prints its exit code and its `fcr.json` digest on lines
+of their own, `<backbone>/fcr-eo ...`.  It exits with status 1 if any command exited
 non-zero.  Run it in two checkouts and `diff` the outputs to check that a
 change leaves every artifact byte-identical:
 
@@ -52,20 +54,31 @@ CONFIG = {
 
 def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str], bool]:
     """Run every command for one backbone into out; return its report lines and whether every command exited 0."""
-    config = os.path.join(out, "config.json")
-    with open(config, "w") as fh:
-        json.dump(CONFIG, fh)
     env = dict(os.environ, PYTHONPATH=src)
     lines, ok = [], True
-    for command in COMMANDS:
-        argv = [sys.executable, "-m", "elegant", command, "--config", config, "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
+
+    def run(command: str, label: str, config: dict) -> None:
+        nonlocal ok
+        path = os.path.join(out, f"config-{label}.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = [sys.executable, "-m", "elegant", command, "--config", path, "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
         code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-        lines.append(f"{backbone}/{command} exit {code}")
+        lines.append(f"{backbone}/{label} exit {code}")
         ok = ok and code == 0
-    for name in ARTIFACTS:
+
+    def digest(name: str, label: str) -> None:
         path = os.path.join(out, name)
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest() if os.path.exists(path) else "missing"
-        lines.append(f"{backbone}/{name} {digest}")
+        value = hashlib.sha256(open(path, "rb").read()).hexdigest() if os.path.exists(path) else "missing"
+        lines.append(f"{backbone}/{label} {value}")
+
+    for command in COMMANDS:
+        run(command, command, CONFIG)
+    for name in ARTIFACTS:
+        digest(name, name)
+    # the eo run reuses the trained models and overwrites fcr.json, so it goes last
+    run("fcr", "fcr-eo", dict(CONFIG, metric="eo"))
+    digest("fcr.json", "fcr-eo/fcr.json")
     return lines, ok
 
 
