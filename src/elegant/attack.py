@@ -19,7 +19,7 @@ from .data import Graph
 from .fairness import bias_value, metric_groups, prediction_metrics
 from .gnn import _softmax, predict_classes
 from .pipeline import CERTIFIED, certify_and_predict
-from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream
+from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
 
@@ -39,11 +39,7 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     """
     if budget_l2 < 0:
         raise ValueError(f"budget_l2 must be nonnegative, got {budget_l2}")
-    vul = np.asarray(sorted(set(int(i) for i in vulnerable)), dtype=np.int64)
-    if vul.size == 0:
-        raise ValueError("vulnerable set must be nonempty")
-    if vul[0] < 0 or vul[-1] >= g.n:
-        raise ValueError("vulnerable ids out of range")
+    vul = vulnerable_ids(vulnerable, g.n)
     if budget_l2 == 0:
         return np.array(X, copy=True)
     idx = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
@@ -158,7 +154,7 @@ def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, gri
         within = (
             "-"
             if clean_eps_a is None
-            else str(bool(budget_edges <= clean_eps_a and budget_l2 <= clean_eps_x)).lower()
+            else str(bool(budget_edges <= clean_eps_a and budget_l2 < clean_eps_x)).lower()
         )
         if report.outcome == CERTIFIED:
             smoothed = prediction_metrics(report.selected_prediction, labels, pool)

@@ -33,7 +33,7 @@ BOUNDARY_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CertifiedBudgets:
-    """Joint certificate: any eps_A pair flips plus any eps_X-bounded attribute change."""
+    """Joint certificate: any eps_A pair flips plus any attribute change of L2 norm below eps_X."""
 
     eps_A: int
     eps_X: float
@@ -183,12 +183,3 @@ def attribute_radius(p_lower, sigma: float):
     radius = np.where(p <= 0.5, 0.0, sigma * special.ndtri(p))  # ndtri(1) is inf
     return float(radius) if radius.ndim == 0 else radius
 
-
-def joint_attribute_budget(per_sample_radii) -> float:
-    """Conservative attribute budget across outer samples: the minimum radius."""
-    radii = [float(r) for r in per_sample_radii]
-    if not radii:
-        raise ValueError("no certified samples to aggregate over, abstain")
-    if any(r < 0.0 for r in radii):
-        raise ValueError("radii must be nonnegative")
-    return min(radii)

@@ -1,4 +1,4 @@
-"""Normal quantiles and one-sided binomial lower confidence bounds.
+"""One-sided binomial lower confidence bounds.
 
 Both smoothing layers reduce their Monte-Carlo evidence to the same
 primitive: given n_success hits out of n trials, a lower confidence bound
@@ -25,13 +25,6 @@ class ProbabilityBound:
     n_success: int
     n_fail: int
     alpha: float
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF. Accurate to machine precision on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie strictly in (0, 1), got {p}")
-    return float(special.ndtri(p))
 
 
 def binomial_lower_bound(n_success: int, n_fail: int, alpha: float) -> ProbabilityBound:

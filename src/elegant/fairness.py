@@ -3,16 +3,14 @@
 Both metrics compare the two groups induced by a binary sensitive
 attribute over a node subset: statistical parity looks at positive
 prediction rates, equal opportunity at true positive rates.  METRICS
-names them.  _sides is the one place those groups are formed and
-_population the one place a metric picks its population, for the metrics
-here, the certification pipeline and both attacks: sensitive_groups and
-metric_groups return one set's groups, metric_sides marks them over a
-whole batch of sets at once.  One kernel compares their class-1 rates,
-one side at a time: each side's groups are counted against the class-1
-hits of that side's nodes only, so neither side's product multiplies the
-other side's columns.  positive_rate_gap gathers the hits it needs, and
-rate_gaps counts hits that class1_hits gathered once for many group
-pairs, as the pipeline does for a whole batch of test sets.  A metric is
+names them.  metric_sides is the one place a metric's groups are formed
+and its population picked, for the metrics here, the certification
+pipeline and both attacks: it marks them over a whole batch of sets at
+once, and metric_groups returns one set's groups.  One kernel compares
+their class-1 rates, one side at a time: rate_gaps counts each side's
+groups against the class-1 hits of that side's nodes only, hits that
+class1_hits gathers once for many group pairs, as the pipeline does for
+a whole batch of test sets and bias_value for one.  A metric is
 undefined when one of its groups is empty; callers decide how to treat
 that (the certification pipeline forces such draws' indicator votes to 0
 and logs them).
@@ -72,55 +70,35 @@ class BiasThreshold:
         )
 
 
-def sensitive_groups(nodes, s, y=None) -> tuple[np.ndarray, np.ndarray]:
-    """The node ids with s = 0 and with s = 1 among nodes, in input order.
+def metric_groups(nodes, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """The node ids metric compares among nodes, s = 0 then s = 1, in input order.
 
-    Passing y keeps only the label-1 nodes, the population equal
-    opportunity compares.  Raises UndefinedMetricError when either group is
-    empty.
+    labels carries both y and s.  Raises ValueError on an unknown metric
+    and UndefinedMetricError when either group is empty.
     """
     idx = np.asarray(nodes, dtype=np.int64)
-    g0, g1 = (idx[side] for side in _sides(idx, s, y))
+    g0, g1 = (idx[side] for side in metric_sides(idx, labels, metric))
     if g0.size == 0 or g1.size == 0:
         raise UndefinedMetricError("one sensitive group is empty on this node set")
     return g0, g1
 
 
-def metric_groups(nodes, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """The sensitive groups metric compares among nodes; labels carries both y and s.
-
-    Statistical parity compares all of nodes, equal opportunity only the
-    label-1 ones.  Raises ValueError on an unknown metric and
-    UndefinedMetricError when either group is empty.
-    """
-    return sensitive_groups(nodes, labels.s, _population(labels, metric))
-
-
 def metric_sides(nodes: np.ndarray, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks over an int64 array of node ids: metric's s = 0 and s = 1 members.
 
-    nodes may hold many sets at once, one after another; the masks mark,
-    entry by entry, what metric_groups would return for each set, and an
+    Statistical parity compares every node, equal opportunity only the
+    label-1 ones.  nodes may hold many sets at once, one after another; an
     empty group is left to the caller.  Raises ValueError on an unknown
     metric.
     """
-    return _sides(nodes, labels.s, _population(labels, metric))
-
-
-def _population(labels, metric: str):
-    """The labels whose 1 entries metric compares (None: every node)."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    return labels.y if metric == EQUAL_OPPORTUNITY else None
-
-
-def _sides(idx: np.ndarray, s, y) -> tuple[np.ndarray, np.ndarray]:
-    """Masks over idx of its s = 0 and its s = 1 nodes, label-1 nodes only when y is given."""
-    sv = np.asarray(s)[idx]
-    if y is None:
-        return sv == 0, sv == 1
-    keep = np.asarray(y)[idx] == 1
-    return keep & (sv == 0), keep & (sv == 1)
+    s = np.asarray(labels.s)[nodes]
+    sides = s == 0, s == 1
+    if metric == EQUAL_OPPORTUNITY:
+        keep = np.asarray(labels.y)[nodes] == 1
+        sides = keep & sides[0], keep & sides[1]
+    return sides
 
 
 def class1_hits(classes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -149,25 +127,6 @@ def rate_gaps(k: int, side0: tuple, side1: tuple) -> np.ndarray:
     return np.abs(gap, out=gap)
 
 
-def positive_rate_gap(classes: np.ndarray, pairs) -> np.ndarray:
-    """|class-1 rate on g0 - class-1 rate on g1| for each of K group pairs (g0, g1).
-
-    classes holds hard classes over its last axis with any leading shape:
-    one prediction (n,) or a whole cache (n_outer, n_inner, n).  Returns
-    (K, *lead), as rate_gaps on one class1_hits gather whose columns are
-    the g0 groups' nodes as listed, then the g1 groups'.  Pairs that share
-    nodes gather them once per listing; for many such pairs, gather their
-    union once and call rate_gaps, as the pipeline does.
-    """
-    k = len(pairs)
-    sides = [[np.asarray(g, dtype=np.int64) for g in groups] for groups in zip(*pairs)]
-    listed = [np.concatenate(groups) for groups in sides]
-    hits = class1_hits(classes, np.concatenate(listed))
-    blocks = hits[:, : listed[0].size], hits[:, listed[0].size :]
-    args = [(block, np.repeat(np.arange(k), [g.size for g in groups]), np.arange(block.shape[1])) for block, groups in zip(blocks, sides)]
-    return rate_gaps(k, *args).reshape(k, *classes.shape[:-1])
-
-
 def _rates(k: int, hits: np.ndarray, pair: np.ndarray, col: np.ndarray) -> np.ndarray:
     """The group-rate kernel: each of k groups' class-1 rate per hits row.
 
@@ -184,16 +143,6 @@ def _rates(k: int, hits: np.ndarray, pair: np.ndarray, col: np.ndarray) -> np.nd
     return (member @ hits.T) / sizes[:, None].astype(np.float64)
 
 
-def delta_sp(yhat: np.ndarray, s: np.ndarray, nodes) -> float:
-    """Statistical parity gap |P(yhat=1 | s=0) - P(yhat=1 | s=1)| over nodes."""
-    return float(positive_rate_gap(np.asarray(yhat), [sensitive_groups(list(nodes), s)])[0])
-
-
-def delta_eo(yhat: np.ndarray, y: np.ndarray, s: np.ndarray, nodes) -> float:
-    """Equal opportunity gap: statistical parity restricted to y = 1 nodes."""
-    return float(positive_rate_gap(np.asarray(yhat), [sensitive_groups(list(nodes), s, y)])[0])
-
-
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
     idx = np.asarray(list(nodes), dtype=np.int64)
     if idx.size == 0:
@@ -205,11 +154,18 @@ def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:
     """Accuracy, statistical parity gap and equal opportunity gap over nodes."""
     return {
         "accuracy": accuracy(yhat, labels.y, nodes),
-        "delta_sp": delta_sp(yhat, labels.s, nodes),
-        "delta_eo": delta_eo(yhat, labels.y, labels.s, nodes),
+        "delta_sp": bias_value(yhat, labels, nodes, STATISTICAL_PARITY),
+        "delta_eo": bias_value(yhat, labels, nodes, EQUAL_OPPORTUNITY),
     }
 
 
 def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
-    """The requested metric's gap over nodes; labels carries both y and s."""
-    return float(positive_rate_gap(np.asarray(yhat), [metric_groups(list(nodes), labels, metric)])[0])
+    """The requested metric's gap over nodes; labels carries both y and s.
+
+    One rate_gaps call counts the class-1 hits of metric_groups' two
+    groups, g0's nodes in the first column block and g1's in the second.
+    """
+    g0, g1 = metric_groups(list(nodes), labels, metric)
+    hits = class1_hits(np.asarray(yhat), np.concatenate((g0, g1)))
+    sides = [(block, np.zeros(block.shape[1], dtype=np.int64), np.arange(block.shape[1])) for block in (hits[:, : g0.size], hits[:, g0.size :])]
+    return float(rate_gaps(1, *sides)[0, 0])

@@ -73,6 +73,7 @@ from .smoothing import (
     eligible_pairs,
     sample_attribute_noise,
     sample_structure_mask,
+    vulnerable_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -161,12 +162,10 @@ class PredictionCache:
 
     @classmethod
     def build(cls, model, g: Graph, X, vulnerable, cfg: SmoothingConfig, jobs: int = 1):
-        vul = tuple(sorted(set(int(i) for i in vulnerable)))
-        if not vul:
-            raise ValueError("vulnerable set must be nonempty")
         n = g.n
         d = X.shape[1]
-        vul_idx = np.array(vul, dtype=np.int64)
+        vul_idx = vulnerable_ids(vulnerable, n)
+        vul = tuple(vul_idx.tolist())
         pairs = eligible_pairs(n, vul)
         classes = np.empty((cfg.n_outer, cfg.n_inner, n), dtype=np.uint8)
 
@@ -295,9 +294,7 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     """
     if eta is None:
         eta = BiasThreshold.absolute(cfg.eta)
-    vul = tuple(sorted(set(int(i) for i in split.vulnerable)))
-    if not vul:
-        raise ValueError("vulnerable set must be nonempty")
+    vul = tuple(vulnerable_ids(split.vulnerable, g.n).tolist())
     flat, seg, offsets = _flat_sets(test_sets, split.test_pool, vul, g.n)
     count = offsets.size - 1
     if count == 0:

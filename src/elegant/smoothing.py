@@ -126,17 +126,27 @@ class StructureMask:
     pairs: np.ndarray
 
 
+def vulnerable_ids(vulnerable, n: int | None = None) -> np.ndarray:
+    """The vulnerable node ids as a sorted, duplicate-free int64 array.
+
+    Raises ValueError when there are none, or when an id is negative or,
+    given the node count n, at least n.
+    """
+    vul = np.unique(np.fromiter(vulnerable, dtype=np.int64))
+    if vul.size == 0:
+        raise ValueError("vulnerable set must be nonempty")
+    if vul[0] < 0 or (n is not None and vul[-1] >= n):
+        raise ValueError("vulnerable ids out of range")
+    return vul
+
+
 def eligible_pairs(n: int, vulnerable) -> np.ndarray:
     """All unordered pairs with at least one vulnerable endpoint, sorted.
 
     Shape (D, 2) with D = |V|(n - |V|) + C(|V|, 2); the diagonal is excluded
     and each vulnerable-vulnerable pair appears once.
     """
-    vul = np.unique(np.fromiter(vulnerable, dtype=np.int64))
-    if vul.size == 0:
-        raise ValueError("vulnerable set must be nonempty")
-    if vul[0] < 0 or vul[-1] >= n:
-        raise ValueError("vulnerable ids out of range")
+    vul = vulnerable_ids(vulnerable, n)
     is_vul = np.zeros(n, dtype=bool)
     is_vul[vul] = True
     a = np.repeat(vul, n)  # vulnerable endpoint
@@ -172,9 +182,7 @@ def sample_attribute_noise(cfg: SmoothingConfig, vulnerable, d: int, stream_id: 
     d): draw i is stream stream_id + i's block, bit for bit, written in
     place by one re-keyed generator, so a mask's inner draws cost one call.
     """
-    vul = tuple(sorted(set(int(i) for i in vulnerable)))
-    if not vul:
-        raise ValueError("vulnerable set must be nonempty")
+    vul = tuple(vulnerable_ids(vulnerable).tolist())
     block = np.empty((1 if count is None else count, len(vul), d))
     for i, draw in enumerate(block):
         _rekeyed(cfg.master_seed, DOMAIN_ATTRIBUTE, stream_id + i).standard_normal(out=draw)

@@ -31,7 +31,7 @@ from elegant.cli import (
     threshold_fractions,
 )
 from elegant.data import Graph
-from elegant.estimate import binomial_lower_bound_vec, std_normal_quantile
+from elegant.estimate import binomial_lower_bound_vec
 from elegant.gnn import GcnModel
 from elegant.pipeline import CERTIFIED, certify_and_predict, fcr_run
 from elegant.smoothing import eligible_pairs
@@ -124,9 +124,9 @@ def test_gcn_gradients_match_finite_differences():
 
 
 def test_quantile_kernels_round_trip_and_coverage():
-    # normal quantile against an erf-based CDF
-    grid = np.linspace(5e-4, 1.0 - 5e-4, 200)
-    worst = max(abs(norm_cdf(std_normal_quantile(float(p))) - float(p)) for p in grid)
+    # normal quantile against an erf-based CDF, on (1/2, 1), where attribute_radius evaluates it
+    grid = np.linspace(0.5, 1.0 - 5e-4, 201)[1:]
+    worst = max(abs(norm_cdf(attribute_radius(float(p), 1.0)) - float(p)) for p in grid)
     assert worst <= 1e-10
 
     # the bound after n successes and no failure is the alpha quantile of

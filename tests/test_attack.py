@@ -241,6 +241,18 @@ def test_evaluate_under_attack_within_certified_flags():
     assert outside["accuracy"] == pytest.approx(0.5)
 
 
+def test_evaluate_under_attack_certificate_is_an_open_ball():
+    # at an L2 norm of exactly eps_X the Gaussian bound is 1/2, which certifies nothing
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=60, n_inner=10, eta=0.25, master_seed=0)
+    _, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, (), cfg)
+    eps_x = meta["clean_eps_X"]
+    assert 0.0 < eps_x < np.inf
+    grid = ((0, eps_x), (0, float(np.nextafter(eps_x, 0.0))))
+    rows, _ = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg)
+    assert [r["within_certified"] for r in rows[1::2]] == ["false", "true"]
+
+
 class _GroupModel(_LinearModel):
     """Predicts the sensitive attribute itself: bias 1 on every draw."""
 

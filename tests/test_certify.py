@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from elegant.certify import (
     attribute_radius,
-    joint_attribute_budget,
     positive_prob_lower_bound,
     region_table,
     structure_budget,
 )
-from elegant.estimate import std_normal_quantile
 
 import oracles
 
@@ -185,7 +183,7 @@ def test_attribute_radius_array_equals_scalar_calls():
         want = np.array([attribute_radius(float(x), sigma) for x in p])
         assert got.ravel().tobytes() == want.tobytes()
         inside = (p > 0.5) & (p < 1.0)
-        assert want[inside].tolist() == [sigma * std_normal_quantile(x) for x in p[inside]]
+        assert want[inside].tolist() == [sigma * attribute_radius(x, 1.0) for x in p[inside]]
     assert type(attribute_radius(0.9, 0.5)) is float
     assert type(attribute_radius(np.float64(0.3), 0.5)) is float
     for bad in (-0.1, 1.5, np.nan):
@@ -214,15 +212,6 @@ def test_attribute_radius_linear_in_sigma(p, s1, scale):
 def test_attribute_radius_monotone_in_p(p1, p2, sigma):
     lo, hi = sorted((p1, p2))
     assert attribute_radius(lo, sigma) <= attribute_radius(hi, sigma) + 1e-12
-
-
-def test_joint_attribute_budget():
-    assert joint_attribute_budget([0.5, 0.2, 0.9]) == pytest.approx(0.2)
-    assert joint_attribute_budget([1.5]) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        joint_attribute_budget([])
-    with pytest.raises(ValueError):
-        joint_attribute_budget([0.3, -0.1])
 
 
 def test_exact_rational_worked_example():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elegant.certify import attribute_radius
 from elegant.estimate import (
     binomial_lower_bound,
     binomial_lower_bound_vec,
-    std_normal_quantile,
 )
 
 import oracles
@@ -19,6 +19,9 @@ import oracles
 PHI_INV_0975 = 1.9599639845400536
 PHI_INV_09 = 1.2815515655446004
 
+# the library evaluates the normal quantile only as attribute_radius(p, 1.0),
+# Phi^{-1}(p) on (1/2, 1), so these tests check it there
+
 # frozen from Simpson integration + bisection (oracles.beta_quantile); the
 # Clopper-Pearson bound for (a, b - 1, q) is the q quantile of Beta(a, b)
 BETA_5_3_MEDIAN = 0.635883913551917
@@ -26,28 +29,32 @@ BETA_180_21_Q03 = 0.8852182717006383
 
 
 def test_normal_quantile_frozen_values():
-    assert std_normal_quantile(0.975) == pytest.approx(PHI_INV_0975, abs=1e-12)
-    assert std_normal_quantile(0.9) == pytest.approx(PHI_INV_09, abs=1e-12)
-    assert std_normal_quantile(0.5) == 0.0
+    assert attribute_radius(0.975, 1.0) == pytest.approx(PHI_INV_0975, abs=1e-12)
+    assert attribute_radius(0.9, 1.0) == pytest.approx(PHI_INV_09, abs=1e-12)
+    assert attribute_radius(np.nextafter(0.5, 1.0), 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_normal_quantile_symmetry():
+    # Phi(-Phi^{-1}(p)) = 1 - p, the symmetry that turns the two-sided radius into sigma Phi^{-1}(p)
     for p in (0.6, 0.75, 0.9, 0.99, 0.999):
-        assert std_normal_quantile(p) == pytest.approx(-std_normal_quantile(1.0 - p), abs=1e-12)
+        assert oracles.norm_cdf(-attribute_radius(p, 1.0)) == pytest.approx(1.0 - p, abs=1e-12)
 
 
 def test_normal_quantile_round_trip():
-    # Phi(Phi^{-1}(p)) recovers p to 1e-12 across the open interval
-    grid = np.linspace(1e-6, 1.0 - 1e-6, 200)
+    # Phi(Phi^{-1}(p)) recovers p to 1e-12 across the open half-interval
+    grid = np.linspace(0.5, 1.0 - 1e-6, 201)[1:]
     for p in grid:
-        z = std_normal_quantile(float(p))
+        z = attribute_radius(float(p), 1.0)
         assert abs(oracles.norm_cdf(z) - p) <= 1e-12
 
 
 def test_normal_quantile_domain():
-    for bad in (0.0, 1.0, -0.2, 1.1):
+    # the ends of the half-interval are masked, not evaluated; outside [0, 1] is an error
+    assert attribute_radius(0.5, 1.0) == 0.0
+    assert attribute_radius(1.0, 1.0) == float("inf")
+    for bad in (-0.2, 1.1):
         with pytest.raises(ValueError):
-            std_normal_quantile(bad)
+            attribute_radius(bad, 1.0)
 
 
 def test_beta_quantile_frozen_values():

@@ -12,64 +12,78 @@ from elegant.fairness import (
     accuracy,
     bias_value,
     class1_hits,
-    delta_eo,
-    delta_sp,
     metric_groups,
-    positive_rate_gap,
     rate_gaps,
-    sensitive_groups,
 )
 from oracles import positive_rate_gap_oracle
 
 S = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 Y = np.array([1, 1, 0, 0, 1, 1, 1, 0])
+LABELS = NodeLabels(y=Y, s=S)
+
+
+def _groups_oracle(nodes, metric):
+    """Each metric's s = 0 and s = 1 nodes in input order, label-1 nodes only for eo."""
+    keep = [i for i in nodes if metric == "sp" or Y[i] == 1]
+    return [i for i in keep if S[i] == 0], [i for i in keep if S[i] == 1]
+
+
+def _pair_gaps(classes, pairs):
+    """rate_gaps over one class1_hits gather: the g0 groups' nodes as listed, then the g1 groups'."""
+    k = len(pairs)
+    sides = [[np.asarray(g, dtype=np.int64) for g in groups] for groups in zip(*pairs)]
+    listed = [np.concatenate(groups) for groups in sides]
+    hits = class1_hits(classes, np.concatenate(listed))
+    blocks = hits[:, : listed[0].size], hits[:, listed[0].size :]
+    args = [(block, np.repeat(np.arange(k), [g.size for g in groups]), np.arange(block.shape[1])) for block, groups in zip(blocks, sides)]
+    return rate_gaps(k, *args).reshape(k, *classes.shape[:-1])
 
 
 def test_delta_sp_hand_case():
     yhat = np.array([1, 1, 1, 0, 1, 0, 0, 0])  # rates 3/4 vs 1/4
-    assert delta_sp(yhat, S, range(8)) == pytest.approx(0.5)
+    assert bias_value(yhat, LABELS, range(8), "sp") == pytest.approx(0.5)
 
 
 def test_delta_sp_symmetric_in_groups():
     yhat = np.array([0, 0, 0, 1, 1, 1, 1, 1])
-    assert delta_sp(yhat, S, range(8)) == delta_sp(yhat, 1 - S, range(8))
+    assert bias_value(yhat, LABELS, range(8), "sp") == bias_value(yhat, NodeLabels(y=Y, s=1 - S), range(8), "sp")
 
 
 def test_delta_eo_restricts_to_positive_labels():
     # y=1 nodes: 0,1 (s=0) and 4,5,6 (s=1); tpr 1/2 vs 1/3
     yhat = np.array([1, 0, 1, 1, 1, 0, 0, 0])
-    assert delta_eo(yhat, Y, S, range(8)) == pytest.approx(abs(0.5 - 1 / 3))
+    assert bias_value(yhat, LABELS, range(8), "eo") == pytest.approx(abs(0.5 - 1 / 3))
 
 
 def test_metrics_undefined_on_degenerate_sets():
     yhat = np.zeros(8, dtype=int)
     with pytest.raises(UndefinedMetricError):
-        delta_sp(yhat, S, [0, 1, 2])  # only s=0 present
+        bias_value(yhat, LABELS, [0, 1, 2], "sp")  # only s=0 present
     with pytest.raises(UndefinedMetricError):
-        delta_eo(yhat, Y, S, [2, 3, 7])  # no y=1 nodes
+        bias_value(yhat, LABELS, [2, 3, 7], "eo")  # no y=1 nodes
     with pytest.raises(UndefinedMetricError):
-        delta_sp(yhat, S, [])
+        bias_value(yhat, LABELS, [], "sp")
 
 
 def test_sensitive_groups_keep_input_order():
-    g0, g1 = sensitive_groups([6, 1, 4, 0, 5], S)
+    g0, g1 = metric_groups([6, 1, 4, 0, 5], LABELS, "sp")
     np.testing.assert_array_equal(g0, [1, 0])
     np.testing.assert_array_equal(g1, [6, 4, 5])
-    g0, g1 = sensitive_groups(np.array([7, 5, 2, 1, 4, 0]), S, Y)  # label-1 nodes only
+    g0, g1 = metric_groups(np.array([7, 5, 2, 1, 4, 0]), LABELS, "eo")  # label-1 nodes only
     np.testing.assert_array_equal(g0, [1, 0])
     np.testing.assert_array_equal(g1, [5, 4])
     with pytest.raises(UndefinedMetricError):
-        sensitive_groups([4, 5, 2], S, Y)  # node 2 has y = 0, so no s = 0 node is left
+        metric_groups([4, 5, 2], LABELS, "eo")  # node 2 has y = 0, so no s = 0 node is left
 
 
 def test_positive_rate_gap_keeps_leading_shape():
     rng = np.random.default_rng(3)
     classes = rng.integers(0, 2, size=(3, 4, 8)).astype(np.uint8)
-    gaps = positive_rate_gap(classes, [sensitive_groups(range(8), S)])
+    gaps = _pair_gaps(classes, [metric_groups(range(8), LABELS, "sp")])
     assert gaps.shape == (1, 3, 4)
     for o in range(3):
         for i in range(4):
-            assert gaps[0, o, i] == delta_sp(classes[o, i], S, range(8))
+            assert gaps[0, o, i] == bias_value(classes[o, i], LABELS, range(8), "sp")
 
 
 @st.composite
@@ -96,7 +110,7 @@ _WHOLE_POOL_CASE = (
 @example(case=(_WHOLE_POOL_CASE[0][0, 0], _WHOLE_POOL_CASE[1][:1]))
 def test_positive_rate_gap_equals_the_gather_mean_oracle(case):
     classes, pairs = case
-    gaps = positive_rate_gap(classes, pairs)
+    gaps = _pair_gaps(classes, pairs)
     assert gaps.shape == (len(pairs),) + classes.shape[:-1]
     for gap, pair in zip(gaps, pairs):
         assert gap.tobytes() == np.asarray(positive_rate_gap_oracle(classes, pair)).tobytes()
@@ -113,22 +127,21 @@ def test_accuracy():
 
 
 def test_bias_value_dispatch():
-    labels = NodeLabels(y=Y, s=S)
     yhat = np.array([1, 1, 1, 0, 1, 0, 0, 0])
-    assert bias_value(yhat, labels, range(8), "sp") == delta_sp(yhat, S, range(8))
-    assert bias_value(yhat, labels, range(8), "eo") == delta_eo(yhat, Y, S, range(8))
+    for metric in ("sp", "eo"):
+        want = positive_rate_gap_oracle(yhat, _groups_oracle(range(8), metric))
+        assert bias_value(yhat, LABELS, range(8), metric) == want
     with pytest.raises(ValueError):
-        bias_value(yhat, labels, range(8), "dp")
+        bias_value(yhat, LABELS, range(8), "dp")
 
 
 def test_metric_groups_pick_each_metrics_population():
-    labels = NodeLabels(y=Y, s=S)
     nodes = np.arange(8)
-    for metric, y in (("sp", None), ("eo", Y)):
-        for got, want in zip(metric_groups(nodes, labels, metric), sensitive_groups(nodes, S, y)):
+    for metric in ("sp", "eo"):
+        for got, want in zip(metric_groups(nodes, LABELS, metric), _groups_oracle(nodes, metric)):
             np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError, match="unknown metric 'dp'"):
-        metric_groups(nodes, labels, "dp")
+        metric_groups(nodes, LABELS, "dp")
 
 
 def test_threshold_constructors():

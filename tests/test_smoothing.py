@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from elegant import smoothing
-from elegant.data import Graph
+from elegant.attack import attribute_attack
+from elegant.data import Graph, NodeLabels, SplitSpec
+from elegant.pipeline import PredictionCache, certify_sets
 from elegant.smoothing import (
     DOMAIN_ATTRIBUTE,
     DOMAIN_STRUCTURE,
@@ -92,6 +94,47 @@ def test_eligible_pairs_validation():
         eligible_pairs(5, [])
     with pytest.raises(ValueError):
         eligible_pairs(5, [5])
+
+
+_N = 6
+_G, _X = Graph(n=_N, edges=[(0, 1)]), np.zeros((_N, 2))
+_CFG = SmoothingConfig(n_outer=2, n_inner=2)
+_LABELS = NodeLabels(y=np.zeros(_N, dtype=int), s=np.zeros(_N, dtype=int))
+
+
+def _split(vulnerable):
+    return SplitSpec(train=(), validation=(), test_pool=tuple(sorted(set(range(_N)) | set(vulnerable))), vulnerable=vulnerable)
+
+
+# every entry point that takes a vulnerable set; each rejects a bad one before it uses the model
+_VULNERABLE_ENTRY_POINTS = {
+    "eligible_pairs": lambda vul: eligible_pairs(_N, vul),
+    "sample_attribute_noise": lambda vul: sample_attribute_noise(_CFG, vul, _X.shape[1], 0),
+    "PredictionCache.build": lambda vul: PredictionCache.build(None, _G, _X, vul, _CFG),
+    "certify_sets": lambda vul: certify_sets(None, _G, _X, _LABELS, _split(vul), [range(_N)], _CFG),
+    "attribute_attack": lambda vul: attribute_attack(None, _G, _X, _LABELS, vul, 1.0),
+}
+_BAD_VULNERABLE = {
+    "empty": ((), "vulnerable set must be nonempty"),
+    "negative": ((-1, 0), "vulnerable ids out of range"),
+    "past n": ((0, _N), "vulnerable ids out of range"),  # needs n, which sample_attribute_noise lacks
+}
+
+
+@pytest.mark.parametrize(
+    "entry,case",
+    [(e, c) for e in _VULNERABLE_ENTRY_POINTS for c in _BAD_VULNERABLE if (e, c) != ("sample_attribute_noise", "past n")],
+)
+def test_entry_points_reject_bad_vulnerable_sets_alike(entry, case):
+    vulnerable, message = _BAD_VULNERABLE[case]
+    with pytest.raises(ValueError, match=message):
+        _VULNERABLE_ENTRY_POINTS[entry](vulnerable)
+
+
+def test_vulnerable_ids_are_sorted_and_distinct():
+    got = smoothing.vulnerable_ids([4, 1, 4, 0], n=5)
+    assert got.dtype == np.int64 and got.tolist() == [0, 1, 4]
+    assert smoothing.vulnerable_ids((7,)).tolist() == [7]  # no n: only the lower bound is checked
 
 
 def test_domain_size_conventions():
