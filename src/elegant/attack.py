@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from .data import Graph
-from .fairness import bias_value, metric_groups, prediction_metrics
+from .fairness import group_gaps, metric_groups, prediction_metrics
 from .gnn import _softmax, predict_classes
 from .pipeline import CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream, vulnerable_ids
@@ -77,12 +77,14 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
     """Greedy pair flips: per step, commit the candidate that maximizes bias.
 
     Each step scores a random pool of pool_size candidate pairs by the hard
-    bias of the model after flipping that single pair (model.forward_flips
-    gives all of their classes from one clean pass), then commits the first
-    candidate of maximal bias.  Committed flips persist across steps;
-    exactly budget_edges pairs end up flipped.  Raises UndefinedMetricError
-    when the metric is undefined on the evaluated nodes, whatever is
-    flipped.
+    bias of the model after flipping that single pair, then commits the
+    first candidate of maximal bias: model.forward_flips gives all of their
+    classes from one clean pass, and one fairness.group_gaps call (one
+    class1_hits gather, one rate_gaps call) prices the whole pool on the
+    metric's groups, formed once per run.  Committed flips persist across
+    steps; exactly budget_edges pairs end up flipped.  Raises
+    UndefinedMetricError when the metric is undefined on the evaluated
+    nodes, whatever is flipped.
     """
     return g.flip(_greedy_pairs(model, g, X, labels, vulnerable, budget_edges, metric, nodes, pool_size, seed))
 
@@ -102,8 +104,8 @@ def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, 
     if budget_edges > pairs.shape[0]:
         raise ValueError(f"budget {budget_edges} exceeds the {pairs.shape[0]} eligible pairs")
     eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
-    # the groups do not depend on the flips, so an empty one is an error before any scoring
-    metric_groups(eval_nodes, labels, metric)
+    # the groups do not depend on the flips: formed once, and an empty one is an error before any scoring
+    g0, g1 = metric_groups(eval_nodes, labels, metric)
     current = g
     committed = []
     open_mask = np.ones(pairs.shape[0], dtype=bool)  # pairs not yet committed
@@ -116,12 +118,13 @@ def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, 
         else:
             candidates = open_pos
         classes = model.forward_flips(current, X, pairs[candidates], out=scored[: candidates.size])
-        biases = [bias_value(c, labels, eval_nodes, metric) for c in classes]
-        best = candidates[int(np.argmax(biases))]  # the first maximum, as a strict > scan keeps
+        gaps = group_gaps(classes, g0, g1)
+        top = int(np.argmax(gaps))  # the first maximum, as a strict > scan keeps
+        best = candidates[top]
         open_mask[best] = False
         committed.append(best)
         current = current.flip(pairs[best : best + 1])
-        logger.debug("greedy flip %d: %s, bias %.4f", step, tuple(pairs[best].tolist()), max(biases))
+        logger.debug("greedy flip %d: %s, bias %.4f", step, tuple(pairs[best].tolist()), gaps[top])
     return pairs[np.array(committed, dtype=np.int64)]
 
 

@@ -10,7 +10,9 @@ once, and metric_groups returns one set's groups.  One kernel compares
 their class-1 rates, one side at a time: rate_gaps counts each side's
 groups against the class-1 hits of that side's nodes only, hits that
 class1_hits gathers once for many group pairs, as the pipeline does for
-a whole batch of test sets and bias_value for one.  A metric is
+a whole batch of test sets; group_gaps prices one group pair on many
+rows at once, as the greedy attack does for a step's whole candidate
+pool and bias_value for one prediction.  A metric is
 undefined when one of its groups is empty; callers decide how to treat
 that (the certification pipeline forces such draws' indicator votes to 0
 and logs them).
@@ -160,12 +162,17 @@ def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:
 
 
 def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
-    """The requested metric's gap over nodes; labels carries both y and s.
+    """The requested metric's gap over nodes; labels carries both y and s."""
+    return float(group_gaps(np.asarray(yhat), *metric_groups(list(nodes), labels, metric))[0])
 
-    One rate_gaps call counts the class-1 hits of metric_groups' two
-    groups, g0's nodes in the first column block and g1's in the second.
+
+def group_gaps(classes: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """|class-1 rate on g0 - class-1 rate on g1| for every row of classes, shape (rows,).
+
+    One class1_hits gather puts g0's nodes in the first column block and
+    g1's in the second, and one rate_gaps call counts both, so a batch of
+    rows costs one gather and one count product per side.
     """
-    g0, g1 = metric_groups(list(nodes), labels, metric)
-    hits = class1_hits(np.asarray(yhat), np.concatenate((g0, g1)))
+    hits = class1_hits(classes, np.concatenate((g0, g1)))
     sides = [(block, np.zeros(block.shape[1], dtype=np.int64), np.arange(block.shape[1])) for block in (hits[:, : g0.size], hits[:, g0.size :])]
-    return float(rate_gaps(1, *sides)[0, 0])
+    return rate_gaps(1, *sides)[0]

@@ -38,7 +38,8 @@ straight into the caller's uint8 rows, so neither the (B, n, C) logits
 nor their argmax pass exist.  Single-flip scoring works in groups
 of flips: one stacked build gives the operator rows each flip changes, and
 the elementwise steps rerun only on those rows, while every dense product
-stays full-shape, so its logits equal a full rebuild bit for bit.
+stays full-shape, so its logits equal a full rebuild bit for bit; each
+group's logits or classes are then written in one pass, as a chunk's are.
 """
 
 from __future__ import annotations
@@ -444,8 +445,10 @@ class _TwoLayer:
         one sparse product their layer-1 rows.  Each flip swaps its rows
         into reused clean work arrays, reruns the elementwise steps (bias,
         ReLU) on those rows only, runs layer 2's dense products full-shape
-        and restores the rows; one sparse product over the group's columns
-        and one over its changed rows propagate layer 2.  A row of a BLAS
+        into the group's (B, n, C) arrays and restores the rows; one sparse
+        product over the group's columns and one over its changed rows
+        propagate layer 2, and one _emit call writes the whole group's
+        logits or classes, as forward_many does per chunk.  A row of a BLAS
         product depends on its position, so only full-shape dense products
         match the clean pass in the rows a flip leaves alone.
         """
@@ -466,19 +469,20 @@ class _TwoLayer:
             patch = self._operator(stacked, stacked_deg, R)  # rows R of each flipped operator; columns b*n + j
             SR = sparse.csr_matrix((patch.data, patch.indices % n, patch.indptr), shape=(R.size, n)) @ S
             starts, ends = np.searchsorted(R, base), np.searchsorted(R, base + n)
-            owns, Y = [], np.empty((u.size, n, self.C))
+            own, Y = None, np.empty((u.size, n, self.C))  # own stays None where _head has no own term (GCN)
             for b in range(u.size):
                 at = slice(starts[b], ends[b])
                 rows = R[at] - base[b]
                 Q[rows] = SR[at]
                 h[rows] = np.maximum(self._hidden_rows(pre, Q, rows), 0.0)
-                own, Y[b] = self._head(h)
-                owns.append(own)
+                own_b, Y[b] = self._head(h)
+                if own_b is not None:
+                    own = np.empty_like(Y) if own is None else own
+                    own[b] = own_b
                 Q[rows], h[rows] = clean[rows], h_clean[rows]
             P = _propagate(ops, Y)
             P[R // n, R % n] = patch @ Y.reshape(-1, self.C)
-            for b, own in enumerate(owns):
-                self._emit(own, P[b], logits, out, start + b)
+            self._emit(own, P, logits, out, slice(start, stop))
         return logits if out is None else out
 
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):

@@ -15,7 +15,7 @@ from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.fairness import UndefinedMetricError
 from elegant.gnn import BACKBONES
 from elegant.pipeline import ABSTAIN, CERTIFIED
-from elegant.smoothing import SmoothingConfig, eligible_pairs
+from elegant.smoothing import DOMAIN_ATTACK, SmoothingConfig, eligible_pairs, substream
 from oracles import logits_or_classes, structure_attack_greedy_oracle
 
 
@@ -205,6 +205,27 @@ def test_structure_attack_greedy_matches_the_per_candidate_oracle(backbone, metr
         got = structure_attack_greedy(model, g, X, labels, vul, 3, metric, nodes=nodes, pool_size=pool_size, seed=seed)
         want = structure_attack_greedy_oracle(model, g, X, labels, vul, 3, metric, nodes=nodes, pool_size=pool_size, seed=seed)
         assert got == want
+
+
+@pytest.mark.parametrize("metric", ["sp", "eo"])
+@pytest.mark.parametrize("pool_size", [5, 500])
+def test_structure_attack_greedy_ties_commit_the_pools_first_candidate(metric, pool_size):
+    # _LinearModel's classes ignore the graph, so every candidate of a pool ties
+    g, X, labels, split = _world(n=12)
+    model = _LinearModel(np.array([[1.0, -1.0], [0.5, 0.2], [-0.3, 0.9]]))
+    pairs = eligible_pairs(g.n, split.vulnerable)
+    assert pairs.shape[0] > 5
+    # each step's pool, drawn as the attack draws it; a pool of 500 takes every open pair in order
+    rng, open_mask, first = substream(3, DOMAIN_ATTACK, 1), np.ones(pairs.shape[0], dtype=bool), []
+    for _ in range(4):
+        open_pos = np.flatnonzero(open_mask)
+        pool = open_pos[rng.choice(open_pos.size, size=pool_size, replace=False)] if open_pos.size > pool_size else open_pos
+        open_mask[pool[0]] = False
+        first.append(pool[0])
+    got = _greedy_pairs(model, g, X, labels, split.vulnerable, 4, metric, None, pool_size, 3)
+    np.testing.assert_array_equal(got, pairs[first])
+    want = structure_attack_greedy_oracle(model, g, X, labels, split.vulnerable, 4, metric, pool_size=pool_size, seed=3)
+    assert g.flip(got) == want
 
 
 def test_evaluate_under_attack_row_schema():

@@ -12,6 +12,7 @@ from elegant.fairness import (
     accuracy,
     bias_value,
     class1_hits,
+    group_gaps,
     metric_groups,
     rate_gaps,
 )
@@ -84,6 +85,17 @@ def test_positive_rate_gap_keeps_leading_shape():
     for o in range(3):
         for i in range(4):
             assert gaps[0, o, i] == bias_value(classes[o, i], LABELS, range(8), "sp")
+
+
+@pytest.mark.parametrize("metric", ["sp", "eo"])
+def test_group_gaps_prices_every_row_as_bias_value(metric):
+    # the greedy attack's form: one (pool, n) batch of classes against one group pair
+    classes = np.random.default_rng(11).integers(0, 2, size=(40, 8)).astype(np.uint8)
+    g0, g1 = metric_groups(np.arange(8), LABELS, metric)
+    gaps = group_gaps(classes, g0, g1)
+    assert gaps.shape == (40,)
+    assert gaps.tobytes() == positive_rate_gap_oracle(classes, (g0, g1)).tobytes()
+    assert gaps.tolist() == [bias_value(row, LABELS, range(8), metric) for row in classes]
 
 
 @st.composite

@@ -355,7 +355,10 @@ def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, gr
     assert len(sizes) >= 3 and max(sizes) >= 2
     for B in range(1, pool.shape[0] + 1):
         for pairs in (pool[:B], pool[::-1][:B]):
-            np.testing.assert_array_equal(model.forward_flips(g, X, pairs), flip_logits_oracle(model, g, X, pairs))
+            want = flip_logits_oracle(model, g, X, pairs)
+            np.testing.assert_array_equal(model.forward_flips(g, X, pairs), want)
+            # each group emits its classes in one call
+            _assert_classes_are_the_argmax(model.forward_flips, (g, X, pairs), want)
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
