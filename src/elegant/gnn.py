@@ -15,10 +15,12 @@ builds the two reference backbones below through `init`, `loss_grads`,
 `params` and `replace`.
 
 Both reference backbones share one base, _TwoLayer: each names its
-operator (`self_loops` and `_operator`, from which the one `build_ops`
-derives) and writes its layer algebra once, as a forward pass (_pass,
-optionally batched over perturbations of a few attribute rows) built from
-per-layer pieces, and its reverse (_backward).  Prediction, the
+operator by its entries (`self_loops`, `_values` and `descending`, which
+the one array builder `_operator` turns into CSR from integer index
+arrays, for `build_ops` and single-flip scoring alike) and writes its
+layer algebra once, as a forward pass (_pass, optionally batched over
+perturbations of a few attribute rows) built from per-layer pieces, and
+its reverse (_backward).  Prediction, the
 certification pipeline's batched inference, the greedy attack's
 single-flip scoring, full-batch training with manual backpropagation and
 input gradients all derive from those.  Batched inference runs its draws
@@ -36,10 +38,11 @@ the same bits.  Asked for classes, a chunk adds each class's b2 on its own strid
 (chunk, n) view of the layer-2 product and picks the first maximum
 straight into the caller's uint8 rows, so neither the (B, n, C) logits
 nor their argmax pass exist.  Single-flip scoring works in groups
-of flips: one stacked build gives the operator rows each flip changes, and
-the elementwise steps rerun only on those rows, while every dense product
-stays full-shape, so its logits equal a full rebuild bit for bit; each
-group's logits or classes are then written in one pass, as a chunk's are.
+of flips: one array build gives the operator rows each flip changes,
+gathered from the clean graph's CSR arrays, and the elementwise steps
+rerun only on those rows, while every dense product stays full-shape, so
+its logits equal a full rebuild bit for bit; each group's logits or
+classes are then written in one pass, as a chunk's are.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import DataError, Graph, pair_array
-from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream
+from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
 
@@ -97,62 +100,23 @@ class TrainConfig:
 
 
 def _adjacency(g: Graph, self_loops: bool):
-    """Symmetric 0/1 adjacency (plus the identity with self_loops) and its row sums."""
-    e = g.edge_array()
-    loops = np.arange(g.n if self_loops else 0)
-    rows = np.concatenate([e[:, 0], e[:, 1], loops])
-    cols = np.concatenate([e[:, 1], e[:, 0], loops])
-    a = sparse.csr_matrix((np.ones(rows.shape[0], dtype=np.float64), (rows, cols)), shape=(g.n, g.n))
-    return a, np.asarray(a.sum(axis=1)).ravel()
+    """CSR index arrays (indptr, indices) of g's symmetric 0/1 adjacency, plus the identity with self_loops, and its degrees.
 
-
-def _stacked_flips(a, deg, u, v):
-    """_adjacency's (a, deg) for the B graphs with the pair (u[b], v[b]) toggled, as one block-diagonal graph on B*n nodes.
-
-    Block b, nodes b*n to b*n + n - 1, is graph b.  It holds only the rows
-    of u[b], v[b] and their neighbours in a, which covers every row a flip
-    changes or a backbone's _flip_rows reads: each is the flipped graph's
-    canonical CSR row, its sorted columns offset by b*n.  The degrees are
-    the B graphs' row sums in full.
+    Each row's columns are ascending; the degrees are the row lengths, as
+    float64.
     """
-    n, B = a.shape[0], u.size
-    base = np.arange(B) * n
-    ends = a[np.concatenate([u, v])]
-    near = np.repeat(np.concatenate([base, base]), np.diff(ends.indptr)) + ends.indices
-    rows = np.unique(np.concatenate([near, base + u, base + v]))
-    held = a[rows % n]
-    keys = np.repeat(rows, np.diff(held.indptr)) * n + held.indices  # block row * n + column, ascending
-    toggles = np.column_stack([(base + u) * n + v, (base + v) * n + u]).ravel()  # ascending, as u < v
-    at = np.searchsorted(keys, toggles)
-    present = at < keys.size
-    present[present] = keys[at[present]] == toggles[present]
-    drop, add = at[present], ~present
-    keys = np.insert(np.delete(keys, drop), at[add] - np.searchsorted(drop, at[add]), toggles[add])
-    block_rows = keys // n
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(block_rows, minlength=B * n))])
-    stacked = sparse.csr_matrix((np.ones(keys.size), keys % n + block_rows // n * n, indptr), shape=(B * n, B * n))
-    sign = np.where(present[::2], -1, 1)
-    stacked_deg = np.tile(deg, B)
-    stacked_deg[base + u] += sign
-    stacked_deg[base + v] += sign
-    return stacked, stacked_deg
+    n, e = g.n, g.edge_array()
+    loops = np.arange(n if self_loops else 0)
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0], loops * (n + 1)]))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    return indptr, keys % n, np.diff(indptr).astype(np.float64)
 
 
-def _flip_charges(a, deg, pairs, C):
-    """Bytes of forward_flips working memory charged to each pair (u, v) of pairs.
-
-    A pair pays 8 (5 + 3 C) bytes per node, its share of the stacked
-    degrees and diagonals and of the layer-2 products, and 80 bytes per
-    adjacency entry of its _stacked_flips block, its share of the stacked
-    indices, operator rows and patch products.  The block holds the rows
-    of u, v and their neighbours, at most deg + a @ deg entries at u plus
-    the same at v, so a dense graph or a hub endpoint shrinks the group.
-    tracemalloc measured about 45-65 kB per pair plus at most 74 bytes per
-    entry (n = 1000, 2n to 20n random edges, with and without a node joined
-    to all others).
-    """
-    reach = deg + a @ deg
-    return 8 * (a.shape[0] * (5 + 3 * C) + 10 * (reach[pairs[:, 0]] + reach[pairs[:, 1]] + 2))
+def _row_entries(indptr, rows):
+    """(i, k) over the entries of the CSR rows `rows`, in order: i the position of each entry's row in rows, k its index in the CSR arrays."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    i = np.repeat(np.arange(rows.size), lengths)
+    return i, np.arange(i.size) + (indptr[rows] - np.cumsum(lengths) + lengths)[i]
 
 
 def _flip_groups(charges):
@@ -168,37 +132,6 @@ def _flip_groups(charges):
         total += charge
     if charges.size:
         yield start, charges.size
-
-
-def _diag(x):
-    """diag(x) as CSR, cheaper to build than sparse.diags, which a product converts to CSR anyway.
-
-    That conversion drops the zeros of x; here they stay, but a zero only
-    ever scales an empty adjacency row (degree 0), so the products agree.
-    """
-    i = np.arange(x.size + 1)
-    return sparse.csr_matrix((x, i[:-1], i), shape=(x.size, x.size))
-
-
-def _normalized_rows(a, deg, rows=slice(None)):
-    """Rows of D^{-1/2} A D^{-1/2} for the adjacency a and its row sums deg.
-
-    A restriction to some rows runs the same sparse products on them, so it
-    equals those rows of the full operator bit for bit, index order included.
-    """
-    d = 1.0 / np.sqrt(deg)
-    return _diag(d[rows]) @ a[rows] @ _diag(d)
-
-
-def _mean_rows(a, deg, rows=slice(None)):
-    """Rows of D^{-1} A for the adjacency a and its row sums deg; zero rows where deg is 0.
-
-    Restricted as _normalized_rows.  Each row stores its columns in
-    descending order, an artifact of scipy's product that the weights
-    trained on this operator depend on, so it is kept.
-    """
-    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return _diag(inv[rows]) @ a[rows]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -326,12 +259,14 @@ class _TwoLayer:
     forward_many, loss_grads and input_grad derive from _pass and
     _backward; forward_flips runs the pieces itself.
 
-    A backbone also names its operator: self_loops (whether its adjacency
-    holds the identity), _operator (the operator, or some of its rows, from
-    _adjacency's output) and _flip_rows (the rows a flipped pair changes,
-    for many pairs of a _stacked_flips graph at once, ascending).
-    build_ops, the one operator builder, and forward_flips's row patches
-    both run _operator, so they agree bit for bit.
+    A backbone also names its operator by its entries, from _adjacency's
+    index arrays: self_loops (whether its adjacency holds the identity),
+    _values (each entry's value from the degrees of its row and column
+    nodes), descending (whether a row stores its columns in descending
+    order) and _held_rows (the rows a flipped pair changes or reads).
+    _operator, the one operator builder, turns index arrays and degrees
+    into CSR; build_ops runs it on a whole graph and _flip_patch on the
+    held rows of a group of flipped graphs, so the two agree bit for bit.
     """
 
     backbone: str
@@ -376,6 +311,74 @@ class _TwoLayer:
     def build_ops(self, g: Graph):
         """The propagation operator of g: _operator over _adjacency(g, self_loops)."""
         return self._operator(*_adjacency(g, self.self_loops))
+
+    def _operator(self, indptr, indices, deg, rows=None):
+        """Operator rows as CSR from CSR index arrays: row i has node rows[i] (default i) and the ascending columns indices[indptr[i]:indptr[i + 1]].
+
+        deg holds the degree of every node of a row or column, one column
+        per node.  Each entry is _values(deg, r, c) of its row node r and
+        column c; a descending backbone stores each row reversed.  These
+        are the values and order of the scipy products D^{-1/2} A D^{-1/2}
+        and D^{-1} A, whose entries are single terms, (d_r * 1.0) * d_c,
+        none dropped, as a zero scale only meets an empty row.  SAGE's
+        trained weights depend on its product's reversed rows.
+        """
+        lengths = np.diff(indptr)
+        if self.descending:
+            indices = indices[np.repeat(indptr[:-1] + indptr[1:] - 1, lengths) - np.arange(indices.size)]
+        r = np.repeat(np.arange(lengths.size) if rows is None else rows, lengths)
+        return sparse.csr_matrix((self._values(deg, r, indices), indices, indptr), shape=(lengths.size, deg.size))
+
+    def _flip_patch(self, indptr, indices, deg, u, v):
+        """(R, patch): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from _adjacency's arrays of the unflipped graph.
+
+        R, ascending, holds b n + r for every row r of graph b in
+        _held_rows of u[b] and v[b]; patch holds those rows as CSR over the
+        B graphs' stacked columns b n + j, each as build_ops of graph b
+        gives it.  The held rows' entries are gathered from indices, each
+        pair toggled in its two rows on linear keys, and the degrees of
+        u[b], v[b] moved by one; one _operator call builds the rest.
+        """
+        n, B = deg.size, u.size
+        base = np.arange(B) * n
+        i, held = self._held_rows(indptr, indices, np.concatenate([u, v]))
+        held_at = np.zeros(B * n, dtype=bool)
+        held_at[np.tile(base, 2)[i] + held] = True
+        R = np.flatnonzero(held_at)
+        at_u, at_v = np.searchsorted(R, base + u), np.searchsorted(R, base + v)
+        pos, k = _row_entries(indptr, R % n)
+        keys = pos * n + indices[k]  # patch row * n + column, ascending
+        toggles = np.column_stack([at_u * n + v, at_v * n + u]).ravel()  # ascending, as u < v
+        at = np.searchsorted(keys, toggles)
+        present = at < keys.size
+        present[present] = keys[at[present]] == toggles[present]
+        drop, add = at[present], ~present
+        keys = np.insert(np.delete(keys, drop), at[add] - np.searchsorted(drop, at[add]), toggles[add])
+        pos, cols = np.divmod(keys, n)
+        sign = np.where(present[::2], -1, 1)
+        stacked_deg = np.tile(deg, B)
+        stacked_deg[np.concatenate([base + u, base + v])] += np.tile(sign, 2)
+        patch_ptr = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=R.size))])
+        return R, self._operator(patch_ptr, cols + (R // n * n)[pos], stacked_deg, R)
+
+    def _flip_charges(self, indptr, indices, deg, pairs):
+        """Bytes of forward_flips working memory charged to each pair (u, v) of pairs.
+
+        A pair pays 8 (5 + 3 C) bytes per node, its share of the stacked
+        degrees and of the layer-2 products, and 80 bytes per adjacency
+        entry of its _flip_patch rows, its share of the gathered keys and
+        of the patch.  Its rows are _held_rows of u and v, which hold at
+        most reach[u] + reach[v] + 2 entries, reach[x] being the degrees
+        summed over x's held rows: the degrees of x's neighbours for GCN,
+        x's own degree for SAGE.  tracemalloc measured about 50-75 kB per
+        pair plus at most 76 bytes per entry (n = 1000, 2n to 20n random
+        edges, with and without a node joined to all others, both
+        backbones, logits or classes).
+        """
+        n = deg.size
+        i, held = self._held_rows(indptr, indices, np.arange(n))
+        reach = np.bincount(i, weights=deg[held], minlength=n)
+        return 8 * (n * (5 + 3 * self.C) + 10 * (reach[pairs[:, 0]] + reach[pairs[:, 1]] + 2))
 
     def forward(self, ops, X):
         """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
@@ -440,33 +443,31 @@ class _TwoLayer:
         returns out.  The clean pass runs once, then the flips run in
         groups whose _flip_charges sum to at most FORWARD_FLIPS_GROUP_BYTES
         (a candidate charged more forms a group alone).  Per group, one
-        _stacked_flips graph, _flip_rows and _operator give the operator
-        rows each flip changes, by the builder's own sparse products, and
-        one sparse product their layer-1 rows.  Each flip swaps its rows
-        into reused clean work arrays, reruns the elementwise steps (bias,
-        ReLU) on those rows only, runs layer 2's dense products full-shape
-        into the group's (B, n, C) arrays and restores the rows; one sparse
-        product over the group's columns and one over its changed rows
-        propagate layer 2, and one _emit call writes the whole group's
+        _flip_patch call gives the operator rows each flip changes, through
+        build_ops's builder, as one CSR over the group's stacked columns;
+        its twin over the graph's columns gives their layer-1 rows in one
+        sparse product.  Each flip swaps its rows into reused clean work
+        arrays, reruns the elementwise steps (bias, ReLU) on those rows
+        only, runs layer 2's dense products full-shape into the group's
+        (B, n, C) arrays and restores the rows; one sparse product over the
+        group's columns and one over its changed rows propagate layer 2, and one _emit call writes the whole group's
         logits or classes, as forward_many does per chunk.  A row of a BLAS
         product depends on its position, so only full-shape dense products
         match the clean pass in the rows a flip leaves alone.
         """
         pairs = pair_array(pairs, g.n)
         n = g.n
-        a, deg = _adjacency(g, self.self_loops)
-        ops = self._operator(a, deg)
+        adjacency = _adjacency(g, self.self_loops)
+        ops = self._operator(*adjacency)
         pre = self._pre(ops, X)
         S, clean = pre[0], pre[1]
         h_clean = np.maximum(self._hidden_rows(pre, clean, slice(None)), 0.0)
         Q, h = clean.copy(), h_clean.copy()  # work arrays, clean again after every candidate
         logits = np.empty((pairs.shape[0], n, self.C)) if out is None else None
-        for start, stop in _flip_groups(_flip_charges(a, deg, pairs, self.C)):
+        for start, stop in _flip_groups(self._flip_charges(*adjacency, pairs)):
             u, v = pairs[start:stop].T
             base = np.arange(u.size) * n
-            stacked, stacked_deg = _stacked_flips(a, deg, u, v)
-            R = self._flip_rows(stacked, base + u, base + v)
-            patch = self._operator(stacked, stacked_deg, R)  # rows R of each flipped operator; columns b*n + j
+            R, patch = self._flip_patch(*adjacency, u, v)  # rows R of each flipped operator; columns b*n + j
             SR = sparse.csr_matrix((patch.data, patch.indices % n, patch.indptr), shape=(R.size, n)) @ S
             starts, ends = np.searchsorted(R, base), np.searchsorted(R, base + n)
             own, Y = None, np.empty((u.size, n, self.C))  # own stays None where _head has no own term (GCN)
@@ -508,7 +509,7 @@ class GcnModel(_TwoLayer):
     backbone = "gcn"
     weight_names = ("W1", "b1", "W2", "b2")
     self_loops = True
-    _operator = staticmethod(_normalized_rows)
+    descending = False
     # bound in the GCN's own namespace, where perfbench's per-layer tracer
     # patches them, so its wrappers leave SAGE alone
     build_ops = _TwoLayer.build_ops
@@ -517,9 +518,16 @@ class GcnModel(_TwoLayer):
     loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
-    def _flip_rows(a, u, v):
-        """u and v, whose degrees move, and their neighbours in the flipped a, whose columns u, v do; self loops put u, v in their own rows."""
-        return np.unique(a[np.concatenate([u, v])].indices)
+    def _values(deg, r, c):
+        """d_r d_c with d = 1 / sqrt(deg), the entries of D^{-1/2} (A + I) D^{-1/2}."""
+        d = 1.0 / np.sqrt(deg)
+        return d[r] * d[c]
+
+    @staticmethod
+    def _held_rows(indptr, indices, x):
+        """(i, rows): the rows of x[i]'s neighbours, whose columns x[i] move, self loops putting x[i], whose degree moves, among them."""
+        i, k = _row_entries(indptr, x)
+        return i, indices[k]
 
     def _pre(self, ops, X):
         """(X W1, A_hat X W1)."""
@@ -562,12 +570,17 @@ class SageModel(_TwoLayer):
     backbone = "sage"
     weight_names = ("Ws1", "Wn1", "b1", "Ws2", "Wn2", "b2")
     self_loops = False
-    _operator = staticmethod(_mean_rows)
+    descending = True
 
     @staticmethod
-    def _flip_rows(a, u, v):
-        """u and v alone: a row of M reads only its own degree and entries."""
-        return np.column_stack([u, v]).ravel()
+    def _values(deg, r, c):
+        """1 / deg_r, the entries of D^{-1} A (a row has entries only where its degree is positive)."""
+        return 1.0 / deg[r]
+
+    @staticmethod
+    def _held_rows(indptr, indices, x):
+        """(i, x[i]): x[i]'s own row alone, since a row of M reads only its own degree and entries."""
+        return np.arange(x.size), x
 
     def _pre(self, ops, X):
         """(X, M X, X Ws1, X Ws1 + (M X) Wn1 + b1)."""
@@ -627,8 +640,8 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
     clean_ops = model.build_ops(g)
-    vul = np.asarray(split.vulnerable, dtype=np.int64)
-    pairs = eligible_pairs(g.n, split.vulnerable) if (augment and vul.size) else None
+    vul = vulnerable_ids(split.vulnerable, g.n) if (augment and split.vulnerable) else None
+    pairs = None if vul is None else eligible_pairs(g.n, vul)
 
     def val_accuracy(m):
         logits = m.forward(clean_ops, X)

@@ -1,15 +1,17 @@
 """Independent reference implementations used by the test suite.
 
-Nothing here imports scipy, and only two oracles import the package: the
-greedy attack's, which replays the library's own candidate pools, and the
-per-set certificate's, which chains the library's scalar public functions
-one draw and one outer sample at a time.  Normal quantiles come from
-bisection on an erf-based CDF, incomplete-beta values from Simpson
-integration, the Neyman-Pearson optimum from exact rational enumeration,
-the region probabilities from a sum over every flip count, gradients from
-central differences, single-flip logits from one full operator rebuild per
-flip, and group rate gaps from one gather and bool mean per group.  Slow
-and simple on purpose.
+Only the propagation operators' oracles import scipy, and only two
+oracles import the package: the greedy attack's, which replays the
+library's own candidate pools, and the per-set certificate's, which chains
+the library's scalar public functions one draw and one outer sample at a
+time.  Normal quantiles come from bisection on an erf-based CDF,
+incomplete-beta values from Simpson integration, the Neyman-Pearson optimum
+from exact rational enumeration, the region probabilities from a sum over
+every flip count, gradients from central differences, single-flip logits
+from one full operator rebuild per flip, operator rows from scipy's sparse
+products on a scipy adjacency (flipped rows from one block-diagonal graph
+of the flipped graphs), and group rate gaps from one gather and bool mean
+per group.  Slow and simple on purpose.
 """
 
 import math
@@ -377,3 +379,83 @@ def certify_set_oracle(classes, labels, test_set, cfg, eta):
         abstain_reason=None,
     )
     return fields, records.tobytes(), prediction.tobytes()
+
+
+def adjacency_oracle(edges, n, self_loops):
+    """scipy CSR 0/1 adjacency of the (m, 2) edge array on n nodes, both directions, plus the identity with self_loops, and its row sums."""
+    import numpy as np
+    from scipy import sparse
+
+    loops = np.arange(n if self_loops else 0)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    a = sparse.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    return a, np.asarray(a.sum(axis=1)).ravel()
+
+
+def _diag(x):
+    """diag(x) as CSR, keeping the zeros of x (a zero only ever scales an empty adjacency row)."""
+    import numpy as np
+    from scipy import sparse
+
+    i = np.arange(x.size + 1)
+    return sparse.csr_matrix((x, i[:-1], i), shape=(x.size, x.size))
+
+
+def normalized_rows_oracle(a, deg, rows=slice(None)):
+    """Rows of D^{-1/2} A D^{-1/2} for the adjacency a and its row sums deg, by scipy's products, each row's columns ascending."""
+    import numpy as np
+
+    d = 1.0 / np.sqrt(deg)
+    return _diag(d[rows]) @ a[rows] @ _diag(d)
+
+
+def mean_rows_oracle(a, deg, rows=slice(None)):
+    """Rows of D^{-1} A, zero where deg is 0, by scipy's product, which leaves each row's columns descending."""
+    import numpy as np
+
+    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+    return _diag(inv[rows]) @ a[rows]
+
+
+OPERATOR_ORACLES = {"gcn": normalized_rows_oracle, "sage": mean_rows_oracle}
+
+
+def stacked_flips_oracle(a, deg, u, v):
+    """(a, deg) for the B graphs with the pair (u[b], v[b]) toggled, as one block-diagonal graph on B*n nodes.
+
+    Block b, nodes b*n to b*n + n - 1, is graph b, its whole adjacency
+    toggled with scipy's own sparse arithmetic.
+    """
+    import numpy as np
+    from scipy import sparse
+
+    n = a.shape[0]
+    blocks = []
+    for ub, vb in zip(u.tolist(), v.tolist()):
+        toggle = sparse.csr_matrix((np.ones(2), ([ub, vb], [vb, ub])), shape=(n, n))
+        flipped = (a + toggle).tocsr()
+        flipped.data %= 2
+        flipped.eliminate_zeros()
+        blocks.append(flipped)
+    stacked = sparse.block_diag(blocks, format="csr")
+    stacked.sort_indices()
+    return stacked, np.asarray(stacked.sum(axis=1)).ravel()
+
+
+def flip_patch_oracle(backbone, edges, n, u, v):
+    """(R, patch): the operator rows of the B flipped graphs that a flip changes or reads, block row b*n + r, over columns b*n + j.
+
+    gcn rebuilds u, v and their neighbours in the flipped graph (its self
+    loops put u, v among them); sage rebuilds u and v alone.
+    """
+    import numpy as np
+
+    a, deg = adjacency_oracle(edges, n, backbone == "gcn")
+    stacked, stacked_deg = stacked_flips_oracle(a, deg, u, v)
+    base = np.arange(u.size) * n
+    if backbone == "gcn":
+        R = np.unique(stacked[np.concatenate([base + u, base + v])].indices)
+    else:
+        R = np.column_stack([base + u, base + v]).ravel()
+    return R, OPERATOR_ORACLES[backbone](stacked, stacked_deg, R)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from elegant import gnn
 from elegant.data import DataError, Graph, NodeLabels, SplitSpec
@@ -18,7 +19,15 @@ from elegant.gnn import (
     save_model,
     train,
 )
-from oracles import finite_difference_input_grad, finite_difference_loss_grads, flip_logits_oracle, forward_many_oracle
+from oracles import (
+    OPERATOR_ORACLES,
+    adjacency_oracle,
+    finite_difference_input_grad,
+    finite_difference_loss_grads,
+    flip_logits_oracle,
+    flip_patch_oracle,
+    forward_many_oracle,
+)
 
 PATH3 = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
 
@@ -57,6 +66,39 @@ def test_mean_aggregator_rows():
     assert m[1, 0] == pytest.approx(0.5)
     g = Graph(n=2, edges=frozenset())
     np.testing.assert_allclose(_sage_ops(g).todense(), 0.0)
+
+
+def _assert_same_csr(got, want):
+    """Equal shapes, index arrays and value bits."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_array_builder_equals_the_scipy_product_oracle(cls):
+    n = 12
+    # node 0 is a hub joined to every node but 5, which is isolated; node
+    # n - 1's one edge is (0, n - 1)
+    inner = [(1, 2), (2, 3), (3, 4), (1, 4), (6, 7), (7, 8), (8, 9), (9, 10), (6, 10), (2, 9)]
+    g = Graph(n=n, edges=[(0, j) for j in range(1, n) if j != 5] + inner)
+    model = cls.init(np.random.default_rng(0), d=1, hidden=1)
+    oracle = OPERATOR_ORACLES[model.backbone]
+    # removals and adds, at the hub, the isolated node and n - 1; endpoints 0
+    # and n - 1 shared across pairs; (0, n - 1) empties node n - 1's SAGE row
+    # and comes twice
+    pairs = np.array([(0, n - 1), (0, 5), (5, n - 1), (0, 3), (1, 2), (1, 3), (10, n - 1), (2, 9), (0, n - 1)])
+    flipped = [g.flip(pairs[b : b + 1]) for b in range(len(pairs) - 1)]
+    assert _sage_ops(flipped[0])[n - 1].nnz == 0
+    for graph in [g, Graph(n=n), *flipped]:
+        _assert_same_csr(model.build_ops(graph), oracle(*adjacency_oracle(graph.edge_array(), n, model.self_loops)))
+    for at in (slice(None), slice(0, 1), slice(3, 7)):
+        u, v = pairs[at].T
+        R, patch = model._flip_patch(*gnn._adjacency(g, model.self_loops), u, v)
+        want_R, want = flip_patch_oracle(model.backbone, g.edge_array(), n, u, v)
+        np.testing.assert_array_equal(R, want_R)
+        _assert_same_csr(patch, want)
 
 
 def _random_instance(rng, backbone="gcn"):
@@ -327,7 +369,7 @@ def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
 
 def _flip_charges(model, g, pairs):
     """forward_flips's per-candidate group charges for model on g."""
-    return gnn._flip_charges(*gnn._adjacency(g, model.self_loops), pairs, model.C)
+    return model._flip_charges(*gnn._adjacency(g, model.self_loops), pairs)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
@@ -359,6 +401,38 @@ def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, gr
             np.testing.assert_array_equal(model.forward_flips(g, X, pairs), want)
             # each group emits its classes in one call
             _assert_classes_are_the_argmax(model.forward_flips, (g, X, pairs), want)
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_forward_flips_builds_two_sparse_matrices_per_group(monkeypatch, cls):
+    rng = np.random.default_rng(53)
+    n, d = 40, 3
+    g = _random_sparse_graph(rng, n, 3 * n)
+    X = rng.standard_normal((n, d))
+    model = cls.init(rng, d=d, hidden=4, classes=2)
+    u = rng.integers(0, n - 1, size=12)
+    pairs = np.column_stack([u, rng.integers(u + 1, n)])
+    built = []
+    init = sparse._base._spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse._base._spbase, "__init__", counted)
+
+    def count(pairs, group_bytes):
+        """scipy.sparse matrices one forward_flips call constructs."""
+        monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", group_bytes)
+        built.clear()
+        model.forward_flips(g, X, pairs, out=np.empty((len(pairs), n), dtype=np.uint8))
+        return len(built)
+
+    clean = count(pairs[:0], np.inf)
+    # one group of 1 or of 12 candidates, and 12 groups of one
+    assert count(pairs[:1], np.inf) == count(pairs, np.inf) == clean + 2
+    assert count(pairs, 0) == clean + 2 * len(pairs)
+    assert clean == 1  # the clean operator
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
@@ -462,6 +536,24 @@ def test_augmented_training_differs_but_converges():
     plain = train(g, X, labels, split, cfg)
     noisy = train(g, X, labels, split, cfg, augment=True)
     assert any((plain.params()[k] != noisy.params()[k]).any() for k in plain.params())
+
+
+def test_augmented_training_reads_each_vulnerable_id_once():
+    g, X, labels, split = _train_world()
+    a, b = (int(i) for i in split.test_pool[:2])
+    cfg = TrainConfig(seed=0, epochs=20, train_noise_flip_prob=5e-3, train_noise_std=1e-2)
+
+    def weights(vulnerable):
+        twin = SplitSpec(train=split.train, validation=split.validation, test_pool=split.test_pool, vulnerable=vulnerable)
+        return train(g, X, labels, twin, cfg, augment=True).params()
+
+    once, twice = weights((a, b)), weights((a, a, b))
+    for k, v in once.items():
+        np.testing.assert_array_equal(twice[k], v)
+    # an empty vulnerable set skips augmentation: plain training
+    plain = train(g, X, labels, split, cfg).params()
+    for k, v in weights(()).items():
+        np.testing.assert_array_equal(v, plain[k])
 
 
 def test_train_config_validation():
