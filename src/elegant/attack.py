@@ -79,9 +79,9 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
     Each step scores a random pool of pool_size candidate pairs by the hard
     bias of the model after flipping that single pair, then commits the
     first candidate of maximal bias: model.forward_flips gives all of their
-    classes from one clean pass, and one fairness.group_gaps call (one
-    class1_hits gather, one rate_gaps call) prices the whole pool on the
-    metric's groups, formed once per run.  Committed flips persist across
+    classes on the metric's groups (formed once per run) from one clean
+    pass, and one fairness.group_gaps call (one class1_hits gather, one
+    rate_gaps call) prices the whole pool.  Committed flips persist across
     steps; exactly budget_edges pairs end up flipped.  Raises
     UndefinedMetricError when the metric is undefined on the evaluated
     nodes, whatever is flipped.
@@ -106,19 +106,22 @@ def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, 
     eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
     # the groups do not depend on the flips: formed once, and an empty one is an error before any scoring
     g0, g1 = metric_groups(eval_nodes, labels, metric)
+    # the candidates are scored on the groups' nodes alone, and priced by their positions there
+    nodes = np.concatenate((g0, g1))
+    at0, at1 = np.arange(g0.size), np.arange(g0.size, nodes.size)
     current = g
     committed = []
     open_mask = np.ones(pairs.shape[0], dtype=bool)  # pairs not yet committed
     rng = substream(seed, DOMAIN_ATTACK, 1)
-    scored = np.empty((min(pool_size, pairs.shape[0]), g.n), dtype=np.uint8)  # each candidate's classes
+    scored = np.empty((min(pool_size, pairs.shape[0]), nodes.size), dtype=np.uint8)  # each candidate's classes there
     for step in range(budget_edges):
         open_pos = np.flatnonzero(open_mask)
         if open_pos.size > pool_size:
             candidates = open_pos[rng.choice(open_pos.size, size=pool_size, replace=False)]
         else:
             candidates = open_pos
-        classes = model.forward_flips(current, X, pairs[candidates], out=scored[: candidates.size])
-        gaps = group_gaps(classes, g0, g1)
+        classes = model.forward_flips(current, X, pairs[candidates], out=scored[: candidates.size], rows=nodes)
+        gaps = group_gaps(classes, at0, at1)
         top = int(np.argmax(gaps))  # the first maximum, as a strict > scan keeps
         best = candidates[top]
         open_mask[best] = False

@@ -6,16 +6,19 @@ propagation operator of a graph), `forward(ops, X)` (logits, shape (n, C))
 and `forward_many(ops, X, rows, deltas, out=None)` (logits, shape
 (B, n, C), for B perturbations of the given attribute rows).  The attacks
 add `input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits)
-in X, and `forward_flips(g, X, pairs, out=None)` (logits, shape (B, n, C),
-of the B graphs g with the single pair pairs[b] flipped).  Given out, a
-(B, n) uint8 array, both batched calls write the hard classes,
-logits.argmax(axis=2), into it instead and return it; the pipeline and the
-greedy attack always pass it, since they read only classes.  `train`
+in X, and `forward_flips(g, X, pairs, out=None, rows=None)` (logits, shape
+(B, len(rows), C), at the nodes rows, default all n, of the B graphs g with
+the single pair pairs[b] flipped).  Given out, a (B, n) uint8 array, or
+(B, len(rows)) for forward_flips, both batched calls write the hard
+classes, logits.argmax(axis=2), into it instead and return it; the
+pipeline and the greedy attack always pass it, since they read only
+classes, and the greedy attack passes as rows the nodes its metric
+compares.  `train`
 builds the two reference backbones below through `init`, `loss_grads`,
 `params` and `replace`.
 
 Both reference backbones share one base, _TwoLayer: each names its
-operator by its entries (`self_loops`, `_values` and `descending`, which
+operator by its entries (`self_loops`, `_scale`, `_values` and `descending`, which
 the one array builder `_operator` turns into CSR from integer index
 arrays, for `build_ops` and single-flip scoring alike) and writes its
 layer algebra once, as a forward pass (_pass, optionally batched over
@@ -39,10 +42,12 @@ the same bits.  Asked for classes, a chunk adds each class's b2 on its own strid
 straight into the caller's uint8 rows, so neither the (B, n, C) logits
 nor their argmax pass exist.  Single-flip scoring works in groups
 of flips: one array build gives the operator rows each flip changes,
-gathered from the clean graph's CSR arrays, and the elementwise steps
-rerun only on those rows, while every dense product stays full-shape, so
-its logits equal a full rebuild bit for bit; each group's logits or
-classes are then written in one pass, as a chunk's are.
+gathered from the clean graph's CSR arrays, one sparse product their
+layer-1 rows and one call of the backbone's layer-1 hook, _flip_hidden,
+their activations, while every dense product stays full-shape, so its
+logits equal a full rebuild bit for bit; layer 2 propagates over the
+scored rows alone, and each group's logits or classes are then written
+in one pass, as a chunk's are.
 """
 
 from __future__ import annotations
@@ -185,7 +190,7 @@ def _shifted(z, cols, deltas, W, out=None):
 
 
 def _propagate(ops, Y):
-    """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k).
+    """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k), shape (B, rows of ops, k).
 
     Each element of a sparse-dense product sums its operator row's terms in
     the row's stored order, whatever the other columns hold, so every
@@ -194,7 +199,7 @@ def _propagate(ops, Y):
     if Y.ndim == 3:
         B, n, k = Y.shape
         out = ops @ Y.transpose(1, 0, 2).reshape(n, B * k)
-        return out.reshape(n, B, k).transpose(1, 0, 2)
+        return out.reshape(-1, B, k).transpose(1, 0, 2)
     return ops @ Y
 
 
@@ -205,9 +210,10 @@ def _first_max(logits, out):
     against +0.0 included, goes to the lowest class, and a NaN wins at its
     first position.  Two classes take one comparison, l1 > l0, which is
     argmax except where l1 is NaN and l0 is not; a NaN anywhere in l1
-    makes its max NaN and sends the call to the general scan.
+    makes its max NaN and sends the call to the general scan (an empty l1
+    has max -inf).
     """
-    if len(logits) == 2 and not np.isnan(logits[1].max()):
+    if len(logits) == 2 and not np.isnan(logits[1].max(initial=-np.inf)):
         np.greater(logits[1], logits[0], out=out.view(bool))
         return out
     best = logits[0]
@@ -241,7 +247,10 @@ class _TwoLayer:
     - _pre(ops, X), layer 1's products before any shift; its first two
       entries are S, the operand layer 1 propagates, and ops @ S;
     - _hidden_rows(pre, Q, rows), layer 1's pre-activation in rows when
-      ops @ S is Q;
+      ops @ S is Q, and _flip_hidden(pre, SR, held, cuts), the hidden
+      activations of a group of flipped graphs in their changed rows:
+      flip c's rows are held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]]
+      their rows of the flipped ops @ S;
     - _head(h), layer 2's products of the hidden activations h as (own,
       Y), Y being what layer 2 propagates (own is None if nothing else is
       left), and _logits(own, P, c), the logits when ops @ Y is P, of
@@ -261,12 +270,13 @@ class _TwoLayer:
 
     A backbone also names its operator by its entries, from _adjacency's
     index arrays: self_loops (whether its adjacency holds the identity),
-    _values (each entry's value from the degrees of its row and column
-    nodes), descending (whether a row stores its columns in descending
-    order) and _held_rows (the rows a flipped pair changes or reads).
-    _operator, the one operator builder, turns index arrays and degrees
-    into CSR; build_ops runs it on a whole graph and _flip_patch on the
-    held rows of a group of flipped graphs, so the two agree bit for bit.
+    _scale (each node's scale from its degree), _values (each entry's value
+    from the scales of its row and column nodes), descending (whether a row
+    stores its columns in descending order) and _held_rows (the rows a
+    flipped pair changes or reads).  _operator, the one operator builder,
+    turns index arrays and node scales into CSR; build_ops runs it on a
+    whole graph, forward_flips on its scored rows and _flip_patch on the
+    held rows of a group of flipped graphs, so all agree bit for bit.
     """
 
     backbone: str
@@ -310,75 +320,95 @@ class _TwoLayer:
 
     def build_ops(self, g: Graph):
         """The propagation operator of g: _operator over _adjacency(g, self_loops)."""
-        return self._operator(*_adjacency(g, self.self_loops))
+        indptr, indices, deg = _adjacency(g, self.self_loops)
+        return self._operator(indptr, indices, self._scale(deg))
 
-    def _operator(self, indptr, indices, deg, rows=None):
+    def _operator(self, indptr, indices, scale, rows=None):
         """Operator rows as CSR from CSR index arrays: row i has node rows[i] (default i) and the ascending columns indices[indptr[i]:indptr[i + 1]].
 
-        deg holds the degree of every node of a row or column, one column
-        per node.  Each entry is _values(deg, r, c) of its row node r and
-        column c; a descending backbone stores each row reversed.  These
-        are the values and order of the scipy products D^{-1/2} A D^{-1/2}
-        and D^{-1} A, whose entries are single terms, (d_r * 1.0) * d_c,
-        none dropped, as a zero scale only meets an empty row.  SAGE's
-        trained weights depend on its product's reversed rows.
+        scale holds _scale of the degree of every node of a row or column,
+        one column per node.  Each entry is _values(scale[r], scale, c) of
+        its row node r and column c; a descending backbone stores each row
+        reversed.  These are the values and order of the scipy products
+        D^{-1/2} A D^{-1/2} and D^{-1} A, whose entries are single terms,
+        (d_r * 1.0) * d_c, none dropped, as a zero scale only meets an empty
+        row.  SAGE's trained weights depend on its product's reversed rows.
         """
         lengths = np.diff(indptr)
         if self.descending:
             indices = indices[np.repeat(indptr[:-1] + indptr[1:] - 1, lengths) - np.arange(indices.size)]
-        r = np.repeat(np.arange(lengths.size) if rows is None else rows, lengths)
-        return sparse.csr_matrix((self._values(deg, r, indices), indices, indptr), shape=(lengths.size, deg.size))
+        row_scale = np.repeat(scale if rows is None else scale[rows], lengths)
+        return sparse.csr_matrix((self._values(row_scale, scale, indices), indices, indptr), shape=(lengths.size, scale.size))
 
-    def _flip_patch(self, indptr, indices, deg, u, v):
-        """(R, patch): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from _adjacency's arrays of the unflipped graph.
+    def _flip_patch(self, indptr, indices, deg, scale, u, v):
+        """(b, held, patch, offset): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from _adjacency's arrays of the unflipped graph and scale = _scale(deg).
 
-        R, ascending, holds b n + r for every row r of graph b in
-        _held_rows of u[b] and v[b]; patch holds those rows as CSR over the
-        B graphs' stacked columns b n + j, each as build_ops of graph b
-        gives it.  The held rows' entries are gathered from indices, each
-        pair toggled in its two rows on linear keys, and the degrees of
-        u[b], v[b] moved by one; one _operator call builds the rest.
+        Row i of patch is row held[i] of graph b[i], for every row of graph
+        b in _held_rows of u[b] and v[b], ordered by b and then by row, as
+        build_ops of graph b gives it but over the B graphs' stacked columns
+        b n + j; offset[e] is the b n of entry e's row, so patch.indices -
+        offset are the graph's own columns.  Each pair is looked up in the
+        clean rows u[b] and v[b] on their linear keys; the held rows'
+        entries are then gathered from indices in one pass whose reads skip
+        a removed entry or make room for an added one, the scales of u[b],
+        v[b] are recomputed from their moved degrees in one copy of scale
+        per graph, and one _operator call builds the rest.
         """
         n, B = deg.size, u.size
-        base = np.arange(B) * n
-        i, held = self._held_rows(indptr, indices, np.concatenate([u, v]))
+        ends, other = np.concatenate([u, v]), np.concatenate([v, u])
+        base = np.tile(np.arange(B) * n, 2)  # the graph block of each end
+        i, rows = self._held_rows(indptr, indices, ends)
         held_at = np.zeros(B * n, dtype=bool)
-        held_at[np.tile(base, 2)[i] + held] = True
+        held_at[base[i] + rows] = True
         R = np.flatnonzero(held_at)
-        at_u, at_v = np.searchsorted(R, base + u), np.searchsorted(R, base + v)
-        pos, k = _row_entries(indptr, R % n)
-        keys = pos * n + indices[k]  # patch row * n + column, ascending
-        toggles = np.column_stack([at_u * n + v, at_v * n + u]).ravel()  # ascending, as u < v
-        at = np.searchsorted(keys, toggles)
+        b = R // n
+        held = R - b * n
+        # each pair's entry, or its insertion point, as an offset into the clean rows u[b] and v[b]
+        t, k = _row_entries(indptr, ends)
+        keys = t * n + indices[k]  # ascending
+        first = np.arange(2 * B) * n  # the key of each row's column 0
+        at = np.searchsorted(keys, first + other)
         present = at < keys.size
-        present[present] = keys[at[present]] == toggles[present]
-        drop, add = at[present], ~present
-        keys = np.insert(np.delete(keys, drop), at[add] - np.searchsorted(drop, at[add]), toggles[add])
-        pos, cols = np.divmod(keys, n)
-        sign = np.where(present[::2], -1, 1)
-        stacked_deg = np.tile(deg, B)
-        stacked_deg[np.concatenate([base + u, base + v])] += np.tile(sign, 2)
-        patch_ptr = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=R.size))])
-        return R, self._operator(patch_ptr, cols + (R // n * n)[pos], stacked_deg, R)
+        present[present] = keys[at[present]] == (first + other)[present]
+        off = at - np.searchsorted(keys, first)
+        sign = np.where(present, -1, 1)  # the moved degree and row length, per end
+        at_end = np.searchsorted(R, base + ends)
+        lengths = indptr[held + 1] - indptr[held]
+        lengths[at_end] += sign
+        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        # entry p of held row j reads clean entry indptr[held[j]] + p - ptr[j]; from a
+        # row's toggle on, a removal reads one entry later and an addition one earlier
+        read = np.repeat(indptr[held] - ptr[:-1], lengths) + np.arange(ptr[-1])
+        t, e = _row_entries(ptr, at_end)
+        read[e] -= (e - ptr[at_end][t] >= off[t]) * sign[t]
+        cols = indices[read]
+        cols[ptr[at_end][~present] + off[~present]] = other[~present]
+        scales = np.tile(scale, B)
+        scales[base + ends] = self._scale(deg[ends] + sign)
+        offset = np.repeat(b * n, lengths)
+        return b, held, self._operator(ptr, cols + offset, scales, R), offset
 
     def _flip_charges(self, indptr, indices, deg, pairs):
         """Bytes of forward_flips working memory charged to each pair (u, v) of pairs.
 
         A pair pays 8 (5 + 3 C) bytes per node, its share of the stacked
-        degrees and of the layer-2 products, and 80 bytes per adjacency
-        entry of its _flip_patch rows, its share of the gathered keys and
-        of the patch.  Its rows are _held_rows of u and v, which hold at
-        most reach[u] + reach[v] + 2 entries, reach[x] being the degrees
-        summed over x's held rows: the degrees of x's neighbours for GCN,
-        x's own degree for SAGE.  tracemalloc measured about 50-75 kB per
-        pair plus at most 76 bytes per entry (n = 1000, 2n to 20n random
-        edges, with and without a node joined to all others, both
-        backbones, logits or classes).
+        scales and of the layer-2 products, 80 bytes per adjacency entry of
+        its _flip_patch rows, its share of the gathered entries and of the
+        patch, and 8 h bytes per held row, its share of the layer-1 rows
+        (_flip_hidden's block).  Its rows are _held_rows of u and v: deg[x]
+        rows for GCN, x's neighbours and itself, and one for SAGE, x's own;
+        they hold at most reach[u] + reach[v] + 2 entries, reach[x] being
+        the degrees summed over x's held rows.  tracemalloc measured about
+        50-75 kB per pair plus at most 76 bytes per entry (n = 1000, 2n to
+        20n random edges, with and without a node joined to all others,
+        both backbones, logits or classes).
         """
         n = deg.size
         i, held = self._held_rows(indptr, indices, np.arange(n))
         reach = np.bincount(i, weights=deg[held], minlength=n)
-        return 8 * (n * (5 + 3 * self.C) + 10 * (reach[pairs[:, 0]] + reach[pairs[:, 1]] + 2))
+        rows = np.bincount(i, minlength=n)
+        u, v = pairs.T
+        return 8 * (n * (5 + 3 * self.C) + 10 * (reach[u] + reach[v] + 2) + self.h * (rows[u] + rows[v]))
 
     def forward(self, ops, X):
         """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
@@ -433,56 +463,67 @@ class _TwoLayer:
         """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h)."""
         return np.tile(self.b1, (n, 1)), np.zeros((n, self.h))
 
-    def forward_flips(self, g: Graph, X, pairs, out=None):
-        """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
+    def forward_flips(self, g: Graph, X, pairs, out=None, rows=None):
+        """Logits (B, len(rows), C) at the nodes rows (default all n) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
 
-        logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X) bit
-        for bit; a pair outside 0 <= u < v < n raises DataError, as
-        Graph.flip does.  Given out, a (B, n) uint8 array, it writes each
-        flip's hard classes there instead, as forward_many does, and
-        returns out.  The clean pass runs once, then the flips run in
-        groups whose _flip_charges sum to at most FORWARD_FLIPS_GROUP_BYTES
-        (a candidate charged more forms a group alone).  Per group, one
+        logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X)[rows]
+        bit for bit; a pair outside 0 <= u < v < n raises DataError, as
+        Graph.flip does.  Given out, a (B, len(rows)) uint8 array, it writes
+        each flip's hard classes there instead, as forward_many does, and
+        returns out.  The clean pass runs once, then the flips run in groups
+        whose _flip_charges sum to at most FORWARD_FLIPS_GROUP_BYTES (a
+        candidate charged more forms a group alone).  Per group, one
         _flip_patch call gives the operator rows each flip changes, through
         build_ops's builder, as one CSR over the group's stacked columns;
-        its twin over the graph's columns gives their layer-1 rows in one
-        sparse product.  Each flip swaps its rows into reused clean work
-        arrays, reruns the elementwise steps (bias, ReLU) on those rows
-        only, runs layer 2's dense products full-shape into the group's
-        (B, n, C) arrays and restores the rows; one sparse product over the
-        group's columns and one over its changed rows propagate layer 2, and one _emit call writes the whole group's
-        logits or classes, as forward_many does per chunk.  A row of a BLAS
-        product depends on its position, so only full-shape dense products
-        match the clean pass in the rows a flip leaves alone.
+        its twin over the graph's columns gives their layer-1 products in
+        one sparse product, and the backbone's _flip_hidden hook their
+        hidden activations in one call.  Each flip swaps its rows into a
+        reused clean hidden array, runs layer 2's dense products full-shape
+        into the group's (B, n, C) arrays and restores the rows.  Layer 2
+        then propagates over the rows alone: one sparse product of the clean
+        operator restricted to rows (built once per call; each of its rows
+        sums the same stored entries in the same order as in the full
+        operator) and one of the patch, whose rows overwrite the held rows
+        that are among rows; one _emit call writes the whole group's logits
+        or classes, as forward_many does per chunk.  A row of a BLAS product
+        depends on its position, so only full-shape dense products match
+        the clean pass in the rows a flip leaves alone.
         """
         pairs = pair_array(pairs, g.n)
         n = g.n
-        adjacency = _adjacency(g, self.self_loops)
-        ops = self._operator(*adjacency)
-        pre = self._pre(ops, X)
-        S, clean = pre[0], pre[1]
-        h_clean = np.maximum(self._hidden_rows(pre, clean, slice(None)), 0.0)
-        Q, h = clean.copy(), h_clean.copy()  # work arrays, clean again after every candidate
-        logits = np.empty((pairs.shape[0], n, self.C)) if out is None else None
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise ValueError(f"rows must lie in [0, {n})")
+        indptr, indices, deg = adjacency = _adjacency(g, self.self_loops)
+        scale = self._scale(deg)
+        pre = self._pre(self._operator(indptr, indices, scale), X)
+        h_clean = np.maximum(self._hidden_rows(pre, pre[1], slice(None)), 0.0)
+        h = h_clean.copy()  # work array, clean again after every candidate
+        scored_ptr = np.concatenate([[0], np.cumsum(indptr[rows + 1] - indptr[rows])])
+        scored = self._operator(scored_ptr, indices[_row_entries(indptr, rows)[1]], scale, rows)
+        # node j is scored at the positions order[found[j]:found[j + 1]] of rows
+        order = np.argsort(rows, kind="stable")
+        found = np.searchsorted(rows[order], np.arange(n + 1))
+        logits = np.empty((pairs.shape[0], rows.size, self.C)) if out is None else None
         for start, stop in _flip_groups(self._flip_charges(*adjacency, pairs)):
             u, v = pairs[start:stop].T
-            base = np.arange(u.size) * n
-            R, patch = self._flip_patch(*adjacency, u, v)  # rows R of each flipped operator; columns b*n + j
-            SR = sparse.csr_matrix((patch.data, patch.indices % n, patch.indptr), shape=(R.size, n)) @ S
-            starts, ends = np.searchsorted(R, base), np.searchsorted(R, base + n)
+            b, held, patch, offset = self._flip_patch(*adjacency, scale, u, v)
+            twin = sparse.csr_matrix((patch.data, patch.indices - offset, patch.indptr), shape=(held.size, n))
+            cuts = np.searchsorted(b, np.arange(u.size + 1))
+            H = self._flip_hidden(pre, twin @ pre[0], held, cuts)
+            clean = h_clean[held]
             own, Y = None, np.empty((u.size, n, self.C))  # own stays None where _head has no own term (GCN)
-            for b in range(u.size):
-                at = slice(starts[b], ends[b])
-                rows = R[at] - base[b]
-                Q[rows] = SR[at]
-                h[rows] = np.maximum(self._hidden_rows(pre, Q, rows), 0.0)
-                own_b, Y[b] = self._head(h)
-                if own_b is not None:
-                    own = np.empty_like(Y) if own is None else own
-                    own[b] = own_b
-                Q[rows], h[rows] = clean[rows], h_clean[rows]
-            P = _propagate(ops, Y)
-            P[R // n, R % n] = patch @ Y.reshape(-1, self.C)
+            for c in range(u.size):
+                at = slice(cuts[c], cuts[c + 1])
+                h[held[at]] = H[at]
+                own_c, Y[c] = self._head(h)
+                if own_c is not None:
+                    own = np.empty((u.size, rows.size, self.C)) if own is None else own
+                    own[c] = own_c[rows]
+                h[held[at]] = clean[at]
+            P = _propagate(scored, Y)
+            i, k = _row_entries(found, held)  # held row i is scored at position order[k]
+            P[b[i], order[k]] = (patch @ Y.reshape(-1, self.C))[i]
             self._emit(own, P, logits, out, slice(start, stop))
         return logits if out is None else out
 
@@ -518,10 +559,14 @@ class GcnModel(_TwoLayer):
     loss_grads = _TwoLayer.loss_grads
 
     @staticmethod
-    def _values(deg, r, c):
-        """d_r d_c with d = 1 / sqrt(deg), the entries of D^{-1/2} (A + I) D^{-1/2}."""
-        d = 1.0 / np.sqrt(deg)
-        return d[r] * d[c]
+    def _scale(deg):
+        """d = 1 / sqrt(deg), each node's scale in D^{-1/2} (A + I) D^{-1/2}."""
+        return 1.0 / np.sqrt(deg)
+
+    @staticmethod
+    def _values(row_scale, scale, c):
+        """d_r d_c, the entries of D^{-1/2} (A + I) D^{-1/2}, from each entry's d_r."""
+        return row_scale * scale[c]
 
     @staticmethod
     def _held_rows(indptr, indices, x):
@@ -536,6 +581,11 @@ class GcnModel(_TwoLayer):
 
     def _hidden_rows(self, pre, Q, rows):
         return Q[rows] + self.b1
+
+    def _flip_hidden(self, pre, SR, held, cuts):
+        """np.maximum(SR + b1, 0.0), in place: a GCN's layer-1 rows are row-local."""
+        SR += self.b1
+        return np.maximum(SR, 0.0, out=SR)
 
     def _head(self, h):
         return None, h @ self.W2
@@ -573,9 +623,15 @@ class SageModel(_TwoLayer):
     descending = True
 
     @staticmethod
-    def _values(deg, r, c):
-        """1 / deg_r, the entries of D^{-1} A (a row has entries only where its degree is positive)."""
-        return 1.0 / deg[r]
+    def _scale(deg):
+        """1 / deg, each row's scale in D^{-1} A (inf where deg is 0, a row without entries)."""
+        with np.errstate(divide="ignore"):
+            return 1.0 / deg
+
+    @staticmethod
+    def _values(row_scale, scale, c):
+        """1 / deg_r, the entries of D^{-1} A, each entry's row_scale."""
+        return row_scale
 
     @staticmethod
     def _held_rows(indptr, indices, x):
@@ -589,6 +645,16 @@ class SageModel(_TwoLayer):
 
     def _hidden_rows(self, pre, Q, rows):
         return pre[2][rows] + (Q @ self.Wn1)[rows] + self.b1
+
+    def _flip_hidden(self, pre, SR, held, cuts):
+        """Each flip's hidden rows from its own full-shape (M X) Wn1, whose rows depend on their position: flip c swaps its rows SR[cuts[c]:cuts[c + 1]] into a copy of M X."""
+        Q, H = pre[1].copy(), np.empty((held.size, self.h))
+        for c in range(cuts.size - 1):
+            at = slice(cuts[c], cuts[c + 1])
+            Q[held[at]] = SR[at]
+            H[at] = np.maximum(self._hidden_rows(pre, Q, held[at]), 0.0)
+            Q[held[at]] = pre[1][held[at]]
+        return H
 
     def _head(self, h):
         return h @ self.Ws2, h @ self.Wn2

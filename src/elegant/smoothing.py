@@ -196,11 +196,17 @@ def apply_structure_mask(g, mask: StructureMask):
 
 
 def apply_attribute_noise(X: np.ndarray, noise: AttributeNoise) -> np.ndarray:
-    """Add the Gaussian block to the vulnerable rows; returns a new matrix."""
+    """Add block row i to row noise.vulnerable[i] of X, in the given order; returns a new matrix.
+
+    The ids are checked by vulnerable_ids against X's rows, and an id
+    listed twice raises ValueError naming it, since one fancy-indexed add
+    would keep only one of its rows.
+    """
     out = np.array(X, dtype=np.float64, copy=True)
     idx = np.array(noise.vulnerable, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= X.shape[0]):
-        raise ValueError("vulnerable ids out of range for attribute matrix")
+    if vulnerable_ids(idx, X.shape[0]).size < idx.size:
+        ids = np.sort(idx)
+        raise ValueError(f"vulnerable id {ids[1:][ids[1:] == ids[:-1]][0]} is listed more than once")
     if noise.block.shape != (idx.size, X.shape[1]):
         raise ValueError(f"noise block shape {noise.block.shape} does not match ({idx.size}, {X.shape[1]})")
     out[idx] += noise.block

@@ -49,9 +49,10 @@ class _LinearModel:
             logits[b, rows] += deltas[b] @ self.W
         return logits_or_classes(logits, out)
 
-    def forward_flips(self, g, X, pairs, out=None):
+    def forward_flips(self, g, X, pairs, out=None, rows=None):
         # the logits ignore the graph
-        return logits_or_classes(np.repeat(self.forward(None, X)[None], len(pairs), axis=0), out)
+        logits = self.forward(None, X)[slice(None) if rows is None else rows]
+        return logits_or_classes(np.repeat(logits[None], len(pairs), axis=0), out)
 
     def input_grad(self, ops, X, dlogit):
         return dlogit @ self.W.T

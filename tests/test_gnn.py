@@ -95,10 +95,13 @@ def test_array_builder_equals_the_scipy_product_oracle(cls):
         _assert_same_csr(model.build_ops(graph), oracle(*adjacency_oracle(graph.edge_array(), n, model.self_loops)))
     for at in (slice(None), slice(0, 1), slice(3, 7)):
         u, v = pairs[at].T
-        R, patch = model._flip_patch(*gnn._adjacency(g, model.self_loops), u, v)
+        indptr, indices, deg = gnn._adjacency(g, model.self_loops)
+        b, held, patch, offset = model._flip_patch(indptr, indices, deg, model._scale(deg), u, v)
         want_R, want = flip_patch_oracle(model.backbone, g.edge_array(), n, u, v)
-        np.testing.assert_array_equal(R, want_R)
+        np.testing.assert_array_equal(b * n + held, want_R)
         _assert_same_csr(patch, want)
+        # offset is each entry's graph block, the b n of its row
+        np.testing.assert_array_equal(offset, np.repeat(b * n, np.diff(patch.indptr)))
 
 
 def _random_instance(rng, backbone="gcn"):
@@ -403,6 +406,50 @@ def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, gr
             _assert_classes_are_the_argmax(model.forward_flips, (g, X, pairs), want)
 
 
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("group", [None, 2])
+def test_forward_flips_rows_equal_the_oracle_columns(monkeypatch, backbone, group):
+    rng = np.random.default_rng(59)
+    n, d, h = 30, 5, 8
+    e = _random_sparse_graph(rng, n, 2 * n).edge_array()
+    kept = e[e[:, 1] != n - 1]
+    # node n - 1's one edge is (0, n - 1): flipping it empties its SAGE row
+    g = Graph(n=n, edges=np.vstack([kept, [[0, n - 1]]]))
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
+    model.b1 = rng.standard_normal(h)  # init's zero bias would leave the hook's bias add untested
+    keys = set(map(tuple, g.edge_array().tolist()))
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in keys]
+    pairs = np.vstack([np.array(absent)[rng.choice(len(absent), size=5, replace=False)], kept[:5], [[0, n - 1]]])
+    if group is not None:
+        monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", group * _flip_charges(model, g, pairs).mean())
+        assert len(list(gnn._flip_groups(_flip_charges(model, g, pairs)))) >= 4
+    endpoints = set(pairs.ravel().tolist())
+    cases = [
+        rng.permutation(n)[:12],  # unsorted
+        np.array([n - 1]),  # a single row, an endpoint
+        np.array([j for j in range(n) if j not in endpoints]),  # no endpoint
+        np.array([3, 0, 3, n - 1, 0]),  # repeated rows
+        np.arange(n)[::-1],
+        np.array([], dtype=np.int64),
+    ]
+    want = flip_logits_oracle(model, g, X, pairs)
+    for rows in cases:
+        np.testing.assert_array_equal(model.forward_flips(g, X, pairs, rows=rows), want[:, rows])
+        out = np.full((len(pairs), rows.size), 255, dtype=np.uint8)
+        assert model.forward_flips(g, X, pairs, out=out, rows=rows) is out
+        np.testing.assert_array_equal(out, want[:, rows].argmax(axis=2))
+
+
+@pytest.mark.parametrize("rows", [[0, 9], [-1, 2]])
+def test_forward_flips_rejects_rows_outside_the_graph(rows):
+    rng = np.random.default_rng(61)
+    g = _random_sparse_graph(rng, 9, 12)
+    model = GcnModel.init(rng, d=3, hidden=4, classes=2)
+    with pytest.raises(ValueError, match=r"rows must lie in \[0, 9\)"):
+        model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1)], rows=rows)
+
+
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
 def test_forward_flips_builds_two_sparse_matrices_per_group(monkeypatch, cls):
     rng = np.random.default_rng(53)
@@ -421,18 +468,22 @@ def test_forward_flips_builds_two_sparse_matrices_per_group(monkeypatch, cls):
 
     monkeypatch.setattr(sparse._base._spbase, "__init__", counted)
 
-    def count(pairs, group_bytes):
+    def count(pairs, group_bytes, rows=None):
         """scipy.sparse matrices one forward_flips call constructs."""
         monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", group_bytes)
         built.clear()
-        model.forward_flips(g, X, pairs, out=np.empty((len(pairs), n), dtype=np.uint8))
+        out = np.empty((len(pairs), n if rows is None else len(rows)), dtype=np.uint8)
+        model.forward_flips(g, X, pairs, out=out, rows=rows)
         return len(built)
 
     clean = count(pairs[:0], np.inf)
     # one group of 1 or of 12 candidates, and 12 groups of one
     assert count(pairs[:1], np.inf) == count(pairs, np.inf) == clean + 2
     assert count(pairs, 0) == clean + 2 * len(pairs)
-    assert clean == 1  # the clean operator
+    # the clean operator and its restriction to the scored rows, once per call
+    assert clean == 2
+    assert count(pairs, np.inf, rows=[5, 1]) == clean + 2
+    assert count(pairs, 0, rows=[5, 1]) == clean + 2 * len(pairs)
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
@@ -461,21 +512,26 @@ def test_forward_flips_memory_is_bounded_by_the_group(cls, hub):
         u[:] = 0
     pairs = np.column_stack([u, rng.integers(u + 1, n)])
     X = rng.standard_normal((n, d))
-    model = cls.init(rng, d=d, hidden=64, classes=2)
-    group = next(gnn._flip_groups(_flip_charges(model, g, pairs)))[1]
-    assert 2 * group <= 256
+    # all logits at hidden 64, and the greedy attack's path, classes on a
+    # quarter of the rows, at hidden 256, where the layer-1 hook's held-row
+    # block (8 h bytes per row) is a hub candidate's largest charge
+    for hidden, rows in ((64, None), (256, rng.choice(n, size=n // 4, replace=False))):
+        model = cls.init(rng, d=d, hidden=hidden, classes=2)
+        group = next(gnn._flip_groups(_flip_charges(model, g, pairs)))[1]
+        assert 2 * group <= 256
 
-    def working(B):
-        """tracemalloc peak of B candidates, less their (B, n, C) logits."""
-        tracemalloc.start()
-        try:
-            logits = model.forward_flips(g, X, pairs[:B])
-            return tracemalloc.get_traced_memory()[1] - logits.nbytes
-        finally:
-            tracemalloc.stop()
+        def working(B):
+            """tracemalloc peak of B candidates, less their logits or classes."""
+            out = None if rows is None else np.empty((B, rows.size), dtype=np.uint8)
+            tracemalloc.start()
+            try:
+                result = model.forward_flips(g, X, pairs[:B], out=out, rows=rows)
+                return tracemalloc.get_traced_memory()[1] - result.nbytes
+            finally:
+                tracemalloc.stop()
 
-    assert working(256) < 2 * working(group)
-    assert working(256) < working(1) + gnn.FORWARD_FLIPS_GROUP_BYTES
+        assert working(256) < 2 * working(group)
+        assert working(256) < working(1) + gnn.FORWARD_FLIPS_GROUP_BYTES
 
 
 def _train_world(n=60, seed=0):

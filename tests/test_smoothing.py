@@ -15,6 +15,7 @@ from elegant.pipeline import PredictionCache, certify_sets
 from elegant.smoothing import (
     DOMAIN_ATTRIBUTE,
     DOMAIN_STRUCTURE,
+    AttributeNoise,
     SmoothingConfig,
     StructureMask,
     apply_attribute_noise,
@@ -113,6 +114,7 @@ _VULNERABLE_ENTRY_POINTS = {
     "PredictionCache.build": lambda vul: PredictionCache.build(None, _G, _X, vul, _CFG),
     "certify_sets": lambda vul: certify_sets(None, _G, _X, _LABELS, _split(vul), [range(_N)], _CFG),
     "attribute_attack": lambda vul: attribute_attack(None, _G, _X, _LABELS, vul, 1.0),
+    "apply_attribute_noise": lambda vul: apply_attribute_noise(_X, AttributeNoise(block=np.ones((len(vul), _X.shape[1])), vulnerable=tuple(vul))),
 }
 _BAD_VULNERABLE = {
     "empty": ((), "vulnerable set must be nonempty"),
@@ -267,6 +269,17 @@ def test_apply_attribute_noise_touches_only_vulnerable_rows():
     np.testing.assert_array_equal(out[[1, 4]], 1.0)
     np.testing.assert_array_equal(out[[0, 2, 3]], 0.0)
     np.testing.assert_array_equal(X, 0.0)  # input untouched
+
+
+def test_apply_attribute_noise_rejects_a_repeated_id():
+    X = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="vulnerable id 1 is listed more than once"):
+        apply_attribute_noise(X, AttributeNoise(block=np.array([[1.0, 1.0], [2.0, 2.0]]), vulnerable=(1, 1)))
+    with pytest.raises(ValueError, match="vulnerable id 3 is listed more than once"):
+        apply_attribute_noise(X, AttributeNoise(block=np.ones((4, 2)), vulnerable=(3, 0, 2, 3)))
+    # distinct ids keep their given order: block row i goes to vulnerable[i]
+    out = apply_attribute_noise(X, AttributeNoise(block=np.array([[1.0, 1.0], [2.0, 2.0]]), vulnerable=(3, 1)))
+    np.testing.assert_array_equal(out, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 def test_apply_attribute_noise_validates():

@@ -4,10 +4,12 @@ Runs `elegant train`, `certify`, `fcr`, `sweep` and `attack` for both
 backbones at seed 0 with n_outer 60, n_inner 40 and FCR test sets of ratio
 0.5, count 120, each with `--jobs N` (default 1), then prints one
 `<backbone>/<file> <sha256>` line per artifact and model file, plus each
-command's exit code.  A last `fcr` run with the equal opportunity metric
-(`"metric": "eo"`) prints its exit code and its `fcr.json` digest on lines
-of their own, `<backbone>/fcr-eo ...`.  It exits with status 1 if any command exited
-non-zero.  Run it in two checkouts and `diff` the outputs to check that a
+command's exit code.  Last, `fcr` and `attack` run again with the equal
+opportunity metric (`"metric": "eo"`), whose groups are a strict subset of
+the test pool, and print their exit codes and the digests of `fcr.json`,
+`attack.csv` and `attack.json` on lines of their own, `<backbone>/fcr-eo
+...` and `<backbone>/attack-eo ...`.  It exits with status 1 if any command
+exited non-zero.  Run it in two checkouts and `diff` the outputs to check that a
 change leaves every artifact byte-identical:
 
     python tools/artifact_digests.py > after.txt
@@ -76,9 +78,13 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
         run(command, command, CONFIG)
     for name in ARTIFACTS:
         digest(name, name)
-    # the eo run reuses the trained models and overwrites fcr.json, so it goes last
-    run("fcr", "fcr-eo", dict(CONFIG, metric="eo"))
+    # the eo runs reuse the trained models and overwrite their artifacts, so they go last
+    eo = dict(CONFIG, metric="eo")
+    run("fcr", "fcr-eo", eo)
     digest("fcr.json", "fcr-eo/fcr.json")
+    run("attack", "attack-eo", eo)
+    for name in ("attack.csv", "attack.json"):
+        digest(name, f"attack-eo/{name}")
     return lines, ok
 
 
