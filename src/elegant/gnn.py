@@ -10,10 +10,10 @@ in X, and `forward_flips(g, X, pairs, out=None, rows=None)` (logits, shape
 (B, len(rows), C), at the nodes rows, default all n, of the B graphs g with
 the single pair pairs[b] flipped).  Given out, a (B, n) uint8 array, or
 (B, len(rows)) for forward_flips, both batched calls write the hard
-classes, logits.argmax(axis=2), into it instead and return it; the
-pipeline and the greedy attack always pass it, since they read only
-classes, and the greedy attack passes as rows the nodes its metric
-compares.  `train`
+classes, logits.argmax(axis=2) of the float64 logits bit for bit however
+they are computed, into it instead and return it; the pipeline and the
+greedy attack always pass it, since they read only classes, and the
+greedy attack passes as rows the nodes its metric compares.  `train`
 builds the two reference backbones below through `init`, `loss_grads`,
 `params` and `replace`.
 
@@ -31,16 +31,31 @@ in chunks with layer 1 computed in place in one reused buffer, so its
 memory is O(chunk n h), not O(B n h).  Its layer-1 bias add (GCN) and
 ReLU read two C-contiguous (n, h) tiles built once per call, b1 on every
 row and zeros: against a broadcast (h,) row or a scalar, numpy's loops
-miss their contiguous fast path (at n=1000, h=64 on a 2-core VM, per
-24-draw chunk, the tiles cut the ReLU's time to about a third and the
-bias add's to about half, and a 150-draw GCN mask's by about 30%; the
-absolute times drift with the VM: the mask took 9.2 ms when the tiles
-went in and 32 ms on a later day, on the plain and on a structure-masked
-operator alike).  The tiles hold 16 n h bytes, 1 MB at n=1000, and give
-the same bits.  Asked for classes, a chunk adds each class's b2 on its own strided
-(chunk, n) view of the layer-2 product and picks the first maximum
-straight into the caller's uint8 rows, so neither the (B, n, C) logits
-nor their argmax pass exist.  Single-flip scoring works in groups
+miss their contiguous fast path (at n=1000, h=64, per 24-draw chunk, the
+tiles cut the ReLU's time to about a third and the bias add's to about
+half).  The tiles give the same bits.
+
+Asked for classes, batched inference runs the same chunk loop on float32
+twins of the weights, the operator, the deltas and layer 1's clean
+float64 products, twice the draws per buffer, and proves each float32
+class equal to the float64 argmax from a rigorous forward-error bound
+(Higham 2002, ch. 3): per call, the backbone's own pass on absolute
+values (those products, |W|, the operator, |cols| and the largest
+|delta| of every attribute over the draws), times gamma_K, bounds every
+logit's rounding error, K counting the casts, the nested dot-product
+lengths and the additions (_TwoLayer._margin_bounds derives it).  Where
+a node-draw's float32 class margin (top logit minus runner-up) exceeds
+that bound, the float32 class is the float64 one.  The rest, 0.004% to
+0.12% of the node-draws of an sbm-german mask, depending on the model,
+are re-evaluated in float64 over the node's operator row (the
+_hidden_at hook); a node still within that margin's own bound (an exact
+tie, a NaN) sends its draw to the exact float64 path, as does a delta
+outside float32's range, and a bound that cannot be trusted (NaN, inf,
+overflow) sends every draw.  Draws are independent, so a rerun gives the bits of
+a full float64 pass.  A float64 chunk adds each class's b2 on its own
+strided (chunk, n) view of the layer-2 product and picks the first
+maximum straight into the caller's uint8 rows, so neither the (B, n, C)
+logits nor their argmax pass exist.  Single-flip scoring works in groups
 of flips: one array build gives the operator rows each flip changes,
 gathered from the clean graph's CSR arrays, one sparse product their
 layer-1 rows and one call of the backbone's layer-1 hook, _flip_hidden,
@@ -52,9 +67,12 @@ in one pass, as a chunk's are.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
+import threading
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
 from scipy import sparse
@@ -64,12 +82,19 @@ from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
 
-# Size of forward_many's layer-1 buffer, which sets its chunk of draws.  At
-# n=1000, h=64 (24 draws) on a 2-core VM, chunks of 4 / 8 / 12 / 48 draws
-# made a 150-draw GCN mask 1.15 / 1.04 / 1.01 / 1.29 times as slow and a
-# single 150-draw chunk 1.8 times (medians of three rounds of 15; 9.6 ms at
-# 24 draws on the day, and absolute times drift with the VM).
+# Size of forward_many's layer-1 buffer, which sets its chunk of draws: 24
+# float64 or 49 float32 draws at n=1000, h=64.  For float64 (2-core VM),
+# chunks of 4 / 8 / 12 / 48 draws made a 150-draw GCN mask 1.15 / 1.04 /
+# 1.01 / 1.29 times as slow as 24 draws, and a single 150-draw chunk 1.8
+# times (medians of three rounds of 15).  For the float32 pass, 12, 24, 49
+# and 98 draws (3 to 24 MiB) timed within the round-to-round drift of one
+# another on 12 certify-path masks (five rounds), and 6 draws was the
+# slowest in three rounds of five, so the size stayed.
 FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
+# forward_many's float32 pass runs only where every magnitude it computes
+# stays below this, a quarter of float32's largest value, so no rounded
+# partial sum can overflow
+F32_LIMIT = 2.0**126
 # Working memory of one forward_flips group, which sets how many candidate
 # flips share one stacked operator build; _flip_charges prices each
 # candidate from n and from the adjacency entries its flipped rows hold.
@@ -80,6 +105,20 @@ MOMENTUM = 0.9
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
+
+
+class FallbackCounts:
+    """Running totals of forward_many's exact fallbacks; several threads may add to one."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.settled = 0  # node-draws the float64 re-evaluation settled
+        self.rerun = 0  # draws rerun on the float64 path
+
+    def add(self, settled: int, rerun: int) -> None:
+        with self._lock:
+            self.settled += settled
+            self.rerun += rerun
 
 
 @dataclass(frozen=True)
@@ -225,6 +264,29 @@ def _first_max(logits, out):
     return out
 
 
+def _margin(logits):
+    """Top minus runner-up across the same-shape arrays logits (one per class), in their dtype: NaN where a logit is NaN, +inf for one class."""
+    if len(logits) < 2:
+        return np.full(logits[0].shape, np.inf)
+    if len(logits) == 2:
+        return np.abs(logits[1] - logits[0])
+    top = np.sort(np.stack(logits), axis=0)  # NaN sorts last
+    return top[-1] - top[-2]
+
+
+def _f32_fits(mag):
+    """Whether each magnitude is 0 or lies in [2^-126, F32_LIMIT], where a float32 cast errs by at most 2^-24 relative; False for NaN."""
+    return (mag <= F32_LIMIT) & ((mag >= 2.0**-126) | (mag == 0.0))
+
+
+def _shift_at(C, deltas, W, b):
+    """Row e of C[e] @ (deltas[b[e]] @ W) for every row e of the CSR C (E, r), as one sparse product over the draws' stacked (B r, k) products."""
+    r = C.shape[1]
+    D = (deltas @ W).reshape(-1, W.shape[1])
+    at = np.repeat(b, np.diff(C.indptr)) * r + C.indices
+    return sparse.csr_matrix((C.data, at, C.indptr), shape=(C.shape[0], D.shape[0])) @ D
+
+
 def _cross_entropy(logits, y, train_idx):
     """Mean cross entropy on train_idx and its gradient in the logits."""
     p = _softmax(logits)
@@ -251,6 +313,10 @@ class _TwoLayer:
       activations of a group of flipped graphs in their changed rows:
       flip c's rows are held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]]
       their rows of the flipped ops @ S;
+    - _hidden_at(pre, cols, rows, deltas, b, k), layer 1's pre-activation
+      at node k[e] under the draw X[rows] += deltas[b[e]], from pre and
+      the CSR cols, for forward_many's float64 re-evaluation of single
+      node-draws (_node_logits);
     - _head(h), layer 2's products of the hidden activations h as (own,
       Y), Y being what layer 2 propagates (own is None if nothing else is
       left), and _logits(own, P, c), the logits when ops @ Y is P, of
@@ -287,6 +353,7 @@ class _TwoLayer:
             raise TypeError(f"{type(self).__name__} takes weights {self.weight_names}, got {tuple(weights)}")
         for name in self.weight_names:
             setattr(self, name, np.asarray(weights[name], dtype=np.float64))
+        self.fallbacks = FallbackCounts()
 
     @classmethod
     def weight_shapes(cls, d, hidden, classes) -> dict:
@@ -314,6 +381,13 @@ class _TwoLayer:
 
     def params(self):
         return {name: getattr(self, name) for name in self.weight_names}
+
+    def _map(self, f):
+        """A copy of this model whose every weight w is f(w); it shares fallbacks."""
+        twin = copy.copy(self)
+        for name in self.weight_names:
+            setattr(twin, name, f(getattr(self, name)))
+        return twin
 
     def replace(self, params):
         return type(self)(**params)
@@ -418,39 +492,243 @@ class _TwoLayer:
         """Logits (B, n, C) for B perturbations of X: X[rows] += deltas[b], deltas (B, len(rows), d).
 
         Given out, a (B, n) uint8 array, it writes each draw's hard classes
-        there instead, logits.argmax(axis=2) bit for bit, and returns out:
-        each chunk computes every class's (chunk, n) logits on their own and
-        _first_max picks among them, so no (B, n, C) logits array is built.
+        there instead, logits.argmax(axis=2) bit for bit, and returns out;
+        _classes computes them from a float32 pass, settled against a
+        rigorous error bound, with an exact float64 fallback, and no
+        (B, n, C) logits array is built.
 
-        The draws run in chunks through one reused, C-contiguous layer-1
-        buffer of FORWARD_MANY_CHUNK_BYTES, so memory is O(chunk n h), not
-        O(B n h); layer 1's clean products and the operator columns at rows
-        are computed once per call.  Each draw's arithmetic is the same as
-        in one unchunked batch, so the logits are too, bit for bit; that
-        holds only while the buffer stays C-contiguous (a strided h @ W2
-        leaves BLAS and moves the last bits).
-
-        The bias add and ReLU take same-shape operands, _tiles(n), built
-        once per call next to the clean products: against a broadcast (h,)
-        row or a scalar, numpy's inner loop is h elements long or misses
-        its contiguous fast path, and the two steps took about half of a
-        mask's time (6.3 of 13 ms at n=1000, h=64).  Elementwise, the tiles
-        give the scalar forms' bits, a -0.0 into the ReLU included, since z1
-        stays its first operand.  They cost 16 n h bytes per call, the
-        order of the clean products already held.
+        The logits come from _exact, _chunks of draws in float64: one
+        reused, C-contiguous layer-1 buffer of FORWARD_MANY_CHUNK_BYTES, so
+        memory is O(chunk n h), not O(B n h); layer 1's clean products and
+        the operator columns at rows are computed once per call.  Each
+        draw's arithmetic is the same as in one unchunked batch, so the
+        logits are too, bit for bit; that holds only while the buffer stays
+        C-contiguous (a strided h @ W2 leaves BLAS and moves the last bits).
         """
         rows = np.asarray(rows, dtype=np.int64)
-        B, n = deltas.shape[0], X.shape[0]
-        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (8 * n * self.h))
-        buf = np.empty((min(chunk, B), n, self.h))
         pre, cols = self._pre(ops, X), ops[:, rows].toarray()
-        tiles = self._tiles(n)
-        logits = np.empty((B, n, self.C)) if out is None else None
-        for start in range(0, B, chunk):
-            part = deltas[start : start + chunk]
-            own, P = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[3:]
-            self._emit(own, P, logits, out, slice(start, start + len(part)))
+        if out is None:
+            return self._exact(ops, X, rows, deltas, pre, cols)
+        return self._classes(ops, X, rows, deltas, pre, cols, out)
+
+    def _exact(self, ops, X, rows, deltas, pre, cols, out=None):
+        """forward_many's float64 logits, or, given out, their hard classes written into it."""
+        logits = np.empty((deltas.shape[0], X.shape[0], self.C)) if out is None else None
+        for at, own, P in self._chunks(ops, X, rows, deltas, pre, cols):
+            self._emit(own, P, logits, out, at)
         return logits if out is None else out
+
+    def _chunks(self, ops, X, rows, deltas, pre, cols):
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype.
+
+        Layer 1 runs in place in one reused C-contiguous buffer of
+        FORWARD_MANY_CHUNK_BYTES, so a float32 chunk holds twice the draws
+        of a float64 one.  The bias add and ReLU take same-shape operands,
+        _tiles(n), built once per call: against a broadcast (h,) row or a
+        scalar, numpy's inner loop is h elements long or misses its
+        contiguous fast path.  Elementwise, the tiles give the scalar forms'
+        bits, a -0.0 into the ReLU included, since z1 stays its first
+        operand.
+        """
+        dtype = self.b1.dtype
+        B, n = deltas.shape[0], X.shape[0]
+        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.h))
+        buf = np.empty((min(chunk, B), n, self.h), dtype)
+        tiles = self._tiles(n)
+        for start in range(0, B, chunk):
+            part = deltas[start : start + chunk].astype(dtype, copy=False)
+            own, P = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[3:]
+            yield slice(start, start + len(part)), own, P
+
+    def _classes(self, ops, X, rows, deltas, pre, cols, out):
+        """forward_many's hard classes, written into out: a float32 pass whose classes are proven equal to the float64 argmax, with an exact fallback.
+
+        The float32 pass is _chunks run on float32 twins of the weights, the
+        operator, cols, the deltas and pre, layer 1's clean products, which
+        it shares with the float64 pass.  _margin_bounds gives per node
+        bounds on the error of a class margin (top logit minus runner-up):
+        where a node-draw's float32 margin exceeds bound32, the float64
+        logits have the same strict maximum, so the float32 class is their
+        argmax.  Every other node-draw is re-evaluated in float64 by
+        _node_logits, from pre and cols, in batches of at most a float64
+        chunk's hidden rows, and settled where that margin exceeds bound64.
+        A draw with a node still unsettled (an exact tie, a NaN), whose
+        deltas the bound does not cover, or whose unsettled nodes read more
+        hidden rows than the draw has nodes (re-evaluating them would cost
+        more than the draw), is rerun through _exact, and so is every draw
+        when no bound can be trusted.  Draws are independent (each draw's
+        dense products are BLAS calls of their own, and a sparse product
+        sums each column alone), so a rerun gives the bits of the full
+        float64 pass.  self.fallbacks counts the node-draws settled by
+        re-evaluation and the draws rerun.
+        """
+        B, n = out.shape
+        bounds = self._margin_bounds(ops, pre, rows, deltas, cols)
+        if bounds is None:
+            self.fallbacks.add(0, B)
+            return self._exact(ops, X, rows, deltas, pre, cols, out)
+        bound32, bound64, covered = bounds
+        f32 = methodcaller("astype", np.float32)
+        twin = self._map(f32)
+        part = deltas if covered.all() else np.where(covered[:, None, None], deltas, 0.0)  # uncovered draws are rerun
+        draws, nodes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for at, own, P in twin._chunks(f32(ops), X, rows, part, tuple(map(f32, pre)), f32(cols)):
+            logits = [twin._logits(own, P, c) for c in range(self.C)]
+            _first_max(logits, out[at])
+            b, v = np.nonzero(~(_margin(logits) > bound32))
+            draws.append(b + at.start)
+            nodes.append(v)
+        b, v = np.concatenate(draws), np.concatenate(nodes)
+        # a draw whose nodes read more hidden rows than it has is cheaper to rerun
+        lengths = np.diff(ops.indptr)
+        exact = ~covered | (np.bincount(b, weights=lengths[v] + 1, minlength=B) > n)
+        b, v = b[~exact[b]], v[~exact[b]]
+        settled, step = 0, max(1, FORWARD_MANY_CHUNK_BYTES // (8 * self.h * (lengths.max(initial=0) + 1)))
+        for at in range(0, b.size, step):  # batches of at most a float64 chunk's hidden rows
+            bb, vv = b[at : at + step], v[at : at + step]
+            logits = self._node_logits(ops, pre, cols, rows, deltas, bb, vv)
+            ok = _margin(list(logits.T)) > bound64[vv]
+            out[bb[ok], vv[ok]] = logits[ok].argmax(axis=1)
+            exact[bb[~ok]] = True
+            settled += int(ok.sum())
+        redo = np.flatnonzero(exact)
+        if redo.size:
+            out[redo] = self._exact(ops, X, rows, deltas[redo], pre, cols, np.empty((redo.size, n), np.uint8))
+        self.fallbacks.add(settled, redo.size)
+        return out
+
+    def _margin_bounds(self, ops, pre, rows, deltas, cols):
+        """(bound32, bound64, covered) for forward_many's draws, or None when no bound can be trusted.
+
+        covered (B,) marks the draws whose deltas the bounds cover.  The
+        float32 pass, the float64 pass and _node_logits all start from the
+        same float64 layer-1 products pre (the float32 pass casts them), so
+        each is measured against m, a class margin (logit c minus logit c')
+        computed in exact arithmetic from pre and the other inputs.  For
+        node v, bound32[v] bounds |m32 - m| + |m64 - m| and bound64[v]
+        bounds |m64' - m| + |m64 - m|, m32 and m64 being that margin from
+        the float32 and the float64 pass and m64' from _node_logits; each
+        is the sum of the two largest per-class logit bounds E[v, c],
+        evaluated in float64.  So a margin m32 above bound32 (or m64' above
+        bound64) has the sign of m64, and its top class is m64's.
+
+        The bounds follow Higham (Accuracy and Stability of Numerical
+        Algorithms, 2002, ch. 3): an operation rounds with relative error
+        at most u (2^-24 in float32, 2^-53 in float64), so a computed sum
+        of products, each carrying at most K factors (1 + delta_i), errs by
+        at most gamma_K = K u / (1 - K u) times the same sum over absolute
+        values.  The backbone's own pieces give those sums: M1, _pass run
+        on |pre|, |weights|, the operator's |entries|, |cols| and D, the
+        elementwise max of |deltas| over the covered draws, bounds |z1| of
+        every covered draw (the pass is monotone in each operand, and its
+        ReLU is the identity there), and M, layer 2 run on M1, bounds
+        every logit's terms.  Counting factors per product:
+        - layer 1, K1 = d + r + 7: 3 casts to float32 (cols, deltas and a
+          weight; pre or b1 alone cost 1), d + r in the nested dot products
+          (deltas times a weight, then a row of cols), 2 additions (GCN:
+          onto pre, b1; SAGE: onto pre, the own-row shift), and 2 shared
+          with layer 2: the subtraction that forms the margin and the
+          bound's own evaluation in float64 (its relative error, near
+          gamma in float64, is far below one float32 u);
+        - layer 2, K2 = h + R_v + 6 for node v: 2 casts (operator,
+          weight), h + R_v in the nested dot products (h times a weight,
+          then v's operator row of R_v entries), 2 additions (own term,
+          b2) and the same 2.
+        So the float32 pre-activation errs by at most e1 = gamma_K1 M1.
+        Every draw's z1 is at most U = z + M1 - |z|, z the clean
+        pre-activation in float64, _hidden_rows of all rows (a draw's
+        shift is at most M1 - |z|, and e1 dwarfs the roundings of z and
+        U).  Where U + 2 e1 <= 0 both
+        the exact and the float32 unit are negative, so the ReLU makes both
+        0 and passes on no error; elsewhere it passes on at most e1 (it is
+        1-Lipschitz), and both hidden units lie in [0, H], H = max(U +
+        2 e1, 0).  So E32 is layer 2 on absolute values without biases run
+        on that passed-on error, plus gamma_K2 times layer 2 on absolute
+        values run on H.  The float64 pass and _node_logits cast nothing
+        and have the same dot-product lengths, so E64 = gamma_(K1 + K2) M.
+
+        Absolute term: a product or sum that underflows errs by at most
+        2^-126 (float32) or 2^-1022 (float64) absolutely, flushed to zero
+        or not.  Summed over every such operation feeding one value,
+        weighted by that value's sensitivity to its result, layer 1 adds
+        N1 = 2 + 2 r + 2 d (1 + a) units to e1 and layer 2 adds N2 = 2 h
+        (1 + a) + 2 R + 2 to a logit, R the longest operator row and a the
+        largest operator row sum; so E64 adds N = (1 + a) w2 N1 + N2 units,
+        w2 the largest column sum of |W| over layer 2's matrices.  Each
+        term is doubled, for the relative factors it passes through.  A
+        cast rounds with relative error alone only for magnitudes in
+        [2^-126, F32_LIMIT], so the bounds are None unless pre, the weights
+        and the operator's entries lie there (or are 0), and a draw is
+        covered only if its deltas do.  They are also None if any magnitude
+        the float32 pass can reach exceeds F32_LIMIT, since it would
+        overflow (NaN and inf fail these checks too), and if rows repeat a
+        node.
+        """
+        mag, apre, absm = np.abs(deltas), tuple(np.abs(p) for p in pre), self._map(np.abs)
+        covered = _f32_fits(mag).all(axis=(1, 2))
+        small = np.abs(np.concatenate([ops.data, *(w.ravel() for w in self.params().values())]))
+        if np.unique(rows).size < rows.size or not all(_f32_fits(a).all() for a in (*apre, small)):
+            return None
+        D = (mag if covered.all() else np.where(covered[:, None, None], mag, 0.0)).max(axis=0, initial=0.0)
+        A = abs(ops)
+
+        def layer2(model, hidden):
+            own, Y = model._head(hidden)
+            return model._logits(own, _propagate(A, Y))
+
+        M1 = absm._pass(A, None, rows=rows, deltas=D[None], cols=np.abs(cols), pre=apre)[0][0]
+        own, Y = absm._head(M1)
+        M = absm._logits(own, _propagate(A, Y))
+        W1s, W2s = ([w for name, w in absm.params().items() if name[0] == "W" and name[-1] == k] for k in "12")
+        if not all(p is None or p.max(initial=0.0) <= F32_LIMIT for p in (M1, own, Y, M, *(D @ w for w in W1s))):
+            return None
+        (r, d), h, n = D.shape, self.h, A.shape[0]
+        R = np.diff(A.indptr)
+        a = float((A @ np.ones(n)).max(initial=0.0))
+        w2 = max(w.sum(axis=0).max(initial=0.0) for w in W2s)
+        K1, K2 = d + r + 7, (h + 6 + R)[:, None]
+        if (K1 + K2).max(initial=K1) * 2.0**-24 >= 0.5:
+            return None
+        N1, N2 = 2 + 2 * r + 2 * d * (1 + a), 2 * h * (1 + a) + 2 * R.max(initial=0) + 2
+
+        def gamma(K, u):
+            return K * u / (1 - K * u)
+
+        e1 = gamma(K1, 2.0**-24) * M1 + 2 * 2.0**-126 * N1
+        # z + M1 - |z| + 2 e1, z the clean pre-activation
+        G = M1 + 2 * (e1 + np.minimum(self._hidden_rows(pre, pre[1], slice(None)), 0.0))
+        weights = absm._map(lambda w: w if w.ndim > 1 else np.zeros_like(w))
+        E32 = layer2(weights, e1 * (G > 0)) + gamma(K2, 2.0**-24) * layer2(absm, np.maximum(G, 0.0)) + 2 * 2.0**-126 * N2
+        E64 = gamma(K1 + K2, 2.0**-53) * M + 2 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
+
+        def top2(E):
+            return np.sort(E, axis=1)[:, -2:].sum(axis=1)
+
+        return top2(E32 + E64), top2(2 * E64), covered
+
+    def _node_logits(self, ops, pre, cols, rows, deltas, b, v):
+        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]].
+
+        They read the hidden rows of v[i] itself (_head's own term) and of
+        its operator row's columns (the propagated term), whose
+        pre-activations the backbone's _hidden_at hook gives from pre and
+        cols.  The arithmetic is not a full pass's, so the bits may differ,
+        but every dot product has the same length, which _margin_bounds'
+        float64 bound needs.
+        """
+        lengths = ops.indptr[v + 1] - ops.indptr[v] + 1
+        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        own_at = ptr[:-1]  # each node's own entry, ahead of its operator row's entries
+        row_at = np.ones(ptr[-1], dtype=bool)
+        row_at[own_at] = False
+        node, weight = np.empty(ptr[-1], dtype=np.int64), np.zeros(ptr[-1])
+        k = _row_entries(ops.indptr, v)[1]
+        node[own_at], node[row_at], weight[row_at] = v, ops.indices[k], ops.data[k]
+        h = self._hidden_at(pre, sparse.csr_matrix(cols), rows, deltas, np.repeat(b, lengths), node)
+        np.maximum(h, 0.0, out=h)
+        # layer 2 as (ops h) W rather than ops (h W): the same dot-product lengths, and BLAS sees len(v) rows, not one per entry
+        P = self._head(sparse.csr_matrix((weight, np.arange(ptr[-1]), ptr), shape=(v.size, ptr[-1])) @ h)[1]
+        return self._logits(self._head(h[own_at])[0], P)
 
     def _emit(self, own, P, logits, out, at):
         """Write the logits _logits(own, P) into logits[at], or, when logits is None, their hard classes into out[at]."""
@@ -460,8 +738,8 @@ class _TwoLayer:
             _first_max([self._logits(own, P, c) for c in range(self.C)], out[at])
 
     def _tiles(self, n):
-        """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h)."""
-        return np.tile(self.b1, (n, 1)), np.zeros((n, self.h))
+        """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h), in the weights' dtype."""
+        return np.tile(self.b1, (n, 1)), np.zeros((n, self.h), self.b1.dtype)
 
     def forward_flips(self, g: Graph, X, pairs, out=None, rows=None):
         """Logits (B, len(rows), C) at the nodes rows (default all n) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
@@ -582,6 +860,13 @@ class GcnModel(_TwoLayer):
     def _hidden_rows(self, pre, Q, rows):
         return Q[rows] + self.b1
 
+    def _hidden_at(self, pre, cols, rows, deltas, b, k):
+        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: A_hat X W1 + cols (delta W1) + b1, cols a CSR."""
+        z = _shift_at(cols[k], deltas, self.W1, b)
+        z += pre[1][k]
+        z += self.b1
+        return z
+
     def _flip_hidden(self, pre, SR, held, cuts):
         """np.maximum(SR + b1, 0.0), in place: a GCN's layer-1 rows are row-local."""
         SR += self.b1
@@ -645,6 +930,14 @@ class SageModel(_TwoLayer):
 
     def _hidden_rows(self, pre, Q, rows):
         return pre[2][rows] + (Q @ self.Wn1)[rows] + self.b1
+
+    def _hidden_at(self, pre, cols, rows, deltas, b, k):
+        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: pre[3] + cols (delta Wn1), plus delta Ws1 where k[e] is a perturbed row; cols a CSR."""
+        own = sparse.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=cols.shape)
+        z = _shift_at(cols[k], deltas, self.Wn1, b)
+        z += pre[3][k]
+        z += _shift_at(own[k], deltas, self.Ws1, b)
+        return z
 
     def _flip_hidden(self, pre, SR, held, cuts):
         """Each flip's hidden rows from its own full-shape (M X) Wn1, whose rows depend on their position: flip c swaps its rows SR[cuts[c]:cuts[c + 1]] into a copy of M X."""

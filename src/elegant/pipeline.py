@@ -55,8 +55,14 @@ records.n1 the whole column.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import itertools
 import logging
+import os
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -162,25 +168,50 @@ class PredictionCache:
 
     @classmethod
     def build(cls, model, g: Graph, X, vulnerable, cfg: SmoothingConfig, jobs: int = 1):
+        """Fill the cache, one forward_many call per structure mask, on jobs worker threads.
+
+        It logs progress at INFO about every tenth of the masks, with the
+        elapsed time and an ETA, and at the end one DEBUG line with the
+        model's forward_many fallbacks (gnn.FallbackCounts) during the
+        build.  With jobs > 1, numpy's bundled OpenBLAS is held to one
+        thread for the build (_one_blas_thread): the workers already keep
+        the cores busy.
+        """
         n = g.n
         d = X.shape[1]
         vul_idx = vulnerable_ids(vulnerable, n)
         vul = tuple(vul_idx.tolist())
         pairs = eligible_pairs(n, vul)
         classes = np.empty((cfg.n_outer, cfg.n_inner, n), dtype=np.uint8)
+        counts = getattr(model, "fallbacks", None)
+        before = None if counts is None else (counts.settled, counts.rerun)
+        lock, done, start = threading.Lock(), [0], time.perf_counter()
+        every = max(1, -(-cfg.n_outer // 10))
 
         def run_outer(o: int) -> None:
             mask = sample_structure_mask(cfg, g, vul, stream_id=o, pairs=pairs)
             ops = model.build_ops(apply_structure_mask(g, mask))
             deltas = sample_attribute_noise(cfg, vul, d, o * cfg.n_inner, count=cfg.n_inner).block
             model.forward_many(ops, X, vul_idx, deltas, out=classes[o])
+            with lock:
+                done[0] += 1
+                k = done[0]
+            if k % every == 0 or k == cfg.n_outer:
+                elapsed = time.perf_counter() - start
+                logger.info("prediction cache: %d/%d masks in %.1f s, ETA %.1f s", k, cfg.n_outer, elapsed, elapsed * (cfg.n_outer - k) / k)
 
         if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
+            with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
                 list(pool.map(run_outer, range(cfg.n_outer)))
         else:
             for o in range(cfg.n_outer):
                 run_outer(o)
+        if before is not None:
+            draws = cfg.n_outer * cfg.n_inner
+            logger.debug(
+                "prediction cache: %d of %d node-draws settled by the float64 re-evaluation, %d of %d draws rerun on the float64 path",
+                counts.settled - before[0], draws * n, counts.rerun - before[1], draws,
+            )
         return cls(classes=classes, vulnerable=vul, config=cfg)
 
     def check(self, vulnerable: tuple, n: int, cfg: SmoothingConfig) -> None:
@@ -196,6 +227,34 @@ class PredictionCache:
         for name, (built, wanted) in fields.items():
             if built != wanted:
                 raise ValueError(f"prediction cache was built for {name}={built!r}, this call has {name}={wanted!r}")
+
+
+def _bundled_openblas():
+    """(get, set) of numpy's bundled OpenBLAS (scipy-openblas) thread count, or None with another BLAS."""
+    here = os.path.dirname(np.__file__)
+    found = glob.glob(os.path.join(here, os.pardir, "numpy.libs", "libscipy_openblas64_*")) + glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(found[0])
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread, restoring its count on exit; with another BLAS, do nothing."""
+    blas = _bundled_openblas()
+    if blas is None:
+        logger.debug("no bundled scipy-openblas found; BLAS threads left as they are")
+        yield
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarray) -> tuple:

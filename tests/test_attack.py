@@ -111,6 +111,14 @@ def test_attribute_attack_validation():
         attribute_attack(model, g, X, labels, (), 1.0)
 
 
+def test_attribute_attack_rejects_a_three_class_model():
+    # its two-class softmax Jacobian would silently give a wrong gradient
+    g, X, labels, split = _world()
+    model = BACKBONES["gcn"].init(np.random.default_rng(3), d=X.shape[1], hidden=4, classes=3)
+    with pytest.raises(ValueError, match="the model has 3"):
+        attribute_attack(model, g, X, labels, split.vulnerable, 1.0)
+
+
 @pytest.mark.parametrize("bad", [-1, 24])
 def test_attribute_attack_rejects_out_of_range_vulnerable_ids(bad):
     # -1 would otherwise index the last row, and n past the end

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from elegant import gnn
@@ -347,6 +349,117 @@ def test_forward_many_memory_is_bounded_by_the_chunk(cls):
             tracemalloc.stop()
 
     assert peak(150) < 2 * peak(c)
+
+
+def _float32_logits(model, ops, X, rows, deltas):
+    """Logits (B, n, C) of forward_many's float32 pass (float32 twins of the weights, operator, cols, deltas and float64 layer-1 products), widened to float64."""
+    twin = model._map(lambda w: w.astype(np.float32))
+    ops32, pre32 = ops.astype(np.float32), tuple(p.astype(np.float32) for p in model._pre(ops, X))
+    return twin._exact(ops32, X, rows, deltas, pre32, ops32[:, rows].toarray())
+
+
+def _margin_errors(a, b):
+    """|margin_a - margin_b| (B, n) of the largest class-pair margin (logit c minus logit c') between two logit arrays."""
+    C = a.shape[2]
+    pairs = [(c, e) for c in range(C) for e in range(C) if c != e]
+    return np.max([np.abs((a[..., c] - a[..., e]) - (b[..., c] - b[..., e])) for c, e in pairs], axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    backbone=st.sampled_from(["gcn", "sage"]),
+    C=st.sampled_from([2, 3]),
+    w_exp=st.integers(-20, 20),
+    x_exp=st.integers(-20, 20),
+    biases=st.booleans(),
+)
+@example(seed=0, backbone="gcn", C=2, w_exp=20, x_exp=20, biases=True)
+@example(seed=0, backbone="sage", C=3, w_exp=20, x_exp=20, biases=True)
+@example(seed=1, backbone="gcn", C=3, w_exp=-20, x_exp=-20, biases=True)
+@example(seed=1, backbone="sage", C=2, w_exp=-20, x_exp=-20, biases=True)
+# zero biases and layer-2 products near 1e-50, below float32's range: only the underflow term covers them
+@example(seed=2, backbone="gcn", C=2, w_exp=-20, x_exp=-10, biases=False)
+@example(seed=2, backbone="sage", C=3, w_exp=-20, x_exp=-10, biases=False)
+def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, backbone, C, w_exp, x_exp, biases):
+    rng = np.random.default_rng(seed)
+    n, d, h, B = int(rng.integers(8, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 9)), 4
+    g = _random_sparse_graph(rng, n, 3 * n)
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=C)
+    model = model.replace({k: (rng.standard_normal(w.shape) * biases if k.startswith("b") else w) * 10.0**w_exp for k, w in model.params().items()})
+    X = rng.standard_normal((n, d)) * 10.0**x_exp
+    rows = np.sort(rng.choice(n, size=3, replace=False))
+    deltas = rng.standard_normal((B, rows.size, d)) * 10.0**x_exp
+    ops = model.build_ops(g)
+    cols = ops[:, rows].toarray()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = model.forward_many(ops, X, rows, deltas)
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+    bounds = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, cols)
+    if w_exp + x_exp >= 39:
+        # X W1 reaches 1e39, past float32's range: every draw takes the float64 path
+        assert bounds is None
+    if bounds is None:
+        return
+    bound32, bound64, covered = bounds
+    assert covered.all()
+    assert (_margin_errors(_float32_logits(model, ops, X, rows, deltas), want) <= bound32).all()
+    b, v = (a.ravel() for a in np.indices((B, n)))
+    again = model._node_logits(ops, model._pre(ops, X), cols, rows, deltas, b, v).reshape(B, n, C)
+    assert (_margin_errors(again, want) <= bound64).all()
+
+
+def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
+    # a star whose hub sums 200 terms in row order: the first is large and every
+    # later one lies below half an ulp of the float32 partial sum, so each is lost
+    n = 201
+    hub = n - 1
+    g = Graph(n=n, edges=[(k, hub) for k in range(hub)])
+    X = np.full((n, 1), 2.0**-26)
+    X[0], X[hub] = 1.0, 0.0
+    model = GcnModel(W1=[[1.0]], b1=[0.0], W2=[[1.0, 0.0]], b2=[0.0, 0.0])
+    ops, rows, deltas = model.build_ops(g), np.array([0]), np.zeros((1, 1, 1))
+    bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
+    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    assert err[0, hub] > bound32[hub] / 64
+    assert (err <= bound32).all()
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_exact_ties_and_nan_draws_rerun_on_the_float64_path(backbone):
+    rng = np.random.default_rng(61)
+    n, d, h, B = 60, 5, 8, 7
+    g = _random_sparse_graph(rng, n, 2 * n)
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
+    ops, rows = model.build_ops(g), np.array([0, 5, 11])
+    deltas = rng.standard_normal((B, rows.size, d))
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    assert model.fallbacks.rerun == 0 and model.fallbacks.settled >= 0
+    # a NaN in one draw's deltas reroutes that draw alone
+    deltas[4, 1, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    assert model.fallbacks.rerun == 1
+    deltas[4, 1, 2] = 0.0
+    # an isolated node t whose two logits are P0 + P1 and P1 + P0 ties exactly in
+    # every draw: its re-evaluation cannot settle it, so every draw reruns
+    t = n - 1
+    ops = model.build_ops(Graph(n=n, edges=[e for e in g.edge_array() if t not in e]))
+    P = model.forward_many(ops, X, rows, deltas[:1])[0, t]  # b2 is 0
+    model.b2 = P[::-1].copy()
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    assert model.fallbacks.rerun == 1 + B
+    # equal layer-2 columns tie every node: every draw reruns, none is re-evaluated
+    for name in ("W2",) if backbone == "gcn" else ("Ws2", "Wn2"):
+        getattr(model, name)[:, 1] = getattr(model, name)[:, 0]
+    model.b2[:] = 0.0
+    settled = model.fallbacks.settled
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    assert model.fallbacks.rerun == 1 + 2 * B
+    assert model.fallbacks.settled == settled
+    # no draws, nothing to do
+    assert model.forward_many(ops, X, rows, deltas[:0], out=np.empty((0, n), np.uint8)).shape == (0, n)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from elegant import pipeline, smoothing
+from elegant import gnn, pipeline, smoothing
 from elegant.certify import attribute_radius
 from elegant.data import Graph, NodeLabels, SplitSpec
 from elegant.estimate import binomial_lower_bound
@@ -343,6 +343,72 @@ def test_prediction_cache_jobs_do_not_change_classes():
     c1 = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=1)
     c4 = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=4)
     np.testing.assert_array_equal(c1.classes, c4.classes)
+
+
+def _real_world(backbone):
+    """A random 80-node graph with a real backbone: random weights and a nonzero b1."""
+    rng = np.random.default_rng(71)
+    n, d = 80, 6
+    keys = rng.choice(n * n, size=4 * n, replace=False)
+    u, v = keys // n, keys % n
+    g = Graph(n=n, edges=np.column_stack((u, v))[u < v])
+    X = rng.standard_normal((n, d))
+    labels = NodeLabels(y=np.tile([0, 1], n // 2), s=np.tile([0, 0, 1, 1], n // 4))
+    split = SplitSpec(train=(), validation=(), test_pool=tuple(range(n)), vulnerable=(0, 3, 7))
+    model = gnn.BACKBONES[backbone].init(rng, d=d, hidden=16)
+    model.b1 = rng.standard_normal(16)
+    return model, g, X, labels, split
+
+
+def _float64_argmax(model):
+    """A copy of model whose forward_many classes are the argmax of its float64 logits."""
+
+    class Reference(type(model)):
+        def forward_many(self, ops, X, rows, deltas, out=None):
+            return oracles.logits_or_classes(type(model).forward_many(self, ops, X, rows, deltas), out)
+
+    return Reference(**model.params())
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_prediction_cache_jobs_do_not_change_classes_of_real_backbones(backbone):
+    model, g, X, _, split = _real_world(backbone)
+    cfg = SmoothingConfig(n_outer=8, n_inner=40, master_seed=5)
+    want = PredictionCache.build(_float64_argmax(model), g, X, split.vulnerable, cfg).classes
+    for jobs in (1, 2):
+        np.testing.assert_array_equal(PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=jobs).classes, want)
+
+
+@pytest.mark.parametrize("jobs, inside", [(1, None), (2, 1)])
+def test_cache_build_holds_openblas_to_one_thread_with_workers(monkeypatch, jobs, inside):
+    blas = pipeline._bundled_openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    threads = blas[0]
+    g, X, labels, split = _world()
+    model, seen = _FixedClassModel(labels.s), []
+    forward_many = model.forward_many
+    monkeypatch.setattr(model, "forward_many", lambda *a, **k: seen.append(threads()) or forward_many(*a, **k))
+    old = threads()
+    PredictionCache.build(model, g, X, split.vulnerable, SmoothingConfig(n_outer=6, n_inner=3, master_seed=5), jobs=jobs)
+    assert set(seen) == {old if inside is None else inside}
+    assert threads() == old
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cache_build_logs_progress_and_its_fallbacks(caplog, jobs):
+    model, g, X, _, split = _real_world("gcn")
+    cfg = SmoothingConfig(n_outer=20, n_inner=10, master_seed=5)
+    settled, rerun = model.fallbacks.settled, model.fallbacks.rerun
+    with caplog.at_level(logging.DEBUG, logger="elegant.pipeline"):
+        PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=jobs)
+    progress = [re.fullmatch(r"prediction cache: (\d+)/20 masks in [\d.]+ s, ETA [\d.]+ s", r.getMessage()) for r in caplog.records if r.levelno == logging.INFO]
+    assert all(progress) and sorted(int(m.group(1)) for m in progress) == list(range(2, 21, 2))
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert debug[-1] == (
+        f"prediction cache: {model.fallbacks.settled - settled} of {20 * 10 * g.n} node-draws settled by the float64 re-evaluation, "
+        f"{model.fallbacks.rerun - rerun} of 200 draws rerun on the float64 path"
+    )
 
 
 def test_cache_build_enumerates_eligible_pairs_once(monkeypatch):

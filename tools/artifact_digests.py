@@ -28,6 +28,14 @@ changes no byte either:
     OPENBLAS_NUM_THREADS=1 python tools/artifact_digests.py > blas1.txt
     diff jobs1.txt blas1.txt
 
+`--base REF` does the two-checkout comparison itself: it checks the git
+revision REF out into a temporary `git worktree`, runs itself on that
+tree's `src` through `--src` and on this checkout's, prints the lines that
+differ as a unified diff, removes the worktree and exits with status 1 on
+any difference (or when a run failed):
+
+    python tools/artifact_digests.py --base origin/main --jobs 2
+
 Float results depend on the BLAS build and the CPU, so digests are only
 comparable between runs on one machine.
 """
@@ -35,6 +43,7 @@ comparable between runs on one machine.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -88,12 +97,37 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     return lines, ok
 
 
+def against(base: str, src: str, jobs: int) -> int:
+    """Run this script on git revision base, checked out in a temporary worktree, and on src; print the differing lines and return 1 if any differ or a run failed."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = subprocess.run(["git", "-C", here, "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True).stdout.strip()
+
+    def run(tree_src: str) -> tuple[list[str], int]:
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", tree_src, "--jobs", str(jobs)], capture_output=True, text=True)
+        return done.stdout.splitlines(), done.returncode
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "base")
+        subprocess.run(["git", "-C", root, "worktree", "add", "--quiet", "--detach", tree, base], check=True)
+        try:
+            before, code_before = run(os.path.join(tree, "src"))
+        finally:
+            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", tree], check=True)
+    after, code_after = run(os.path.abspath(src))
+    diff = list(difflib.unified_diff(before, after, base, os.path.abspath(src), lineterm=""))
+    print("\n".join(diff) if diff else f"{len(after)} lines identical to {base}'s")
+    return 1 if diff or code_before or code_after else 0
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(os.path.dirname(here), "src"), help="source tree holding the elegant package (default: this checkout's src)")
     p.add_argument("--jobs", type=int, default=1, help="worker threads passed to every command (default: 1)")
+    p.add_argument("--base", metavar="REF", help="diff against the digests of git revision REF, run in a temporary worktree")
     args = p.parse_args(argv)
+    if args.base:
+        return against(args.base, args.src, args.jobs)
     ok = True
     for backbone in BACKBONES:
         with tempfile.TemporaryDirectory() as out:
