@@ -32,7 +32,7 @@ from .attack import DEFAULT_GRID, evaluate_under_attack
 from .data import DataError, load_dataset, make_splits, normalize_attributes
 from .fairness import METRICS, BiasThreshold, bias_value, prediction_metrics
 from .fixtures import bundled_fixture_dir, make_german_like, make_small
-from .gnn import BACKBONES, TrainConfig, load_model, predict_classes, save_model, train
+from .gnn import BACKBONES, TrainConfig, TrainingDivergedError, load_model, predict_classes, save_model, train
 from .pipeline import CERTIFIED, certify_and_predict, fcr_run
 from .smoothing import SmoothingConfig
 
@@ -252,8 +252,11 @@ def cmd_train(cfg: dict) -> int:
     g, X, labels, split = load_world(cfg)
     tc = TrainConfig(seed=cfg["seed"], **cfg["train"])
     logger.info("training %s on %d nodes / %d edges", cfg["backbone"], g.n, g.n_edges)
-    vanilla = train(g, X, labels, split, tc, backbone=cfg["backbone"])
-    noise = train(g, X, labels, split, tc, backbone=cfg["backbone"], augment=True)
+    try:
+        vanilla = train(g, X, labels, split, tc, backbone=cfg["backbone"])
+        noise = train(g, X, labels, split, tc, backbone=cfg["backbone"], augment=True)
+    except TrainingDivergedError as exc:
+        raise ConfigError(f"training diverged ({exc}) with train.lr={tc.lr:g}; try a smaller train.lr") from exc
     os.makedirs(cfg["out"], exist_ok=True)
     vanilla_path, noise_path = _model_paths(cfg)
     save_model(vanilla, vanilla_path)

@@ -209,12 +209,13 @@ def load_dataset(edge_file: str, attribute_file: str, label_file: str):
         rows = rows[1:]
     if len(rows) != n:
         raise DataError(f"{attribute_file}: expected {n} attribute rows, got {len(rows)}")
+    ragged = next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), None)
+    if ragged is not None:
+        raise DataError(f"{attribute_file}: ragged attribute rows: the row of node {ragged} has {len(rows[ragged])} values, the first row {len(rows[0])}")
     try:
         X = np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"{attribute_file}: non-numeric attribute value ({exc})") from exc
-    if X.ndim != 2:
-        raise DataError(f"{attribute_file}: ragged attribute rows")
     bad_rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad_rows.size:
         raise DataError(f"{attribute_file}: non-finite attribute value (nan or inf) in the row of node {bad_rows[0]}")

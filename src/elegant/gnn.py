@@ -48,11 +48,12 @@ a node-draw's float32 class margin (top logit minus runner-up) exceeds
 that bound, the float32 class is the float64 one.  The rest, 0.004% to
 0.12% of the node-draws of an sbm-german mask, depending on the model,
 are re-evaluated in float64 over the node's operator row (the
-_hidden_at hook); a node still within that margin's own bound (an exact
-tie, a NaN) sends its draw to the exact float64 path, as does a delta
-outside float32's range, and a bound that cannot be trusted (NaN, inf,
-overflow) sends every draw.  Draws are independent, so a rerun gives the bits of
-a full float64 pass.  A float64 chunk adds each class's b2 on its own
+_hidden_at hook).  The fallback rule: a node still within that margin's
+own bound (an exact tie, a NaN) sends its draw to the exact float64 path,
+and a value outside float32's range (in layer 1's products, the weights,
+the operator or the deltas) or a bound that cannot be trusted (NaN, inf,
+overflow) sends every draw.  Draws are independent, so a rerun gives the
+bits of a full float64 pass.  A float64 chunk adds each class's b2 on its own
 strided (chunk, n) view of the layer-2 product and picks the first
 maximum straight into the caller's uint8 rows, so neither the (B, n, C)
 logits nor their argmax pass exist.  Single-flip scoring works in groups
@@ -243,24 +244,18 @@ def _propagate(ops, Y):
 
 
 def _first_max(logits, out):
-    """Index of the first maximum across the same-shape arrays logits (one per class), written into the uint8 out.
+    """Index of the first maximum across the same-shape arrays logits (one per class), written into the uint8 out: ndarray.argmax over a class-last stack.
 
-    Picks as ndarray.argmax over a stacked class axis does: a tie, -0.0
-    against +0.0 included, goes to the lowest class, and a NaN wins at its
-    first position.  Two classes take one comparison, l1 > l0, which is
-    argmax except where l1 is NaN and l0 is not; a NaN anywhere in l1
-    makes its max NaN and sends the call to the general scan (an empty l1
-    has max -inf).
+    Two classes take one comparison, l1 > l0, which is that argmax (a tie,
+    -0.0 against +0.0 included, goes to class 0) except where l1 is NaN and
+    l0 is not; a NaN anywhere in l1 makes its max NaN and sends the call,
+    like more than two classes, to the argmax itself (an empty l1 has max
+    -inf).
     """
     if len(logits) == 2 and not np.isnan(logits[1].max(initial=-np.inf)):
         np.greater(logits[1], logits[0], out=out.view(bool))
-        return out
-    best = logits[0]
-    out[...] = 0
-    for c, z in enumerate(logits[1:], 1):
-        take = (z > best) | (np.isnan(z) & ~np.isnan(best))
-        best = np.where(take, z, best)
-        out[take] = c
+    else:
+        out[...] = np.stack(logits, axis=-1).argmax(axis=-1)
     return out
 
 
@@ -552,11 +547,12 @@ class _TwoLayer:
         argmax.  Every other node-draw is re-evaluated in float64 by
         _node_logits, from pre and cols, in batches of at most a float64
         chunk's hidden rows, and settled where that margin exceeds bound64.
-        A draw with a node still unsettled (an exact tie, a NaN), whose
-        deltas the bound does not cover, or whose unsettled nodes read more
-        hidden rows than the draw has nodes (re-evaluating them would cost
-        more than the draw), is rerun through _exact, and so is every draw
-        when no bound can be trusted.  Draws are independent (each draw's
+        A draw with a node still unsettled (an exact tie, a NaN), or whose
+        unsettled nodes read more hidden rows than the draw has nodes
+        (re-evaluating them would cost more than the draw), is rerun
+        through _exact, and so is every draw when _margin_bounds gives no
+        bound: a value outside float32's range, the deltas included, or a
+        bound that cannot be trusted.  Draws are independent (each draw's
         dense products are BLAS calls of their own, and a sparse product
         sums each column alone), so a rerun gives the bits of the full
         float64 pass.  self.fallbacks counts the node-draws settled by
@@ -567,21 +563,18 @@ class _TwoLayer:
         if bounds is None:
             self.fallbacks.add(0, B)
             return self._exact(ops, X, rows, deltas, pre, cols, out)
-        bound32, bound64, covered = bounds
+        bound32, bound64 = bounds
         f32 = methodcaller("astype", np.float32)
         twin = self._map(f32)
-        part = deltas if covered.all() else np.where(covered[:, None, None], deltas, 0.0)  # uncovered draws are rerun
-        draws, nodes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for at, own, P in twin._chunks(f32(ops), X, rows, part, tuple(map(f32, pre)), f32(cols)):
+        unsettled = np.empty((B, n), dtype=bool)
+        for at, own, P in twin._chunks(f32(ops), X, rows, deltas, tuple(map(f32, pre)), f32(cols)):
             logits = [twin._logits(own, P, c) for c in range(self.C)]
             _first_max(logits, out[at])
-            b, v = np.nonzero(~(_margin(logits) > bound32))
-            draws.append(b + at.start)
-            nodes.append(v)
-        b, v = np.concatenate(draws), np.concatenate(nodes)
+            unsettled[at] = ~(_margin(logits) > bound32)
+        b, v = np.nonzero(unsettled)
         # a draw whose nodes read more hidden rows than it has is cheaper to rerun
         lengths = np.diff(ops.indptr)
-        exact = ~covered | (np.bincount(b, weights=lengths[v] + 1, minlength=B) > n)
+        exact = np.bincount(b, weights=lengths[v] + 1, minlength=B) > n
         b, v = b[~exact[b]], v[~exact[b]]
         settled, step = 0, max(1, FORWARD_MANY_CHUNK_BYTES // (8 * self.h * (lengths.max(initial=0) + 1)))
         for at in range(0, b.size, step):  # batches of at most a float64 chunk's hidden rows
@@ -598,10 +591,9 @@ class _TwoLayer:
         return out
 
     def _margin_bounds(self, ops, pre, rows, deltas, cols):
-        """(bound32, bound64, covered) for forward_many's draws, or None when no bound can be trusted.
+        """(bound32, bound64) for forward_many's draws, or None when no bound can be trusted.
 
-        covered (B,) marks the draws whose deltas the bounds cover.  The
-        float32 pass, the float64 pass and _node_logits all start from the
+        The float32 pass, the float64 pass and _node_logits all start from the
         same float64 layer-1 products pre (the float32 pass casts them), so
         each is measured against m, a class margin (logit c minus logit c')
         computed in exact arithmetic from pre and the other inputs.  For
@@ -619,10 +611,10 @@ class _TwoLayer:
         at most gamma_K = K u / (1 - K u) times the same sum over absolute
         values.  The backbone's own pieces give those sums: M1, _pass run
         on |pre|, |weights|, the operator's |entries|, |cols| and D, the
-        elementwise max of |deltas| over the covered draws, bounds |z1| of
-        every covered draw (the pass is monotone in each operand, and its
-        ReLU is the identity there), and M, layer 2 run on M1, bounds
-        every logit's terms.  Counting factors per product:
+        elementwise max of |deltas| over the draws, bounds |z1| of every
+        draw (the pass is monotone in each operand, and its ReLU is the
+        identity there), and M, layer 2 run on M1, bounds every logit's
+        terms.  Counting factors per product:
         - layer 1, K1 = d + r + 7: 3 casts to float32 (cols, deltas and a
           weight; pre or b1 alone cost 1), d + r in the nested dot products
           (deltas times a weight, then a row of cols), 2 additions (GCN:
@@ -657,19 +649,17 @@ class _TwoLayer:
         w2 the largest column sum of |W| over layer 2's matrices.  Each
         term is doubled, for the relative factors it passes through.  A
         cast rounds with relative error alone only for magnitudes in
-        [2^-126, F32_LIMIT], so the bounds are None unless pre, the weights
-        and the operator's entries lie there (or are 0), and a draw is
-        covered only if its deltas do.  They are also None if any magnitude
-        the float32 pass can reach exceeds F32_LIMIT, since it would
-        overflow (NaN and inf fail these checks too), and if rows repeat a
-        node.
+        [2^-126, F32_LIMIT], so the bounds are None unless pre, the weights,
+        the operator's entries and the deltas lie there (or are 0).  They
+        are also None if any magnitude the float32 pass can reach exceeds
+        F32_LIMIT, since it would overflow (NaN and inf fail these checks
+        too), and if rows repeat a node.
         """
         mag, apre, absm = np.abs(deltas), tuple(np.abs(p) for p in pre), self._map(np.abs)
-        covered = _f32_fits(mag).all(axis=(1, 2))
         small = np.abs(np.concatenate([ops.data, *(w.ravel() for w in self.params().values())]))
-        if np.unique(rows).size < rows.size or not all(_f32_fits(a).all() for a in (*apre, small)):
+        if np.unique(rows).size < rows.size or not all(_f32_fits(a).all() for a in (*apre, small, mag)):
             return None
-        D = (mag if covered.all() else np.where(covered[:, None, None], mag, 0.0)).max(axis=0, initial=0.0)
+        D = mag.max(axis=0, initial=0.0)
         A = abs(ops)
 
         def layer2(model, hidden):
@@ -704,7 +694,7 @@ class _TwoLayer:
         def top2(E):
             return np.sort(E, axis=1)[:, -2:].sum(axis=1)
 
-        return top2(E32 + E64), top2(2 * E64), covered
+        return top2(E32 + E64), top2(2 * E64)
 
     def _node_logits(self, ops, pre, cols, rows, deltas, b, v):
         """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]].

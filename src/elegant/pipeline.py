@@ -168,14 +168,16 @@ class PredictionCache:
 
     @classmethod
     def build(cls, model, g: Graph, X, vulnerable, cfg: SmoothingConfig, jobs: int = 1):
-        """Fill the cache, one forward_many call per structure mask, on jobs worker threads.
+        """Fill the cache, one forward_many call per structure mask, on jobs threads.
 
-        It logs progress at INFO about every tenth of the masks, with the
-        elapsed time and an ETA, and at the end one DEBUG line with the
-        model's forward_many fallbacks (gnn.FallbackCounts) during the
-        build.  With jobs > 1, numpy's bundled OpenBLAS is held to one
-        thread for the build (_one_blas_thread): the workers already keep
-        the cores busy.
+        The calling thread and jobs - 1 pool workers take masks off one
+        shared iterator, so jobs = 1 starts no thread (a worker's own malloc
+        arena would add its peak to the process's).  It logs progress at
+        INFO about every tenth of the masks, with the elapsed time and an
+        ETA, and at the end one DEBUG line with the model's forward_many
+        fallbacks (gnn.FallbackCounts) during the build.  With jobs > 1,
+        numpy's bundled OpenBLAS is held to one thread for the build
+        (_one_blas_thread): the threads already keep the cores busy.
         """
         n = g.n
         d = X.shape[1]
@@ -185,27 +187,30 @@ class PredictionCache:
         classes = np.empty((cfg.n_outer, cfg.n_inner, n), dtype=np.uint8)
         counts = getattr(model, "fallbacks", None)
         before = None if counts is None else (counts.settled, counts.rerun)
-        lock, done, start = threading.Lock(), [0], time.perf_counter()
+        lock, masks, finished, start = threading.Lock(), iter(range(cfg.n_outer)), itertools.count(1), time.perf_counter()
         every = max(1, -(-cfg.n_outer // 10))
 
-        def run_outer(o: int) -> None:
-            mask = sample_structure_mask(cfg, g, vul, stream_id=o, pairs=pairs)
-            ops = model.build_ops(apply_structure_mask(g, mask))
-            deltas = sample_attribute_noise(cfg, vul, d, o * cfg.n_inner, count=cfg.n_inner).block
-            model.forward_many(ops, X, vul_idx, deltas, out=classes[o])
-            with lock:
-                done[0] += 1
-                k = done[0]
-            if k % every == 0 or k == cfg.n_outer:
-                elapsed = time.perf_counter() - start
-                logger.info("prediction cache: %d/%d masks in %.1f s, ETA %.1f s", k, cfg.n_outer, elapsed, elapsed * (cfg.n_outer - k) / k)
+        def drain() -> None:
+            while True:
+                with lock:
+                    o = next(masks, None)
+                if o is None:
+                    return
+                mask = sample_structure_mask(cfg, g, vul, stream_id=o, pairs=pairs)
+                ops = model.build_ops(apply_structure_mask(g, mask))
+                deltas = sample_attribute_noise(cfg, vul, d, o * cfg.n_inner, count=cfg.n_inner).block
+                model.forward_many(ops, X, vul_idx, deltas, out=classes[o])
+                with lock:
+                    k = next(finished)
+                if k % every == 0 or k == cfg.n_outer:
+                    elapsed = time.perf_counter() - start
+                    logger.info("prediction cache: %d/%d masks in %.1f s, ETA %.1f s", k, cfg.n_outer, elapsed, elapsed * (cfg.n_outer - k) / k)
 
-        if jobs > 1:
-            with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(run_outer, range(cfg.n_outer)))
-        else:
-            for o in range(cfg.n_outer):
-                run_outer(o)
+        with _one_blas_thread() if jobs > 1 else contextlib.nullcontext(), ThreadPoolExecutor(max_workers=max(1, jobs - 1)) as pool:
+            helpers = [pool.submit(drain) for _ in range(jobs - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
         if before is not None:
             draws = cfg.n_outer * cfg.n_inner
             logger.debug(

@@ -306,6 +306,16 @@ def test_unknown_fixture_is_config_error(tmp_path, capsys):
     assert "unknown fixture" in capsys.readouterr().err
 
 
+def test_diverging_training_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"fixture": "sbm-small"}, "train": {"lr": 1e300}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "non-finite loss at epoch" in errors[0] and "train.lr=1e+300" in errors[0]
+
+
 def _args(argv):
     return make_parser().parse_args(argv)
 

@@ -186,6 +186,14 @@ def test_loader_rejects_non_numeric_attributes(tmp_path):
         load_dataset(edges, attrs, labels)
 
 
+def test_loader_names_the_first_ragged_attribute_row(tmp_path):
+    edges = _write(tmp_path, "e.txt", "")
+    attrs = _write(tmp_path, "x.csv", "a,b\n1.0,2.0\n3.0,4.0\n5.0\n6.0,7.0,8.0\n")
+    labels = _write(tmp_path, "y.csv", "0,0,0\n1,1,1\n2,0,1\n3,1,0\n")
+    with pytest.raises(DataError, match="x.csv: ragged attribute rows: the row of node 2 has 1 values, the first row 2"):
+        load_dataset(edges, attrs, labels)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_loader_rejects_non_finite_attributes(tmp_path, bad):
     edges = _write(tmp_path, "e.txt", "")

@@ -401,8 +401,7 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
         assert bounds is None
     if bounds is None:
         return
-    bound32, bound64, covered = bounds
-    assert covered.all()
+    bound32, bound64 = bounds
     assert (_margin_errors(_float32_logits(model, ops, X, rows, deltas), want) <= bound32).all()
     b, v = (a.ravel() for a in np.indices((B, n)))
     again = model._node_logits(ops, model._pre(ops, X), cols, rows, deltas, b, v).reshape(B, n, C)
@@ -425,6 +424,24 @@ def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
     assert (err <= bound32).all()
 
 
+def test_layer_one_sums_lost_in_float32_stay_within_the_margin_bound():
+    # many attributes, one hidden unit and one-entry operator rows (isolated
+    # nodes) make layer 1's dot products far longer than layer 2's (K1 = d + 9,
+    # K2 = 8).  Each draw row's first 64 terms are 1, so every partial sum a
+    # vectorised float32 dot product keeps is at least 1, and its other 4096
+    # terms, 2^-25, lie below half an ulp of that sum: deltas @ W1 loses them all
+    n, d = 2, 64 + 4096
+    model = GcnModel(W1=np.ones((d, 1)), b1=[0.0], W2=[[1.0, 0.0]], b2=[0.0, 0.0])
+    ops, X, rows = model.build_ops(Graph(n=n, edges=[])), np.zeros((n, d)), np.arange(n)
+    deltas = np.full((3, n, d), 2.0**-25)
+    deltas[:, :, :64] = 1.0
+    bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
+    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    # the loss, 4096 * 2^-25 = 2^-13 here, exceeds twice layer 2's share of the bound, about gamma_8 * 64 = 2^-15: only layer 1's term covers it
+    assert (err > 2.0**-14).all()
+    assert (err <= bound32).all()
+
+
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_exact_ties_and_nan_draws_rerun_on_the_float64_path(backbone):
     rng = np.random.default_rng(61)
@@ -436,11 +453,11 @@ def test_exact_ties_and_nan_draws_rerun_on_the_float64_path(backbone):
     deltas = rng.standard_normal((B, rows.size, d))
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
     assert model.fallbacks.rerun == 0 and model.fallbacks.settled >= 0
-    # a NaN in one draw's deltas reroutes that draw alone
+    # a NaN in one draw's deltas lies outside float32's range: every draw reruns
     deltas[4, 1, 2] = np.nan
     with np.errstate(invalid="ignore"):
         _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
-    assert model.fallbacks.rerun == 1
+    assert model.fallbacks.rerun == B
     deltas[4, 1, 2] = 0.0
     # an isolated node t whose two logits are P0 + P1 and P1 + P0 ties exactly in
     # every draw: its re-evaluation cannot settle it, so every draw reruns
@@ -449,14 +466,14 @@ def test_exact_ties_and_nan_draws_rerun_on_the_float64_path(backbone):
     P = model.forward_many(ops, X, rows, deltas[:1])[0, t]  # b2 is 0
     model.b2 = P[::-1].copy()
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
-    assert model.fallbacks.rerun == 1 + B
+    assert model.fallbacks.rerun == 2 * B
     # equal layer-2 columns tie every node: every draw reruns, none is re-evaluated
     for name in ("W2",) if backbone == "gcn" else ("Ws2", "Wn2"):
         getattr(model, name)[:, 1] = getattr(model, name)[:, 0]
     model.b2[:] = 0.0
     settled = model.fallbacks.settled
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
-    assert model.fallbacks.rerun == 1 + 2 * B
+    assert model.fallbacks.rerun == 3 * B
     assert model.fallbacks.settled == settled
     # no draws, nothing to do
     assert model.forward_many(ops, X, rows, deltas[:0], out=np.empty((0, n), np.uint8)).shape == (0, n)

@@ -8,7 +8,10 @@ command's exit code.  Last, `fcr` and `attack` run again with the equal
 opportunity metric (`"metric": "eo"`), whose groups are a strict subset of
 the test pool, and print their exit codes and the digests of `fcr.json`,
 `attack.csv` and `attack.json` on lines of their own, `<backbone>/fcr-eo
-...` and `<backbone>/attack-eo ...`.  It exits with status 1 if any command
+...` and `<backbone>/attack-eo ...`, and `sweep` runs again across beta
+(`"sweep": {"axis": "beta"}`), whose exit code and `sweep.csv` digest print
+as `<backbone>/sweep-beta ...`, so the structure budget across beta is
+compared too.  It exits with status 1 if any command
 exited non-zero.  Run it in two checkouts and `diff` the outputs to check that a
 change leaves every artifact byte-identical:
 
@@ -87,13 +90,15 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
         run(command, command, CONFIG)
     for name in ARTIFACTS:
         digest(name, name)
-    # the eo runs reuse the trained models and overwrite their artifacts, so they go last
+    # the eo and beta runs reuse the trained models and overwrite their artifacts, so they go last
     eo = dict(CONFIG, metric="eo")
     run("fcr", "fcr-eo", eo)
     digest("fcr.json", "fcr-eo/fcr.json")
     run("attack", "attack-eo", eo)
     for name in ("attack.csv", "attack.json"):
         digest(name, f"attack-eo/{name}")
+    run("sweep", "sweep-beta", dict(CONFIG, sweep={"axis": "beta"}))
+    digest("sweep.csv", "sweep-beta/sweep.csv")
     return lines, ok
 
 
