@@ -60,6 +60,9 @@ DEFAULTS = {
     "attack": {"grid": [list(cell) for cell in DEFAULT_GRID], "eta_multiplier": 1.5},
 }
 
+# what a smoothing or train value of each default's type must be (_typed_block)
+TYPE_WORDS = {bool: "true or false", int: "an integer", float: "a number"}
+
 # per-test-set fields of fcr.json, a subset of CertificationReport.to_json_dict()
 FCR_PER_SET_KEYS = ("outcome", "eps_A", "eps_X", "bias", "accuracy", "n_outer_positive")
 
@@ -116,7 +119,9 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
     if "eta" in flags:
         cfg["eta"] = {"mode": "absolute", "value": flags["eta"]}
     if "eta_mult" in flags:
+        # the flag sets the attack's multiplier too, which otherwise keeps its own default
         cfg["eta"] = {"mode": "relative", "multiplier": flags["eta_mult"]}
+        cfg["attack"]["eta_multiplier"] = flags["eta_mult"]
     if cfg["backbone"] not in BACKBONES:
         raise ConfigError(f"backbone must be {' or '.join(BACKBONES)}, got {cfg['backbone']!r}")
     if cfg["metric"] not in METRICS:
@@ -127,24 +132,27 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
 
 
 def load_world(cfg: dict):
-    """Dataset plus node splits for this config; attributes min-max scaled."""
+    """Dataset plus node splits for this config; attributes min-max scaled.
+
+    A key the chosen dataset would ignore raises ConfigError naming it: the
+    file keys beside a fixture, fixture_seed beside any but a generator.
+    """
     ds = cfg["dataset"]
-    if ds["fixture"]:
-        name = ds["fixture"]
-        generators = {"sbm-german": make_german_like, "sbm-small": make_small}
-        if name in generators:
-            # fixture_seed None means the generator's own default seed
-            seed = ds["fixture_seed"]
-            g, X, labels = generators[name]() if seed is None else generators[name](seed=int(seed))
-        elif name == "sbm200":
-            root = bundled_fixture_dir("sbm200")
-            g, X, labels = load_dataset(
-                os.path.join(root, "edges.txt"),
-                os.path.join(root, "features.csv"),
-                os.path.join(root, "labels.csv"),
-            )
-        else:
-            raise ConfigError(f"unknown fixture {name!r}")
+    name, seed = ds["fixture"], ds["fixture_seed"]
+    generators = {"sbm-german": make_german_like, "sbm-small": make_small}
+    if name and name not in (*generators, "sbm200"):
+        raise ConfigError(f"unknown fixture {name!r}")
+    files = [f"dataset.{key}" for key in ("edges", "attributes", "labels") if ds[key] is not None]
+    if name and files:
+        raise ConfigError(f"dataset.fixture {name!r} conflicts with {', '.join(files)}; set \"fixture\": null to load files")
+    if seed is not None and name not in generators:
+        raise ConfigError(f"dataset.fixture_seed conflicts with dataset.fixture {json.dumps(name)}; only {' and '.join(generators)} take a seed")
+    if name in generators:
+        # fixture_seed None means the generator's own default seed
+        g, X, labels = generators[name]() if seed is None else generators[name](seed=int(seed))
+    elif name:
+        root = bundled_fixture_dir(name)
+        g, X, labels = load_dataset(*(os.path.join(root, f) for f in ("edges.txt", "features.csv", "labels.csv")))
     else:
         for key in ("edges", "attributes", "labels"):
             if not ds[key]:
@@ -195,10 +203,26 @@ def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=Non
     return eta
 
 
+def _typed_block(cfg: dict, block: str) -> dict:
+    """cfg[block] (smoothing or train) with each value cast to its default's type.
+
+    An int field takes an integral number (2.0 becomes 2), a float field any
+    number and a bool field only a JSON boolean; any other value raises
+    ConfigError naming block.key.
+    """
+    out = {}
+    for key, value in cfg[block].items():
+        kind = type(DEFAULTS[block][key])
+        integral = type(value) is int or (type(value) is float and value.is_integer())
+        if not {bool: type(value) is bool, int: integral, float: type(value) in (int, float)}[kind]:
+            raise ConfigError(f"{block}.{key} must be {TYPE_WORDS[kind]}, got {value!r}")
+        out[key] = kind(value)
+    return out
+
+
 def smoothing_config(cfg: dict, eta: BiasThreshold) -> SmoothingConfig:
-    """The config's smoothing block, each value cast to its default's type, plus eta, metric and seed."""
-    sm = {k: type(DEFAULTS["smoothing"][k])(v) for k, v in cfg["smoothing"].items()}
-    return SmoothingConfig(**sm, eta=float(eta.eta), metric=cfg["metric"], master_seed=int(cfg["seed"]))
+    """The config's smoothing block through _typed_block, plus eta, metric and seed."""
+    return SmoothingConfig(**_typed_block(cfg, "smoothing"), eta=float(eta.eta), metric=cfg["metric"], master_seed=int(cfg["seed"]))
 
 
 def _prepare(cfg: dict, eta_multiplier=None):
@@ -250,7 +274,7 @@ def write_csv(path: str, fieldnames, rows) -> None:
 
 def cmd_train(cfg: dict) -> int:
     g, X, labels, split = load_world(cfg)
-    tc = TrainConfig(seed=cfg["seed"], **cfg["train"])
+    tc = TrainConfig(seed=cfg["seed"], **_typed_block(cfg, "train"))
     logger.info("training %s on %d nodes / %d edges", cfg["backbone"], g.n, g.n_edges)
     try:
         vanilla = train(g, X, labels, split, tc, backbone=cfg["backbone"])

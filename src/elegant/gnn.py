@@ -3,67 +3,59 @@
 Backbone contract.  Certification (pipeline.PredictionCache and
 certify_and_predict) needs only `backbone` (a name), `build_ops(g)` (the
 propagation operator of a graph), `forward(ops, X)` (logits, shape (n, C))
-and `forward_many(ops, X, rows, deltas, out=None)` (logits, shape
-(B, n, C), for B perturbations of the given attribute rows).  The attacks
-add `input_grad(ops, X, dlogits)`, the gradient of sum(dlogits * logits)
-in X, and `forward_flips(g, X, pairs, out=None, rows=None)` (logits, shape
-(B, len(rows), C), at the nodes rows, default all n, of the B graphs g with
-the single pair pairs[b] flipped).  Given out, a (B, n) uint8 array, or
-(B, len(rows)) for forward_flips, both batched calls write the hard
-classes, logits.argmax(axis=2) of the float64 logits bit for bit however
-they are computed, into it instead and return it; the pipeline and the
-greedy attack always pass it, since they read only classes, and the
-greedy attack passes as rows the nodes its metric compares.  `train`
-builds the two reference backbones below through `init`, `loss_grads`,
-`params` and `replace`.
+and `forward_many(ops, X, rows, deltas, out)`, which writes the hard
+classes of B perturbations of the given attribute rows into the (B, n)
+uint8 out and returns it.  The attacks add `input_grad(ops, X, dlogits)`,
+the gradient of sum(dlogits * logits) in X, and `forward_flips(g, X,
+pairs, out, rows=None)`, which writes the hard classes at the nodes rows
+(default all n) of the B graphs g with the single pair pairs[b] flipped
+into the (B, len(rows)) uint8 out and returns it; the greedy attack passes
+as rows the nodes its metric compares.  Both batched calls give
+logits.argmax of the float64 logits bit for bit, however they compute
+them: certification and the attacks read only classes.  `train` builds
+the two reference backbones below through `init`, `loss_grads`, `params`
+and `replace`.
 
 Both reference backbones share one base, _TwoLayer: each names its
-operator by its entries (`self_loops`, `_scale`, `_values` and `descending`, which
-the one array builder `_operator` turns into CSR from integer index
-arrays, for `build_ops` and single-flip scoring alike) and writes its
-layer algebra once, as a forward pass (_pass, optionally batched over
-perturbations of a few attribute rows) built from per-layer pieces, and
-its reverse (_backward).  Prediction, the
-certification pipeline's batched inference, the greedy attack's
-single-flip scoring, full-batch training with manual backpropagation and
-input gradients all derive from those.  Batched inference runs its draws
-in chunks with layer 1 computed in place in one reused buffer, so its
-memory is O(chunk n h), not O(B n h).  Its layer-1 bias add (GCN) and
-ReLU read two C-contiguous (n, h) tiles built once per call, b1 on every
-row and zeros: against a broadcast (h,) row or a scalar, numpy's loops
-miss their contiguous fast path (at n=1000, h=64, per 24-draw chunk, the
-tiles cut the ReLU's time to about a third and the bias add's to about
-half).  The tiles give the same bits.
+operator by its entries (`self_loops`, `_scale`, `_values` and
+`descending`, which the one array builder `_operator` turns into CSR
+from integer index arrays, for `build_ops` and single-flip scoring
+alike) and writes only its layer algebra's pieces: layer 1 (_layer1,
+optionally batched over perturbations of a few attribute rows), layer
+2's dense head (_head) and the reverse pass (_backward).  The one
+forward pass, _TwoLayer._pass, is _layer1, the ReLU and dropout, and
+_layer2 (_head plus propagation); prediction, batched inference,
+single-flip scoring, training with manual backpropagation and input
+gradients all derive from those.  Batched inference runs its draws in
+chunks with layer 1 computed in place in one reused buffer, so its
+memory is O(chunk n h), not O(B n h); its layer-1 bias add (GCN) and
+ReLU read two C-contiguous (n, h) tiles, b1 on every row and zeros:
+the bits of a broadcast row or a scalar, in a third of the ReLU's time
+and half the bias add's (a 24-draw chunk at n=1000, h=64).
 
-Asked for classes, batched inference runs the same chunk loop on float32
-twins of the weights, the operator, the deltas and layer 1's clean
-float64 products, twice the draws per buffer, and proves each float32
-class equal to the float64 argmax from a rigorous forward-error bound
-(Higham 2002, ch. 3): per call, the backbone's own pass on absolute
-values (those products, |W|, the operator, |cols| and the largest
-|delta| of every attribute over the draws), times gamma_K, bounds every
-logit's rounding error, K counting the casts, the nested dot-product
-lengths and the additions (_TwoLayer._margin_bounds derives it).  Where
-a node-draw's float32 class margin (top logit minus runner-up) exceeds
-that bound, the float32 class is the float64 one.  The rest, 0.004% to
-0.12% of the node-draws of an sbm-german mask, depending on the model,
-are re-evaluated in float64 over the node's operator row (the
-_hidden_at hook).  The fallback rule: a node still within that margin's
-own bound (an exact tie, a NaN) sends its draw to the exact float64 path,
-and a value outside float32's range (in layer 1's products, the weights,
-the operator or the deltas) or a bound that cannot be trusted (NaN, inf,
+The chunks run on float32 twins of the weights, the operator, the deltas
+and layer 1's clean float64 products, twice the draws per buffer, and a
+rigorous forward-error bound (Higham 2002, ch. 3;
+_TwoLayer._margin_bounds, the backbone's own layers run once on absolute
+values) proves each float32 class equal to the float64 argmax where the
+node-draw's class margin exceeds it.  The rest, 0.004% to 0.12% of the
+node-draws of an sbm-german mask, depending on the model, are
+re-evaluated in float64 over the node's operator row (the _hidden_at
+hook).  The fallback rule: a node still within that margin's own bound
+(an exact tie, a NaN) sends its draw to the exact float64 path, and a
+value outside float32's range (in layer 1's products, the weights, the
+operator or the deltas) or a bound that cannot be trusted (NaN, inf,
 overflow) sends every draw.  Draws are independent, so a rerun gives the
-bits of a full float64 pass.  A float64 chunk adds each class's b2 on its own
-strided (chunk, n) view of the layer-2 product and picks the first
-maximum straight into the caller's uint8 rows, so neither the (B, n, C)
-logits nor their argmax pass exist.  Single-flip scoring works in groups
-of flips: one array build gives the operator rows each flip changes,
-gathered from the clean graph's CSR arrays, one sparse product their
-layer-1 rows and one call of the backbone's layer-1 hook, _flip_hidden,
-their activations, while every dense product stays full-shape, so its
-logits equal a full rebuild bit for bit; layer 2 propagates over the
-scored rows alone, and each group's logits or classes are then written
-in one pass, as a chunk's are.
+bits of a full float64 pass.  A float64 chunk adds each class's b2 on
+its own strided (chunk, n) view of the layer-2 product and picks the
+first maximum straight into the caller's uint8 rows (_emit), so neither
+the (B, n, C) logits nor their argmax pass exist.  Single-flip scoring
+works in groups of flips: one array build gives the operator rows each
+flip changes, one sparse product their layer-1 rows and the backbone's
+_flip_hidden hook their activations, while every dense product stays
+full-shape, so its logits equal a full rebuild bit for bit; layer 2
+propagates over the scored rows alone, and _emit writes each group's
+classes in one pass.
 """
 
 from __future__ import annotations
@@ -303,6 +295,9 @@ class _TwoLayer:
     once, in pieces:
     - _pre(ops, X), layer 1's products before any shift; its first two
       entries are S, the operand layer 1 propagates, and ops @ S;
+    - _layer1(pre, cols, rows, deltas, out, bias), layer 1's
+      pre-activation z1 from pre, bias being b1 or its tile (ignored where
+      pre holds b1);
     - _hidden_rows(pre, Q, rows), layer 1's pre-activation in rows when
       ops @ S is Q, and _flip_hidden(pre, SR, held, cuts), the hidden
       activations of a group of flipped graphs in their changed rows:
@@ -316,18 +311,20 @@ class _TwoLayer:
       Y), Y being what layer 2 propagates (own is None if nothing else is
       left), and _logits(own, P, c), the logits when ops @ Y is P, of
       every class or of class c alone, by the same elementwise steps;
-    - _pass, the forward pass, returning (z1, h, mask, own, P) with h the
-      hidden activations after dropout, so the logits are _logits(own, P),
-      and _backward, its reverse, returning (param_grads, dX) for a given
-      logit gradient.
-    Given rows, deltas (B, len(rows), d), cols = ops[:, rows] as a dense
-    array and pre, _pass runs on the B inputs with X[rows] += deltas[b] and
-    every array it returns gains a leading batch axis; given also a
-    C-contiguous (B, n, h) buffer out, it computes layer 1 in place there
+    - _backward, the reverse of _pass, returning (param_grads, dX) for a
+      given logit gradient.
+    The one forward pass, _pass, is _layer1, the ReLU and dropout, and
+    _layer2 (_head, then ops @ Y), returning (z1, h, mask, own, P) with h
+    the hidden activations after dropout, so the logits are
+    _logits(own, P).  Given rows, deltas (B, len(rows), d), cols =
+    ops[:, rows] as a dense array and pre, it runs on the B inputs with
+    X[rows] += deltas[b], every array gaining a leading batch axis; given
+    also a C-contiguous (B, n, h) buffer out, layer 1 runs in place there
     (eval mode only: z1 is then overwritten by h); given tiles, the pair
     _tiles(n), it adds b1 and runs the ReLU against those.  forward,
     forward_many, loss_grads and input_grad derive from _pass and
-    _backward; forward_flips runs the pieces itself.
+    _backward, _margin_bounds runs _layer1 and _layer2 on absolute values,
+    and forward_flips runs the pieces itself.
 
     A backbone also names its operator by its entries, from _adjacency's
     index arrays: self_loops (whether its adjacency holds the identity),
@@ -479,85 +476,46 @@ class _TwoLayer:
         u, v = pairs.T
         return 8 * (n * (5 + 3 * self.C) + 10 * (reach[u] + reach[v] + 2) + self.h * (rows[u] + rows[v]))
 
+    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
+        """(z1, h, mask, own, P): _layer1, the ReLU and dropout, then _layer2; see the class docstring."""
+        bias, zero = tiles or (self.b1, 0.0)
+        z1 = self._layer1(pre or self._pre(ops, X), cols, rows, deltas, out, bias)
+        h, mask = _relu_dropout(z1, dropout, rng, out, zero)
+        return (z1, h, mask, *self._layer2(ops, h))
+
+    def _layer2(self, ops, h):
+        """(own, P): _head's products of the hidden activations h, with Y propagated, P = ops @ Y."""
+        own, Y = self._head(h)
+        return own, _propagate(ops, Y)
+
     def forward(self, ops, X):
         """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
         return self._logits(*self._pass(ops, X)[3:])
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
-        """Logits (B, n, C) for B perturbations of X: X[rows] += deltas[b], deltas (B, len(rows), d).
+    def forward_many(self, ops, X, rows, deltas, out):
+        """Hard classes of B perturbations of X, X[rows] += deltas[b], deltas (B, len(rows), d), written into the (B, n) uint8 out, which it returns.
 
-        Given out, a (B, n) uint8 array, it writes each draw's hard classes
-        there instead, logits.argmax(axis=2) bit for bit, and returns out;
-        _classes computes them from a float32 pass, settled against a
-        rigorous error bound, with an exact float64 fallback, and no
-        (B, n, C) logits array is built.
-
-        The logits come from _exact, _chunks of draws in float64: one
-        reused, C-contiguous layer-1 buffer of FORWARD_MANY_CHUNK_BYTES, so
-        memory is O(chunk n h), not O(B n h); layer 1's clean products and
-        the operator columns at rows are computed once per call.  Each
-        draw's arithmetic is the same as in one unchunked batch, so the
-        logits are too, bit for bit; that holds only while the buffer stays
-        C-contiguous (a strided h @ W2 leaves BLAS and moves the last bits).
+        Each draw's classes are the argmax of its float64 logits, bit for bit,
+        though no (B, n, C) logits array is built.  _chunks runs on float32
+        twins of the weights, the operator, cols = ops[:, rows], the deltas and
+        pre, layer 1's clean products, which the float64 path shares.  Where a
+        node-draw's float32 class margin (top logit minus runner-up) exceeds
+        _margin_bounds' bound32, the float64 logits have the same strict
+        maximum, so the float32 class is their argmax.  Every other node-draw
+        is re-evaluated in float64 by _node_logits, from pre and cols, in
+        batches of at most a float64 chunk's hidden rows, and settled where
+        that margin exceeds bound64.  A draw with a node still unsettled (an
+        exact tie, a NaN), or whose unsettled nodes read more hidden rows than
+        the draw has nodes, is rerun through _exact, and so is every draw when
+        _margin_bounds gives no bound (a value outside float32's range, the
+        deltas included, or a bound that cannot be trusted).  Draws are
+        independent (each draw's dense products are BLAS calls of their own,
+        and a sparse product sums each column alone), so a rerun gives the bits
+        of the full float64 pass.  self.fallbacks counts the node-draws settled
+        by re-evaluation and the draws rerun.
         """
         rows = np.asarray(rows, dtype=np.int64)
         pre, cols = self._pre(ops, X), ops[:, rows].toarray()
-        if out is None:
-            return self._exact(ops, X, rows, deltas, pre, cols)
-        return self._classes(ops, X, rows, deltas, pre, cols, out)
-
-    def _exact(self, ops, X, rows, deltas, pre, cols, out=None):
-        """forward_many's float64 logits, or, given out, their hard classes written into it."""
-        logits = np.empty((deltas.shape[0], X.shape[0], self.C)) if out is None else None
-        for at, own, P in self._chunks(ops, X, rows, deltas, pre, cols):
-            self._emit(own, P, logits, out, at)
-        return logits if out is None else out
-
-    def _chunks(self, ops, X, rows, deltas, pre, cols):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype.
-
-        Layer 1 runs in place in one reused C-contiguous buffer of
-        FORWARD_MANY_CHUNK_BYTES, so a float32 chunk holds twice the draws
-        of a float64 one.  The bias add and ReLU take same-shape operands,
-        _tiles(n), built once per call: against a broadcast (h,) row or a
-        scalar, numpy's inner loop is h elements long or misses its
-        contiguous fast path.  Elementwise, the tiles give the scalar forms'
-        bits, a -0.0 into the ReLU included, since z1 stays its first
-        operand.
-        """
-        dtype = self.b1.dtype
-        B, n = deltas.shape[0], X.shape[0]
-        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.h))
-        buf = np.empty((min(chunk, B), n, self.h), dtype)
-        tiles = self._tiles(n)
-        for start in range(0, B, chunk):
-            part = deltas[start : start + chunk].astype(dtype, copy=False)
-            own, P = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[3:]
-            yield slice(start, start + len(part)), own, P
-
-    def _classes(self, ops, X, rows, deltas, pre, cols, out):
-        """forward_many's hard classes, written into out: a float32 pass whose classes are proven equal to the float64 argmax, with an exact fallback.
-
-        The float32 pass is _chunks run on float32 twins of the weights, the
-        operator, cols, the deltas and pre, layer 1's clean products, which
-        it shares with the float64 pass.  _margin_bounds gives per node
-        bounds on the error of a class margin (top logit minus runner-up):
-        where a node-draw's float32 margin exceeds bound32, the float64
-        logits have the same strict maximum, so the float32 class is their
-        argmax.  Every other node-draw is re-evaluated in float64 by
-        _node_logits, from pre and cols, in batches of at most a float64
-        chunk's hidden rows, and settled where that margin exceeds bound64.
-        A draw with a node still unsettled (an exact tie, a NaN), or whose
-        unsettled nodes read more hidden rows than the draw has nodes
-        (re-evaluating them would cost more than the draw), is rerun
-        through _exact, and so is every draw when _margin_bounds gives no
-        bound: a value outside float32's range, the deltas included, or a
-        bound that cannot be trusted.  Draws are independent (each draw's
-        dense products are BLAS calls of their own, and a sparse product
-        sums each column alone), so a rerun gives the bits of the full
-        float64 pass.  self.fallbacks counts the node-draws settled by
-        re-evaluation and the draws rerun.
-        """
         B, n = out.shape
         bounds = self._margin_bounds(ops, pre, rows, deltas, cols)
         if bounds is None:
@@ -590,6 +548,36 @@ class _TwoLayer:
         self.fallbacks.add(settled, redo.size)
         return out
 
+    def _exact(self, ops, X, rows, deltas, pre, cols, out):
+        """forward_many's float64 path: the hard classes of _chunks of draws in float64, written into out, which it returns."""
+        for at, own, P in self._chunks(ops, X, rows, deltas, pre, cols):
+            self._emit(own, P, out[at])
+        return out
+
+    def _chunks(self, ops, X, rows, deltas, pre, cols):
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype.
+
+        Layer 1 runs in place in one reused C-contiguous buffer of
+        FORWARD_MANY_CHUNK_BYTES, so memory is O(chunk n h), not O(B n h),
+        and a float32 chunk holds twice the draws of a float64 one.  Each
+        draw's arithmetic is the same as in one unchunked batch, so its
+        logits are too, bit for bit, while the buffer stays C-contiguous (a
+        strided h @ W2 leaves BLAS and moves the last bits).  The bias add
+        and ReLU take same-shape operands, _tiles(n), built once per call,
+        with the scalar forms' bits (see _relu_dropout): against a broadcast
+        (h,) row or a scalar, numpy's inner loop is h elements long or misses
+        its contiguous fast path.
+        """
+        dtype = self.b1.dtype
+        B, n = deltas.shape[0], X.shape[0]
+        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.h))
+        buf = np.empty((min(chunk, B), n, self.h), dtype)
+        tiles = self._tiles(n)
+        for start in range(0, B, chunk):
+            part = deltas[start : start + chunk].astype(dtype, copy=False)
+            own, P = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[3:]
+            yield slice(start, start + len(part)), own, P
+
     def _margin_bounds(self, ops, pre, rows, deltas, cols):
         """(bound32, bound64) for forward_many's draws, or None when no bound can be trusted.
 
@@ -609,12 +597,12 @@ class _TwoLayer:
         at most u (2^-24 in float32, 2^-53 in float64), so a computed sum
         of products, each carrying at most K factors (1 + delta_i), errs by
         at most gamma_K = K u / (1 - K u) times the same sum over absolute
-        values.  The backbone's own pieces give those sums: M1, _pass run
+        values.  The backbone's own layers give those sums: M1, _layer1 run
         on |pre|, |weights|, the operator's |entries|, |cols| and D, the
         elementwise max of |deltas| over the draws, bounds |z1| of every
-        draw (the pass is monotone in each operand, and its ReLU is the
-        identity there), and M, layer 2 run on M1, bounds every logit's
-        terms.  Counting factors per product:
+        draw (layer 1 is monotone in each operand), and M, _layer2 and
+        _logits run on M1, bounds every logit's terms.  Counting factors
+        per product:
         - layer 1, K1 = d + r + 7: 3 casts to float32 (cols, deltas and a
           weight; pre or b1 alone cost 1), d + r in the nested dot products
           (deltas times a weight, then a row of cols), 2 additions (GCN:
@@ -636,8 +624,10 @@ class _TwoLayer:
         1-Lipschitz), and both hidden units lie in [0, H], H = max(U +
         2 e1, 0).  So E32 is layer 2 on absolute values without biases run
         on that passed-on error, plus gamma_K2 times layer 2 on absolute
-        values run on H.  The float64 pass and _node_logits cast nothing
-        and have the same dot-product lengths, so E64 = gamma_(K1 + K2) M.
+        values run on H; one _layer2 call on the stacked M1, passed-on
+        error and H gives M and both.  The float64 pass and _node_logits
+        cast nothing and have the same dot-product lengths, so E64 =
+        gamma_(K1 + K2) M.
 
         Absolute term: a product or sum that underflows errs by at most
         2^-126 (float32) or 2^-1022 (float64) absolutely, flushed to zero
@@ -653,7 +643,9 @@ class _TwoLayer:
         the operator's entries and the deltas lie there (or are 0).  They
         are also None if any magnitude the float32 pass can reach exceeds
         F32_LIMIT, since it would overflow (NaN and inf fail these checks
-        too), and if rows repeat a node.
+        too): M1, M, layer 1's delta products, bounded by D @ |W|, and
+        _head's products, bounded by M1's column maxima times |W|.  And
+        they are None if rows repeat a node.
         """
         mag, apre, absm = np.abs(deltas), tuple(np.abs(p) for p in pre), self._map(np.abs)
         small = np.abs(np.concatenate([ops.data, *(w.ravel() for w in self.params().values())]))
@@ -661,17 +653,8 @@ class _TwoLayer:
             return None
         D = mag.max(axis=0, initial=0.0)
         A = abs(ops)
-
-        def layer2(model, hidden):
-            own, Y = model._head(hidden)
-            return model._logits(own, _propagate(A, Y))
-
-        M1 = absm._pass(A, None, rows=rows, deltas=D[None], cols=np.abs(cols), pre=apre)[0][0]
-        own, Y = absm._head(M1)
-        M = absm._logits(own, _propagate(A, Y))
+        M1 = absm._layer1(apre, np.abs(cols), rows, D[None], None, absm.b1)[0]
         W1s, W2s = ([w for name, w in absm.params().items() if name[0] == "W" and name[-1] == k] for k in "12")
-        if not all(p is None or p.max(initial=0.0) <= F32_LIMIT for p in (M1, own, Y, M, *(D @ w for w in W1s))):
-            return None
         (r, d), h, n = D.shape, self.h, A.shape[0]
         R = np.diff(A.indptr)
         a = float((A @ np.ones(n)).max(initial=0.0))
@@ -687,8 +670,13 @@ class _TwoLayer:
         e1 = gamma(K1, 2.0**-24) * M1 + 2 * 2.0**-126 * N1
         # z + M1 - |z| + 2 e1, z the clean pre-activation
         G = M1 + 2 * (e1 + np.minimum(self._hidden_rows(pre, pre[1], slice(None)), 0.0))
-        weights = absm._map(lambda w: w if w.ndim > 1 else np.zeros_like(w))
-        E32 = layer2(weights, e1 * (G > 0)) + gamma(K2, 2.0**-24) * layer2(absm, np.maximum(G, 0.0)) + 2 * 2.0**-126 * N2
+        own, P = absm._layer2(A, np.stack([M1, e1 * (G > 0), np.maximum(G, 0.0)]))
+        M, _, L = absm._logits(own, P)
+        reach = (M1, M, *(D @ w for w in W1s), *(M1.max(axis=0, initial=0.0) @ w for w in W2s))
+        if not all(p.max(initial=0.0) <= F32_LIMIT for p in reach):
+            return None
+        no_bias = absm._map(lambda w: w if w.ndim > 1 else np.zeros_like(w))
+        E32 = no_bias._logits(own, P)[1] + gamma(K2, 2.0**-24) * L + 2 * 2.0**-126 * N2
         E64 = gamma(K1 + K2, 2.0**-53) * M + 2 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
 
         def top2(E):
@@ -720,42 +708,35 @@ class _TwoLayer:
         P = self._head(sparse.csr_matrix((weight, np.arange(ptr[-1]), ptr), shape=(v.size, ptr[-1])) @ h)[1]
         return self._logits(self._head(h[own_at])[0], P)
 
-    def _emit(self, own, P, logits, out, at):
-        """Write the logits _logits(own, P) into logits[at], or, when logits is None, their hard classes into out[at]."""
-        if logits is not None:
-            logits[at] = self._logits(own, P)
-        else:
-            _first_max([self._logits(own, P, c) for c in range(self.C)], out[at])
+    def _emit(self, own, P, out):
+        """Write the hard classes of the logits _logits(own, P) into the uint8 out: each class's logits from its own strided view, then _first_max."""
+        _first_max([self._logits(own, P, c) for c in range(self.C)], out)
 
     def _tiles(self, n):
         """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h), in the weights' dtype."""
         return np.tile(self.b1, (n, 1)), np.zeros((n, self.h), self.b1.dtype)
 
-    def forward_flips(self, g: Graph, X, pairs, out=None, rows=None):
-        """Logits (B, len(rows), C) at the nodes rows (default all n) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2) (eval mode).
+    def forward_flips(self, g: Graph, X, pairs, out, rows=None):
+        """Hard classes at the nodes rows (default all n) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2), written into the (B, len(rows)) uint8 out, which it returns (eval mode).
 
-        logits[b] equals forward(build_ops(g.flip(pairs[b:b + 1])), X)[rows]
-        bit for bit; a pair outside 0 <= u < v < n raises DataError, as
-        Graph.flip does.  Given out, a (B, len(rows)) uint8 array, it writes
-        each flip's hard classes there instead, as forward_many does, and
-        returns out.  The clean pass runs once, then the flips run in groups
-        whose _flip_charges sum to at most FORWARD_FLIPS_GROUP_BYTES (a
-        candidate charged more forms a group alone).  Per group, one
-        _flip_patch call gives the operator rows each flip changes, through
-        build_ops's builder, as one CSR over the group's stacked columns;
-        its twin over the graph's columns gives their layer-1 products in
-        one sparse product, and the backbone's _flip_hidden hook their
-        hidden activations in one call.  Each flip swaps its rows into a
-        reused clean hidden array, runs layer 2's dense products full-shape
-        into the group's (B, n, C) arrays and restores the rows.  Layer 2
+        out[b] is the argmax of forward(build_ops(g.flip(pairs[b:b + 1])),
+        X)[rows], whose logits the flip groups compute bit for bit; a pair
+        outside 0 <= u < v < n raises DataError, as Graph.flip does.  The clean
+        pass runs once, then the flips run in _flip_groups whose _flip_charges
+        sum to at most FORWARD_FLIPS_GROUP_BYTES.  Per group, one _flip_patch
+        call gives the operator rows each flip changes, through build_ops's
+        builder, as one CSR over the group's stacked columns; its twin over the
+        graph's columns gives their layer-1 products in one sparse product, and
+        the backbone's _flip_hidden hook their hidden activations in one call.
+        Each flip swaps its rows into a reused clean hidden array, runs _head
+        full-shape into the group's (B, n, C) arrays and restores the rows: a
+        row of a BLAS product depends on its position, so only full-shape dense
+        products match the clean pass in the rows a flip leaves alone.  Layer 2
         then propagates over the rows alone: one sparse product of the clean
-        operator restricted to rows (built once per call; each of its rows
-        sums the same stored entries in the same order as in the full
-        operator) and one of the patch, whose rows overwrite the held rows
-        that are among rows; one _emit call writes the whole group's logits
-        or classes, as forward_many does per chunk.  A row of a BLAS product
-        depends on its position, so only full-shape dense products match
-        the clean pass in the rows a flip leaves alone.
+        operator restricted to rows (built once per call; each of its rows sums
+        the same stored entries in the same order as in the full operator) and
+        one of the patch, whose rows overwrite the held rows that are among
+        rows; one _emit call writes the group's classes.
         """
         pairs = pair_array(pairs, g.n)
         n = g.n
@@ -772,7 +753,6 @@ class _TwoLayer:
         # node j is scored at the positions order[found[j]:found[j + 1]] of rows
         order = np.argsort(rows, kind="stable")
         found = np.searchsorted(rows[order], np.arange(n + 1))
-        logits = np.empty((pairs.shape[0], rows.size, self.C)) if out is None else None
         for start, stop in _flip_groups(self._flip_charges(*adjacency, pairs)):
             u, v = pairs[start:stop].T
             b, held, patch, offset = self._flip_patch(*adjacency, scale, u, v)
@@ -792,8 +772,8 @@ class _TwoLayer:
             P = _propagate(scored, Y)
             i, k = _row_entries(found, held)  # held row i is scored at position order[k]
             P[b[i], order[k]] = (patch @ Y.reshape(-1, self.C))[i]
-            self._emit(own, P, logits, out, slice(start, stop))
-        return logits if out is None else out
+            self._emit(own, P, out[start:stop])
+        return out
 
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
         """Mean cross entropy on train_idx and its parameter/input gradients."""
@@ -868,13 +848,11 @@ class GcnModel(_TwoLayer):
     def _logits(self, own, P, c=slice(None)):
         return P[..., c] + self.b2[c]
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
-        bias, zero = tiles or (self.b1, 0.0)
-        z1 = _shifted((pre or self._pre(ops, X))[1], cols, deltas, self.W1, out)
+    def _layer1(self, pre, cols, rows, deltas, out, bias):
+        """A_hat X W1, shifted by the deltas, plus bias (b1 or its tile)."""
+        z1 = _shifted(pre[1], cols, deltas, self.W1, out)
         z1 += bias
-        h, mask = _relu_dropout(z1, dropout, rng, out, zero)
-        own, Y = self._head(h)
-        return z1, h, mask, own, _propagate(ops, Y)
+        return z1
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
@@ -945,15 +923,12 @@ class SageModel(_TwoLayer):
     def _logits(self, own, P, c=slice(None)):
         return own[..., c] + P[..., c] + self.b2[c]
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
-        # b1 is already in pre[3], so only the zero tile is used
-        zero = tiles[1] if tiles else 0.0
-        z1 = _shifted((pre or self._pre(ops, X))[3], cols, deltas, self.Wn1, out)
+    def _layer1(self, pre, cols, rows, deltas, out, bias):
+        """X Ws1 + (M X) Wn1 + b1 (pre[3], which holds b1, so bias is unused), shifted by the deltas through Wn1 and, in the perturbed rows, Ws1."""
+        z1 = _shifted(pre[3], cols, deltas, self.Wn1, out)
         if deltas is not None:
             z1[:, rows] += deltas @ self.Ws1
-        h, mask = _relu_dropout(z1, dropout, rng, out, zero)
-        own, Y = self._head(h)
-        return z1, h, mask, own, _propagate(ops, Y)
+        return z1
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}

@@ -232,14 +232,6 @@ def forward_many_oracle(model, ops, X, rows, deltas):
     return h @ model.Ws2 + propagate(h @ model.Wn2) + model.b2
 
 
-def logits_or_classes(logits, out):
-    """A test backbone's forward_many or forward_flips result: the (B, n, C) logits, or their argmax classes written into the (B, n) uint8 out."""
-    if out is None:
-        return logits
-    out[...] = logits.argmax(axis=-1)
-    return out
-
-
 def flip_logits_oracle(model, g, X, pairs):
     """Logits (B, n, C) of the B graphs g.flip(pairs[b:b + 1]): one full build_ops and forward per flip."""
     import numpy as np

@@ -16,7 +16,7 @@ from elegant.fairness import UndefinedMetricError
 from elegant.gnn import BACKBONES
 from elegant.pipeline import ABSTAIN, CERTIFIED
 from elegant.smoothing import DOMAIN_ATTACK, SmoothingConfig, eligible_pairs, substream
-from oracles import logits_or_classes, structure_attack_greedy_oracle
+from oracles import structure_attack_greedy_oracle
 
 
 def _world(n=24, vul=(0, 1)):
@@ -43,16 +43,17 @@ class _LinearModel:
     def forward(self, ops, X):
         return X @ self.W
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
+    def forward_many(self, ops, X, rows, deltas, out):
         logits = np.repeat((X @ self.W)[None], deltas.shape[0], axis=0)
         for b in range(deltas.shape[0]):
             logits[b, rows] += deltas[b] @ self.W
-        return logits_or_classes(logits, out)
+        out[...] = logits.argmax(axis=2)
+        return out
 
-    def forward_flips(self, g, X, pairs, out=None, rows=None):
-        # the logits ignore the graph
-        logits = self.forward(None, X)[slice(None) if rows is None else rows]
-        return logits_or_classes(np.repeat(logits[None], len(pairs), axis=0), out)
+    def forward_flips(self, g, X, pairs, out, rows=None):
+        # the classes ignore the graph
+        out[...] = self.forward(None, X)[slice(None) if rows is None else rows].argmax(axis=1)
+        return out
 
     def input_grad(self, ops, X, dlogit):
         return dlogit @ self.W.T
@@ -69,8 +70,9 @@ class _ConstantModel(_LinearModel):
         out[:, 1] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
-        return logits_or_classes(np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0), out)
+    def forward_many(self, ops, X, rows, deltas, out):
+        out[...] = 1
+        return out
 
 
 def test_attribute_attack_hits_budget_exactly():
@@ -295,8 +297,9 @@ class _GroupModel(_LinearModel):
         out[np.arange(X.shape[0]), self.s] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
-        return logits_or_classes(np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0), out)
+    def forward_many(self, ops, X, rows, deltas, out):
+        out[...] = self.s
+        return out
 
 
 def test_evaluate_under_attack_abstain_rows_are_na():

@@ -9,7 +9,7 @@ import pytest
 
 from elegant.cli import ConfigError, build_config, load_world, main, make_parser, resolve_eta
 from elegant.fixtures import bundled_fixture_dir
-from elegant.gnn import GcnModel, save_model
+from elegant.gnn import GcnModel, load_model, save_model
 
 
 def _write_config(path, extra=None):
@@ -137,16 +137,36 @@ def test_attack_artifacts(workdir):
     assert meta["metric"] == "sp"
 
 
-def _certify_with(workdir, tmp_path, **extra):
-    """certify.json of a certify run on workdir's models under a config with extra top-level keys."""
+def test_eta_mult_flag_sets_the_attack_multiplier(workdir, tmp_path, monkeypatch):
+    monkeypatch.delenv("ELEGANT_SEED", raising=False)
+    assert build_config(None, _args(["attack"]))["attack"]["eta_multiplier"] == 1.5
+    assert build_config(None, _args(["attack", "--eta-mult", "3.0"]))["attack"]["eta_multiplier"] == 3.0
+    out = _copy_models(workdir, tmp_path)
+    assert main(["attack", "--config", workdir["config"], "--out", str(out), "--eta-mult", "3.0"]) == 0
+    with open(out / "attack.json") as fh:
+        meta = json.load(fh)
+    with open(os.path.join(workdir["out"], "metrics.json")) as fh:
+        vanilla_bias = json.load(fh)["vanilla"]["delta_sp"]
+    assert meta["eta"] == pytest.approx(3.0 * vanilla_bias, rel=1e-6)
+
+
+def _copy_models(workdir, tmp_path):
+    """A fresh run directory holding workdir's trained models."""
     out = tmp_path / "run"
     out.mkdir()
     for name in ("model.bin", "model_noise.bin"):
         (out / name).write_bytes(open(os.path.join(workdir["out"], name), "rb").read())
+    return out
+
+
+def _certify_with(workdir, tmp_path, code=0, **extra):
+    """certify.json of a certify run on workdir's models under a config with extra top-level keys (None unless it exits with code 0)."""
+    out = _copy_models(workdir, tmp_path)
     cfg = _write_config(tmp_path / "c.json", extra)
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-    with open(out / "certify.json") as fh:
-        return json.load(fh)
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == code
+    if code == 0:
+        with open(out / "certify.json") as fh:
+            return json.load(fh)
 
 
 def test_absolute_eta_from_config_file(workdir, tmp_path):
@@ -163,9 +183,33 @@ def test_absolute_eta_without_value_is_config_error(tmp_path, monkeypatch):
 
 
 def test_smoothing_values_keep_their_default_types(workdir, tmp_path):
-    report = _certify_with(workdir, tmp_path, smoothing={"sigma": 1, "n_outer": 60.0, "n_inner": 40})
+    report = _certify_with(workdir, tmp_path, smoothing={"sigma": 1, "n_outer": 60.0, "n_inner": 40, "strict": False})
     assert report["config"]["sigma"] == 1.0 and isinstance(report["config"]["sigma"], float)
     assert report["config"]["n_outer"] == 60 and isinstance(report["config"]["n_outer"], int)
+    assert report["config"]["strict"] is False
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [("n_outer", 60.5, "an integer"), ("n_inner", True, "an integer"), ("strict", "no", "true or false"), ("strict", 0, "true or false"), ("sigma", "1", "a number")],
+)
+def test_smoothing_values_that_do_not_fit_their_type_are_config_errors(workdir, tmp_path, capsys, key, value, want):
+    _certify_with(workdir, tmp_path, 2, smoothing={"n_outer": 60, "n_inner": 40, key: value})
+    assert f"smoothing.{key} must be {want}, got {value!r}" in capsys.readouterr().err
+
+
+def test_train_values_are_cast_as_smoothing_values_are(tmp_path, capsys):
+    def train(block):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dataset": {"fixture": "sbm-small"}, "train": block}))
+        return main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+
+    # integral floats for int fields, an int for the float lr
+    assert train({"epochs": 2.0, "hidden": 8.0, "lr": 1}) == 0
+    assert load_model(str(tmp_path / "run" / "model.bin")).h == 8
+    for key, value, want in (("epochs", 2.5, "an integer"), ("hidden", False, "an integer"), ("dropout", "0.1", "a number")):
+        assert train({key: value}) == 2
+        assert f"train.{key} must be {want}, got {value!r}" in capsys.readouterr().err
 
 
 def test_fcr_exit_code_when_nothing_certifies(workdir, tmp_path):
@@ -297,6 +341,24 @@ def test_exit_code_empty_dataset_file(tmp_path, capsys, empty):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert {"attributes": "x.csv", "labels": "y.csv"}[empty] in err
+
+
+@pytest.mark.parametrize(
+    "dataset, keys",
+    [
+        ({"edges": "nope.txt", "attributes": "nope.csv", "labels": "nope2.csv"}, "dataset.edges, dataset.attributes, dataset.labels"),
+        ({"fixture": "sbm200", "labels": "y.csv"}, "dataset.labels"),
+        ({"fixture": "sbm200", "fixture_seed": 3}, "dataset.fixture_seed"),
+        ({"fixture": None, "fixture_seed": 0, "edges": "e.txt", "attributes": "x.csv", "labels": "y.csv"}, "dataset.fixture_seed"),
+    ],
+)
+def test_dataset_keys_the_chosen_dataset_would_ignore_are_config_errors(tmp_path, capsys, dataset, keys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": dataset}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert keys in err and "dataset.fixture" in err
+    assert not (tmp_path / "run" / "model.bin").exists()
 
 
 def test_unknown_fixture_is_config_error(tmp_path, capsys):

@@ -202,15 +202,44 @@ def test_forward_many_matches_single_forwards():
         ops = model.build_ops(g)
         rows = np.array([0, 2])
         deltas = rng.standard_normal((6, 2, X.shape[1]))
-        batched = model.forward_many(ops, X, rows, deltas)
+        batched = _chunk_logits(model, ops, X, rows, deltas)
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), batched)
         for b in range(6):
             Xb = X.copy()
             Xb[rows] += deltas[b]
             np.testing.assert_allclose(batched[b], model.forward(ops, Xb), atol=1e-10)
         # one pass serves both: with zero perturbations the batch is forward bit for bit
-        unperturbed = model.forward_many(ops, X, rows, np.zeros_like(deltas))
+        unperturbed = _chunk_logits(model, ops, X, rows, np.zeros_like(deltas))
         for b in range(6):
             np.testing.assert_array_equal(unperturbed[b], model.forward(ops, X))
+
+
+def _chunk_logits(model, ops, X, rows, deltas, pre=None, cols=None):
+    """Logits (B, n, C), widened to float64, of forward_many's production chunk loop (_chunks) in the model's dtype, whose classes its exact path emits."""
+    rows = np.asarray(rows, dtype=np.int64)
+    pre = model._pre(ops, X) if pre is None else pre
+    cols = ops[:, rows].toarray() if cols is None else cols
+    logits = np.empty((deltas.shape[0], X.shape[0], model.C))
+    for at, own, P in model._chunks(ops, X, rows, deltas, pre, cols):
+        logits[at] = model._logits(own, P)
+    return logits
+
+
+def _flip_logits(model, g, X, pairs, rows=None):
+    """Logits (B, len(rows), C) of forward_flips's flip groups, read where each group's _emit call turns them into classes."""
+    emitted, emit = [], model._emit
+
+    def spy(own, P, out):
+        emitted.append(model._logits(own, P))
+        emit(own, P, out)
+
+    size = g.n if rows is None else len(rows)
+    model._emit = spy
+    try:
+        model.forward_flips(g, X, pairs, np.empty((len(pairs), size), np.uint8), rows=rows)
+    finally:
+        del model._emit
+    return np.concatenate(emitted) if emitted else np.empty((0, size, model.C))
 
 
 def _random_sparse_graph(rng, n, m):
@@ -235,7 +264,7 @@ def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n
     for B in (1, c - 1, c, c + 1, 2 * c + 3):
         deltas = rng.standard_normal((B, rows.size, d))
         want = forward_many_oracle(model, ops, X, rows, deltas)
-        np.testing.assert_array_equal(model.forward_many(ops, X, rows, deltas), want)
+        np.testing.assert_array_equal(_chunk_logits(model, ops, X, rows, deltas), want)
         _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
 
 
@@ -262,7 +291,7 @@ def test_forward_many_equals_the_unchunked_oracle_at_production_shape(backbone):
     assert 2 * chunk < B and B % chunk
     deltas = rng.standard_normal((B, rows.size, d))
     want = forward_many_oracle(model, ops, X, rows, deltas)
-    np.testing.assert_array_equal(model.forward_many(ops, X, rows, deltas), want)
+    np.testing.assert_array_equal(_chunk_logits(model, ops, X, rows, deltas), want)
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
 
 
@@ -328,22 +357,27 @@ def test_forward_many_tiles_give_the_scalar_operands_bits():
     np.testing.assert_array_equal(bits(relu), bits(np.maximum(z, 0.0)))
 
 
-@pytest.mark.parametrize("cls", [GcnModel, SageModel])
-def test_forward_many_memory_is_bounded_by_the_chunk(cls):
+def _assert_memory_is_bounded_by_the_chunk(cls, exact):
+    """The tracemalloc peak of 150 draws stays below twice one chunk's, on forward_many's float32 pass or its exact float64 path."""
     rng = np.random.default_rng(29)
     n, d, rows = 1000, 27, np.arange(12)
     g = _random_sparse_graph(rng, n, 5 * n)
     X = rng.standard_normal((n, d))
     model = cls.init(rng, d=d, hidden=64, classes=2)
     ops = model.build_ops(g)
-    c = gnn.FORWARD_MANY_CHUNK_BYTES // (8 * n * model.h)
+    pre, cols = model._pre(ops, X), ops[:, rows].toarray()
+    # the float32 pass holds twice the draws of the float64 path in one buffer
+    c = gnn.FORWARD_MANY_CHUNK_BYTES // ((8 if exact else 4) * n * model.h)
     assert 2 * c <= 150
 
     def peak(B):
-        deltas = rng.standard_normal((B, rows.size, d))
+        deltas, out = rng.standard_normal((B, rows.size, d)), np.empty((B, n), np.uint8)
         tracemalloc.start()
         try:
-            model.forward_many(ops, X, rows, deltas)
+            if exact:
+                model._exact(ops, X, rows, deltas, pre, cols, out)
+            else:
+                model.forward_many(ops, X, rows, deltas, out=out)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,11 +385,21 @@ def test_forward_many_memory_is_bounded_by_the_chunk(cls):
     assert peak(150) < 2 * peak(c)
 
 
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_forward_many_memory_is_bounded_by_the_chunk(cls):
+    _assert_memory_is_bounded_by_the_chunk(cls, exact=False)
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_exact_path_memory_is_bounded_by_the_chunk(cls):
+    _assert_memory_is_bounded_by_the_chunk(cls, exact=True)
+
+
 def _float32_logits(model, ops, X, rows, deltas):
     """Logits (B, n, C) of forward_many's float32 pass (float32 twins of the weights, operator, cols, deltas and float64 layer-1 products), widened to float64."""
     twin = model._map(lambda w: w.astype(np.float32))
     ops32, pre32 = ops.astype(np.float32), tuple(p.astype(np.float32) for p in model._pre(ops, X))
-    return twin._exact(ops32, X, rows, deltas, pre32, ops32[:, rows].toarray())
+    return _chunk_logits(twin, ops32, X, rows, deltas, pre32, ops32[:, rows].toarray())
 
 
 def _margin_errors(a, b):
@@ -393,7 +437,7 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
     ops = model.build_ops(g)
     cols = ops[:, rows].toarray()
     with np.errstate(over="ignore", invalid="ignore"):
-        want = model.forward_many(ops, X, rows, deltas)
+        want = _chunk_logits(model, ops, X, rows, deltas)
         _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
     bounds = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, cols)
     if w_exp + x_exp >= 39:
@@ -419,7 +463,7 @@ def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
     model = GcnModel(W1=[[1.0]], b1=[0.0], W2=[[1.0, 0.0]], b2=[0.0, 0.0])
     ops, rows, deltas = model.build_ops(g), np.array([0]), np.zeros((1, 1, 1))
     bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
-    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
     assert err[0, hub] > bound32[hub] / 64
     assert (err <= bound32).all()
 
@@ -436,7 +480,7 @@ def test_layer_one_sums_lost_in_float32_stay_within_the_margin_bound():
     deltas = np.full((3, n, d), 2.0**-25)
     deltas[:, :, :64] = 1.0
     bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
-    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
     # the loss, 4096 * 2^-25 = 2^-13 here, exceeds twice layer 2's share of the bound, about gamma_8 * 64 = 2^-15: only layer 1's term covers it
     assert (err > 2.0**-14).all()
     assert (err <= bound32).all()
@@ -451,28 +495,28 @@ def test_exact_ties_and_nan_draws_rerun_on_the_float64_path(backbone):
     model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
     ops, rows = model.build_ops(g), np.array([0, 5, 11])
     deltas = rng.standard_normal((B, rows.size, d))
-    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
     assert model.fallbacks.rerun == 0 and model.fallbacks.settled >= 0
     # a NaN in one draw's deltas lies outside float32's range: every draw reruns
     deltas[4, 1, 2] = np.nan
     with np.errstate(invalid="ignore"):
-        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
     assert model.fallbacks.rerun == B
     deltas[4, 1, 2] = 0.0
     # an isolated node t whose two logits are P0 + P1 and P1 + P0 ties exactly in
     # every draw: its re-evaluation cannot settle it, so every draw reruns
     t = n - 1
     ops = model.build_ops(Graph(n=n, edges=[e for e in g.edge_array() if t not in e]))
-    P = model.forward_many(ops, X, rows, deltas[:1])[0, t]  # b2 is 0
+    P = _chunk_logits(model, ops, X, rows, deltas[:1])[0, t]  # b2 is 0
     model.b2 = P[::-1].copy()
-    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
     assert model.fallbacks.rerun == 2 * B
     # equal layer-2 columns tie every node: every draw reruns, none is re-evaluated
     for name in ("W2",) if backbone == "gcn" else ("Ws2", "Wn2"):
         getattr(model, name)[:, 1] = getattr(model, name)[:, 0]
     model.b2[:] = 0.0
     settled = model.fallbacks.settled
-    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), model.forward_many(ops, X, rows, deltas))
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
     assert model.fallbacks.rerun == 3 * B
     assert model.fallbacks.settled == settled
     # no draws, nothing to do
@@ -496,7 +540,7 @@ def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
     pairs = np.vstack([added, removed, [[0, n - 1]]])
     assert _sage_ops(g.flip([(0, n - 1)]))[n - 1].nnz == 0
     want = flip_logits_oracle(model, g, X, pairs)
-    np.testing.assert_array_equal(model.forward_flips(g, X, pairs), want)
+    np.testing.assert_array_equal(_flip_logits(model, g, X, pairs), want)
     _assert_classes_are_the_argmax(model.forward_flips, (g, X, pairs), want)
 
 
@@ -531,7 +575,7 @@ def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, gr
     for B in range(1, pool.shape[0] + 1):
         for pairs in (pool[:B], pool[::-1][:B]):
             want = flip_logits_oracle(model, g, X, pairs)
-            np.testing.assert_array_equal(model.forward_flips(g, X, pairs), want)
+            np.testing.assert_array_equal(_flip_logits(model, g, X, pairs), want)
             # each group emits its classes in one call
             _assert_classes_are_the_argmax(model.forward_flips, (g, X, pairs), want)
 
@@ -565,10 +609,48 @@ def test_forward_flips_rows_equal_the_oracle_columns(monkeypatch, backbone, grou
     ]
     want = flip_logits_oracle(model, g, X, pairs)
     for rows in cases:
-        np.testing.assert_array_equal(model.forward_flips(g, X, pairs, rows=rows), want[:, rows])
+        np.testing.assert_array_equal(_flip_logits(model, g, X, pairs, rows=rows), want[:, rows])
         out = np.full((len(pairs), rows.size), 255, dtype=np.uint8)
         assert model.forward_flips(g, X, pairs, out=out, rows=rows) is out
         np.testing.assert_array_equal(out, want[:, rows].argmax(axis=2))
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_batched_calls_take_a_required_out(cls):
+    rng = np.random.default_rng(67)
+    g = _random_sparse_graph(rng, 9, 12)
+    X = rng.standard_normal((9, 3))
+    model = cls.init(rng, d=3, hidden=4, classes=2)
+    with pytest.raises(TypeError, match="out"):
+        model.forward_many(model.build_ops(g), X, [0, 1], rng.standard_normal((2, 2, 3)))
+    with pytest.raises(TypeError, match="out"):
+        model.forward_flips(g, X, [(0, 1)])
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_margin_bounds_run_each_layer_once(monkeypatch, cls):
+    rng = np.random.default_rng(71)
+    n, d = 30, 4
+    g = _random_sparse_graph(rng, n, 3 * n)
+    X = rng.standard_normal((n, d))
+    model = cls.init(rng, d=d, hidden=8, classes=2)
+    ops, rows = model.build_ops(g), np.array([2, 7])
+    calls = []
+
+    def counted(name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("_layer1", "_layer2"):
+        monkeypatch.setattr(cls, name, counted(name))
+    bounds = model._margin_bounds(ops, model._pre(ops, X), rows, rng.standard_normal((5, 2, d)), ops[:, rows].toarray())
+    assert bounds is not None
+    assert calls == ["_layer1", "_layer2"]
 
 
 @pytest.mark.parametrize("rows", [[0, 9], [-1, 2]])
@@ -577,7 +659,7 @@ def test_forward_flips_rejects_rows_outside_the_graph(rows):
     g = _random_sparse_graph(rng, 9, 12)
     model = GcnModel.init(rng, d=3, hidden=4, classes=2)
     with pytest.raises(ValueError, match=r"rows must lie in \[0, 9\)"):
-        model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1)], rows=rows)
+        model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1)], np.empty((1, 2), np.uint8), rows=rows)
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
@@ -626,7 +708,7 @@ def test_forward_flips_rejects_pairs_graph_flip_rejects(cls, pair):
     with pytest.raises(DataError, match=message):
         g.flip([pair])
     with pytest.raises(DataError, match=message):
-        model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1), pair])
+        model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1), pair], np.empty((2, 9), np.uint8))
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
@@ -642,21 +724,21 @@ def test_forward_flips_memory_is_bounded_by_the_group(cls, hub):
         u[:] = 0
     pairs = np.column_stack([u, rng.integers(u + 1, n)])
     X = rng.standard_normal((n, d))
-    # all logits at hidden 64, and the greedy attack's path, classes on a
-    # quarter of the rows, at hidden 256, where the layer-1 hook's held-row
-    # block (8 h bytes per row) is a hub candidate's largest charge
+    # all rows at hidden 64, and the greedy attack's path, a quarter of the
+    # rows, at hidden 256, where the layer-1 hook's held-row block (8 h
+    # bytes per row) is a hub candidate's largest charge
     for hidden, rows in ((64, None), (256, rng.choice(n, size=n // 4, replace=False))):
         model = cls.init(rng, d=d, hidden=hidden, classes=2)
         group = next(gnn._flip_groups(_flip_charges(model, g, pairs)))[1]
         assert 2 * group <= 256
 
         def working(B):
-            """tracemalloc peak of B candidates, less their logits or classes."""
-            out = None if rows is None else np.empty((B, rows.size), dtype=np.uint8)
+            """tracemalloc peak of B candidates."""
+            out = np.empty((B, n if rows is None else rows.size), dtype=np.uint8)
             tracemalloc.start()
             try:
-                result = model.forward_flips(g, X, pairs[:B], out=out, rows=rows)
-                return tracemalloc.get_traced_memory()[1] - result.nbytes
+                model.forward_flips(g, X, pairs[:B], out=out, rows=rows)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 

@@ -49,10 +49,9 @@ class _ConstantModel:
         out[:, self.cls] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
-        logits = np.zeros((deltas.shape[0], X.shape[0], self.C))
-        logits[:, :, self.cls] = 1.0
-        return oracles.logits_or_classes(logits, out)
+    def forward_many(self, ops, X, rows, deltas, out):
+        out[...] = self.cls
+        return out
 
 
 def _world(n=24, vul=(0, 1)):
@@ -118,8 +117,9 @@ class _FixedClassModel(_ConstantModel):
         out[np.arange(X.shape[0]), self.classes] = 1.0
         return out
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
-        return oracles.logits_or_classes(np.repeat(self.forward(ops, X)[None], deltas.shape[0], axis=0), out)
+    def forward_many(self, ops, X, rows, deltas, out):
+        out[...] = self.classes
+        return out
 
 
 def test_certifiably_biased_model_abstains_without_undecided():
@@ -152,16 +152,11 @@ class _StreamParityModel(_ConstantModel):
         super().__init__()
         self.s = np.asarray(s)
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
-        logits = np.zeros((deltas.shape[0], X.shape[0], 2))
-        for b in range(deltas.shape[0]):
-            # the noise block is the only thing varying per stream; use its
-            # sign as a fair-coin proxy to split the inner votes near 50/50
-            if float(deltas[b].ravel()[0]) > 0:
-                logits[b, :, 1] = 1.0
-            else:
-                logits[b, np.arange(X.shape[0]), self.s] = 1.0
-        return oracles.logits_or_classes(logits, out)
+    def forward_many(self, ops, X, rows, deltas, out):
+        # the noise block is the only thing varying per stream; use its
+        # sign as a fair-coin proxy to split the inner votes near 50/50
+        out[...] = np.where(deltas[:, :1, 0] > 0, 1, self.s)
+        return out
 
 
 def test_strict_mode_aborts_on_undecided_inner_vote():
@@ -361,11 +356,12 @@ def _real_world(backbone):
 
 
 def _float64_argmax(model):
-    """A copy of model whose forward_many classes are the argmax of its float64 logits."""
+    """A copy of model whose forward_many classes are the argmax of its float64 logits, from the unchunked oracle."""
 
     class Reference(type(model)):
-        def forward_many(self, ops, X, rows, deltas, out=None):
-            return oracles.logits_or_classes(type(model).forward_many(self, ops, X, rows, deltas), out)
+        def forward_many(self, ops, X, rows, deltas, out):
+            out[...] = oracles.forward_many_oracle(self, ops, X, rows, deltas).argmax(axis=2)
+            return out
 
     return Reference(**model.params())
 
@@ -622,9 +618,9 @@ class _CountingModel(_ConstantModel):
         super().__init__()
         self.forward_many_calls = 0
 
-    def forward_many(self, ops, X, rows, deltas, out=None):
+    def forward_many(self, ops, X, rows, deltas, out):
         self.forward_many_calls += 1
-        return super().forward_many(ops, X, rows, deltas, out=out)
+        return super().forward_many(ops, X, rows, deltas, out)
 
 
 def test_certify_sets_with_no_sets_builds_no_cache():

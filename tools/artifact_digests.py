@@ -4,7 +4,11 @@ Runs `elegant train`, `certify`, `fcr`, `sweep` and `attack` for both
 backbones at seed 0 with n_outer 60, n_inner 40 and FCR test sets of ratio
 0.5, count 120, each with `--jobs N` (default 1), then prints one
 `<backbone>/<file> <sha256>` line per artifact and model file, plus each
-command's exit code.  Last, `fcr` and `attack` run again with the equal
+command's exit code, and a `<backbone>/cache <sha256>` line: the digest
+of the classes `PredictionCache.build` writes for the trained
+noise-augmented model on that world (60 x 40, seed 0, at `--jobs N`), so
+every cache class is compared bit for bit, not only the certificates
+derived from them.  Last, `fcr` and `attack` run again with the equal
 opportunity metric (`"metric": "eo"`), whose groups are a strict subset of
 the test pool, and print their exit codes and the digests of `fcr.json`,
 `attack.csv` and `attack.json` on lines of their own, `<backbone>/fcr-eo
@@ -64,6 +68,19 @@ CONFIG = {
     # pipeline.certify_sets takes 54 sets per chunk at 60 x 40, so 120 sets span three chunks
     "fcr": {"ratio": 0.5, "count": 120},
 }
+# run in a child on the checkout under test: the sha256 of the prediction cache's classes
+CACHE_DIGEST = """
+import hashlib, sys
+from elegant import cli
+from elegant.fairness import BiasThreshold
+from elegant.pipeline import PredictionCache
+args = cli.make_parser().parse_args(sys.argv[1:])
+cfg = cli.build_config(args.config, args)
+g, X, labels, split = cli.load_world(cfg)
+noise = cli.load_models(cfg, X.shape[1])[1]
+scfg = cli.smoothing_config(cfg, BiasThreshold.absolute(0.0))  # eta plays no part in the cache
+print(hashlib.sha256(PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes.tobytes()).hexdigest())
+"""
 
 
 def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str], bool]:
@@ -71,12 +88,14 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     env = dict(os.environ, PYTHONPATH=src)
     lines, ok = [], True
 
+    def flags(label: str) -> list[str]:
+        return ["--config", os.path.join(out, f"config-{label}.json"), "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
+
     def run(command: str, label: str, config: dict) -> None:
         nonlocal ok
-        path = os.path.join(out, f"config-{label}.json")
-        with open(path, "w") as fh:
+        with open(os.path.join(out, f"config-{label}.json"), "w") as fh:
             json.dump(config, fh)
-        argv = [sys.executable, "-m", "elegant", command, "--config", path, "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
+        argv = [sys.executable, "-m", "elegant", command, *flags(label)]
         code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
         lines.append(f"{backbone}/{label} exit {code}")
         ok = ok and code == 0
@@ -90,6 +109,9 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
         run(command, command, CONFIG)
     for name in ARTIFACTS:
         digest(name, name)
+    cache = subprocess.run([sys.executable, "-c", CACHE_DIGEST, "certify", *flags("train")], env=env, capture_output=True, text=True)
+    lines.append(f"{backbone}/cache {cache.stdout.strip() if cache.returncode == 0 else 'missing'}")
+    ok = ok and cache.returncode == 0
     # the eo and beta runs reuse the trained models and overwrite their artifacts, so they go last
     eo = dict(CONFIG, metric="eo")
     run("fcr", "fcr-eo", eo)
