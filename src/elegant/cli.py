@@ -24,6 +24,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -60,8 +61,15 @@ DEFAULTS = {
     "attack": {"grid": [list(cell) for cell in DEFAULT_GRID], "eta_multiplier": 1.5},
 }
 
-# what a smoothing or train value of each default's type must be (_typed_block)
-TYPE_WORDS = {bool: "true or false", int: "an integer", float: "a number"}
+# One cast rule for every config value (_typed): an int takes an integral number (2.0 becomes 2), a float
+# a finite number, a bool only a JSON boolean, a str only a string.  DEFAULTS gives each key's type, this
+# table those whose default is null or a list: T | None also takes null, tuple[...] one item per type.
+TYPES = {
+    **{f"dataset.{key}": str | None for key in ("fixture", "edges", "attributes", "labels")},
+    "dataset.fixture_seed": int | None, "eta.value": float | None, "fcr.seeds": list[int] | None,
+    "sweep.values": list[float] | None, "sweep.thresholds": list[float] | None, "attack.grid": list[tuple[int, float]],
+}
+TYPE_WORDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 # per-test-set fields of fcr.json, a subset of CertificationReport.to_json_dict()
 FCR_PER_SET_KEYS = ("outcome", "eps_A", "eps_X", "bias", "accuracy", "n_outer_positive")
@@ -76,57 +84,66 @@ SWEEP_THRESHOLDS = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+def _typed(key: str, value, kind):
+    """value cast to kind, a DEFAULTS type or a TYPES entry; ConfigError names key (key[i] in a list) and value."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if type(None) in args:
+        return None if value is None else _typed(key, value, args[0])
+    if type(value) is list and (origin is list or origin is tuple and len(value) == len(args)):
+        return [_typed(f"{key}[{i}]", v, args[i] if origin is tuple else args[0]) for i, v in enumerate(value)]
+    if {bool: type(value) is bool, str: type(value) is str, float: type(value) in (int, float) and abs(value) <= sys.float_info.max,
+            int: type(value) is int or (type(value) is float and value.is_integer())}.get(kind, False):
+        return kind(value)
+    word = f"a list of {len(args)} items" if origin is tuple else TYPE_WORDS[origin or kind]
+    raise ConfigError(f"{key} must be {word}, got {value!r}")
+
+
+def _merge(cfg: dict, override, defaults: dict = DEFAULTS, prefix: str = "") -> dict:
+    """cfg with override's values, each typed against its default by _typed; blocks merge key by key."""
+    if type(override) is not dict:
+        raise ConfigError(f"{prefix[:-1] or 'config root'} must be {TYPE_WORDS[dict]}, got {override!r}")
+    out = dict(cfg)
     for key, value in override.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            for sub, sv in value.items():
-                if sub not in out[key]:
-                    raise ConfigError(f"unknown config key {key}.{sub}")
-                out[key][sub] = sv
-        else:
-            out[key] = value
+        dotted = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {dotted!r}")
+        kind = TYPES.get(dotted, type(defaults[key]))
+        out[key] = _merge(cfg[key], value, defaults[key], dotted + ".") if kind is dict else _typed(dotted, value, kind)
     return out
 
 
 def build_config(path: str | None, args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, environment, and flags (last wins)."""
+    """Merge defaults, config file, environment, and flags (last wins), each value typed by _merge."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
     env_seed = os.environ.get("ELEGANT_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
+            cfg = _merge(cfg, {"seed": int(env_seed)})
         except ValueError as exc:
             raise ConfigError(f"ELEGANT_SEED must be an integer, got {env_seed!r}") from exc
-    flags = {k: v for k, v in vars(args).items() if v is not None}
-    for key in ("seed", "jobs", "out", "backbone", "metric"):
-        cfg[key] = flags.get(key, cfg[key])
-    for key in ("axis", "values", "thresholds"):
-        cfg["sweep"][key] = flags.get(key, cfg["sweep"][key])
-    if "eta" in flags:
-        cfg["eta"] = {"mode": "absolute", "value": flags["eta"]}
-    if "eta_mult" in flags:
-        # the flag sets the attack's multiplier too, which otherwise keeps its own default
-        cfg["eta"] = {"mode": "relative", "multiplier": flags["eta_mult"]}
-        cfg["attack"]["eta_multiplier"] = flags["eta_mult"]
+    eta, mult = getattr(args, "eta", None), getattr(args, "eta_mult", None)
+    flags = {name: getattr(args, name, None) for name in ("seed", "jobs", "out", "backbone", "metric")}
+    flags["sweep"] = {name: getattr(args, name) for name in ("axis", "values", "thresholds") if getattr(args, name, None) is not None}
+    if eta is not None or mult is not None:
+        # either flag replaces the whole eta block; --eta-mult sets the attack's multiplier too
+        cfg["eta"] = {}
+        flags["eta"] = {"mode": "absolute", "value": eta} if mult is None else {"mode": "relative", "multiplier": mult}
+        flags["attack"] = {} if mult is None else {"eta_multiplier": mult}
+    cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
     if cfg["backbone"] not in BACKBONES:
         raise ConfigError(f"backbone must be {' or '.join(BACKBONES)}, got {cfg['backbone']!r}")
     if cfg["metric"] not in METRICS:
         raise ConfigError(f"metric must be {' or '.join(METRICS)}, got {cfg['metric']!r}")
-    if isinstance(cfg["jobs"], bool) or not isinstance(cfg["jobs"], int) or cfg["jobs"] < 1:
+    if cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be a positive integer, got {cfg['jobs']!r}")
     return cfg
 
@@ -149,7 +166,7 @@ def load_world(cfg: dict):
         raise ConfigError(f"dataset.fixture_seed conflicts with dataset.fixture {json.dumps(name)}; only {' and '.join(generators)} take a seed")
     if name in generators:
         # fixture_seed None means the generator's own default seed
-        g, X, labels = generators[name]() if seed is None else generators[name](seed=int(seed))
+        g, X, labels = generators[name]() if seed is None else generators[name](seed=seed)
     elif name:
         root = bundled_fixture_dir(name)
         g, X, labels = load_dataset(*(os.path.join(root, f) for f in ("edges.txt", "features.csv", "labels.csv")))
@@ -160,7 +177,10 @@ def load_world(cfg: dict):
         g, X, labels = load_dataset(ds["edges"], ds["attributes"], ds["labels"])
     X = normalize_attributes(X)
     sp = cfg["splits"]
-    split = make_splits(g, cfg["seed"], sp["train_frac"], sp["val_frac"], sp["vul_frac"])
+    try:
+        split = make_splits(g, cfg["seed"], sp["train_frac"], sp["val_frac"], sp["vul_frac"])
+    except DataError as exc:
+        raise ConfigError(f"splits: {exc}") from exc
     if not split.vulnerable:
         raise ConfigError(
             "vulnerable set is empty under this vul_frac and pool size; certification needs at least one node"
@@ -192,10 +212,10 @@ def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=Non
     if mode == "absolute":
         if spec["value"] is None:
             raise ConfigError("absolute eta needs a 'value'")
-        return BiasThreshold.absolute(float(spec["value"]))
+        return BiasThreshold.absolute(spec["value"])
     if mode != "relative":
         raise ConfigError(f"eta mode must be absolute or relative, got {mode!r}")
-    mult = float(multiplier_override if multiplier_override is not None else spec["multiplier"])
+    mult = multiplier_override if multiplier_override is not None else spec["multiplier"]
     cls = predict_classes(vanilla, g, X)
     vanilla_bias = bias_value(cls, labels, split.test_pool, cfg["metric"])
     eta = BiasThreshold.relative(mult, vanilla_bias)
@@ -203,26 +223,9 @@ def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=Non
     return eta
 
 
-def _typed_block(cfg: dict, block: str) -> dict:
-    """cfg[block] (smoothing or train) with each value cast to its default's type.
-
-    An int field takes an integral number (2.0 becomes 2), a float field any
-    number and a bool field only a JSON boolean; any other value raises
-    ConfigError naming block.key.
-    """
-    out = {}
-    for key, value in cfg[block].items():
-        kind = type(DEFAULTS[block][key])
-        integral = type(value) is int or (type(value) is float and value.is_integer())
-        if not {bool: type(value) is bool, int: integral, float: type(value) in (int, float)}[kind]:
-            raise ConfigError(f"{block}.{key} must be {TYPE_WORDS[kind]}, got {value!r}")
-        out[key] = kind(value)
-    return out
-
-
 def smoothing_config(cfg: dict, eta: BiasThreshold) -> SmoothingConfig:
-    """The config's smoothing block through _typed_block, plus eta, metric and seed."""
-    return SmoothingConfig(**_typed_block(cfg, "smoothing"), eta=float(eta.eta), metric=cfg["metric"], master_seed=int(cfg["seed"]))
+    """The config's smoothing block plus eta, metric and seed."""
+    return SmoothingConfig(**cfg["smoothing"], eta=eta.eta, metric=cfg["metric"], master_seed=cfg["seed"])
 
 
 def _prepare(cfg: dict, eta_multiplier=None):
@@ -238,7 +241,10 @@ def _prepare(cfg: dict, eta_multiplier=None):
 
 
 def _fcr(cfg: dict, world, noise, scfg: SmoothingConfig, eta: BiasThreshold):
-    return fcr_run(noise, *world, scfg, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta)
+    try:
+        return fcr_run(noise, *world, scfg, ratio=cfg["fcr"]["ratio"], count=cfg["fcr"]["count"], jobs=cfg["jobs"], eta=eta)
+    except DataError as exc:
+        raise ConfigError(f"fcr: {exc}") from exc
 
 
 def _nine_digits(obj):
@@ -274,14 +280,13 @@ def write_csv(path: str, fieldnames, rows) -> None:
 
 def cmd_train(cfg: dict) -> int:
     g, X, labels, split = load_world(cfg)
-    tc = TrainConfig(seed=cfg["seed"], **_typed_block(cfg, "train"))
+    tc = TrainConfig(seed=cfg["seed"], **cfg["train"])
     logger.info("training %s on %d nodes / %d edges", cfg["backbone"], g.n, g.n_edges)
     try:
         vanilla = train(g, X, labels, split, tc, backbone=cfg["backbone"])
         noise = train(g, X, labels, split, tc, backbone=cfg["backbone"], augment=True)
     except TrainingDivergedError as exc:
         raise ConfigError(f"training diverged ({exc}) with train.lr={tc.lr:g}; try a smaller train.lr") from exc
-    os.makedirs(cfg["out"], exist_ok=True)
     vanilla_path, noise_path = _model_paths(cfg)
     save_model(vanilla, vanilla_path)
     save_model(noise, noise_path)
@@ -333,7 +338,7 @@ def cmd_fcr(cfg: dict) -> int:
     payload["conventions"] = reports[0]["conventions"]
     seeds = cfg["fcr"]["seeds"]
     if seeds:
-        per_seed = [_fcr(cfg, world, noise, replace(scfg, master_seed=int(s)), eta).fcr for s in seeds]
+        per_seed = [_fcr(cfg, world, noise, replace(scfg, master_seed=s), eta).fcr for s in seeds]
         payload["fcr_per_seed"] = per_seed
         payload["fcr_std_across_seeds"] = float(np.std(np.array(per_seed)))
     write_json(os.path.join(cfg["out"], "fcr.json"), payload)
@@ -367,13 +372,13 @@ def cmd_sweep(cfg: dict) -> int:
     world, _, noise, eta, base = _prepare(cfg)
     rows = []
     for v in values:
-        result = _fcr(cfg, world, noise, replace(base, **{axis: float(v)}), eta)
+        result = _fcr(cfg, world, noise, replace(base, **{axis: v}), eta)
         budgets = [
             (r.budgets.eps_X if axis == "sigma" else r.budgets.eps_A)
             for r in result.reports
             if r.outcome == CERTIFIED
         ]
-        row = {axis: float(v)}
+        row = {axis: v}
         row.update(threshold_fractions(budgets, thresholds, result.count))
         rows.append(row)
         logger.info("sweep %s=%g: fcr %.4f", axis, v, result.fcr)
@@ -384,8 +389,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_attack(cfg: dict) -> int:
     world, vanilla, noise, eta, scfg = _prepare(cfg, eta_multiplier=cfg["attack"]["eta_multiplier"])
-    grid = [tuple(cell) for cell in cfg["attack"]["grid"]]
-    rows, meta = evaluate_under_attack(vanilla, noise, *world, grid, scfg, eta=eta, jobs=cfg["jobs"])
+    rows, meta = evaluate_under_attack(vanilla, noise, *world, cfg["attack"]["grid"], scfg, eta=eta, jobs=cfg["jobs"])
     fields = ["budget_edges", "budget_l2", "model", "accuracy", "delta_sp", "delta_eo", "outcome", "within_certified"]
     write_csv(os.path.join(cfg["out"], "attack.csv"), fields, rows)
     write_json(os.path.join(cfg["out"], "attack.json"), meta)
@@ -438,7 +442,10 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args.config, args)
-        os.makedirs(cfg["out"], exist_ok=True)
+        try:
+            os.makedirs(cfg["out"], exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out directory {cfg['out']}: {exc.strerror}") from exc
         return COMMANDS[args.command][0](cfg)
     except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,8 +51,8 @@ class BiasThreshold:
     vanilla_bias: float | None = None
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if self.provenance not in ("absolute", "relative"):
             raise ValueError(f"provenance must be 'absolute' or 'relative', got {self.provenance!r}")
 
@@ -62,8 +62,8 @@ class BiasThreshold:
 
     @classmethod
     def relative(cls, multiplier: float, vanilla_bias: float) -> "BiasThreshold":
-        if multiplier <= 0:
-            raise ValueError(f"multiplier must be positive, got {multiplier}")
+        if not 0 < multiplier < math.inf:
+            raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
         return cls(
             eta=float(multiplier) * float(vanilla_bias),
             provenance="relative",

@@ -170,12 +170,13 @@ class PredictionCache:
     def build(cls, model, g: Graph, X, vulnerable, cfg: SmoothingConfig, jobs: int = 1):
         """Fill the cache, one forward_many call per structure mask, on jobs threads.
 
-        The calling thread and jobs - 1 pool workers take masks off one
-        shared iterator, so jobs = 1 starts no thread (a worker's own malloc
+        The calling thread and min(jobs, n_outer) - 1 pool workers take
+        masks off one shared iterator, so jobs = 1 starts no thread and no
+        worker is started that would find no mask (a worker's own malloc
         arena would add its peak to the process's).  It logs progress at
         INFO about every tenth of the masks, with the elapsed time and an
         ETA, and at the end one DEBUG line with the model's forward_many
-        fallbacks (gnn.FallbackCounts) during the build.  With jobs > 1,
+        fallbacks (gnn.FallbackCounts) during the build.  With pool workers,
         numpy's bundled OpenBLAS is held to one thread for the build
         (_one_blas_thread): the threads already keep the cores busy.
         """
@@ -206,8 +207,9 @@ class PredictionCache:
                     elapsed = time.perf_counter() - start
                     logger.info("prediction cache: %d/%d masks in %.1f s, ETA %.1f s", k, cfg.n_outer, elapsed, elapsed * (cfg.n_outer - k) / k)
 
-        with _one_blas_thread() if jobs > 1 else contextlib.nullcontext(), ThreadPoolExecutor(max_workers=max(1, jobs - 1)) as pool:
-            helpers = [pool.submit(drain) for _ in range(jobs - 1)]
+        workers = min(jobs, cfg.n_outer) - 1
+        with _one_blas_thread() if workers else contextlib.nullcontext(), ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers)]
             drain()
             for helper in helpers:
                 helper.result()

@@ -12,6 +12,7 @@ vulnerable rows.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -95,16 +96,16 @@ class SmoothingConfig:
     strict: bool = True
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.5 < self.beta < 1:
             raise ValueError(f"beta must lie strictly in (1/2, 1), got {self.beta}")
         if self.n_outer < 1 or self.n_inner < 1:
             raise ValueError("sample counts must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be {' or '.join(map(repr, METRICS))}, got {self.metric!r}")
         if self.k_max < 0:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from elegant.cli import ConfigError, build_config, load_world, main, make_parser, resolve_eta
+from elegant.cli import DEFAULTS, ConfigError, build_config, load_world, main, make_parser, resolve_eta
 from elegant.fixtures import bundled_fixture_dir
 from elegant.gnn import GcnModel, load_model, save_model
 
@@ -470,4 +470,92 @@ def test_jobs_from_config_file_must_be_a_positive_int(tmp_path, capsys, jobs):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"jobs": jobs}))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "jobs must be a positive integer" in capsys.readouterr().err
+    want = "a positive integer" if type(jobs) is int else "an integer"
+    assert f"jobs must be {want}, got {jobs!r}" in capsys.readouterr().err
+
+
+def _leaves(block, prefix=""):
+    """(dotted key, default) for every leaf of a DEFAULTS block."""
+    for key, default in block.items():
+        if isinstance(default, dict):
+            yield from _leaves(default, f"{prefix}{key}.")
+        else:
+            yield prefix + key, default
+
+
+def _nested(key, value):
+    """The config that sets one dotted key."""
+    block, _, leaf = key.rpartition(".")
+    return {block: {leaf: value}} if block else {leaf: value}
+
+
+@pytest.mark.parametrize("key, default", list(_leaves(DEFAULTS)), ids=[key for key, _ in _leaves(DEFAULTS)])
+def test_every_config_key_rejects_a_value_of_another_type(tmp_path, capsys, key, default):
+    # an object fits no key, true only a boolean one and "x" only a string one
+    for value in ({"x": 1}, "x" if isinstance(default, bool) else True):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(_nested(key, value)))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+
+
+BAD_VALUES = [
+    # values that ran as something else
+    ("train", {"dataset": {"fixture": "sbm-small", "fixture_seed": 7.9}}, [], "dataset.fixture_seed must be an integer, got 7.9"),
+    ("fcr", {"fcr": {"ratio": 0.5, "count": 3, "seeds": [1.5]}}, [], "fcr.seeds[0] must be an integer, got 1.5"),
+    ("attack", {"attack": {"grid": [[1.5, 0.1]]}}, [], "attack.grid[0][0] must be an integer, got 1.5"),
+    ("attack", {"attack": {"grid": [[1]]}}, [], "attack.grid[0] must be a list of 2 items, got [1]"),
+    ("certify", {"eta": {"mode": "absolute", "value": "0.1"}}, [], "eta.value must be a number, got '0.1'"),
+    ("certify", {"eta": {"multiplier": "2"}}, [], "eta.multiplier must be a number, got '2'"),
+    ("sweep", {"sweep": {"values": [0.1, "0.2"]}}, [], "sweep.values[1] must be a number, got '0.2'"),
+    # values that stopped with a traceback
+    ("train", {"seed": 2.5}, [], "seed must be an integer, got 2.5"),
+    ("train", {"seed": "3"}, [], "seed must be an integer, got '3'"),
+    ("train", {"splits": {"vul_frac": "0.05"}}, [], "splits.vul_frac must be a number, got '0.05'"),
+    ("fcr", {"fcr": {"count": 2.5}}, [], "fcr.count must be an integer, got 2.5"),
+    ("fcr", {"fcr": {"ratio": "0.9"}}, [], "fcr.ratio must be a number, got '0.9'"),
+    ("sweep", {"sweep": {"thresholds": "abc"}}, [], "sweep.thresholds must be a list, got 'abc'"),
+    ("train", {"backbone": ["gcn"]}, [], "backbone must be a string, got ['gcn']"),
+    ("train", {"out": 5}, [], "out must be a string, got 5"),
+    ("certify", {"smoothing": 3}, [], "smoothing must be an object, got 3"),
+    # non-finite numbers
+    ("certify", {"smoothing": {"n_outer": 60, "n_inner": 40, "sigma": float("inf")}}, [], "smoothing.sigma must be a number, got inf"),
+    ("certify", {"smoothing": {"n_outer": 60, "n_inner": 40, "sigma": float("nan")}}, [], "smoothing.sigma must be a number, got nan"),
+    ("certify", {}, ["--eta", "inf"], "eta.value must be a number, got inf"),
+    ("certify", {}, ["--eta", "nan"], "eta.value must be a number, got nan"),
+    ("attack", {}, ["--eta-mult", "inf"], "eta.multiplier must be a number, got inf"),
+    ("certify", {"eta": {"mode": "absolute", "value": 2**1024}}, [], f"eta.value must be a number, got {2**1024}"),
+    ("sweep", {}, ["--values", "0.1,inf"], "sweep.values[1] must be a number, got inf"),
+    # ranges that the library checks
+    ("train", {"splits": {"train_frac": 0.9}}, [], "splits: train_frac + val_frac must stay below 1, got 0.9 + 0.45"),
+    ("fcr", {"fcr": {"ratio": 1.5, "count": 3}}, [], "fcr: ratio must lie in (0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("command, config, argv, message", BAD_VALUES, ids=[message for *_, message in BAD_VALUES])
+def test_bad_config_values_exit_2_with_one_error_line(workdir, tmp_path, capsys, command, config, argv, message):
+    out = _copy_models(workdir, tmp_path)
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_paths_exit_2_with_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["train", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: config file {tmp_path}: Is a directory\n"
+    assert main(["train", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: out directory {taken}: File exists\n"
+
+
+def test_integral_floats_run_as_integers(workdir, tmp_path):
+    ints = {"seed": 0, "jobs": 1, "smoothing": {"n_outer": 60, "n_inner": 40, "k_max": 8}, "fcr": {"ratio": 0.5, "count": 3}, "attack": {"grid": [[1, 0.1]]}}
+    floats = {"seed": 0.0, "jobs": 1.0, "smoothing": {"n_outer": 60.0, "n_inner": 40.0, "k_max": 8.0}, "fcr": {"ratio": 0.5, "count": 3.0}, "attack": {"grid": [[1.0, 0.1]]}}
+    runs = []
+    for name, extra in (("ints", ints), ("floats", floats)):
+        (tmp_path / name).mkdir()
+        _certify_with(workdir, tmp_path / name, **extra)
+        runs.append((tmp_path / name / "run" / "certify.json").read_bytes())
+    assert runs[0] == runs[1]

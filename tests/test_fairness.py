@@ -169,3 +169,13 @@ def test_threshold_constructors():
         BiasThreshold.relative(0.0, 0.4)
     with pytest.raises(ValueError):
         BiasThreshold(eta=0.1, provenance="scaled")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_thresholds_reject_non_finite_numbers(value):
+    with pytest.raises(ValueError, match=f"eta must be nonnegative and finite, got {value}"):
+        BiasThreshold.absolute(value)
+    with pytest.raises(ValueError, match=f"eta must be nonnegative and finite, got {value}"):
+        BiasThreshold(eta=value, provenance="relative", multiplier=1.0, vanilla_bias=value)
+    with pytest.raises(ValueError, match=f"multiplier must be positive and finite, got {value}"):
+        BiasThreshold.relative(value, 0.4)

@@ -340,6 +340,22 @@ def test_prediction_cache_jobs_do_not_change_classes():
     np.testing.assert_array_equal(c1.classes, c4.classes)
 
 
+def test_prediction_cache_starts_no_worker_beyond_the_masks(monkeypatch):
+    g, X, labels, split = _world()
+    cfg = SmoothingConfig(n_outer=2, n_inner=3, master_seed=5)
+    model, sizes = _FixedClassModel(labels.s), []
+
+    class Pool(pipeline.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    want = PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=1).classes
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    np.testing.assert_array_equal(PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=4).classes, want)
+    assert sizes == [1]
+
+
 def _real_world(backbone):
     """A random 80-node graph with a real backbone: random weights and a nonzero b1."""
     rng = np.random.default_rng(71)

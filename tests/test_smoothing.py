@@ -81,6 +81,13 @@ def test_config_validation(kwargs):
         SmoothingConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["sigma", "eta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .* finite, got {value}"):
+        SmoothingConfig(**{field: value})
+
+
 def test_eligible_pairs_small_case():
     pairs = eligible_pairs(5, [1, 3])
     expected = {(0, 1), (1, 2), (1, 3), (1, 4), (0, 3), (2, 3), (3, 4)}
