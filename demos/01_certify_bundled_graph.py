@@ -49,7 +49,7 @@ print(f"\nvanilla parity gap {vanilla_bias:.3f}  ->  eta = {eta.eta:.3f}")
 # with probability 1 - beta, the inner layer adds Gaussian noise to the
 # vulnerable attribute rows.  Counts are reduced here to keep the demo
 # quick; the defaults are n_outer=200, n_inner=150.
-cfg = SmoothingConfig(n_outer=60, n_inner=40, eta=eta.eta, master_seed=0)
+cfg = SmoothingConfig(n_outer=60, n_inner=40, master_seed=0)
 report = certify_and_predict(smoothed_base, g, X, labels, split, split.test_pool, cfg, eta=eta)
 
 print(f"\noutcome: {report.outcome}")

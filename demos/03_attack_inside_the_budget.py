@@ -34,7 +34,7 @@ smoothed_base = train(g, X, labels, split, tc, augment=True)
 # certification, 1.5x the vanilla bias instead of 1.25x.
 cls = predict_classes(vanilla, g, X)
 eta = BiasThreshold.relative(1.5, bias_value(cls, labels, split.test_pool, "sp"))
-cfg = SmoothingConfig(n_outer=60, n_inner=40, eta=eta.eta, master_seed=0)
+cfg = SmoothingConfig(n_outer=60, n_inner=40, master_seed=0)
 
 # One cell inside the typical certificate (1 flip, 0.1 L2) and one far
 # outside it (8 flips, 3.0 L2).

@@ -134,7 +134,7 @@ def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, 
     return pairs[np.array(committed, dtype=np.int64)]
 
 
-def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, grid, cfg, eta=None, jobs: int = 1):
+def evaluate_under_attack(model, smoothed_model, g: Graph, X, labels, split, grid, cfg, eta, jobs: int = 1):
     """Attack both the undefended and the smoothed model over a budget grid.
 
     Perturbations are crafted against the undefended backbone (a transfer

@@ -51,11 +51,12 @@ DEFAULTS = {
     "jobs": 1,
     "out": ".",
     "metric": SmoothingConfig.metric,
-    "eta": {"mode": "relative", "multiplier": 1.25, "value": None},
+    # a non-null value is an absolute threshold; null means multiplier times the vanilla model's bias
+    "eta": {"multiplier": 1.25, "value": None},
     "splits": {"train_frac": 0.3, "val_frac": 0.45, "vul_frac": 0.05},
     # the library's fields and defaults; seed, eta and metric come from the top level
     "train": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
-    "smoothing": {k: v for k, v in asdict(SmoothingConfig()).items() if k not in ("eta", "metric", "master_seed")},
+    "smoothing": {k: v for k, v in asdict(SmoothingConfig()).items() if k not in ("metric", "master_seed")},
     "fcr": {"ratio": 0.9, "count": 100, "seeds": None},
     "sweep": {"axis": "sigma", "values": None, "thresholds": None},
     "attack": {"grid": [list(cell) for cell in DEFAULT_GRID], "eta_multiplier": 1.5},
@@ -134,9 +135,8 @@ def build_config(path: str | None, args: argparse.Namespace) -> dict:
     flags = {name: getattr(args, name, None) for name in ("seed", "jobs", "out", "backbone", "metric")}
     flags["sweep"] = {name: getattr(args, name) for name in ("axis", "values", "thresholds") if getattr(args, name, None) is not None}
     if eta is not None or mult is not None:
-        # either flag replaces the whole eta block; --eta-mult sets the attack's multiplier too
-        cfg["eta"] = {}
-        flags["eta"] = {"mode": "absolute", "value": eta} if mult is None else {"mode": "relative", "multiplier": mult}
+        # --eta sets an absolute threshold, --eta-mult a relative one and the attack's multiplier too
+        flags["eta"] = {"value": eta} if mult is None else {"value": None, "multiplier": mult}
         flags["attack"] = {} if mult is None else {"eta_multiplier": mult}
     cfg = _merge(cfg, {key: value for key, value in flags.items() if value is not None})
     if cfg["backbone"] not in BACKBONES:
@@ -205,17 +205,11 @@ def load_models(cfg: dict, d: int):
     return models
 
 
-def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=None) -> BiasThreshold:
-    """Absolute threshold straight from config, or relative to the vanilla bias."""
-    spec = cfg["eta"]
-    mode = spec["mode"]
-    if mode == "absolute":
-        if spec["value"] is None:
-            raise ConfigError("absolute eta needs a 'value'")
-        return BiasThreshold.absolute(spec["value"])
-    if mode != "relative":
-        raise ConfigError(f"eta mode must be absolute or relative, got {mode!r}")
-    mult = multiplier_override if multiplier_override is not None else spec["multiplier"]
+def resolve_eta(cfg: dict, vanilla, g, X, labels, split) -> BiasThreshold:
+    """eta.value as an absolute threshold or, when it is null, eta.multiplier times the vanilla bias."""
+    if cfg["eta"]["value"] is not None:
+        return BiasThreshold.absolute(cfg["eta"]["value"])
+    mult = cfg["eta"]["multiplier"]
     cls = predict_classes(vanilla, g, X)
     vanilla_bias = bias_value(cls, labels, split.test_pool, cfg["metric"])
     eta = BiasThreshold.relative(mult, vanilla_bias)
@@ -223,21 +217,18 @@ def resolve_eta(cfg: dict, vanilla, g, X, labels, split, multiplier_override=Non
     return eta
 
 
-def smoothing_config(cfg: dict, eta: BiasThreshold) -> SmoothingConfig:
-    """The config's smoothing block plus eta, metric and seed."""
-    return SmoothingConfig(**cfg["smoothing"], eta=eta.eta, metric=cfg["metric"], master_seed=cfg["seed"])
+def smoothing_config(cfg: dict, eta=None) -> SmoothingConfig:
+    """The config's smoothing block plus metric and seed."""
+    # eta is unused: perfbench and tools/artifact_digests.py, which runs on older trees too, still pass it
+    return SmoothingConfig(**cfg["smoothing"], metric=cfg["metric"], master_seed=cfg["seed"])
 
 
-def _prepare(cfg: dict, eta_multiplier=None):
-    """What every certifying command starts from: (world, vanilla, noise, eta, scfg).
-
-    world is load_world's (g, X, labels, split); eta_multiplier overrides a
-    relative eta's configured multiplier.
-    """
+def _prepare(cfg: dict):
+    """What every certifying command starts from: (world, vanilla, noise, eta, scfg); world is load_world's (g, X, labels, split)."""
     world = g, X, labels, split = load_world(cfg)
     vanilla, noise = load_models(cfg, X.shape[1])
-    eta = resolve_eta(cfg, vanilla, *world, multiplier_override=eta_multiplier)
-    return world, vanilla, noise, eta, smoothing_config(cfg, eta)
+    eta = resolve_eta(cfg, vanilla, *world)
+    return world, vanilla, noise, eta, smoothing_config(cfg)
 
 
 def _fcr(cfg: dict, world, noise, scfg: SmoothingConfig, eta: BiasThreshold):
@@ -388,7 +379,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_attack(cfg: dict) -> int:
-    world, vanilla, noise, eta, scfg = _prepare(cfg, eta_multiplier=cfg["attack"]["eta_multiplier"])
+    # a relative threshold takes the attack's own multiplier
+    world, vanilla, noise, eta, scfg = _prepare({**cfg, "eta": {**cfg["eta"], "multiplier": cfg["attack"]["eta_multiplier"]}})
     rows, meta = evaluate_under_attack(vanilla, noise, *world, cfg["attack"]["grid"], scfg, eta=eta, jobs=cfg["jobs"])
     fields = ["budget_edges", "budget_l2", "model", "accuracy", "delta_sp", "delta_eo", "outcome", "within_certified"]
     write_csv(os.path.join(cfg["out"], "attack.csv"), fields, rows)

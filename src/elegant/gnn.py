@@ -1,11 +1,13 @@
 """Numpy node classifiers: two-layer GCN and GraphSAGE-mean.
 
 Backbone contract.  Certification (pipeline.PredictionCache and
-certify_and_predict) needs only `backbone` (a name), `build_ops(g)` (the
-propagation operator of a graph), `forward(ops, X)` (logits, shape (n, C))
-and `forward_many(ops, X, rows, deltas, out)`, which writes the hard
-classes of B perturbations of the given attribute rows into the (B, n)
-uint8 out and returns it.  The attacks add `input_grad(ops, X, dlogits)`,
+certify_sets) needs only `build_ops(g)` (the propagation operator of a
+graph) and `forward_many(ops, X, rows, deltas, out)`, which writes the
+hard classes of B perturbations of the given attribute rows into the
+(B, n) uint8 out and returns it.  `forward(ops, X)` (logits, shape
+(n, C)) scores the vanilla model for the CLI's relative threshold
+(cli.resolve_eta), and the attack harness reads it and `backbone` (a
+name) of both models.  The attacks add `input_grad(ops, X, dlogits)`,
 the gradient of sum(dlogits * logits) in X, and `forward_flips(g, X,
 pairs, out, rows=None)`, which writes the hard classes at the nodes rows
 (default all n) of the B graphs g with the single pair pairs[b] flipped

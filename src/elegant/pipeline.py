@@ -180,6 +180,8 @@ class PredictionCache:
         numpy's bundled OpenBLAS is held to one thread for the build
         (_one_blas_thread): the threads already keep the cores busy.
         """
+        if jobs < 1:
+            raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
         n = g.n
         d = X.shape[1]
         vul_idx = vulnerable_ids(vulnerable, n)
@@ -291,10 +293,13 @@ def _flat_sets(test_sets, pool, vulnerable: tuple, n: int) -> tuple:
     test_sets is a (count, size) matrix or a sequence of node sequences of
     any sizes.  nodes holds every set's members, sorted within each set and
     sets in order; set j is nodes[offsets[j] : offsets[j + 1]].  Raises
-    ValueError naming the set and the node when a set holds a node outside
-    the pool, lists a node twice or lacks a vulnerable node.
+    ValueError naming the shape of an array that is not 2-D, and naming the
+    set and the node when a set holds a node outside the pool, lists a node
+    twice or lacks a vulnerable node.
     """
-    if isinstance(test_sets, np.ndarray) and test_sets.ndim == 2:
+    if isinstance(test_sets, np.ndarray):
+        if test_sets.ndim != 2:
+            raise ValueError(f"test sets must be a (count, size) matrix or a sequence of node sequences, got an array of shape {test_sets.shape}")
         sizes = np.full(len(test_sets), test_sets.shape[1], dtype=np.int64)
         flat = test_sets.astype(np.int64, copy=False).ravel()
     else:
@@ -330,21 +335,23 @@ def _columns(nodes: np.ndarray, n: int) -> tuple:
     return np.flatnonzero(covered), (np.cumsum(covered) - 1)[nodes]
 
 
-def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> tuple:
+def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, *, eta: BiasThreshold) -> tuple:
     """Certify the smoothed bias indicator on each test set and pick its output.
 
     test_sets is a (count, size) node matrix, as sample_test_sets returns,
     or a sequence of node sequences of any sizes; both take one path.
     Returns one CertificationReport per set, in order.  model must already
     be the backbone the smoothing wraps (for defended runs, the
-    noise-augmented one).  eta defaults to an absolute threshold of
-    cfg.eta; cache may be shared across calls with identical
-    (model, g, X, vulnerable, cfg).  Every set is validated (members in
-    the pool, each listed once, the vulnerable nodes among them), then one
-    cache serves them all; a cache whose vulnerable set, shape, sigma,
-    beta or master_seed differs from this call raises ValueError, and
-    matching the model, graph and attributes is left to the caller.  No
-    sets return () before any cache is built.
+    noise-augmented one); only its build_ops, forward_many and optional
+    fallbacks counter are read.  eta, the threshold every draw's bias is
+    compared against, is required; cache may be shared across calls with
+    identical (model, g, X, vulnerable, cfg), whatever their eta.  Every
+    set is validated (members in the pool, each listed once, the
+    vulnerable nodes among them), then one cache serves them all; a cache
+    whose vulnerable set, shape, sigma, beta or master_seed differs from
+    this call raises ValueError, and matching the model, graph and
+    attributes is left to the caller.  No sets return () before any cache
+    is built.
 
     The sets become one flat layout, every set's sorted nodes in one
     array, and the work that does not depend on the set is done once per
@@ -358,8 +365,6 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     lookups its evidence, and array operations its outcomes, attribute
     budgets, selections and accuracies.
     """
-    if eta is None:
-        eta = BiasThreshold.absolute(cfg.eta)
     vul = tuple(vulnerable_ids(split.vulnerable, g.n).tolist())
     flat, seg, offsets = _flat_sets(test_sets, split.test_pool, vul, g.n)
     count = offsets.size - 1
@@ -467,7 +472,7 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     return tuple(reports)
 
 
-def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, eta: BiasThreshold | None = None) -> CertificationReport:
+def certify_and_predict(model, g: Graph, X, labels, split, test_set, cfg: SmoothingConfig, jobs: int = 1, cache: PredictionCache | None = None, *, eta: BiasThreshold) -> CertificationReport:
     """Certify one test set: certify_sets on (test_set,)."""
     return certify_sets(model, g, X, labels, split, (test_set,), cfg, jobs=jobs, cache=cache, eta=eta)[0]
 
@@ -499,7 +504,7 @@ class FcrResult:
         return out
 
 
-def fcr_run(model, g: Graph, X, labels, split, cfg: SmoothingConfig, ratio: float = 0.9, count: int = 100, jobs: int = 1, eta: BiasThreshold | None = None, cache: PredictionCache | None = None) -> FcrResult:
+def fcr_run(model, g: Graph, X, labels, split, cfg: SmoothingConfig, ratio: float = 0.9, count: int = 100, jobs: int = 1, *, eta: BiasThreshold, cache: PredictionCache | None = None) -> FcrResult:
     """Certify `count` sampled test sets and report the certified fraction.
 
     Test sets are drawn from the pool with the vulnerable nodes forced in

@@ -76,8 +76,7 @@ class SmoothingConfig:
         spends it separately on every inner Clopper-Pearson bound and again
         on the outer one, with no union bound; what that implies for the
         joint certificate is open (ROADMAP item 1).
-    eta: bias threshold the indicator compares against.
-    metric: one of fairness.METRICS.
+    metric: one of fairness.METRICS (each certification call takes eta).
     master_seed: root of every substream.
     k_max: cap of the structure budget search.
     strict: abstain the whole run when an inner vote stays undecided; when
@@ -89,7 +88,6 @@ class SmoothingConfig:
     n_outer: int = 200
     n_inner: int = 150
     alpha: float = 0.3
-    eta: float = 0.1
     metric: str = "sp"
     master_seed: int = 0
     k_max: int = DEFAULT_K_MAX
@@ -104,8 +102,6 @@ class SmoothingConfig:
             raise ValueError("sample counts must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if not 0 <= self.eta < math.inf:
-            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be {' or '.join(map(repr, METRICS))}, got {self.metric!r}")
         if self.k_max < 0:

@@ -12,7 +12,7 @@ from elegant.attack import (
     structure_attack_greedy,
 )
 from elegant.data import Graph, NodeLabels, SplitSpec
-from elegant.fairness import UndefinedMetricError
+from elegant.fairness import BiasThreshold, UndefinedMetricError
 from elegant.gnn import BACKBONES
 from elegant.pipeline import ABSTAIN, CERTIFIED
 from elegant.smoothing import DOMAIN_ATTACK, SmoothingConfig, eligible_pairs, substream
@@ -241,9 +241,9 @@ def test_structure_attack_greedy_ties_commit_the_pools_first_candidate(metric, p
 
 def test_evaluate_under_attack_row_schema():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=60, n_inner=10, eta=0.25, master_seed=0)
+    cfg = SmoothingConfig(n_outer=60, n_inner=10, master_seed=0)
     grid = ((1, 0.1), (2, 1.0))
-    rows, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg)
+    rows, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg, eta=BiasThreshold.absolute(0.25))
     assert len(rows) == 2 * len(grid)
     want = ["budget_edges", "budget_l2", "model", "accuracy", "delta_sp", "delta_eo", "outcome", "within_certified"]
     for row in rows:
@@ -262,9 +262,9 @@ def test_evaluate_under_attack_row_schema():
 
 def test_evaluate_under_attack_within_certified_flags():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=60, n_inner=10, eta=0.25, master_seed=0)
+    cfg = SmoothingConfig(n_outer=60, n_inner=10, master_seed=0)
     grid = ((1, 0.1), (5, 100.0))
-    rows, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg)
+    rows, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg, eta=BiasThreshold.absolute(0.25))
     inside, outside = rows[1], rows[3]
     assert inside["within_certified"] == "true"
     assert outside["within_certified"] == "false"
@@ -276,12 +276,12 @@ def test_evaluate_under_attack_within_certified_flags():
 def test_evaluate_under_attack_certificate_is_an_open_ball():
     # at an L2 norm of exactly eps_X the Gaussian bound is 1/2, which certifies nothing
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=60, n_inner=10, eta=0.25, master_seed=0)
-    _, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, (), cfg)
+    cfg, eta = SmoothingConfig(n_outer=60, n_inner=10, master_seed=0), BiasThreshold.absolute(0.25)
+    _, meta = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, (), cfg, eta=eta)
     eps_x = meta["clean_eps_X"]
     assert 0.0 < eps_x < np.inf
     grid = ((0, eps_x), (0, float(np.nextafter(eps_x, 0.0))))
-    rows, _ = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg)
+    rows, _ = evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, grid, cfg, eta=eta)
     assert [r["within_certified"] for r in rows[1::2]] == ["false", "true"]
 
 
@@ -304,9 +304,9 @@ class _GroupModel(_LinearModel):
 
 def test_evaluate_under_attack_abstain_rows_are_na():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=10, n_inner=5, eta=0.5, master_seed=0)
+    cfg = SmoothingConfig(n_outer=10, n_inner=5, master_seed=0)
     biased = _GroupModel(labels.s)
-    rows, meta = evaluate_under_attack(biased, biased, g, X, labels, split, ((1, 0.1),), cfg)
+    rows, meta = evaluate_under_attack(biased, biased, g, X, labels, split, ((1, 0.1),), cfg, eta=BiasThreshold.absolute(0.5))
     assert meta["clean_outcome"] == ABSTAIN
     assert meta["clean_eps_A"] is None
     smoothed = rows[1]
@@ -314,6 +314,12 @@ def test_evaluate_under_attack_abstain_rows_are_na():
     assert smoothed["accuracy"] == "NA"
     assert smoothed["delta_sp"] == "NA"
     assert smoothed["within_certified"] == "-"
+
+
+def test_evaluate_under_attack_without_eta_is_a_type_error():
+    g, X, labels, split = _world()
+    with pytest.raises(TypeError, match="'eta'"):
+        evaluate_under_attack(_ConstantModel(), _ConstantModel(), g, X, labels, split, (), SmoothingConfig(n_outer=4, n_inner=3))
 
 
 def test_default_grid_is_frozen():

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from elegant.cli import DEFAULTS, ConfigError, build_config, load_world, main, make_parser, resolve_eta
+from elegant.cli import DEFAULTS, build_config, load_world, main, make_parser
 from elegant.fixtures import bundled_fixture_dir
 from elegant.gnn import GcnModel, load_model, save_model
 
@@ -159,27 +159,48 @@ def _copy_models(workdir, tmp_path):
     return out
 
 
-def _certify_with(workdir, tmp_path, code=0, **extra):
-    """certify.json of a certify run on workdir's models under a config with extra top-level keys (None unless it exits with code 0)."""
+def _attack_eta(workdir, tmp_path, argv, **extra):
+    """The threshold attack.json records for an attack run on workdir's models under a config with extra top-level keys and flags argv."""
+    run = tmp_path / f"attack{len(list(tmp_path.glob('attack*')))}"
+    run.mkdir()
+    out, cfg = _copy_models(workdir, run), _write_config(run / "c.json", extra)
+    assert main(["attack", "--config", cfg, "--out", str(out), *argv]) == 0
+    with open(out / "attack.json") as fh:
+        return json.load(fh)["eta"]
+
+
+def _certify_with(workdir, tmp_path, code=0, argv=(), **extra):
+    """certify.json of a certify run on workdir's models under a config with extra top-level keys and flags argv (None unless it exits with code 0)."""
     out = _copy_models(workdir, tmp_path)
     cfg = _write_config(tmp_path / "c.json", extra)
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == code
+    assert main(["certify", "--config", cfg, "--out", str(out), *argv]) == code
     if code == 0:
         with open(out / "certify.json") as fh:
             return json.load(fh)
 
 
 def test_absolute_eta_from_config_file(workdir, tmp_path):
-    report = _certify_with(workdir, tmp_path, eta={"mode": "absolute", "value": 0.1})
+    report = _certify_with(workdir, tmp_path, eta={"value": 0.1})
     assert report["eta"] == 0.1
     assert report["config"]["eta"]["provenance"] == "absolute"
 
 
-def test_absolute_eta_without_value_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.delenv("ELEGANT_SEED", raising=False)
-    cfg = build_config(_write_config(tmp_path / "c.json", {"eta": {"mode": "absolute"}}), _args(["certify"]))
-    with pytest.raises(ConfigError, match="absolute eta needs a 'value'"):
-        resolve_eta(cfg, None, None, None, None, None)  # the absolute branch reads no model or data
+def test_a_config_eta_value_is_the_threshold_of_every_command(workdir, tmp_path):
+    report = _certify_with(workdir, tmp_path, eta={"value": 0.3})
+    assert report["eta"] == 0.3
+    assert report["config"]["eta"] == {"value": 0.3, "provenance": "absolute", "multiplier": None, "vanilla_bias": None}
+    assert _attack_eta(workdir, tmp_path, [], eta={"value": 0.3}) == 0.3
+
+
+def test_eta_flags_win_over_a_config_eta_value(workdir, tmp_path):
+    with open(os.path.join(workdir["out"], "metrics.json")) as fh:
+        vanilla_bias = json.load(fh)["vanilla"]["delta_sp"]
+    report = _certify_with(workdir, tmp_path, argv=["--eta-mult", "2"], eta={"value": 0.3})
+    assert report["config"]["eta"]["provenance"] == "relative"
+    assert report["eta"] == pytest.approx(2 * vanilla_bias, rel=1e-6)
+    assert _attack_eta(workdir, tmp_path, ["--eta-mult", "2"], eta={"value": 0.3}) == pytest.approx(2 * vanilla_bias, rel=1e-6)
+    # --eta is absolute for attack too, whatever its multiplier
+    assert _attack_eta(workdir, tmp_path, ["--eta", "0.2"]) == 0.2
 
 
 def test_smoothing_values_keep_their_default_types(workdir, tmp_path):
@@ -424,9 +445,9 @@ def test_eta_flags_are_exclusive():
 def test_eta_flag_overrides_config(monkeypatch):
     monkeypatch.delenv("ELEGANT_SEED", raising=False)
     cfg = build_config(None, _args(["certify", "--eta", "0.2"]))
-    assert cfg["eta"] == {"mode": "absolute", "value": 0.2}
+    assert cfg["eta"] == {"multiplier": 1.25, "value": 0.2}
     cfg = build_config(None, _args(["certify", "--eta-mult", "2.0"]))
-    assert cfg["eta"] == {"mode": "relative", "multiplier": 2.0}
+    assert cfg["eta"] == {"multiplier": 2.0, "value": None}
 
 
 def test_sweep_flags_land_in_the_config(tmp_path, monkeypatch):
@@ -506,7 +527,7 @@ BAD_VALUES = [
     ("fcr", {"fcr": {"ratio": 0.5, "count": 3, "seeds": [1.5]}}, [], "fcr.seeds[0] must be an integer, got 1.5"),
     ("attack", {"attack": {"grid": [[1.5, 0.1]]}}, [], "attack.grid[0][0] must be an integer, got 1.5"),
     ("attack", {"attack": {"grid": [[1]]}}, [], "attack.grid[0] must be a list of 2 items, got [1]"),
-    ("certify", {"eta": {"mode": "absolute", "value": "0.1"}}, [], "eta.value must be a number, got '0.1'"),
+    ("certify", {"eta": {"value": "0.1"}}, [], "eta.value must be a number, got '0.1'"),
     ("certify", {"eta": {"multiplier": "2"}}, [], "eta.multiplier must be a number, got '2'"),
     ("sweep", {"sweep": {"values": [0.1, "0.2"]}}, [], "sweep.values[1] must be a number, got '0.2'"),
     # values that stopped with a traceback
@@ -525,8 +546,11 @@ BAD_VALUES = [
     ("certify", {}, ["--eta", "inf"], "eta.value must be a number, got inf"),
     ("certify", {}, ["--eta", "nan"], "eta.value must be a number, got nan"),
     ("attack", {}, ["--eta-mult", "inf"], "eta.multiplier must be a number, got inf"),
-    ("certify", {"eta": {"mode": "absolute", "value": 2**1024}}, [], f"eta.value must be a number, got {2**1024}"),
+    ("certify", {"eta": {"value": 2**1024}}, [], f"eta.value must be a number, got {2**1024}"),
     ("sweep", {}, ["--values", "0.1,inf"], "sweep.values[1] must be a number, got inf"),
+    # a key that is gone: eta.value alone decides absolute or relative
+    ("certify", {"eta": {"mode": "absolute", "value": 0.3}}, [], "unknown config key 'eta.mode'"),
+    ("attack", {"eta": {"mode": "relative"}}, [], "unknown config key 'eta.mode'"),
     # ranges that the library checks
     ("train", {"splits": {"train_frac": 0.9}}, [], "splits: train_frac + val_frac must stay below 1, got 0.9 + 0.45"),
     ("fcr", {"fcr": {"ratio": 1.5, "count": 3}}, [], "fcr: ratio must lie in (0, 1], got 1.5"),

@@ -73,8 +73,8 @@ def test_prop1_bound():
 
 def test_constant_fair_model_certifies():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=60, n_inner=20, eta=0.25, master_seed=0)
-    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=60, n_inner=20, master_seed=0)
+    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.25))
     assert rep.outcome == CERTIFIED
     # constant class 1 everywhere: zero bias on every draw, unanimous votes
     assert rep.n_outer_positive == 60
@@ -89,16 +89,16 @@ def test_constant_fair_model_certifies():
 
 def test_budget_saturates_at_k_max_for_weak_flip_noise():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=200, n_inner=5, eta=0.25, beta=0.6, k_max=16, master_seed=0)
-    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=200, n_inner=5, beta=0.6, k_max=16, master_seed=0)
+    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.25))
     assert rep.outcome == CERTIFIED
     assert rep.budgets.eps_A == 16  # frozen: beta=0.6 bound stays above 1/2 through k_max
 
 
 def test_eta_zero_abstains():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=20, n_inner=10, eta=0.0, master_seed=0)
-    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=20, n_inner=10, master_seed=0)
+    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.0))
     assert rep.outcome == ABSTAIN
     assert rep.budgets is None
     assert rep.selected_prediction is None
@@ -124,8 +124,8 @@ class _FixedClassModel(_ConstantModel):
 
 def test_certifiably_biased_model_abstains_without_undecided():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=30, n_inner=20, eta=0.5, master_seed=0)
-    rep = certify_and_predict(_FixedClassModel(labels.s), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=30, n_inner=20, master_seed=0)
+    rep = certify_and_predict(_FixedClassModel(labels.s), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.5))
     # every inner vote certifies the biased side; strict mode has nothing
     # undecided, the outer bound just fails
     assert rep.outcome == ABSTAIN
@@ -139,7 +139,7 @@ def test_indicator_is_strict_at_eta():
     classes = np.zeros(g.n, dtype=int)
     classes[[0, 2, 4, 6, 8, 10, 1, 3, 5]] = 1
     model = _FixedClassModel(classes)
-    cfg = SmoothingConfig(n_outer=4, n_inner=10, eta=0.25, master_seed=0)
+    cfg = SmoothingConfig(n_outer=4, n_inner=10, master_seed=0)
     for eta, n1 in ((0.25, 0), (np.nextafter(0.25, 1.0), cfg.n_inner)):
         rep = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(eta))
         assert [r.n1 for r in rep.records] == [n1] * cfg.n_outer
@@ -161,16 +161,16 @@ class _StreamParityModel(_ConstantModel):
 
 def test_strict_mode_aborts_on_undecided_inner_vote():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=10, n_inner=40, eta=0.5, master_seed=0, strict=True)
-    rep = certify_and_predict(_StreamParityModel(labels.s), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=10, n_inner=40, master_seed=0, strict=True)
+    rep = certify_and_predict(_StreamParityModel(labels.s), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.5))
     assert rep.outcome == ABSTAIN
     assert "undecided" in rep.abstain_reason
 
 
 def test_tolerant_mode_counts_undecided_against():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=10, n_inner=40, eta=0.5, master_seed=0, strict=False)
-    rep = certify_and_predict(_StreamParityModel(labels.s), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=10, n_inner=40, master_seed=0, strict=False)
+    rep = certify_and_predict(_StreamParityModel(labels.s), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.5))
     # no abort, but the undecided votes count as failures and sink the bound
     assert rep.outcome == ABSTAIN
     assert "outer" in rep.abstain_reason
@@ -179,9 +179,9 @@ def test_tolerant_mode_counts_undecided_against():
 def test_undefined_metric_forces_zero_indicators(caplog):
     g, X, labels, split = _world()
     one_group = NodeLabels(y=labels.y, s=np.zeros(g.n, dtype=int))
-    cfg = SmoothingConfig(n_outer=8, n_inner=5, eta=0.5, master_seed=0)
+    cfg = SmoothingConfig(n_outer=8, n_inner=5, master_seed=0)
     with caplog.at_level("WARNING"):
-        rep = certify_and_predict(_ConstantModel(), g, X, one_group, split, split.test_pool, cfg)
+        rep = certify_and_predict(_ConstantModel(), g, X, one_group, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.5))
     assert rep.outcome == ABSTAIN
     assert rep.n_outer_positive == 0
     assert any("undefined" in r.message for r in caplog.records)
@@ -189,20 +189,20 @@ def test_undefined_metric_forces_zero_indicators(caplog):
 
 def test_test_set_validation():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=4, n_inner=4, master_seed=0)
+    cfg, eta = SmoothingConfig(n_outer=4, n_inner=4, master_seed=0), BiasThreshold.absolute(0.1)
     with pytest.raises(ValueError, match="vulnerable nodes must belong to the test set; test set 0 lacks node 0"):
-        certify_and_predict(_ConstantModel(), g, X, labels, split, (4, 5, 6), cfg)
+        certify_and_predict(_ConstantModel(), g, X, labels, split, (4, 5, 6), cfg, eta=eta)
     with pytest.raises(ValueError, match="vulnerable nodes must belong to the test set; test set 1 lacks node 1"):
-        certify_sets(_ConstantModel(), g, X, labels, split, [(0, 1, 3), (5, 0, 4)], cfg)
+        certify_sets(_ConstantModel(), g, X, labels, split, [(0, 1, 3), (5, 0, 4)], cfg, eta=eta)
     small_pool = SplitSpec(train=(2,), validation=(), test_pool=tuple(range(3, g.n)) + (0, 1), vulnerable=split.vulnerable)
     for outside in (2, -1, g.n):
         with pytest.raises(ValueError, match=re.escape(f"test set 0 must lie in the test pool; node {outside} does not")):
-            certify_and_predict(_ConstantModel(), g, X, labels, small_pool, (0, 1, 3, outside), cfg)
+            certify_and_predict(_ConstantModel(), g, X, labels, small_pool, (0, 1, 3, outside), cfg, eta=eta)
         with pytest.raises(ValueError, match=re.escape(f"test set 2 must lie in the test pool; node {outside} does not")):
-            certify_sets(_ConstantModel(), g, X, labels, small_pool, np.array([[0, 1, 3], [1, 0, 4], [0, outside, 1]]), cfg)
+            certify_sets(_ConstantModel(), g, X, labels, small_pool, np.array([[0, 1, 3], [1, 0, 4], [0, outside, 1]]), cfg, eta=eta)
     bad = SplitSpec(train=(), validation=(), test_pool=split.test_pool, vulnerable=())
     with pytest.raises(ValueError, match="nonempty"):
-        certify_and_predict(_ConstantModel(), g, X, labels, bad, split.test_pool, cfg)
+        certify_and_predict(_ConstantModel(), g, X, labels, bad, split.test_pool, cfg, eta=eta)
 
 
 def _grid(bias, eligible=None):
@@ -254,22 +254,22 @@ def test_select_fair_output_takes_set_axes():
 
 
 def _random_cache_world(seed, eta=0.6, n_outer=12, n_inner=6, vul=(0, 1)):
-    """The eight-node world with a hand-built cache of uniform random classes.
+    """The eight-node world with a hand-built cache of uniform random classes, plus an absolute threshold eta.
 
     Two groups of four put every bias on a multiple of 1/4, so equal-bias
     draws, within and across outer samples, are common.
     """
     g, X, labels, split = _world(n=8, vul=vul)
-    cfg = SmoothingConfig(n_outer=n_outer, n_inner=n_inner, eta=eta, master_seed=seed, strict=False)
+    cfg = SmoothingConfig(n_outer=n_outer, n_inner=n_inner, master_seed=seed, strict=False)
     classes = np.random.default_rng(seed).integers(0, 2, (n_outer, n_inner, g.n), dtype=np.uint8)
-    return g, X, labels, split, cfg, PredictionCache(classes, split.vulnerable, cfg)
+    return g, X, labels, split, cfg, BiasThreshold.absolute(eta), PredictionCache(classes, split.vulnerable, cfg)
 
 
-def _draw_evidence(cache, labels, nodes, cfg):
+def _draw_evidence(cache, labels, nodes, cfg, eta):
     """Per-draw bias and indicator, and per-outer inner certification, from the scalar public functions."""
     n_outer, n_inner, _ = cache.classes.shape
     bias = [[bias_value(cache.classes[o, i], labels, nodes, cfg.metric) for i in range(n_inner)] for o in range(n_outer)]
-    indicator = [[b < cfg.eta for b in row] for row in bias]
+    indicator = [[b < eta.eta for b in row] for row in bias]
     certified = []
     for row in indicator:
         n1 = sum(row)
@@ -280,13 +280,13 @@ def _draw_evidence(cache, labels, nodes, cfg):
 def test_selection_matches_the_per_record_oracle():
     n_certified = n_tied = 0
     for seed in range(40):
-        g, X, labels, split, cfg, cache = _random_cache_world(seed)
+        g, X, labels, split, cfg, eta, cache = _random_cache_world(seed)
         # the cache stands in for the model, which is never called
-        rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache)
+        rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache, eta=eta)
         if rep.outcome != CERTIFIED:
             continue
         n_certified += 1
-        bias, indicator, certified = _draw_evidence(cache, labels, split.test_pool, cfg)
+        bias, indicator, certified = _draw_evidence(cache, labels, split.test_pool, cfg, eta)
         assert [r.inner_certified for r in rep.records] == certified
         classes, sel_bias = oracles.select_fair_output_oracle(cache.classes, bias, indicator, certified)
         assert rep.selected_prediction.tolist() == classes
@@ -301,11 +301,11 @@ def test_records_match_the_scalar_oracles():
     # eta 0.1 makes certifiably biased inner votes common, eta 0.6 certifiably fair ones
     seen = {"certified": 0, "biased": 0, "undecided": 0, "CERTIFIED": 0}
     for seed, eta in itertools.product(range(20), (0.1, 0.6)):
-        g, X, labels, split, cfg, cache = _random_cache_world(seed, eta=eta)
-        rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache)
+        g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, eta=eta)
+        rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache, eta=eta)
         records = rep.records
         assert records.shape == (cfg.n_outer,)
-        _, indicator, certified = _draw_evidence(cache, labels, split.test_pool, cfg)
+        _, indicator, certified = _draw_evidence(cache, labels, split.test_pool, cfg, eta)
         radii = []
         for o, row in enumerate(indicator):
             n1 = sum(row)
@@ -354,6 +354,19 @@ def test_prediction_cache_starts_no_worker_beyond_the_masks(monkeypatch):
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
     np.testing.assert_array_equal(PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=4).classes, want)
     assert sizes == [1]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_cache_build_refuses_jobs_below_one(monkeypatch, jobs):
+    g, X, labels, split = _world()
+    model, pools = _CountingModel(), []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda **k: pools.append(k))
+    cfg = SmoothingConfig(n_outer=2, n_inner=3, master_seed=5)
+    with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+        PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=jobs)
+    with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+        certify_sets(model, g, X, labels, split, [split.test_pool], cfg, jobs=jobs, eta=BiasThreshold.absolute(0.25))
+    assert model.forward_many_calls == 0 and pools == []
 
 
 def _real_world(backbone):
@@ -459,29 +472,31 @@ _CACHE_MISMATCHES = {
 def test_mismatched_cache_is_rejected(field):
     vul, n, change = _CACHE_MISMATCHES[field]
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=12, n_inner=6, eta=0.25, master_seed=5)
+    cfg = SmoothingConfig(n_outer=12, n_inner=6, master_seed=5)
     g_built, X_built, _, _ = _world(n=n)
     cache = PredictionCache.build(_ConstantModel(), g_built, X_built, vul, replace(cfg, **change))
     with pytest.raises(ValueError, match=f"built for {field}="):
-        certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, cache=cache)
+        certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, cache=cache, eta=BiasThreshold.absolute(0.25))
 
 
 def test_cache_built_for_another_eta_is_reused():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=12, n_inner=6, eta=0.25, master_seed=5)
+    cfg = SmoothingConfig(n_outer=12, n_inner=6, master_seed=5)
     model = _ConstantModel()
-    cache = PredictionCache.build(model, g, X, split.vulnerable, replace(cfg, eta=0.9))
-    cached = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg, cache=cache)
-    fresh = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg)
-    assert cached.outcome == CERTIFIED
-    assert cached.to_json_dict() == fresh.to_json_dict()
-    assert [r.n1 for r in cached.records] == [r.n1 for r in fresh.records]
+    cache = PredictionCache.build(model, g, X, split.vulnerable, cfg)
+    for eta in (BiasThreshold.absolute(0.9), BiasThreshold.absolute(0.25)):
+        cached = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg, cache=cache, eta=eta)
+        fresh = certify_and_predict(model, g, X, labels, split, split.test_pool, cfg, eta=eta)
+        assert cached.outcome == CERTIFIED
+        assert cached.to_json_dict() == fresh.to_json_dict()
+        assert cached.to_json_dict()["eta"] == eta.eta
+        assert [r.n1 for r in cached.records] == [r.n1 for r in fresh.records]
 
 
 def test_fcr_run_shares_cache_and_counts(caplog):
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=60, n_inner=10, eta=0.25, master_seed=1)
-    res = fcr_run(_ConstantModel(), g, X, labels, split, cfg, ratio=0.75, count=6)
+    cfg = SmoothingConfig(n_outer=60, n_inner=10, master_seed=1)
+    res = fcr_run(_ConstantModel(), g, X, labels, split, cfg, ratio=0.75, count=6, eta=BiasThreshold.absolute(0.25))
     assert res.count == 6
     assert len(res.reports) == 6
     assert res.fcr == 1.0
@@ -493,11 +508,11 @@ def test_fcr_run_shares_cache_and_counts(caplog):
 
 def test_fcr_run_logs_the_exact_certified_count(monkeypatch, caplog):
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=4, n_inner=3, eta=0.25, master_seed=1)
+    cfg = SmoothingConfig(n_outer=4, n_inner=3, master_seed=1)
     reports = tuple(SimpleNamespace(outcome=o) for o in [CERTIFIED] * 29 + [ABSTAIN] * 71)
     monkeypatch.setattr(pipeline, "certify_sets", lambda *a, **k: reports)
     with caplog.at_level(logging.INFO, logger="elegant.pipeline"):
-        res = fcr_run(_ConstantModel(), g, X, labels, split, cfg, ratio=0.75, count=100, cache=object())
+        res = fcr_run(_ConstantModel(), g, X, labels, split, cfg, ratio=0.75, count=100, cache=object(), eta=BiasThreshold.absolute(0.25))
     assert res.fcr == 0.29
     assert "(29/100)" in caplog.text
 
@@ -507,18 +522,18 @@ def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
     monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * 12 * 6)
     outcomes = []
     for seed in range(6):
-        g, X, labels, split, cfg, cache = _random_cache_world(seed, vul=(0,))
+        g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, vul=(0,))
         rng = np.random.default_rng(seed)
         sets = [tuple(sorted([0, 1, *rng.choice(np.arange(2, 8), size=rng.integers(1, 6), replace=False).tolist()])) for _ in range(8)]
         sets[4] = (0, 2, 4, 6)
         monkeypatch.setattr(pipeline, "sample_test_sets", lambda *a, **k: sets)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="elegant.pipeline"):
-            res = fcr_run(None, g, X, labels, split, cfg, count=len(sets), cache=cache)
+            res = fcr_run(None, g, X, labels, split, cfg, count=len(sets), eta=eta, cache=cache)
         assert [r.getMessage() for r in caplog.records] == ["bias metric undefined on test set 4; all its indicators forced to 0"]
         assert len(res.reports) == len(sets)
         for ts, rep in zip(sets, res.reports):
-            one = certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache)
+            one = certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache, eta=eta)
             assert rep.test_set == one.test_set == ts
             assert rep.to_json_dict() == one.to_json_dict()
             assert rep.records.tobytes() == one.records.tobytes()
@@ -529,7 +544,7 @@ def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
                 assert n1 == [0] * cfg.n_outer
             else:
                 bias = oracles.positive_rate_gap_oracle(cache.classes, groups)
-                assert n1 == (bias < cfg.eta).sum(axis=1).tolist()
+                assert n1 == (bias < eta.eta).sum(axis=1).tolist()
             if rep.outcome == CERTIFIED:
                 assert rep.selected_prediction.tobytes() == one.selected_prediction.tobytes()
                 assert rep.selected_bias == oracles.positive_rate_gap_oracle(rep.selected_prediction, groups)
@@ -547,15 +562,15 @@ def test_certify_sets_equals_the_scalar_oracle(monkeypatch, per_chunk, strict):
     monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 12 * 6)
     seen = dict.fromkeys(["CERTIFIED", "undecided", "outer", "tied"], 0)
     for seed, eta in itertools.product(range(12), (0.3, 0.6)):
-        g, X, labels, split, cfg, cache = _random_cache_world(seed, eta=eta, vul=(0,))
+        g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, eta=eta, vul=(0,))
         cfg = replace(cfg, strict=strict)
         rng = np.random.default_rng([seed, 1])
         sets = [(0, *sorted(rng.choice(np.arange(1, 8), size=rng.integers(1, 8), replace=False).tolist())) for _ in range(7)]
         sets[4] = (0, 2, 4, 6)
-        reports = certify_sets(None, g, X, labels, split, sets, cfg, cache=cache)
+        reports = certify_sets(None, g, X, labels, split, sets, cfg, cache=cache, eta=eta)
         assert [r.test_set for r in reports] == sets
         for ts, rep in zip(sets, reports):
-            fields, records, prediction = oracles.certify_set_oracle(cache.classes, labels, ts, cfg, eta)
+            fields, records, prediction = oracles.certify_set_oracle(cache.classes, labels, ts, cfg, eta.eta)
             d = rep.to_json_dict()
             assert {k: d[k] for k in fields} == fields
             assert rep.abstain_reason == fields["abstain_reason"]
@@ -563,7 +578,7 @@ def test_certify_sets_equals_the_scalar_oracle(monkeypatch, per_chunk, strict):
             assert (None if rep.selected_prediction is None else rep.selected_prediction.tobytes()) == prediction
             if rep.outcome == CERTIFIED:
                 seen["CERTIFIED"] += 1
-                bias, indicator, certified = _draw_evidence(cache, labels, ts, cfg)
+                bias, indicator, certified = _draw_evidence(cache, labels, ts, cfg, eta)
                 eligible = [b for o, row in enumerate(bias) if certified[o] for b, fair in zip(row, indicator[o]) if fair]
                 seen["tied"] += eligible.count(min(eligible)) > 1
             else:
@@ -594,7 +609,7 @@ def _undefined_warnings(sets, labels, metric):
 def test_certify_sets_takes_one_path_for_every_input_form(monkeypatch, caplog, per_chunk, metric):
     monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 12 * 6)
     for seed in range(6):
-        g, X, labels, split, cfg, cache = _random_cache_world(seed, vul=(0,))
+        g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, vul=(0,))
         # label-1 nodes are 0, 1, 2, 3, 6 and 7, with both s values among them
         labels = NodeLabels(y=np.array([1, 1, 1, 1, 0, 0, 1, 1]), s=labels.s)
         cfg = replace(cfg, metric=metric)
@@ -606,23 +621,23 @@ def test_certify_sets_takes_one_path_for_every_input_form(monkeypatch, caplog, p
         unsorted = rng.permuted(matrix, axis=1)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="elegant.pipeline"):
-            want = [_report_fields(r) for r in certify_sets(None, g, X, labels, split, matrix, cfg, cache=cache)]
+            want = [_report_fields(r) for r in certify_sets(None, g, X, labels, split, matrix, cfg, cache=cache, eta=eta)]
         assert [r.getMessage() for r in caplog.records] == _undefined_warnings(matrix, labels, metric)
         assert ("bias metric undefined on test set 4" in caplog.text) == (metric == "eo")
         for sets in ([tuple(row) for row in matrix.tolist()], unsorted, [tuple(row) for row in unsorted.tolist()]):
-            assert [_report_fields(r) for r in certify_sets(None, g, X, labels, split, sets, cfg, cache=cache)] == want
+            assert [_report_fields(r) for r in certify_sets(None, g, X, labels, split, sets, cfg, cache=cache, eta=eta)] == want
         # sets of 2, 7 and 4 nodes, unsorted, between the rows of the matrix
         extra = [(0, *rng.choice(np.arange(1, 8), size=size, replace=False).tolist())[::-1] for size in (1, 6, 3)]
         mixed = [extra[0], *unsorted[:3], extra[1], *unsorted[3:], extra[2]]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="elegant.pipeline"):
-            got = [_report_fields(r) for r in certify_sets(None, g, X, labels, split, mixed, cfg, cache=cache)]
+            got = [_report_fields(r) for r in certify_sets(None, g, X, labels, split, mixed, cfg, cache=cache, eta=eta)]
         assert [r.getMessage() for r in caplog.records] == _undefined_warnings(mixed, labels, metric)
         assert ("bias metric undefined on test set 6" in caplog.text) == (metric == "eo")
-        alone = [_report_fields(certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache)) for ts in extra]
+        alone = [_report_fields(certify_and_predict(None, g, X, labels, split, ts, cfg, cache=cache, eta=eta)) for ts in extra]
         assert got == [alone[0], *want[:3], alone[1], *want[3:], alone[2]]
         for ts, (d, reason, _, _, records, prediction) in zip(mixed, got):
-            fields, oracle_records, oracle_prediction = oracles.certify_set_oracle(cache.classes, labels, ts, cfg, cfg.eta)
+            fields, oracle_records, oracle_prediction = oracles.certify_set_oracle(cache.classes, labels, ts, cfg, eta.eta)
             assert {k: d[k] for k in fields} == fields and reason == fields["abstain_reason"]
             assert (records, prediction) == (oracle_records, oracle_prediction)
 
@@ -641,23 +656,71 @@ class _CountingModel(_ConstantModel):
 
 def test_certify_sets_with_no_sets_builds_no_cache():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=4, n_inner=3, eta=0.25, master_seed=0)
+    cfg = SmoothingConfig(n_outer=4, n_inner=3, master_seed=0)
     model = _CountingModel()
     for sets in ((), [], np.empty((0, 5), dtype=np.int64)):
-        assert certify_sets(model, g, X, labels, split, sets, cfg) == ()
+        assert certify_sets(model, g, X, labels, split, sets, cfg, eta=BiasThreshold.absolute(0.25)) == ()
     assert model.forward_many_calls == 0
-    assert certify_sets(model, g, X, labels, split, [split.test_pool], cfg)[0].outcome == CERTIFIED
+    assert certify_sets(model, g, X, labels, split, [split.test_pool], cfg, eta=BiasThreshold.absolute(0.25))[0].outcome == CERTIFIED
     assert model.forward_many_calls == cfg.n_outer
 
 
+@pytest.mark.parametrize("shape", [(24,), (2, 3, 4)])
+def test_certify_sets_refuses_an_array_that_is_not_2d(shape):
+    g, X, labels, split = _world()
+    model, sets = _CountingModel(), np.array(split.test_pool).reshape(shape)
+    cfg = SmoothingConfig(n_outer=4, n_inner=3, master_seed=0)
+    want = f"test sets must be a (count, size) matrix or a sequence of node sequences, got an array of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        certify_sets(model, g, X, labels, split, sets, cfg, eta=BiasThreshold.absolute(0.25))
+    assert model.forward_many_calls == 0
+
+
+def test_certification_without_eta_is_a_type_error():
+    g, X, labels, split = _world()
+    cfg, model = SmoothingConfig(n_outer=4, n_inner=3, master_seed=0), _CountingModel()
+    for call in (
+        lambda: certify_sets(model, g, X, labels, split, [split.test_pool], cfg),
+        lambda: certify_and_predict(model, g, X, labels, split, split.test_pool, cfg),
+        lambda: fcr_run(model, g, X, labels, split, cfg, ratio=0.75, count=2),
+    ):
+        with pytest.raises(TypeError, match="'eta'"):
+            call()
+    assert model.forward_many_calls == 0
+
+
+class _MinimalModel:
+    """All that certification reads of a backbone: no name, no forward, no fallbacks counter."""
+
+    @staticmethod
+    def build_ops(g):
+        return g
+
+    @staticmethod
+    def forward_many(ops, X, rows, deltas, out):
+        out[...] = 1
+        return out
+
+
+def test_certification_needs_only_build_ops_and_forward_many():
+    # the plug-and-play claim: any classifier with these two calls can be certified
+    g, X, labels, split = _world()
+    cfg, eta = SmoothingConfig(n_outer=60, n_inner=10, master_seed=1), BiasThreshold.absolute(0.25)
+    reports = certify_sets(_MinimalModel(), g, X, labels, split, [split.test_pool, split.test_pool[:12]], cfg, eta=eta)
+    assert [r.outcome for r in reports] == [CERTIFIED, CERTIFIED]
+    res, want = (fcr_run(model, g, X, labels, split, cfg, ratio=0.75, count=6, eta=eta) for model in (_MinimalModel(), _ConstantModel()))
+    assert res.fcr == 1.0
+    assert [r.to_json_dict() for r in res.reports] == [r.to_json_dict() for r in want.reports]
+
+
 def test_certify_sets_rejects_a_node_listed_twice():
-    g, X, labels, split, cfg, cache = _random_cache_world(3, eta=0.6)
+    g, X, labels, split, cfg, eta, cache = _random_cache_world(3, eta=0.6)
     with pytest.raises(ValueError, match="test set 1 lists node 7 more than once"):
-        certify_sets(None, g, X, labels, split, [split.test_pool, split.test_pool + (7, 7, 7)], cfg, cache=cache)
+        certify_sets(None, g, X, labels, split, [split.test_pool, split.test_pool + (7, 7, 7)], cfg, cache=cache, eta=eta)
 
 
 def test_certify_sets_work_per_call_is_fixed(monkeypatch):
-    g, X, labels, split, cfg, cache = _random_cache_world(0)
+    g, X, labels, split, cfg, eta, cache = _random_cache_world(0)
     calls = {"class1_hits": 0, "counts": 0}
     hits, bound = pipeline.class1_hits, pipeline.binomial_lower_bound_vec
 
@@ -675,14 +738,14 @@ def test_certify_sets_work_per_call_is_fixed(monkeypatch):
     monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * cfg.n_outer * cfg.n_inner)
     for count in (1, 200):
         calls.update(class1_hits=0, counts=0)
-        assert len(certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache)) == count
+        assert len(certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache, eta=eta)) == count
         assert calls["class1_hits"] == 1
         assert calls["counts"] <= cfg.n_inner + cfg.n_outer + 2
 
 
 def test_certify_sets_memory_is_bounded_by_the_chunk():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=20, n_inner=300, eta=0.25, master_seed=0)
+    cfg = SmoothingConfig(n_outer=20, n_inner=300, master_seed=0)
     cache = PredictionCache(np.ones((cfg.n_outer, cfg.n_inner, g.n), dtype=np.uint8), split.vulnerable, cfg)
     c = pipeline.CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner)
     assert c >= 2
@@ -690,7 +753,7 @@ def test_certify_sets_memory_is_bounded_by_the_chunk():
     def peak(count):
         tracemalloc.start()
         try:
-            reports = certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache)
+            reports = certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache, eta=BiasThreshold.absolute(0.25))
             assert [r.outcome for r in reports] == [CERTIFIED] * count
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -701,8 +764,8 @@ def test_certify_sets_memory_is_bounded_by_the_chunk():
 
 def test_report_json_dict_is_stable():
     g, X, labels, split = _world()
-    cfg = SmoothingConfig(n_outer=10, n_inner=5, eta=0.25, master_seed=0)
-    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg)
+    cfg = SmoothingConfig(n_outer=10, n_inner=5, master_seed=0)
+    rep = certify_and_predict(_ConstantModel(), g, X, labels, split, split.test_pool, cfg, eta=BiasThreshold.absolute(0.25))
     d = rep.to_json_dict()
     assert d["outcome"] == CERTIFIED
     assert d["eps_A"] == rep.budgets.eps_A
@@ -721,13 +784,13 @@ def test_certified_bias_always_below_eta():
     n_certified = 0
     for seed in range(20):
         for eta in (0.3, 0.6):
-            g, X, labels, split, cfg, cache = _random_cache_world(seed, eta=eta)
-            rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache)
+            g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, eta=eta)
+            rep = certify_and_predict(None, g, X, labels, split, split.test_pool, cfg, cache=cache, eta=eta)
             if rep.outcome != CERTIFIED:
                 continue
             n_certified += 1
             assert bias_value(rep.selected_prediction, labels, split.test_pool, cfg.metric) == rep.selected_bias
-            assert rep.selected_bias < cfg.eta
+            assert rep.selected_bias < eta.eta
             drawn = (cache.classes == rep.selected_prediction).all(axis=2)
             assert any(rep.records[o].inner_certified for o in np.flatnonzero(drawn.any(axis=1)))
             assert rep.budgets.eps_A >= 0

@@ -11,6 +11,7 @@ from scipy import stats
 from elegant import smoothing
 from elegant.attack import attribute_attack
 from elegant.data import Graph, NodeLabels, SplitSpec
+from elegant.fairness import BiasThreshold
 from elegant.pipeline import PredictionCache, certify_sets
 from elegant.smoothing import (
     DOMAIN_ATTRIBUTE,
@@ -71,7 +72,6 @@ def test_substream_first_draws_look_uniform():
         {"n_inner": 0},
         {"alpha": 0.0},
         {"alpha": 1.0},
-        {"eta": -0.1},
         {"metric": "parity"},
         {"k_max": -1},
     ],
@@ -81,11 +81,17 @@ def test_config_validation(kwargs):
         SmoothingConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["sigma", "eta"])
+@pytest.mark.parametrize("field", ["sigma"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be .* finite, got {value}"):
         SmoothingConfig(**{field: value})
+
+
+def test_config_has_no_threshold():
+    # the bias threshold is a fairness.BiasThreshold passed to every certification call, never a config field
+    with pytest.raises(TypeError, match="'eta'"):
+        SmoothingConfig(eta=0.1)
 
 
 def test_eligible_pairs_small_case():
@@ -119,7 +125,7 @@ _VULNERABLE_ENTRY_POINTS = {
     "eligible_pairs": lambda vul: eligible_pairs(_N, vul),
     "sample_attribute_noise": lambda vul: sample_attribute_noise(_CFG, vul, _X.shape[1], 0),
     "PredictionCache.build": lambda vul: PredictionCache.build(None, _G, _X, vul, _CFG),
-    "certify_sets": lambda vul: certify_sets(None, _G, _X, _LABELS, _split(vul), [range(_N)], _CFG),
+    "certify_sets": lambda vul: certify_sets(None, _G, _X, _LABELS, _split(vul), [range(_N)], _CFG, eta=BiasThreshold.absolute(0.1)),
     "attribute_attack": lambda vul: attribute_attack(None, _G, _X, _LABELS, vul, 1.0),
     "apply_attribute_noise": lambda vul: apply_attribute_noise(_X, AttributeNoise(block=np.ones((len(vul), _X.shape[1])), vulnerable=tuple(vul))),
 }

@@ -15,9 +15,13 @@ the test pool, and print their exit codes and the digests of `fcr.json`,
 ...` and `<backbone>/attack-eo ...`, and `sweep` runs again across beta
 (`"sweep": {"axis": "beta"}`), whose exit code and `sweep.csv` digest print
 as `<backbone>/sweep-beta ...`, so the structure budget across beta is
-compared too.  It exits with status 1 if any command
-exited non-zero.  Run it in two checkouts and `diff` the outputs to check that a
-change leaves every artifact byte-identical:
+compared too.  `certify` and `attack` then run with the absolute threshold
+`--eta 0.9` (the flag, which has meant an absolute threshold in every
+version, not a config `eta` block), printed as `<backbone>/certify-abs ...`
+and `<backbone>/attack-abs ...`; on sbm200 both certify there.  It exits
+with status 1 if any command exited non-zero.  Run it in two checkouts and
+`diff` the outputs to check that a change leaves every artifact
+byte-identical:
 
     python tools/artifact_digests.py > after.txt
     python tools/artifact_digests.py --src ../parent/src > before.txt
@@ -91,11 +95,11 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     def flags(label: str) -> list[str]:
         return ["--config", os.path.join(out, f"config-{label}.json"), "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
 
-    def run(command: str, label: str, config: dict) -> None:
+    def run(command: str, label: str, config: dict, *extra: str) -> None:
         nonlocal ok
         with open(os.path.join(out, f"config-{label}.json"), "w") as fh:
             json.dump(config, fh)
-        argv = [sys.executable, "-m", "elegant", command, *flags(label)]
+        argv = [sys.executable, "-m", "elegant", command, *flags(label), *extra]
         code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
         lines.append(f"{backbone}/{label} exit {code}")
         ok = ok and code == 0
@@ -112,7 +116,7 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     cache = subprocess.run([sys.executable, "-c", CACHE_DIGEST, "certify", *flags("train")], env=env, capture_output=True, text=True)
     lines.append(f"{backbone}/cache {cache.stdout.strip() if cache.returncode == 0 else 'missing'}")
     ok = ok and cache.returncode == 0
-    # the eo and beta runs reuse the trained models and overwrite their artifacts, so they go last
+    # the eo, beta and absolute-threshold runs reuse the trained models and overwrite their artifacts, so they go last
     eo = dict(CONFIG, metric="eo")
     run("fcr", "fcr-eo", eo)
     digest("fcr.json", "fcr-eo/fcr.json")
@@ -121,6 +125,11 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
         digest(name, f"attack-eo/{name}")
     run("sweep", "sweep-beta", dict(CONFIG, sweep={"axis": "beta"}))
     digest("sweep.csv", "sweep-beta/sweep.csv")
+    run("certify", "certify-abs", CONFIG, "--eta", "0.9")
+    digest("certify.json", "certify-abs/certify.json")
+    run("attack", "attack-abs", CONFIG, "--eta", "0.9")
+    for name in ("attack.csv", "attack.json"):
+        digest(name, f"attack-abs/{name}")
     return lines, ok
 
 
