@@ -28,15 +28,19 @@ optionally batched over perturbations of a few attribute rows), layer
 forward pass, _TwoLayer._pass, is _layer1, the ReLU and dropout, and
 _layer2 (_head plus propagation); prediction, batched inference,
 single-flip scoring, training with manual backpropagation and input
-gradients all derive from those.  Batched inference runs its draws in
-chunks with layer 1 computed in place in one reused buffer, so its
-memory is O(chunk n h), not O(B n h); its layer-1 bias add (GCN) and
-ReLU read two C-contiguous (n, h) tiles, b1 on every row and zeros:
-the bits of a broadcast row or a scalar, in a third of the ReLU's time
-and half the bias add's (a 24-draw chunk at n=1000, h=64).
+gradients all derive from those.  Batched inference runs its draws at
+two granularities (_chunks): layer 1, the ReLU and _head run per block
+of a few draws, in place in one reused buffer small enough to stay in a
+core's L2 cache, and write into the node-major (n, chunk, C) layer-2
+arrays of a chunk of draws, which one sparse product propagates with no
+transpose; so its memory is O(block n h + chunk n C), not O(B n h).  Its
+layer-1 bias add (GCN) and ReLU read two C-contiguous (n, h) tiles, b1 on
+every row and zeros: the bits of a broadcast row or a scalar, in a third
+of the ReLU's time and half the bias add's (a 24-draw chunk at n=1000,
+h=64).
 
 The chunks run on float32 twins of the weights, the operator, the deltas
-and layer 1's clean float64 products, twice the draws per buffer, and a
+and layer 1's clean float64 products, twice the draws per block, and a
 rigorous forward-error bound (Higham 2002, ch. 3;
 _TwoLayer._margin_bounds, the backbone's own layers run once on absolute
 values) proves each float32 class equal to the float64 argmax where the
@@ -77,15 +81,22 @@ from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
 
-# Size of forward_many's layer-1 buffer, which sets its chunk of draws: 24
-# float64 or 49 float32 draws at n=1000, h=64.  For float64 (2-core VM),
-# chunks of 4 / 8 / 12 / 48 draws made a 150-draw GCN mask 1.15 / 1.04 /
-# 1.01 / 1.29 times as slow as 24 draws, and a single 150-draw chunk 1.8
-# times (medians of three rounds of 15).  For the float32 pass, 12, 24, 49
-# and 98 draws (3 to 24 MiB) timed within the round-to-round drift of one
-# another on 12 certify-path masks (five rounds), and 6 draws was the
-# slowest in three rounds of five, so the size stayed.
-FORWARD_MANY_CHUNK_BYTES = 12 * 2**20
+# Working set of forward_many's chunk loop (_chunks), which sets both of its
+# granularities: a block of BYTES // (itemsize n h) draws runs layer 1, the
+# ReLU and _head in one reused buffer that stays in a core's 2 MiB L2 (2
+# float64 or 4 float32 draws at n=1000, h=64), and a chunk of BYTES //
+# (itemsize n C) draws (65 or 131 at C=2) is propagated at once.  Sweep on
+# sbm-german (2-core VM, 2 MiB L2 per core; 150-draw masks of a trained model,
+# median time relative to the former 12 MiB buffer's 49-draw float32 chunks
+# over 30 interleaved rounds, two sweeps, GCN / SAGE): 256 KiB 1.01 / -,
+# 512 KiB 0.87-0.90 / 0.82-0.84, 768 KiB 0.78-0.86 / 0.73-0.85, 1 MiB
+# 0.80-0.84 / 0.80-0.81, 1.5 MiB 0.82-0.84 / 0.87-0.89, 2 MiB 0.80-0.88 /
+# 0.89, 4 MiB 0.88 / -.  Blocks of 3 draws and chunks of 98 at 768 KiB ran
+# about as fast as 1 MiB's, which stayed.  The float64 re-evaluation of
+# unsettled node-draws reads at most a float64 chunk's node-draws of hidden
+# rows per batch, BYTES // (8 C): batches of a block's rows took a mask with
+# 200 unsettled node-draws 7 calls of about 0.5 ms set-up each, not one.
+FORWARD_MANY_CHUNK_BYTES = 2**20
 # forward_many's float32 pass runs only where every magnitude it computes
 # stays below this, a quarter of float32's largest value, so no rounded
 # partial sum can overflow
@@ -237,6 +248,11 @@ def _propagate(ops, Y):
     return ops @ Y
 
 
+def _draws(a, at=slice(None)):
+    """The draws at of a node-major (n, draws, k) array, as a (draws, n, k) view; None stays None."""
+    return None if a is None else a[:, at].transpose(1, 0, 2)
+
+
 def _first_max(logits, out):
     """Index of the first maximum across the same-shape arrays logits (one per class), written into the uint8 out: ndarray.argmax over a class-last stack.
 
@@ -309,24 +325,26 @@ class _TwoLayer:
       at node k[e] under the draw X[rows] += deltas[b[e]], from pre and
       the CSR cols, for forward_many's float64 re-evaluation of single
       node-draws (_node_logits);
-    - _head(h), layer 2's products of the hidden activations h as (own,
-      Y), Y being what layer 2 propagates (own is None if nothing else is
-      left), and _logits(own, P, c), the logits when ops @ Y is P, of
-      every class or of class c alone, by the same elementwise steps;
+    - _head(h, out), layer 2's products of the hidden activations h as
+      (own, Y), Y being what layer 2 propagates (own is None if nothing
+      else is left), written into the pair of arrays out if given, and
+      _logits(own, P, c), the logits when ops @ Y is P, of every class or
+      of class c alone, by the same elementwise steps;
     - _backward, the reverse of _pass, returning (param_grads, dX) for a
       given logit gradient.
-    The one forward pass, _pass, is _layer1, the ReLU and dropout, and
-    _layer2 (_head, then ops @ Y), returning (z1, h, mask, own, P) with h
-    the hidden activations after dropout, so the logits are
-    _logits(own, P).  Given rows, deltas (B, len(rows), d), cols =
+    The one forward pass, _pass, is _hidden (_layer1, the ReLU and
+    dropout) and _layer2 (_head, then ops @ Y), returning (z1, h, mask,
+    own, P) with h the hidden activations after dropout, so the logits
+    are _logits(own, P).  Given rows, deltas (B, len(rows), d), cols =
     ops[:, rows] as a dense array and pre, it runs on the B inputs with
     X[rows] += deltas[b], every array gaining a leading batch axis; given
     also a C-contiguous (B, n, h) buffer out, layer 1 runs in place there
     (eval mode only: z1 is then overwritten by h); given tiles, the pair
     _tiles(n), it adds b1 and runs the ReLU against those.  forward,
-    forward_many, loss_grads and input_grad derive from _pass and
-    _backward, _margin_bounds runs _layer1 and _layer2 on absolute values,
-    and forward_flips runs the pieces itself.
+    loss_grads and input_grad derive from _pass and _backward;
+    forward_many's _chunks runs the same _hidden and _head per block of
+    draws and propagates per chunk; _margin_bounds runs _layer1 and
+    _layer2 on absolute values, and forward_flips runs the pieces itself.
 
     A backbone also names its operator by its entries, from _adjacency's
     index arrays: self_loops (whether its adjacency holds the identity),
@@ -479,11 +497,15 @@ class _TwoLayer:
         return 8 * (n * (5 + 3 * self.C) + 10 * (reach[u] + reach[v] + 2) + self.h * (rows[u] + rows[v]))
 
     def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
-        """(z1, h, mask, own, P): _layer1, the ReLU and dropout, then _layer2; see the class docstring."""
+        """(z1, h, mask, own, P): _hidden, then _layer2; see the class docstring."""
+        z1, h, mask = self._hidden(ops, X, dropout, rng, rows, deltas, out, cols, pre, tiles)
+        return z1, h, mask, *self._layer2(ops, h)
+
+    def _hidden(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
+        """(z1, h, mask): _layer1, then the ReLU and dropout."""
         bias, zero = tiles or (self.b1, 0.0)
         z1 = self._layer1(pre or self._pre(ops, X), cols, rows, deltas, out, bias)
-        h, mask = _relu_dropout(z1, dropout, rng, out, zero)
-        return (z1, h, mask, *self._layer2(ops, h))
+        return z1, *_relu_dropout(z1, dropout, rng, out, zero)
 
     def _layer2(self, ops, h):
         """(own, P): _head's products of the hidden activations h, with Y propagated, P = ops @ Y."""
@@ -505,10 +527,11 @@ class _TwoLayer:
         _margin_bounds' bound32, the float64 logits have the same strict
         maximum, so the float32 class is their argmax.  Every other node-draw
         is re-evaluated in float64 by _node_logits, from pre and cols, in
-        batches of at most a float64 chunk's hidden rows, and settled where
-        that margin exceeds bound64.  A draw with a node still unsettled (an
-        exact tie, a NaN), or whose unsettled nodes read more hidden rows than
-        the draw has nodes, is rerun through _exact, and so is every draw when
+        batches reading at most as many hidden rows as a float64 chunk has
+        node-draws, and settled where that margin exceeds bound64.  A draw
+        with a node still unsettled (an exact tie, a NaN), or whose unsettled
+        nodes read more hidden rows than the draw has nodes, is rerun through
+        _exact, and so is every draw when
         _margin_bounds gives no bound (a value outside float32's range, the
         deltas included, or a bound that cannot be trusted).  Draws are
         independent (each draw's dense products are BLAS calls of their own,
@@ -536,8 +559,8 @@ class _TwoLayer:
         lengths = np.diff(ops.indptr)
         exact = np.bincount(b, weights=lengths[v] + 1, minlength=B) > n
         b, v = b[~exact[b]], v[~exact[b]]
-        settled, step = 0, max(1, FORWARD_MANY_CHUNK_BYTES // (8 * self.h * (lengths.max(initial=0) + 1)))
-        for at in range(0, b.size, step):  # batches of at most a float64 chunk's hidden rows
+        settled, step = 0, max(1, FORWARD_MANY_CHUNK_BYTES // (8 * self.C * (lengths.max(initial=0) + 1)))
+        for at in range(0, b.size, step):  # batches of at most as many hidden rows as a float64 chunk has node-draws
             bb, vv = b[at : at + step], v[at : at + step]
             logits = self._node_logits(ops, pre, cols, rows, deltas, bb, vv)
             ok = _margin(list(logits.T)) > bound64[vv]
@@ -557,28 +580,41 @@ class _TwoLayer:
         return out
 
     def _chunks(self, ops, X, rows, deltas, pre, cols):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype.
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own and P (len(at), n, C).
 
-        Layer 1 runs in place in one reused C-contiguous buffer of
-        FORWARD_MANY_CHUNK_BYTES, so memory is O(chunk n h), not O(B n h),
-        and a float32 chunk holds twice the draws of a float64 one.  Each
-        draw's arithmetic is the same as in one unchunked batch, so its
-        logits are too, bit for bit, while the buffer stays C-contiguous (a
-        strided h @ W2 leaves BLAS and moves the last bits).  The bias add
+        Two granularities, both sized by FORWARD_MANY_CHUNK_BYTES.  Layer 1,
+        the ReLU and _head run per block of draws in one reused C-contiguous
+        (block, n, h) buffer that stays in cache; each block's _head writes
+        straight into the chunk's node-major (n, chunk, C) arrays, so one
+        sparse product over their (n, chunk C) view propagates the whole
+        chunk with no transposing copy; own and P are (chunk, n, C) views of
+        them.  Memory is O(block n h + chunk n C), not O(B n h), and a
+        float32 pass holds twice the draws of a float64 one.  Each draw's
+        dense products are BLAS calls of their own on C-contiguous operands
+        (a strided h @ W2 leaves BLAS and moves the last bits; a strided
+        output does not), and a sparse product sums each column alone, so
+        every logit equals one unchunked batch's bit for bit.  The bias add
         and ReLU take same-shape operands, _tiles(n), built once per call,
         with the scalar forms' bits (see _relu_dropout): against a broadcast
-        (h,) row or a scalar, numpy's inner loop is h elements long or misses
-        its contiguous fast path.
+        (h,) row or a scalar, numpy's inner loop is h elements long or
+        misses its contiguous fast path.
         """
         dtype = self.b1.dtype
         B, n = deltas.shape[0], X.shape[0]
-        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.h))
-        buf = np.empty((min(chunk, B), n, self.h), dtype)
+        block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.h))
+        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.C))
+        buf = np.empty((min(block, B), n, self.h), dtype)
         tiles = self._tiles(n)
+        written = [a is not None for a in self._head(buf[:0])]  # which of (own, Y) _head writes
         for start in range(0, B, chunk):
-            part = deltas[start : start + chunk].astype(dtype, copy=False)
-            own, P = self._pass(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[3:]
-            yield slice(start, start + len(part)), own, P
+            stop = min(start + chunk, B)
+            heads = [np.empty((n, stop - start, self.C), dtype) if w else None for w in written]
+            for first in range(start, stop, block):
+                part = deltas[first : min(first + block, stop)].astype(dtype, copy=False)
+                h = self._hidden(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[1]
+                self._head(h, [_draws(a, slice(first - start, first - start + len(part))) for a in heads])
+            own, Y = heads
+            yield slice(start, stop), _draws(own), _draws((ops @ Y.reshape(n, -1)).reshape(Y.shape))
 
     def _margin_bounds(self, ops, pre, rows, deltas, cols):
         """(bound32, bound64) for forward_many's draws, or None when no bound can be trusted.
@@ -844,8 +880,8 @@ class GcnModel(_TwoLayer):
         SR += self.b1
         return np.maximum(SR, 0.0, out=SR)
 
-    def _head(self, h):
-        return None, h @ self.W2
+    def _head(self, h, out=(None, None)):
+        return None, np.matmul(h, self.W2, out=out[1])
 
     def _logits(self, own, P, c=slice(None)):
         return P[..., c] + self.b2[c]
@@ -919,8 +955,8 @@ class SageModel(_TwoLayer):
             Q[held[at]] = pre[1][held[at]]
         return H
 
-    def _head(self, h):
-        return h @ self.Ws2, h @ self.Wn2
+    def _head(self, h, out=(None, None)):
+        return np.matmul(h, self.Ws2, out=out[0]), np.matmul(h, self.Wn2, out=out[1])
 
     def _logits(self, own, P, c=slice(None)):
         return own[..., c] + P[..., c] + self.b2[c]

@@ -293,20 +293,36 @@ def _flat_sets(test_sets, pool, vulnerable: tuple, n: int) -> tuple:
     test_sets is a (count, size) matrix or a sequence of node sequences of
     any sizes.  nodes holds every set's members, sorted within each set and
     sets in order; set j is nodes[offsets[j] : offsets[j + 1]].  Raises
-    ValueError naming the shape of an array that is not 2-D, and naming the
-    set and the node when a set holds a node outside the pool, lists a node
-    twice or lacks a vulnerable node.
+    ValueError naming the two accepted forms for an array that is not 2-D
+    (with its shape), a sequence whose items are not flat node sequences or
+    node ids that are not numbers, and naming the set and the node when a
+    node id is not an integer, a set holds a node outside the pool, lists a
+    node twice or lacks a vulnerable node.
     """
+    forms = "test sets must be a (count, size) matrix or a sequence of node sequences, got "
     if isinstance(test_sets, np.ndarray):
         if test_sets.ndim != 2:
-            raise ValueError(f"test sets must be a (count, size) matrix or a sequence of node sequences, got an array of shape {test_sets.shape}")
+            raise ValueError(f"{forms}an array of shape {test_sets.shape}")
         sizes = np.full(len(test_sets), test_sets.shape[1], dtype=np.int64)
-        flat = test_sets.astype(np.int64, copy=False).ravel()
+        flat = test_sets.ravel()
     else:
-        test_sets = list(test_sets)
-        sizes = np.fromiter(map(len, test_sets), np.int64, len(test_sets))
-        flat = np.fromiter(itertools.chain.from_iterable(test_sets), np.int64, int(sizes.sum()))
+        try:
+            test_sets = list(test_sets)
+            sizes = np.fromiter(map(len, test_sets), np.int64, len(test_sets))
+            flat = np.array(list(itertools.chain.from_iterable(test_sets)))
+        except (TypeError, ValueError):  # an item without len, or items of ragged shapes
+            flat = None
+        if flat is None or flat.ndim != 1:
+            raise ValueError(f"{forms}a sequence whose items are not flat node sequences")
+    if flat.dtype.kind not in "iuf":
+        raise ValueError(f"{forms}node ids of dtype {flat.dtype}")
     seg = np.repeat(np.arange(sizes.size), sizes)
+    if flat.dtype.kind == "f":
+        fractional = ~(np.isfinite(flat) & (flat == np.trunc(flat)))
+        if fractional.any():
+            i = np.argmax(fractional)
+            raise ValueError(f"test set {seg[i]} must hold integer node ids; {flat[i]} is not one")
+    flat = flat.astype(np.int64, copy=False)
     inside = flat.clip(0, n - 1)
     outside = (inside != flat) | ~np.isin(np.arange(n), pool)[inside]
     if outside.any():

@@ -250,6 +250,20 @@ def _random_sparse_graph(rng, n, m):
     return Graph(n=n, edges=np.column_stack((u[keep], v[keep]))[:m])
 
 
+def _blocks_and_chunks(n, h, C, itemsize=8):
+    """forward_many's block and chunk of draws (_chunks) at the current FORWARD_MANY_CHUNK_BYTES."""
+    return tuple(max(1, gnn.FORWARD_MANY_CHUNK_BYTES // (itemsize * n * k)) for k in (h, C))
+
+
+def _block_sizes(B, block, chunk):
+    """The draws of each block of B draws: in every chunk (all full but the last), full blocks and then the rest."""
+    sizes = []
+    for start in range(0, B, chunk):
+        stop = min(start + chunk, B)
+        sizes += [min(block, stop - first) for first in range(start, stop, block)]
+    return sizes
+
+
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 @pytest.mark.parametrize("n, d, h", [(7, 3, 4), (120, 9, 16)])
 def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n, d, h):
@@ -259,13 +273,25 @@ def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n
     model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=2)
     ops = model.build_ops(g)
     rows = np.array([1, 3, n - 1])
-    c = 3
-    monkeypatch.setattr(gnn, "FORWARD_MANY_CHUNK_BYTES", c * 8 * n * h)
-    for B in (1, c - 1, c, c + 1, 2 * c + 3):
-        deltas = rng.standard_normal((B, rows.size, d))
-        want = forward_many_oracle(model, ops, X, rows, deltas)
-        np.testing.assert_array_equal(_chunk_logits(model, ops, X, rows, deltas), want)
-        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+    # the draw count of every _hidden call, each one block of layer 1
+    sizes, hidden = [], type(model)._hidden
+
+    def spy(self, *args, **kwargs):
+        sizes.append(len(kwargs["deltas"]))
+        return hidden(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(model), "_hidden", spy)
+    for block in (1, 3):
+        monkeypatch.setattr(gnn, "FORWARD_MANY_CHUNK_BYTES", block * 8 * n * h)
+        got, chunk = _blocks_and_chunks(n, h, 2)
+        assert got == block and chunk > block
+        for B in (1, block + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk - 1):
+            deltas = rng.standard_normal((B, rows.size, d))
+            want = forward_many_oracle(model, ops, X, rows, deltas)
+            sizes.clear()
+            np.testing.assert_array_equal(_chunk_logits(model, ops, X, rows, deltas), want)
+            assert sizes == _block_sizes(B, block, chunk)
+            _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
 
 
 def _assert_classes_are_the_argmax(batched, args, logits):
@@ -278,7 +304,8 @@ def _assert_classes_are_the_argmax(batched, args, logits):
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_forward_many_equals_the_unchunked_oracle_at_production_shape(backbone):
     # sbm-german's shape: n=1000, d=27, h=64, 12 vulnerable rows, 150 draws,
-    # at the real chunk size: several full chunks and a remainder
+    # at the real sizes: several full chunks and a remainder, each chunk
+    # several full blocks and a remainder
     rng = np.random.default_rng(47)
     n, d, h, B = 1000, 27, 64, 150
     g = _random_sparse_graph(rng, n, 5 * n)
@@ -287,8 +314,8 @@ def test_forward_many_equals_the_unchunked_oracle_at_production_shape(backbone):
     model.b1 = rng.standard_normal(h)  # init's zero bias would leave the bias add untested
     ops = model.build_ops(g)
     rows = np.sort(rng.choice(n, size=12, replace=False))
-    chunk = gnn.FORWARD_MANY_CHUNK_BYTES // (8 * n * h)
-    assert 2 * chunk < B and B % chunk
+    block, chunk = _blocks_and_chunks(n, h, 2)
+    assert 2 * chunk < B and B % chunk and 2 * block < chunk and chunk % block
     deltas = rng.standard_normal((B, rows.size, d))
     want = forward_many_oracle(model, ops, X, rows, deltas)
     np.testing.assert_array_equal(_chunk_logits(model, ops, X, rows, deltas), want)
@@ -358,7 +385,7 @@ def test_forward_many_tiles_give_the_scalar_operands_bits():
 
 
 def _assert_memory_is_bounded_by_the_chunk(cls, exact):
-    """The tracemalloc peak of 150 draws stays below twice one chunk's, on forward_many's float32 pass or its exact float64 path."""
+    """The tracemalloc peak of three chunks of draws stays below twice one chunk's, on forward_many's float32 pass or its exact float64 path."""
     rng = np.random.default_rng(29)
     n, d, rows = 1000, 27, np.arange(12)
     g = _random_sparse_graph(rng, n, 5 * n)
@@ -366,9 +393,9 @@ def _assert_memory_is_bounded_by_the_chunk(cls, exact):
     model = cls.init(rng, d=d, hidden=64, classes=2)
     ops = model.build_ops(g)
     pre, cols = model._pre(ops, X), ops[:, rows].toarray()
-    # the float32 pass holds twice the draws of the float64 path in one buffer
-    c = gnn.FORWARD_MANY_CHUNK_BYTES // ((8 if exact else 4) * n * model.h)
-    assert 2 * c <= 150
+    # the layer-2 chunk: the float32 pass holds twice the draws of the float64 path
+    block, c = _blocks_and_chunks(n, model.h, model.C, 8 if exact else 4)
+    assert 2 * block <= c
 
     def peak(B):
         deltas, out = rng.standard_normal((B, rows.size, d)), np.empty((B, n), np.uint8)
@@ -382,7 +409,7 @@ def _assert_memory_is_bounded_by_the_chunk(cls, exact):
         finally:
             tracemalloc.stop()
 
-    assert peak(150) < 2 * peak(c)
+    assert peak(3 * c) < 2 * peak(c)
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])

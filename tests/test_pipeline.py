@@ -676,6 +676,46 @@ def test_certify_sets_refuses_an_array_that_is_not_2d(shape):
     assert model.forward_many_calls == 0
 
 
+@pytest.mark.parametrize("form", ["matrix", "sequence"])
+@pytest.mark.parametrize("bad", [2.9, -0.5, np.nan, np.inf])
+def test_certify_sets_refuses_a_node_id_that_is_not_an_integer(form, bad):
+    g, X, labels, split = _world()
+    model, cfg, eta = _CountingModel(), SmoothingConfig(n_outer=4, n_inner=3, master_seed=0), BiasThreshold.absolute(0.25)
+    pool = np.array(split.test_pool, dtype=np.float64)
+    rows = np.stack([pool, pool])
+    rows[1, -1] = bad
+
+    def certify(rows):
+        return certify_sets(model, g, X, labels, split, rows if form == "matrix" else [tuple(r) for r in rows.tolist()], cfg, eta=eta)
+
+    with pytest.raises(ValueError, match=re.escape(f"test set 1 must hold integer node ids; {bad} is not one")):
+        certify(rows)
+    assert model.forward_many_calls == 0
+    # integral floats name the same nodes as integers
+    want = [_report_fields(r) for r in certify_sets(model, g, X, labels, split, [split.test_pool] * 2, cfg, eta=eta)]
+    assert [_report_fields(r) for r in certify(np.stack([pool, pool]))] == want
+
+
+@pytest.mark.parametrize(
+    "sets, got",
+    [
+        ([np.array([[0, 1], [2, 3]])], "a sequence whose items are not flat node sequences"),
+        ([[0, 1], [2, [3, 4]]], "a sequence whose items are not flat node sequences"),
+        ([0, 1, 2], "a sequence whose items are not flat node sequences"),
+        ([["a", "b"]], "node ids of dtype <U1"),
+        (np.array([["a", "b"]]), "node ids of dtype <U1"),
+    ],
+    ids=["2-D item", "nested item", "bare ids", "string ids", "string matrix"],
+)
+def test_certify_sets_refuses_items_that_are_not_node_sequences(sets, got):
+    g, X, labels, split = _world()
+    model, cfg = _CountingModel(), SmoothingConfig(n_outer=4, n_inner=3, master_seed=0)
+    want = f"test sets must be a (count, size) matrix or a sequence of node sequences, got {got}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        certify_sets(model, g, X, labels, split, sets, cfg, eta=BiasThreshold.absolute(0.25))
+    assert model.forward_many_calls == 0
+
+
 def test_certification_without_eta_is_a_type_error():
     g, X, labels, split = _world()
     cfg, model = SmoothingConfig(n_outer=4, n_inner=3, master_seed=0), _CountingModel()

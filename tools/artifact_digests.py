@@ -18,8 +18,14 @@ as `<backbone>/sweep-beta ...`, so the structure budget across beta is
 compared too.  `certify` and `attack` then run with the absolute threshold
 `--eta 0.9` (the flag, which has meant an absolute threshold in every
 version, not a config `eta` block), printed as `<backbone>/certify-abs ...`
-and `<backbone>/attack-abs ...`; on sbm200 both certify there.  It exits
-with status 1 if any command exited non-zero.  Run it in two checkouts and
+and `<backbone>/attack-abs ...`; on sbm200 both certify there.  Last,
+`train` runs on `sbm-german` (seed 0) and a `<backbone>/cache-german
+<sha256>` line digests the classes `PredictionCache.build` writes for that
+noise-augmented model at n_outer 4 x n_inner 150 (at `--jobs N`): the
+shape of perfbench's certify-german workload, n = 1000, whose masks span
+several of `forward_many`'s blocks and two of its chunks each, which
+sbm200's 60 x 40 does not.  It exits with status 1 if any command exited
+non-zero.  Run it in two checkouts and
 `diff` the outputs to check that a change leaves every artifact
 byte-identical:
 
@@ -72,6 +78,7 @@ CONFIG = {
     # pipeline.certify_sets takes 54 sets per chunk at 60 x 40, so 120 sets span three chunks
     "fcr": {"ratio": 0.5, "count": 120},
 }
+GERMAN = {"dataset": {"fixture": "sbm-german"}, "seed": 0, "smoothing": {"n_outer": 4, "n_inner": 150}}
 # run in a child on the checkout under test: the sha256 of the prediction cache's classes
 CACHE_DIGEST = """
 import hashlib, sys
@@ -95,13 +102,15 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     def flags(label: str) -> list[str]:
         return ["--config", os.path.join(out, f"config-{label}.json"), "--out", out, "--backbone", backbone, "--jobs", str(jobs)]
 
-    def run(command: str, label: str, config: dict, *extra: str) -> None:
+    def run(command: str, label: str, config: dict, *extra: str, quiet: bool = False) -> None:
+        """Run command under config; its exit code gets a line of its own unless quiet."""
         nonlocal ok
         with open(os.path.join(out, f"config-{label}.json"), "w") as fh:
             json.dump(config, fh)
         argv = [sys.executable, "-m", "elegant", command, *flags(label), *extra]
         code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-        lines.append(f"{backbone}/{label} exit {code}")
+        if not quiet:
+            lines.append(f"{backbone}/{label} exit {code}")
         ok = ok and code == 0
 
     def digest(name: str, label: str) -> None:
@@ -113,9 +122,15 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
         run(command, command, CONFIG)
     for name in ARTIFACTS:
         digest(name, name)
-    cache = subprocess.run([sys.executable, "-c", CACHE_DIGEST, "certify", *flags("train")], env=env, capture_output=True, text=True)
-    lines.append(f"{backbone}/cache {cache.stdout.strip() if cache.returncode == 0 else 'missing'}")
-    ok = ok and cache.returncode == 0
+
+    def cache(label: str, trained: str) -> None:
+        """Report the sha256 of the cache classes of the noise model trained by run(..., trained, config), under that config."""
+        nonlocal ok
+        done = subprocess.run([sys.executable, "-c", CACHE_DIGEST, "certify", *flags(trained)], env=env, capture_output=True, text=True)
+        lines.append(f"{backbone}/{label} {done.stdout.strip() if done.returncode == 0 else 'missing'}")
+        ok = ok and done.returncode == 0
+
+    cache("cache", "train")
     # the eo, beta and absolute-threshold runs reuse the trained models and overwrite their artifacts, so they go last
     eo = dict(CONFIG, metric="eo")
     run("fcr", "fcr-eo", eo)
@@ -130,6 +145,9 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     run("attack", "attack-abs", CONFIG, "--eta", "0.9")
     for name in ("attack.csv", "attack.json"):
         digest(name, f"attack-abs/{name}")
+    # overwrites the trained models, so it goes last; a failed training shows as a missing digest
+    run("train", "cache-german", GERMAN, quiet=True)
+    cache("cache-german", "cache-german")
     return lines, ok
 
 
