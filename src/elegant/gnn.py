@@ -34,24 +34,28 @@ of a few draws, in place in one reused buffer small enough to stay in a
 core's L2 cache, and write into the node-major (n, chunk, C) layer-2
 arrays of a chunk of draws, which one sparse product propagates with no
 transpose; so its memory is O(block n h + chunk n C), not O(B n h).  Its
-layer-1 bias add (GCN) and ReLU read two C-contiguous (n, h) tiles, b1 on
-every row and zeros: the bits of a broadcast row or a scalar, in a third
-of the ReLU's time and half the bias add's (a 24-draw chunk at n=1000,
-h=64).
+float64 layer-1 bias add (GCN) and ReLU read two C-contiguous (n, h)
+tiles, b1 on every row and zeros: the bits of a broadcast row or a
+scalar, in a third of the ReLU's time and half the bias add's (a 24-draw
+chunk at n=1000, h=64).
 
-The chunks run on float32 twins of the weights, the operator, the deltas
-and layer 1's clean float64 products, twice the draws per block, and a
-rigorous forward-error bound (Higham 2002, ch. 3;
-_TwoLayer._margin_bounds, the backbone's own layers run once on absolute
-values) proves each float32 class equal to the float64 argmax where the
-node-draw's class margin exceeds it.  The rest, 0.004% to 0.12% of the
-node-draws of an sbm-german mask, depending on the model, are
-re-evaluated in float64 over the node's operator row (the _hidden_at
-hook).  The fallback rule: a node still within that margin's own bound
-(an exact tie, a NaN) sends its draw to the exact float64 path, and a
-value outside float32's range (in layer 1's products, the weights, the
-operator or the deltas) or a bound that cannot be trusted (NaN, inf,
-overflow) sends every draw.  Draws are independent, so a rerun gives the
+The chunks run on float32 twins of the operator and the deltas, twice
+the draws per block, and a rigorous forward-error bound (Higham 2002,
+ch. 3; _TwoLayer._margin_bounds, the backbone's own layers run once on
+absolute values) proves each float32 class equal to the float64 argmax
+where the node-draw's class margin exceeds it.  The same bound, with the
+largest shift any draw's deltas can add, proves some hidden units
+negative at every node under every draw, so that their ReLU gives 0 in
+both precisions, and the float32 pass skips them (23 to 31 of the GCN's
+64 on sbm-german); its layer-1 operand is the cast clean float64
+pre-activation of the others, b1 included, so it adds no bias.  The
+other node-draws, 0.004% to 0.12% of an sbm-german mask's, depending on
+the model, are re-evaluated in float64 over the node's operator row (the
+_hidden_at hook), for a batch's distinct draws alone.  The fallback
+rule: a node still within that margin's own bound (an exact tie, a NaN)
+sends its draw to the exact float64 path, and a value outside float32's
+range (in layer 1's products, the weights, the operator or the deltas)
+or a bound that cannot be trusted (NaN, inf, overflow) sends every draw.  Draws are independent, so a rerun gives the
 bits of a full float64 pass.  A float64 chunk adds each class's b2 on
 its own strided (chunk, n) view of the layer-2 product and picks the
 first maximum straight into the caller's uint8 rows (_emit), so neither
@@ -114,17 +118,19 @@ class TrainingDivergedError(RuntimeError):
 
 
 class FallbackCounts:
-    """Running totals of forward_many's exact fallbacks; several threads may add to one."""
+    """Running totals of forward_many's exact fallbacks and skipped hidden units; several threads may add to one."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.settled = 0  # node-draws the float64 re-evaluation settled
         self.rerun = 0  # draws rerun on the float64 path
+        self.skipped = 0  # hidden units the float32 pass skipped, summed over calls
 
-    def add(self, settled: int, rerun: int) -> None:
+    def add(self, settled: int, rerun: int, skipped: int) -> None:
         with self._lock:
             self.settled += settled
             self.rerun += rerun
+            self.skipped += skipped
 
 
 @dataclass(frozen=True)
@@ -285,11 +291,18 @@ def _f32_fits(mag):
 
 
 def _shift_at(C, deltas, W, b):
-    """Row e of C[e] @ (deltas[b[e]] @ W) for every row e of the CSR C (E, r), as one sparse product over the draws' stacked (B r, k) products."""
+    """Row e of C[e] @ (deltas[b[e]] @ W) for every row e of the CSR C (E, r), as one sparse product over the stacked (r, k) products of the distinct draws in b alone."""
     r = C.shape[1]
-    D = (deltas @ W).reshape(-1, W.shape[1])
+    draws, b = np.unique(b, return_inverse=True)
+    D = (deltas[draws] @ W).reshape(-1, W.shape[1])
     at = np.repeat(b, np.diff(C.indptr)) * r + C.indices
     return sparse.csr_matrix((C.data, at, C.indptr), shape=(C.shape[0], D.shape[0])) @ D
+
+
+def _max_shift(deltas, W):
+    """max_b |deltas[b] @ W| (r, k) over the draws of deltas (B, r, d), from one (B r, d) @ (d, k) product; zeros for no draws."""
+    B, r, d = deltas.shape
+    return np.abs(deltas.reshape(B * r, d) @ W).reshape(B, r, W.shape[1]).max(axis=0, initial=0.0)
 
 
 def _cross_entropy(logits, y, train_idx):
@@ -312,10 +325,15 @@ class _TwoLayer:
     each name ending in its layer number) and writes its layer algebra
     once, in pieces:
     - _pre(ops, X), layer 1's products before any shift; its first two
-      entries are S, the operand layer 1 propagates, and ops @ S;
+      entries are S, the operand layer 1 propagates, and ops @ S, and its
+      last is the clean operand layer 1 shifts (SAGE's holds b1);
     - _layer1(pre, cols, rows, deltas, out, bias), layer 1's
-      pre-activation z1 from pre, bias being b1 or its tile (ignored where
-      pre holds b1);
+      pre-activation z1 from pre, bias being b1, its tile, or None where
+      pre's last entry already holds b1 (SAGE's always does: it ignores
+      bias);
+    - _shift_bound(cols, rows, deltas), a bound (n, h) on every draw's
+      layer-1 shift |z1 - z| from |cols| and the draws' largest delta
+      products, for _margin_bounds' test of units no draw switches on;
     - _hidden_rows(pre, Q, rows), layer 1's pre-activation in rows when
       ops @ S is Q, and _flip_hidden(pre, SR, held, cuts), the hidden
       activations of a group of flipped graphs in their changed rows:
@@ -340,11 +358,12 @@ class _TwoLayer:
     X[rows] += deltas[b], every array gaining a leading batch axis; given
     also a C-contiguous (B, n, h) buffer out, layer 1 runs in place there
     (eval mode only: z1 is then overwritten by h); given tiles, the pair
-    _tiles(n), it adds b1 and runs the ReLU against those.  forward,
-    loss_grads and input_grad derive from _pass and _backward;
-    forward_many's _chunks runs the same _hidden and _head per block of
-    draws and propagates per chunk; _margin_bounds runs _layer1 and
-    _layer2 on absolute values, and forward_flips runs the pieces itself.
+    _tiles(n), it adds b1 (none where folded) and runs the ReLU against
+    those.  forward, loss_grads and input_grad derive from _pass and
+    _backward; forward_many's _chunks runs the same _hidden and _head per
+    block of draws and propagates per chunk; _margin_bounds runs _layer1
+    and _layer2 on absolute values, and forward_flips runs the pieces
+    itself.
 
     A backbone also names its operator by its entries, from _adjacency's
     index arrays: self_loops (whether its adjacency holds the identity),
@@ -394,11 +413,19 @@ class _TwoLayer:
     def params(self):
         return {name: getattr(self, name) for name in self.weight_names}
 
-    def _map(self, f):
-        """A copy of this model whose every weight w is f(w); it shares fallbacks."""
+    def _map(self, f, keep=None):
+        """A copy of this model whose every weight w is f(w), on the hidden units keep alone if given (layer 1's columns, layer 2's matrices' rows); it shares fallbacks.
+
+        np.take keeps a column subset C-contiguous: w[:, keep] is
+        Fortran-ordered, and a block's add of such an (n, k) operand runs
+        strided.
+        """
         twin = copy.copy(self)
         for name in self.weight_names:
-            setattr(twin, name, f(getattr(self, name)))
+            w = getattr(self, name)
+            if keep is not None and (name[-1] == "1" or w.ndim > 1):
+                w = np.take(w, keep, axis=-1 if name[-1] == "1" else 0)
+            setattr(twin, name, f(w))
         return twin
 
     def replace(self, params):
@@ -521,13 +548,17 @@ class _TwoLayer:
 
         Each draw's classes are the argmax of its float64 logits, bit for bit,
         though no (B, n, C) logits array is built.  _chunks runs on float32
-        twins of the weights, the operator, cols = ops[:, rows], the deltas and
-        pre, layer 1's clean products, which the float64 path shares.  Where a
-        node-draw's float32 class margin (top logit minus runner-up) exceeds
-        _margin_bounds' bound32, the float64 logits have the same strict
-        maximum, so the float32 class is their argmax.  Every other node-draw
-        is re-evaluated in float64 by _node_logits, from pre and cols, in
-        batches reading at most as many hidden rows as a float64 chunk has
+        twins of the operator, cols = ops[:, rows] and the deltas, and on the
+        hidden units keep alone, those _margin_bounds cannot prove negative
+        for every node under every draw (whose ReLU gives 0 in float64 and
+        float32 alike): float32 twins of the weights sliced to keep and of
+        z[:, keep], z the clean float64 pre-activation, b1 included, so the
+        float32 pass adds no bias.  Where a node-draw's float32 class margin
+        (top logit minus runner-up) exceeds _margin_bounds' bound32, the
+        float64 logits have the same strict maximum, so the float32 class is
+        their argmax.  Every other node-draw is re-evaluated in float64 by
+        _node_logits, from pre, layer 1's clean products, and the CSR cols,
+        in batches reading at most as many hidden rows as a float64 chunk has
         node-draws, and settled where that margin exceeds bound64.  A draw
         with a node still unsettled (an exact tie, a NaN), or whose unsettled
         nodes read more hidden rows than the draw has nodes, is rerun through
@@ -537,20 +568,22 @@ class _TwoLayer:
         independent (each draw's dense products are BLAS calls of their own,
         and a sparse product sums each column alone), so a rerun gives the bits
         of the full float64 pass.  self.fallbacks counts the node-draws settled
-        by re-evaluation and the draws rerun.
+        by re-evaluation, the draws rerun and the hidden units skipped.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        pre, cols = self._pre(ops, X), ops[:, rows].toarray()
+        pre, cols = self._pre(ops, X), ops[:, rows]
+        dense = cols.toarray()
         B, n = out.shape
-        bounds = self._margin_bounds(ops, pre, rows, deltas, cols)
+        bounds = self._margin_bounds(ops, pre, rows, deltas, dense)
         if bounds is None:
-            self.fallbacks.add(0, B)
-            return self._exact(ops, X, rows, deltas, pre, cols, out)
-        bound32, bound64 = bounds
+            self.fallbacks.add(0, B, 0)
+            return self._exact(ops, X, rows, deltas, pre, dense, out)
+        bound32, bound64, keep, z = bounds
         f32 = methodcaller("astype", np.float32)
-        twin = self._map(f32)
+        twin = self._map(f32, keep)
+        pre32 = (None,) * (len(pre) - 1) + (f32(np.take(z, keep, axis=1)),)  # layer 1 shifts pre's last entry, here holding b1 (C-contiguous, as in _map)
         unsettled = np.empty((B, n), dtype=bool)
-        for at, own, P in twin._chunks(f32(ops), X, rows, deltas, tuple(map(f32, pre)), f32(cols)):
+        for at, own, P in twin._chunks(f32(ops), X, rows, deltas, pre32, f32(dense), folded=True):
             logits = [twin._logits(own, P, c) for c in range(self.C)]
             _first_max(logits, out[at])
             unsettled[at] = ~(_margin(logits) > bound32)
@@ -569,8 +602,8 @@ class _TwoLayer:
             settled += int(ok.sum())
         redo = np.flatnonzero(exact)
         if redo.size:
-            out[redo] = self._exact(ops, X, rows, deltas[redo], pre, cols, np.empty((redo.size, n), np.uint8))
-        self.fallbacks.add(settled, redo.size)
+            out[redo] = self._exact(ops, X, rows, deltas[redo], pre, dense, np.empty((redo.size, n), np.uint8))
+        self.fallbacks.add(settled, redo.size, self.h - keep.size)
         return out
 
     def _exact(self, ops, X, rows, deltas, pre, cols, out):
@@ -579,8 +612,8 @@ class _TwoLayer:
             self._emit(own, P, out[at])
         return out
 
-    def _chunks(self, ops, X, rows, deltas, pre, cols):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own and P (len(at), n, C).
+    def _chunks(self, ops, X, rows, deltas, pre, cols, folded=False):
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own and P (len(at), n, C); folded, pre's last entry already holds b1 and no bias is added.
 
         Two granularities, both sized by FORWARD_MANY_CHUNK_BYTES.  Layer 1,
         the ReLU and _head run per block of draws in one reused C-contiguous
@@ -597,14 +630,15 @@ class _TwoLayer:
         and ReLU take same-shape operands, _tiles(n), built once per call,
         with the scalar forms' bits (see _relu_dropout): against a broadcast
         (h,) row or a scalar, numpy's inner loop is h elements long or
-        misses its contiguous fast path.
+        misses its contiguous fast path.  A model of no hidden units sizes
+        its blocks as if it had one.
         """
         dtype = self.b1.dtype
         B, n = deltas.shape[0], X.shape[0]
-        block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.h))
+        block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * max(self.h, 1)))
         chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.C))
         buf = np.empty((min(block, B), n, self.h), dtype)
-        tiles = self._tiles(n)
+        tiles = self._tiles(n, folded)
         written = [a is not None for a in self._head(buf[:0])]  # which of (own, Y) _head writes
         for start in range(0, B, chunk):
             stop = min(start + chunk, B)
@@ -617,18 +651,24 @@ class _TwoLayer:
             yield slice(start, stop), _draws(own), _draws((ops @ Y.reshape(n, -1)).reshape(Y.shape))
 
     def _margin_bounds(self, ops, pre, rows, deltas, cols):
-        """(bound32, bound64) for forward_many's draws, or None when no bound can be trusted.
+        """(bound32, bound64, keep, z) for forward_many's draws, or None when no bound can be trusted.
 
         The float32 pass, the float64 pass and _node_logits all start from the
-        same float64 layer-1 products pre (the float32 pass casts them), so
-        each is measured against m, a class margin (logit c minus logit c')
-        computed in exact arithmetic from pre and the other inputs.  For
+        same float64 layer-1 products pre (the float32 pass casts z, formed
+        from them), so each is measured against m, a class margin (logit c
+        minus logit c') computed in exact arithmetic from pre and the other
+        inputs.  For
         node v, bound32[v] bounds |m32 - m| + |m64 - m| and bound64[v]
         bounds |m64' - m| + |m64 - m|, m32 and m64 being that margin from
         the float32 and the float64 pass and m64' from _node_logits; each
         is the sum of the two largest per-class logit bounds E[v, c],
         evaluated in float64.  So a margin m32 above bound32 (or m64' above
-        bound64) has the sign of m64, and its top class is m64's.
+        bound64) has the sign of m64, and its top class is m64's.  keep holds
+        the hidden units the float32 pass must compute, ascending: every
+        other unit is negative at every node under every draw, exactly and
+        in float32.  z is the clean pre-activation in float64, _hidden_rows
+        of all rows (GCN: A X W1 + b1; SAGE: pre's last entry, bit for bit),
+        whose cast columns keep the float32 pass shifts.
 
         The bounds follow Higham (Accuracy and Stability of Numerical
         Algorithms, 2002, ch. 3): an operation rounds with relative error
@@ -641,29 +681,40 @@ class _TwoLayer:
         draw (layer 1 is monotone in each operand), and M, _layer2 and
         _logits run on M1, bounds every logit's terms.  Counting factors
         per product:
-        - layer 1, K1 = d + r + 7: 3 casts to float32 (cols, deltas and a
-          weight; pre or b1 alone cost 1), d + r in the nested dot products
-          (deltas times a weight, then a row of cols), 2 additions (GCN:
-          onto pre, b1; SAGE: onto pre, the own-row shift), and 2 shared
-          with layer 2: the subtraction that forms the margin and the
-          bound's own evaluation in float64 (its relative error, near
-          gamma in float64, is far below one float32 u);
+        - layer 1, K1 = d + r + 7: a shift term takes 3 casts to float32
+          (cols, deltas and a weight), d + r in the nested dot products
+          (deltas times a weight, then a row of cols), at most 2 additions
+          (onto the cast z; SAGE: also the own-row shift; GCN, whose z
+          holds b1, only the one) and 2 shared with layer 2: the
+          subtraction that forms the margin and the bound's own evaluation
+          in float64 (its relative error, near gamma in float64, is far
+          below one float32 u).  A term of z (pre's, and GCN's b1) takes
+          z's float64 rounding, its cast, the same additions and the
+          shared 2, at most 6;
         - layer 2, K2 = h + R_v + 6 for node v: 2 casts (operator,
           weight), h + R_v in the nested dot products (h times a weight,
           then v's operator row of R_v entries), 2 additions (own term,
           b2) and the same 2.
         So the float32 pre-activation errs by at most e1 = gamma_K1 M1.
-        Every draw's z1 is at most U = z + M1 - |z|, z the clean
-        pre-activation in float64, _hidden_rows of all rows (a draw's
-        shift is at most M1 - |z|, and e1 dwarfs the roundings of z and
-        U).  Where U + 2 e1 <= 0 both
-        the exact and the float32 unit are negative, so the ReLU makes both
-        0 and passes on no error; elsewhere it passes on at most e1 (it is
-        1-Lipschitz), and both hidden units lie in [0, H], H = max(U +
-        2 e1, 0).  So E32 is layer 2 on absolute values without biases run
-        on that passed-on error, plus gamma_K2 times layer 2 on absolute
-        values run on H; one _layer2 call on the stacked M1, passed-on
-        error and H gives M and both.  The float64 pass and _node_logits
+        Every draw's z1 is at most U = z + S, S the backbone's
+        _shift_bound: |cols| times T = max_b |deltas[b] W|, the largest
+        product of any draw's deltas and a layer-1 weight (one (B r, d)
+        product per weight), a draw's shift being a sum of such products
+        weighted by its operator entries.  T is far tighter than D |W|,
+        which M1 uses, since it keeps each draw's cancellation; that is
+        also why e1 cannot use it, as e1 bounds roundings of the terms
+        themselves.  Where U + 2 e1 <= 0 both the exact and the float32
+        unit are negative: one e1 covers the float32 error, the other the
+        float64 roundings of z, T (at most gamma_d D |W|, in float64) and
+        U, which are far below e1.  There the ReLU makes both 0 and passes
+        on no error; elsewhere it passes on at most e1 (it is 1-Lipschitz),
+        and both hidden units lie in [0, H], H = max(U + 2 e1, 0).  A unit
+        with U + 2 e1 <= 0 at every node is 0 in every draw, exactly and in
+        float32, so the float32 pass skips it; keep is the rest.  So E32 is
+        layer 2 on absolute values without biases run on that passed-on
+        error, plus gamma_K2 times layer 2 on absolute values run on H; one
+        _layer2 call on the stacked M1, passed-on error and H gives M and
+        both.  The float64 pass and _node_logits
         cast nothing and have the same dot-product lengths, so E64 =
         gamma_(K1 + K2) M.
 
@@ -673,7 +724,8 @@ class _TwoLayer:
         weighted by that value's sensitivity to its result, layer 1 adds
         N1 = 2 + 2 r + 2 d (1 + a) units to e1 and layer 2 adds N2 = 2 h
         (1 + a) + 2 R + 2 to a logit, R the longest operator row and a the
-        largest operator row sum; so E64 adds N = (1 + a) w2 N1 + N2 units,
+        largest operator row sum (the cast of GCN's z takes the place of
+        the b1 addition it folds); so E64 adds N = (1 + a) w2 N1 + N2 units,
         w2 the largest column sum of |W| over layer 2's matrices.  Each
         term is doubled, for the relative factors it passes through.  A
         cast rounds with relative error alone only for magnitudes in
@@ -706,8 +758,8 @@ class _TwoLayer:
             return K * u / (1 - K * u)
 
         e1 = gamma(K1, 2.0**-24) * M1 + 2 * 2.0**-126 * N1
-        # z + M1 - |z| + 2 e1, z the clean pre-activation
-        G = M1 + 2 * (e1 + np.minimum(self._hidden_rows(pre, pre[1], slice(None)), 0.0))
+        z = self._hidden_rows(pre, pre[1], slice(None))
+        G = z + self._shift_bound(np.abs(cols), rows, deltas) + 2 * e1  # U + 2 e1
         own, P = absm._layer2(A, np.stack([M1, e1 * (G > 0), np.maximum(G, 0.0)]))
         M, _, L = absm._logits(own, P)
         reach = (M1, M, *(D @ w for w in W1s), *(M1.max(axis=0, initial=0.0) @ w for w in W2s))
@@ -720,10 +772,10 @@ class _TwoLayer:
         def top2(E):
             return np.sort(E, axis=1)[:, -2:].sum(axis=1)
 
-        return top2(E32 + E64), top2(2 * E64)
+        return top2(E32 + E64), top2(2 * E64), np.flatnonzero(~(G <= 0.0).all(axis=0)), z
 
     def _node_logits(self, ops, pre, cols, rows, deltas, b, v):
-        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]].
+        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], cols = ops[:, rows] as CSR.
 
         They read the hidden rows of v[i] itself (_head's own term) and of
         its operator row's columns (the propagated term), whose
@@ -740,7 +792,7 @@ class _TwoLayer:
         node, weight = np.empty(ptr[-1], dtype=np.int64), np.zeros(ptr[-1])
         k = _row_entries(ops.indptr, v)[1]
         node[own_at], node[row_at], weight[row_at] = v, ops.indices[k], ops.data[k]
-        h = self._hidden_at(pre, sparse.csr_matrix(cols), rows, deltas, np.repeat(b, lengths), node)
+        h = self._hidden_at(pre, cols, rows, deltas, np.repeat(b, lengths), node)
         np.maximum(h, 0.0, out=h)
         # layer 2 as (ops h) W rather than ops (h W): the same dot-product lengths, and BLAS sees len(v) rows, not one per entry
         P = self._head(sparse.csr_matrix((weight, np.arange(ptr[-1]), ptr), shape=(v.size, ptr[-1])) @ h)[1]
@@ -750,9 +802,9 @@ class _TwoLayer:
         """Write the hard classes of the logits _logits(own, P) into the uint8 out: each class's logits from its own strided view, then _first_max."""
         _first_max([self._logits(own, P, c) for c in range(self.C)], out)
 
-    def _tiles(self, n):
-        """forward_many's layer-1 operands (b1 on every row, zeros), each C-contiguous (n, h), in the weights' dtype."""
-        return np.tile(self.b1, (n, 1)), np.zeros((n, self.h), self.b1.dtype)
+    def _tiles(self, n, folded=False):
+        """forward_many's layer-1 operands (b1 on every row, or None when folded, and zeros), each C-contiguous (n, h), in the weights' dtype."""
+        return None if folded else np.tile(self.b1, (n, 1)), np.zeros((n, self.h), self.b1.dtype)
 
     def forward_flips(self, g: Graph, X, pairs, out, rows=None):
         """Hard classes at the nodes rows (default all n) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2), written into the (B, len(rows)) uint8 out, which it returns (eval mode).
@@ -887,10 +939,15 @@ class GcnModel(_TwoLayer):
         return P[..., c] + self.b2[c]
 
     def _layer1(self, pre, cols, rows, deltas, out, bias):
-        """A_hat X W1, shifted by the deltas, plus bias (b1 or its tile)."""
+        """A_hat X W1, shifted by the deltas, plus bias (b1 or its tile; None where pre[1] holds b1)."""
         z1 = _shifted(pre[1], cols, deltas, self.W1, out)
-        z1 += bias
+        if bias is not None:
+            z1 += bias
         return z1
+
+    def _shift_bound(self, cols, rows, deltas):
+        """|cols| @ max_b |deltas[b] @ W1|, cols = |ops[:, rows]|."""
+        return cols @ _max_shift(deltas, self.W1)
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
@@ -967,6 +1024,12 @@ class SageModel(_TwoLayer):
         if deltas is not None:
             z1[:, rows] += deltas @ self.Ws1
         return z1
+
+    def _shift_bound(self, cols, rows, deltas):
+        """|cols| @ max_b |deltas[b] @ Wn1|, cols = |ops[:, rows]|, plus max_b |deltas[b] @ Ws1| in the perturbed rows."""
+        S = cols @ _max_shift(deltas, self.Wn1)
+        S[rows] += _max_shift(deltas, self.Ws1)
+        return S
 
     def _backward(self, ops, X, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}

@@ -422,11 +422,27 @@ def test_exact_path_memory_is_bounded_by_the_chunk(cls):
     _assert_memory_is_bounded_by_the_chunk(cls, exact=True)
 
 
-def _float32_logits(model, ops, X, rows, deltas):
-    """Logits (B, n, C) of forward_many's float32 pass (float32 twins of the weights, operator, cols, deltas and float64 layer-1 products), widened to float64."""
-    twin = model._map(lambda w: w.astype(np.float32))
-    ops32, pre32 = ops.astype(np.float32), tuple(p.astype(np.float32) for p in model._pre(ops, X))
-    return _chunk_logits(twin, ops32, X, rows, deltas, pre32, ops32[:, rows].toarray())
+def _float32_pass(model, ops, X, rows, deltas):
+    """(logits, twin, pre) of forward_many's own float32 pass, read through a spy on _chunks: its logits (B, n, C), widened to float64, the float32 model it ran and the layer-1 products it read; three Nones if it ran no float32 chunk."""
+    chunks, seen = type(model)._chunks, []
+    B, n = deltas.shape[0], X.shape[0]
+    logits, ran = np.empty((B, n, model.C)), np.zeros(B, dtype=bool)
+
+    def spy(self, ops, X, rows, deltas, pre, cols, **kwargs):
+        for at, own, P in chunks(self, ops, X, rows, deltas, pre, cols, **kwargs):
+            if P.dtype == np.float32:
+                seen.append((self, pre))
+                logits[at], ran[at] = self._logits(own, P), True
+            yield at, own, P
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(model), "_chunks", spy)
+        model.forward_many(ops, X, rows, deltas, out=np.empty((B, n), np.uint8))
+    if not seen:
+        return None, None, None
+    # one float32 model ran every draw
+    assert ran.all() and all(twin is seen[0][0] and pre is seen[0][1] for twin, pre in seen)
+    return logits, *seen[0]
 
 
 def _margin_errors(a, b):
@@ -444,20 +460,29 @@ def _margin_errors(a, b):
     w_exp=st.integers(-20, 20),
     x_exp=st.integers(-20, 20),
     biases=st.booleans(),
+    dead=st.booleans(),
 )
-@example(seed=0, backbone="gcn", C=2, w_exp=20, x_exp=20, biases=True)
-@example(seed=0, backbone="sage", C=3, w_exp=20, x_exp=20, biases=True)
-@example(seed=1, backbone="gcn", C=3, w_exp=-20, x_exp=-20, biases=True)
-@example(seed=1, backbone="sage", C=2, w_exp=-20, x_exp=-20, biases=True)
+@example(seed=0, backbone="gcn", C=2, w_exp=20, x_exp=20, biases=True, dead=False)
+@example(seed=0, backbone="sage", C=3, w_exp=20, x_exp=20, biases=True, dead=False)
+@example(seed=1, backbone="gcn", C=3, w_exp=-20, x_exp=-20, biases=True, dead=False)
+@example(seed=1, backbone="sage", C=2, w_exp=-20, x_exp=-20, biases=True, dead=False)
 # zero biases and layer-2 products near 1e-50, below float32's range: only the underflow term covers them
-@example(seed=2, backbone="gcn", C=2, w_exp=-20, x_exp=-10, biases=False)
-@example(seed=2, backbone="sage", C=3, w_exp=-20, x_exp=-10, biases=False)
-def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, backbone, C, w_exp, x_exp, biases):
+@example(seed=2, backbone="gcn", C=2, w_exp=-20, x_exp=-10, biases=False, dead=False)
+@example(seed=2, backbone="sage", C=3, w_exp=-20, x_exp=-10, biases=False, dead=False)
+# every other hidden unit dead under every draw, so the float32 pass skips it
+@example(seed=3, backbone="gcn", C=2, w_exp=0, x_exp=0, biases=True, dead=True)
+@example(seed=3, backbone="sage", C=3, w_exp=0, x_exp=0, biases=True, dead=True)
+@example(seed=4, backbone="gcn", C=3, w_exp=-12, x_exp=-5, biases=False, dead=True)
+@example(seed=4, backbone="sage", C=2, w_exp=10, x_exp=-8, biases=False, dead=True)
+def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, backbone, C, w_exp, x_exp, biases, dead):
     rng = np.random.default_rng(seed)
     n, d, h, B = int(rng.integers(8, 40)), int(rng.integers(2, 6)), int(rng.integers(2, 9)), 4
     g = _random_sparse_graph(rng, n, 3 * n)
     model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=C)
     model = model.replace({k: (rng.standard_normal(w.shape) * biases if k.startswith("b") else w) * 10.0**w_exp for k, w in model.params().items()})
+    if dead:
+        # far below any clean pre-activation or shift these weights and inputs reach
+        model.b1[::2] -= 1e4 * 10.0 ** max(w_exp + x_exp, w_exp)
     X = rng.standard_normal((n, d)) * 10.0**x_exp
     rows = np.sort(rng.choice(n, size=3, replace=False))
     deltas = rng.standard_normal((B, rows.size, d)) * 10.0**x_exp
@@ -472,10 +497,12 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
         assert bounds is None
     if bounds is None:
         return
-    bound32, bound64 = bounds
-    assert (_margin_errors(_float32_logits(model, ops, X, rows, deltas), want) <= bound32).all()
+    bound32, bound64, keep, _ = bounds
+    logits, twin, _ = _float32_pass(model, ops, X, rows, deltas)
+    assert (_margin_errors(logits, want) <= bound32).all()
+    assert twin.h == keep.size and (not dead or keep.size <= h // 2)
     b, v = (a.ravel() for a in np.indices((B, n)))
-    again = model._node_logits(ops, model._pre(ops, X), cols, rows, deltas, b, v).reshape(B, n, C)
+    again = model._node_logits(ops, model._pre(ops, X), ops[:, rows], rows, deltas, b, v).reshape(B, n, C)
     assert (_margin_errors(again, want) <= bound64).all()
 
 
@@ -490,7 +517,7 @@ def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
     model = GcnModel(W1=[[1.0]], b1=[0.0], W2=[[1.0, 0.0]], b2=[0.0, 0.0])
     ops, rows, deltas = model.build_ops(g), np.array([0]), np.zeros((1, 1, 1))
     bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
-    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
+    err = _margin_errors(_float32_pass(model, ops, X, rows, deltas)[0], _chunk_logits(model, ops, X, rows, deltas))
     assert err[0, hub] > bound32[hub] / 64
     assert (err <= bound32).all()
 
@@ -507,10 +534,85 @@ def test_layer_one_sums_lost_in_float32_stay_within_the_margin_bound():
     deltas = np.full((3, n, d), 2.0**-25)
     deltas[:, :, :64] = 1.0
     bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
-    err = _margin_errors(_float32_logits(model, ops, X, rows, deltas), _chunk_logits(model, ops, X, rows, deltas))
+    err = _margin_errors(_float32_pass(model, ops, X, rows, deltas)[0], _chunk_logits(model, ops, X, rows, deltas))
     # the loss, 4096 * 2^-25 = 2^-13 here, exceeds twice layer 2's share of the bound, about gamma_8 * 64 = 2^-15: only layer 1's term covers it
     assert (err > 2.0**-14).all()
     assert (err <= bound32).all()
+
+
+def _dead_unit_model(backbone, C, case, rng, n=14, d=2, h=6):
+    """(model, ops, X, rows, deltas, keep) with hidden units dead under every draw, and keep the units the float32 pass must run.
+
+    "mixed": units 0 and 1 live, 2 and 5 dead under every draw (b1 = -100),
+    3 dead on the clean input but switched on by draw 3's delta in row
+    rows[0] and 4 by draw 4's delta in row rows[1]; for SAGE, unit 4 is
+    switched on by that row's own Ws1 shift alone (its Wn1 column is 0).
+    Units 3 and 4 push class 1 hard, so the classes of draws 3 and 4 need
+    them.  "all dead": b1 = -100 on every unit; "none dead": b1 = +100.
+    """
+    g = _random_sparse_graph(rng, n, 2 * n)
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=C)
+    rows = np.array([3, 7])
+    deltas = 0.01 * rng.standard_normal((6, rows.size, d))
+    deltas[3, 0, 0] = deltas[4, 1, 1] = 20.0
+    layer1 = ("W1",) if backbone == "gcn" else ("Ws1", "Wn1")
+    layer2 = ("W2",) if backbone == "gcn" else ("Ws2", "Wn2")
+    for name in layer2:
+        getattr(model, name)[:] *= 0.1
+    model.b2[:] = 0.0
+    model.b2[0] = 1.0
+    if case != "mixed":
+        model.b1[:] = 100.0 if case == "none dead" else -100.0
+        keep = np.arange(h) if case == "none dead" else np.arange(0)
+        return model, model.build_ops(g), X, rows, deltas, keep
+    for name in layer1:
+        getattr(model, name)[:, 3:5] = np.eye(d)
+    if backbone == "sage":
+        model.Wn1[:, 4] = 0.0
+    for name in layer2:
+        getattr(model, name)[3:5] = 0.0
+        getattr(model, name)[3:5, 1] = 50.0
+    ops = model.build_ops(g)
+    model.b1[:] = 0.0
+    pre = model._pre(ops, X)
+    clean = model._hidden_rows(pre, pre[1], slice(None))
+    model.b1[:] = [0.5, 0.5, -100.0, 0.0, 0.0, -100.0]
+    model.b1[3:5] = -clean[:, 3:5].max(axis=0) - 1.0
+    return model, ops, X, rows, deltas, np.array([0, 1, 3, 4])
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("C", [2, 3])
+@pytest.mark.parametrize("case", ["mixed", "all dead", "none dead"])
+def test_float32_pass_skips_exactly_the_units_dead_under_every_draw(monkeypatch, backbone, C, case):
+    model, ops, X, rows, deltas, keep = _dead_unit_model(backbone, C, case, np.random.default_rng(79))
+    want = forward_many_oracle(model, ops, X, rows, deltas)
+    pre = model._pre(ops, X)
+    z = model._hidden_rows(pre, pre[1], slice(None))  # the clean pre-activation, b1 included
+    if case == "mixed":
+        # units 3 and 4 are off on the clean input, and switching them on moves classes
+        assert (z[:, 3:5] < -0.5).all()
+        assert (want[3].argmax(axis=1) != want[0].argmax(axis=1)).any()
+        assert (want[4, rows[1]].argmax() == 1) and (want[0, rows[1]].argmax() == 0)
+    certified, margin_bounds = [], type(model)._margin_bounds
+
+    def spy(self, *args):
+        bounds = margin_bounds(self, *args)
+        certified.append(bounds[2])
+        return bounds
+
+    monkeypatch.setattr(type(model), "_margin_bounds", spy)
+    skipped = model.fallbacks.skipped
+    _, twin, pre32 = _float32_pass(model, ops, X, rows, deltas)
+    np.testing.assert_array_equal(certified[-1], keep)
+    assert model.fallbacks.skipped - skipped == model.h - keep.size
+    # the float32 pass ran on the weights of the certified units alone and on their clean pre-activation
+    for name, w in model.params().items():
+        part = w if name == "b2" else w[..., keep] if name[-1] == "1" else w[keep]
+        np.testing.assert_array_equal(getattr(twin, name), part.astype(np.float32))
+    np.testing.assert_array_equal(pre32[-1], z[:, keep].astype(np.float32))
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

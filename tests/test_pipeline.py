@@ -424,7 +424,7 @@ def test_cache_build_holds_openblas_to_one_thread_with_workers(monkeypatch, jobs
 def test_cache_build_logs_progress_and_its_fallbacks(caplog, jobs):
     model, g, X, _, split = _real_world("gcn")
     cfg = SmoothingConfig(n_outer=20, n_inner=10, master_seed=5)
-    settled, rerun = model.fallbacks.settled, model.fallbacks.rerun
+    settled, rerun, skipped = model.fallbacks.settled, model.fallbacks.rerun, model.fallbacks.skipped
     with caplog.at_level(logging.DEBUG, logger="elegant.pipeline"):
         PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=jobs)
     progress = [re.fullmatch(r"prediction cache: (\d+)/20 masks in [\d.]+ s, ETA [\d.]+ s", r.getMessage()) for r in caplog.records if r.levelno == logging.INFO]
@@ -432,7 +432,8 @@ def test_cache_build_logs_progress_and_its_fallbacks(caplog, jobs):
     debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert debug[-1] == (
         f"prediction cache: {model.fallbacks.settled - settled} of {20 * 10 * g.n} node-draws settled by the float64 re-evaluation, "
-        f"{model.fallbacks.rerun - rerun} of 200 draws rerun on the float64 path"
+        f"{model.fallbacks.rerun - rerun} of 200 draws rerun on the float64 path, "
+        f"{(model.fallbacks.skipped - skipped) / 20:.1f} of {model.h} hidden units skipped per mask"
     )
 
 
