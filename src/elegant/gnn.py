@@ -31,41 +31,49 @@ single-flip scoring, training with manual backpropagation and input
 gradients all derive from those.  Batched inference runs its draws at
 two granularities (_chunks): layer 1, the ReLU and _head run per block
 of a few draws, in place in one reused buffer small enough to stay in a
-core's L2 cache, and write into the node-major (n, chunk, C) layer-2
-arrays of a chunk of draws, which one sparse product propagates with no
-transpose; so its memory is O(block n h + chunk n C), not O(B n h).  Its
-float64 layer-1 bias add (GCN) and ReLU read two C-contiguous (n, h)
-tiles, b1 on every row and zeros: the bits of a broadcast row or a
-scalar, in a third of the ReLU's time and half the bias add's (a 24-draw
-chunk at n=1000, h=64).
+core's L2 cache, and write into contiguous slices of the (chunk, m, C)
+layer-2 arrays of a chunk of draws, which one sparse product propagates;
+so its memory is O(block m h + chunk n C), not O(B n h), m being the
+rows layer 1 runs on.  Its float64 layer-1 bias add (GCN) and ReLU read
+two C-contiguous (m, h) tiles, b1 on every row and zeros: the bits of a
+broadcast row or a scalar, in a third of the ReLU's time and half the
+bias add's (a 24-draw chunk at n=1000, h=64).
 
-The chunks run on float32 twins of the operator and the deltas, twice
-the draws per block, and a rigorous forward-error bound (Higham 2002,
-ch. 3; _TwoLayer._margin_bounds, the backbone's own layers run once on
-absolute values) proves each float32 class equal to the float64 argmax
-where the node-draw's class margin exceeds it.  The same bound, with the
+The float64 pass runs on all n rows; forward_many's classes come from a
+float32 filter that computes only what its class test reads.  A rigorous
+forward-error bound (Higham 2002, ch. 3; _TwoLayer._margin_bounds, the
+backbone's own layers run once on absolute values) proves each float32
+class equal to the float64 argmax where the node-draw's class margin
+exceeds it, and the filter computes that margin from C - 1 logit
+differences (logit c minus logit 0; one column for two classes), its
+layer-2 weights being W[:, c] - W[:, 0].  The same bound, with the
 largest shift any draw's deltas can add, proves some hidden units
 negative at every node under every draw, so that their ReLU gives 0 in
 both precisions, and the float32 pass skips them (23 to 31 of the GCN's
 64 on sbm-german); its layer-1 operand is the cast clean float64
-pre-activation of the others, b1 included, so it adds no bias.  The
-other node-draws, 0.004% to 0.12% of an sbm-german mask's, depending on
-the model, are re-evaluated in float64 over the node's operator row (the
-_hidden_at hook), for a batch's distinct draws alone.  The fallback
-rule: a node still within that margin's own bound (an exact tie, a NaN)
-sends its draw to the exact float64 path, and a value outside float32's
-range (in layer 1's products, the weights, the operator or the deltas)
-or a bound that cannot be trusted (NaN, inf, overflow) sends every draw.  Draws are independent, so a rerun gives the
-bits of a full float64 pass.  A float64 chunk adds each class's b2 on
-its own strided (chunk, n) view of the layer-2 product and picks the
-first maximum straight into the caller's uint8 rows (_emit), so neither
-the (B, n, C) logits nor their argmax pass exist.  Single-flip scoring
-works in groups of flips: one array build gives the operator rows each
-flip changes, one sparse product their layer-1 rows and the backbone's
-_flip_hidden hook their activations, while every dense product stays
-full-shape, so its logits equal a full rebuild bit for bit; layer 2
-propagates over the scored rows alone, and _emit writes each group's
-classes in one pass.
+pre-activation of the others, b1 included, so it adds no bias.  Per draw
+it runs layer 1, the ReLU and _head on the rows the noise reaches alone
+(those with an operator entry in a perturbed row's column, and the
+perturbed rows: about 780 of sbm-german's 1000), through _chunks'
+operands; the other rows' layer-2 term is one constant per call.  The
+node-draws it leaves unsettled, 0.003% to 0.011% of an sbm-german
+mask's (noise-trained GCN and SAGE, seeds 5 and 11), are re-evaluated
+in float64 over the node's operator row (the _hidden_at hook), for a
+batch's distinct draws alone.  The fallback rule: a node still within
+that margin's own bound (an exact tie, a NaN) sends its draw to the
+exact float64 path, and a value outside float32's range (in layer 1's
+products, the weights, the operator or the deltas) or a bound that
+cannot be trusted (NaN, inf, overflow) sends every draw.  Draws are
+independent, so a rerun gives the bits of a full float64 pass.  A
+float64 chunk adds each class's b2 on its own strided (chunk, n) view of
+the layer-2 product and picks the first maximum straight into the
+caller's uint8 rows (_emit), so neither the (B, n, C) logits nor their
+argmax pass exist.  Single-flip scoring works in groups of flips: one
+array build gives the operator rows each flip changes, one sparse
+product their layer-1 rows and the backbone's _flip_hidden hook their
+activations, while every dense product stays full-shape, so its logits
+equal a full rebuild bit for bit; layer 2 propagates over the scored
+rows alone, and _emit writes each group's classes in one pass.
 """
 
 from __future__ import annotations
@@ -86,10 +94,12 @@ from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
 logger = logging.getLogger(__name__)
 
 # Working set of forward_many's chunk loop (_chunks), which sets both of its
-# granularities: a block of BYTES // (itemsize n h) draws runs layer 1, the
-# ReLU and _head in one reused buffer that stays in a core's 2 MiB L2 (2
-# float64 or 4 float32 draws at n=1000, h=64), and a chunk of BYTES //
-# (itemsize n C) draws (65 or 131 at C=2) is propagated at once.  Sweep on
+# granularities: a block of BYTES // (itemsize m h) draws, m the rows layer 1
+# runs on, runs layer 1, the ReLU and _head in one reused buffer that stays in
+# a core's 2 MiB L2 (2 float64 draws at m=1000, h=64; the float32 pass's m and
+# h are the rows the noise reaches and the units it keeps), and a chunk of
+# BYTES // (itemsize n C) draws (65 float64 draws at C=2, 262 float32 ones on
+# the float32 pass's one difference column) is propagated at once.  Sweep on
 # sbm-german (2-core VM, 2 MiB L2 per core; 150-draw masks of a trained model,
 # median time relative to the former 12 MiB buffer's 49-draw float32 chunks
 # over 30 interleaved rounds, two sweeps, GCN / SAGE): 256 KiB 1.01 / -,
@@ -118,19 +128,21 @@ class TrainingDivergedError(RuntimeError):
 
 
 class FallbackCounts:
-    """Running totals of forward_many's exact fallbacks and skipped hidden units; several threads may add to one."""
+    """Running totals of forward_many's exact fallbacks, skipped hidden units and rows reached by the noise; several threads may add to one."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.settled = 0  # node-draws the float64 re-evaluation settled
         self.rerun = 0  # draws rerun on the float64 path
         self.skipped = 0  # hidden units the float32 pass skipped, summed over calls
+        self.moving = 0  # rows the noise reaches (layer 1 runs per draw on them alone), summed over calls
 
-    def add(self, settled: int, rerun: int, skipped: int) -> None:
+    def add(self, settled: int, rerun: int, skipped: int, moving: int) -> None:
         with self._lock:
             self.settled += settled
             self.rerun += rerun
             self.skipped += skipped
+            self.moving += moving
 
 
 @dataclass(frozen=True)
@@ -250,13 +262,8 @@ def _propagate(ops, Y):
     if Y.ndim == 3:
         B, n, k = Y.shape
         out = ops @ Y.transpose(1, 0, 2).reshape(n, B * k)
-        return out.reshape(-1, B, k).transpose(1, 0, 2)
+        return out.reshape(out.shape[0], B, k).transpose(1, 0, 2)
     return ops @ Y
-
-
-def _draws(a, at=slice(None)):
-    """The draws at of a node-major (n, draws, k) array, as a (draws, n, k) view; None stays None."""
-    return None if a is None else a[:, at].transpose(1, 0, 2)
 
 
 def _first_max(logits, out):
@@ -283,6 +290,31 @@ def _margin(logits):
         return np.abs(logits[1] - logits[0])
     top = np.sort(np.stack(logits), axis=0)  # NaN sorts last
     return top[-1] - top[-2]
+
+
+def _differences(w):
+    """Layer-2 weights w, (h, C) or (C,), as C - 1 columns w[..., c] - w[..., 0] for c >= 1, so the logits they give are each class's minus class 0's."""
+    return w[..., 1:] - w[..., :1]
+
+
+def _pair_columns(w):
+    """|w[..., c]| + |w[..., 0]| beside |w[..., c] - w[..., 0]|, for c >= 1: the 2 (C - 1) layer-2 columns of _margin_bounds' absolute-value model."""
+    return np.concatenate([np.abs(w[..., 1:]) + np.abs(w[..., :1]), np.abs(_differences(w))], axis=-1)
+
+
+def _difference_classes(m, out):
+    """Classes from logit differences m (..., C - 1), m[..., c - 1] logit c minus logit 0, written into the uint8 out; returns the margin, top minus runner-up over (0, m...), NaN where m is.
+
+    The class is the first maximum over (0, m...): m > 0 for two classes.
+    forward_many reads a class only where the margin settles it, so a NaN
+    may go to either class.
+    """
+    if m.shape[-1] == 1:
+        np.greater(m[..., 0], 0.0, out=out.view(bool))
+        return np.abs(m[..., 0])
+    logits = [np.zeros(m.shape[:-1], m.dtype), *np.moveaxis(m, -1, 0)]
+    _first_max(logits, out)
+    return _margin(logits)
 
 
 def _f32_fits(mag):
@@ -334,11 +366,12 @@ class _TwoLayer:
     - _shift_bound(cols, rows, deltas), a bound (n, h) on every draw's
       layer-1 shift |z1 - z| from |cols| and the draws' largest delta
       products, for _margin_bounds' test of units no draw switches on;
-    - _hidden_rows(pre, Q, rows), layer 1's pre-activation in rows when
-      ops @ S is Q, and _flip_hidden(pre, SR, held, cuts), the hidden
-      activations of a group of flipped graphs in their changed rows:
-      flip c's rows are held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]]
-      their rows of the flipped ops @ S;
+    - _clean(pre), layer 1's clean pre-activation, b1 included, which the
+      caller does not write into (SAGE's is pre's last entry itself), and
+      _flip_hidden(pre, SR, held, cuts), the hidden activations of a group
+      of flipped graphs in their changed rows: flip c's rows are
+      held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]] their rows of the
+      flipped ops @ S;
     - _hidden_at(pre, cols, rows, deltas, b, k), layer 1's pre-activation
       at node k[e] under the draw X[rows] += deltas[b[e]], from pre and
       the CSR cols, for forward_many's float64 re-evaluation of single
@@ -413,8 +446,8 @@ class _TwoLayer:
     def params(self):
         return {name: getattr(self, name) for name in self.weight_names}
 
-    def _map(self, f, keep=None):
-        """A copy of this model whose every weight w is f(w), on the hidden units keep alone if given (layer 1's columns, layer 2's matrices' rows); it shares fallbacks.
+    def _map(self, f, keep=None, head=None):
+        """A copy of this model whose every weight w is f(w), f(head(w)) for layer 2's (matrices and b2) if head is given, on the hidden units keep alone if given (layer 1's columns, layer 2's matrices' rows); it shares fallbacks.
 
         np.take keeps a column subset C-contiguous: w[:, keep] is
         Fortran-ordered, and a block's add of such an (n, k) operand runs
@@ -423,6 +456,8 @@ class _TwoLayer:
         twin = copy.copy(self)
         for name in self.weight_names:
             w = getattr(self, name)
+            if head is not None and name[-1] == "2":
+                w = head(w)
             if keep is not None and (name[-1] == "1" or w.ndim > 1):
                 w = np.take(w, keep, axis=-1 if name[-1] == "1" else 0)
             setattr(twin, name, f(w))
@@ -547,47 +582,69 @@ class _TwoLayer:
         """Hard classes of B perturbations of X, X[rows] += deltas[b], deltas (B, len(rows), d), written into the (B, n) uint8 out, which it returns.
 
         Each draw's classes are the argmax of its float64 logits, bit for bit,
-        though no (B, n, C) logits array is built.  _chunks runs on float32
-        twins of the operator, cols = ops[:, rows] and the deltas, and on the
-        hidden units keep alone, those _margin_bounds cannot prove negative
-        for every node under every draw (whose ReLU gives 0 in float64 and
-        float32 alike): float32 twins of the weights sliced to keep and of
-        z[:, keep], z the clean float64 pre-activation, b1 included, so the
-        float32 pass adds no bias.  Where a node-draw's float32 class margin
-        (top logit minus runner-up) exceeds _margin_bounds' bound32, the
-        float64 logits have the same strict maximum, so the float32 class is
-        their argmax.  Every other node-draw is re-evaluated in float64 by
-        _node_logits, from pre, layer 1's clean products, and the CSR cols,
-        in batches reading at most as many hidden rows as a float64 chunk has
-        node-draws, and settled where that margin exceeds bound64.  A draw
-        with a node still unsettled (an exact tie, a NaN), or whose unsettled
-        nodes read more hidden rows than the draw has nodes, is rerun through
-        _exact, and so is every draw when
-        _margin_bounds gives no bound (a value outside float32's range, the
-        deltas included, or a bound that cannot be trusted).  Draws are
-        independent (each draw's dense products are BLAS calls of their own,
-        and a sparse product sums each column alone), so a rerun gives the bits
-        of the full float64 pass.  self.fallbacks counts the node-draws settled
-        by re-evaluation, the draws rerun and the hidden units skipped.
+        though no (B, n, C) logits array is built.  A float32 pass filters:
+        where a node-draw's float32 class margin exceeds _margin_bounds'
+        bound32, the float64 logits have the same strict maximum, so the
+        float32 class is their argmax.  It computes only what that test reads:
+        - the C - 1 logit differences, logit c minus logit 0 (one column for
+          two classes): its twin's layer-2 weights and b2 are the float32
+          casts of W[:, c] - W[:, 0], formed in float64 (_differences), and
+          _difference_classes gives the class (m > 0 for two classes) and
+          the margin (|m|);
+        - the hidden units keep alone, those _margin_bounds cannot prove
+          negative for every node under every draw (whose ReLU gives 0 in
+          float64 and float32 alike), starting from the float32 cast of
+          z[:, keep], z the clean float64 pre-activation, b1 included, so
+          it adds no bias;
+        - per draw, the rows the noise reaches alone: those with an entry in
+          cols = ops[:, rows], and rows themselves (a SAGE row moves through
+          its own Ws1 shift).  _chunks runs on them through its operands:
+          the operator's columns, z's rows and cols' rows at those rows.  The
+          other rows' hidden activations are the draws' clean ones, so their
+          whole layer-2 term (propagated, SAGE's own-row term and b2) is one
+          constant per call, computed once and added to every draw.
+        Every other node-draw is re-evaluated in float64 by _node_logits, from
+        pre, layer 1's clean products, and the CSR cols, in batches reading
+        at most as many hidden rows as a float64 chunk has node-draws, and
+        settled where that margin exceeds bound64.  A draw with a node still
+        unsettled (an exact tie, a NaN), or whose unsettled nodes read more
+        hidden rows than the draw has nodes, is rerun through _exact, and so
+        is every draw when _margin_bounds gives no bound (a value outside
+        float32's range, the deltas included, or a bound that cannot be
+        trusted).  Draws are independent (each draw's dense products are
+        BLAS calls of their own, and a sparse product sums each column
+        alone), so a rerun gives the bits of the full float64 pass.
+        self.fallbacks counts the node-draws settled by re-evaluation, the
+        draws rerun, the hidden units skipped and the rows reached.
         """
         rows = np.asarray(rows, dtype=np.int64)
         pre, cols = self._pre(ops, X), ops[:, rows]
         dense = cols.toarray()
         B, n = out.shape
+        reached = dense.any(axis=1)
+        reached[rows] = True
+        moving = np.flatnonzero(reached)
         bounds = self._margin_bounds(ops, pre, rows, deltas, dense)
         if bounds is None:
-            self.fallbacks.add(0, B, 0)
-            return self._exact(ops, X, rows, deltas, pre, dense, out)
+            self.fallbacks.add(0, B, 0, moving.size)
+            return self._exact(ops, rows, deltas, pre, dense, out)
         bound32, bound64, keep, z = bounds
         f32 = methodcaller("astype", np.float32)
-        twin = self._map(f32, keep)
-        pre32 = (None,) * (len(pre) - 1) + (f32(np.take(z, keep, axis=1)),)  # layer 1 shifts pre's last entry, here holding b1 (C-contiguous, as in _map)
+        twin, ops32 = self._map(f32, keep, _differences), f32(ops)
+        z32 = f32(np.take(z, keep, axis=1))  # C-contiguous, as in _map
+        # the rows the noise leaves alone: their layer-2 term, b2 included, with the moving rows' activations zeroed
+        h = np.maximum(z32, 0.0)
+        h[moving] = 0.0
+        const = twin._logits(*twin._layer2(ops32, h))
+        # layer 1 shifts pre's last entry, here z32's moving rows, which hold b1
+        pre32 = (None,) * (len(pre) - 1) + (z32[moving],)
         unsettled = np.empty((B, n), dtype=bool)
-        for at, own, P in twin._chunks(f32(ops), X, rows, deltas, pre32, f32(dense), folded=True):
-            logits = [twin._logits(own, P, c) for c in range(self.C)]
-            _first_max(logits, out[at])
-            unsettled[at] = ~(_margin(logits) > bound32)
-        b, v = np.nonzero(unsettled)
+        for at, own, P in twin._chunks(ops32[:, moving], np.searchsorted(moving, rows), deltas, pre32, f32(dense[moving]), folded=True):
+            m = P + const
+            if own is not None:
+                m[:, moving] += own
+            unsettled[at] = ~(_difference_classes(m, out[at]) > bound32)
+        b, v = divmod(np.flatnonzero(unsettled), n)
         # a draw whose nodes read more hidden rows than it has is cheaper to rerun
         lengths = np.diff(ops.indptr)
         exact = np.bincount(b, weights=lengths[v] + 1, minlength=B) > n
@@ -602,53 +659,57 @@ class _TwoLayer:
             settled += int(ok.sum())
         redo = np.flatnonzero(exact)
         if redo.size:
-            out[redo] = self._exact(ops, X, rows, deltas[redo], pre, dense, np.empty((redo.size, n), np.uint8))
-        self.fallbacks.add(settled, redo.size, self.h - keep.size)
+            out[redo] = self._exact(ops, rows, deltas[redo], pre, dense, np.empty((redo.size, n), np.uint8))
+        self.fallbacks.add(settled, redo.size, self.h - keep.size, moving.size)
         return out
 
-    def _exact(self, ops, X, rows, deltas, pre, cols, out):
+    def _exact(self, ops, rows, deltas, pre, cols, out):
         """forward_many's float64 path: the hard classes of _chunks of draws in float64, written into out, which it returns."""
-        for at, own, P in self._chunks(ops, X, rows, deltas, pre, cols):
+        for at, own, P in self._chunks(ops, rows, deltas, pre, cols):
             self._emit(own, P, out[at])
         return out
 
-    def _chunks(self, ops, X, rows, deltas, pre, cols, folded=False):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own and P (len(at), n, C); folded, pre's last entry already holds b1 and no bias is added.
+    def _chunks(self, ops, rows, deltas, pre, cols, folded=False):
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and pre and the N rows of ops (N, m); folded, pre's last entry already holds b1 and no bias is added.
 
-        Two granularities, both sized by FORWARD_MANY_CHUNK_BYTES.  Layer 1,
-        the ReLU and _head run per block of draws in one reused C-contiguous
-        (block, n, h) buffer that stays in cache; each block's _head writes
-        straight into the chunk's node-major (n, chunk, C) arrays, so one
-        sparse product over their (n, chunk C) view propagates the whole
-        chunk with no transposing copy; own and P are (chunk, n, C) views of
-        them.  Memory is O(block n h + chunk n C), not O(B n h), and a
-        float32 pass holds twice the draws of a float64 one.  Each draw's
-        dense products are BLAS calls of their own on C-contiguous operands
-        (a strided h @ W2 leaves BLAS and moves the last bits; a strided
-        output does not), and a sparse product sums each column alone, so
-        every logit equals one unchunked batch's bit for bit.  The bias add
-        and ReLU take same-shape operands, _tiles(n), built once per call,
-        with the scalar forms' bits (see _relu_dropout): against a broadcast
-        (h,) row or a scalar, numpy's inner loop is h elements long or
-        misses its contiguous fast path.  A model of no hidden units sizes
-        its blocks as if it had one.
+        Layer 1 runs on the m rows that pre, cols and ops' columns hold (all
+        n on the float64 path, the rows the noise reaches on forward_many's
+        float32 one), rows being the perturbed rows' positions among them;
+        ops propagates them to its N rows.  Two granularities, both sized by
+        FORWARD_MANY_CHUNK_BYTES.  Layer 1, the ReLU and _head run per block
+        of draws in one reused C-contiguous (block, m, h) buffer that stays
+        in cache; each block's _head writes straight into its contiguous
+        slice of the chunk's (chunk, m, C) arrays (a strided output makes a
+        one-column head far slower), and one sparse product over their
+        transposed (m, chunk C) copy propagates the whole chunk (_propagate).
+        Memory is O(block m h + chunk (m + N) C), not O(B n h), and a float32
+        pass holds twice the draws of a float64 one.  Each draw's dense
+        products are BLAS calls of their own on C-contiguous operands (a
+        strided h @ W2 leaves BLAS and moves the last bits), and a sparse
+        product sums each column alone, so every logit equals one unchunked
+        batch's bit for bit.  The bias add and ReLU take same-shape
+        operands, _tiles(m), built once per call, with the scalar forms'
+        bits (see _relu_dropout): against a broadcast (h,) row or a scalar,
+        numpy's inner loop is h elements long or misses its contiguous fast
+        path.  A model of no hidden units or classes, or a call of no rows,
+        sizes its blocks and chunks as if it had one.
         """
         dtype = self.b1.dtype
-        B, n = deltas.shape[0], X.shape[0]
-        block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * max(self.h, 1)))
-        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * n * self.C))
-        buf = np.empty((min(block, B), n, self.h), dtype)
-        tiles = self._tiles(n, folded)
+        B, m = deltas.shape[0], cols.shape[0]
+        block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(m, 1) * max(self.h, 1)))
+        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(ops.shape[0], 1) * max(self.C, 1)))
+        buf = np.empty((min(block, B), m, self.h), dtype)
+        tiles = self._tiles(m, folded)
         written = [a is not None for a in self._head(buf[:0])]  # which of (own, Y) _head writes
         for start in range(0, B, chunk):
             stop = min(start + chunk, B)
-            heads = [np.empty((n, stop - start, self.C), dtype) if w else None for w in written]
+            heads = [np.empty((stop - start, m, self.C), dtype) if w else None for w in written]
             for first in range(start, stop, block):
                 part = deltas[first : min(first + block, stop)].astype(dtype, copy=False)
-                h = self._hidden(ops, X, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[1]
-                self._head(h, [_draws(a, slice(first - start, first - start + len(part))) for a in heads])
+                h = self._hidden(ops, None, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[1]
+                self._head(h, [None if a is None else a[first - start : first - start + len(part)] for a in heads])
             own, Y = heads
-            yield slice(start, stop), _draws(own), _draws((ops @ Y.reshape(n, -1)).reshape(Y.shape))
+            yield slice(start, stop), own, _propagate(ops, Y)
 
     def _margin_bounds(self, ops, pre, rows, deltas, cols):
         """(bound32, bound64, keep, z) for forward_many's draws, or None when no bound can be trusted.
@@ -657,30 +718,38 @@ class _TwoLayer:
         same float64 layer-1 products pre (the float32 pass casts z, formed
         from them), so each is measured against m, a class margin (logit c
         minus logit c') computed in exact arithmetic from pre and the other
-        inputs.  For
-        node v, bound32[v] bounds |m32 - m| + |m64 - m| and bound64[v]
-        bounds |m64' - m| + |m64 - m|, m32 and m64 being that margin from
-        the float32 and the float64 pass and m64' from _node_logits; each
-        is the sum of the two largest per-class logit bounds E[v, c],
-        evaluated in float64.  So a margin m32 above bound32 (or m64' above
-        bound64) has the sign of m64, and its top class is m64's.  keep holds
-        the hidden units the float32 pass must compute, ascending: every
-        other unit is negative at every node under every draw, exactly and
-        in float32.  z is the clean pre-activation in float64, _hidden_rows
-        of all rows (GCN: A X W1 + b1; SAGE: pre's last entry, bit for bit),
-        whose cast columns keep the float32 pass shifts.
+        inputs.  For node v, bound32[v] bounds |m32 - m| + |m64 - m| and
+        bound64[v] bounds |m64' - m| + |m64 - m|, m32 being that margin from
+        the float32 pass's logit differences (d_c - d_c', d_c logit c minus
+        logit 0, and d_0 an exact 0), m64 from the float64 pass and m64'
+        from _node_logits.  Each is the largest sum of two of (0, E[v, 1],
+        ..., E[v, C - 1]), evaluated in float64, where E[v, c] is E32, a
+        bound on the float32 difference d_c's error, plus E64, a bound on
+        the summed errors of the float64 logits c and 0 (bound64: twice
+        E64); the float64 logits c and c' err by no more than E64[v, c] +
+        E64[v, c'].  So a margin m32 above bound32 (or m64' above bound64)
+        has the sign of m64, and its top class is m64's.  keep holds the
+        hidden units the float32 pass must compute, ascending: every other
+        unit is negative at every node under every draw, exactly and in
+        float32.  z is the clean pre-activation in float64 (_clean; GCN:
+        A X W1 + b1; SAGE: pre's last entry itself), whose cast columns keep
+        the float32 pass shifts.
 
         The bounds follow Higham (Accuracy and Stability of Numerical
         Algorithms, 2002, ch. 3): an operation rounds with relative error
         at most u (2^-24 in float32, 2^-53 in float64), so a computed sum
         of products, each carrying at most K factors (1 + delta_i), errs by
         at most gamma_K = K u / (1 - K u) times the same sum over absolute
-        values.  The backbone's own layers give those sums: M1, _layer1 run
-        on |pre|, |weights|, the operator's |entries|, |cols| and D, the
-        elementwise max of |deltas| over the draws, bounds |z1| of every
-        draw (layer 1 is monotone in each operand), and M, _layer2 and
-        _logits run on M1, bounds every logit's terms.  Counting factors
-        per product:
+        values.  The backbone's own layers give those sums, run on a model
+        of absolute values whose 2 (C - 1) layer-2 columns (and b2 entries)
+        are |W[:, c]| + |W[:, 0]| beside |W[:, c] - W[:, 0]|, c >= 1
+        (_pair_columns): M1, _layer1 run on |pre|, |weights|, the
+        operator's |entries|, |cols| and D, the elementwise max of |deltas|
+        over the draws, bounds |z1| of every draw (layer 1 is monotone in
+        each operand), and M, _layer2 and _logits run on M1, bounds the
+        terms of the logits c and 0 together in its first C - 1 columns and
+        those of d_c in the others, no larger.  Counting factors per
+        product:
         - layer 1, K1 = d + r + 7: a shift term takes 3 casts to float32
           (cols, deltas and a weight), d + r in the nested dot products
           (deltas times a weight, then a row of cols), at most 2 additions
@@ -691,10 +760,12 @@ class _TwoLayer:
           below one float32 u).  A term of z (pre's, and GCN's b1) takes
           z's float64 rounding, its cast, the same additions and the
           shared 2, at most 6;
-        - layer 2, K2 = h + R_v + 6 for node v: 2 casts (operator,
-          weight), h + R_v in the nested dot products (h times a weight,
-          then v's operator row of R_v entries), 2 additions (own term,
-          b2) and the same 2.
+        - layer 2, K2 = h + R_v + 8 for node v: 3 roundings of its factors
+          (the operator's cast; a weight difference's float64 subtraction
+          and its cast), h + R_v in the nested dot products (h times a
+          weight, then v's operator row of R_v entries, split between the
+          rows the noise reaches and the constant), 3 additions (own term,
+          b2, and the constant onto the reached rows' sum) and the same 2.
         So the float32 pre-activation errs by at most e1 = gamma_K1 M1.
         Every draw's z1 is at most U = z + S, S the backbone's
         _shift_bound: |cols| times T = max_b |deltas[b] W|, the largest
@@ -711,54 +782,55 @@ class _TwoLayer:
         and both hidden units lie in [0, H], H = max(U + 2 e1, 0).  A unit
         with U + 2 e1 <= 0 at every node is 0 in every draw, exactly and in
         float32, so the float32 pass skips it; keep is the rest.  So E32 is
-        layer 2 on absolute values without biases run on that passed-on
-        error, plus gamma_K2 times layer 2 on absolute values run on H; one
+        layer 2 on |W[:, c] - W[:, 0]| without biases run on that passed-on
+        error, plus gamma_K2 times layer 2 on those columns run on H; one
         _layer2 call on the stacked M1, passed-on error and H gives M and
-        both.  The float64 pass and _node_logits
-        cast nothing and have the same dot-product lengths, so E64 =
-        gamma_(K1 + K2) M.
+        both.  The float64 pass and _node_logits cast nothing and have the
+        same dot-product lengths, so E64 = gamma_(K1 + K2) M.
 
         Absolute term: a product or sum that underflows errs by at most
         2^-126 (float32) or 2^-1022 (float64) absolutely, flushed to zero
         or not.  Summed over every such operation feeding one value,
         weighted by that value's sensitivity to its result, layer 1 adds
         N1 = 2 + 2 r + 2 d (1 + a) units to e1 and layer 2 adds N2 = 2 h
-        (1 + a) + 2 R + 2 to a logit, R the longest operator row and a the
+        (1 + a) + 2 R + 4 to a logit, R the longest operator row and a the
         largest operator row sum (the cast of GCN's z takes the place of
-        the b1 addition it folds); so E64 adds N = (1 + a) w2 N1 + N2 units,
-        w2 the largest column sum of |W| over layer 2's matrices.  Each
-        term is doubled, for the relative factors it passes through.  A
-        cast rounds with relative error alone only for magnitudes in
-        [2^-126, F32_LIMIT], so the bounds are None unless pre, the weights,
-        the operator's entries and the deltas lie there (or are 0).  They
-        are also None if any magnitude the float32 pass can reach exceeds
-        F32_LIMIT, since it would overflow (NaN and inf fail these checks
-        too): M1, M, layer 1's delta products, bounded by D @ |W|, and
-        _head's products, bounded by M1's column maxima times |W|.  And
-        they are None if rows repeat a node.
+        the b1 addition it folds); so E64 adds N = (1 + a) w2 N1 + N2 units
+        per logit, twice for its two, w2 the largest layer-2 column sum of
+        the absolute-value model.  Each term is doubled, for the relative
+        factors it passes through.  A cast rounds with relative error alone
+        only for magnitudes in [2^-126, F32_LIMIT], so the bounds are None
+        unless pre, the absolute-value model's weights (layer 1's, and the
+        sums and differences of layer 2's), the operator's entries and the
+        deltas lie there (or are 0).  They are also None if any magnitude
+        the float32 pass can reach exceeds F32_LIMIT, since it would
+        overflow (NaN and inf fail these checks too): M1, M, layer 1's
+        delta products, bounded by D @ |W|, and _head's products, bounded
+        by M1's column maxima times the model's layer-2 columns.  And they
+        are None if rows repeat a node.
         """
-        mag, apre, absm = np.abs(deltas), tuple(np.abs(p) for p in pre), self._map(np.abs)
-        small = np.abs(np.concatenate([ops.data, *(w.ravel() for w in self.params().values())]))
+        mag, apre, absm = np.abs(deltas), tuple(np.abs(p) for p in pre), self._map(np.abs, head=_pair_columns)
+        small = np.concatenate([np.abs(ops.data), *(w.ravel() for w in absm.params().values())])
         if np.unique(rows).size < rows.size or not all(_f32_fits(a).all() for a in (*apre, small, mag)):
             return None
         D = mag.max(axis=0, initial=0.0)
         A = abs(ops)
         M1 = absm._layer1(apre, np.abs(cols), rows, D[None], None, absm.b1)[0]
         W1s, W2s = ([w for name, w in absm.params().items() if name[0] == "W" and name[-1] == k] for k in "12")
-        (r, d), h, n = D.shape, self.h, A.shape[0]
+        (r, d), h, n, k = D.shape, self.h, A.shape[0], self.C - 1
         R = np.diff(A.indptr)
         a = float((A @ np.ones(n)).max(initial=0.0))
         w2 = max(w.sum(axis=0).max(initial=0.0) for w in W2s)
-        K1, K2 = d + r + 7, (h + 6 + R)[:, None]
+        K1, K2 = d + r + 7, (h + 8 + R)[:, None]
         if (K1 + K2).max(initial=K1) * 2.0**-24 >= 0.5:
             return None
-        N1, N2 = 2 + 2 * r + 2 * d * (1 + a), 2 * h * (1 + a) + 2 * R.max(initial=0) + 2
+        N1, N2 = 2 + 2 * r + 2 * d * (1 + a), 2 * h * (1 + a) + 2 * R.max(initial=0) + 4
 
         def gamma(K, u):
             return K * u / (1 - K * u)
 
         e1 = gamma(K1, 2.0**-24) * M1 + 2 * 2.0**-126 * N1
-        z = self._hidden_rows(pre, pre[1], slice(None))
+        z = self._clean(pre)
         G = z + self._shift_bound(np.abs(cols), rows, deltas) + 2 * e1  # U + 2 e1
         own, P = absm._layer2(A, np.stack([M1, e1 * (G > 0), np.maximum(G, 0.0)]))
         M, _, L = absm._logits(own, P)
@@ -766,11 +838,12 @@ class _TwoLayer:
         if not all(p.max(initial=0.0) <= F32_LIMIT for p in reach):
             return None
         no_bias = absm._map(lambda w: w if w.ndim > 1 else np.zeros_like(w))
-        E32 = no_bias._logits(own, P)[1] + gamma(K2, 2.0**-24) * L + 2 * 2.0**-126 * N2
-        E64 = gamma(K1 + K2, 2.0**-53) * M + 2 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
+        E32 = no_bias._logits(own, P)[1][:, k:] + gamma(K2, 2.0**-24) * L[:, k:] + 2 * 2.0**-126 * N2
+        E64 = gamma(K1 + K2, 2.0**-53) * M[:, :k] + 4 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
 
         def top2(E):
-            return np.sort(E, axis=1)[:, -2:].sum(axis=1)
+            """The largest sum of two of 0 and the entries of E[v], at every node v: class 0's difference is an exact 0."""
+            return np.sort(np.column_stack([np.zeros(n), E]), axis=1)[:, -2:].sum(axis=1)
 
         return top2(E32 + E64), top2(2 * E64), np.flatnonzero(~(G <= 0.0).all(axis=0)), z
 
@@ -836,7 +909,7 @@ class _TwoLayer:
         indptr, indices, deg = adjacency = _adjacency(g, self.self_loops)
         scale = self._scale(deg)
         pre = self._pre(self._operator(indptr, indices, scale), X)
-        h_clean = np.maximum(self._hidden_rows(pre, pre[1], slice(None)), 0.0)
+        h_clean = np.maximum(self._clean(pre), 0.0)
         h = h_clean.copy()  # work array, clean again after every candidate
         scored_ptr = np.concatenate([[0], np.cumsum(indptr[rows + 1] - indptr[rows])])
         scored = self._operator(scored_ptr, indices[_row_entries(indptr, rows)[1]], scale, rows)
@@ -917,8 +990,9 @@ class GcnModel(_TwoLayer):
         XW = X @ self.W1
         return XW, ops @ XW
 
-    def _hidden_rows(self, pre, Q, rows):
-        return Q[rows] + self.b1
+    def _clean(self, pre):
+        """A_hat X W1 + b1, a new array (pre[1] stays as it is)."""
+        return pre[1] + self.b1
 
     def _hidden_at(self, pre, cols, rows, deltas, b, k):
         """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: A_hat X W1 + cols (delta W1) + b1, cols a CSR."""
@@ -992,7 +1066,12 @@ class SageModel(_TwoLayer):
         return *pre, self._hidden_rows(pre, pre[1], slice(None))
 
     def _hidden_rows(self, pre, Q, rows):
+        """Layer 1's pre-activation in rows when M X is Q."""
         return pre[2][rows] + (Q @ self.Wn1)[rows] + self.b1
+
+    def _clean(self, pre):
+        """pre[3], which holds X Ws1 + (M X) Wn1 + b1 (the same array: callers do not write into it)."""
+        return pre[3]
 
     def _hidden_at(self, pre, cols, rows, deltas, b, k):
         """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: pre[3] + cols (delta Wn1), plus delta Ws1 where k[e] is a perturbed row; cols a CSR."""

@@ -176,8 +176,9 @@ class PredictionCache:
         arena would add its peak to the process's).  It logs progress at
         INFO about every tenth of the masks, with the elapsed time and an
         ETA, and at the end one DEBUG line with the model's forward_many
-        fallbacks (gnn.FallbackCounts) during the build and the hidden units
-        its float32 pass skipped, as a mean per mask.  With pool workers,
+        fallbacks (gnn.FallbackCounts) during the build, and the hidden units
+        its float32 pass skipped and the rows the noise reached, each as a
+        mean per mask.  With pool workers,
         numpy's bundled OpenBLAS is held to one thread for the build
         (_one_blas_thread): the threads already keep the cores busy.
         """
@@ -190,7 +191,7 @@ class PredictionCache:
         pairs = eligible_pairs(n, vul)
         classes = np.empty((cfg.n_outer, cfg.n_inner, n), dtype=np.uint8)
         counts = getattr(model, "fallbacks", None)
-        before = None if counts is None else (counts.settled, counts.rerun, counts.skipped)
+        before = None if counts is None else (counts.settled, counts.rerun, counts.skipped, counts.moving)
         lock, masks, finished, start = threading.Lock(), iter(range(cfg.n_outer)), itertools.count(1), time.perf_counter()
         every = max(1, -(-cfg.n_outer // 10))
 
@@ -220,9 +221,9 @@ class PredictionCache:
             draws = cfg.n_outer * cfg.n_inner
             logger.debug(
                 "prediction cache: %d of %d node-draws settled by the float64 re-evaluation, %d of %d draws rerun on the float64 path, "
-                "%.1f of %d hidden units skipped per mask",
+                "%.1f of %d hidden units skipped per mask, %.1f of %d rows reached by the noise per mask",
                 counts.settled - before[0], draws * n, counts.rerun - before[1], draws,
-                (counts.skipped - before[2]) / cfg.n_outer, model.h,
+                (counts.skipped - before[2]) / cfg.n_outer, model.h, (counts.moving - before[3]) / cfg.n_outer, n,
             )
         return cls(classes=classes, vulnerable=vul, config=cfg)
 

@@ -220,7 +220,7 @@ def _chunk_logits(model, ops, X, rows, deltas, pre=None, cols=None):
     pre = model._pre(ops, X) if pre is None else pre
     cols = ops[:, rows].toarray() if cols is None else cols
     logits = np.empty((deltas.shape[0], X.shape[0], model.C))
-    for at, own, P in model._chunks(ops, X, rows, deltas, pre, cols):
+    for at, own, P in model._chunks(ops, rows, deltas, pre, cols):
         logits[at] = model._logits(own, P)
     return logits
 
@@ -402,7 +402,7 @@ def _assert_memory_is_bounded_by_the_chunk(cls, exact):
         tracemalloc.start()
         try:
             if exact:
-                model._exact(ops, X, rows, deltas, pre, cols, out)
+                model._exact(ops, rows, deltas, pre, cols, out)
             else:
                 model.forward_many(ops, X, rows, deltas, out=out)
             return tracemalloc.get_traced_memory()[1]
@@ -423,26 +423,40 @@ def test_exact_path_memory_is_bounded_by_the_chunk(cls):
 
 
 def _float32_pass(model, ops, X, rows, deltas):
-    """(logits, twin, pre) of forward_many's own float32 pass, read through a spy on _chunks: its logits (B, n, C), widened to float64, the float32 model it ran and the layer-1 products it read; three Nones if it ran no float32 chunk."""
-    chunks, seen = type(model)._chunks, []
+    """(m, twin, operands) of forward_many's own float32 pass, read through spies on _chunks and _difference_classes: its logit differences m (B, n, C - 1), logit c minus logit 0 widened to float64, the float32 model it ran and the operands (ops, rows, pre, cols) of its _chunks call; three Nones if it ran no float32 chunk."""
+    chunks, classes, seen, parts = type(model)._chunks, gnn._difference_classes, [], []
+
+    def spy(self, ops, rows, deltas, pre, cols, **kwargs):
+        if self.b1.dtype == np.float32:
+            seen.append((self, (ops, rows, pre, cols)))
+        yield from chunks(self, ops, rows, deltas, pre, cols, **kwargs)
+
+    def read(m, out):
+        parts.append(m.astype(np.float64))
+        return classes(m, out)
+
     B, n = deltas.shape[0], X.shape[0]
-    logits, ran = np.empty((B, n, model.C)), np.zeros(B, dtype=bool)
-
-    def spy(self, ops, X, rows, deltas, pre, cols, **kwargs):
-        for at, own, P in chunks(self, ops, X, rows, deltas, pre, cols, **kwargs):
-            if P.dtype == np.float32:
-                seen.append((self, pre))
-                logits[at], ran[at] = self._logits(own, P), True
-            yield at, own, P
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(type(model), "_chunks", spy)
+        mp.setattr(gnn, "_difference_classes", read)
         model.forward_many(ops, X, rows, deltas, out=np.empty((B, n), np.uint8))
     if not seen:
         return None, None, None
-    # one float32 model ran every draw
-    assert ran.all() and all(twin is seen[0][0] and pre is seen[0][1] for twin, pre in seen)
-    return logits, *seen[0]
+    # one float32 call ran every draw, in order
+    assert len(seen) == 1
+    m = np.concatenate(parts)
+    assert m.shape == (B, n, model.C - 1)
+    return m, *seen[0]
+
+
+def _as_logits(m):
+    """Logit differences m (B, n, C - 1) as logits (B, n, C) of a class 0 fixed at 0, whose class-pair margins are m's."""
+    return np.concatenate([np.zeros(m.shape[:2] + (1,)), m], axis=2)
+
+
+def _moving_rows(ops, rows):
+    """The rows the noise reaches: those with an entry in ops[:, rows], and rows themselves."""
+    return np.union1d(ops[:, rows].tocoo().row, rows)
 
 
 def _margin_errors(a, b):
@@ -498,8 +512,8 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
     if bounds is None:
         return
     bound32, bound64, keep, _ = bounds
-    logits, twin, _ = _float32_pass(model, ops, X, rows, deltas)
-    assert (_margin_errors(logits, want) <= bound32).all()
+    m, twin, _ = _float32_pass(model, ops, X, rows, deltas)
+    assert (_margin_errors(_as_logits(m), want) <= bound32).all()
     assert twin.h == keep.size and (not dead or keep.size <= h // 2)
     b, v = (a.ravel() for a in np.indices((B, n)))
     again = model._node_logits(ops, model._pre(ops, X), ops[:, rows], rows, deltas, b, v).reshape(B, n, C)
@@ -508,16 +522,18 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
 
 def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
     # a star whose hub sums 200 terms in row order: the first is large and every
-    # later one lies below half an ulp of the float32 partial sum, so each is lost
+    # later one lies below half an ulp of the float32 partial sum, so each is lost.
+    # The hub is the perturbed row, so the noise reaches every node and the float32
+    # pass sums the hub's whole row per draw, none of it in the constant
     n = 201
     hub = n - 1
     g = Graph(n=n, edges=[(k, hub) for k in range(hub)])
     X = np.full((n, 1), 2.0**-26)
     X[0], X[hub] = 1.0, 0.0
     model = GcnModel(W1=[[1.0]], b1=[0.0], W2=[[1.0, 0.0]], b2=[0.0, 0.0])
-    ops, rows, deltas = model.build_ops(g), np.array([0]), np.zeros((1, 1, 1))
+    ops, rows, deltas = model.build_ops(g), np.array([hub]), np.zeros((1, 1, 1))
     bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
-    err = _margin_errors(_float32_pass(model, ops, X, rows, deltas)[0], _chunk_logits(model, ops, X, rows, deltas))
+    err = _margin_errors(_as_logits(_float32_pass(model, ops, X, rows, deltas)[0]), _chunk_logits(model, ops, X, rows, deltas))
     assert err[0, hub] > bound32[hub] / 64
     assert (err <= bound32).all()
 
@@ -525,7 +541,7 @@ def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
 def test_layer_one_sums_lost_in_float32_stay_within_the_margin_bound():
     # many attributes, one hidden unit and one-entry operator rows (isolated
     # nodes) make layer 1's dot products far longer than layer 2's (K1 = d + 9,
-    # K2 = 8).  Each draw row's first 64 terms are 1, so every partial sum a
+    # K2 = 10).  Each draw row's first 64 terms are 1, so every partial sum a
     # vectorised float32 dot product keeps is at least 1, and its other 4096
     # terms, 2^-25, lie below half an ulp of that sum: deltas @ W1 loses them all
     n, d = 2, 64 + 4096
@@ -534,8 +550,8 @@ def test_layer_one_sums_lost_in_float32_stay_within_the_margin_bound():
     deltas = np.full((3, n, d), 2.0**-25)
     deltas[:, :, :64] = 1.0
     bound32 = model._margin_bounds(ops, model._pre(ops, X), rows, deltas, ops[:, rows].toarray())[0]
-    err = _margin_errors(_float32_pass(model, ops, X, rows, deltas)[0], _chunk_logits(model, ops, X, rows, deltas))
-    # the loss, 4096 * 2^-25 = 2^-13 here, exceeds twice layer 2's share of the bound, about gamma_8 * 64 = 2^-15: only layer 1's term covers it
+    err = _margin_errors(_as_logits(_float32_pass(model, ops, X, rows, deltas)[0]), _chunk_logits(model, ops, X, rows, deltas))
+    # the loss, 4096 * 2^-25 = 2^-13 here, exceeds twice layer 2's share of the bound, about gamma_10 * 64 = 2^-14.7: only layer 1's term covers it
     assert (err > 2.0**-14).all()
     assert (err <= bound32).all()
 
@@ -576,7 +592,7 @@ def _dead_unit_model(backbone, C, case, rng, n=14, d=2, h=6):
     ops = model.build_ops(g)
     model.b1[:] = 0.0
     pre = model._pre(ops, X)
-    clean = model._hidden_rows(pre, pre[1], slice(None))
+    clean = model._clean(pre)
     model.b1[:] = [0.5, 0.5, -100.0, 0.0, 0.0, -100.0]
     model.b1[3:5] = -clean[:, 3:5].max(axis=0) - 1.0
     return model, ops, X, rows, deltas, np.array([0, 1, 3, 4])
@@ -589,7 +605,7 @@ def test_float32_pass_skips_exactly_the_units_dead_under_every_draw(monkeypatch,
     model, ops, X, rows, deltas, keep = _dead_unit_model(backbone, C, case, np.random.default_rng(79))
     want = forward_many_oracle(model, ops, X, rows, deltas)
     pre = model._pre(ops, X)
-    z = model._hidden_rows(pre, pre[1], slice(None))  # the clean pre-activation, b1 included
+    z = model._clean(pre)  # the clean pre-activation, b1 included
     if case == "mixed":
         # units 3 and 4 are off on the clean input, and switching them on moves classes
         assert (z[:, 3:5] < -0.5).all()
@@ -604,15 +620,86 @@ def test_float32_pass_skips_exactly_the_units_dead_under_every_draw(monkeypatch,
 
     monkeypatch.setattr(type(model), "_margin_bounds", spy)
     skipped = model.fallbacks.skipped
-    _, twin, pre32 = _float32_pass(model, ops, X, rows, deltas)
+    _, twin, (_, _, pre32, _) = _float32_pass(model, ops, X, rows, deltas)
     np.testing.assert_array_equal(certified[-1], keep)
     assert model.fallbacks.skipped - skipped == model.h - keep.size
-    # the float32 pass ran on the weights of the certified units alone and on their clean pre-activation
+    # the float32 pass ran on the weights of the certified units alone (layer 2's as differences from class 0) and on their clean pre-activation
     for name, w in model.params().items():
-        part = w if name == "b2" else w[..., keep] if name[-1] == "1" else w[keep]
+        part = w[..., keep] if name[-1] == "1" else gnn._differences(w) if name == "b2" else gnn._differences(w)[keep]
         np.testing.assert_array_equal(getattr(twin, name), part.astype(np.float32))
-    np.testing.assert_array_equal(pre32[-1], z[:, keep].astype(np.float32))
+    np.testing.assert_array_equal(pre32[-1], z[_moving_rows(ops, rows)][:, keep].astype(np.float32))
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+
+
+def _row_split_world(case, rng, n=40):
+    """(g, rows, moving): a graph, its perturbed rows and the rows the noise reaches, rows and their neighbours, by construction.
+
+    "isolated": rows[0] has no edge, so SAGE's cols column for it is zero
+    and GCN's holds its self loop alone; "own shift only": no two rows are
+    adjacent, so a SAGE row is reached by its own Ws1 shift alone; "hub":
+    rows[0] is joined to every node, so every row is reached; "rows only":
+    the rows form a triangle joined to nothing else.
+    """
+    rows = np.array([4, 17, 29])
+    e = _random_sparse_graph(rng, n, 2 * n).edge_array()
+    at_rows = np.isin(e, rows)
+    if case == "isolated":
+        e = e[~(e == rows[0]).any(axis=1)]
+    elif case == "own shift only":
+        e = e[~at_rows.all(axis=1)]
+    elif case == "hub":
+        e = np.concatenate([e, [(min(rows[0], k), max(rows[0], k)) for k in range(n) if k != rows[0]]])
+    else:
+        e = np.concatenate([e[~at_rows.any(axis=1)], [(4, 17), (4, 29), (17, 29)]])
+    g = Graph(n=n, edges=np.unique(e, axis=0))
+    e = g.edge_array()
+    moving = np.union1d(rows, np.concatenate([e[np.isin(e[:, 0], rows), 1], e[np.isin(e[:, 1], rows), 0]]))
+    sizes = {"isolated": None, "own shift only": None, "hub": n, "rows only": rows.size}
+    assert sizes[case] in (None, moving.size)
+    if case == "isolated":
+        assert rows[0] in moving and not np.isin(e, rows[0]).any()
+    if case == "own shift only":
+        assert not np.isin(e, rows).all(axis=1).any()
+    return g, rows, moving
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("C", [2, 3])
+@pytest.mark.parametrize("case", ["isolated", "own shift only", "hub", "rows only"])
+def test_float32_pass_runs_layer_one_on_the_rows_the_noise_reaches(monkeypatch, backbone, C, case):
+    rng = np.random.default_rng(83)
+    g, rows, moving = _row_split_world(case, rng)
+    n, d, h, B = g.n, 4, 8, 40
+    X = rng.standard_normal((n, d))
+    model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h, classes=C)
+    model.b1 = rng.standard_normal(h)
+    ops = model.build_ops(g)
+    model.b2 = -np.median(model.forward(ops, X), axis=0)  # clean classes mixed, many near a boundary
+    np.testing.assert_array_equal(_moving_rows(ops, rows), moving)
+    # large noise, so the perturbed rows' classes and their neighbours' move across draws
+    deltas = 3.0 * rng.standard_normal((B, rows.size, d))
+    want = forward_many_oracle(model, ops, X, rows, deltas)
+    assert (want.argmax(axis=2) != want[0].argmax(axis=1)).any()
+    buffers, hidden = [], type(model)._hidden
+
+    def spy(self, *args, **kwargs):
+        if self.b1.dtype == np.float32:
+            buffers.append(kwargs["out"].shape)
+        return hidden(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(model), "_hidden", spy)
+    reached = model.fallbacks.moving
+    _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+    assert model.fallbacks.rerun == 0 and model.fallbacks.moving - reached == moving.size
+    # every block's buffer holds exactly the rows the noise reaches
+    assert buffers and all(shape[1:] == (moving.size, shape[2]) for shape in buffers)
+    assert sum(shape[0] for shape in buffers) == B
+    # and the chunks read those rows of z, of cols and of the operator's columns
+    _, twin, (ops32, where, pre32, cols32) = _float32_pass(model, ops, X, rows, deltas)
+    np.testing.assert_array_equal(where, np.searchsorted(moving, rows))
+    np.testing.assert_array_equal(cols32, ops[moving][:, rows].toarray().astype(np.float32))
+    np.testing.assert_array_equal(ops32.toarray(), ops[:, moving].toarray().astype(np.float32))
+    assert pre32[-1].shape == (moving.size, twin.h)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

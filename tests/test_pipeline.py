@@ -424,7 +424,7 @@ def test_cache_build_holds_openblas_to_one_thread_with_workers(monkeypatch, jobs
 def test_cache_build_logs_progress_and_its_fallbacks(caplog, jobs):
     model, g, X, _, split = _real_world("gcn")
     cfg = SmoothingConfig(n_outer=20, n_inner=10, master_seed=5)
-    settled, rerun, skipped = model.fallbacks.settled, model.fallbacks.rerun, model.fallbacks.skipped
+    settled, rerun, skipped, moving = model.fallbacks.settled, model.fallbacks.rerun, model.fallbacks.skipped, model.fallbacks.moving
     with caplog.at_level(logging.DEBUG, logger="elegant.pipeline"):
         PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=jobs)
     progress = [re.fullmatch(r"prediction cache: (\d+)/20 masks in [\d.]+ s, ETA [\d.]+ s", r.getMessage()) for r in caplog.records if r.levelno == logging.INFO]
@@ -433,8 +433,11 @@ def test_cache_build_logs_progress_and_its_fallbacks(caplog, jobs):
     assert debug[-1] == (
         f"prediction cache: {model.fallbacks.settled - settled} of {20 * 10 * g.n} node-draws settled by the float64 re-evaluation, "
         f"{model.fallbacks.rerun - rerun} of 200 draws rerun on the float64 path, "
-        f"{(model.fallbacks.skipped - skipped) / 20:.1f} of {model.h} hidden units skipped per mask"
+        f"{(model.fallbacks.skipped - skipped) / 20:.1f} of {model.h} hidden units skipped per mask, "
+        f"{(model.fallbacks.moving - moving) / 20:.1f} of {g.n} rows reached by the noise per mask"
     )
+    # every mask's noise reaches at least the vulnerable rows
+    assert len(split.vulnerable) <= (model.fallbacks.moving - moving) / 20 <= g.n
 
 
 def test_cache_build_enumerates_eligible_pairs_once(monkeypatch):

@@ -23,8 +23,8 @@ and `<backbone>/attack-abs ...`; on sbm200 both certify there.  Last,
 <sha256>` line digests the classes `PredictionCache.build` writes for that
 noise-augmented model at n_outer 4 x n_inner 150 (at `--jobs N`): the
 shape of perfbench's certify-german workload, n = 1000, whose masks span
-several of `forward_many`'s blocks and two of its chunks each, which
-sbm200's 60 x 40 does not.  It exits with status 1 if any command exited
+several of `forward_many`'s blocks each, which sbm200's 60 x 40 does
+not.  It exits with status 1 if any command exited
 non-zero.  Run it in two checkouts and
 `diff` the outputs to check that a change leaves every artifact
 byte-identical:
