@@ -16,7 +16,14 @@ as rows the nodes its metric compares.  Both batched calls give
 logits.argmax of the float64 logits bit for bit, however they compute
 them: certification and the attacks read only classes.  `train` builds
 the two reference backbones below through `init`, `loss_grads`, `params`
-and `replace`.
+and `replace`, computing layer 1's products once per epoch: a step on the
+clean graph reuses those of the validation pass before it (`loss_grads`
+and `forward` take them as `pre`, which no pass writes into), the loss
+reads the training rows alone, a step computes no input gradient, and
+an augmented epoch toggles its flipped
+pairs in the clean graph's sorted adjacency keys (_toggled) rather than
+sorting a flipped graph's anew; every epoch keeps the bits of a fresh
+pass.
 
 Both reference backbones share one base, _TwoLayer: each names its
 operator by its entries (`self_loops`, `_scale`, `_values` and
@@ -24,7 +31,8 @@ operator by its entries (`self_loops`, `_scale`, `_values` and
 from integer index arrays, for `build_ops` and single-flip scoring
 alike) and writes only its layer algebra's pieces: layer 1 (_layer1,
 optionally batched over perturbations of a few attribute rows), layer
-2's dense head (_head) and the reverse pass (_backward).  The one
+2's dense head (_head) and the reverse pass (_backward, and _pullback
+to the inputs).  The one
 forward pass, _TwoLayer._pass, is _layer1, the ReLU and dropout, and
 _layer2 (_head plus propagation); prediction, batched inference,
 single-flip scoring, training with manual backpropagation and input
@@ -81,6 +89,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 import threading
 from dataclasses import dataclass
 from operator import methodcaller
@@ -157,8 +166,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("weight_decay", "train_noise_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        if not 0 <= self.train_noise_flip_prob <= 1:
+            raise ValueError(f"train_noise_flip_prob must lie in [0, 1], got {self.train_noise_flip_prob}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if not 0 <= self.dropout < 1:
@@ -168,16 +182,41 @@ class TrainConfig:
 
 
 def _adjacency(g: Graph, self_loops: bool):
-    """CSR index arrays (indptr, indices) of g's symmetric 0/1 adjacency, plus the identity with self_loops, and its degrees.
+    """CSR index arrays (indptr, indices) of g's symmetric 0/1 adjacency, plus the identity with self_loops, and its degrees: _csr of _adjacency_keys."""
+    return _csr(_adjacency_keys(g, self_loops), g.n)
 
-    Each row's columns are ascending; the degrees are the row lengths, as
-    float64.
-    """
+
+def _adjacency_keys(g: Graph, self_loops: bool):
+    """The ascending keys r n + c of the entries (r, c) of g's symmetric 0/1 adjacency, plus the identity with self_loops."""
     n, e = g.n, g.edge_array()
     loops = np.arange(n if self_loops else 0)
-    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0], loops * (n + 1)]))
+    return np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0], loops * (n + 1)]))
+
+
+def _csr(keys, n):
+    """CSR index arrays (indptr, indices) of the n x n 0/1 matrix whose entries have the ascending keys r n + c, and its row lengths as float64 degrees.
+
+    Each row's columns are ascending.
+    """
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
     return indptr, keys % n, np.diff(indptr).astype(np.float64)
+
+
+def _toggled(keys, n, pairs):
+    """_adjacency_keys of g.flip(pairs) from keys, g's: both entries of each pair (u, v), u < v, drop if present and appear if absent.
+
+    pairs must be duplicate-free, as for Graph.flip.  Each key is looked up
+    in keys with one searchsorted; the present ones are deleted and the
+    absent ones inserted at their places, so no key is sorted again.
+    """
+    u, v = pairs.T
+    toggle = np.concatenate([u * n + v, v * n + u])
+    at = np.searchsorted(keys, toggle)
+    present = at < keys.size
+    present[present] = keys[at[present]] == toggle[present]
+    kept = np.delete(keys, at[present])
+    added = np.sort(toggle[~present])
+    return np.insert(kept, np.searchsorted(kept, added), added)
 
 
 def _row_entries(indptr, rows):
@@ -214,26 +253,28 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def _relu_dropout(z1, dropout, rng, out=None, zero=0.0):
-    """Hidden activations and the inverted-dropout mask (None in eval mode); the ReLU writes into out if given.
+    """Hidden activations and the inverted-dropout mask (None in eval mode); the ReLU and dropout write into out if given.
 
     zero is the ReLU's second operand: the scalar 0.0, or forward_many's
     zero tile, which gives the same bits.  np.maximum returns its second
     operand on a tie, so z1 must stay first: a -0.0 in z1 then becomes
-    +0.0 either way.
+    +0.0 either way.  The mask holds 0.0 and 1 / (1 - dropout), the bits
+    of a bool divided by 1 - dropout.
     """
     h = np.maximum(z1, zero, out=out)
     mask = None
     if dropout > 0.0:
-        mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-        h = h * mask
+        mask = (rng.random(h.shape) >= dropout) * (1.0 / (1.0 - dropout))
+        h *= mask
     return h, mask
 
 
 def _relu_dropout_grad(dh, z1, mask):
-    """Gradient of _relu_dropout's output pulled back to z1."""
+    """Gradient of _relu_dropout's output pulled back to z1, written into dh."""
     if mask is not None:
-        dh = dh * mask
-    return dh * (z1 > 0.0)
+        dh *= mask
+    dh *= z1 > 0.0
+    return dh
 
 
 def _shifted(z, cols, deltas, W, out=None):
@@ -338,14 +379,19 @@ def _max_shift(deltas, W):
 
 
 def _cross_entropy(logits, y, train_idx):
-    """Mean cross entropy on train_idx and its gradient in the logits."""
-    p = _softmax(logits)
+    """Mean cross entropy on train_idx and its gradient in the logits.
+
+    Every step is row-wise, so the softmax runs on the train_idx rows alone,
+    with the bits it gives them over all rows.
+    """
     idx = np.asarray(train_idx, dtype=np.int64)
+    at = np.arange(idx.size), np.asarray(y)[idx]
+    p = _softmax(logits[idx])
     eps = 1e-12
-    loss = -np.mean(np.log(p[idx, np.asarray(y)[idx]] + eps))
-    g = np.zeros_like(p)
-    g[idx] = p[idx]
-    g[idx, np.asarray(y)[idx]] -= 1.0
+    loss = -np.mean(np.log(p[at] + eps))
+    p[at] -= 1.0
+    g = np.zeros_like(logits)
+    g[idx] = p
     g /= idx.size
     return float(loss), g
 
@@ -362,7 +408,9 @@ class _TwoLayer:
     - _layer1(pre, cols, rows, deltas, out, bias), layer 1's
       pre-activation z1 from pre, bias being b1, its tile, or None where
       pre's last entry already holds b1 (SAGE's always does: it ignores
-      bias);
+      bias); it must not write into pre, which training reuses across
+      passes (without deltas z1 may be pre's own array, which its callers
+      only read);
     - _shift_bound(cols, rows, deltas), a bound (n, h) on every draw's
       layer-1 shift |z1 - z| from |cols| and the draws' largest delta
       products, for _margin_bounds' test of units no draw switches on;
@@ -381,8 +429,11 @@ class _TwoLayer:
       else is left), written into the pair of arrays out if given, and
       _logits(own, P, c), the logits when ops @ Y is P, of every class or
       of class c alone, by the same elementwise steps;
-    - _backward, the reverse of _pass, returning (param_grads, dX) for a
-      given logit gradient.
+    - _backward(ops, X, pre, z1, h, mask, dlogits), the reverse of _pass
+      on the products pre, returning (param_grads, g) for a given logit
+      gradient, and _pullback(ops, g), the gradient in X from that g;
+      training reads the parameter gradients alone, so it runs no
+      _pullback.
     The one forward pass, _pass, is _hidden (_layer1, the ReLU and
     dropout) and _layer2 (_head, then ops @ Y), returning (z1, h, mask,
     own, P) with h the hidden activations after dropout, so the logits
@@ -393,10 +444,10 @@ class _TwoLayer:
     (eval mode only: z1 is then overwritten by h); given tiles, the pair
     _tiles(n), it adds b1 (none where folded) and runs the ReLU against
     those.  forward, loss_grads and input_grad derive from _pass and
-    _backward; forward_many's _chunks runs the same _hidden and _head per
-    block of draws and propagates per chunk; _margin_bounds runs _layer1
-    and _layer2 on absolute values, and forward_flips runs the pieces
-    itself.
+    _backward (input_grad also from _pullback); forward_many's _chunks
+    runs the same _hidden and _head per block of draws and propagates per
+    chunk; _margin_bounds runs _layer1 and _layer2 on absolute values, and
+    forward_flips runs the pieces itself.
 
     A backbone also names its operator by its entries, from _adjacency's
     index arrays: self_loops (whether its adjacency holds the identity),
@@ -467,8 +518,12 @@ class _TwoLayer:
         return type(self)(**params)
 
     def build_ops(self, g: Graph):
-        """The propagation operator of g: _operator over _adjacency(g, self_loops)."""
-        indptr, indices, deg = _adjacency(g, self.self_loops)
+        """The propagation operator of g: _keyed_ops of _adjacency_keys(g, self_loops)."""
+        return self._keyed_ops(_adjacency_keys(g, self.self_loops), g.n)
+
+    def _keyed_ops(self, keys, n):
+        """The propagation operator of the n-node adjacency whose entries have the ascending keys r n + c: _operator over their _csr."""
+        indptr, indices, deg = _csr(keys, n)
         return self._operator(indptr, indices, self._scale(deg))
 
     def _operator(self, indptr, indices, scale, rows=None):
@@ -574,9 +629,9 @@ class _TwoLayer:
         own, Y = self._head(h)
         return own, _propagate(ops, Y)
 
-    def forward(self, ops, X):
-        """Logits (n, C) for every node under a prebuilt operator (eval mode)."""
-        return self._logits(*self._pass(ops, X)[3:])
+    def forward(self, ops, X, pre=None):
+        """Logits (n, C) for every node under a prebuilt operator (eval mode); pre, if given, is _pre(ops, X), which it leaves as it is."""
+        return self._logits(*self._pass(ops, X, pre=pre)[3:])
 
     def forward_many(self, ops, X, rows, deltas, out):
         """Hard classes of B perturbations of X, X[rows] += deltas[b], deltas (B, len(rows), d), written into the (B, n) uint8 out, which it returns.
@@ -938,17 +993,18 @@ class _TwoLayer:
             self._emit(own, P, out[start:stop])
         return out
 
-    def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None):
-        """Mean cross entropy on train_idx and its parameter/input gradients."""
-        z1, h, mask, own, P = self._pass(ops, X, dropout, rng)
+    def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None, pre=None):
+        """(loss, param_grads): mean cross entropy on train_idx and its gradients in the weights; pre, if given, is _pre(ops, X), which it leaves as it is."""
+        pre = pre or self._pre(ops, X)
+        z1, h, mask, own, P = self._pass(ops, X, dropout, rng, pre=pre)
         loss, dlogits = _cross_entropy(self._logits(own, P), y, train_idx)
-        grads, dX = self._backward(ops, X, z1, h, mask, dlogits)
-        return loss, grads, dX
+        return loss, self._backward(ops, X, pre, z1, h, mask, dlogits)[0]
 
     def input_grad(self, ops, X, dlogits):
         """Backpropagate an arbitrary logit gradient to the inputs (eval mode)."""
-        z1, h, mask = self._pass(ops, X)[:3]
-        return self._backward(ops, X, z1, h, mask, dlogits)[1]
+        pre = self._pre(ops, X)
+        z1, h, mask = self._pass(ops, X, pre=pre)[:3]
+        return self._pullback(ops, self._backward(ops, X, pre, z1, h, mask, dlogits)[1])
 
 
 class GcnModel(_TwoLayer):
@@ -1015,22 +1071,30 @@ class GcnModel(_TwoLayer):
     def _layer1(self, pre, cols, rows, deltas, out, bias):
         """A_hat X W1, shifted by the deltas, plus bias (b1 or its tile; None where pre[1] holds b1)."""
         z1 = _shifted(pre[1], cols, deltas, self.W1, out)
-        if bias is not None:
-            z1 += bias
+        if bias is None:
+            return z1
+        if deltas is None:  # z1 is pre[1] itself: add into a new array, with the same bits
+            return z1 + bias
+        z1 += bias
         return z1
 
     def _shift_bound(self, cols, rows, deltas):
         """|cols| @ max_b |deltas[b] @ W1|, cols = |ops[:, rows]|."""
         return cols @ _max_shift(deltas, self.W1)
 
-    def _backward(self, ops, X, z1, h, mask, dlogits):
+    def _backward(self, ops, X, pre, z1, h, mask, dlogits):
+        """(param_grads, A_hat dz1), the latter the gradient in X W1."""
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
         grads = {"W2": h.T @ ag2, "b2": dlogits.sum(axis=0)}
         dz1 = _relu_dropout_grad(ag2 @ self.W2.T, z1, mask)
         adz1 = ops @ dz1
         grads["W1"] = X.T @ adz1
         grads["b1"] = dz1.sum(axis=0)
-        return grads, adz1 @ self.W1.T
+        return grads, adz1
+
+    def _pullback(self, ops, adz1):
+        """dX from the gradient adz1 in X W1."""
+        return adz1 @ self.W1.T
 
 
 class SageModel(_TwoLayer):
@@ -1110,13 +1174,17 @@ class SageModel(_TwoLayer):
         S[rows] += _max_shift(deltas, self.Ws1)
         return S
 
-    def _backward(self, ops, X, z1, h, mask, dlogits):
+    def _backward(self, ops, X, pre, z1, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}
         dz1 = _relu_dropout_grad(dlogits @ self.Ws2.T + (ops.T @ dlogits) @ self.Wn2.T, z1, mask)
         grads["Ws1"] = X.T @ dz1
-        grads["Wn1"] = (ops @ X).T @ dz1
+        grads["Wn1"] = pre[1].T @ dz1  # pre[1] is M X
         grads["b1"] = dz1.sum(axis=0)
-        return grads, dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
+        return grads, dz1
+
+    def _pullback(self, ops, dz1):
+        """dX from the gradient dz1 in layer 1's pre-activation."""
+        return dz1 @ self.Ws1.T + (ops.T @ dz1) @ self.Wn1.T
 
 
 BACKBONES = {cls.backbone: cls for cls in (GcnModel, SageModel)}
@@ -1137,32 +1205,46 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
     nudges the model toward stability under the smoothing noise.
     Validation accuracy is always measured on clean data; ties keep the
     earlier weights.  epochs = 0 returns the initial weights.
+
+    Each epoch computes only what its results read, with the bits of a
+    fresh pass per step.  The validation pass after a step runs _pre, layer
+    1's products, on the clean graph with the weights the next step trains,
+    so a step on the clean graph and attributes (no augmentation) reuses
+    them: with a validation split, _pre runs epochs + 1 times, not 2 epochs
+    + 1.  The loss reads the training rows' logits alone, and a step
+    computes no gradient in X (loss_grads runs no _pullback).  An augmented
+    epoch's operator comes from the clean graph's adjacency keys with the
+    flipped pairs toggled in place (_toggled), not from a flipped Graph
+    sorted anew.
     """
     rng = substream(cfg.seed, DOMAIN_TRAIN, 0)
     model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden, classes=2)
     y = labels.y
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
-    clean_ops = model.build_ops(g)
+    keys = _adjacency_keys(g, model.self_loops)
+    clean_ops = model._keyed_ops(keys, g.n)
     vul = vulnerable_ids(split.vulnerable, g.n) if (augment and split.vulnerable) else None
     pairs = None if vul is None else eligible_pairs(g.n, vul)
 
-    def val_accuracy(m):
-        logits = m.forward(clean_ops, X)
-        return float((logits[val_idx].argmax(axis=1) == y[val_idx]).mean())
+    def validate(m):
+        """(validation accuracy, pre): m's accuracy on the clean graph and the layer-1 products _pre it ran on."""
+        pre = m._pre(clean_ops, X)
+        logits = m.forward(clean_ops, X, pre)
+        return float((logits[val_idx].argmax(axis=1) == y[val_idx]).mean()), pre
 
     best = {k: v.copy() for k, v in model.params().items()}
-    best_acc = val_accuracy(model) if val_idx.size else -1.0
+    best_acc, pre = validate(model) if val_idx.size else (-1.0, None)
     velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
     for epoch in range(cfg.epochs):
         ops, Xe = clean_ops, X
         if pairs is not None:
             flip = rng.random(pairs.shape[0]) < cfg.train_noise_flip_prob
             if flip.any():
-                ops = model.build_ops(g.flip(pairs[flip]))
+                ops = model._keyed_ops(_toggled(keys, g.n, pairs[flip]), g.n)
             Xe = np.array(X, copy=True)
             Xe[vul] += cfg.train_noise_std * rng.standard_normal((vul.size, X.shape[1]))
-        loss, grads, _ = model.loss_grads(ops, Xe, y, train_idx, dropout=cfg.dropout, rng=rng)
+        loss, grads = model.loss_grads(ops, Xe, y, train_idx, dropout=cfg.dropout, rng=rng, pre=None if pairs is not None else pre)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         params = model.params()
@@ -1175,7 +1257,7 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
             new[name] = value + velocity[name]
         model = model.replace(new)
         if val_idx.size:
-            acc = val_accuracy(model)
+            acc, pre = validate(model)
             if acc > best_acc:
                 best_acc = acc
                 best = {k: v.copy() for k, v in model.params().items()}

@@ -1,10 +1,11 @@
 """Independent reference implementations used by the test suite.
 
-Only the propagation operators' oracles import scipy, and only two
+Only the propagation operators' oracles import scipy, and only three
 oracles import the package: the greedy attack's, which replays the
-library's own candidate pools, and the per-set certificate's, which chains
+library's own candidate pools, the per-set certificate's, which chains
 the library's scalar public functions one draw and one outer sample at a
-time.  Normal quantiles come from bisection on an erf-based CDF,
+time, and training's, which runs the backbone's own passes in the plain
+loop, every product computed afresh.  Normal quantiles come from bisection on an erf-based CDF,
 incomplete-beta values from Simpson integration, the Neyman-Pearson optimum
 from exact rational enumeration, the region probabilities from a sum over
 every flip count, gradients from central differences, single-flip logits
@@ -237,6 +238,67 @@ def flip_logits_oracle(model, g, X, pairs):
     import numpy as np
 
     return np.stack([model.forward(model.build_ops(g.flip(pairs[b : b + 1])), X) for b in range(len(pairs))])
+
+
+def train_oracle(g, X, labels, split, cfg, backbone="gcn", augment=False):
+    """gnn.train's weights by its plain loop: every pass runs the backbone's
+    _pre afresh, an augmented epoch builds its operator with build_ops on
+    g.flip(...), and the cross entropy takes the softmax of every row before
+    reading the training rows."""
+    import numpy as np
+
+    from elegant.gnn import BACKBONES, MOMENTUM
+    from elegant.smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
+
+    rng = substream(cfg.seed, DOMAIN_TRAIN, 0)
+    model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden, classes=2)
+    y = labels.y
+    train_idx = np.asarray(split.train, dtype=np.int64)
+    val_idx = np.asarray(split.validation, dtype=np.int64)
+    clean_ops = model.build_ops(g)
+    vul = vulnerable_ids(split.vulnerable, g.n) if (augment and split.vulnerable) else None
+    pairs = None if vul is None else eligible_pairs(g.n, vul)
+
+    def val_accuracy(m):
+        logits = m.forward(clean_ops, X)
+        return float((logits[val_idx].argmax(axis=1) == y[val_idx]).mean())
+
+    def loss_grads(m, ops, Xe):
+        z1, h, mask, own, P = m._pass(ops, Xe, cfg.dropout, rng)
+        logits = m._logits(own, P)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        loss = -np.mean(np.log(p[train_idx, y[train_idx]] + 1e-12))
+        dlogits = np.zeros_like(p)
+        dlogits[train_idx] = p[train_idx]
+        dlogits[train_idx, y[train_idx]] -= 1.0
+        dlogits /= train_idx.size
+        return loss, m._backward(ops, Xe, m._pre(ops, Xe), z1, h, mask, dlogits)[0]
+
+    best = {k: v.copy() for k, v in model.params().items()}
+    best_acc = val_accuracy(model) if val_idx.size else -1.0
+    velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
+    for _ in range(cfg.epochs):
+        ops, Xe = clean_ops, X
+        if pairs is not None:
+            flip = rng.random(pairs.shape[0]) < cfg.train_noise_flip_prob
+            if flip.any():
+                ops = model.build_ops(g.flip(pairs[flip]))
+            Xe = np.array(X, copy=True)
+            Xe[vul] += cfg.train_noise_std * rng.standard_normal((vul.size, X.shape[1]))
+        loss, grads = loss_grads(model, ops, Xe)
+        new = {}
+        for name, value in model.params().items():
+            step = grads[name] + cfg.weight_decay * value if name.startswith("W") else grads[name]
+            velocity[name] = MOMENTUM * velocity[name] - cfg.lr * step
+            new[name] = value + velocity[name]
+        model = model.replace(new)
+        if val_idx.size:
+            acc = val_accuracy(model)
+            if acc > best_acc:
+                best_acc = acc
+                best = {k: v.copy() for k, v in model.params().items()}
+    return model.replace(best) if val_idx.size else model
 
 
 def structure_attack_greedy_oracle(model, g, X, labels, vulnerable, budget_edges, metric="sp", nodes=None, pool_size=256, seed=0):

@@ -32,7 +32,7 @@ from elegant.cli import (
 )
 from elegant.data import Graph
 from elegant.estimate import binomial_lower_bound_vec
-from elegant.gnn import GcnModel
+from elegant.gnn import GcnModel, _cross_entropy
 from elegant.pipeline import CERTIFIED, certify_and_predict, fcr_run
 from elegant.smoothing import eligible_pairs
 from oracles import finite_difference_loss_grads, norm_cdf, np_bound_exact, region_probs_full
@@ -112,7 +112,9 @@ def test_gcn_gradients_match_finite_differences():
         idx = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
         model = GcnModel.init(rng, d=d, hidden=h, classes=2)
         ops = model.build_ops(g)
-        _, grads, dX = model.loss_grads(ops, X, y, idx)
+        _, grads = model.loss_grads(ops, X, y, idx)
+        # the loss's gradient in X: input_grad of its logit gradient
+        dX = model.input_grad(ops, X, _cross_entropy(model.forward(ops, X), y, idx)[1])
         fd_grads, fd_X = finite_difference_loss_grads(model, ops, X, y, idx, step=1e-5)
         for name in fd_grads:
             a, f = grads[name], fd_grads[name]

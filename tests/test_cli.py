@@ -554,6 +554,10 @@ BAD_VALUES = [
     # ranges that the library checks
     ("train", {"splits": {"train_frac": 0.9}}, [], "splits: train_frac + val_frac must stay below 1, got 0.9 + 0.45"),
     ("fcr", {"fcr": {"ratio": 1.5, "count": 3}}, [], "fcr: ratio must lie in (0, 1], got 1.5"),
+    ("train", {"train": {"train_noise_flip_prob": 1.5}}, [], "train_noise_flip_prob must lie in [0, 1], got 1.5"),
+    ("train", {"train": {"train_noise_flip_prob": -0.1}}, [], "train_noise_flip_prob must lie in [0, 1], got -0.1"),
+    ("train", {"train": {"weight_decay": -1.0}}, [], "weight_decay must be nonnegative and finite, got -1.0"),
+    ("train", {"train": {"train_noise_std": -1.0}}, [], "train_noise_std must be nonnegative and finite, got -1.0"),
 ]
 
 

@@ -29,6 +29,7 @@ from oracles import (
     flip_logits_oracle,
     flip_patch_oracle,
     forward_many_oracle,
+    train_oracle,
 )
 
 PATH3 = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
@@ -128,6 +129,11 @@ def _max_rel_err(analytic, numeric):
     return err
 
 
+def _loss_input_grad(model, ops, X, y, idx):
+    """The training loss's gradient in X: input_grad of the loss's logit gradient."""
+    return model.input_grad(ops, X, gnn._cross_entropy(model.forward(ops, X), y, idx)[1])
+
+
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_gradients_match_finite_differences(backbone):
     rng = np.random.default_rng(99)
@@ -135,10 +141,10 @@ def test_gradients_match_finite_differences(backbone):
     for _ in range(10):
         model, g, X, y, idx = _random_instance(rng, backbone)
         ops = model.build_ops(g)
-        _, grads, dX = model.loss_grads(ops, X, y, idx)
+        _, grads = model.loss_grads(ops, X, y, idx)
         fd_grads, fd_X = finite_difference_loss_grads(model, ops, X, y, idx)
         worst = max(worst, _max_rel_err(grads, fd_grads))
-        worst = max(worst, _max_rel_err({"X": dX}, {"X": fd_X}))
+        worst = max(worst, _max_rel_err({"X": _loss_input_grad(model, ops, X, y, idx)}, {"X": fd_X}))
         G = rng.standard_normal((g.n, model.C))
         fd_in = finite_difference_input_grad(model, ops, X, G)
         worst = max(worst, _max_rel_err({"X": model.input_grad(ops, X, G)}, {"X": fd_in}))
@@ -151,7 +157,7 @@ def test_gradient_near_zero_at_confident_fit():
     model = GcnModel(W1=[[1.0, -1.0]], b1=[0.0, 0.0], W2=[[5.0, -5.0], [-5.0, 5.0]], b2=[0.0, 0.0])
     g = Graph(n=2, edges=frozenset())
     ops = model.build_ops(g)
-    _, grads, _ = model.loss_grads(ops, X, np.array([0, 1]), [0, 1])
+    _, grads = model.loss_grads(ops, X, np.array([0, 1]), [0, 1])
     assert all(np.abs(v).max() < 1e-3 for v in grads.values())
 
 
@@ -167,7 +173,8 @@ def test_linear_activation_two_node_hand_case():
     # dL/dz2 = (softmax - onehot(y)) / n_train with y = [1, 1]; A_hat = I so
     # the chain rule collapses to plain matrix products
     p1 = 1 / (1 + np.exp(2 * logits[:, 0]))
-    _, grads, dX = model.loss_grads(ops, X, np.array([1, 1]), [0, 1])
+    _, grads = model.loss_grads(ops, X, np.array([1, 1]), [0, 1])
+    dX = _loss_input_grad(model, ops, X, np.array([1, 1]), [0, 1])
     dz = np.stack([1 - p1, p1 - 1], axis=1) / 2
     w2t = np.array([[1.0], [-1.0]])
     np.testing.assert_allclose(grads["W2"], (X + 5).T @ dz, atol=1e-12)
@@ -1047,6 +1054,107 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(dropout=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("weight_decay", -1.0),
+        ("weight_decay", float("inf")),
+        ("weight_decay", float("nan")),
+        ("train_noise_std", -1.0),
+        ("train_noise_std", float("inf")),
+        ("train_noise_std", float("nan")),
+        ("train_noise_flip_prob", 1.5),
+        ("train_noise_flip_prob", -0.1),
+        ("train_noise_flip_prob", float("nan")),
+    ],
+)
+def test_train_config_refuses_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_the_range_ends():
+    TrainConfig(weight_decay=0.0, train_noise_std=0.0, train_noise_flip_prob=0.0)
+    TrainConfig(train_noise_flip_prob=1.0)
+
+
+def _oracle_split(split, validation):
+    """split with three vulnerable nodes, and without its validation nodes unless validation."""
+    return SplitSpec(
+        train=split.train,
+        validation=split.validation if validation else (),
+        test_pool=split.test_pool,
+        vulnerable=split.test_pool[:3],
+    )
+
+
+@pytest.mark.parametrize("validation", [True, False])
+@pytest.mark.parametrize("augment", [False, True])
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_training_equals_the_plain_loop_oracle(backbone, augment, validation):
+    g, X, labels, split = _train_world()
+    split = _oracle_split(split, validation)
+    # about 1.7 of the 174 eligible pairs flip per epoch, so some epochs flip none
+    cfg = TrainConfig(seed=4, epochs=6, train_noise_flip_prob=0.01, train_noise_std=0.1)
+    got = train(g, X, labels, split, cfg, backbone, augment).params()
+    for name, want in train_oracle(g, X, labels, split, cfg, backbone, augment).params().items():
+        assert got[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "augment, validation, calls",
+    [
+        (False, True, 7 + 1),  # each validation pass's products serve the next step
+        (False, False, 7),
+        (True, True, 2 * 7 + 1),  # an augmented step reads perturbed products
+    ],
+)
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_training_runs_pre_once_per_epoch(monkeypatch, backbone, augment, validation, calls):
+    cls, seen = gnn.BACKBONES[backbone], []
+    real = cls._pre
+
+    def spy(self, ops, X):
+        seen.append(X)
+        return real(self, ops, X)
+
+    monkeypatch.setattr(cls, "_pre", spy)
+    g, X, labels, split = _train_world()
+    train(g, X, labels, _oracle_split(split, validation), TrainConfig(seed=0, epochs=7), backbone, augment)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_passes_without_deltas_leave_pre_as_it_is(backbone):
+    rng = np.random.default_rng(8)
+    model, g, X, y, train_idx = _random_instance(rng, backbone)
+    # nonzero biases, which GCN's layer 1 once added into pre[1] in place
+    model = model.replace({k: v + rng.standard_normal(v.shape) for k, v in model.params().items()})
+    ops = model.build_ops(g)
+    pre = model._pre(ops, X)
+    before = [p.tobytes() for p in pre]
+    logits = model.forward(ops, X, pre)
+    model._pass(ops, X, pre=pre)
+    model._pass(ops, X, 0.5, np.random.default_rng(0), pre=pre)
+    model.loss_grads(ops, X, y, train_idx, 0.5, np.random.default_rng(0), pre=pre)
+    assert [p.tobytes() for p in pre] == before
+    assert logits.tobytes() == model.forward(ops, X).tobytes()
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_toggled_keys_are_the_flipped_graphs(self_loops):
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        every = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        g = Graph(n, every[rng.random(len(every)) < 0.4])
+        pairs = every[rng.random(len(every)) < rng.choice([0.0, 0.3, 1.0])]
+        got = gnn._toggled(gnn._adjacency_keys(g, self_loops), n, pairs)
+        np.testing.assert_array_equal(got, gnn._adjacency_keys(g.flip(pairs), self_loops))
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

@@ -40,10 +40,17 @@ or at two `--jobs` values to check that worker threads change no byte:
     diff jobs1.txt jobs2.txt
 
 or with OpenBLAS held to one thread, to check that its thread count
-changes no byte either:
+changes none of the printed digests either:
 
     OPENBLAS_NUM_THREADS=1 python tools/artifact_digests.py > blas1.txt
     diff jobs1.txt blas1.txt
+
+That holds for these lines alone, not for every byte the commands can
+write: on a 2-core VM, `elegant train` at defaults on sbm-german writes a
+different `model.bin` and `model_noise.bin` (for GCN and SAGE alike)
+under OPENBLAS_NUM_THREADS=1 than under OpenBLAS's default thread count,
+while the `cache-german` classes of that model still match.  So compare
+model bytes, or any artifact outside these lines, at one thread count.
 
 `--base REF` does the two-checkout comparison itself: it checks the git
 revision REF out into a temporary `git worktree`, runs itself on that
