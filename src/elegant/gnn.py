@@ -65,13 +65,16 @@ it runs layer 1, the ReLU and _head on the rows the noise reaches alone
 perturbed rows: about 780 of sbm-german's 1000), through _chunks'
 operands; the other rows' layer-2 term is one constant per call.  The
 node-draws it leaves unsettled, 0.003% to 0.011% of an sbm-german
-mask's (noise-trained GCN and SAGE, seeds 5 and 11), are re-evaluated
-in float64 over the node's operator row (the _hidden_at hook), for a
-batch's distinct draws alone.  The fallback rule: a node still within
-that margin's own bound (an exact tie, a NaN) sends its draw to the
-exact float64 path, and a value outside float32's range (in layer 1's
-products, the weights, the operator or the deltas) or a bound that
-cannot be trusted (NaN, inf, overflow) sends every draw.  Draws are
+mask's (noise-trained GCN and SAGE, seeds 5 and 11) and about 0.05% at
+perfbench's GCN worlds of seeds 3 and 8312 (72 of 150,000 per mask),
+are re-evaluated in float64 over the node's operator row (the
+_hidden_at hook) on the kept units alone, for a batch's distinct draws
+alone, in batches sized by the bytes of hidden rows they hold.  The
+fallback rule: a node still within that margin's own bound (an exact
+tie, a NaN) sends its draw to the exact float64 path, and a value
+outside float32's range (in layer 1's products, the weights, the
+operator or the deltas) or a bound that cannot be trusted (NaN, inf,
+overflow) sends every draw.  Draws are
 independent, so a rerun gives the bits of a full float64 pass.  A
 float64 chunk adds each class's b2 on its own strided (chunk, n) view of
 the layer-2 product and picks the first maximum straight into the
@@ -115,10 +118,12 @@ logger = logging.getLogger(__name__)
 # 512 KiB 0.87-0.90 / 0.82-0.84, 768 KiB 0.78-0.86 / 0.73-0.85, 1 MiB
 # 0.80-0.84 / 0.80-0.81, 1.5 MiB 0.82-0.84 / 0.87-0.89, 2 MiB 0.80-0.88 /
 # 0.89, 4 MiB 0.88 / -.  Blocks of 3 draws and chunks of 98 at 768 KiB ran
-# about as fast as 1 MiB's, which stayed.  The float64 re-evaluation of
-# unsettled node-draws reads at most a float64 chunk's node-draws of hidden
-# rows per batch, BYTES // (8 C): batches of a block's rows took a mask with
-# 200 unsettled node-draws 7 calls of about 0.5 ms set-up each, not one.
+# about as fast as 1 MiB's, which stayed.  A batch of the float64
+# re-evaluation of unsettled node-draws holds at most BYTES of hidden rows,
+# BYTES // (8 k) rows of the k kept units (3,196 at k=41), unless one
+# node-draw's rows alone hold more.  Its set-up is about 0.14 ms a batch
+# and a hidden row 0.2-0.3 us (sbm-german), so a seed-3 mask's 72
+# unsettled node-draws (1,600-2,400 rows) take one batch.
 FORWARD_MANY_CHUNK_BYTES = 2**20
 # forward_many's float32 pass runs only where every magnitude it computes
 # stays below this, a quarter of float32's largest value, so no rounded
@@ -220,20 +225,21 @@ def _toggled(keys, n, pairs):
 
 
 def _row_entries(indptr, rows):
-    """(i, k) over the entries of the CSR rows `rows`, in order: i the position of each entry's row in rows, k its index in the CSR arrays."""
+    """(ptr, i, k) over the entries of the CSR rows `rows`, in order: ptr their stacked row pointers, i the position of each entry's row in rows, k its index in the CSR arrays."""
     lengths = indptr[rows + 1] - indptr[rows]
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
     i = np.repeat(np.arange(rows.size), lengths)
-    return i, np.arange(i.size) + (indptr[rows] - np.cumsum(lengths) + lengths)[i]
+    return ptr, i, np.arange(i.size) + (indptr[rows] - ptr[:-1])[i]
 
 
-def _flip_groups(charges):
-    """(start, stop) of consecutive candidates whose charges sum to at most FORWARD_FLIPS_GROUP_BYTES.
+def _groups(charges, limit):
+    """(start, stop) of consecutive items whose charges sum to at most limit.
 
-    A candidate charged more than that forms a group alone.
+    An item charged more than that forms a group alone.
     """
     start, total = 0, 0.0
     for i, charge in enumerate(charges):
-        if i > start and total + charge > FORWARD_FLIPS_GROUP_BYTES:
+        if i > start and total + charge > limit:
             yield start, i
             start, total = i, 0.0
         total += charge
@@ -359,23 +365,30 @@ def _difference_classes(m, out):
 
 
 def _f32_fits(mag):
-    """Whether each magnitude is 0 or lies in [2^-126, F32_LIMIT], where a float32 cast errs by at most 2^-24 relative; False for NaN."""
-    return (mag <= F32_LIMIT) & ((mag >= 2.0**-126) | (mag == 0.0))
+    """Whether every magnitude in mag is 0 or lies in [2^-126, F32_LIMIT], where a float32 cast errs by at most 2^-24 relative; False if one is NaN.
+
+    Two reductions decide it: the largest magnitude, and the smallest, which
+    only when it is 0 or below 2^-126 sends the call to a third, the
+    smallest nonzero one.
+    """
+    if not mag.max(initial=0.0) <= F32_LIMIT:
+        return False
+    return bool(mag.min(initial=np.inf) >= 2.0**-126 or np.min(mag, where=mag != 0.0, initial=np.inf) >= 2.0**-126)
 
 
-def _shift_at(C, deltas, W, b):
-    """Row e of C[e] @ (deltas[b[e]] @ W) for every row e of the CSR C (E, r), as one sparse product over the stacked (r, k) products of the distinct draws in b alone."""
+def _shift_at(C, k, deltas, W, b):
+    """Row k[e] of C @ (deltas[b[e]] @ W) for every e, C a CSR (n, r) and deltas (D, r, d): one sparse product over the stacked (r, h) products of deltas' D draws (one (D r, d) GEMM), whose rows are gathered from C's index arrays."""
     r = C.shape[1]
-    draws, b = np.unique(b, return_inverse=True)
-    D = (deltas[draws] @ W).reshape(-1, W.shape[1])
-    at = np.repeat(b, np.diff(C.indptr)) * r + C.indices
-    return sparse.csr_matrix((C.data, at, C.indptr), shape=(C.shape[0], D.shape[0])) @ D
+    ptr, i, at = _row_entries(C.indptr, k)
+    D = deltas.reshape(-1, W.shape[0]) @ W
+    return sparse.csr_matrix((C.data[at], b[i] * r + C.indices[at], ptr), shape=(k.size, D.shape[0])) @ D
 
 
 def _max_shift(deltas, W):
     """max_b |deltas[b] @ W| (r, k) over the draws of deltas (B, r, d), from one (B r, d) @ (d, k) product; zeros for no draws."""
     B, r, d = deltas.shape
-    return np.abs(deltas.reshape(B * r, d) @ W).reshape(B, r, W.shape[1]).max(axis=0, initial=0.0)
+    P = deltas.reshape(B * r, d) @ W
+    return np.abs(P, out=P).reshape(B, r, W.shape[1]).max(axis=0, initial=0.0)
 
 
 def _cross_entropy(logits, y, train_idx):
@@ -420,10 +433,11 @@ class _TwoLayer:
       of flipped graphs in their changed rows: flip c's rows are
       held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]] their rows of the
       flipped ops @ S;
-    - _hidden_at(pre, cols, rows, deltas, b, k), layer 1's pre-activation
-      at node k[e] under the draw X[rows] += deltas[b[e]], from pre and
-      the CSR cols, for forward_many's float64 re-evaluation of single
-      node-draws (_node_logits);
+    - _hidden_at(z, cols, rows, deltas, b, k), layer 1's pre-activation
+      at node k[e] under the draw X[rows] += deltas[b[e]], from z, the
+      clean pre-activation (_clean), and the CSR cols through _shift_at,
+      for forward_many's float64 re-evaluation of single node-draws
+      (_node_logits);
     - _head(h, out), layer 2's products of the hidden activations h as
       (own, Y), Y being what layer 2 propagates (own is None if nothing
       else is left), written into the pair of arrays out if given, and
@@ -567,7 +581,7 @@ class _TwoLayer:
         b = R // n
         held = R - b * n
         # each pair's entry, or its insertion point, as an offset into the clean rows u[b] and v[b]
-        t, k = _row_entries(indptr, ends)
+        _, t, k = _row_entries(indptr, ends)
         keys = t * n + indices[k]  # ascending
         first = np.arange(2 * B) * n  # the key of each row's column 0
         at = np.searchsorted(keys, first + other)
@@ -582,7 +596,7 @@ class _TwoLayer:
         # entry p of held row j reads clean entry indptr[held[j]] + p - ptr[j]; from a
         # row's toggle on, a removal reads one entry later and an addition one earlier
         read = np.repeat(indptr[held] - ptr[:-1], lengths) + np.arange(ptr[-1])
-        t, e = _row_entries(ptr, at_end)
+        _, t, e = _row_entries(ptr, at_end)
         read[e] -= (e - ptr[at_end][t] >= off[t]) * sign[t]
         cols = indices[read]
         cols[ptr[at_end][~present] + off[~present]] = other[~present]
@@ -658,12 +672,16 @@ class _TwoLayer:
           other rows' hidden activations are the draws' clean ones, so their
           whole layer-2 term (propagated, SAGE's own-row term and b2) is one
           constant per call, computed once and added to every draw.
-        Every other node-draw is re-evaluated in float64 by _node_logits, from
-        pre, layer 1's clean products, and the CSR cols, in batches reading
-        at most as many hidden rows as a float64 chunk has node-draws, and
-        settled where that margin exceeds bound64.  A draw with a node still
-        unsettled (an exact tie, a NaN), or whose unsettled nodes read more
-        hidden rows than the draw has nodes, is rerun through _exact, and so
+        Every other node-draw is re-evaluated in float64 by _node_logits, on
+        the kept units alone (the others are 0 in every draw) from z's kept
+        columns and the CSR cols, in batches of consecutive node-draws whose
+        hidden rows hold at most FORWARD_MANY_CHUNK_BYTES (a node-draw whose
+        rows alone hold more is a batch of its own), and settled where that
+        margin exceeds bound64.  A draw with a node still unsettled (an
+        exact tie, a NaN), or whose unsettled nodes read more hidden rows
+        than the draw has nodes, is rerun through _exact (on sbm-german a
+        rerun draw costs about 0.27 ms and a re-evaluated hidden row about
+        0.2 to 0.3 us, so n rows cost about as much as the rerun), and so
         is every draw when _margin_bounds gives no bound (a value outside
         float32's range, the deltas included, or a bound that cannot be
         trusted).  Draws are independent (each draw's dense products are
@@ -686,7 +704,8 @@ class _TwoLayer:
         bound32, bound64, keep, z = bounds
         f32 = methodcaller("astype", np.float32)
         twin, ops32 = self._map(f32, keep, _differences), f32(ops)
-        z32 = f32(np.take(z, keep, axis=1))  # C-contiguous, as in _map
+        zk = np.take(z, keep, axis=1)  # C-contiguous, as in _map
+        z32 = f32(zk)
         # the rows the noise leaves alone: their layer-2 term, b2 included, with the moving rows' activations zeroed
         h = np.maximum(z32, 0.0)
         h[moving] = 0.0
@@ -700,14 +719,14 @@ class _TwoLayer:
                 m[:, moving] += own
             unsettled[at] = ~(_difference_classes(m, out[at]) > bound32)
         b, v = divmod(np.flatnonzero(unsettled), n)
-        # a draw whose nodes read more hidden rows than it has is cheaper to rerun
-        lengths = np.diff(ops.indptr)
-        exact = np.bincount(b, weights=lengths[v] + 1, minlength=B) > n
-        b, v = b[~exact[b]], v[~exact[b]]
-        settled, step = 0, max(1, FORWARD_MANY_CHUNK_BYTES // (8 * self.C * (lengths.max(initial=0) + 1)))
-        for at in range(0, b.size, step):  # batches of at most as many hidden rows as a float64 chunk has node-draws
-            bb, vv = b[at : at + step], v[at : at + step]
-            logits = self._node_logits(ops, pre, cols, rows, deltas, bb, vv)
+        # the hidden rows a node-draw reads, at most its operator row's and its own; a draw whose nodes read more than it has is cheaper to rerun
+        reads = np.diff(ops.indptr)[v] + 1
+        exact = np.bincount(b, weights=reads, minlength=B) > n
+        b, v, reads = b[~exact[b]], v[~exact[b]], reads[~exact[b]]
+        settled, kept = 0, self._map(np.asarray, keep)  # float64 on the kept units: the others are 0 in every draw
+        for start, stop in _groups(reads, FORWARD_MANY_CHUNK_BYTES // (8 * max(kept.h, 1))):
+            bb, vv = b[start:stop], v[start:stop]
+            logits = kept._node_logits(ops, zk, cols, rows, deltas, bb, vv)
             ok = _margin(list(logits.T)) > bound64[vv]
             out[bb[ok], vv[ok]] = logits[ok].argmax(axis=1)
             exact[bb[~ok]] = True
@@ -801,13 +820,15 @@ class _TwoLayer:
         (_pair_columns): M1, _layer1 run on |pre|, |weights|, the
         operator's |entries|, |cols| and D, the elementwise max of |deltas|
         over the draws, bounds |z1| of every draw (layer 1 is monotone in
-        each operand), and M, _layer2 and _logits run on M1, bounds the
-        terms of the logits c and 0 together in its first C - 1 columns and
-        those of d_c in the others, no larger.  Counting factors per
-        product:
-        - layer 1, K1 = d + r + 7: a shift term takes 3 casts to float32
-          (cols, deltas and a weight), d + r in the nested dot products
-          (deltas times a weight, then a row of cols), at most 2 additions
+        each operand), and M, _layer2 and _logits run on M1 through the
+        sums |W[:, c]| + |W[:, 0]| over the kept units alone (see below),
+        bounds the terms of the logits c and 0 together, and so those of
+        d_c, no larger.  Counting factors per product:
+        - layer 1, K1 = d + r_u + 7 at row u, r_u <= r the nonzero entries
+          of u's row of cols: a shift term takes 3 casts to float32 (cols,
+          deltas and a weight), d + r_u in the nested dot products (deltas
+          times a weight, then u's row of cols, whose zero entries give
+          exact 0 products that round nothing), at most 2 additions
           (onto the cast z; SAGE: also the own-row shift; GCN, whose z
           holds b1, only the one) and 2 shared with layer 2: the
           subtraction that forms the margin and the bound's own evaluation
@@ -815,13 +836,15 @@ class _TwoLayer:
           below one float32 u).  A term of z (pre's, and GCN's b1) takes
           z's float64 rounding, its cast, the same additions and the
           shared 2, at most 6;
-        - layer 2, K2 = h + R_v + 8 for node v: 3 roundings of its factors
-          (the operator's cast; a weight difference's float64 subtraction
-          and its cast), h + R_v in the nested dot products (h times a
-          weight, then v's operator row of R_v entries, split between the
-          rows the noise reaches and the constant), 3 additions (own term,
-          b2, and the constant onto the reached rows' sum) and the same 2.
-        So the float32 pre-activation errs by at most e1 = gamma_K1 M1.
+        - layer 2, K2 = k + R_v + 8 for node v, k the kept units: 3
+          roundings of its factors (the operator's cast; a weight
+          difference's float64 subtraction and its cast), k + R_v in the
+          nested dot products (k times a weight, then v's operator row of
+          R_v entries, split between the rows the noise reaches and the
+          constant), 3 additions (own term, b2, and the constant onto the
+          reached rows' sum) and the same 2.
+        So the float32 pre-activation errs by at most e1 = gamma_K1 M1,
+        row by row.
         Every draw's z1 is at most U = z + S, S the backbone's
         _shift_bound: |cols| times T = max_b |deltas[b] W|, the largest
         product of any draw's deltas and a layer-1 weight (one (B r, d)
@@ -838,16 +861,38 @@ class _TwoLayer:
         with U + 2 e1 <= 0 at every node is 0 in every draw, exactly and in
         float32, so the float32 pass skips it; keep is the rest.  So E32 is
         layer 2 on |W[:, c] - W[:, 0]| without biases run on that passed-on
-        error, plus gamma_K2 times layer 2 on those columns run on H; one
-        _layer2 call on the stacked M1, passed-on error and H gives M and
-        both.  The float64 pass and _node_logits cast nothing and have the
-        same dot-product lengths, so E64 = gamma_(K1 + K2) M.
+        error, plus gamma_K2 times layer 2 on those columns run on H.  The
+        float64 pass and _node_logits cast nothing and have the same
+        dot-product lengths, so E64 = gamma_(K1 + K2) M, K1 = d + r + 7
+        there, its largest.
+
+        Kept units.  A dead unit is an exact 0 wherever it is computed: the
+        float32 pass skips it, and in the float64 pass (and _node_logits,
+        which forward_many runs on the kept units alone) its pre-activation
+        is negative, its float64 roundings being far below e1, so its ReLU
+        gives 0.  Its product with a layer-2 weight is an exact 0, and
+        adding an exact 0 rounds nothing, so in any summation order a
+        term of a layer-2 dot product over hidden units passes through at
+        most one rounding per other kept unit: K2 counts k = keep.size, not
+        h, and so does N2, and M, w2 and the check on _head's products
+        read the kept units alone.
+
+        Evaluation order.  M1, then 2 e1 (exactly twice e1: doubling gamma
+        and the absolute term doubles each rounded result, and halving it
+        back is exact), then U + 2 e1 are written in place into one (3, n,
+        h) stack, and keep is read from the last.  The stack then becomes
+        M1, e1 where U + 2 e1 > 0 (else 0) and H, and one _layer2 call on it
+        gives M, the error term and gamma_K2's operand, through layer-2
+        weights stacked per slice: the sums on M1, the differences on the
+        other two, b2's likewise (none on the error), and 0 in every dead
+        unit's rows.  For two classes the largest sum of two of (0, E[v,
+        1]) is E[v, 1] itself, and no sort runs.
 
         Absolute term: a product or sum that underflows errs by at most
         2^-126 (float32) or 2^-1022 (float64) absolutely, flushed to zero
         or not.  Summed over every such operation feeding one value,
         weighted by that value's sensitivity to its result, layer 1 adds
-        N1 = 2 + 2 r + 2 d (1 + a) units to e1 and layer 2 adds N2 = 2 h
+        N1 = 2 + 2 r + 2 d (1 + a) units to e1 and layer 2 adds N2 = 2 k
         (1 + a) + 2 R + 4 to a logit, R the longest operator row and a the
         largest operator row sum (the cast of GCN's z takes the place of
         the b1 addition it folds); so E64 adds N = (1 + a) w2 N1 + N2 units
@@ -859,72 +904,98 @@ class _TwoLayer:
         sums and differences of layer 2's), the operator's entries and the
         deltas lie there (or are 0).  They are also None if any magnitude
         the float32 pass can reach exceeds F32_LIMIT, since it would
-        overflow (NaN and inf fail these checks too): M1, M, layer 1's
-        delta products, bounded by D @ |W|, and _head's products, bounded
-        by M1's column maxima times the model's layer-2 columns.  And they
-        are None if rows repeat a node.
+        overflow (NaN and inf fail these checks too): M1 (its column
+        maxima), M (its sums bound the differences), layer 1's delta
+        products, bounded by D @ |W|, and _head's products, bounded by M1's
+        column maxima times the kept units' sum columns.  Each range check
+        is two reductions (_f32_fits).  And they are None if rows repeat a
+        node.
         """
-        mag, apre, absm = np.abs(deltas), tuple(np.abs(p) for p in pre), self._map(np.abs, head=_pair_columns)
-        small = np.concatenate([np.abs(ops.data), *(w.ravel() for w in absm.params().values())])
-        if np.unique(rows).size < rows.size or not all(_f32_fits(a).all() for a in (*apre, small, mag)):
+        absm, mag, apre, data = self._map(np.abs, head=_pair_columns), np.abs(deltas), tuple(np.abs(p) for p in pre), np.abs(ops.data)
+        small = np.concatenate([data, *(w.ravel() for w in absm.params().values())])
+        if np.unique(rows).size < rows.size or not all(map(_f32_fits, (*apre, small, mag))):
             return None
         D = mag.max(axis=0, initial=0.0)
-        A = abs(ops)
-        M1 = absm._layer1(apre, np.abs(cols), rows, D[None], None, absm.b1)[0]
-        W1s, W2s = ([w for name, w in absm.params().items() if name[0] == "W" and name[-1] == k] for k in "12")
-        (r, d), h, n, k = D.shape, self.h, A.shape[0], self.C - 1
-        R = np.diff(A.indptr)
-        a = float((A @ np.ones(n)).max(initial=0.0))
-        w2 = max(w.sum(axis=0).max(initial=0.0) for w in W2s)
-        K1, K2 = d + r + 7, (h + 8 + R)[:, None]
-        if (K1 + K2).max(initial=K1) * 2.0**-24 >= 0.5:
+        (r, d), h, n, k = D.shape, self.h, ops.shape[0], self.C - 1
+        R = np.diff(ops.indptr)
+        K1 = d + r + 7
+        if (K1 + h + 8 + R).max(initial=K1) * 2.0**-24 >= 0.5:
             return None
-        N1, N2 = 2 + 2 * r + 2 * d * (1 + a), 2 * h * (1 + a) + 2 * R.max(initial=0) + 4
+        A = sparse.csr_matrix((data, ops.indices, ops.indptr), shape=ops.shape)  # |ops| on ops' index arrays
+        a = float((A @ np.ones(n)).max(initial=0.0))
+        acols = np.abs(cols)
+        # M1, then twice e1, then G = U + 2 e1, in place in one (3, n, h) array: layer 2's operand
+        full = np.empty((3, n, h))
+        M1 = absm._layer1(apre, acols, rows, D[None], full[:1], absm.b1)[0]
+        N1 = 2 + 2 * r + 2 * d * (1 + a)
 
         def gamma(K, u):
             return K * u / (1 - K * u)
 
-        e1 = gamma(K1, 2.0**-24) * M1 + 2 * 2.0**-126 * N1
+        # 2 e1 exactly, K1 row by row: doubling gamma and the absolute term doubles each rounded result
+        K1u = d + 7 + np.count_nonzero(cols, axis=1)[:, None]
+        e2 = np.multiply(M1, 2 * gamma(K1u, 2.0**-24), out=full[1])
+        e2 += 4 * 2.0**-126 * N1
         z = self._clean(pre)
-        G = z + self._shift_bound(np.abs(cols), rows, deltas) + 2 * e1  # U + 2 e1
-        own, P = absm._layer2(A, np.stack([M1, e1 * (G > 0), np.maximum(G, 0.0)]))
-        M, _, L = absm._logits(own, P)
-        reach = (M1, M, *(D @ w for w in W1s), *(M1.max(axis=0, initial=0.0) @ w for w in W2s))
+        G = np.add(z, self._shift_bound(acols, rows, deltas), out=full[2])
+        G += e2
+        keep = np.flatnonzero(~(G <= 0.0).all(axis=0))
+        e2 *= (G > 0.0) * 0.5  # the passed-on error e1 where G > 0
+        np.maximum(G, 0.0, out=G)  # H
+        live = np.zeros((h, 1))
+        live[keep] = 1.0
+
+        def slices(w):
+            """Layer 2's weights per slice of the stack: the pair columns w's sums on M1 and differences on e1 and H, 0 in the dead units' rows; b2 likewise, none on e1."""
+            if w.ndim == 1:
+                return np.stack([w[:k], np.zeros(k), w[k:]])[:, None]
+            return np.stack([w[:, :k], w[:, k:], w[:, k:]]) * live
+
+        kept = absm._map(np.asarray, head=slices)
+        M, E, L = kept._logits(*kept._layer2(A, full))
+        W1s = [w for name, w in absm.params().items() if name[0] == "W" and name[-1] == "1"]
+        W2s = [w[0] for name, w in kept.params().items() if name[0] == "W" and name[-1] == "2"]
+        top = M1.max(axis=0, initial=0.0)
+        reach = (top, M, *(D @ w for w in W1s), *(top @ w for w in W2s))
         if not all(p.max(initial=0.0) <= F32_LIMIT for p in reach):
             return None
-        no_bias = absm._map(lambda w: w if w.ndim > 1 else np.zeros_like(w))
-        E32 = no_bias._logits(own, P)[1][:, k:] + gamma(K2, 2.0**-24) * L[:, k:] + 2 * 2.0**-126 * N2
-        E64 = gamma(K1 + K2, 2.0**-53) * M[:, :k] + 4 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
+        w2 = max(w.sum(axis=0).max(initial=0.0) for w in W2s)
+        K2, N2 = (keep.size + 8 + R)[:, None], 2 * keep.size * (1 + a) + 2 * R.max(initial=0) + 4
+        E32 = E + gamma(K2, 2.0**-24) * L + 2 * 2.0**-126 * N2
+        E64 = gamma(K1 + K2, 2.0**-53) * M + 4 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
 
         def top2(E):
-            """The largest sum of two of 0 and the entries of E[v], at every node v: class 0's difference is an exact 0."""
+            """The largest sum of two of 0 and the entries of E[v], at every node v: class 0's difference is an exact 0 (E[v, 0] itself for two classes)."""
+            if k == 1:
+                return E[:, 0]
             return np.sort(np.column_stack([np.zeros(n), E]), axis=1)[:, -2:].sum(axis=1)
 
-        return top2(E32 + E64), top2(2 * E64), np.flatnonzero(~(G <= 0.0).all(axis=0)), z
+        return top2(E32 + E64), top2(2 * E64), keep, z
 
-    def _node_logits(self, ops, pre, cols, rows, deltas, b, v):
-        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], cols = ops[:, rows] as CSR.
+    def _node_logits(self, ops, z, cols, rows, deltas, b, v):
+        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], from z, layer 1's clean pre-activation (_clean), and cols = ops[:, rows] as CSR.
 
-        They read the hidden rows of v[i] itself (_head's own term) and of
-        its operator row's columns (the propagated term), whose
-        pre-activations the backbone's _hidden_at hook gives from pre and
-        cols.  The arithmetic is not a full pass's, so the bits may differ,
-        but every dot product has the same length, which _margin_bounds'
-        float64 bound needs.
+        They read the hidden rows of v[i]'s operator row's columns (the
+        propagated term) and, where _head has an own term (SAGE), of v[i]
+        itself, whose pre-activations the backbone's _hidden_at hook gives
+        from z and cols, for the distinct draws of b alone.  Rows are
+        gathered from the operator's and cols' CSR index arrays, never sliced
+        as matrices, and each sparse product builds its CSR from them.  The
+        arithmetic is not a full pass's, so the bits may differ, but every
+        dot product has the same length, which _margin_bounds' float64 bound
+        needs.
         """
-        lengths = ops.indptr[v + 1] - ops.indptr[v] + 1
-        ptr = np.concatenate([[0], np.cumsum(lengths)])
-        own_at = ptr[:-1]  # each node's own entry, ahead of its operator row's entries
-        row_at = np.ones(ptr[-1], dtype=bool)
-        row_at[own_at] = False
-        node, weight = np.empty(ptr[-1], dtype=np.int64), np.zeros(ptr[-1])
-        k = _row_entries(ops.indptr, v)[1]
-        node[own_at], node[row_at], weight[row_at] = v, ops.indices[k], ops.data[k]
-        h = self._hidden_at(pre, cols, rows, deltas, np.repeat(b, lengths), node)
+        draws, b = np.unique(b, return_inverse=True)
+        ptr, i, at = _row_entries(ops.indptr, v)
+        k, kb = ops.indices[at], b[i]  # the node and draw of each hidden row
+        own = self._head(z[:0])[0] is not None
+        if own:  # v's own rows follow the operator rows' entries
+            k, kb = np.concatenate([k, v]), np.concatenate([kb, b])
+        h = self._hidden_at(z, cols, rows, deltas[draws], kb, k)
         np.maximum(h, 0.0, out=h)
         # layer 2 as (ops h) W rather than ops (h W): the same dot-product lengths, and BLAS sees len(v) rows, not one per entry
-        P = self._head(sparse.csr_matrix((weight, np.arange(ptr[-1]), ptr), shape=(v.size, ptr[-1])) @ h)[1]
-        return self._logits(self._head(h[own_at])[0], P)
+        P = self._head(sparse.csr_matrix((ops.data[at], np.arange(at.size), ptr), shape=(v.size, k.size)) @ h)[1]
+        return self._logits(self._head(h[at.size :])[0] if own else None, P)
 
     def _emit(self, own, P, out):
         """Write the hard classes of the logits _logits(own, P) into the uint8 out: each class's logits from its own strided view, then _first_max."""
@@ -940,7 +1011,7 @@ class _TwoLayer:
         out[b] is the argmax of forward(build_ops(g.flip(pairs[b:b + 1])),
         X)[rows], whose logits the flip groups compute bit for bit; a pair
         outside 0 <= u < v < n raises DataError, as Graph.flip does.  The clean
-        pass runs once, then the flips run in _flip_groups whose _flip_charges
+        pass runs once, then the flips run in _groups whose _flip_charges
         sum to at most FORWARD_FLIPS_GROUP_BYTES.  Per group, one _flip_patch
         call gives the operator rows each flip changes, through build_ops's
         builder, as one CSR over the group's stacked columns; its twin over the
@@ -966,12 +1037,12 @@ class _TwoLayer:
         pre = self._pre(self._operator(indptr, indices, scale), X)
         h_clean = np.maximum(self._clean(pre), 0.0)
         h = h_clean.copy()  # work array, clean again after every candidate
-        scored_ptr = np.concatenate([[0], np.cumsum(indptr[rows + 1] - indptr[rows])])
-        scored = self._operator(scored_ptr, indices[_row_entries(indptr, rows)[1]], scale, rows)
+        scored_ptr, _, at = _row_entries(indptr, rows)
+        scored = self._operator(scored_ptr, indices[at], scale, rows)
         # node j is scored at the positions order[found[j]:found[j + 1]] of rows
         order = np.argsort(rows, kind="stable")
         found = np.searchsorted(rows[order], np.arange(n + 1))
-        for start, stop in _flip_groups(self._flip_charges(*adjacency, pairs)):
+        for start, stop in _groups(self._flip_charges(*adjacency, pairs), FORWARD_FLIPS_GROUP_BYTES):
             u, v = pairs[start:stop].T
             b, held, patch, offset = self._flip_patch(*adjacency, scale, u, v)
             twin = sparse.csr_matrix((patch.data, patch.indices - offset, patch.indptr), shape=(held.size, n))
@@ -988,7 +1059,7 @@ class _TwoLayer:
                     own[c] = own_c[rows]
                 h[held[at]] = clean[at]
             P = _propagate(scored, Y)
-            i, k = _row_entries(found, held)  # held row i is scored at position order[k]
+            _, i, k = _row_entries(found, held)  # held row i is scored at position order[k]
             P[b[i], order[k]] = (patch @ Y.reshape(-1, self.C))[i]
             self._emit(own, P, out[start:stop])
         return out
@@ -1038,7 +1109,7 @@ class GcnModel(_TwoLayer):
     @staticmethod
     def _held_rows(indptr, indices, x):
         """(i, rows): the rows of x[i]'s neighbours, whose columns x[i] move, self loops putting x[i], whose degree moves, among them."""
-        i, k = _row_entries(indptr, x)
+        _, i, k = _row_entries(indptr, x)
         return i, indices[k]
 
     def _pre(self, ops, X):
@@ -1050,12 +1121,11 @@ class GcnModel(_TwoLayer):
         """A_hat X W1 + b1, a new array (pre[1] stays as it is)."""
         return pre[1] + self.b1
 
-    def _hidden_at(self, pre, cols, rows, deltas, b, k):
-        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: A_hat X W1 + cols (delta W1) + b1, cols a CSR."""
-        z = _shift_at(cols[k], deltas, self.W1, b)
-        z += pre[1][k]
-        z += self.b1
-        return z
+    def _hidden_at(self, z, cols, rows, deltas, b, k):
+        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta W1) + z, z = A_hat X W1 + b1 and cols a CSR."""
+        z1 = _shift_at(cols, k, deltas, self.W1, b)
+        z1 += z[k]
+        return z1
 
     def _flip_hidden(self, pre, SR, held, cuts):
         """np.maximum(SR + b1, 0.0), in place: a GCN's layer-1 rows are row-local."""
@@ -1137,13 +1207,15 @@ class SageModel(_TwoLayer):
         """pre[3], which holds X Ws1 + (M X) Wn1 + b1 (the same array: callers do not write into it)."""
         return pre[3]
 
-    def _hidden_at(self, pre, cols, rows, deltas, b, k):
-        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: pre[3] + cols (delta Wn1), plus delta Ws1 where k[e] is a perturbed row; cols a CSR."""
-        own = sparse.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))), shape=cols.shape)
-        z = _shift_at(cols[k], deltas, self.Wn1, b)
-        z += pre[3][k]
-        z += _shift_at(own[k], deltas, self.Ws1, b)
-        return z
+    def _hidden_at(self, z, cols, rows, deltas, b, k):
+        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta Wn1) + z, z = pre[3], plus delta Ws1 where k[e] is a perturbed row; cols a CSR."""
+        z1 = _shift_at(cols, k, deltas, self.Wn1, b)
+        z1 += z[k]
+        j = np.full(z.shape[0], -1)
+        j[rows] = np.arange(rows.size)
+        e = np.flatnonzero(j[k] >= 0)  # the entries at perturbed rows
+        z1[e] += deltas[b[e], j[k[e]]] @ self.Ws1
+        return z1
 
     def _flip_hidden(self, pre, SR, held, cuts):
         """Each flip's hidden rows from its own full-shape (M X) Wn1, whose rows depend on their position: flip c swaps its rows SR[cuts[c]:cuts[c + 1]] into a copy of M X."""

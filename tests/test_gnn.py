@@ -429,6 +429,50 @@ def test_exact_path_memory_is_bounded_by_the_chunk(cls):
     _assert_memory_is_bounded_by_the_chunk(cls, exact=True)
 
 
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_re_evaluation_batches_hold_at_most_the_chunk_bytes_of_hidden_rows(monkeypatch, cls):
+    # the bound is widened at ten hubs of 80 neighbours each, so every draw leaves
+    # them unsettled: 1,500 node-draws reading about 120,000 hidden rows, each
+    # draw's about 810 rows, fewer than its 1,000 nodes, so none is rerun.  One
+    # batch of them all would hold about 32 MiB of hidden rows
+    rng = np.random.default_rng(89)
+    n, d, B, hubs = 1000, 8, 150, np.arange(990, 1000)
+    edges = _random_sparse_graph(rng, n, 2 * n).edge_array()
+    spokes = [(int(u), int(hub)) for hub in hubs for u in rng.choice(hubs[0], size=80, replace=False)]
+    g = Graph(n=n, edges=np.unique(np.vstack([edges[edges[:, 1] < hubs[0]], spokes]), axis=0))
+    X = rng.standard_normal((n, d))
+    model = cls.init(rng, d=d, hidden=64, classes=2)
+    ops, rows = model.build_ops(g), np.arange(12)
+    deltas = 0.1 * rng.standard_normal((B, rows.size, d))
+    margin_bounds, node_logits, batches = cls._margin_bounds, cls._node_logits, []
+
+    def widened(self, *args):
+        bound32, bound64, keep, z = margin_bounds(self, *args)
+        bound32[hubs] = np.inf
+        return bound32, bound64, keep, z
+
+    def measured(self, ops, z, cols, rows, deltas, b, v):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        logits = node_logits(self, ops, z, cols, rows, deltas, b, v)
+        batches.append((np.diff(ops.indptr)[v].sum() + v.size, self.h, tracemalloc.get_traced_memory()[1] - start))
+        return logits
+
+    monkeypatch.setattr(cls, "_margin_bounds", widened)
+    monkeypatch.setattr(cls, "_node_logits", measured)
+    want = forward_many_oracle(model, ops, X, rows, deltas)
+    tracemalloc.start()
+    try:
+        _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
+    finally:
+        tracemalloc.stop()
+    assert model.fallbacks.rerun == 0 and model.fallbacks.settled >= B * hubs.size - 10
+    # many batches, each holding at most the chunk's bytes of the kept units' hidden rows (operator rows and own rows), none above 4 chunks at its peak
+    assert len(batches) >= 10
+    assert all(8 * h * rows <= gnn.FORWARD_MANY_CHUNK_BYTES for rows, h, _ in batches)
+    assert max(peak for _, _, peak in batches) < 4 * gnn.FORWARD_MANY_CHUNK_BYTES
+
+
 def _float32_pass(model, ops, X, rows, deltas):
     """(m, twin, operands) of forward_many's own float32 pass, read through spies on _chunks and _difference_classes: its logit differences m (B, n, C - 1), logit c minus logit 0 widened to float64, the float32 model it ran and the operands (ops, rows, pre, cols) of its _chunks call; three Nones if it ran no float32 chunk."""
     chunks, classes, seen, parts = type(model)._chunks, gnn._difference_classes, [], []
@@ -523,7 +567,7 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
     assert (_margin_errors(_as_logits(m), want) <= bound32).all()
     assert twin.h == keep.size and (not dead or keep.size <= h // 2)
     b, v = (a.ravel() for a in np.indices((B, n)))
-    again = model._node_logits(ops, model._pre(ops, X), ops[:, rows], rows, deltas, b, v).reshape(B, n, C)
+    again = model._node_logits(ops, model._clean(model._pre(ops, X)), ops[:, rows], rows, deltas, b, v).reshape(B, n, C)
     assert (_margin_errors(again, want) <= bound64).all()
 
 
@@ -545,9 +589,39 @@ def test_a_sixty_fourth_of_the_margin_bound_is_exceeded():
     assert (err <= bound32).all()
 
 
+def test_dead_units_add_no_rounding_to_the_margin_bound():
+    # the star of the test above with 50 leaves, and 1,000 more hidden units that
+    # b1 = -4 holds negative at every node: each is an exact 0 in every pass, so
+    # the bound counts the one kept unit's layer-2 dot products alone and stays
+    # within 64 times the float32 error, as counting all 1,001 would not (about
+    # 90 times); the kept twin's re-evaluation stays within bound64
+    n = 51
+    hub = n - 1
+    g = Graph(n=n, edges=[(k, hub) for k in range(hub)])
+    X = np.full((n, 1), 2.0**-26)
+    X[0], X[hub] = 1.0, 0.0
+    h = 1001
+    b1 = np.full(h, -4.0)
+    b1[0] = 0.0
+    W2 = np.zeros((h, 2))
+    W2[:, 0] = 1.0
+    model = GcnModel(W1=np.ones((1, h)), b1=b1, W2=W2, b2=[0.0, 0.0])
+    ops, rows, deltas = model.build_ops(g), np.array([hub]), np.zeros((1, 1, 1))
+    pre = model._pre(ops, X)
+    bound32, bound64, keep, z = model._margin_bounds(ops, pre, rows, deltas, ops[:, rows].toarray())
+    np.testing.assert_array_equal(keep, [0])
+    want = _chunk_logits(model, ops, X, rows, deltas)
+    err = _margin_errors(_as_logits(_float32_pass(model, ops, X, rows, deltas)[0]), want)
+    assert err[0, hub] > bound32[hub] / 64
+    assert (err <= bound32).all()
+    v = np.arange(n)
+    again = model._map(np.asarray, keep)._node_logits(ops, np.take(z, keep, axis=1), ops[:, rows], rows, deltas, np.zeros(n, np.int64), v)
+    assert (_margin_errors(again[None], want) <= bound64).all()
+
+
 def test_layer_one_sums_lost_in_float32_stay_within_the_margin_bound():
     # many attributes, one hidden unit and one-entry operator rows (isolated
-    # nodes) make layer 1's dot products far longer than layer 2's (K1 = d + 9,
+    # nodes) make layer 1's dot products far longer than layer 2's (K1 = d + 8,
     # K2 = 10).  Each draw row's first 64 terms are 1, so every partial sum a
     # vectorised float32 dot product keeps is at least 1, and its other 4096
     # terms, 2^-25, lie below half an ulp of that sum: deltas @ W1 loses them all
@@ -793,7 +867,7 @@ def test_forward_flips_groups_equal_the_rebuild_oracle(monkeypatch, backbone, gr
     assert _sage_ops(g.flip([(0, n - 1)]))[n - 1].nnz == 0
     charges = _flip_charges(model, g, pool)
     monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", group * charges.mean())
-    sizes = [stop - start for start, stop in gnn._flip_groups(charges)]
+    sizes = [stop - start for start, stop in gnn._groups(charges, gnn.FORWARD_FLIPS_GROUP_BYTES)]
     assert len(sizes) >= 3 and max(sizes) >= 2
     for B in range(1, pool.shape[0] + 1):
         for pairs in (pool[:B], pool[::-1][:B]):
@@ -820,7 +894,7 @@ def test_forward_flips_rows_equal_the_oracle_columns(monkeypatch, backbone, grou
     pairs = np.vstack([np.array(absent)[rng.choice(len(absent), size=5, replace=False)], kept[:5], [[0, n - 1]]])
     if group is not None:
         monkeypatch.setattr(gnn, "FORWARD_FLIPS_GROUP_BYTES", group * _flip_charges(model, g, pairs).mean())
-        assert len(list(gnn._flip_groups(_flip_charges(model, g, pairs)))) >= 4
+        assert len(list(gnn._groups(_flip_charges(model, g, pairs), gnn.FORWARD_FLIPS_GROUP_BYTES))) >= 4
     endpoints = set(pairs.ravel().tolist())
     cases = [
         rng.permutation(n)[:12],  # unsorted
@@ -952,7 +1026,7 @@ def test_forward_flips_memory_is_bounded_by_the_group(cls, hub):
     # bytes per row) is a hub candidate's largest charge
     for hidden, rows in ((64, None), (256, rng.choice(n, size=n // 4, replace=False))):
         model = cls.init(rng, d=d, hidden=hidden, classes=2)
-        group = next(gnn._flip_groups(_flip_charges(model, g, pairs)))[1]
+        group = next(gnn._groups(_flip_charges(model, g, pairs), gnn.FORWARD_FLIPS_GROUP_BYTES))[1]
         assert 2 * group <= 256
 
         def working(B):

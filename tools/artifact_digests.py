@@ -24,7 +24,10 @@ and `<backbone>/attack-abs ...`; on sbm200 both certify there.  Last,
 noise-augmented model at n_outer 4 x n_inner 150 (at `--jobs N`): the
 shape of perfbench's certify-german workload, n = 1000, whose masks span
 several of `forward_many`'s blocks each, which sbm200's 60 x 40 does
-not.  It exits with status 1 if any command exited
+not.  A `<backbone>/cache-german-3 <sha256>` line does the same at seed
+3, whose GCN masks each leave 61 to 79 node-draws to the float64
+re-evaluation (seed 0's 4 to 6), so those classes are compared in volume
+too.  It exits with status 1 if any command exited
 non-zero.  Run it in two checkouts and
 `diff` the outputs to check that a change leaves every artifact
 byte-identical:
@@ -153,8 +156,9 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     for name in ("attack.csv", "attack.json"):
         digest(name, f"attack-abs/{name}")
     # overwrites the trained models, so it goes last; a failed training shows as a missing digest
-    run("train", "cache-german", GERMAN, quiet=True)
-    cache("cache-german", "cache-german")
+    for label, config in (("cache-german", GERMAN), ("cache-german-3", dict(GERMAN, seed=3))):
+        run("train", label, config, quiet=True)
+        cache(label, label)
     return lines, ok
 
 
