@@ -36,10 +36,10 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     opportunity metric).  Its input gradient is taken on the vulnerable
     rows only; the top percent-scale entries by magnitude are kept and
     rescaled to exactly budget_l2.  A zero gradient leaves X unchanged.
-    Raises ValueError for a model with other than two classes.
+    Raises ValueError for a negative or non-finite budget_l2.
     """
-    if budget_l2 < 0:
-        raise ValueError(f"budget_l2 must be nonnegative, got {budget_l2}")
+    if not 0 <= budget_l2 < np.inf:
+        raise ValueError(f"budget_l2 must be nonnegative and finite, got {budget_l2}")
     vul = vulnerable_ids(vulnerable, g.n)
     if budget_l2 == 0:
         return np.array(X, copy=True)
@@ -48,8 +48,6 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
 
     ops = model.build_ops(g)
     logits = model.forward(ops, X)
-    if logits.shape[1] != 2:
-        raise ValueError(f"attribute_attack's surrogate gradient needs 2 classes, the model has {logits.shape[1]}")
     p = _softmax(logits)
     sign = 1.0 if p[g0, 1].mean() - p[g1, 1].mean() >= 0 else -1.0
     # d surrogate / d logits: softmax jacobian row by row, two-class case

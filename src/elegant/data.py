@@ -267,8 +267,12 @@ def make_splits(g: Graph, seed: int, train_frac: float = 0.3, val_frac: float = 
     Sizes are round(frac * n) for train and validation; the pool is the
     rest.  The vulnerable set holds round(vul_frac * |pool|) pool nodes.
     Both draws run on dedicated substreams of the seed, so split identity
-    depends only on (g.n, seed, fractions).
+    depends only on (g.n, seed, fractions).  Raises DataError naming a
+    non-finite train_frac or val_frac, or fractions out of range.
     """
+    for name, frac in (("train_frac", train_frac), ("val_frac", val_frac)):
+        if not np.isfinite(frac):
+            raise DataError(f"{name} must be finite, got {frac}")
     if train_frac < 0 or val_frac < 0 or train_frac + val_frac >= 1:
         raise DataError(f"train_frac + val_frac must stay below 1, got {train_frac} + {val_frac}")
     if not 0 <= vul_frac <= 1:

@@ -1,11 +1,11 @@
-"""Numpy node classifiers: two-layer GCN and GraphSAGE-mean.
+"""Numpy binary node classifiers: two-layer GCN and GraphSAGE-mean.
 
 Backbone contract.  Certification (pipeline.PredictionCache and
 certify_sets) needs only `build_ops(g)` (the propagation operator of a
 graph) and `forward_many(ops, X, rows, deltas, out)`, which writes the
 hard classes of B perturbations of the given attribute rows into the
 (B, n) uint8 out and returns it.  `forward(ops, X)` (logits, shape
-(n, C)) scores the vanilla model for the CLI's relative threshold
+(n, 2)) scores the vanilla model for the CLI's relative threshold
 (cli.resolve_eta), and the attack harness reads it and `backbone` (a
 name) of both models.  The attacks add `input_grad(ops, X, dlogits)`,
 the gradient of sum(dlogits * logits) in X, and `forward_flips(g, X,
@@ -52,9 +52,9 @@ float32 filter that computes only what its class test reads.  A rigorous
 forward-error bound (Higham 2002, ch. 3; _TwoLayer._margin_bounds, the
 backbone's own layers run once on absolute values) proves each float32
 class equal to the float64 argmax where the node-draw's class margin
-exceeds it, and the filter computes that margin from C - 1 logit
-differences (logit c minus logit 0; one column for two classes), its
-layer-2 weights being W[:, c] - W[:, 0].  The same bound, with the
+exceeds it, and the filter computes that margin from the one logit
+difference of the two classes, logit 1 minus logit 0, its layer-2
+weights being W[:, 1] - W[:, 0].  The same bound, with the
 largest shift any draw's deltas can add, proves some hidden units
 negative at every node under every draw, so that their ReLU gives 0 in
 both precisions, and the float32 pass skips them (23 to 31 of the GCN's
@@ -313,55 +313,44 @@ def _propagate(ops, Y):
     return ops @ Y
 
 
-def _first_max(logits, out):
-    """Index of the first maximum across the same-shape arrays logits (one per class), written into the uint8 out: ndarray.argmax over a class-last stack.
+def _first_max(l0, l1, out):
+    """Index of the first maximum of the same-shape logits l0 and l1 of the two classes, written into the uint8 out: ndarray.argmax over their class-last stack.
 
-    Two classes take one comparison, l1 > l0, which is that argmax (a tie,
-    -0.0 against +0.0 included, goes to class 0) except where l1 is NaN and
-    l0 is not; a NaN anywhere in l1 makes its max NaN and sends the call,
-    like more than two classes, to the argmax itself (an empty l1 has max
-    -inf).
+    One comparison, l1 > l0, is that argmax (a tie, -0.0 against +0.0
+    included, goes to class 0) except where l1 is NaN and l0 is not; a NaN
+    anywhere in l1 makes its max NaN and sends the call to the argmax
+    itself (an empty l1 has max -inf).
     """
-    if len(logits) == 2 and not np.isnan(logits[1].max(initial=-np.inf)):
-        np.greater(logits[1], logits[0], out=out.view(bool))
+    if np.isnan(l1.max(initial=-np.inf)):
+        out[...] = np.stack([l0, l1], axis=-1).argmax(axis=-1)
     else:
-        out[...] = np.stack(logits, axis=-1).argmax(axis=-1)
+        np.greater(l1, l0, out=out.view(bool))
     return out
 
 
-def _margin(logits):
-    """Top minus runner-up across the same-shape arrays logits (one per class), in their dtype: NaN where a logit is NaN, +inf for one class."""
-    if len(logits) < 2:
-        return np.full(logits[0].shape, np.inf)
-    if len(logits) == 2:
-        return np.abs(logits[1] - logits[0])
-    top = np.sort(np.stack(logits), axis=0)  # NaN sorts last
-    return top[-1] - top[-2]
+def _margin(l0, l1):
+    """The class margin |l1 - l0| of the two classes' logits, in their dtype: NaN where a logit is NaN."""
+    return np.abs(l1 - l0)
 
 
 def _differences(w):
-    """Layer-2 weights w, (h, C) or (C,), as C - 1 columns w[..., c] - w[..., 0] for c >= 1, so the logits they give are each class's minus class 0's."""
+    """Layer-2 weights w, (h, 2) or (2,), as the one column w[..., 1] - w[..., 0], so the logit it gives is logit 1 minus logit 0."""
     return w[..., 1:] - w[..., :1]
 
 
 def _pair_columns(w):
-    """|w[..., c]| + |w[..., 0]| beside |w[..., c] - w[..., 0]|, for c >= 1: the 2 (C - 1) layer-2 columns of _margin_bounds' absolute-value model."""
+    """|w[..., 1]| + |w[..., 0]| beside |w[..., 1] - w[..., 0]|: the 2 layer-2 columns of _margin_bounds' absolute-value model."""
     return np.concatenate([np.abs(w[..., 1:]) + np.abs(w[..., :1]), np.abs(_differences(w))], axis=-1)
 
 
 def _difference_classes(m, out):
-    """Classes from logit differences m (..., C - 1), m[..., c - 1] logit c minus logit 0, written into the uint8 out; returns the margin, top minus runner-up over (0, m...), NaN where m is.
+    """Classes m > 0 from the logit differences m (..., 1), logit 1 minus logit 0, written into the uint8 out; returns the margin |m|, NaN where m is.
 
-    The class is the first maximum over (0, m...): m > 0 for two classes.
     forward_many reads a class only where the margin settles it, so a NaN
     may go to either class.
     """
-    if m.shape[-1] == 1:
-        np.greater(m[..., 0], 0.0, out=out.view(bool))
-        return np.abs(m[..., 0])
-    logits = [np.zeros(m.shape[:-1], m.dtype), *np.moveaxis(m, -1, 0)]
-    _first_max(logits, out)
-    return _margin(logits)
+    np.greater(m[..., 0], 0.0, out=out.view(bool))
+    return np.abs(m[..., 0])
 
 
 def _f32_fits(mag):
@@ -452,13 +441,13 @@ class _TwoLayer:
     dropout) and _layer2 (_head, then ops @ Y), returning (z1, h, mask,
     own, P) with h the hidden activations after dropout, so the logits
     are _logits(own, P).  Given rows, deltas (B, len(rows), d), cols =
-    ops[:, rows] as a dense array and pre, it runs on the B inputs with
-    X[rows] += deltas[b], every array gaining a leading batch axis; given
-    also a C-contiguous (B, n, h) buffer out, layer 1 runs in place there
-    (eval mode only: z1 is then overwritten by h); given tiles, the pair
-    _tiles(n), it adds b1 (none where folded) and runs the ReLU against
-    those.  forward, loss_grads and input_grad derive from _pass and
-    _backward (input_grad also from _pullback); forward_many's _chunks
+    ops[:, rows] as a dense array and pre, _hidden runs on the B inputs
+    with X[rows] += deltas[b], every array gaining a leading batch axis;
+    given also a C-contiguous (B, n, h) buffer out, layer 1 runs in place
+    there (eval mode only: z1 is then overwritten by h); given tiles, the
+    pair _tiles(n), it adds b1 (none where folded) and runs the ReLU
+    against those.  forward, loss_grads and input_grad derive from _pass
+    and _backward (input_grad also from _pullback); forward_many's _chunks
     runs the same _hidden and _head per block of draws and propagates per
     chunk; _margin_bounds runs _layer1 and _layer2 on absolute values, and
     forward_flips runs the pieces itself.
@@ -478,22 +467,25 @@ class _TwoLayer:
     weight_names: tuple
 
     def __init__(self, **weights):
+        """Raises TypeError for other weight names than weight_names, and ValueError for a b2 of other shape than (2,): backbones are binary."""
         if set(weights) != set(self.weight_names):
             raise TypeError(f"{type(self).__name__} takes weights {self.weight_names}, got {tuple(weights)}")
         for name in self.weight_names:
             setattr(self, name, np.asarray(weights[name], dtype=np.float64))
+        if self.b2.shape != (2,):
+            raise ValueError(f"{type(self).__name__} is binary: b2 must have shape (2,), got {self.b2.shape}")
         self.fallbacks = FallbackCounts()
 
     @classmethod
-    def weight_shapes(cls, d, hidden, classes) -> dict:
-        """Shape of every weight of a d -> hidden -> classes model."""
-        dims = {"1": (d, hidden), "2": (hidden, classes)}
+    def weight_shapes(cls, d, hidden) -> dict:
+        """Shape of every weight of a d -> hidden -> 2 model."""
+        dims = {"1": (d, hidden), "2": (hidden, 2)}
         return {name: dims[name[-1]][1:] if name.startswith("b") else dims[name[-1]] for name in cls.weight_names}
 
     @classmethod
-    def init(cls, rng, d, hidden, classes=2):
+    def init(cls, rng, d, hidden):
         """Glorot matrices drawn in weight_names order; zero biases."""
-        shapes = cls.weight_shapes(d, hidden, classes)
+        shapes = cls.weight_shapes(d, hidden)
         return cls(**{name: np.zeros(s) if len(s) == 1 else _glorot(rng, *s) for name, s in shapes.items()})
 
     @property
@@ -627,9 +619,9 @@ class _TwoLayer:
         u, v = pairs.T
         return 8 * (n * (5 + 3 * self.C) + 10 * (reach[u] + reach[v] + 2) + self.h * (rows[u] + rows[v]))
 
-    def _pass(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
+    def _pass(self, ops, X, dropout=0.0, rng=None, pre=None):
         """(z1, h, mask, own, P): _hidden, then _layer2; see the class docstring."""
-        z1, h, mask = self._hidden(ops, X, dropout, rng, rows, deltas, out, cols, pre, tiles)
+        z1, h, mask = self._hidden(ops, X, dropout, rng, pre=pre)
         return z1, h, mask, *self._layer2(ops, h)
 
     def _hidden(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
@@ -655,11 +647,10 @@ class _TwoLayer:
         where a node-draw's float32 class margin exceeds _margin_bounds'
         bound32, the float64 logits have the same strict maximum, so the
         float32 class is their argmax.  It computes only what that test reads:
-        - the C - 1 logit differences, logit c minus logit 0 (one column for
-          two classes): its twin's layer-2 weights and b2 are the float32
-          casts of W[:, c] - W[:, 0], formed in float64 (_differences), and
-          _difference_classes gives the class (m > 0 for two classes) and
-          the margin (|m|);
+        - the one logit difference m, logit 1 minus logit 0: its twin's
+          layer-2 weights and b2 are the float32 casts of W[:, 1] - W[:, 0],
+          formed in float64 (_differences), and _difference_classes gives
+          the class (m > 0) and the margin (|m|);
         - the hidden units keep alone, those _margin_bounds cannot prove
           negative for every node under every draw (whose ReLU gives 0 in
           float64 and float32 alike), starting from the float32 cast of
@@ -727,7 +718,7 @@ class _TwoLayer:
         for start, stop in _groups(reads, FORWARD_MANY_CHUNK_BYTES // (8 * max(kept.h, 1))):
             bb, vv = b[start:stop], v[start:stop]
             logits = kept._node_logits(ops, zk, cols, rows, deltas, bb, vv)
-            ok = _margin(list(logits.T)) > bound64[vv]
+            ok = _margin(*logits.T) > bound64[vv]
             out[bb[ok], vv[ok]] = logits[ok].argmax(axis=1)
             exact[bb[~ok]] = True
             settled += int(ok.sum())
@@ -765,13 +756,13 @@ class _TwoLayer:
         operands, _tiles(m), built once per call, with the scalar forms'
         bits (see _relu_dropout): against a broadcast (h,) row or a scalar,
         numpy's inner loop is h elements long or misses its contiguous fast
-        path.  A model of no hidden units or classes, or a call of no rows,
-        sizes its blocks and chunks as if it had one.
+        path.  A model of no hidden units, or a call of no rows, sizes its
+        blocks and chunks as if it had one.
         """
         dtype = self.b1.dtype
         B, m = deltas.shape[0], cols.shape[0]
         block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(m, 1) * max(self.h, 1)))
-        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(ops.shape[0], 1) * max(self.C, 1)))
+        chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(ops.shape[0], 1) * self.C))
         buf = np.empty((min(block, B), m, self.h), dtype)
         tiles = self._tiles(m, folded)
         written = [a is not None for a in self._head(buf[:0])]  # which of (own, Y) _head writes
@@ -790,24 +781,21 @@ class _TwoLayer:
 
         The float32 pass, the float64 pass and _node_logits all start from the
         same float64 layer-1 products pre (the float32 pass casts z, formed
-        from them), so each is measured against m, a class margin (logit c
-        minus logit c') computed in exact arithmetic from pre and the other
+        from them), so each is measured against m, the class margin logit 1
+        minus logit 0 computed in exact arithmetic from pre and the other
         inputs.  For node v, bound32[v] bounds |m32 - m| + |m64 - m| and
-        bound64[v] bounds |m64' - m| + |m64 - m|, m32 being that margin from
-        the float32 pass's logit differences (d_c - d_c', d_c logit c minus
-        logit 0, and d_0 an exact 0), m64 from the float64 pass and m64'
-        from _node_logits.  Each is the largest sum of two of (0, E[v, 1],
-        ..., E[v, C - 1]), evaluated in float64, where E[v, c] is E32, a
-        bound on the float32 difference d_c's error, plus E64, a bound on
-        the summed errors of the float64 logits c and 0 (bound64: twice
-        E64); the float64 logits c and c' err by no more than E64[v, c] +
-        E64[v, c'].  So a margin m32 above bound32 (or m64' above bound64)
-        has the sign of m64, and its top class is m64's.  keep holds the
-        hidden units the float32 pass must compute, ascending: every other
-        unit is negative at every node under every draw, exactly and in
-        float32.  z is the clean pre-activation in float64 (_clean; GCN:
-        A X W1 + b1; SAGE: pre's last entry itself), whose cast columns keep
-        the float32 pass shifts.
+        bound64[v] bounds |m64' - m| + |m64 - m|, m32 being that margin as
+        the float32 pass's one logit difference, m64 the difference of the
+        float64 pass's two logits and m64' that of _node_logits'.  bound32
+        is E32 + E64, evaluated in float64, E32 a bound on the float32
+        difference's error and E64 one on the summed errors of the float64
+        logits 1 and 0; bound64 is 2 E64.  So a margin |m32| above bound32
+        (or |m64'| above bound64) has the sign of m64, and its class is
+        m64's.  keep holds the hidden units the float32 pass must compute,
+        ascending: every other unit is negative at every node under every
+        draw, exactly and in float32.  z is the clean pre-activation in
+        float64 (_clean; GCN: A X W1 + b1; SAGE: pre's last entry itself),
+        whose cast columns keep the float32 pass shifts.
 
         The bounds follow Higham (Accuracy and Stability of Numerical
         Algorithms, 2002, ch. 3): an operation rounds with relative error
@@ -815,15 +803,15 @@ class _TwoLayer:
         of products, each carrying at most K factors (1 + delta_i), errs by
         at most gamma_K = K u / (1 - K u) times the same sum over absolute
         values.  The backbone's own layers give those sums, run on a model
-        of absolute values whose 2 (C - 1) layer-2 columns (and b2 entries)
-        are |W[:, c]| + |W[:, 0]| beside |W[:, c] - W[:, 0]|, c >= 1
-        (_pair_columns): M1, _layer1 run on |pre|, |weights|, the
-        operator's |entries|, |cols| and D, the elementwise max of |deltas|
-        over the draws, bounds |z1| of every draw (layer 1 is monotone in
-        each operand), and M, _layer2 and _logits run on M1 through the
-        sums |W[:, c]| + |W[:, 0]| over the kept units alone (see below),
-        bounds the terms of the logits c and 0 together, and so those of
-        d_c, no larger.  Counting factors per product:
+        of absolute values whose 2 layer-2 columns (and b2 entries) are
+        |W[:, 1]| + |W[:, 0]| beside |W[:, 1] - W[:, 0]| (_pair_columns):
+        M1, _layer1 run on |pre|, |weights|, the operator's |entries|,
+        |cols| and D, the elementwise max of |deltas| over the draws, bounds
+        |z1| of every draw (layer 1 is monotone in each operand), and M,
+        _layer2 and _logits run on M1 through the sum |W[:, 1]| + |W[:, 0]|
+        over the kept units alone (see below), bounds the terms of the
+        logits 1 and 0 together, and so those of their difference, no
+        larger.  Counting factors per product:
         - layer 1, K1 = d + r_u + 7 at row u, r_u <= r the nonzero entries
           of u's row of cols: a shift term takes 3 casts to float32 (cols,
           deltas and a weight), d + r_u in the nested dot products (deltas
@@ -860,8 +848,8 @@ class _TwoLayer:
         and both hidden units lie in [0, H], H = max(U + 2 e1, 0).  A unit
         with U + 2 e1 <= 0 at every node is 0 in every draw, exactly and in
         float32, so the float32 pass skips it; keep is the rest.  So E32 is
-        layer 2 on |W[:, c] - W[:, 0]| without biases run on that passed-on
-        error, plus gamma_K2 times layer 2 on those columns run on H.  The
+        layer 2 on |W[:, 1] - W[:, 0]| without biases run on that passed-on
+        error, plus gamma_K2 times layer 2 on that column run on H.  The
         float64 pass and _node_logits cast nothing and have the same
         dot-product lengths, so E64 = gamma_(K1 + K2) M, K1 = d + r + 7
         there, its largest.
@@ -883,10 +871,9 @@ class _TwoLayer:
         h) stack, and keep is read from the last.  The stack then becomes
         M1, e1 where U + 2 e1 > 0 (else 0) and H, and one _layer2 call on it
         gives M, the error term and gamma_K2's operand, through layer-2
-        weights stacked per slice: the sums on M1, the differences on the
+        weights stacked per slice: the sum on M1, the difference on the
         other two, b2's likewise (none on the error), and 0 in every dead
-        unit's rows.  For two classes the largest sum of two of (0, E[v,
-        1]) is E[v, 1] itself, and no sort runs.
+        unit's rows.
 
         Absolute term: a product or sum that underflows errs by at most
         2^-126 (float32) or 2^-1022 (float64) absolutely, flushed to zero
@@ -916,7 +903,7 @@ class _TwoLayer:
         if np.unique(rows).size < rows.size or not all(map(_f32_fits, (*apre, small, mag))):
             return None
         D = mag.max(axis=0, initial=0.0)
-        (r, d), h, n, k = D.shape, self.h, ops.shape[0], self.C - 1
+        (r, d), h, n = D.shape, self.h, ops.shape[0]
         R = np.diff(ops.indptr)
         K1 = d + r + 7
         if (K1 + h + 8 + R).max(initial=K1) * 2.0**-24 >= 0.5:
@@ -946,10 +933,10 @@ class _TwoLayer:
         live[keep] = 1.0
 
         def slices(w):
-            """Layer 2's weights per slice of the stack: the pair columns w's sums on M1 and differences on e1 and H, 0 in the dead units' rows; b2 likewise, none on e1."""
+            """Layer 2's weights per slice of the stack: the pair columns w's sum on M1 and difference on e1 and H, 0 in the dead units' rows; b2 likewise, none on e1."""
             if w.ndim == 1:
-                return np.stack([w[:k], np.zeros(k), w[k:]])[:, None]
-            return np.stack([w[:, :k], w[:, k:], w[:, k:]]) * live
+                return np.stack([w[:1], np.zeros(1), w[1:]])[:, None]
+            return np.stack([w[:, :1], w[:, 1:], w[:, 1:]]) * live
 
         kept = absm._map(np.asarray, head=slices)
         M, E, L = kept._logits(*kept._layer2(A, full))
@@ -964,13 +951,7 @@ class _TwoLayer:
         E32 = E + gamma(K2, 2.0**-24) * L + 2 * 2.0**-126 * N2
         E64 = gamma(K1 + K2, 2.0**-53) * M + 4 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
 
-        def top2(E):
-            """The largest sum of two of 0 and the entries of E[v], at every node v: class 0's difference is an exact 0 (E[v, 0] itself for two classes)."""
-            if k == 1:
-                return E[:, 0]
-            return np.sort(np.column_stack([np.zeros(n), E]), axis=1)[:, -2:].sum(axis=1)
-
-        return top2(E32 + E64), top2(2 * E64), keep, z
+        return (E32 + E64)[:, 0], 2 * E64[:, 0], keep, z
 
     def _node_logits(self, ops, z, cols, rows, deltas, b, v):
         """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], from z, layer 1's clean pre-activation (_clean), and cols = ops[:, rows] as CSR.
@@ -999,7 +980,7 @@ class _TwoLayer:
 
     def _emit(self, own, P, out):
         """Write the hard classes of the logits _logits(own, P) into the uint8 out: each class's logits from its own strided view, then _first_max."""
-        _first_max([self._logits(own, P, c) for c in range(self.C)], out)
+        _first_max(self._logits(own, P, 0), self._logits(own, P, 1), out)
 
     def _tiles(self, n, folded=False):
         """forward_many's layer-1 operands (b1 on every row, or None when folded, and zeros), each C-contiguous (n, h), in the weights' dtype."""
@@ -1290,7 +1271,7 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
     sorted anew.
     """
     rng = substream(cfg.seed, DOMAIN_TRAIN, 0)
-    model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden, classes=2)
+    model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden)
     y = labels.y
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
@@ -1357,7 +1338,8 @@ def load_model(path: str):
     """Read a save_model container.
 
     Raises DataError naming the file when it is unreadable, names an unknown
-    backbone, or holds weights whose names or shapes do not fit its meta.
+    backbone or other than 2 classes, or holds weights whose names or shapes
+    do not fit its meta.
     """
     try:
         with np.load(path, allow_pickle=False) as arch:
@@ -1368,7 +1350,9 @@ def load_model(path: str):
     cls = BACKBONES.get(meta.get("backbone"))
     if cls is None:
         raise DataError(f"{path}: unknown backbone {meta.get('backbone')!r}")
-    want = cls.weight_shapes(meta.get("d"), meta.get("hidden"), meta.get("classes"))
+    if meta.get("classes") != 2:
+        raise DataError(f"{path}: backbones are binary, but its meta says {meta.get('classes')!r} classes")
+    want = cls.weight_shapes(meta.get("d"), meta.get("hidden"))
     got = {k: v.shape for k, v in weights.items()}
     if got != want:
         raise DataError(f"{path}: weights {got} do not match its {cls.backbone} meta, which needs {want}")

@@ -126,10 +126,15 @@ class StructureMask:
 def vulnerable_ids(vulnerable, n: int | None = None) -> np.ndarray:
     """The vulnerable node ids as a sorted, duplicate-free int64 array.
 
-    Raises ValueError when there are none, or when an id is negative or,
-    given the node count n, at least n.
+    Raises ValueError when there are none, naming an id that is not an
+    integer (a fraction, NaN or inf), or when an id is negative or, given
+    the node count n, at least n.
     """
-    vul = np.unique(np.fromiter(vulnerable, dtype=np.int64))
+    ids = np.fromiter(vulnerable, dtype=np.float64)  # exact for every id below 2^53
+    fractional = ~(np.isfinite(ids) & (ids == np.trunc(ids)))
+    if fractional.any():
+        raise ValueError(f"vulnerable ids must be integers; {ids[np.argmax(fractional)]} is not one")
+    vul = np.unique(ids.astype(np.int64))
     if vul.size == 0:
         raise ValueError("vulnerable set must be nonempty")
     if vul[0] < 0 or (n is not None and vul[-1] >= n):
@@ -200,8 +205,9 @@ def apply_attribute_noise(X: np.ndarray, noise: AttributeNoise) -> np.ndarray:
     would keep only one of its rows.
     """
     out = np.array(X, dtype=np.float64, copy=True)
+    size = vulnerable_ids(noise.vulnerable, X.shape[0]).size
     idx = np.array(noise.vulnerable, dtype=np.int64)
-    if vulnerable_ids(idx, X.shape[0]).size < idx.size:
+    if size < idx.size:
         ids = np.sort(idx)
         raise ValueError(f"vulnerable id {ids[1:][ids[1:] == ids[:-1]][0]} is listed more than once")
     if noise.block.shape != (idx.size, X.shape[1]):

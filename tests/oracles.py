@@ -251,7 +251,7 @@ def train_oracle(g, X, labels, split, cfg, backbone="gcn", augment=False):
     from elegant.smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
 
     rng = substream(cfg.seed, DOMAIN_TRAIN, 0)
-    model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden, classes=2)
+    model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden)
     y = labels.y
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)

@@ -1,9 +1,10 @@
-"""Acceptance suite: the eight behavioral guarantees the package ships under.
+"""Acceptance suite: the nine behavioral guarantees the package ships under.
 
 One test per guarantee, so `pytest -v` prints one verdict line each.  Where
 a guarantee carries a time box the elapsed wall time is asserted too.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -32,9 +33,9 @@ from elegant.cli import (
 )
 from elegant.data import Graph
 from elegant.estimate import binomial_lower_bound_vec
-from elegant.gnn import GcnModel, _cross_entropy
-from elegant.pipeline import CERTIFIED, certify_and_predict, fcr_run
-from elegant.smoothing import eligible_pairs
+from elegant.gnn import GcnModel, TrainConfig, _cross_entropy, load_model, train
+from elegant.pipeline import CERTIFIED, PredictionCache, certify_and_predict, fcr_run
+from elegant.smoothing import apply_structure_mask, eligible_pairs, sample_attribute_noise, sample_structure_mask, vulnerable_ids
 from oracles import finite_difference_loss_grads, norm_cdf, np_bound_exact, region_probs_full
 
 
@@ -110,7 +111,7 @@ def test_gcn_gradients_match_finite_differences():
         X = rng.standard_normal((n, d))
         y = rng.integers(0, 2, size=n)
         idx = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
-        model = GcnModel.init(rng, d=d, hidden=h, classes=2)
+        model = GcnModel.init(rng, d=d, hidden=h)
         ops = model.build_ops(g)
         _, grads = model.loss_grads(ops, X, y, idx)
         # the loss's gradient in X: input_grad of its logit gradient
@@ -196,6 +197,35 @@ def test_reference_pipeline_certifies_benchmark_fixture(german_run):
     assert fcr["mean_bias"] <= metrics["vanilla"]["delta_sp"]
     assert abs(fcr["mean_accuracy"] - metrics["vanilla"]["accuracy"]) <= 0.05
     assert german_run["fcr_seconds"] <= 600.0
+
+
+def _assert_cache_classes_are_the_float64_paths(model, cfg, masks=3):
+    """The classes PredictionCache.build writes for the first masks equal model._exact's, the float64 path, on each mask's inputs; both classes occur."""
+    g, X, _, split = load_world(cfg)
+    scfg = dataclasses.replace(smoothing_config(cfg), n_outer=masks)
+    cache = PredictionCache.build(model, g, X, split.vulnerable, scfg).classes
+    rows = vulnerable_ids(split.vulnerable, g.n)
+    vul = tuple(rows.tolist())
+    pairs = eligible_pairs(g.n, vul)
+    for o in range(masks):
+        # mask o's inputs, as PredictionCache.build draws them
+        ops = model.build_ops(apply_structure_mask(g, sample_structure_mask(scfg, g, vul, stream_id=o, pairs=pairs)))
+        deltas = sample_attribute_noise(scfg, vul, X.shape[1], o * scfg.n_inner, count=scfg.n_inner).block
+        want = model._exact(ops, rows, deltas, model._pre(ops, X), ops[:, rows].toarray(), np.empty((scfg.n_inner, g.n), np.uint8))
+        np.testing.assert_array_equal(cache[o], want)
+    assert 0 < cache.mean() < 1
+
+
+def test_trained_models_cache_classes_equal_the_float64_path(german_run):
+    # the float32 filter decides every cache class; here against an independent float64 pass of trained
+    # models: the GCN the CLI trains on sbm-german, and a noise-augmented SAGE trained on sbm-small
+    args = make_parser().parse_args(["fcr", "--out", german_run["out"], "--seed", "0"])
+    cfg = build_config(None, args)
+    _assert_cache_classes_are_the_float64_paths(load_model(os.path.join(german_run["out"], "model_noise.bin")), cfg)
+    cfg["dataset"]["fixture"] = "sbm-small"
+    g, X, labels, split = load_world(cfg)
+    sage = train(g, X, labels, split, TrainConfig(seed=0, **cfg["train"]), backbone="sage", augment=True)
+    _assert_cache_classes_are_the_float64_paths(sage, cfg)
 
 
 @settings(max_examples=150, deadline=None)

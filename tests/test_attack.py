@@ -113,12 +113,13 @@ def test_attribute_attack_validation():
         attribute_attack(model, g, X, labels, (), 1.0)
 
 
-def test_attribute_attack_rejects_a_three_class_model():
-    # its two-class softmax Jacobian would silently give a wrong gradient
+@pytest.mark.parametrize("budget", [np.nan, np.inf])
+def test_attribute_attack_rejects_a_non_finite_budget(budget):
+    # either would otherwise fill the vulnerable rows with NaN or inf
     g, X, labels, split = _world()
-    model = BACKBONES["gcn"].init(np.random.default_rng(3), d=X.shape[1], hidden=4, classes=3)
-    with pytest.raises(ValueError, match="the model has 3"):
-        attribute_attack(model, g, X, labels, split.vulnerable, 1.0)
+    model = BACKBONES["gcn"].init(np.random.default_rng(3), d=X.shape[1], hidden=4)
+    with pytest.raises(ValueError, match=f"budget_l2 must be nonnegative and finite, got {budget}"):
+        attribute_attack(model, g, X, labels, split.vulnerable, budget)
 
 
 @pytest.mark.parametrize("bad", [-1, 24])

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -90,6 +91,24 @@ def test_fcr_certifies_the_bundled_graph(workdir):
         fcr = json.load(fh)
     assert fcr["fcr"] == 1.0
     assert fcr["mean_eps_A"] >= 1.0
+
+
+def test_fcr_seeds_report_each_seed_and_their_spread(workdir, tmp_path):
+    # a run directory of its own, so the shared fcr.json the tests above read stays as it is
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("model.bin", "model_noise.bin"):
+        shutil.copy(os.path.join(workdir["out"], name), out / name)
+    # at sigma 1.0 seed 2 certifies 2 of the 3 sets and seed 0 all 3, so the entries are not one run repeated
+    smoothing = {"n_outer": 60, "n_inner": 40, "sigma": 1.0}
+    cfg = _write_config(tmp_path / "config.json", {"smoothing": smoothing, "fcr": {"ratio": 0.5, "count": 3, "seeds": [2, 0]}})
+    assert main(["fcr", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    with open(out / "fcr.json") as fh:
+        fcr = json.load(fh)
+    per_seed = fcr["fcr_per_seed"]
+    assert len(per_seed) == 2 and per_seed[0] != per_seed[1]
+    assert per_seed[1] == fcr["fcr"]  # seed 0 is the config's own
+    assert fcr["fcr_std_across_seeds"] == pytest.approx(np.std(per_seed), abs=1e-9)
 
 
 def test_sweep_csv_columns_nonincreasing(workdir):

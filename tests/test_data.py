@@ -236,6 +236,10 @@ def test_make_splits_rejects_bad_fractions():
         make_splits(g, seed=0, train_frac=-0.1, val_frac=0.5)
     with pytest.raises(DataError):
         make_splits(g, seed=0, vul_frac=1.5)
+    # NaN passes every comparison of the range check, and would fail inside round()
+    for name in ("train_frac", "val_frac"):
+        with pytest.raises(DataError, match=f"{name} must be finite, got nan"):
+            make_splits(g, seed=0, **{name: float("nan")})
 
 
 def test_sample_test_sets_draws_from_pool():

@@ -133,6 +133,9 @@ _BAD_VULNERABLE = {
     "empty": ((), "vulnerable set must be nonempty"),
     "negative": ((-1, 0), "vulnerable ids out of range"),
     "past n": ((0, _N), "vulnerable ids out of range"),  # needs n, which sample_attribute_noise lacks
+    "fraction": ((1.5, 2.7, 3.0), "vulnerable ids must be integers; 1.5 is not one"),  # not truncated to nodes 1 and 2
+    "nan": ((0, np.nan), "vulnerable ids must be integers; nan is not one"),
+    "inf": ((np.inf,), "vulnerable ids must be integers; inf is not one"),
 }
 
 
