@@ -7,7 +7,7 @@ u * n + v.  `Graph.edges` derives a frozenset of (u, v) tuples on demand
 for callers that want set semantics.  Attribute matrices are plain float64
 numpy arrays of shape (n, d).  Edge files may list each pair in both
 directions (the common export format for directed adjacency dumps);
-loading deduplicates them.
+loading collapses each such pair into one edge without a warning.
 """
 
 from __future__ import annotations
@@ -179,8 +179,10 @@ def load_dataset(edge_file: str, attribute_file: str, label_file: str):
     label_file: CSV rows node_id,label,sensitive (optional header); node ids
     must be exactly 0..n-1.  attribute_file: CSV with n rows of d finite
     floats (optional header); nan or inf raises.  edge_file: one pair per
-    line, whitespace or comma separated; self loops and duplicate pairs are
-    dropped with a logged count, out-of-range endpoints raise.
+    line, whitespace or comma separated; self loops and repeated listings
+    of a pair are dropped with a warning that counts them, a pair listed
+    as both u v and v u is one undirected edge (logged at DEBUG), and
+    out-of-range endpoints raise.
 
     Returns (Graph, X, NodeLabels) with X float64 of shape (n, d).
     """
@@ -239,13 +241,16 @@ def load_dataset(edge_file: str, attribute_file: str, label_file: str):
             if u == v:
                 dropped_loops += 1
                 continue
-            pairs.append((u, v) if u < v else (v, u))
-    edges = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
-    dropped_dupes = len(pairs) - edges.shape[0]
+            pairs.append((u, v))
+    listed = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+    edges = np.unique(np.sort(listed, axis=1), axis=0)
+    repeated, mirrored = len(pairs) - len(listed), len(listed) - len(edges)
     if dropped_loops:
         logger.warning("%s: dropped %d self loops", edge_file, dropped_loops)
-    if dropped_dupes:
-        logger.warning("%s: dropped %d duplicate pairs (directed listings collapse)", edge_file, dropped_dupes)
+    if repeated:
+        logger.warning("%s: dropped %d repeated listings of a pair", edge_file, repeated)
+    if mirrored:
+        logger.debug("%s: %d pairs listed in both directions, each one undirected edge", edge_file, mirrored)
     return Graph(n, edges), X, labels
 
 

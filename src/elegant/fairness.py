@@ -8,11 +8,13 @@ and its population picked, for the metrics here, the certification
 pipeline and both attacks: it marks them over a whole batch of sets at
 once, and metric_groups returns one set's groups.  One kernel compares
 their class-1 rates, one side at a time: rate_gaps counts each side's
-groups against the class-1 hits of that side's nodes only, hits that
-class1_hits gathers once for many group pairs, as the pipeline does for
-a whole batch of test sets; group_gaps prices one group pair on many
-rows at once, as the greedy attack does for a step's whole candidate
-pool and bias_value for one prediction.  A metric is
+groups, a membership matrix group_members builds once, against the
+class-1 hits of that side's nodes only, hits that class1_hits gathers
+once for many group pairs.  The pipeline pairs one membership build per
+chunk of test sets with one gather per outer sample of the cache;
+group_gaps prices one group pair on many rows at once, as the greedy
+attack does for a step's whole candidate pool and bias_value for one
+prediction.  A metric is
 undefined when one of its groups is empty; callers decide how to treat
 that (the certification pipeline forces such draws' indicator votes to 0
 and logs them).
@@ -114,35 +116,43 @@ def class1_hits(classes: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return (classes[..., nodes] == 1).astype(np.float32).reshape(math.prod(classes.shape[:-1]), nodes.size)
 
 
-def rate_gaps(k: int, side0: tuple, side1: tuple) -> np.ndarray:
+def group_members(k: int, group: np.ndarray, col: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """k groups over width hits columns: their (k, width) float32 membership matrix and (k,) float64 sizes.
+
+    Entry e puts column col[e] into group group[e]; a column listed twice
+    in a group counts twice, as in a mean.  The membership depends only on
+    the groups, so one build serves every hits block over the same columns.
+    """
+    member = np.bincount(group * width + col, minlength=k * width).astype(np.float32).reshape(k, width)
+    return member, np.bincount(group, minlength=k).astype(np.float64)
+
+
+def rate_gaps(side0: tuple, side1: tuple) -> np.ndarray:
     """|class-1 rate on g0 - class-1 rate on g1| per hits row, for each of k group pairs.
 
-    Each side is (hits, pair, col), for the pairs' g0 groups and then for
-    their g1 groups: hits is a (rows, width) block of class1_hits columns,
-    and entry e of the side puts hits column col[e] into the group of pair
-    pair[e].  A side's product spans only its own block, so when each block
-    holds only its side's nodes, no product multiplies the other side's
-    columns.  Returns (k, rows); a pair with an empty group has NaN gaps.
+    Each side is (hits, member, sizes), for the pairs' g0 groups and then
+    for their g1 groups: hits is a (rows, width) block of class1_hits
+    columns and (member, sizes) the side's group_members over those
+    columns.  A side's product spans only its own block, so when each
+    block holds only its side's nodes, no product multiplies the other
+    side's columns.  Returns (k, rows); a pair with an empty group has NaN
+    gaps.
     """
     with np.errstate(invalid="ignore"):  # an empty group's rate is 0 / 0
-        gap = _rates(k, *side0) - _rates(k, *side1)
+        gap = _rates(*side0)
+        gap -= _rates(*side1)
     return np.abs(gap, out=gap)
 
 
-def _rates(k: int, hits: np.ndarray, pair: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """The group-rate kernel: each of k groups' class-1 rate per hits row.
+def _rates(hits: np.ndarray, member: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The group-rate kernel: each group's class-1 rate per hits row.
 
-    The (k, width) membership matrix times hits.T gives each group's
-    class-1 count.  The counts are exact, since float32 holds every
-    integer up to 2^24, so they do not depend on which other nodes hits
-    covers, and count / size in float64 is bit for bit numpy's mean of the
-    gathered bool array.
+    member @ hits.T gives each group's class-1 count.  The counts are
+    exact, since float32 holds every integer up to 2^24, so they do not
+    depend on which other nodes hits covers, and count / size in float64
+    is bit for bit numpy's mean of the gathered bool array.
     """
-    width = hits.shape[1]
-    # one row per group; a node listed twice counts twice, as in a mean
-    member = np.bincount(pair * width + col, minlength=k * width).astype(np.float32).reshape(k, width)
-    sizes = np.bincount(pair, minlength=k)
-    return (member @ hits.T) / sizes[:, None].astype(np.float64)
+    return (member @ hits.T) / sizes[:, None]
 
 
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
@@ -174,5 +184,5 @@ def group_gaps(classes: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarra
     rows costs one gather and one count product per side.
     """
     hits = class1_hits(classes, np.concatenate((g0, g1)))
-    sides = [(block, np.zeros(block.shape[1], dtype=np.int64), np.arange(block.shape[1])) for block in (hits[:, : g0.size], hits[:, g0.size :])]
-    return rate_gaps(1, *sides)[0]
+    sides = [(block, *group_members(1, np.zeros(g.size, dtype=np.int64), np.arange(g.size), g.size)) for block, g in ((hits[:, : g0.size], g0), (hits[:, g0.size :], g1))]
+    return rate_gaps(*sides)[0]

@@ -11,8 +11,9 @@ structure budget from the region-table search and an attribute budget
 equal to the smallest certified inner radius.  The returned prediction is
 the class vector of the sampled output with the smallest observed bias
 among the indicator-fair draws of inner-certified samples, ties resolved
-by stream id; it is picked by one masked argmin over the (n_outer,
-n_inner) bias matrix.
+by stream id.  select_fair_output picks it by one masked argmin over the
+(n_outer, n_inner) bias matrix; certify_sets, which never holds that
+matrix, makes the same pick one outer sample at a time.
 
 All certification effort happens on a prediction cache of shape
 (n_outer, n_inner, n): hard classes of the model under every noise pair.
@@ -31,18 +32,20 @@ the (count, size) matrix sample_test_sets draws; certify_and_predict is
 certify_sets on one set.  Any batch of sets, a matrix or a sequence of
 sets of unequal sizes, becomes one flat layout: every set's sorted nodes
 in one array, with per-set offsets.  Validation, the metric groups
-(fairness.metric_sides), the membership scatter and accuracy are array
-operations over that layout.  Per call it gathers the cache's class-1 hits
-once (fairness.class1_hits), one column block per sensitive side holding
-that side's group nodes, and tabulates the Clopper-Pearson bound of every
-count a vote can take, with the inner radii; a vote count has only
-n_inner + 1 (outer: n_outer + 1) values.  The sets then go in chunks: one
-fairness.rate_gaps call, one count product per side, gives a chunk's
-(k, n_outer, n_inner) bias from exact group counts, the tables its
-(k, n_outer) evidence by lookup, and array operations its outcomes,
-attribute budgets and selections (one select_fair_output call over the
-chunk's certified sets); only the reports themselves are built one set at
-a time.
+(fairness.metric_sides), their membership matrices (fairness.group_members,
+built once per chunk of sets) and accuracy are array operations over that
+layout.  Per call it tabulates the Clopper-Pearson bound of every count a
+vote can take, with the inner radii; a vote count has only n_inner + 1
+(outer: n_outer + 1) values.  It then walks the cache one outer sample at
+a time.  One fairness.class1_hits gather takes that sample's n_inner draws
+on the sets' group nodes, one column block per sensitive side, and per
+chunk of sets one fairness.rate_gaps call, one count product per side,
+gives the chunk's (k, n_inner) bias from exact group counts.  The sample's
+indicator counts fill its column of a (count, n_outer) table, and its
+eligible draws are folded into each set's running selection, so no array
+spans every draw of the cache.  From that table the vote tables give the
+evidence by lookup, and array operations the outcomes, attribute budgets
+and accuracies; only the reports themselves are built one set at a time.
 
 A report's records is that evidence for its set: a read-only numpy record
 array with one row per outer sample, in stream order, and the fields n1
@@ -71,7 +74,7 @@ import numpy as np
 from .certify import CertifiedBudgets, attribute_radius, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound_vec
-from .fairness import BiasThreshold, class1_hits, metric_sides, rate_gaps
+from .fairness import BiasThreshold, class1_hits, group_members, metric_sides, rate_gaps
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -87,8 +90,9 @@ logger = logging.getLogger(__name__)
 CERTIFIED = "CERTIFIED"
 ABSTAIN = "ABSTAIN"
 
-# certify_sets handles its sets in chunks whose float64 group rates (two per
-# set and draw) take this many bytes: about 43 sets on a 20 x 150 cache
+# certify_sets handles its sets in chunks whose float64 group rates in one
+# outer sample (two per set and inner draw) take this many bytes: 873 sets
+# at n_inner 150
 CERTIFY_CHUNK_BYTES = 2 * 2**20
 
 # how every certificate is computed; each report adds its noise_domain_size
@@ -279,7 +283,11 @@ def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarr
     minimum is the smallest stream id o * n_inner + i, so ties resolve to
     it.  A 2-D call returns (classes[o, i].copy(), float(bias[o, i])), a
     call with set axes the (*sets, n) classes and (*sets,) biases.  Raises
-    ValueError when a set has no eligible draw.
+    ValueError when a set has no eligible draw.  This is the selection rule
+    over the whole bias matrix; certify_sets folds the same rule over the
+    outer samples one at a time (a masked argmin over a sample's draws, kept
+    only when strictly below the earlier samples' best), and a test holds
+    the two to the same picks.
     """
     flat = np.where(eligible, bias, np.inf).reshape(*bias.shape[:-2], -1)
     if not eligible.any(axis=(-2, -1)).all():
@@ -374,16 +382,24 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     is built.
 
     The sets become one flat layout, every set's sorted nodes in one
-    array, and the work that does not depend on the set is done once per
-    call on it: validation, the metric groups, the class-1 hits of every
-    draw on each sensitive side's union of group nodes, the
-    Clopper-Pearson bound of every possible inner count 0..n_inner and
-    outer count 0..n_outer, the inner radii, and one structure budget per
-    distinct outer bound.  The sets are then certified in chunks of
-    CERTIFY_CHUNK_BYTES worth of group rates: one rate_gaps product per
-    sensitive side gives the chunk's (k, n_outer, n_inner) bias, table
-    lookups its evidence, and array operations its outcomes, attribute
-    budgets, selections and accuracies.
+    array, and the work that does not depend on the draws is done once per
+    call on it: validation, the metric groups, each chunk's group
+    memberships, the Clopper-Pearson bound of every possible inner count
+    0..n_inner and outer count 0..n_outer, the inner radii, and one
+    structure budget per distinct outer bound.  The cache is then read one
+    outer sample o at a time: one class1_hits gather of its n_inner draws
+    on each sensitive side's union of group nodes, and for each chunk of
+    sets (CERTIFY_CHUNK_BYTES worth of the sample's group rates, 16 *
+    n_inner bytes a set) one rate_gaps product per side, the indicator
+    bias < eta, the chunk's n1 column and a running first minimum over the
+    eligible draws (indicator-fair in an inner-certified sample).  A
+    sample's minimum replaces a set's selection only when strictly
+    smaller, which keeps the tie-break: smallest bias, then smallest stream
+    id o * n_inner + i.  Outcomes, budgets, abstain reasons, records and
+    accuracies then come from the (count, n_outer) n1 table.  Beyond the
+    layout, that table, the memberships (4 bytes per set and group column)
+    and the reports, the working memory is one sample's hits and one
+    chunk's rates, whatever the number of sets.
     """
     vul = tuple(vulnerable_ids(split.vulnerable, g.n).tolist())
     flat, seg, offsets = _flat_sets(test_sets, split.test_pool, vul, g.n)
@@ -399,9 +415,8 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     group_sizes = [np.bincount(sets, minlength=count) for sets, _, _ in sides]
     for j in np.flatnonzero((group_sizes[0] == 0) | (group_sizes[1] == 0)):
         logger.warning("bias metric undefined on test set %d; all its indicators forced to 0", j)
-    hits = class1_hits(cache.classes, np.concatenate([nodes for _, nodes, _ in sides]))
+    columns = np.concatenate([nodes for _, nodes, _ in sides])
     width = sides[0][1].size
-    blocks = hits[:, :width], hits[:, width:]
 
     # every count a vote can take: inner n1 in 0..n_inner, outer n_pos in 0..n_outer
     n1s = np.arange(cfg.n_inner + 1)
@@ -414,81 +429,95 @@ def certify_sets(model, g: Graph, X, labels, split, test_sets, cfg: SmoothingCon
     outer_low = binomial_lower_bound_vec(n_poss, cfg.n_outer - n_poss, cfg.alpha)
     eps_a = {}  # structure budget per certified outer count
 
-    domain = domain_size(g.n, len(vul))
-    y = np.asarray(labels.y)
-    members, bounds = flat.tolist(), offsets.tolist()
-    chunk = max(1, CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner))
-    reports = []
+    # the sets in chunks of CERTIFY_CHUNK_BYTES worth of one sample's group rates, each side's membership built once
+    chunk = max(1, CERTIFY_CHUNK_BYTES // (16 * cfg.n_inner))
+    chunks = []
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        k = stop - start
-        chunk_sides = []
-        for block, (sets, _, col) in zip(blocks, sides):
+        groups = []
+        for sets, nodes, col in sides:
             lo, hi = np.searchsorted(sets, (start, stop))
-            chunk_sides.append((block, sets[lo:hi] - start, col[lo:hi]))
-        # an undefined set's bias is NaN, which compares False: its indicators are 0
-        bias = rate_gaps(k, *chunk_sides).reshape(k, cfg.n_outer, cfg.n_inner)
-        indicator = bias < eta.eta
+            groups.append(group_members(stop - start, sets[lo:hi] - start, col[lo:hi], nodes.size))
+        chunks.append((start, stop, groups))
+    n1 = np.empty((count, cfg.n_outer), dtype=np.int64)
+    best = np.full(count, np.inf)  # each set's smallest eligible bias so far
+    draw = np.zeros(count, dtype=np.int64)  # and its stream id
+    for o in range(cfg.n_outer):
+        hits = class1_hits(cache.classes[o], columns)
+        blocks = hits[:, :width], hits[:, width:]
+        for start, stop, groups in chunks:
+            # an undefined set's bias is NaN, which compares False: its indicators are 0
+            bias = rate_gaps(*((block, *members) for block, members in zip(blocks, groups)))
+            indicator = bias < eta.eta
+            votes = np.count_nonzero(indicator, axis=1)
+            n1[start:stop, o] = votes
+            # eligible draws are indicator-fair in an inner-certified sample; the first minimum is the smallest stream id
+            bias[~(indicator & inner_certified[votes][:, None])] = np.inf
+            i = bias.argmin(axis=1)
+            low = bias[np.arange(stop - start), i]
+            # strict, so a tie keeps the earlier sample's draw
+            better = low < best[start:stop]
+            best[start:stop][better] = low[better]
+            draw[start:stop][better] = o * cfg.n_inner + i[better]
 
-        n1 = indicator.sum(axis=2)
-        cert_pos, decided = inner_certified[n1], inner_decided[n1]
-        n_pos = cert_pos.sum(axis=1)
-        undecided = ~decided.all(axis=1) if cfg.strict else np.zeros(k, dtype=bool)
-        certified = ~undecided & (outer_low[n_pos] > 0.5)
-        eps_x = np.where(cert_pos, inner_radius[n1], np.inf).min(axis=1)
-        if certified.any():
-            picked, picked_bias = select_fair_output(cache.classes, bias[certified], indicator[certified] & cert_pos[certified][:, :, None])
-            # accuracy: one gather of the certified sets' nodes in their picked predictions
-            lo, hi = offsets[start], offsets[stop]
-            sets = seg[lo:hi] - start
-            take = certified[sets]
-            nodes, sets = flat[lo:hi][take], sets[take]
-            correct = picked[(np.cumsum(certified) - 1)[sets], nodes] == y[nodes]
-            accuracy = np.bincount(sets[correct], minlength=k) / np.diff(offsets[start : stop + 1])
-        # a plain structured array: its rows index without recarray.__getitem__ (about 9 us a row)
-        records = np.rec.fromarrays(
-            [n1, inner_low[n1], cert_pos, decided, inner_radius[n1]],
-            names="n1,inner_lower_bound,inner_certified,decided,attribute_radius",
-        ).view(np.ndarray)
-        records.flags.writeable = False
+    cert_pos, decided = inner_certified[n1], inner_decided[n1]
+    n_pos = cert_pos.sum(axis=1)
+    undecided = ~decided.all(axis=1) if cfg.strict else np.zeros(count, dtype=bool)
+    certified = ~undecided & (outer_low[n_pos] > 0.5)
+    eps_x = np.where(cert_pos, inner_radius[n1], np.inf).min(axis=1)
+    if certified.any():
+        picked = cache.classes.reshape(-1, g.n)[draw[certified]]
+        # accuracy: one gather of the certified sets' nodes in their picked predictions
+        take = certified[seg]
+        nodes, sets = flat[take], seg[take]
+        correct = picked[(np.cumsum(certified) - 1)[sets], nodes] == np.asarray(labels.y)[nodes]
+        accuracy = np.bincount(sets[correct], minlength=count) / np.diff(offsets)
+    # a plain structured array: its rows index without recarray.__getitem__ (about 9 us a row)
+    records = np.rec.fromarrays(
+        [n1, inner_low[n1], cert_pos, decided, inner_radius[n1]],
+        names="n1,inner_lower_bound,inner_certified,decided,attribute_radius",
+    ).view(np.ndarray)
+    records.flags.writeable = False
 
-        c = 0
-        for j in range(k):
-            positive = int(n_pos[j])
-            low = float(outer_low[positive])
-            reason = budgets = prediction = sel_bias = acc = None
-            if undecided[j]:
-                first = int(np.argmin(decided[j]))
-                n1_first = int(n1[j, first])
-                reason = f"undecided inner vote at outer sample {first} (n1={n1_first}, n0={cfg.n_inner - n1_first})"
-            elif not certified[j]:
-                reason = f"outer fair-vote bound {low:.6f} <= 1/2 ({positive}/{cfg.n_outer} positive)"
-            if reason is None:
-                if positive not in eps_a:
-                    eps_a[positive] = structure_budget(low, cfg.beta, cfg.k_max)
-                budgets = CertifiedBudgets(eps_A=eps_a[positive], eps_X=float(eps_x[j]))
-                prediction, sel_bias, acc = picked[c], float(picked_bias[c]), float(accuracy[j])
-                c += 1
-            else:
-                logger.info("certification abstains: %s", reason)
-            reports.append(
-                CertificationReport(
-                    outcome=CERTIFIED if reason is None else ABSTAIN,
-                    budgets=budgets,
-                    selected_prediction=prediction,
-                    selected_bias=sel_bias,
-                    accuracy=acc,
-                    eta=eta,
-                    n_outer_positive=positive,
-                    outer_lower_bound=low,
-                    prop1_bound=prop1_bound(positive),
-                    records=records[j].view(np.recarray),
-                    config=cfg,
-                    conventions={**CONVENTIONS, "noise_domain_size": domain},
-                    test_set=tuple(members[bounds[start + j] : bounds[start + j + 1]]),
-                    abstain_reason=reason,
-                )
+    domain = domain_size(g.n, len(vul))
+    members, bounds = flat.tolist(), offsets.tolist()
+    reports, c = [], 0
+    for j in range(count):
+        positive = int(n_pos[j])
+        low = float(outer_low[positive])
+        reason = budgets = prediction = sel_bias = acc = None
+        if undecided[j]:
+            first = int(np.argmin(decided[j]))
+            n1_first = int(n1[j, first])
+            reason = f"undecided inner vote at outer sample {first} (n1={n1_first}, n0={cfg.n_inner - n1_first})"
+        elif not certified[j]:
+            reason = f"outer fair-vote bound {low:.6f} <= 1/2 ({positive}/{cfg.n_outer} positive)"
+        if reason is None:
+            if positive not in eps_a:
+                eps_a[positive] = structure_budget(low, cfg.beta, cfg.k_max)
+            budgets = CertifiedBudgets(eps_A=eps_a[positive], eps_X=float(eps_x[j]))
+            prediction, sel_bias, acc = picked[c], float(best[j]), float(accuracy[j])
+            c += 1
+        else:
+            logger.info("certification abstains: %s", reason)
+        reports.append(
+            CertificationReport(
+                outcome=CERTIFIED if reason is None else ABSTAIN,
+                budgets=budgets,
+                selected_prediction=prediction,
+                selected_bias=sel_bias,
+                accuracy=acc,
+                eta=eta,
+                n_outer_positive=positive,
+                outer_lower_bound=low,
+                prop1_bound=prop1_bound(positive),
+                records=records[j].view(np.recarray),
+                config=cfg,
+                conventions={**CONVENTIONS, "noise_domain_size": domain},
+                test_set=tuple(members[bounds[j] : bounds[j + 1]]),
+                abstain_reason=reason,
             )
+        )
     return tuple(reports)
 
 

@@ -1,5 +1,6 @@
 """Containers, the three-file loader, splits, and test-set sampling."""
 
+import logging
 import os
 import tempfile
 
@@ -144,6 +145,25 @@ def test_loader_reads_whitespace_edges_no_headers(tmp_path):
     g, X, lab = load_dataset(edges, attrs, labels)
     assert g.edges == frozenset({(0, 1)})
     assert X.shape == (2, 2)
+
+
+def test_loader_collapses_mirrored_listings_without_a_warning(caplog):
+    root = bundled_fixture_dir("sbm200")
+    # sbm200 lists every edge in both directions
+    with caplog.at_level(logging.DEBUG, logger="elegant.data"):
+        g, _, _ = load_dataset(*(os.path.join(root, name) for name in ("edges.txt", "features.csv", "labels.csv")))
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert caplog.records[0].getMessage().endswith(f"edges.txt: {len(g.edge_array())} pairs listed in both directions, each one undirected edge")
+
+
+def test_loader_warns_of_repeated_listings_and_self_loops(tmp_path, caplog):
+    edges = _write(tmp_path, "e.txt", "1 2\n0 1\n1 2\n2 1\n1 2\n0 0\n")
+    attrs = _write(tmp_path, "x.csv", "1.0\n2.0\n3.0\n")
+    labels = _write(tmp_path, "y.csv", "0,0,0\n1,1,1\n2,0,1\n")
+    with caplog.at_level(logging.WARNING, logger="elegant.data"):
+        g, _, _ = load_dataset(edges, attrs, labels)
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert [r.getMessage() for r in caplog.records] == [f"{edges}: dropped 1 self loops", f"{edges}: dropped 2 repeated listings of a pair"]
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from elegant.fairness import (
     bias_value,
     class1_hits,
     group_gaps,
+    group_members,
     metric_groups,
     rate_gaps,
 )
@@ -36,8 +37,8 @@ def _pair_gaps(classes, pairs):
     listed = [np.concatenate(groups) for groups in sides]
     hits = class1_hits(classes, np.concatenate(listed))
     blocks = hits[:, : listed[0].size], hits[:, listed[0].size :]
-    args = [(block, np.repeat(np.arange(k), [g.size for g in groups]), np.arange(block.shape[1])) for block, groups in zip(blocks, sides)]
-    return rate_gaps(k, *args).reshape(k, *classes.shape[:-1])
+    args = [(block, *group_members(k, np.repeat(np.arange(k), [g.size for g in groups]), np.arange(block.shape[1]), block.shape[1])) for block, groups in zip(blocks, sides)]
+    return rate_gaps(*args).reshape(k, *classes.shape[:-1])
 
 
 def test_delta_sp_hand_case():
@@ -128,8 +129,8 @@ def test_positive_rate_gap_equals_the_gather_mean_oracle(case):
         assert gap.tobytes() == np.asarray(positive_rate_gap_oracle(classes, pair)).tobytes()
     # hits gathered on every node, a superset of either side's nodes, give the same bits
     hits = class1_hits(classes, np.arange(classes.shape[-1]))
-    sides = [(hits, np.repeat(np.arange(len(pairs)), [g.size for g in groups]), np.concatenate(groups)) for groups in zip(*pairs)]
-    assert rate_gaps(len(pairs), *sides).tobytes() == gaps.tobytes()
+    sides = [(hits, *group_members(len(pairs), np.repeat(np.arange(len(pairs)), [g.size for g in groups]), np.concatenate(groups), hits.shape[1])) for groups in zip(*pairs)]
+    assert rate_gaps(*sides).tobytes() == gaps.tobytes()
 
 
 def test_accuracy():

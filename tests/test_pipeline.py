@@ -523,7 +523,7 @@ def test_fcr_run_logs_the_exact_certified_count(monkeypatch, caplog):
 
 def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
     # three sets per chunk; set 4, mid-chunk, holds only s = 0 nodes, so its metric is undefined
-    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * 12 * 6)
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * 6)
     outcomes = []
     for seed in range(6):
         g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, vul=(0,))
@@ -563,7 +563,7 @@ def test_fcr_run_equals_per_set_certification(monkeypatch, caplog):
 @pytest.mark.parametrize("per_chunk", [1, 2, 3])
 def test_certify_sets_equals_the_scalar_oracle(monkeypatch, per_chunk, strict):
     # sets of 2 to 8 nodes; set 4, mid-chunk, holds only s = 0 nodes, so its metric is undefined
-    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 12 * 6)
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 6)
     seen = dict.fromkeys(["CERTIFIED", "undecided", "outer", "tied"], 0)
     for seed, eta in itertools.product(range(12), (0.3, 0.6)):
         g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, eta=eta, vul=(0,))
@@ -591,6 +591,42 @@ def test_certify_sets_equals_the_scalar_oracle(monkeypatch, per_chunk, strict):
     assert (seen["undecided"] >= 10) == strict, seen
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("metric", ["sp", "eo"])
+def test_certify_sets_selects_as_the_full_bias_matrix_does(monkeypatch, metric, strict):
+    # three sets per chunk, so chunk boundaries fall inside the seven sets
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * 6)
+    seen = dict.fromkeys(["CERTIFIED", "tied across samples", "undefined"], 0)
+    for seed, eta in itertools.product(range(12), (0.3, 0.6, 0.9)):
+        g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, eta=eta, vul=(0,))
+        # label-1 nodes are 0, 1, 2, 3, 6 and 7, with both s values among them
+        labels = NodeLabels(y=np.array([1, 1, 1, 1, 0, 0, 1, 1]), s=labels.s)
+        cfg = replace(cfg, metric=metric, strict=strict)
+        rng = np.random.default_rng([seed, 3])
+        sets = [(0, *sorted(rng.choice(np.arange(1, 8), size=rng.integers(1, 8), replace=False).tolist())) for _ in range(7)]
+        # mid-chunk; every node, and every label-1 node, of it has s = 0, so both metrics are undefined
+        sets[4] = (0, 2, 4, 6)
+        for ts, rep in zip(sets, certify_sets(None, g, X, labels, split, sets, cfg, cache=cache, eta=eta)):
+            try:
+                groups = metric_groups(np.array(ts), labels, metric)
+            except UndefinedMetricError:
+                seen["undefined"] += 1
+                assert rep.outcome == ABSTAIN and rep.records.n1.tolist() == [0] * cfg.n_outer
+                continue
+            bias = oracles.positive_rate_gap_oracle(cache.classes, groups)
+            indicator = bias < eta.eta
+            assert rep.records.n1.tolist() == indicator.sum(axis=1).tolist()
+            if rep.outcome != CERTIFIED:
+                assert rep.selected_prediction is None and rep.selected_bias is None
+                continue
+            seen["CERTIFIED"] += 1
+            eligible = indicator & rep.records.inner_certified[:, None]
+            prediction, selected = select_fair_output(cache.classes, bias, eligible)
+            assert (rep.selected_prediction.tobytes(), rep.selected_bias) == (prediction.tobytes(), selected)
+            seen["tied across samples"] += int((eligible & (bias == selected)).any(axis=1).sum() > 1)
+    assert min(seen.values()) >= 10, seen
+
+
 def _report_fields(rep):
     """Everything a report holds, in comparable form."""
     prediction = None if rep.selected_prediction is None else rep.selected_prediction.tobytes()
@@ -611,7 +647,7 @@ def _undefined_warnings(sets, labels, metric):
 @pytest.mark.parametrize("metric", ["sp", "eo"])
 @pytest.mark.parametrize("per_chunk", [1, 2, 3])
 def test_certify_sets_takes_one_path_for_every_input_form(monkeypatch, caplog, per_chunk, metric):
-    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 12 * 6)
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", per_chunk * 16 * 6)
     for seed in range(6):
         g, X, labels, split, cfg, eta, cache = _random_cache_world(seed, vul=(0,))
         # label-1 nodes are 0, 1, 2, 3, 6 and 7, with both s values among them
@@ -779,31 +815,57 @@ def test_certify_sets_work_per_call_is_fixed(monkeypatch):
     monkeypatch.setattr(pipeline, "class1_hits", counted_hits)
     monkeypatch.setattr(pipeline, "binomial_lower_bound_vec", counted_bound)
     # three sets per chunk, so 200 sets take 67 chunks
-    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * cfg.n_outer * cfg.n_inner)
+    monkeypatch.setattr(pipeline, "CERTIFY_CHUNK_BYTES", 3 * 16 * cfg.n_inner)
     for count in (1, 200):
         calls.update(class1_hits=0, counts=0)
         assert len(certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache, eta=eta)) == count
-        assert calls["class1_hits"] == 1
+        # one gather per outer sample, whatever the number of sets and chunks
+        assert calls["class1_hits"] == cfg.n_outer
         assert calls["counts"] <= cfg.n_inner + cfg.n_outer + 2
+
+
+def _traced(call):
+    """The traced memory call leaves held, and its peak."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory(), out
+    finally:
+        tracemalloc.stop()
 
 
 def test_certify_sets_memory_is_bounded_by_the_chunk():
     g, X, labels, split = _world()
     cfg = SmoothingConfig(n_outer=20, n_inner=300, master_seed=0)
     cache = PredictionCache(np.ones((cfg.n_outer, cfg.n_inner, g.n), dtype=np.uint8), split.vulnerable, cfg)
-    c = pipeline.CERTIFY_CHUNK_BYTES // (16 * cfg.n_outer * cfg.n_inner)
+    c = pipeline.CERTIFY_CHUNK_BYTES // (16 * cfg.n_inner)
     assert c >= 2
+    # one outer sample's float32 class-1 hits, n_inner rows over the test pool
+    hits = 4 * cfg.n_inner * g.n
 
-    def peak(count):
-        tracemalloc.start()
-        try:
-            reports = certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache, eta=BiasThreshold.absolute(0.25))
-            assert [r.outcome for r in reports] == [CERTIFIED] * count
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def memory(count):
+        (held, peak), reports = _traced(lambda: certify_sets(None, g, X, labels, split, [split.test_pool] * count, cfg, cache=cache, eta=BiasThreshold.absolute(0.25)))
+        assert [r.outcome for r in reports] == [CERTIFIED] * count
+        return held, peak
 
-    assert peak(6 * c) < 2 * peak(c)
+    held, peak = memory(c)
+    assert peak < 3 * (hits + pipeline.CERTIFY_CHUNK_BYTES)
+    # beyond the reports it returns, six times the sets take less than twice the memory
+    held6, peak6 = memory(6 * c)
+    assert peak6 - held6 < 2 * (peak - held)
+
+
+def test_certify_sets_memory_at_the_default_shape_is_below_a_quarter_of_the_cache():
+    # the default 200 x 150 cache on a 1000-node graph, 100 sets of 225 from a 250-node pool
+    g, X, labels, split = _world(n=1000)
+    split = replace(split, test_pool=tuple(range(250)))
+    cfg = SmoothingConfig(n_outer=200, n_inner=150, master_seed=0)
+    cache = PredictionCache(np.random.default_rng(0).integers(0, 2, (cfg.n_outer, cfg.n_inner, g.n), dtype=np.uint8), split.vulnerable, cfg)
+    sets = pipeline.sample_test_sets(split, 0.9, 100, seed=0, include=split.vulnerable)
+    (_, peak), reports = _traced(lambda: certify_sets(None, g, X, labels, split, sets, cfg, cache=cache, eta=BiasThreshold.absolute(0.25)))
+    assert [r.outcome for r in reports] == [CERTIFIED] * 100
+    # gathering every draw's class-1 hits at once would take 30 MB, the cache's own size
+    assert peak < cache.classes.nbytes / 4
 
 
 def test_report_json_dict_is_stable():

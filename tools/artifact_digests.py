@@ -27,7 +27,10 @@ several of `forward_many`'s blocks each, which sbm200's 60 x 40 does
 not.  A `<backbone>/cache-german-3 <sha256>` line does the same at seed
 3, whose GCN masks each leave 61 to 79 node-draws to the float64
 re-evaluation (seed 0's 4 to 6), so those classes are compared in volume
-too.  It exits with status 1 if any command exited
+too.  Between the two, `fcr` runs with the seed-0 sbm-german models at
+n_outer 20 x n_inner 150 over 200 test sets of ratio 0.9, perfbench's
+fcr-german world, and a `<backbone>/fcr-german <sha256>` line digests its
+`fcr.json`.  It exits with status 1 if any command exited
 non-zero.  Run it in two checkouts and
 `diff` the outputs to check that a change leaves every artifact
 byte-identical:
@@ -85,10 +88,12 @@ CONFIG = {
     "dataset": {"fixture": "sbm200"},
     "seed": 0,
     "smoothing": {"n_outer": 60, "n_inner": 40},
-    # pipeline.certify_sets takes 54 sets per chunk at 60 x 40, so 120 sets span three chunks
+    # pipeline.certify_sets takes 3,276 sets per chunk at n_inner 40, so these 120 are one; tests/test_pipeline.py moves the chunk boundaries
     "fcr": {"ratio": 0.5, "count": 120},
 }
 GERMAN = {"dataset": {"fixture": "sbm-german"}, "seed": 0, "smoothing": {"n_outer": 4, "n_inner": 150}}
+# the world of perfbench's fcr-german workload: one chunk of 200 sets, read one outer sample at a time
+GERMAN_FCR = dict(GERMAN, smoothing={"n_outer": 20, "n_inner": 150}, fcr={"ratio": 0.9, "count": 200})
 # run in a child on the checkout under test: the sha256 of the prediction cache's classes
 CACHE_DIGEST = """
 import hashlib, sys
@@ -156,9 +161,12 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
     for name in ("attack.csv", "attack.json"):
         digest(name, f"attack-abs/{name}")
     # overwrites the trained models, so it goes last; a failed training shows as a missing digest
-    for label, config in (("cache-german", GERMAN), ("cache-german-3", dict(GERMAN, seed=3))):
-        run("train", label, config, quiet=True)
-        cache(label, label)
+    run("train", "cache-german", GERMAN, quiet=True)
+    cache("cache-german", "cache-german")
+    run("fcr", "fcr-german", GERMAN_FCR, quiet=True)
+    digest("fcr.json", "fcr-german")
+    run("train", "cache-german-3", dict(GERMAN, seed=3), quiet=True)
+    cache("cache-german-3", "cache-german-3")
     return lines, ok
 
 
