@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from .data import Graph
-from .fairness import group_gaps, metric_groups, prediction_metrics
+from .fairness import group_gaps, metric_groups, node_ids, prediction_metrics
 from .gnn import _softmax, predict_classes
 from .pipeline import CERTIFIED, certify_and_predict
 from .smoothing import DOMAIN_ATTACK, eligible_pairs, substream, vulnerable_ids
@@ -36,14 +36,15 @@ def attribute_attack(model, g: Graph, X, labels, vulnerable, budget_l2: float, m
     opportunity metric).  Its input gradient is taken on the vulnerable
     rows only; the top percent-scale entries by magnitude are kept and
     rescaled to exactly budget_l2.  A zero gradient leaves X unchanged.
-    Raises ValueError for a negative or non-finite budget_l2.
+    Raises ValueError for a negative or non-finite budget_l2 and, whatever
+    the budget, for nodes that fairness.node_ids refuses.
     """
     if not 0 <= budget_l2 < np.inf:
         raise ValueError(f"budget_l2 must be nonnegative and finite, got {budget_l2}")
     vul = vulnerable_ids(vulnerable, g.n)
+    idx = np.arange(g.n) if nodes is None else np.sort(node_ids(nodes, g.n, "nodes"))
     if budget_l2 == 0:
         return np.array(X, copy=True)
-    idx = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
     g0, g1 = metric_groups(idx, labels, metric)
 
     ops = model.build_ops(g)
@@ -85,7 +86,8 @@ def structure_attack_greedy(model, g: Graph, X, labels, vulnerable, budget_edges
     rate_gaps call) prices the whole pool.  Committed flips persist across
     steps; exactly budget_edges pairs end up flipped.  Raises
     UndefinedMetricError when the metric is undefined on the evaluated
-    nodes, whatever is flipped.
+    nodes, whatever is flipped, and ValueError for nodes that
+    fairness.node_ids refuses.
     """
     return g.flip(_greedy_pairs(model, g, X, labels, vulnerable, budget_edges, metric, nodes, pool_size, seed))
 
@@ -104,7 +106,7 @@ def _greedy_pairs(model, g: Graph, X, labels, vulnerable, budget_edges, metric, 
     pairs = eligible_pairs(g.n, vulnerable)
     if budget_edges > pairs.shape[0]:
         raise ValueError(f"budget {budget_edges} exceeds the {pairs.shape[0]} eligible pairs")
-    eval_nodes = np.arange(g.n) if nodes is None else np.asarray(sorted(nodes), dtype=np.int64)
+    eval_nodes = np.arange(g.n) if nodes is None else np.sort(node_ids(nodes, g.n, "nodes"))
     # the groups do not depend on the flips: formed once, and an empty one is an error before any scoring
     g0, g1 = metric_groups(eval_nodes, labels, metric)
     # the candidates are scored on the groups' nodes alone, and priced by their positions there

@@ -173,10 +173,11 @@ def attribute_radius(p_lower, sigma: float):
     with p_lower <= 1/2 certify nothing and get radius 0; p_lower = 1 means
     the vote never changes under the noise and the radius is unbounded.
     p_lower may be a scalar, which returns a float, or an array, which
-    returns an array of its shape.
+    returns an array of its shape.  Raises ValueError for a sigma that is
+    not positive and finite, as SmoothingConfig does.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     p = np.asarray(p_lower, dtype=np.float64)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p_lower must lie in [0, 1], got {p_lower}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fairness import integral_ids
 from .smoothing import DOMAIN_SPLIT, DOMAIN_TESTSET, _rekeyed, substream
 
 logger = logging.getLogger(__name__)
@@ -30,10 +31,14 @@ class DataError(ValueError):
 def pair_array(pairs, n: int) -> np.ndarray:
     """pairs (any iterable of pairs or an (m, 2) integer array) as a new int64 (m, 2) array.
 
-    Raises DataError for a wrong shape or for the first row outside
-    0 <= u < v < n.
+    Raises DataError for an endpoint that is not an integer (a fraction,
+    NaN or inf: fairness.integral_ids), a wrong shape or the first row
+    outside 0 <= u < v < n.
     """
-    e = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    try:
+        e = integral_ids(pairs, "edge endpoints")
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:

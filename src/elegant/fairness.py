@@ -14,7 +14,9 @@ once for many group pairs.  The pipeline pairs one membership build per
 chunk of test sets with one gather per outer sample of the cache;
 group_gaps prices one group pair on many rows at once, as the greedy
 attack does for a step's whole candidate pool and bias_value for one
-prediction.  A metric is
+prediction.  Node ids reach them through node_ids, which refuses a
+fraction, NaN, inf or an id outside the graph rather than truncating or
+wrapping it.  A metric is
 undefined when one of its groups is empty; callers decide how to treat
 that (the certification pipeline forces such draws' indicator votes to 0
 and logs them).
@@ -33,6 +35,32 @@ logger = logging.getLogger(__name__)
 STATISTICAL_PARITY = "sp"
 EQUAL_OPPORTUNITY = "eo"
 METRICS = (STATISTICAL_PARITY, EQUAL_OPPORTUNITY)
+
+
+def integral_ids(ids, what: str) -> np.ndarray:
+    """ids, an array or any iterable of ids, as a new int64 array of its shape.
+
+    An integer array keeps its values; any other's entries must each be an
+    integer (exact below 2^53), since a cast would truncate a fraction and
+    wrap NaN or inf.  Raises ValueError naming the first entry that is not
+    one.
+    """
+    a = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.float64)
+        fractional = ~(np.isfinite(a) & (a == np.trunc(a)))
+        if fractional.any():
+            raise ValueError(f"{what} must be integers; {a.flat[np.argmax(fractional)]} is not one")
+    return a.astype(np.int64)
+
+
+def node_ids(ids, n: int, what: str = "node ids") -> np.ndarray:
+    """integral_ids(ids, what), each in [0, n): raises ValueError naming the first id that is not an integer or lies outside, so a negative id never wraps to the last nodes."""
+    idx = integral_ids(ids, what)
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise ValueError(f"{what} must lie in [0, {n}); {idx.flat[np.argmax(outside)]} does not")
+    return idx
 
 
 class UndefinedMetricError(ValueError):
@@ -77,10 +105,11 @@ class BiasThreshold:
 def metric_groups(nodes, labels, metric: str) -> tuple[np.ndarray, np.ndarray]:
     """The node ids metric compares among nodes, s = 0 then s = 1, in input order.
 
-    labels carries both y and s.  Raises ValueError on an unknown metric
-    and UndefinedMetricError when either group is empty.
+    labels carries both y and s.  Raises ValueError on an unknown metric or
+    a node id that node_ids refuses, and UndefinedMetricError when either
+    group is empty.
     """
-    idx = np.asarray(nodes, dtype=np.int64)
+    idx = node_ids(nodes, np.shape(labels.s)[0])
     g0, g1 = (idx[side] for side in metric_sides(idx, labels, metric))
     if g0.size == 0 or g1.size == 0:
         raise UndefinedMetricError("one sensitive group is empty on this node set")
@@ -156,7 +185,8 @@ def _rates(hits: np.ndarray, member: np.ndarray, sizes: np.ndarray) -> np.ndarra
 
 
 def accuracy(yhat: np.ndarray, y: np.ndarray, nodes) -> float:
-    idx = np.asarray(list(nodes), dtype=np.int64)
+    """The fraction of nodes where yhat equals y; raises ValueError for a node id that node_ids refuses."""
+    idx = node_ids(nodes, np.shape(y)[0])
     if idx.size == 0:
         raise UndefinedMetricError("empty node set")
     return float((np.asarray(yhat)[idx] == np.asarray(y)[idx]).mean())
@@ -173,7 +203,7 @@ def prediction_metrics(yhat: np.ndarray, labels, nodes) -> dict:
 
 def bias_value(yhat: np.ndarray, labels, nodes, metric: str) -> float:
     """The requested metric's gap over nodes; labels carries both y and s."""
-    return float(group_gaps(np.asarray(yhat), *metric_groups(list(nodes), labels, metric))[0])
+    return float(group_gaps(np.asarray(yhat), *metric_groups(nodes, labels, metric))[0])
 
 
 def group_gaps(classes: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:

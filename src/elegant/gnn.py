@@ -42,10 +42,14 @@ of a few draws, in place in one reused buffer small enough to stay in a
 core's L2 cache, and write into contiguous slices of the (chunk, m, C)
 layer-2 arrays of a chunk of draws, which one sparse product propagates;
 so its memory is O(block m h + chunk n C), not O(B n h), m being the
-rows layer 1 runs on.  Its float64 layer-1 bias add (GCN) and ReLU read
-two C-contiguous (m, h) tiles, b1 on every row and zeros: the bits of a
-broadcast row or a scalar, in a third of the ReLU's time and half the
-bias add's (a 24-draw chunk at n=1000, h=64).
+rows layer 1 runs on.  Its ReLU reads a C-contiguous (m, h) tile of
+zeros: the bits of the scalar 0.0, in 38.5 rather than 85.9 us for a
+float32 block of 8 draws, 780 rows and 38 units (29.8 against 43.9 us
+for a float64 block of 4; 2-core VM).
+
+One convention holds b1: each backbone's _pre, layer 1's products, ends
+with layer 1's clean pre-activation, b1 included, and every pass that
+perturbs the attributes shifts that entry and adds no bias of its own.
 
 The float64 pass runs on all n rows; forward_many's classes come from a
 float32 filter that computes only what its class test reads.  A rigorous
@@ -72,9 +76,9 @@ _hidden_at hook) on the kept units alone, for a batch's distinct draws
 alone, in batches sized by the bytes of hidden rows they hold.  The
 fallback rule: a node still within that margin's own bound (an exact
 tie, a NaN) sends its draw to the exact float64 path, and a value
-outside float32's range (in layer 1's products, the weights, the
-operator or the deltas) or a bound that cannot be trusted (NaN, inf,
-overflow) sends every draw.  Draws are
+outside float32's range (in layer 1's clean pre-activation, the
+weights, the operator or the deltas) or a bound that cannot be trusted
+(NaN, inf, overflow) sends every draw.  Draws are
 independent, so a rerun gives the bits of a full float64 pass.  A
 float64 chunk adds each class's b2 on its own strided (chunk, n) view of
 the layer-2 product and picks the first maximum straight into the
@@ -101,6 +105,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import DataError, Graph, pair_array
+from .fairness import node_ids
 from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
@@ -406,25 +411,21 @@ class _TwoLayer:
     once, in pieces:
     - _pre(ops, X), layer 1's products before any shift; its first two
       entries are S, the operand layer 1 propagates, and ops @ S, and its
-      last is the clean operand layer 1 shifts (SAGE's holds b1);
-    - _layer1(pre, cols, rows, deltas, out, bias), layer 1's
-      pre-activation z1 from pre, bias being b1, its tile, or None where
-      pre's last entry already holds b1 (SAGE's always does: it ignores
-      bias); it must not write into pre, which training reuses across
-      passes (without deltas z1 may be pre's own array, which its callers
-      only read);
+      last, pre[-1], is layer 1's clean pre-activation, b1 included;
+    - _layer1(pre, cols, rows, deltas, out), layer 1's pre-activation z1:
+      pre[-1] shifted by the deltas, the one entry of pre it reads; it
+      must not write into pre, which training reuses across passes
+      (without deltas z1 is pre[-1] itself, which its callers only read);
     - _shift_bound(cols, rows, deltas), a bound (n, h) on every draw's
       layer-1 shift |z1 - z| from |cols| and the draws' largest delta
       products, for _margin_bounds' test of units no draw switches on;
-    - _clean(pre), layer 1's clean pre-activation, b1 included, which the
-      caller does not write into (SAGE's is pre's last entry itself), and
-      _flip_hidden(pre, SR, held, cuts), the hidden activations of a group
+    - _flip_hidden(pre, SR, held, cuts), the hidden activations of a group
       of flipped graphs in their changed rows: flip c's rows are
       held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]] their rows of the
       flipped ops @ S;
     - _hidden_at(z, cols, rows, deltas, b, k), layer 1's pre-activation
       at node k[e] under the draw X[rows] += deltas[b[e]], from z, the
-      clean pre-activation (_clean), and the CSR cols through _shift_at,
+      clean pre-activation pre[-1], and the CSR cols through _shift_at,
       for forward_many's float64 re-evaluation of single node-draws
       (_node_logits);
     - _head(h, out), layer 2's products of the hidden activations h as
@@ -444,12 +445,12 @@ class _TwoLayer:
     ops[:, rows] as a dense array and pre, _hidden runs on the B inputs
     with X[rows] += deltas[b], every array gaining a leading batch axis;
     given also a C-contiguous (B, n, h) buffer out, layer 1 runs in place
-    there (eval mode only: z1 is then overwritten by h); given tiles, the
-    pair _tiles(n), it adds b1 (none where folded) and runs the ReLU
-    against those.  forward, loss_grads and input_grad derive from _pass
-    and _backward (input_grad also from _pullback); forward_many's _chunks
-    runs the same _hidden and _head per block of draws and propagates per
-    chunk; _margin_bounds runs _layer1 and _layer2 on absolute values, and
+    there (eval mode only: z1 is then overwritten by h); given zero, a
+    zero tile of z1's (n, h) shape, it runs the ReLU against that.
+    forward, loss_grads and input_grad derive from _pass and _backward
+    (input_grad also from _pullback); forward_many's _chunks runs the same
+    _hidden and _head per block of draws and propagates per chunk;
+    _margin_bounds runs _layer1 and _layer2 on absolute values, and
     forward_flips runs the pieces itself.
 
     A backbone also names its operator by its entries, from _adjacency's
@@ -467,13 +468,17 @@ class _TwoLayer:
     weight_names: tuple
 
     def __init__(self, **weights):
-        """Raises TypeError for other weight names than weight_names, and ValueError for a b2 of other shape than (2,): backbones are binary."""
+        """Raises TypeError for other weight names than weight_names, and ValueError for a b2 of other shape than (2,) (backbones are binary) or any weight whose shape does not fit weight_shapes(d, h), d from the first weight's rows and h from b1."""
         if set(weights) != set(self.weight_names):
             raise TypeError(f"{type(self).__name__} takes weights {self.weight_names}, got {tuple(weights)}")
         for name in self.weight_names:
             setattr(self, name, np.asarray(weights[name], dtype=np.float64))
         if self.b2.shape != (2,):
             raise ValueError(f"{type(self).__name__} is binary: b2 must have shape (2,), got {self.b2.shape}")
+        got = {name: getattr(self, name).shape for name in self.weight_names}
+        want = self.weight_shapes(*(s[0] if s else None for s in (got[self.weight_names[0]], got["b1"])))
+        if got != want:
+            raise ValueError(f"{type(self).__name__} weights {got} do not fit a d -> h -> 2 model, which needs {want}")
         self.fallbacks = FallbackCounts()
 
     @classmethod
@@ -624,10 +629,9 @@ class _TwoLayer:
         z1, h, mask = self._hidden(ops, X, dropout, rng, pre=pre)
         return z1, h, mask, *self._layer2(ops, h)
 
-    def _hidden(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, tiles=None):
-        """(z1, h, mask): _layer1, then the ReLU and dropout."""
-        bias, zero = tiles or (self.b1, 0.0)
-        z1 = self._layer1(pre or self._pre(ops, X), cols, rows, deltas, out, bias)
+    def _hidden(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, zero=0.0):
+        """(z1, h, mask): _layer1, then the ReLU (against zero, 0.0 or a zero tile) and dropout."""
+        z1 = self._layer1(pre or self._pre(ops, X), cols, rows, deltas, out)
         return z1, *_relu_dropout(z1, dropout, rng, out, zero)
 
     def _layer2(self, ops, h):
@@ -701,10 +705,9 @@ class _TwoLayer:
         h = np.maximum(z32, 0.0)
         h[moving] = 0.0
         const = twin._logits(*twin._layer2(ops32, h))
-        # layer 1 shifts pre's last entry, here z32's moving rows, which hold b1
-        pre32 = (None,) * (len(pre) - 1) + (z32[moving],)
         unsettled = np.empty((B, n), dtype=bool)
-        for at, own, P in twin._chunks(ops32[:, moving], np.searchsorted(moving, rows), deltas, pre32, f32(dense[moving]), folded=True):
+        # layer 1 shifts pre[-1] alone, here z32's moving rows, which hold b1
+        for at, own, P in twin._chunks(ops32[:, moving], np.searchsorted(moving, rows), deltas, (z32[moving],), f32(dense[moving])):
             m = P + const
             if own is not None:
                 m[:, moving] += own
@@ -734,8 +737,8 @@ class _TwoLayer:
             self._emit(own, P, out[at])
         return out
 
-    def _chunks(self, ops, rows, deltas, pre, cols, folded=False):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and pre and the N rows of ops (N, m); folded, pre's last entry already holds b1 and no bias is added.
+    def _chunks(self, ops, rows, deltas, pre, cols):
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and pre[-1] and the N rows of ops (N, m).
 
         Layer 1 runs on the m rows that pre, cols and ops' columns hold (all
         n on the float64 path, the rows the noise reaches on forward_many's
@@ -752,10 +755,9 @@ class _TwoLayer:
         products are BLAS calls of their own on C-contiguous operands (a
         strided h @ W2 leaves BLAS and moves the last bits), and a sparse
         product sums each column alone, so every logit equals one unchunked
-        batch's bit for bit.  The bias add and ReLU take same-shape
-        operands, _tiles(m), built once per call, with the scalar forms'
-        bits (see _relu_dropout): against a broadcast (h,) row or a scalar,
-        numpy's inner loop is h elements long or misses its contiguous fast
+        batch's bit for bit.  The ReLU takes a same-shape (m, h) zero tile,
+        built once per call, with the scalar 0.0's bits (see _relu_dropout):
+        against a scalar, numpy's inner loop misses its contiguous fast
         path.  A model of no hidden units, or a call of no rows, sizes its
         blocks and chunks as if it had one.
         """
@@ -763,15 +765,14 @@ class _TwoLayer:
         B, m = deltas.shape[0], cols.shape[0]
         block = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(m, 1) * max(self.h, 1)))
         chunk = max(1, FORWARD_MANY_CHUNK_BYTES // (dtype.itemsize * max(ops.shape[0], 1) * self.C))
-        buf = np.empty((min(block, B), m, self.h), dtype)
-        tiles = self._tiles(m, folded)
+        buf, zero = np.empty((min(block, B), m, self.h), dtype), np.zeros((m, self.h), dtype)
         written = [a is not None for a in self._head(buf[:0])]  # which of (own, Y) _head writes
         for start in range(0, B, chunk):
             stop = min(start + chunk, B)
             heads = [np.empty((stop - start, m, self.C), dtype) if w else None for w in written]
             for first in range(start, stop, block):
                 part = deltas[first : min(first + block, stop)].astype(dtype, copy=False)
-                h = self._hidden(ops, None, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, tiles=tiles)[1]
+                h = self._hidden(ops, None, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, zero=zero)[1]
                 self._head(h, [None if a is None else a[first - start : first - start + len(part)] for a in heads])
             own, Y = heads
             yield slice(start, stop), own, _propagate(ops, Y)
@@ -780,10 +781,9 @@ class _TwoLayer:
         """(bound32, bound64, keep, z) for forward_many's draws, or None when no bound can be trusted.
 
         The float32 pass, the float64 pass and _node_logits all start from the
-        same float64 layer-1 products pre (the float32 pass casts z, formed
-        from them), so each is measured against m, the class margin logit 1
-        minus logit 0 computed in exact arithmetic from pre and the other
-        inputs.  For node v, bound32[v] bounds |m32 - m| + |m64 - m| and
+        same float64 z = pre[-1] (the float32 pass casts it), so each is
+        measured against m, the class margin logit 1 minus logit 0 computed
+        in exact arithmetic from z and the other inputs.  For node v, bound32[v] bounds |m32 - m| + |m64 - m| and
         bound64[v] bounds |m64' - m| + |m64 - m|, m32 being that margin as
         the float32 pass's one logit difference, m64 the difference of the
         float64 pass's two logits and m64' that of _node_logits'.  bound32
@@ -794,8 +794,8 @@ class _TwoLayer:
         m64's.  keep holds the hidden units the float32 pass must compute,
         ascending: every other unit is negative at every node under every
         draw, exactly and in float32.  z is the clean pre-activation in
-        float64 (_clean; GCN: A X W1 + b1; SAGE: pre's last entry itself),
-        whose cast columns keep the float32 pass shifts.
+        float64, b1 included: pre[-1] itself, whose cast columns keep the
+        float32 pass shifts.
 
         The bounds follow Higham (Accuracy and Stability of Numerical
         Algorithms, 2002, ch. 3): an operation rounds with relative error
@@ -805,7 +805,7 @@ class _TwoLayer:
         values.  The backbone's own layers give those sums, run on a model
         of absolute values whose 2 layer-2 columns (and b2 entries) are
         |W[:, 1]| + |W[:, 0]| beside |W[:, 1] - W[:, 0]| (_pair_columns):
-        M1, _layer1 run on |pre|, |weights|, the operator's |entries|,
+        M1, _layer1 run on |z|, |weights|, the operator's |entries|,
         |cols| and D, the elementwise max of |deltas| over the draws, bounds
         |z1| of every draw (layer 1 is monotone in each operand), and M,
         _layer2 and _logits run on M1 through the sum |W[:, 1]| + |W[:, 0]|
@@ -817,13 +817,12 @@ class _TwoLayer:
           deltas and a weight), d + r_u in the nested dot products (deltas
           times a weight, then u's row of cols, whose zero entries give
           exact 0 products that round nothing), at most 2 additions
-          (onto the cast z; SAGE: also the own-row shift; GCN, whose z
-          holds b1, only the one) and 2 shared with layer 2: the
-          subtraction that forms the margin and the bound's own evaluation
-          in float64 (its relative error, near gamma in float64, is far
-          below one float32 u).  A term of z (pre's, and GCN's b1) takes
-          z's float64 rounding, its cast, the same additions and the
-          shared 2, at most 6;
+          (onto the cast z; SAGE: also the own-row shift) and 2 shared
+          with layer 2: the subtraction that forms the margin and the
+          bound's own evaluation in float64 (its relative error, near
+          gamma in float64, is far below one float32 u).  A term of z,
+          b1's included, takes its cast, the same additions and the
+          shared 2, at most 5;
         - layer 2, K2 = k + R_v + 8 for node v, k the kept units: 3
           roundings of its factors (the operator's cast; a weight
           difference's float64 subtraction and its cast), k + R_v in the
@@ -881,15 +880,15 @@ class _TwoLayer:
         weighted by that value's sensitivity to its result, layer 1 adds
         N1 = 2 + 2 r + 2 d (1 + a) units to e1 and layer 2 adds N2 = 2 k
         (1 + a) + 2 R + 4 to a logit, R the longest operator row and a the
-        largest operator row sum (the cast of GCN's z takes the place of
-        the b1 addition it folds); so E64 adds N = (1 + a) w2 N1 + N2 units
-        per logit, twice for its two, w2 the largest layer-2 column sum of
-        the absolute-value model.  Each term is doubled, for the relative
-        factors it passes through.  A cast rounds with relative error alone
-        only for magnitudes in [2^-126, F32_LIMIT], so the bounds are None
-        unless pre, the absolute-value model's weights (layer 1's, and the
-        sums and differences of layer 2's), the operator's entries and the
-        deltas lie there (or are 0).  They are also None if any magnitude
+        largest operator row sum (z's cast among layer 1's); so E64 adds
+        N = (1 + a) w2 N1 + N2 units per logit, twice for its two, w2 the
+        largest layer-2 column sum of the absolute-value model.  Each term
+        is doubled, for the relative factors it passes through.  A cast
+        rounds with relative error alone only for magnitudes in [2^-126,
+        F32_LIMIT], so the bounds are None unless z (the one entry of pre
+        any pass reads), the absolute-value model's weights (layer 1's, and
+        the sums and differences of layer 2's), the operator's entries and
+        the deltas lie there (or are 0).  They are also None if any magnitude
         the float32 pass can reach exceeds F32_LIMIT, since it would
         overflow (NaN and inf fail these checks too): M1 (its column
         maxima), M (its sums bound the differences), layer 1's delta
@@ -898,9 +897,10 @@ class _TwoLayer:
         is two reductions (_f32_fits).  And they are None if rows repeat a
         node.
         """
-        absm, mag, apre, data = self._map(np.abs, head=_pair_columns), np.abs(deltas), tuple(np.abs(p) for p in pre), np.abs(ops.data)
+        absm, mag, z, data = self._map(np.abs, head=_pair_columns), np.abs(deltas), pre[-1], np.abs(ops.data)
+        az = np.abs(z)
         small = np.concatenate([data, *(w.ravel() for w in absm.params().values())])
-        if np.unique(rows).size < rows.size or not all(map(_f32_fits, (*apre, small, mag))):
+        if np.unique(rows).size < rows.size or not all(map(_f32_fits, (az, small, mag))):
             return None
         D = mag.max(axis=0, initial=0.0)
         (r, d), h, n = D.shape, self.h, ops.shape[0]
@@ -913,7 +913,7 @@ class _TwoLayer:
         acols = np.abs(cols)
         # M1, then twice e1, then G = U + 2 e1, in place in one (3, n, h) array: layer 2's operand
         full = np.empty((3, n, h))
-        M1 = absm._layer1(apre, acols, rows, D[None], full[:1], absm.b1)[0]
+        M1 = absm._layer1((az,), acols, rows, D[None], full[:1])[0]
         N1 = 2 + 2 * r + 2 * d * (1 + a)
 
         def gamma(K, u):
@@ -923,7 +923,6 @@ class _TwoLayer:
         K1u = d + 7 + np.count_nonzero(cols, axis=1)[:, None]
         e2 = np.multiply(M1, 2 * gamma(K1u, 2.0**-24), out=full[1])
         e2 += 4 * 2.0**-126 * N1
-        z = self._clean(pre)
         G = np.add(z, self._shift_bound(acols, rows, deltas), out=full[2])
         G += e2
         keep = np.flatnonzero(~(G <= 0.0).all(axis=0))
@@ -954,7 +953,7 @@ class _TwoLayer:
         return (E32 + E64)[:, 0], 2 * E64[:, 0], keep, z
 
     def _node_logits(self, ops, z, cols, rows, deltas, b, v):
-        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], from z, layer 1's clean pre-activation (_clean), and cols = ops[:, rows] as CSR.
+        """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], from z, layer 1's clean pre-activation pre[-1], and cols = ops[:, rows] as CSR.
 
         They read the hidden rows of v[i]'s operator row's columns (the
         propagated term) and, where _head has an own term (SAGE), of v[i]
@@ -982,16 +981,13 @@ class _TwoLayer:
         """Write the hard classes of the logits _logits(own, P) into the uint8 out: each class's logits from its own strided view, then _first_max."""
         _first_max(self._logits(own, P, 0), self._logits(own, P, 1), out)
 
-    def _tiles(self, n, folded=False):
-        """forward_many's layer-1 operands (b1 on every row, or None when folded, and zeros), each C-contiguous (n, h), in the weights' dtype."""
-        return None if folded else np.tile(self.b1, (n, 1)), np.zeros((n, self.h), self.b1.dtype)
-
     def forward_flips(self, g: Graph, X, pairs, out, rows=None):
         """Hard classes at the nodes rows (default all n) of the B graphs g.flip(pairs[b:b + 1]), pairs (B, 2), written into the (B, len(rows)) uint8 out, which it returns (eval mode).
 
         out[b] is the argmax of forward(build_ops(g.flip(pairs[b:b + 1])),
         X)[rows], whose logits the flip groups compute bit for bit; a pair
-        outside 0 <= u < v < n raises DataError, as Graph.flip does.  The clean
+        outside 0 <= u < v < n raises DataError, as Graph.flip does, and a
+        row that is not a node id in [0, n) ValueError (node_ids).  The clean
         pass runs once, then the flips run in _groups whose _flip_charges
         sum to at most FORWARD_FLIPS_GROUP_BYTES.  Per group, one _flip_patch
         call gives the operator rows each flip changes, through build_ops's
@@ -1010,13 +1006,11 @@ class _TwoLayer:
         """
         pairs = pair_array(pairs, g.n)
         n = g.n
-        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n):
-            raise ValueError(f"rows must lie in [0, {n})")
+        rows = np.arange(n) if rows is None else node_ids(rows, n, "rows")
         indptr, indices, deg = adjacency = _adjacency(g, self.self_loops)
         scale = self._scale(deg)
         pre = self._pre(self._operator(indptr, indices, scale), X)
-        h_clean = np.maximum(self._clean(pre), 0.0)
+        h_clean = np.maximum(pre[-1], 0.0)
         h = h_clean.copy()  # work array, clean again after every candidate
         scored_ptr, _, at = _row_entries(indptr, rows)
         scored = self._operator(scored_ptr, indices[at], scale, rows)
@@ -1094,16 +1088,14 @@ class GcnModel(_TwoLayer):
         return i, indices[k]
 
     def _pre(self, ops, X):
-        """(X W1, A_hat X W1)."""
+        """(X W1, A_hat X W1 + b1), b1 added in place into the sparse product."""
         XW = X @ self.W1
-        return XW, ops @ XW
-
-    def _clean(self, pre):
-        """A_hat X W1 + b1, a new array (pre[1] stays as it is)."""
-        return pre[1] + self.b1
+        Z = ops @ XW
+        Z += self.b1
+        return XW, Z
 
     def _hidden_at(self, z, cols, rows, deltas, b, k):
-        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta W1) + z, z = A_hat X W1 + b1 and cols a CSR."""
+        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta W1) + z, z = A_hat X W1 + b1 (pre[-1]) and cols a CSR."""
         z1 = _shift_at(cols, k, deltas, self.W1, b)
         z1 += z[k]
         return z1
@@ -1119,15 +1111,9 @@ class GcnModel(_TwoLayer):
     def _logits(self, own, P, c=slice(None)):
         return P[..., c] + self.b2[c]
 
-    def _layer1(self, pre, cols, rows, deltas, out, bias):
-        """A_hat X W1, shifted by the deltas, plus bias (b1 or its tile; None where pre[1] holds b1)."""
-        z1 = _shifted(pre[1], cols, deltas, self.W1, out)
-        if bias is None:
-            return z1
-        if deltas is None:  # z1 is pre[1] itself: add into a new array, with the same bits
-            return z1 + bias
-        z1 += bias
-        return z1
+    def _layer1(self, pre, cols, rows, deltas, out):
+        """A_hat X W1 + b1 (pre[-1]), shifted by the deltas."""
+        return _shifted(pre[-1], cols, deltas, self.W1, out)
 
     def _shift_bound(self, cols, rows, deltas):
         """|cols| @ max_b |deltas[b] @ W1|, cols = |ops[:, rows]|."""
@@ -1184,10 +1170,6 @@ class SageModel(_TwoLayer):
         """Layer 1's pre-activation in rows when M X is Q."""
         return pre[2][rows] + (Q @ self.Wn1)[rows] + self.b1
 
-    def _clean(self, pre):
-        """pre[3], which holds X Ws1 + (M X) Wn1 + b1 (the same array: callers do not write into it)."""
-        return pre[3]
-
     def _hidden_at(self, z, cols, rows, deltas, b, k):
         """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta Wn1) + z, z = pre[3], plus delta Ws1 where k[e] is a perturbed row; cols a CSR."""
         z1 = _shift_at(cols, k, deltas, self.Wn1, b)
@@ -1214,9 +1196,9 @@ class SageModel(_TwoLayer):
     def _logits(self, own, P, c=slice(None)):
         return own[..., c] + P[..., c] + self.b2[c]
 
-    def _layer1(self, pre, cols, rows, deltas, out, bias):
-        """X Ws1 + (M X) Wn1 + b1 (pre[3], which holds b1, so bias is unused), shifted by the deltas through Wn1 and, in the perturbed rows, Ws1."""
-        z1 = _shifted(pre[3], cols, deltas, self.Wn1, out)
+    def _layer1(self, pre, cols, rows, deltas, out):
+        """X Ws1 + (M X) Wn1 + b1 (pre[-1]), shifted by the deltas through Wn1 and, in the perturbed rows, Ws1."""
+        z1 = _shifted(pre[-1], cols, deltas, self.Wn1, out)
         if deltas is not None:
             z1[:, rows] += deltas @ self.Ws1
         return z1

@@ -275,28 +275,25 @@ def _one_blas_thread():
 
 
 def select_fair_output(classes: np.ndarray, bias: np.ndarray, eligible: np.ndarray) -> tuple:
-    """Class vector and bias of the smallest-bias eligible draw, per set.
+    """Class vector and bias of the smallest-bias eligible draw: (classes[o, i].copy(), float(bias[o, i])).
 
     classes is the (n_outer, n_inner, n) cache; bias and eligible are
-    (n_outer, n_inner), or (*sets, n_outer, n_inner) for many sets.  Picks
-    by one masked argmin over each set's flattened draws; the first
-    minimum is the smallest stream id o * n_inner + i, so ties resolve to
-    it.  A 2-D call returns (classes[o, i].copy(), float(bias[o, i])), a
-    call with set axes the (*sets, n) classes and (*sets,) biases.  Raises
-    ValueError when a set has no eligible draw.  This is the selection rule
-    over the whole bias matrix; certify_sets folds the same rule over the
-    outer samples one at a time (a masked argmin over a sample's draws, kept
-    only when strictly below the earlier samples' best), and a test holds
-    the two to the same picks.
+    (n_outer, n_inner).  Picks by one masked argmin over the flattened
+    draws; the first minimum is the smallest stream id o * n_inner + i, so
+    ties resolve to it.  Raises ValueError for a bias of other shape than
+    (n_outer, n_inner) and when no draw is eligible.  This is the
+    selection rule over the whole bias matrix; certify_sets folds the same
+    rule over the outer samples one at a time (a masked argmin over a
+    sample's draws, kept only when strictly below the earlier samples'
+    best), and a test holds the two to the same picks.
     """
-    flat = np.where(eligible, bias, np.inf).reshape(*bias.shape[:-2], -1)
-    if not eligible.any(axis=(-2, -1)).all():
+    if np.shape(bias) != classes.shape[:2]:
+        raise ValueError(f"bias must have the cache's (n_outer, n_inner) shape {classes.shape[:2]}, got {np.shape(bias)}")
+    if not np.any(eligible):
         raise ValueError("no inner-certified sample to select from")
-    pick = flat.argmin(axis=-1)
-    draws = classes.reshape(-1, classes.shape[-1])
-    if flat.ndim == 1:
-        return draws[pick].copy(), float(flat[pick])
-    return draws[pick], np.take_along_axis(flat, pick[..., None], axis=-1)[..., 0]
+    flat = np.where(eligible, bias, np.inf).ravel()
+    pick = flat.argmin()
+    return classes.reshape(-1, classes.shape[-1])[pick].copy(), float(flat[pick])
 
 
 def _flat_sets(test_sets, pool, vulnerable: tuple, n: int) -> tuple:

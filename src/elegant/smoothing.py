@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .certify import DEFAULT_K_MAX
-from .fairness import METRICS
+from .fairness import METRICS, integral_ids
 
 # substream domains; disjoint keys keep every consumer independent
 DOMAIN_STRUCTURE = 1
@@ -130,11 +130,7 @@ def vulnerable_ids(vulnerable, n: int | None = None) -> np.ndarray:
     integer (a fraction, NaN or inf), or when an id is negative or, given
     the node count n, at least n.
     """
-    ids = np.fromiter(vulnerable, dtype=np.float64)  # exact for every id below 2^53
-    fractional = ~(np.isfinite(ids) & (ids == np.trunc(ids)))
-    if fractional.any():
-        raise ValueError(f"vulnerable ids must be integers; {ids[np.argmax(fractional)]} is not one")
-    vul = np.unique(ids.astype(np.int64))
+    vul = np.unique(integral_ids(vulnerable, "vulnerable ids"))
     if vul.size == 0:
         raise ValueError("vulnerable set must be nonempty")
     if vul[0] < 0 or (n is not None and vul[-1] >= n):

@@ -223,8 +223,7 @@ def forward_many_oracle(model, ops, X, rows, deltas):
         return (ops @ Y.transpose(1, 0, 2).reshape(n, B * k)).reshape(n, B, k).transpose(1, 0, 2)
 
     if model.backbone == "gcn":
-        z1 = shifted(ops @ (X @ model.W1), model.W1)
-        z1 += model.b1
+        z1 = shifted(ops @ (X @ model.W1) + model.b1, model.W1)
         h = np.maximum(z1, 0.0)
         return propagate(h @ model.W2) + model.b2
     z1 = shifted(X @ model.Ws1 + (ops @ X) @ model.Wn1 + model.b1, model.Wn1)

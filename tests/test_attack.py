@@ -130,6 +130,18 @@ def test_attribute_attack_rejects_out_of_range_vulnerable_ids(bad):
         attribute_attack(_LinearModel(np.eye(3, 2)), g, X, labels, (0, bad), 1.0)
 
 
+@pytest.mark.parametrize("nodes,message", [([0.5, 3], "nodes must be integers; 0.5 is not one"), ([-1, 3], r"nodes must lie in \[0, 12\); -1 does not"), ([3, np.nan], "nodes must be integers; nan is not one")])
+def test_attacks_refuse_nodes_that_are_not_node_ids(nodes, message):
+    # a cast would truncate 0.5 to node 0, and -1 would index the last node
+    g, X, labels, split = _world(n=12)
+    model = _LinearModel(np.array([[1.0, -1.0], [0.5, 0.2], [-0.3, 0.9]]))
+    for budget in (1.0, 0.0):
+        with pytest.raises(ValueError, match=message):
+            attribute_attack(model, g, X, labels, split.vulnerable, budget, nodes=nodes)
+    with pytest.raises(ValueError, match=message):
+        structure_attack_greedy(model, g, X, labels, split.vulnerable, 2, nodes=nodes)
+
+
 def test_attribute_attack_unknown_metric_raises():
     g, X, labels, split = _world()
     with pytest.raises(ValueError, match="unknown metric 'xx'"):

@@ -171,6 +171,10 @@ def test_attribute_radius_edge_cases():
         attribute_radius(0.9, 0.0)
     with pytest.raises(ValueError):
         attribute_radius(0.9, -1.0)
+    # NaN would give a NaN radius and inf an infinite one; SmoothingConfig refuses both too
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            attribute_radius(0.9, sigma)
     with pytest.raises(ValueError):
         attribute_radius(1.5, 1.0)
 

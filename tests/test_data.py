@@ -66,8 +66,12 @@ def test_graph_canonicalizes_any_pair_form():
         ([(0, 4)], "violates"),
         (np.zeros((2, 3), dtype=np.int64), "shape"),
         (np.array([0, 1]), "shape"),
+        # a cast would store (0.5, 1.7) as edge (0, 1), and NaN as the smallest int64
+        ([(0.0, 3.0), (0.5, 1.7)], "edge endpoints must be integers; 0.5 is not one"),
+        ([(0.0, np.nan)], "edge endpoints must be integers; nan is not one"),
+        ([(np.inf, 1.0)], "edge endpoints must be integers; inf is not one"),
     ],
-    ids=["duplicate", "reversed", "self-loop", "negative", "out-of-range", "three-columns", "one-dimensional"],
+    ids=["duplicate", "reversed", "self-loop", "negative", "out-of-range", "three-columns", "one-dimensional", "fraction", "nan", "inf"],
 )
 def test_graph_rejects_malformed_edge_arrays(edges, fragment):
     with pytest.raises(DataError, match=fragment):
@@ -94,6 +98,10 @@ def test_flip_rejects_bad_pairs():
         g.flip([(1, 2), (1, 2)])
     with pytest.raises(DataError):
         g.flip([(2, 1)])
+    with pytest.raises(DataError, match="edge endpoints must be integers; 1.5 is not one"):
+        g.flip([(1, 1.5)])
+    # integral floats name the same pairs as integers
+    assert g.flip([(1.0, 2.0)]) == g.flip([(1, 2)])
 
 
 def test_empty_graph_edge_array_shape():

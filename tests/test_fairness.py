@@ -139,6 +139,20 @@ def test_accuracy():
     assert accuracy(yhat, Y, [0, 7]) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("nodes,bad", [([-1, 0], -1), ([0, 8], 8), ([1.7, 0.2], 1.7), ([0, np.nan], np.nan), ([np.inf], np.inf)])
+def test_bias_value_and_accuracy_refuse_ids_that_are_not_nodes(nodes, bad):
+    # a cast or a numpy index would read node n - 1 for -1, and nodes 1 and 0 for [1.7, 0.2]
+    yhat = np.array([1, 1, 1, 0, 1, 0, 0, 0])
+    message = f"node ids must be integers; {bad} is not one" if isinstance(bad, float) else rf"node ids must lie in \[0, 8\); {bad} does not"
+    for metric in ("sp", "eo"):
+        with pytest.raises(ValueError, match=message):
+            bias_value(yhat, LABELS, nodes, metric)
+    with pytest.raises(ValueError, match=message):
+        accuracy(yhat, Y, nodes)
+    with pytest.raises(ValueError, match=message):
+        accuracy(yhat, Y, np.asarray(nodes))
+
+
 def test_bias_value_dispatch():
     yhat = np.array([1, 1, 1, 0, 1, 0, 0, 0])
     for metric in ("sp", "eo"):

@@ -371,24 +371,36 @@ def test_forward_many_classes_follow_argmax_on_ties_nans_and_more_classes(backbo
         _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), logits)
 
 
-def test_forward_many_tiles_give_the_scalar_operands_bits():
+def test_forward_many_tiles_give_the_scalar_operands_bits(monkeypatch):
     rng = np.random.default_rng(53)
-    n, h = 50, 16
-    model = GcnModel.init(rng, d=3, hidden=h)
-    model.b1 = np.array([0.0, -0.0, -1.5, 2.25] * (h // 4))
+    n, d, h = 50, 3, 16
+    model = GcnModel.init(rng, d=d, hidden=h)
+    # _chunks hands its blocks' ReLU one C-contiguous (m, h) zero tile in the weights' dtype
+    seen, hidden = [], GcnModel._hidden
+
+    def spy(self, *args, zero, **kwargs):
+        seen.append(zero)
+        return hidden(self, *args, zero=zero, **kwargs)
+
+    monkeypatch.setattr(GcnModel, "_hidden", spy)
+    g = _random_sparse_graph(rng, n, 2 * n)
+    rows = np.array([1, 4])
+    for twin in (model, model._map(lambda w: w.astype(np.float32))):
+        ops = twin.build_ops(g).astype(twin.b1.dtype)
+        pre = twin._pre(ops, rng.standard_normal((n, d)).astype(twin.b1.dtype))
+        list(twin._chunks(ops, rows, rng.standard_normal((3, rows.size, d)), pre, ops[:, rows].toarray()))
+        zero = seen[-1]
+        assert zero.shape == (n, h) and zero.dtype == twin.b1.dtype and zero.flags.c_contiguous and not zero.any()
     # +0.0, -0.0, negative and positive entries, in a (chunk, n, h) batch
     z = rng.choice([0.0, -0.0, -1.0, 1.0], size=(3, n, h)) * rng.uniform(1.0, 2.0, size=(3, n, h))
     zeros = z == 0.0
     assert (zeros & np.signbit(z)).any() and (zeros & ~np.signbit(z)).any() and (z < 0).any() and (z > 0).any()
-    bias, zero = model._tiles(n)
-    assert bias.shape == zero.shape == (n, h) and bias.flags.c_contiguous and zero.flags.c_contiguous
 
     def bits(a):
         return a.view(np.uint64)
 
-    np.testing.assert_array_equal(bits(z + bias), bits(z + model.b1))
     out = z.copy()
-    relu, mask = gnn._relu_dropout(out, 0.0, None, out=out, zero=zero)
+    relu, mask = gnn._relu_dropout(out, 0.0, None, out=out, zero=np.zeros((n, h)))
     assert relu is out and mask is None
     np.testing.assert_array_equal(bits(relu), bits(np.maximum(z, 0.0)))
 
@@ -566,7 +578,7 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
     assert (_margin_errors(m, want) <= bound32).all()
     assert twin.h == keep.size and (not dead or keep.size <= h // 2)
     b, v = (a.ravel() for a in np.indices((B, n)))
-    again = model._node_logits(ops, model._clean(model._pre(ops, X)), ops[:, rows], rows, deltas, b, v).reshape(B, n, 2)
+    again = model._node_logits(ops, model._pre(ops, X)[-1], ops[:, rows], rows, deltas, b, v).reshape(B, n, 2)
     assert (_margin_errors(_difference(again), want) <= bound64).all()
 
 
@@ -672,7 +684,7 @@ def _dead_unit_model(backbone, case, rng, n=14, d=2, h=6):
     ops = model.build_ops(g)
     model.b1[:] = 0.0
     pre = model._pre(ops, X)
-    clean = model._clean(pre)
+    clean = pre[-1]
     model.b1[:] = [0.5, 0.5, -100.0, 0.0, 0.0, -100.0]
     model.b1[3:5] = -clean[:, 3:5].max(axis=0) - 1.0
     return model, ops, X, rows, deltas, np.array([0, 1, 3, 4])
@@ -685,7 +697,7 @@ def test_float32_pass_skips_exactly_the_units_dead_under_every_draw(monkeypatch,
     model, ops, X, rows, deltas, keep = _dead_unit_model(backbone, case, np.random.default_rng(79))
     want = forward_many_oracle(model, ops, X, rows, deltas)
     pre = model._pre(ops, X)
-    z = model._clean(pre)  # the clean pre-activation, b1 included
+    z = pre[-1]  # the clean pre-activation, b1 included
     if case == "mixed":
         # units 3 and 4 are off on the clean input, and switching them on moves classes
         assert (z[:, 3:5] < -0.5).all()
@@ -956,6 +968,36 @@ def test_forward_flips_rejects_rows_outside_the_graph(rows):
     model = GcnModel.init(rng, d=3, hidden=4)
     with pytest.raises(ValueError, match=r"rows must lie in \[0, 9\)"):
         model.forward_flips(g, rng.standard_normal((9, 3)), [(0, 1)], np.empty((1, 2), np.uint8), rows=rows)
+
+
+@pytest.mark.parametrize("bad", [0.9, 2.5, np.nan, np.inf])
+def test_forward_flips_refuses_rows_that_are_not_node_ids(bad):
+    # a cast would score rows 0 and 2 for [0.9, 2.5]
+    rng = np.random.default_rng(61)
+    g = _random_sparse_graph(rng, 9, 12)
+    model = GcnModel.init(rng, d=3, hidden=4)
+    X, out = rng.standard_normal((9, 3)), np.empty((1, 2), np.uint8)
+    with pytest.raises(ValueError, match=f"rows must be integers; {bad} is not one"):
+        model.forward_flips(g, X, [(0, 1)], out, rows=[1.0, bad])
+    with pytest.raises(DataError, match=f"edge endpoints must be integers; {bad} is not one"):
+        model.forward_flips(g, X, [(0, bad)], out, rows=[1, 2])
+    np.testing.assert_array_equal(model.forward_flips(g, X, [(0, 1)], out, rows=[1.0, 2.0]), model.forward_flips(g, X, [(0, 1)], out.copy(), rows=[1, 2]))
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_models_refuse_weights_that_do_not_fit_one_shape(cls):
+    # d comes from the first weight's rows and h from b1, so one column too many anywhere is caught
+    shapes = cls.weight_shapes(3, 4)
+    weights = {name: np.zeros(s) for name, s in shapes.items()}
+    cls(**weights)
+    for name, s in shapes.items():
+        wrong = np.zeros((*s[:-1], s[-1] + 1))
+        with pytest.raises(ValueError, match="b2 must have shape" if name == "b2" else rf"weights .*'{name}': {re.escape(str(wrong.shape))}.* do not fit"):
+            cls(**dict(weights, **{name: wrong}))
+    # a (h, 3) layer-2 matrix beside a (2,) b2 fails here, not later inside the margin bound
+    W2 = "W2" if cls is GcnModel else "Ws2"
+    with pytest.raises(ValueError, match=rf"do not fit a d -> h -> 2 model, which needs .*'{W2}': \(4, 2\)"):
+        cls(**dict(weights, **{W2: np.zeros((4, 3))}))
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])

@@ -242,17 +242,6 @@ def test_select_fair_output_skips_uncertified():
         select_fair_output(classes, bias, np.zeros_like(eligible))
 
 
-def test_select_fair_output_takes_set_axes():
-    classes, bias, _ = _grid([[0.05, 0.3], [0.2, 0.1]])
-    eligible = np.array([[[False, True], [True, False]], [[True, True], [True, True]]])
-    preds, biases = select_fair_output(classes, np.stack([bias, bias]), eligible)
-    assert preds.dtype == np.uint8
-    assert preds.tolist() == [[1, 0, 7], [0, 0, 7]]
-    assert biases.tolist() == [0.2, 0.05]
-    with pytest.raises(ValueError):
-        select_fair_output(classes, np.stack([bias, bias]), eligible & np.array([True, False])[:, None, None])
-
-
 def _random_cache_world(seed, eta=0.6, n_outer=12, n_inner=6, vul=(0, 1)):
     """The eight-node world with a hand-built cache of uniform random classes, plus an absolute threshold eta.
 

@@ -8,7 +8,13 @@ command's exit code, and a `<backbone>/cache <sha256>` line: the digest
 of the classes `PredictionCache.build` writes for the trained
 noise-augmented model on that world (60 x 40, seed 0, at `--jobs N`), so
 every cache class is compared bit for bit, not only the certificates
-derived from them.  Last, `fcr` and `attack` run again with the equal
+derived from them.  Each cache line also checks those classes against the
+backbone's float64 path: the cache is built a second time with
+`forward_many` running `_exact`, the float64 pass, on every draw, and the
+line reads `mismatch` in place of the digest (and the script exits with
+status 1) if any class differs, so the float32 filter behind
+`forward_many` is held to an independent float64 pass on every cache
+world.  Last, `fcr` and `attack` run again with the equal
 opportunity metric (`"metric": "eo"`), whose groups are a strict subset of
 the test pool, and print their exit codes and the digests of `fcr.json`,
 `attack.csv` and `attack.json` on lines of their own, `<backbone>/fcr-eo
@@ -31,7 +37,7 @@ too.  Between the two, `fcr` runs with the seed-0 sbm-german models at
 n_outer 20 x n_inner 150 over 200 test sets of ratio 0.9, perfbench's
 fcr-german world, and a `<backbone>/fcr-german <sha256>` line digests its
 `fcr.json`.  It exits with status 1 if any command exited
-non-zero.  Run it in two checkouts and
+non-zero or a cache line reads `mismatch`.  Run it in two checkouts and
 `diff` the outputs to check that a change leaves every artifact
 byte-identical:
 
@@ -94,9 +100,11 @@ CONFIG = {
 GERMAN = {"dataset": {"fixture": "sbm-german"}, "seed": 0, "smoothing": {"n_outer": 4, "n_inner": 150}}
 # the world of perfbench's fcr-german workload: one chunk of 200 sets, read one outer sample at a time
 GERMAN_FCR = dict(GERMAN, smoothing={"n_outer": 20, "n_inner": 150}, fcr={"ratio": 0.9, "count": 200})
-# run in a child on the checkout under test: the sha256 of the prediction cache's classes
+# run in a child on the checkout under test: the sha256 of the prediction cache's classes, or
+# "mismatch" if the cache built again through the float64 path (_exact on every draw) differs
 CACHE_DIGEST = """
 import hashlib, sys
+import numpy as np
 from elegant import cli
 from elegant.fairness import BiasThreshold
 from elegant.pipeline import PredictionCache
@@ -105,7 +113,15 @@ cfg = cli.build_config(args.config, args)
 g, X, labels, split = cli.load_world(cfg)
 noise = cli.load_models(cfg, X.shape[1])[1]
 scfg = cli.smoothing_config(cfg, BiasThreshold.absolute(0.0))  # eta plays no part in the cache
-print(hashlib.sha256(PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes.tobytes()).hexdigest())
+classes = PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes
+
+def exact(self, ops, X, rows, deltas, out):
+    rows = np.asarray(rows, dtype=np.int64)
+    return self._exact(ops, rows, deltas, self._pre(ops, X), ops[:, rows].toarray(), out)
+
+type(noise).forward_many = exact  # the model's own class: GcnModel binds forward_many in its namespace
+reference = PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes
+print(hashlib.sha256(classes.tobytes()).hexdigest() if np.array_equal(classes, reference) else "mismatch")
 """
 
 
@@ -139,11 +155,12 @@ def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str]
         digest(name, name)
 
     def cache(label: str, trained: str) -> None:
-        """Report the sha256 of the cache classes of the noise model trained by run(..., trained, config), under that config."""
+        """Report the sha256 of the cache classes of the noise model trained by run(..., trained, config), under that config, or mismatch if the float64 path gives other classes."""
         nonlocal ok
         done = subprocess.run([sys.executable, "-c", CACHE_DIGEST, "certify", *flags(trained)], env=env, capture_output=True, text=True)
-        lines.append(f"{backbone}/{label} {done.stdout.strip() if done.returncode == 0 else 'missing'}")
-        ok = ok and done.returncode == 0
+        value = done.stdout.strip() if done.returncode == 0 else "missing"
+        lines.append(f"{backbone}/{label} {value}")
+        ok = ok and done.returncode == 0 and value != "mismatch"
 
     cache("cache", "train")
     # the eo, beta and absolute-threshold runs reuse the trained models and overwrite their artifacts, so they go last
