@@ -54,13 +54,16 @@ class Graph:
     """Undirected graph on nodes 0..n-1 with canonical (u < v) edge rows.
 
     edges may be any iterable of pairs or an (m, 2) integer array, in any
-    row order; rows are stored sorted by (u, v).  Rows with u >= v, ids
-    outside 0..n-1, duplicate rows and a wrong shape raise DataError.
+    row order; rows are stored sorted by (u, v).  An n that is not a
+    positive integer (a fraction, NaN or inf included), rows with u >= v,
+    ids outside 0..n-1, duplicate rows and a wrong shape raise DataError.
     """
 
     __slots__ = ("n", "_edges")
 
     def __init__(self, n: int, edges=()):
+        if not float(n).is_integer():
+            raise DataError(f"graph needs an integer node count, got n={n}")
         if n < 1:
             raise DataError(f"graph needs at least one node, got n={n}")
         n = int(n)
@@ -314,13 +317,18 @@ def sample_test_sets(split: SplitSpec, ratio: float, count: int, seed: int, incl
     substream, read through one re-keyed generator rather than a new one
     per set.  When `include` is nonempty those nodes are forced into every
     set and only the remainder is drawn, keeping the total size unchanged.
+    Raises DataError naming an include id that is not an integer (a
+    fraction, NaN or inf: fairness.integral_ids).
     """
     if not 0 < ratio <= 1:
         raise DataError(f"ratio must lie in (0, 1], got {ratio}")
     if count < 1:
         raise DataError(f"count must be positive, got {count}")
     pool = np.array(split.test_pool, dtype=np.int64)
-    include = tuple(sorted(set(int(i) for i in include)))
+    try:
+        include = tuple(sorted(set(integral_ids(include, "include nodes").tolist())))
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     if not set(include) <= set(split.test_pool):
         raise DataError("include nodes must lie in the test pool")
     size = round(ratio * pool.size)

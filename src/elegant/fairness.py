@@ -37,18 +37,23 @@ EQUAL_OPPORTUNITY = "eo"
 METRICS = (STATISTICAL_PARITY, EQUAL_OPPORTUNITY)
 
 
+def non_integers(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the float array a that are not integers: a fraction, NaN or inf."""
+    return ~(np.isfinite(a) & (a == np.trunc(a)))
+
+
 def integral_ids(ids, what: str) -> np.ndarray:
     """ids, an array or any iterable of ids, as a new int64 array of its shape.
 
     An integer array keeps its values; any other's entries must each be an
     integer (exact below 2^53), since a cast would truncate a fraction and
     wrap NaN or inf.  Raises ValueError naming the first entry that is not
-    one.
+    one (non_integers).
     """
     a = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
     if a.dtype.kind not in "iu":
         a = a.astype(np.float64)
-        fractional = ~(np.isfinite(a) & (a == np.trunc(a)))
+        fractional = non_integers(a)
         if fractional.any():
             raise ValueError(f"{what} must be integers; {a.flat[np.argmax(fractional)]} is not one")
     return a.astype(np.int64)

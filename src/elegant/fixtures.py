@@ -97,29 +97,6 @@ def make_small(seed: int = 7):
     )
 
 
-def write_dataset(directory: str, g: Graph, X: np.ndarray, labels: NodeLabels) -> None:
-    """Write the three-file text format load_dataset reads.
-
-    Edges are listed in both directions, matching the usual directed
-    adjacency dumps the loader deduplicates.  Attributes are written as the
-    shortest decimal that parses back to the same double, so every finite
-    value round-trips exactly.
-    """
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "edges.txt"), "w") as fh:
-        e = g.edge_array()
-        both = np.concatenate([e, e[:, ::-1]])
-        np.savetxt(fh, both[np.lexsort((both[:, 1], both[:, 0]))], fmt="%d")
-    with open(os.path.join(directory, "features.csv"), "w") as fh:
-        fh.write(",".join(f"c{j}" for j in range(X.shape[1])) + "\n")
-        for row in X:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
-    with open(os.path.join(directory, "labels.csv"), "w") as fh:
-        fh.write("node_id,label,sensitive\n")
-        for i in range(labels.n):
-            fh.write(f"{i},{labels.y[i]},{labels.s[i]}\n")
-
-
 def bundled_fixture_dir(name: str = "sbm200") -> str:
     """Path of a dataset shipped inside the package."""
     root = os.path.join(os.path.dirname(__file__), "fixture_data", name)

@@ -29,27 +29,22 @@ Both reference backbones share one base, _TwoLayer: each names its
 operator by its entries (`self_loops`, `_scale`, `_values` and
 `descending`, which the one array builder `_operator` turns into CSR
 from integer index arrays, for `build_ops` and single-flip scoring
-alike) and writes only its layer algebra's pieces: layer 1 (_layer1,
-optionally batched over perturbations of a few attribute rows), layer
-2's dense head (_head) and the reverse pass (_backward, and _pullback
-to the inputs).  The one
-forward pass, _TwoLayer._pass, is _layer1, the ReLU and dropout, and
-_layer2 (_head plus propagation); prediction, batched inference,
-single-flip scoring, training with manual backpropagation and input
-gradients all derive from those.  Batched inference runs its draws at
-two granularities (_chunks): layer 1, the ReLU and _head run per block
-of a few draws, in place in one reused buffer small enough to stay in a
+alike) and writes only its layer algebra's pieces: layer 1's products
+(_pre), whose last entry, pre[-1], is layer 1's clean pre-activation, b1
+included, layer 1 under a batch of perturbations of a few attribute rows
+(_layer1, which always shifts pre[-1] and adds no bias of its own),
+layer 2's dense head (_head) and the reverse pass (_backward, and
+_pullback to the inputs).  The one forward pass, _TwoLayer._pass,
+starts from pre[-1]: its ReLU and dropout, then _layer2 (_head plus
+propagation); prediction, training with manual backpropagation and input
+gradients derive from it, and batched inference and single-flip scoring
+run the same pieces.  Batched inference runs its draws at two
+granularities (_chunks): _layer1, the ReLU and _head run per block of a
+few draws, in place in one reused buffer small enough to stay in a
 core's L2 cache, and write into contiguous slices of the (chunk, m, C)
 layer-2 arrays of a chunk of draws, which one sparse product propagates;
 so its memory is O(block m h + chunk n C), not O(B n h), m being the
-rows layer 1 runs on.  Its ReLU reads a C-contiguous (m, h) tile of
-zeros: the bits of the scalar 0.0, in 38.5 rather than 85.9 us for a
-float32 block of 8 draws, 780 rows and 38 units (29.8 against 43.9 us
-for a float64 block of 4; 2-core VM).
-
-One convention holds b1: each backbone's _pre, layer 1's products, ends
-with layer 1's clean pre-activation, b1 included, and every pass that
-perturbs the attributes shifts that entry and adds no bias of its own.
+rows layer 1 runs on.
 
 The float64 pass runs on all n rows; forward_many's classes come from a
 float32 filter that computes only what its class test reads.  A rigorous
@@ -191,11 +186,6 @@ class TrainConfig:
             raise ValueError(f"hidden width must be positive, got {self.hidden}")
 
 
-def _adjacency(g: Graph, self_loops: bool):
-    """CSR index arrays (indptr, indices) of g's symmetric 0/1 adjacency, plus the identity with self_loops, and its degrees: _csr of _adjacency_keys."""
-    return _csr(_adjacency_keys(g, self_loops), g.n)
-
-
 def _adjacency_keys(g: Graph, self_loops: bool):
     """The ascending keys r n + c of the entries (r, c) of g's symmetric 0/1 adjacency, plus the identity with self_loops."""
     n, e = g.n, g.edge_array()
@@ -263,16 +253,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
-def _relu_dropout(z1, dropout, rng, out=None, zero=0.0):
-    """Hidden activations and the inverted-dropout mask (None in eval mode); the ReLU and dropout write into out if given.
+def _relu_dropout(z1, dropout, rng):
+    """Hidden activations and the inverted-dropout mask (None in eval mode).
 
-    zero is the ReLU's second operand: the scalar 0.0, or forward_many's
-    zero tile, which gives the same bits.  np.maximum returns its second
-    operand on a tie, so z1 must stay first: a -0.0 in z1 then becomes
-    +0.0 either way.  The mask holds 0.0 and 1 / (1 - dropout), the bits
-    of a bool divided by 1 - dropout.
+    The mask holds 0.0 and 1 / (1 - dropout), the bits of a bool divided by
+    1 - dropout.
     """
-    h = np.maximum(z1, zero, out=out)
+    h = np.maximum(z1, 0.0)
     mask = None
     if dropout > 0.0:
         mask = (rng.random(h.shape) >= dropout) * (1.0 / (1.0 - dropout))
@@ -288,8 +275,8 @@ def _relu_dropout_grad(dh, z1, mask):
     return dh
 
 
-def _shifted(z, cols, deltas, W, out=None):
-    """z, or for deltas (B, r, d) the batch z + cols @ (deltas[b] @ W), shape (B, n, k), written into out if given.
+def _shifted(z, cols, deltas, W, out):
+    """The batch z + cols @ (deltas[b] @ W) for deltas (B, r, d), shape (B, n, k), written into out.
 
     Perturbing X[rows] moves ops @ (X @ W) only through the operator columns
     at rows, cols = ops[:, rows] as a dense array.  The shift is one BLAS
@@ -297,8 +284,6 @@ def _shifted(z, cols, deltas, W, out=None):
     element is the same r-term dot product as in a single product over all
     draws, and z is added after it.
     """
-    if deltas is None:
-        return z
     out = np.matmul(cols, deltas @ W, out=out)
     out += z
     return out
@@ -331,11 +316,6 @@ def _first_max(l0, l1, out):
     else:
         np.greater(l1, l0, out=out.view(bool))
     return out
-
-
-def _margin(l0, l1):
-    """The class margin |l1 - l0| of the two classes' logits, in their dtype: NaN where a logit is NaN."""
-    return np.abs(l1 - l0)
 
 
 def _differences(w):
@@ -412,10 +392,11 @@ class _TwoLayer:
     - _pre(ops, X), layer 1's products before any shift; its first two
       entries are S, the operand layer 1 propagates, and ops @ S, and its
       last, pre[-1], is layer 1's clean pre-activation, b1 included;
-    - _layer1(pre, cols, rows, deltas, out), layer 1's pre-activation z1:
-      pre[-1] shifted by the deltas, the one entry of pre it reads; it
-      must not write into pre, which training reuses across passes
-      (without deltas z1 is pre[-1] itself, which its callers only read);
+    - _layer1(pre, cols, rows, deltas, out), layer 1's pre-activation z1
+      under the B draws X[rows] += deltas[b], deltas (B, len(rows), d) and
+      cols = ops[:, rows] as a dense array: pre[-1], the one entry of pre
+      it reads, always shifted, written into the C-contiguous (B, n, h)
+      out and never into pre, which training reuses across passes;
     - _shift_bound(cols, rows, deltas), a bound (n, h) on every draw's
       layer-1 shift |z1 - z| from |cols| and the draws' largest delta
       products, for _margin_bounds' test of units no draw switches on;
@@ -433,35 +414,31 @@ class _TwoLayer:
       else is left), written into the pair of arrays out if given, and
       _logits(own, P, c), the logits when ops @ Y is P, of every class or
       of class c alone, by the same elementwise steps;
-    - _backward(ops, X, pre, z1, h, mask, dlogits), the reverse of _pass
-      on the products pre, returning (param_grads, g) for a given logit
-      gradient, and _pullback(ops, g), the gradient in X from that g;
-      training reads the parameter gradients alone, so it runs no
-      _pullback.
-    The one forward pass, _pass, is _hidden (_layer1, the ReLU and
-    dropout) and _layer2 (_head, then ops @ Y), returning (z1, h, mask,
-    own, P) with h the hidden activations after dropout, so the logits
-    are _logits(own, P).  Given rows, deltas (B, len(rows), d), cols =
-    ops[:, rows] as a dense array and pre, _hidden runs on the B inputs
-    with X[rows] += deltas[b], every array gaining a leading batch axis;
-    given also a C-contiguous (B, n, h) buffer out, layer 1 runs in place
-    there (eval mode only: z1 is then overwritten by h); given zero, a
-    zero tile of z1's (n, h) shape, it runs the ReLU against that.
-    forward, loss_grads and input_grad derive from _pass and _backward
-    (input_grad also from _pullback); forward_many's _chunks runs the same
-    _hidden and _head per block of draws and propagates per chunk;
-    _margin_bounds runs _layer1 and _layer2 on absolute values, and
-    forward_flips runs the pieces itself.
+    - _backward(ops, X, pre, h, mask, dlogits), the reverse of _pass on
+      the products pre (its ReLU reads pre[-1]), returning (param_grads,
+      g) for a given logit gradient, and _pullback(ops, g), the gradient
+      in X from that g; training reads the parameter gradients alone, so
+      it runs no _pullback.
+    The one forward pass, _pass, starts from pre[-1], layer 1 unshifted:
+    the ReLU and dropout of it, then _layer2 (_head, then ops @ Y),
+    returning (h, mask, own, P) with h the hidden activations after
+    dropout, so the logits are _logits(own, P).  forward, loss_grads and
+    input_grad derive from _pass and _backward (input_grad also from
+    _pullback); forward_many's _chunks runs _layer1, the ReLU and _head
+    per block of draws and propagates per chunk; _margin_bounds runs
+    _layer1 and _layer2 on absolute values, and forward_flips runs the
+    pieces itself.
 
-    A backbone also names its operator by its entries, from _adjacency's
-    index arrays: self_loops (whether its adjacency holds the identity),
+    A backbone also names its operator by its entries, from the CSR index
+    arrays _csr makes of _adjacency_keys: self_loops (whether its
+    adjacency holds the identity),
     _scale (each node's scale from its degree), _values (each entry's value
     from the scales of its row and column nodes), descending (whether a row
     stores its columns in descending order) and _held_rows (the rows a
     flipped pair changes or reads).  _operator, the one operator builder,
-    turns index arrays and node scales into CSR; build_ops runs it on a
-    whole graph, forward_flips on its scored rows and _flip_patch on the
-    held rows of a group of flipped graphs, so all agree bit for bit.
+    turns index arrays and node scales into CSR; build_ops and
+    forward_flips run it on a whole graph and _flip_patch on the held rows
+    of a group of flipped graphs, so all agree bit for bit.
     """
 
     backbone: str
@@ -555,7 +532,7 @@ class _TwoLayer:
         return sparse.csr_matrix((self._values(row_scale, scale, indices), indices, indptr), shape=(lengths.size, scale.size))
 
     def _flip_patch(self, indptr, indices, deg, scale, u, v):
-        """(b, held, patch, offset): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from _adjacency's arrays of the unflipped graph and scale = _scale(deg).
+        """(b, held, patch, offset): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from the _csr arrays of the unflipped graph's _adjacency_keys and scale = _scale(deg).
 
         Row i of patch is row held[i] of graph b[i], for every row of graph
         b in _held_rows of u[b] and v[b], ordered by b and then by row, as
@@ -625,14 +602,9 @@ class _TwoLayer:
         return 8 * (n * (5 + 3 * self.C) + 10 * (reach[u] + reach[v] + 2) + self.h * (rows[u] + rows[v]))
 
     def _pass(self, ops, X, dropout=0.0, rng=None, pre=None):
-        """(z1, h, mask, own, P): _hidden, then _layer2; see the class docstring."""
-        z1, h, mask = self._hidden(ops, X, dropout, rng, pre=pre)
-        return z1, h, mask, *self._layer2(ops, h)
-
-    def _hidden(self, ops, X, dropout=0.0, rng=None, rows=None, deltas=None, out=None, cols=None, pre=None, zero=0.0):
-        """(z1, h, mask): _layer1, then the ReLU (against zero, 0.0 or a zero tile) and dropout."""
-        z1 = self._layer1(pre or self._pre(ops, X), cols, rows, deltas, out)
-        return z1, *_relu_dropout(z1, dropout, rng, out, zero)
+        """(h, mask, own, P): the ReLU and dropout of pre[-1], then _layer2; see the class docstring."""
+        h, mask = _relu_dropout((pre or self._pre(ops, X))[-1], dropout, rng)
+        return h, mask, *self._layer2(ops, h)
 
     def _layer2(self, ops, h):
         """(own, P): _head's products of the hidden activations h, with Y propagated, P = ops @ Y."""
@@ -641,7 +613,7 @@ class _TwoLayer:
 
     def forward(self, ops, X, pre=None):
         """Logits (n, C) for every node under a prebuilt operator (eval mode); pre, if given, is _pre(ops, X), which it leaves as it is."""
-        return self._logits(*self._pass(ops, X, pre=pre)[3:])
+        return self._logits(*self._pass(ops, X, pre=pre)[2:])
 
     def forward_many(self, ops, X, rows, deltas, out):
         """Hard classes of B perturbations of X, X[rows] += deltas[b], deltas (B, len(rows), d), written into the (B, n) uint8 out, which it returns.
@@ -696,10 +668,10 @@ class _TwoLayer:
         if bounds is None:
             self.fallbacks.add(0, B, 0, moving.size)
             return self._exact(ops, rows, deltas, pre, dense, out)
-        bound32, bound64, keep, z = bounds
+        bound32, bound64, keep = bounds
         f32 = methodcaller("astype", np.float32)
         twin, ops32 = self._map(f32, keep, _differences), f32(ops)
-        zk = np.take(z, keep, axis=1)  # C-contiguous, as in _map
+        zk = np.take(pre[-1], keep, axis=1)  # C-contiguous, as in _map
         z32 = f32(zk)
         # the rows the noise leaves alone: their layer-2 term, b2 included, with the moving rows' activations zeroed
         h = np.maximum(z32, 0.0)
@@ -721,7 +693,7 @@ class _TwoLayer:
         for start, stop in _groups(reads, FORWARD_MANY_CHUNK_BYTES // (8 * max(kept.h, 1))):
             bb, vv = b[start:stop], v[start:stop]
             logits = kept._node_logits(ops, zk, cols, rows, deltas, bb, vv)
-            ok = _margin(*logits.T) > bound64[vv]
+            ok = np.abs(logits[:, 1] - logits[:, 0]) > bound64[vv]
             out[bb[ok], vv[ok]] = logits[ok].argmax(axis=1)
             exact[bb[~ok]] = True
             settled += int(ok.sum())
@@ -738,7 +710,7 @@ class _TwoLayer:
         return out
 
     def _chunks(self, ops, rows, deltas, pre, cols):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _pass on deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and pre[-1] and the N rows of ops (N, m).
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _layer1, the ReLU and _layer2 of the draws deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and pre[-1] and the N rows of ops (N, m).
 
         Layer 1 runs on the m rows that pre, cols and ops' columns hold (all
         n on the float64 path, the rows the noise reaches on forward_many's
@@ -755,11 +727,15 @@ class _TwoLayer:
         products are BLAS calls of their own on C-contiguous operands (a
         strided h @ W2 leaves BLAS and moves the last bits), and a sparse
         product sums each column alone, so every logit equals one unchunked
-        batch's bit for bit.  The ReLU takes a same-shape (m, h) zero tile,
-        built once per call, with the scalar 0.0's bits (see _relu_dropout):
-        against a scalar, numpy's inner loop misses its contiguous fast
-        path.  A model of no hidden units, or a call of no rows, sizes its
-        blocks and chunks as if it had one.
+        batch's bit for bit.  The ReLU runs in place against a same-shape
+        C-contiguous (m, h) zero tile, built once per call: against a
+        scalar, numpy's inner loop misses its contiguous fast path (38.5
+        rather than 85.9 us for a float32 block of 8 draws, 780 rows and 38
+        units; 29.8 against 43.9 us for a float64 block of 4; 2-core VM).
+        The tile gives the scalar 0.0's bits: np.maximum returns its second
+        operand on a tie, so layer 1's output stays first, and a -0.0 there
+        becomes +0.0 either way.  A model of no hidden units, or a call of
+        no rows, sizes its blocks and chunks as if it had one.
         """
         dtype = self.b1.dtype
         B, m = deltas.shape[0], cols.shape[0]
@@ -772,13 +748,14 @@ class _TwoLayer:
             heads = [np.empty((stop - start, m, self.C), dtype) if w else None for w in written]
             for first in range(start, stop, block):
                 part = deltas[first : min(first + block, stop)].astype(dtype, copy=False)
-                h = self._hidden(ops, None, rows=rows, deltas=part, out=buf[: len(part)], cols=cols, pre=pre, zero=zero)[1]
+                h = self._layer1(pre, cols, rows, part, buf[: len(part)])
+                np.maximum(h, zero, out=h)
                 self._head(h, [None if a is None else a[first - start : first - start + len(part)] for a in heads])
             own, Y = heads
             yield slice(start, stop), own, _propagate(ops, Y)
 
     def _margin_bounds(self, ops, pre, rows, deltas, cols):
-        """(bound32, bound64, keep, z) for forward_many's draws, or None when no bound can be trusted.
+        """(bound32, bound64, keep) for forward_many's draws, or None when no bound can be trusted.
 
         The float32 pass, the float64 pass and _node_logits all start from the
         same float64 z = pre[-1] (the float32 pass casts it), so each is
@@ -793,9 +770,7 @@ class _TwoLayer:
         (or |m64'| above bound64) has the sign of m64, and its class is
         m64's.  keep holds the hidden units the float32 pass must compute,
         ascending: every other unit is negative at every node under every
-        draw, exactly and in float32.  z is the clean pre-activation in
-        float64, b1 included: pre[-1] itself, whose cast columns keep the
-        float32 pass shifts.
+        draw, exactly and in float32.
 
         The bounds follow Higham (Accuracy and Stability of Numerical
         Algorithms, 2002, ch. 3): an operation rounds with relative error
@@ -950,7 +925,7 @@ class _TwoLayer:
         E32 = E + gamma(K2, 2.0**-24) * L + 2 * 2.0**-126 * N2
         E64 = gamma(K1 + K2, 2.0**-53) * M + 4 * 2.0**-1022 * ((1 + a) * w2 * N1 + N2)
 
-        return (E32 + E64)[:, 0], 2 * E64[:, 0], keep, z
+        return (E32 + E64)[:, 0], 2 * E64[:, 0], keep
 
     def _node_logits(self, ops, z, cols, rows, deltas, b, v):
         """float64 logits (len(v), C) of node v[i] under the draw X[rows] += deltas[b[i]], from z, layer 1's clean pre-activation pre[-1], and cols = ops[:, rows] as CSR.
@@ -998,22 +973,22 @@ class _TwoLayer:
         full-shape into the group's (B, n, C) arrays and restores the rows: a
         row of a BLAS product depends on its position, so only full-shape dense
         products match the clean pass in the rows a flip leaves alone.  Layer 2
-        then propagates over the rows alone: one sparse product of the clean
-        operator restricted to rows (built once per call; each of its rows sums
-        the same stored entries in the same order as in the full operator) and
+        then propagates over the rows alone: one sparse product of ops[rows],
+        the clean pass's operator restricted to rows (each of its rows sums the
+        same stored entries in the same order as in the full operator), and
         one of the patch, whose rows overwrite the held rows that are among
         rows; one _emit call writes the group's classes.
         """
         pairs = pair_array(pairs, g.n)
         n = g.n
         rows = np.arange(n) if rows is None else node_ids(rows, n, "rows")
-        indptr, indices, deg = adjacency = _adjacency(g, self.self_loops)
+        indptr, indices, deg = adjacency = _csr(_adjacency_keys(g, self.self_loops), n)
         scale = self._scale(deg)
-        pre = self._pre(self._operator(indptr, indices, scale), X)
+        ops = self._operator(indptr, indices, scale)
+        pre = self._pre(ops, X)
         h_clean = np.maximum(pre[-1], 0.0)
         h = h_clean.copy()  # work array, clean again after every candidate
-        scored_ptr, _, at = _row_entries(indptr, rows)
-        scored = self._operator(scored_ptr, indices[at], scale, rows)
+        scored = ops[rows]
         # node j is scored at the positions order[found[j]:found[j + 1]] of rows
         order = np.argsort(rows, kind="stable")
         found = np.searchsorted(rows[order], np.arange(n + 1))
@@ -1042,15 +1017,15 @@ class _TwoLayer:
     def loss_grads(self, ops, X, y, train_idx, dropout=0.0, rng=None, pre=None):
         """(loss, param_grads): mean cross entropy on train_idx and its gradients in the weights; pre, if given, is _pre(ops, X), which it leaves as it is."""
         pre = pre or self._pre(ops, X)
-        z1, h, mask, own, P = self._pass(ops, X, dropout, rng, pre=pre)
+        h, mask, own, P = self._pass(ops, X, dropout, rng, pre=pre)
         loss, dlogits = _cross_entropy(self._logits(own, P), y, train_idx)
-        return loss, self._backward(ops, X, pre, z1, h, mask, dlogits)[0]
+        return loss, self._backward(ops, X, pre, h, mask, dlogits)[0]
 
     def input_grad(self, ops, X, dlogits):
         """Backpropagate an arbitrary logit gradient to the inputs (eval mode)."""
         pre = self._pre(ops, X)
-        z1, h, mask = self._pass(ops, X, pre=pre)[:3]
-        return self._pullback(ops, self._backward(ops, X, pre, z1, h, mask, dlogits)[1])
+        h, mask = self._pass(ops, X, pre=pre)[:2]
+        return self._pullback(ops, self._backward(ops, X, pre, h, mask, dlogits)[1])
 
 
 class GcnModel(_TwoLayer):
@@ -1119,11 +1094,11 @@ class GcnModel(_TwoLayer):
         """|cols| @ max_b |deltas[b] @ W1|, cols = |ops[:, rows]|."""
         return cols @ _max_shift(deltas, self.W1)
 
-    def _backward(self, ops, X, pre, z1, h, mask, dlogits):
+    def _backward(self, ops, X, pre, h, mask, dlogits):
         """(param_grads, A_hat dz1), the latter the gradient in X W1."""
         ag2 = ops @ dlogits  # A_hat is symmetric, so A_hat^T g = A_hat g
         grads = {"W2": h.T @ ag2, "b2": dlogits.sum(axis=0)}
-        dz1 = _relu_dropout_grad(ag2 @ self.W2.T, z1, mask)
+        dz1 = _relu_dropout_grad(ag2 @ self.W2.T, pre[-1], mask)
         adz1 = ops @ dz1
         grads["W1"] = X.T @ adz1
         grads["b1"] = dz1.sum(axis=0)
@@ -1199,8 +1174,7 @@ class SageModel(_TwoLayer):
     def _layer1(self, pre, cols, rows, deltas, out):
         """X Ws1 + (M X) Wn1 + b1 (pre[-1]), shifted by the deltas through Wn1 and, in the perturbed rows, Ws1."""
         z1 = _shifted(pre[-1], cols, deltas, self.Wn1, out)
-        if deltas is not None:
-            z1[:, rows] += deltas @ self.Ws1
+        z1[:, rows] += deltas @ self.Ws1
         return z1
 
     def _shift_bound(self, cols, rows, deltas):
@@ -1209,9 +1183,9 @@ class SageModel(_TwoLayer):
         S[rows] += _max_shift(deltas, self.Ws1)
         return S
 
-    def _backward(self, ops, X, pre, z1, h, mask, dlogits):
+    def _backward(self, ops, X, pre, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}
-        dz1 = _relu_dropout_grad(dlogits @ self.Ws2.T + (ops.T @ dlogits) @ self.Wn2.T, z1, mask)
+        dz1 = _relu_dropout_grad(dlogits @ self.Ws2.T + (ops.T @ dlogits) @ self.Wn2.T, pre[-1], mask)
         grads["Ws1"] = X.T @ dz1
         grads["Wn1"] = pre[1].T @ dz1  # pre[1] is M X
         grads["b1"] = dz1.sum(axis=0)

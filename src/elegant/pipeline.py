@@ -63,6 +63,7 @@ import ctypes
 import glob
 import itertools
 import logging
+import numbers
 import os
 import threading
 import time
@@ -74,7 +75,7 @@ import numpy as np
 from .certify import CertifiedBudgets, attribute_radius, structure_budget
 from .data import Graph, sample_test_sets
 from .estimate import binomial_lower_bound_vec
-from .fairness import BiasThreshold, class1_hits, group_members, metric_sides, rate_gaps
+from .fairness import BiasThreshold, class1_hits, group_members, metric_sides, non_integers, rate_gaps
 from .smoothing import (
     SmoothingConfig,
     apply_structure_mask,
@@ -185,8 +186,9 @@ class PredictionCache:
         mean per mask.  With pool workers,
         numpy's bundled OpenBLAS is held to one thread for the build
         (_one_blas_thread): the threads already keep the cores busy.
+        Raises ValueError for a jobs that is not a positive integer.
         """
-        if jobs < 1:
+        if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
             raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
         n = g.n
         d = X.shape[1]
@@ -327,7 +329,7 @@ def _flat_sets(test_sets, pool, vulnerable: tuple, n: int) -> tuple:
         raise ValueError(f"{forms}node ids of dtype {flat.dtype}")
     seg = np.repeat(np.arange(sizes.size), sizes)
     if flat.dtype.kind == "f":
-        fractional = ~(np.isfinite(flat) & (flat == np.trunc(flat)))
+        fractional = non_integers(flat)
         if fractional.any():
             i = np.argmax(fractional)
             raise ValueError(f"test set {seg[i]} must hold integer node ids; {flat[i]} is not one")

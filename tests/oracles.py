@@ -263,7 +263,7 @@ def train_oracle(g, X, labels, split, cfg, backbone="gcn", augment=False):
         return float((logits[val_idx].argmax(axis=1) == y[val_idx]).mean())
 
     def loss_grads(m, ops, Xe):
-        z1, h, mask, own, P = m._pass(ops, Xe, cfg.dropout, rng)
+        h, mask, own, P = m._pass(ops, Xe, cfg.dropout, rng)
         logits = m._logits(own, P)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
@@ -272,7 +272,7 @@ def train_oracle(g, X, labels, split, cfg, backbone="gcn", augment=False):
         dlogits[train_idx] = p[train_idx]
         dlogits[train_idx, y[train_idx]] -= 1.0
         dlogits /= train_idx.size
-        return loss, m._backward(ops, Xe, m._pre(ops, Xe), z1, h, mask, dlogits)[0]
+        return loss, m._backward(ops, Xe, m._pre(ops, Xe), h, mask, dlogits)[0]
 
     best = {k: v.copy() for k, v in model.params().items()}
     best_acc = val_accuracy(model) if val_idx.size else -1.0

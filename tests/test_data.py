@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -19,9 +20,32 @@ from elegant.data import (
     normalize_attributes,
     sample_test_sets,
 )
-from elegant.fixtures import bundled_fixture_dir, make_small, write_dataset
+from elegant.fixtures import bundled_fixture_dir, make_small
 from elegant.smoothing import DOMAIN_TESTSET, substream
 from oracles import flip_oracle
+
+
+def write_dataset(directory: str, g: Graph, X: np.ndarray, labels: NodeLabels) -> None:
+    """Write the three-file text format load_dataset reads.
+
+    Edges are listed in both directions, matching the usual directed
+    adjacency dumps the loader deduplicates.  Attributes are written as the
+    shortest decimal that parses back to the same double, so every finite
+    value round-trips exactly.
+    """
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "edges.txt"), "w") as fh:
+        e = g.edge_array()
+        both = np.concatenate([e, e[:, ::-1]])
+        np.savetxt(fh, both[np.lexsort((both[:, 1], both[:, 0]))], fmt="%d")
+    with open(os.path.join(directory, "features.csv"), "w") as fh:
+        fh.write(",".join(f"c{j}" for j in range(X.shape[1])) + "\n")
+        for row in X:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    with open(os.path.join(directory, "labels.csv"), "w") as fh:
+        fh.write("node_id,label,sensitive\n")
+        for i in range(labels.n):
+            fh.write(f"{i},{labels.y[i]},{labels.s[i]}\n")
 
 
 def test_graph_accepts_canonical_pairs():
@@ -39,6 +63,15 @@ def test_graph_rejects_bad_pairs():
         Graph(n=3, edges=frozenset({(0, 3)}))
     with pytest.raises(DataError):
         Graph(n=0, edges=frozenset())
+
+
+@pytest.mark.parametrize("n", [2.7, float("nan"), float("inf")])
+def test_graph_refuses_a_node_count_that_is_not_an_integer(n):
+    # 2.7 used to build a 2-node graph, and NaN or inf failed inside int()
+    with pytest.raises(DataError, match=f"graph needs an integer node count, got n={n}"):
+        Graph(n, [(0, 1)])
+    g = Graph(3.0, [(0, 1)])
+    assert g.n == 3 and type(g.n) is int
 
 
 def test_graph_canonicalizes_any_pair_form():
@@ -336,6 +369,16 @@ def test_sample_test_sets_validation():
         sample_test_sets(sp, ratio=0.5, count=1, seed=0, include=(0,))  # train node
     with pytest.raises(DataError):
         sample_test_sets(sp, ratio=0.1, count=1, seed=0, include=sp.test_pool)
+
+
+@pytest.mark.parametrize("node", [171.7, float("nan"), float("inf")])
+def test_sample_test_sets_refuses_include_ids_that_are_not_integers(node):
+    # 171.7 used to force node 171 into every set, and NaN failed inside int()
+    sp = make_splits(make_small()[0], seed=0)
+    assert 171 in sp.test_pool
+    with pytest.raises(DataError, match=re.escape(f"include nodes must be integers; {node} is not one")):
+        sample_test_sets(sp, 0.5, 3, 0, include=[171, node])
+    np.testing.assert_array_equal(sample_test_sets(sp, 0.5, 3, 0, include=[171.0]), sample_test_sets(sp, 0.5, 3, 0, include=[171]))
 
 
 def test_bundled_dataset_matches_generator(tmp_path):

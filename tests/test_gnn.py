@@ -100,7 +100,7 @@ def test_array_builder_equals_the_scipy_product_oracle(cls):
         _assert_same_csr(model.build_ops(graph), oracle(*adjacency_oracle(graph.edge_array(), n, model.self_loops)))
     for at in (slice(None), slice(0, 1), slice(3, 7)):
         u, v = pairs[at].T
-        indptr, indices, deg = gnn._adjacency(g, model.self_loops)
+        indptr, indices, deg = gnn._csr(gnn._adjacency_keys(g, model.self_loops), n)
         b, held, patch, offset = model._flip_patch(indptr, indices, deg, model._scale(deg), u, v)
         want_R, want = flip_patch_oracle(model.backbone, g.edge_array(), n, u, v)
         np.testing.assert_array_equal(b * n + held, want_R)
@@ -282,14 +282,14 @@ def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n
     model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h)
     ops = model.build_ops(g)
     rows = np.array([1, 3, n - 1])
-    # the draw count of every _hidden call, each one block of layer 1
-    sizes, hidden = [], type(model)._hidden
+    # the draw count of every _layer1 call, each one block of layer 1
+    sizes, layer1 = [], type(model)._layer1
 
-    def spy(self, *args, **kwargs):
-        sizes.append(len(kwargs["deltas"]))
-        return hidden(self, *args, **kwargs)
+    def spy(self, pre, cols, rows, deltas, out):
+        sizes.append(len(deltas))
+        return layer1(self, pre, cols, rows, deltas, out)
 
-    monkeypatch.setattr(type(model), "_hidden", spy)
+    monkeypatch.setattr(type(model), "_layer1", spy)
     for block in (1, 3):
         monkeypatch.setattr(gnn, "FORWARD_MANY_CHUNK_BYTES", block * 8 * n * h)
         got, chunk = _blocks_and_chunks(n, h, 2)
@@ -375,22 +375,32 @@ def test_forward_many_tiles_give_the_scalar_operands_bits(monkeypatch):
     rng = np.random.default_rng(53)
     n, d, h = 50, 3, 16
     model = GcnModel.init(rng, d=d, hidden=h)
-    # _chunks hands its blocks' ReLU one C-contiguous (m, h) zero tile in the weights' dtype
-    seen, hidden = [], GcnModel._hidden
+    # _chunks runs its blocks' ReLU in place, layer 1's output first, against one C-contiguous (m, h) zero tile in the weights' dtype
+    seen = []
 
-    def spy(self, *args, zero, **kwargs):
-        seen.append(zero)
-        return hidden(self, *args, zero=zero, **kwargs)
+    class Spied:
+        """numpy, recording the operands of every np.maximum call."""
 
-    monkeypatch.setattr(GcnModel, "_hidden", spy)
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def maximum(self, *args, **kwargs):
+            seen.append((args, kwargs))
+            return np.maximum(*args, **kwargs)
+
     g = _random_sparse_graph(rng, n, 2 * n)
     rows = np.array([1, 4])
     for twin in (model, model._map(lambda w: w.astype(np.float32))):
         ops = twin.build_ops(g).astype(twin.b1.dtype)
         pre = twin._pre(ops, rng.standard_normal((n, d)).astype(twin.b1.dtype))
-        list(twin._chunks(ops, rows, rng.standard_normal((3, rows.size, d)), pre, ops[:, rows].toarray()))
-        zero = seen[-1]
-        assert zero.shape == (n, h) and zero.dtype == twin.b1.dtype and zero.flags.c_contiguous and not zero.any()
+        seen.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(gnn, "np", Spied())
+            list(twin._chunks(ops, rows, rng.standard_normal((3, rows.size, d)), pre, ops[:, rows].toarray()))
+        assert seen
+        for (h1, zero), kwargs in seen:
+            assert kwargs["out"] is h1
+            assert zero.shape == (n, h) and zero.dtype == twin.b1.dtype and zero.flags.c_contiguous and not zero.any()
     # +0.0, -0.0, negative and positive entries, in a (chunk, n, h) batch
     z = rng.choice([0.0, -0.0, -1.0, 1.0], size=(3, n, h)) * rng.uniform(1.0, 2.0, size=(3, n, h))
     zeros = z == 0.0
@@ -400,9 +410,12 @@ def test_forward_many_tiles_give_the_scalar_operands_bits(monkeypatch):
         return a.view(np.uint64)
 
     out = z.copy()
-    relu, mask = gnn._relu_dropout(out, 0.0, None, out=out, zero=np.zeros((n, h)))
-    assert relu is out and mask is None
+    relu = np.maximum(out, np.zeros((n, h)), out=out)
+    assert relu is out
     np.testing.assert_array_equal(bits(relu), bits(np.maximum(z, 0.0)))
+    relu, mask = gnn._relu_dropout(z, 0.0, None)
+    assert mask is None
+    np.testing.assert_array_equal(bits(relu), bits(out))
 
 
 def _assert_memory_is_bounded_by_the_chunk(cls, exact):
@@ -461,9 +474,9 @@ def test_re_evaluation_batches_hold_at_most_the_chunk_bytes_of_hidden_rows(monke
     margin_bounds, node_logits, batches = cls._margin_bounds, cls._node_logits, []
 
     def widened(self, *args):
-        bound32, bound64, keep, z = margin_bounds(self, *args)
+        bound32, bound64, keep = margin_bounds(self, *args)
         bound32[hubs] = np.inf
-        return bound32, bound64, keep, z
+        return bound32, bound64, keep
 
     def measured(self, ops, z, cols, rows, deltas, b, v):
         start = tracemalloc.get_traced_memory()[0]
@@ -573,7 +586,7 @@ def test_margin_bounds_cover_the_float32_and_the_re_evaluated_margins(seed, back
         assert bounds is None
     if bounds is None:
         return
-    bound32, bound64, keep, _ = bounds
+    bound32, bound64, keep = bounds
     m, twin, _ = _float32_pass(model, ops, X, rows, deltas)
     assert (_margin_errors(m, want) <= bound32).all()
     assert twin.h == keep.size and (not dead or keep.size <= h // 2)
@@ -619,14 +632,14 @@ def test_dead_units_add_no_rounding_to_the_margin_bound():
     model = GcnModel(W1=np.ones((1, h)), b1=b1, W2=W2, b2=[0.0, 0.0])
     ops, rows, deltas = model.build_ops(g), np.array([hub]), np.zeros((1, 1, 1))
     pre = model._pre(ops, X)
-    bound32, bound64, keep, z = model._margin_bounds(ops, pre, rows, deltas, ops[:, rows].toarray())
+    bound32, bound64, keep = model._margin_bounds(ops, pre, rows, deltas, ops[:, rows].toarray())
     np.testing.assert_array_equal(keep, [0])
     want = _chunk_logits(model, ops, X, rows, deltas)
     err = _margin_errors(_float32_pass(model, ops, X, rows, deltas)[0], want)
     assert err[0, hub] > bound32[hub] / 64
     assert (err <= bound32).all()
     v = np.arange(n)
-    again = model._map(np.asarray, keep)._node_logits(ops, np.take(z, keep, axis=1), ops[:, rows], rows, deltas, np.zeros(n, np.int64), v)
+    again = model._map(np.asarray, keep)._node_logits(ops, np.take(pre[-1], keep, axis=1), ops[:, rows], rows, deltas, np.zeros(n, np.int64), v)
     assert (_margin_errors(_difference(again)[None], want) <= bound64).all()
 
 
@@ -772,14 +785,14 @@ def test_float32_pass_runs_layer_one_on_the_rows_the_noise_reaches(monkeypatch, 
     deltas = 3.0 * rng.standard_normal((B, rows.size, d))
     want = forward_many_oracle(model, ops, X, rows, deltas)
     assert (want.argmax(axis=2) != want[0].argmax(axis=1)).any()
-    buffers, hidden = [], type(model)._hidden
+    buffers, layer1 = [], type(model)._layer1
 
-    def spy(self, *args, **kwargs):
+    def spy(self, pre, cols, rows, deltas, out):
         if self.b1.dtype == np.float32:
-            buffers.append(kwargs["out"].shape)
-        return hidden(self, *args, **kwargs)
+            buffers.append(out.shape)
+        return layer1(self, pre, cols, rows, deltas, out)
 
-    monkeypatch.setattr(type(model), "_hidden", spy)
+    monkeypatch.setattr(type(model), "_layer1", spy)
     reached = model.fallbacks.moving
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
     assert model.fallbacks.rerun == 0 and model.fallbacks.moving - reached == moving.size
@@ -854,7 +867,7 @@ def test_forward_flips_equal_the_rebuild_oracle(backbone, n, d, h):
 
 def _flip_charges(model, g, pairs):
     """forward_flips's per-candidate group charges for model on g."""
-    return model._flip_charges(*gnn._adjacency(g, model.self_loops), pairs)
+    return model._flip_charges(*gnn._csr(gnn._adjacency_keys(g, model.self_loops), g.n), pairs)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

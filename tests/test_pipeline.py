@@ -358,6 +358,17 @@ def test_cache_build_refuses_jobs_below_one(monkeypatch, jobs):
     assert model.forward_many_calls == 0 and pools == []
 
 
+def test_cache_build_refuses_jobs_that_are_not_integers(monkeypatch):
+    # 2.5 used to fail inside the pool set-up with a TypeError
+    g, X, labels, split = _world()
+    model, masks = _CountingModel(), []
+    monkeypatch.setattr(pipeline, "sample_structure_mask", lambda *args, **kwargs: masks.append(args))
+    cfg = SmoothingConfig(n_outer=4, n_inner=3, master_seed=5)
+    with pytest.raises(ValueError, match=re.escape("jobs must be a positive integer, got 2.5")):
+        PredictionCache.build(model, g, X, split.vulnerable, cfg, jobs=2.5)
+    assert model.forward_many_calls == 0 and masks == []
+
+
 def _real_world(backbone):
     """A random 80-node graph with a real backbone: random weights and a nonzero b1."""
     rng = np.random.default_rng(71)
