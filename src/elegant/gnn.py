@@ -32,7 +32,9 @@ from integer index arrays, for `build_ops` and single-flip scoring
 alike) and writes only its layer algebra's pieces: layer 1's products
 (_pre), whose last entry, pre[-1], is layer 1's clean pre-activation, b1
 included, layer 1 under a batch of perturbations of a few attribute rows
-(_layer1, which always shifts pre[-1] and adds no bias of its own),
+(_layer1, which shifts a clean pre-activation by the draws' products
+with each layer-1 weight and adds no bias of its own; the error bound
+below runs it for its magnitude and shift bounds too),
 layer 2's dense head (_head) and the reverse pass (_backward, and
 _pullback to the inputs).  The one forward pass, _TwoLayer._pass,
 starts from pre[-1]: its ReLU and dropout, then _layer2 (_head plus
@@ -94,6 +96,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from operator import methodcaller
 
 import numpy as np
@@ -101,7 +104,7 @@ from scipy import sparse
 
 from .data import DataError, Graph, pair_array
 from .fairness import node_ids
-from .smoothing import DOMAIN_TRAIN, eligible_pairs, substream, vulnerable_ids
+from .smoothing import DOMAIN_TRAIN, _require_integers, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
 
@@ -171,6 +174,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, ("epochs", "hidden", "seed"))
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         for name in ("weight_decay", "train_noise_std"):
@@ -275,8 +279,8 @@ def _relu_dropout_grad(dh, z1, mask):
     return dh
 
 
-def _shifted(z, cols, deltas, W, out):
-    """The batch z + cols @ (deltas[b] @ W) for deltas (B, r, d), shape (B, n, k), written into out.
+def _shifted(z, cols, P, out):
+    """The batch z + cols @ P[b] for the products P (B, r, k) of the draws with one layer-1 weight, shape (B, n, k), written into out.
 
     Perturbing X[rows] moves ops @ (X @ W) only through the operator columns
     at rows, cols = ops[:, rows] as a dense array.  The shift is one BLAS
@@ -284,7 +288,7 @@ def _shifted(z, cols, deltas, W, out):
     element is the same r-term dot product as in a single product over all
     draws, and z is added after it.
     """
-    out = np.matmul(cols, deltas @ W, out=out)
+    out = np.matmul(cols, P, out=out)
     out += z
     return out
 
@@ -359,10 +363,10 @@ def _shift_at(C, k, deltas, W, b):
 
 
 def _max_shift(deltas, W):
-    """max_b |deltas[b] @ W| (r, k) over the draws of deltas (B, r, d), from one (B r, d) @ (d, k) product; zeros for no draws."""
+    """max_b |deltas[b] @ W| (1, r, k) over the draws of deltas (B, r, d), from one (B r, d) @ (d, k) product; zeros for no draws."""
     B, r, d = deltas.shape
     P = deltas.reshape(B * r, d) @ W
-    return np.abs(P, out=P).reshape(B, r, W.shape[1]).max(axis=0, initial=0.0)
+    return np.abs(P, out=P).reshape(B, r, W.shape[1]).max(axis=0, initial=0.0, keepdims=True)
 
 
 def _cross_entropy(logits, y, train_idx):
@@ -389,17 +393,23 @@ class _TwoLayer:
     A backbone lists its weights in weight_names (matrices W*, biases b*,
     each name ending in its layer number) and writes its layer algebra
     once, in pieces:
-    - _pre(ops, X), layer 1's products before any shift; its first two
-      entries are S, the operand layer 1 propagates, and ops @ S, and its
-      last, pre[-1], is layer 1's clean pre-activation, b1 included;
-    - _layer1(pre, cols, rows, deltas, out), layer 1's pre-activation z1
-      under the B draws X[rows] += deltas[b], deltas (B, len(rows), d) and
-      cols = ops[:, rows] as a dense array: pre[-1], the one entry of pre
-      it reads, always shifted, written into the C-contiguous (B, n, h)
-      out and never into pre, which training reuses across passes;
-    - _shift_bound(cols, rows, deltas), a bound (n, h) on every draw's
-      layer-1 shift |z1 - z| from |cols| and the draws' largest delta
-      products, for _margin_bounds' test of units no draw switches on;
+    - _pre(ops, X), layer 1's products before any shift; its first entry
+      is S, the operand layer 1 propagates, its second ops @ S (GCN's
+      with b1 added), and its last, pre[-1], is layer 1's clean
+      pre-activation, b1 included;
+    - _layer1(z, cols, rows, shift, out), layer 1's pre-activation z1
+      under a shift of the attribute rows X[rows]: z, the clean
+      pre-activation (m, h) of the m rows it runs on, plus cols @ shift(W)
+      for the weight W that layer 1 propagates and, in the rows of z that
+      rows indexes (SAGE), shift(Ws1) of its own-row weight, written into
+      the C-contiguous (B, m, h) out and never into z, which training
+      reuses across passes; cols (m, len(rows)) holds ops[:, rows] as a
+      dense array.  shift(W) gives the (B, len(rows), k) products of the
+      draws with one layer-1 weight W: deltas @ W for the B draws
+      X[rows] += deltas[b] (_chunks); and, with B = 1, D @ W on the
+      absolute-value model run on |z|, D the draws' largest |deltas|
+      (_margin_bounds' magnitude M1), or max_b |deltas[b] @ W|
+      (_max_shift) on |cols| (its shift bound U);
     - _flip_hidden(pre, SR, held, cuts), the hidden activations of a group
       of flipped graphs in their changed rows: flip c's rows are
       held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]] their rows of the
@@ -426,8 +436,8 @@ class _TwoLayer:
     input_grad derive from _pass and _backward (input_grad also from
     _pullback); forward_many's _chunks runs _layer1, the ReLU and _head
     per block of draws and propagates per chunk; _margin_bounds runs
-    _layer1 and _layer2 on absolute values, and forward_flips runs the
-    pieces itself.
+    _layer1 twice, for M1 on absolute values and for U, and _layer2 once,
+    and forward_flips runs the pieces itself.
 
     A backbone also names its operator by its entries, from the CSR index
     arrays _csr makes of _adjacency_keys: self_loops (whether its
@@ -678,8 +688,7 @@ class _TwoLayer:
         h[moving] = 0.0
         const = twin._logits(*twin._layer2(ops32, h))
         unsettled = np.empty((B, n), dtype=bool)
-        # layer 1 shifts pre[-1] alone, here z32's moving rows, which hold b1
-        for at, own, P in twin._chunks(ops32[:, moving], np.searchsorted(moving, rows), deltas, (z32[moving],), f32(dense[moving])):
+        for at, own, P in twin._chunks(ops32[:, moving], np.searchsorted(moving, rows), deltas, z32[moving], f32(dense[moving])):
             m = P + const
             if own is not None:
                 m[:, moving] += own
@@ -705,14 +714,14 @@ class _TwoLayer:
 
     def _exact(self, ops, rows, deltas, pre, cols, out):
         """forward_many's float64 path: the hard classes of _chunks of draws in float64, written into out, which it returns."""
-        for at, own, P in self._chunks(ops, rows, deltas, pre, cols):
+        for at, own, P in self._chunks(ops, rows, deltas, pre[-1], cols):
             self._emit(own, P, out[at])
         return out
 
-    def _chunks(self, ops, rows, deltas, pre, cols):
-        """(at, own, P) of each chunk of draws at = slice(start, stop): _layer1, the ReLU and _layer2 of the draws deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and pre[-1] and the N rows of ops (N, m).
+    def _chunks(self, ops, rows, deltas, z, cols):
+        """(at, own, P) of each chunk of draws at = slice(start, stop): _layer1, the ReLU and _layer2 of the draws deltas[at] in the weights' dtype, own (len(at), m, C) and P (len(at), N, C), over the m rows of cols (m, r) and of z, the clean pre-activation, and the N rows of ops (N, m).
 
-        Layer 1 runs on the m rows that pre, cols and ops' columns hold (all
+        Layer 1 runs on the m rows that z, cols and ops' columns hold (all
         n on the float64 path, the rows the noise reaches on forward_many's
         float32 one), rows being the perturbed rows' positions among them;
         ops propagates them to its N rows.  Two granularities, both sized by
@@ -748,7 +757,7 @@ class _TwoLayer:
             heads = [np.empty((stop - start, m, self.C), dtype) if w else None for w in written]
             for first in range(start, stop, block):
                 part = deltas[first : min(first + block, stop)].astype(dtype, copy=False)
-                h = self._layer1(pre, cols, rows, part, buf[: len(part)])
+                h = self._layer1(z, cols, rows, partial(np.matmul, part), buf[: len(part)])
                 np.maximum(h, zero, out=h)
                 self._head(h, [None if a is None else a[first - start : first - start + len(part)] for a in heads])
             own, Y = heads
@@ -807,11 +816,11 @@ class _TwoLayer:
           reached rows' sum) and the same 2.
         So the float32 pre-activation errs by at most e1 = gamma_K1 M1,
         row by row.
-        Every draw's z1 is at most U = z + S, S the backbone's
-        _shift_bound: |cols| times T = max_b |deltas[b] W|, the largest
-        product of any draw's deltas and a layer-1 weight (one (B r, d)
-        product per weight), a draw's shift being a sum of such products
-        weighted by its operator entries.  T is far tighter than D |W|,
+        Every draw's z1 is at most U, _layer1 run on z and |cols| with the
+        shift T = max_b |deltas[b] W| (_max_shift), the largest product of
+        any draw's deltas and a layer-1 weight W (one (B r, d) product per
+        weight), a draw's shift being a sum of such products weighted by
+        its operator entries.  T is far tighter than D |W|,
         which M1 uses, since it keeps each draw's cancellation; that is
         also why e1 cannot use it, as e1 bounds roundings of the terms
         themselves.  Where U + 2 e1 <= 0 both the exact and the float32
@@ -888,7 +897,7 @@ class _TwoLayer:
         acols = np.abs(cols)
         # M1, then twice e1, then G = U + 2 e1, in place in one (3, n, h) array: layer 2's operand
         full = np.empty((3, n, h))
-        M1 = absm._layer1((az,), acols, rows, D[None], full[:1])[0]
+        M1 = absm._layer1(az, acols, rows, partial(np.matmul, D[None]), full[:1])[0]
         N1 = 2 + 2 * r + 2 * d * (1 + a)
 
         def gamma(K, u):
@@ -898,7 +907,7 @@ class _TwoLayer:
         K1u = d + 7 + np.count_nonzero(cols, axis=1)[:, None]
         e2 = np.multiply(M1, 2 * gamma(K1u, 2.0**-24), out=full[1])
         e2 += 4 * 2.0**-126 * N1
-        G = np.add(z, self._shift_bound(acols, rows, deltas), out=full[2])
+        G = self._layer1(z, acols, rows, partial(_max_shift, deltas), full[2:])[0]
         G += e2
         keep = np.flatnonzero(~(G <= 0.0).all(axis=0))
         e2 *= (G > 0.0) * 0.5  # the passed-on error e1 where G > 0
@@ -1086,13 +1095,9 @@ class GcnModel(_TwoLayer):
     def _logits(self, own, P, c=slice(None)):
         return P[..., c] + self.b2[c]
 
-    def _layer1(self, pre, cols, rows, deltas, out):
-        """A_hat X W1 + b1 (pre[-1]), shifted by the deltas."""
-        return _shifted(pre[-1], cols, deltas, self.W1, out)
-
-    def _shift_bound(self, cols, rows, deltas):
-        """|cols| @ max_b |deltas[b] @ W1|, cols = |ops[:, rows]|."""
-        return cols @ _max_shift(deltas, self.W1)
+    def _layer1(self, z, cols, rows, shift, out):
+        """z, A_hat X W1 + b1 (pre[-1]) or a bound on it, plus cols @ shift(W1)."""
+        return _shifted(z, cols, shift(self.W1), out)
 
     def _backward(self, ops, X, pre, h, mask, dlogits):
         """(param_grads, A_hat dz1), the latter the gradient in X W1."""
@@ -1171,17 +1176,11 @@ class SageModel(_TwoLayer):
     def _logits(self, own, P, c=slice(None)):
         return own[..., c] + P[..., c] + self.b2[c]
 
-    def _layer1(self, pre, cols, rows, deltas, out):
-        """X Ws1 + (M X) Wn1 + b1 (pre[-1]), shifted by the deltas through Wn1 and, in the perturbed rows, Ws1."""
-        z1 = _shifted(pre[-1], cols, deltas, self.Wn1, out)
-        z1[:, rows] += deltas @ self.Ws1
+    def _layer1(self, z, cols, rows, shift, out):
+        """z, X Ws1 + (M X) Wn1 + b1 (pre[-1]) or a bound on it, plus cols @ shift(Wn1) and, in the perturbed rows, shift(Ws1)."""
+        z1 = _shifted(z, cols, shift(self.Wn1), out)
+        z1[:, rows] += shift(self.Ws1)
         return z1
-
-    def _shift_bound(self, cols, rows, deltas):
-        """|cols| @ max_b |deltas[b] @ Wn1|, cols = |ops[:, rows]|, plus max_b |deltas[b] @ Ws1| in the perturbed rows."""
-        S = cols @ _max_shift(deltas, self.Wn1)
-        S[rows] += _max_shift(deltas, self.Ws1)
-        return S
 
     def _backward(self, ops, X, pre, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}

@@ -13,6 +13,8 @@ vulnerable rows.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -37,9 +39,20 @@ _THREAD = threading.local()
 
 
 def _key(master_seed: int, domain: int, stream_id: int) -> np.ndarray:
+    """The Philox key of a substream; a master seed outside [0, 2**64) is refused, not wrapped onto another seed's streams."""
+    if not 0 <= operator.index(master_seed) < 1 << 64:
+        raise ValueError(f"master seed out of range [0, 2**64): {master_seed}")
     if stream_id < 0 or stream_id >= 1 << _STREAM_BITS:
         raise ValueError(f"stream_id out of range: {stream_id}")
-    return np.array([master_seed & 0xFFFFFFFFFFFFFFFF, (domain << _STREAM_BITS) | stream_id], dtype=np.uint64)
+    return np.array([master_seed, (domain << _STREAM_BITS) | stream_id], dtype=np.uint64)
+
+
+def _require_integers(config, names) -> None:
+    """Raise ValueError naming the first field of config among names that is not an integer; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def substream(master_seed: int, domain: int, stream_id: int) -> np.random.Generator:
@@ -94,6 +107,9 @@ class SmoothingConfig:
     strict: bool = True
 
     def __post_init__(self):
+        _require_integers(self, ("n_outer", "n_inner", "k_max", "master_seed"))
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"strict must be a bool, got {self.strict!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.5 < self.beta < 1:

@@ -9,7 +9,8 @@ loop, every product computed afresh.  Normal quantiles come from bisection on an
 incomplete-beta values from Simpson integration, the Neyman-Pearson optimum
 from exact rational enumeration, the region probabilities from a sum over
 every flip count, gradients from central differences, single-flip logits
-from one full operator rebuild per flip, operator rows from scipy's sparse
+from one full operator rebuild per flip, the largest layer-1 shifts from
+one einsum per weight, operator rows from scipy's sparse
 products on a scipy adjacency (flipped rows from one block-diagonal graph
 of the flipped graphs), and group rate gaps from one gather and bool mean
 per group.  Slow and simple on purpose.
@@ -230,6 +231,19 @@ def forward_many_oracle(model, ops, X, rows, deltas):
     z1[:, rows] += deltas @ model.Ws1
     h = np.maximum(z1, 0.0)
     return h @ model.Ws2 + propagate(h @ model.Wn2) + model.b2
+
+
+def shift_bound_oracle(model, cols, rows, deltas):
+    """The largest layer-1 shift (n, h) any draw X[rows] += deltas[b] can add, cols = |ops[:, rows]|: cols @ max_b |deltas[b] W| for the propagated weight W (GCN's W1, SAGE's Wn1), plus max_b |deltas[b] Ws1| in SAGE's perturbed rows; 0 for no draws."""
+    import numpy as np
+
+    def top(W):
+        return np.abs(np.einsum("brd,dk->brk", deltas, W)).max(axis=0, initial=0.0)
+
+    S = cols @ top(model.W1 if model.backbone == "gcn" else model.Wn1)
+    if model.backbone == "sage":
+        S[rows] += top(model.Ws1)
+    return S
 
 
 def flip_logits_oracle(model, g, X, pairs):

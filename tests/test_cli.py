@@ -261,6 +261,12 @@ def test_fcr_exit_code_when_nothing_certifies(workdir, tmp_path):
     assert rc == 4
 
 
+def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "config.json")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run"), "--seed", str(2**64)]) == 2
+    assert "master seed out of range" in capsys.readouterr().err
+
+
 def test_exit_code_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such_key": 1}))

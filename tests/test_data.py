@@ -289,6 +289,15 @@ def test_make_splits_deterministic_per_seed():
     assert make_splits(g, seed=4) != make_splits(g, seed=5)
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_make_splits_refuses_a_seed_outside_64_bits(seed):
+    # not wrapped: 2**64 would rerun seed 0's splits, and -1 those of 2**64 - 1
+    g = Graph(n=60, edges=frozenset())
+    with pytest.raises(ValueError, match=r"^master seed out of range \[0, 2\*\*64\)"):
+        make_splits(g, seed=seed)
+    make_splits(g, seed=2**64 - 1)
+
+
 def test_make_splits_rejects_bad_fractions():
     g = Graph(n=10, edges=frozenset())
     with pytest.raises(DataError):

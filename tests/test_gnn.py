@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     flip_logits_oracle,
     flip_patch_oracle,
     forward_many_oracle,
+    shift_bound_oracle,
     train_oracle,
 )
 
@@ -223,13 +225,13 @@ def test_forward_many_matches_single_forwards():
             np.testing.assert_array_equal(unperturbed[b], model.forward(ops, X))
 
 
-def _chunk_logits(model, ops, X, rows, deltas, pre=None, cols=None):
-    """Logits (B, n, C), widened to float64, of forward_many's production chunk loop (_chunks) in the model's dtype, whose classes its exact path emits."""
+def _chunk_logits(model, ops, X, rows, deltas, z=None, cols=None):
+    """Logits (B, n, C), widened to float64, of forward_many's production chunk loop (_chunks) in the model's dtype, whose classes its exact path emits; z defaults to the clean pre-activation pre[-1]."""
     rows = np.asarray(rows, dtype=np.int64)
-    pre = model._pre(ops, X) if pre is None else pre
+    z = model._pre(ops, X)[-1] if z is None else z
     cols = ops[:, rows].toarray() if cols is None else cols
     logits = np.empty((deltas.shape[0], X.shape[0], model.C))
-    for at, own, P in model._chunks(ops, rows, deltas, pre, cols):
+    for at, own, P in model._chunks(ops, rows, deltas, z, cols):
         logits[at] = model._logits(own, P)
     return logits
 
@@ -282,12 +284,12 @@ def test_forward_many_chunks_equal_the_unchunked_oracle(monkeypatch, backbone, n
     model = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h)
     ops = model.build_ops(g)
     rows = np.array([1, 3, n - 1])
-    # the draw count of every _layer1 call, each one block of layer 1
+    # the draw count of every _layer1 call, each one block of layer 1, read from the buffer it writes
     sizes, layer1 = [], type(model)._layer1
 
-    def spy(self, pre, cols, rows, deltas, out):
-        sizes.append(len(deltas))
-        return layer1(self, pre, cols, rows, deltas, out)
+    def spy(self, z, cols, rows, shift, out):
+        sizes.append(len(out))
+        return layer1(self, z, cols, rows, shift, out)
 
     monkeypatch.setattr(type(model), "_layer1", spy)
     for block in (1, 3):
@@ -392,11 +394,11 @@ def test_forward_many_tiles_give_the_scalar_operands_bits(monkeypatch):
     rows = np.array([1, 4])
     for twin in (model, model._map(lambda w: w.astype(np.float32))):
         ops = twin.build_ops(g).astype(twin.b1.dtype)
-        pre = twin._pre(ops, rng.standard_normal((n, d)).astype(twin.b1.dtype))
+        z = twin._pre(ops, rng.standard_normal((n, d)).astype(twin.b1.dtype))[-1]
         seen.clear()
         with monkeypatch.context() as mp:
             mp.setattr(gnn, "np", Spied())
-            list(twin._chunks(ops, rows, rng.standard_normal((3, rows.size, d)), pre, ops[:, rows].toarray()))
+            list(twin._chunks(ops, rows, rng.standard_normal((3, rows.size, d)), z, ops[:, rows].toarray()))
         assert seen
         for (h1, zero), kwargs in seen:
             assert kwargs["out"] is h1
@@ -501,13 +503,13 @@ def test_re_evaluation_batches_hold_at_most_the_chunk_bytes_of_hidden_rows(monke
 
 
 def _float32_pass(model, ops, X, rows, deltas):
-    """(m, twin, operands) of forward_many's own float32 pass, read through spies on _chunks and _difference_classes: its logit differences m (B, n), logit 1 minus logit 0 widened to float64, the float32 model it ran and the operands (ops, rows, pre, cols) of its _chunks call; three Nones if it ran no float32 chunk."""
+    """(m, twin, operands) of forward_many's own float32 pass, read through spies on _chunks and _difference_classes: its logit differences m (B, n), logit 1 minus logit 0 widened to float64, the float32 model it ran and the operands (ops, rows, z, cols) of its _chunks call; three Nones if it ran no float32 chunk."""
     chunks, classes, seen, parts = type(model)._chunks, gnn._difference_classes, [], []
 
-    def spy(self, ops, rows, deltas, pre, cols, **kwargs):
+    def spy(self, ops, rows, deltas, z, cols, **kwargs):
         if self.b1.dtype == np.float32:
-            seen.append((self, (ops, rows, pre, cols)))
-        yield from chunks(self, ops, rows, deltas, pre, cols, **kwargs)
+            seen.append((self, (ops, rows, z, cols)))
+        yield from chunks(self, ops, rows, deltas, z, cols, **kwargs)
 
     def read(m, out):
         parts.append(m.astype(np.float64))
@@ -725,14 +727,14 @@ def test_float32_pass_skips_exactly_the_units_dead_under_every_draw(monkeypatch,
 
     monkeypatch.setattr(type(model), "_margin_bounds", spy)
     skipped = model.fallbacks.skipped
-    _, twin, (_, _, pre32, _) = _float32_pass(model, ops, X, rows, deltas)
+    _, twin, (_, _, z32, _) = _float32_pass(model, ops, X, rows, deltas)
     np.testing.assert_array_equal(certified[-1], keep)
     assert model.fallbacks.skipped - skipped == model.h - keep.size
     # the float32 pass ran on the weights of the certified units alone (layer 2's as class 1's differences from class 0) and on their clean pre-activation
     for name, w in model.params().items():
         part = w[..., keep] if name[-1] == "1" else gnn._differences(w) if name == "b2" else gnn._differences(w)[keep]
         np.testing.assert_array_equal(getattr(twin, name), part.astype(np.float32))
-    np.testing.assert_array_equal(pre32[-1], z[_moving_rows(ops, rows)][:, keep].astype(np.float32))
+    np.testing.assert_array_equal(z32, z[_moving_rows(ops, rows)][:, keep].astype(np.float32))
     _assert_classes_are_the_argmax(model.forward_many, (ops, X, rows, deltas), want)
 
 
@@ -787,10 +789,10 @@ def test_float32_pass_runs_layer_one_on_the_rows_the_noise_reaches(monkeypatch, 
     assert (want.argmax(axis=2) != want[0].argmax(axis=1)).any()
     buffers, layer1 = [], type(model)._layer1
 
-    def spy(self, pre, cols, rows, deltas, out):
+    def spy(self, z, cols, rows, shift, out):
         if self.b1.dtype == np.float32:
             buffers.append(out.shape)
-        return layer1(self, pre, cols, rows, deltas, out)
+        return layer1(self, z, cols, rows, shift, out)
 
     monkeypatch.setattr(type(model), "_layer1", spy)
     reached = model.fallbacks.moving
@@ -800,11 +802,11 @@ def test_float32_pass_runs_layer_one_on_the_rows_the_noise_reaches(monkeypatch, 
     assert buffers and all(shape[1:] == (moving.size, shape[2]) for shape in buffers)
     assert sum(shape[0] for shape in buffers) == B
     # and the chunks read those rows of z, of cols and of the operator's columns
-    _, twin, (ops32, where, pre32, cols32) = _float32_pass(model, ops, X, rows, deltas)
+    _, twin, (ops32, where, z32, cols32) = _float32_pass(model, ops, X, rows, deltas)
     np.testing.assert_array_equal(where, np.searchsorted(moving, rows))
     np.testing.assert_array_equal(cols32, ops[moving][:, rows].toarray().astype(np.float32))
     np.testing.assert_array_equal(ops32.toarray(), ops[:, moving].toarray().astype(np.float32))
-    assert pre32[-1].shape == (moving.size, twin.h)
+    assert z32.shape == (moving.size, twin.h)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
@@ -949,7 +951,7 @@ def test_batched_calls_take_a_required_out(cls):
 
 
 @pytest.mark.parametrize("cls", [GcnModel, SageModel])
-def test_margin_bounds_run_each_layer_once(monkeypatch, cls):
+def test_margin_bounds_run_layer_one_for_m1_and_u_and_layer_two_once(monkeypatch, cls):
     rng = np.random.default_rng(71)
     n, d = 30, 4
     g = _random_sparse_graph(rng, n, 3 * n)
@@ -971,7 +973,23 @@ def test_margin_bounds_run_each_layer_once(monkeypatch, cls):
         monkeypatch.setattr(cls, name, counted(name))
     bounds = model._margin_bounds(ops, model._pre(ops, X), rows, rng.standard_normal((5, 2, d)), ops[:, rows].toarray())
     assert bounds is not None
-    assert calls == ["_layer1", "_layer2"]
+    # the magnitude M1, then the shift bound U, then layer 2 once on the stack
+    assert calls == ["_layer1", "_layer1", "_layer2"]
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("B", [0, 1, 7])
+def test_layer_one_on_the_largest_shifts_is_z_plus_the_shift_bound_oracle(backbone, B):
+    rng = np.random.default_rng(89)
+    for _ in range(5):
+        n, d, h = int(rng.integers(2, 60)), int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        model, g = (GcnModel if backbone == "gcn" else SageModel).init(rng, d=d, hidden=h), _random_sparse_graph(rng, n, 2 * n)
+        ops = model.build_ops(g)
+        rows = np.sort(rng.choice(n, size=min(n, int(rng.integers(1, 6))), replace=False))
+        z, deltas = rng.standard_normal((n, h)), rng.standard_normal((B, rows.size, d)) * rng.uniform(0.1, 3.0)
+        cols = np.abs(ops[:, rows].toarray())
+        U = model._layer1(z, cols, rows, partial(gnn._max_shift, deltas), np.empty((1, n, h)))[0]
+        np.testing.assert_allclose(U, z + shift_bound_oracle(model, cols, rows, deltas), rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("rows", [[0, 9], [-1, 2]])
@@ -1203,6 +1221,13 @@ def test_train_config_validation():
 def test_train_config_refuses_bad_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("hidden", 3.5), ("seed", 0.5), ("hidden", True)])
+def test_train_config_refuses_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        TrainConfig(**{field: value})
+    TrainConfig(**{field: np.int64(3)})  # numpy integers are integers
 
 
 def test_train_config_accepts_the_range_ends():

@@ -88,6 +88,21 @@ def test_config_rejects_non_finite_numbers(field, value):
         SmoothingConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_outer", 2.5), ("n_inner", 2.5), ("n_outer", True), ("n_inner", True), ("k_max", 1.5), ("master_seed", 1.5)],
+)
+def test_config_refuses_non_integer_counts_and_seeds(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        SmoothingConfig(**{field: value})
+    SmoothingConfig(**{field: np.int64(3)})  # numpy integers are integers
+
+
+def test_config_refuses_a_strict_that_is_not_a_bool():
+    with pytest.raises(ValueError, match="^strict must be a bool, got 'no'$"):
+        SmoothingConfig(strict="no")
+
+
 def test_config_has_no_threshold():
     # the bias threshold is a fairness.BiasThreshold passed to every certification call, never a config field
     with pytest.raises(TypeError, match="'eta'"):

@@ -10,11 +10,12 @@ noise-augmented model on that world (60 x 40, seed 0, at `--jobs N`), so
 every cache class is compared bit for bit, not only the certificates
 derived from them.  Each cache line also checks those classes against the
 backbone's float64 path: the cache is built a second time with
-`forward_many` running `_exact`, the float64 pass, on every draw, and the
-line reads `mismatch` in place of the digest (and the script exits with
-status 1) if any class differs, so the float32 filter behind
-`forward_many` is held to an independent float64 pass on every cache
-world.  Last, `fcr` and `attack` run again with the equal
+`_margin_bounds` giving no bound, so that `forward_many`'s own no-bound
+branch runs `_exact`, the float64 pass, on every draw, and the line reads
+`mismatch` in place of the digest (and the script exits with status 1)
+if any class differs, so the float32 filter behind `forward_many` is
+held to an independent float64 pass on every cache world, and that
+branch runs on all of them.  Last, `fcr` and `attack` run again with the equal
 opportunity metric (`"metric": "eo"`), whose groups are a strict subset of
 the test pool, and print their exit codes and the digests of `fcr.json`,
 `attack.csv` and `attack.json` on lines of their own, `<backbone>/fcr-eo
@@ -101,7 +102,8 @@ GERMAN = {"dataset": {"fixture": "sbm-german"}, "seed": 0, "smoothing": {"n_oute
 # the world of perfbench's fcr-german workload: one chunk of 200 sets, read one outer sample at a time
 GERMAN_FCR = dict(GERMAN, smoothing={"n_outer": 20, "n_inner": 150}, fcr={"ratio": 0.9, "count": 200})
 # run in a child on the checkout under test: the sha256 of the prediction cache's classes, or
-# "mismatch" if the cache built again through the float64 path (_exact on every draw) differs
+# "mismatch" if the cache built again through the float64 path (forward_many's no-bound branch,
+# _exact on every draw) differs
 CACHE_DIGEST = """
 import hashlib, sys
 import numpy as np
@@ -114,12 +116,8 @@ g, X, labels, split = cli.load_world(cfg)
 noise = cli.load_models(cfg, X.shape[1])[1]
 scfg = cli.smoothing_config(cfg, BiasThreshold.absolute(0.0))  # eta plays no part in the cache
 classes = PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes
-
-def exact(self, ops, X, rows, deltas, out):
-    rows = np.asarray(rows, dtype=np.int64)
-    return self._exact(ops, rows, deltas, self._pre(ops, X), ops[:, rows].toarray(), out)
-
-type(noise).forward_many = exact  # the model's own class: GcnModel binds forward_many in its namespace
+# with no bound, forward_many sends every draw to its float64 path
+type(noise)._margin_bounds = lambda self, *args: None
 reference = PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes
 print(hashlib.sha256(classes.tobytes()).hexdigest() if np.array_equal(classes, reference) else "mismatch")
 """
