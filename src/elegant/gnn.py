@@ -29,14 +29,19 @@ Both reference backbones share one base, _TwoLayer: each names its
 operator by its entries (`self_loops`, `_scale`, `_values` and
 `descending`, which the one array builder `_operator` turns into CSR
 from integer index arrays, for `build_ops` and single-flip scoring
-alike) and writes only its layer algebra's pieces: layer 1's products
-(_pre), whose last entry, pre[-1], is layer 1's clean pre-activation, b1
-included, layer 1 under a batch of perturbations of a few attribute rows
-(_layer1, which shifts a clean pre-activation by the draws' products
-with each layer-1 weight and adds no bias of its own; the error bound
-below runs it for its magnitude and shift bounds too),
-layer 2's dense head (_head) and the reverse pass (_backward, and
-_pullback to the inputs).  The one forward pass, _TwoLayer._pass,
+alike), declares its layer 1 as data (`layer1_weights`: the weight W
+whose product S = X W it propagates, GCN's W1 and SAGE's Wn1, and an
+own-row weight Wo, SAGE's Ws1, or None), so that every layer-1 term is
+an operator times X W, and writes only its layer 2's dense head (_head)
+and the reverse pass (_backward, and _pullback to the inputs).
+_TwoLayer writes layer 1 once from the declaration: its clean products
+(_pre), whose last entry, pre[-1], is layer 1's clean pre-activation
+X Wo + ops @ S + b1; layer 1 under a batch of perturbations of a few
+attribute rows (_layer1, which shifts a clean pre-activation by the
+draws' products with each layer-1 weight and adds no bias of its own;
+the error bound below runs it for its magnitude and shift bounds too);
+the same shift at single node-draws (_hidden_at); and the rows a flipped
+pair changes (in forward_flips).  The one forward pass, _TwoLayer._pass,
 starts from pre[-1]: its ReLU and dropout, then _layer2 (_head plus
 propagation); prediction, training with manual backpropagation and input
 gradients derive from it, and batched inference and single-flip scoring
@@ -68,8 +73,8 @@ operands; the other rows' layer-2 term is one constant per call.  The
 node-draws it leaves unsettled, 0.003% to 0.011% of an sbm-german
 mask's (noise-trained GCN and SAGE, seeds 5 and 11) and about 0.05% at
 perfbench's GCN worlds of seeds 3 and 8312 (72 of 150,000 per mask),
-are re-evaluated in float64 over the node's operator row (the
-_hidden_at hook) on the kept units alone, for a batch's distinct draws
+are re-evaluated in float64 over the node's operator row (_hidden_at)
+on the kept units alone, for a batch's distinct draws
 alone, in batches sized by the bytes of hidden rows they hold.  The
 fallback rule: a node still within that margin's own bound (an exact
 tie, a NaN) sends its draw to the exact float64 path, and a value
@@ -81,11 +86,12 @@ float64 chunk adds each class's b2 on its own strided (chunk, n) view of
 the layer-2 product and picks the first maximum straight into the
 caller's uint8 rows (_emit), so neither the (B, n, C) logits nor their
 argmax pass exist.  Single-flip scoring works in groups of flips: one
-array build gives the operator rows each flip changes, one sparse
-product their layer-1 rows and the backbone's _flip_hidden hook their
-activations, while every dense product stays full-shape, so its logits
-equal a full rebuild bit for bit; layer 2 propagates over the scored
-rows alone, and _emit writes each group's classes in one pass.
+array build gives the operator rows each flip changes, and one sparse
+product of them with the clean S, plus the clean X Wo's rows and b1,
+their layer-1 rows, which are row-local; every dense product stays
+full-shape, so its logits equal a full rebuild bit for bit; layer 2
+propagates over the scored rows alone, and _emit writes each group's
+classes in one pass.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ from scipy import sparse
 
 from .data import DataError, Graph, pair_array
 from .fairness import node_ids
-from .smoothing import DOMAIN_TRAIN, _require_integers, eligible_pairs, substream, vulnerable_ids
+from .smoothing import DOMAIN_TRAIN, _require_integers, _require_seed, eligible_pairs, substream, vulnerable_ids
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +181,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _require_integers(self, ("epochs", "hidden", "seed"))
+        _require_seed(self, "seed")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         for name in ("weight_decay", "train_noise_std"):
@@ -279,20 +286,6 @@ def _relu_dropout_grad(dh, z1, mask):
     return dh
 
 
-def _shifted(z, cols, P, out):
-    """The batch z + cols @ P[b] for the products P (B, r, k) of the draws with one layer-1 weight, shape (B, n, k), written into out.
-
-    Perturbing X[rows] moves ops @ (X @ W) only through the operator columns
-    at rows, cols = ops[:, rows] as a dense array.  The shift is one BLAS
-    product per draw, written straight into the C-contiguous out; each
-    element is the same r-term dot product as in a single product over all
-    draws, and z is added after it.
-    """
-    out = np.matmul(cols, P, out=out)
-    out += z
-    return out
-
-
 def _propagate(ops, Y):
     """ops @ Y for Y (n, k); for Y (B, n, k), ops @ Y[b] for every b as one sparse product over (n, B*k), shape (B, rows of ops, k).
 
@@ -354,14 +347,6 @@ def _f32_fits(mag):
     return bool(mag.min(initial=np.inf) >= 2.0**-126 or np.min(mag, where=mag != 0.0, initial=np.inf) >= 2.0**-126)
 
 
-def _shift_at(C, k, deltas, W, b):
-    """Row k[e] of C @ (deltas[b[e]] @ W) for every e, C a CSR (n, r) and deltas (D, r, d): one sparse product over the stacked (r, h) products of deltas' D draws (one (D r, d) GEMM), whose rows are gathered from C's index arrays."""
-    r = C.shape[1]
-    ptr, i, at = _row_entries(C.indptr, k)
-    D = deltas.reshape(-1, W.shape[0]) @ W
-    return sparse.csr_matrix((C.data[at], b[i] * r + C.indices[at], ptr), shape=(k.size, D.shape[0])) @ D
-
-
 def _max_shift(deltas, W):
     """max_b |deltas[b] @ W| (1, r, k) over the draws of deltas (B, r, d), from one (B r, d) @ (d, k) product; zeros for no draws."""
     B, r, d = deltas.shape
@@ -391,34 +376,36 @@ class _TwoLayer:
     """Weights, training loss and input gradients shared by the two backbones.
 
     A backbone lists its weights in weight_names (matrices W*, biases b*,
-    each name ending in its layer number) and writes its layer algebra
-    once, in pieces:
-    - _pre(ops, X), layer 1's products before any shift; its first entry
-      is S, the operand layer 1 propagates, its second ops @ S (GCN's
-      with b1 added), and its last, pre[-1], is layer 1's clean
-      pre-activation, b1 included;
+    each name ending in its layer number) and declares its layer 1 in
+    layer1_weights: the names of the weight W whose product S = X W layer
+    1 propagates and of its own-row weight Wo (None if it has none), so
+    that its clean pre-activation is X Wo + ops @ S + b1, added in that
+    order (GCN: ops @ S + b1).  Every layer-1 term is an operator times a
+    product with X, and this class writes layer 1 once from the
+    declaration (_weights1 gives the two weights, Wo None for none):
+    - _pre(ops, X), layer 1's clean products: (S, z), or (S, X Wo, z) with
+      an own-row weight; z = pre[-1] is layer 1's clean pre-activation, b1
+      included;
     - _layer1(z, cols, rows, shift, out), layer 1's pre-activation z1
       under a shift of the attribute rows X[rows]: z, the clean
       pre-activation (m, h) of the m rows it runs on, plus cols @ shift(W)
-      for the weight W that layer 1 propagates and, in the rows of z that
-      rows indexes (SAGE), shift(Ws1) of its own-row weight, written into
-      the C-contiguous (B, m, h) out and never into z, which training
-      reuses across passes; cols (m, len(rows)) holds ops[:, rows] as a
-      dense array.  shift(W) gives the (B, len(rows), k) products of the
-      draws with one layer-1 weight W: deltas @ W for the B draws
-      X[rows] += deltas[b] (_chunks); and, with B = 1, D @ W on the
-      absolute-value model run on |z|, D the draws' largest |deltas|
-      (_margin_bounds' magnitude M1), or max_b |deltas[b] @ W|
-      (_max_shift) on |cols| (its shift bound U);
-    - _flip_hidden(pre, SR, held, cuts), the hidden activations of a group
-      of flipped graphs in their changed rows: flip c's rows are
-      held[cuts[c]:cuts[c + 1]], SR[cuts[c]:cuts[c + 1]] their rows of the
-      flipped ops @ S;
-    - _hidden_at(z, cols, rows, deltas, b, k), layer 1's pre-activation
-      at node k[e] under the draw X[rows] += deltas[b[e]], from z, the
-      clean pre-activation pre[-1], and the CSR cols through _shift_at,
-      for forward_many's float64 re-evaluation of single node-draws
-      (_node_logits);
+      and, in the rows of z that rows indexes, shift(Wo), written into the
+      C-contiguous (B, m, h) out and never into z, which training reuses
+      across passes; cols (m, len(rows)) holds ops[:, rows] as a dense
+      array.  shift(W) gives the (B, len(rows), k) products of the draws
+      with one layer-1 weight W: deltas @ W for the B draws X[rows] +=
+      deltas[b] (_chunks); and, with B = 1, D @ W on the absolute-value
+      model run on |z|, D the draws' largest |deltas| (_margin_bounds'
+      magnitude M1), or max_b |deltas[b] @ W| (_max_shift) on |cols| (its
+      shift bound U);
+    - _hidden_at(z, cols, rows, deltas, b, k), the same shift at node k[e]
+      under the draw X[rows] += deltas[b[e]] alone, from z, the clean
+      pre-activation pre[-1], and the CSR cols, for forward_many's float64
+      re-evaluation of single node-draws (_node_logits);
+    - forward_flips' flipped rows, relu(X Wo + patch @ S + b1) in the rows
+      held a flip changes, patch being the flipped operator's rows there:
+      row-local, so one vectorized call per group of flips.
+    A backbone writes only the rest of its algebra:
     - _head(h, out), layer 2's products of the hidden activations h as
       (own, Y), Y being what layer 2 propagates (own is None if nothing
       else is left), written into the pair of arrays out if given, and
@@ -592,17 +579,18 @@ class _TwoLayer:
     def _flip_charges(self, indptr, indices, deg, pairs):
         """Bytes of forward_flips working memory charged to each pair (u, v) of pairs.
 
-        A pair pays 8 (5 + 3 C) bytes per node, its share of the stacked
-        scales and of the layer-2 products, 80 bytes per adjacency entry of
-        its _flip_patch rows, its share of the gathered entries and of the
-        patch, and 8 h bytes per held row, its share of the layer-1 rows
-        (_flip_hidden's block).  Its rows are _held_rows of u and v: deg[x]
-        rows for GCN, x's neighbours and itself, and one for SAGE, x's own;
-        they hold at most reach[u] + reach[v] + 2 entries, reach[x] being
-        the degrees summed over x's held rows.  tracemalloc measured about
-        50-75 kB per pair plus at most 76 bytes per entry (n = 1000, 2n to
-        20n random edges, with and without a node joined to all others,
-        both backbones, logits or classes).
+        A pair pays 8 (5 + 3 C) bytes per node, its share of the stacked scales
+        and of the layer-2 products, 80 bytes per adjacency entry of its
+        _flip_patch rows, its share of the gathered entries and of the patch,
+        and 8 h bytes per held row, its share of the flipped rows' layer-1
+        block (its own-row products' gather, with an own-row weight, is freed
+        before the layer-2 products exist).  Its rows are _held_rows of u and
+        v: deg[x] rows for GCN, x's neighbours and itself, and one for SAGE,
+        x's own; they hold at most reach[u] + reach[v] + 2 entries, reach[x]
+        being the degrees summed over x's held rows.  tracemalloc measured
+        about 50-75 kB per pair plus at most 76 bytes per entry (n = 1000, 2n
+        to 20n random edges, with and without a node joined to all others, both
+        backbones, logits or classes).
         """
         n = deg.size
         i, held = self._held_rows(indptr, indices, np.arange(n))
@@ -615,6 +603,36 @@ class _TwoLayer:
         """(h, mask, own, P): the ReLU and dropout of pre[-1], then _layer2; see the class docstring."""
         h, mask = _relu_dropout((pre or self._pre(ops, X))[-1], dropout, rng)
         return h, mask, *self._layer2(ops, h)
+
+    def _weights1(self):
+        """(W, Wo): the weight layer 1 propagates and its own-row weight, None if it has none, as layer1_weights names them."""
+        return tuple(name and getattr(self, name) for name in self.layer1_weights)
+
+    def _pre(self, ops, X):
+        """Layer 1's clean products: (S, z), or (S, X Wo, z) with an own-row weight Wo; S = X W is what it propagates and z = pre[-1] = X Wo + ops @ S + b1 its pre-activation, X Wo and b1 added in place into ops @ S."""
+        W, Wo = self._weights1()
+        pre = (X @ W,) if Wo is None else (X @ W, X @ Wo)
+        z = ops @ pre[0]
+        if Wo is not None:
+            z += pre[1]
+        z += self.b1
+        return *pre, z
+
+    def _layer1(self, z, cols, rows, shift, out):
+        """Layer 1's pre-activation z1 (B, m, h) under a shift of the attribute rows X[rows], written into the C-contiguous out: z + cols @ shift(W), plus shift(Wo) in the rows of z that rows indexes; see the class docstring.
+
+        Perturbing X[rows] moves ops @ (X @ W) only through the operator
+        columns at rows, cols.  The shift is one BLAS product per draw,
+        written straight into out; each element is the same r-term dot
+        product as in a single product over all draws, and z is added after
+        it.
+        """
+        W, Wo = self._weights1()
+        z1 = np.matmul(cols, shift(W), out=out)
+        z1 += z
+        if Wo is not None:
+            z1[:, rows] += shift(Wo)
+        return z1
 
     def _layer2(self, ops, h):
         """(own, P): _head's products of the hidden activations h, with Y propagated, P = ops @ Y."""
@@ -941,8 +959,8 @@ class _TwoLayer:
 
         They read the hidden rows of v[i]'s operator row's columns (the
         propagated term) and, where _head has an own term (SAGE), of v[i]
-        itself, whose pre-activations the backbone's _hidden_at hook gives
-        from z and cols, for the distinct draws of b alone.  Rows are
+        itself, whose pre-activations _hidden_at gives from z and cols, for
+        the distinct draws of b alone.  Rows are
         gathered from the operator's and cols' CSR index arrays, never sliced
         as matrices, and each sparse product builds its CSR from them.  The
         arithmetic is not a full pass's, so the bits may differ, but every
@@ -961,6 +979,25 @@ class _TwoLayer:
         P = self._head(sparse.csr_matrix((ops.data[at], np.arange(at.size), ptr), shape=(v.size, k.size)) @ h)[1]
         return self._logits(self._head(h[at.size :])[0] if own else None, P)
 
+    def _hidden_at(self, z, cols, rows, deltas, b, k):
+        """Layer 1's pre-activation at node k[e] under the draw X[rows] += deltas[b[e]], for every entry e: row k[e] of cols @ (deltas[b[e]] @ W) plus z[k[e]], plus deltas[b[e]] @ Wo where k[e] is a perturbed row; cols (n, r) as CSR and deltas (D, r, d).
+
+        The shift is one sparse product over the stacked (r, h) products of
+        deltas' D draws (one (D r, d) GEMM), whose rows are gathered from
+        cols' index arrays.
+        """
+        W, Wo = self._weights1()
+        ptr, i, at = _row_entries(cols.indptr, k)
+        D = deltas.reshape(-1, W.shape[0]) @ W
+        z1 = sparse.csr_matrix((cols.data[at], b[i] * cols.shape[1] + cols.indices[at], ptr), shape=(k.size, D.shape[0])) @ D
+        z1 += z[k]
+        if Wo is not None:
+            j = np.full(z.shape[0], -1)
+            j[rows] = np.arange(rows.size)
+            e = np.flatnonzero(j[k] >= 0)  # the entries at perturbed rows
+            z1[e] += deltas[b[e], j[k[e]]] @ Wo
+        return z1
+
     def _emit(self, own, P, out):
         """Write the hard classes of the logits _logits(own, P) into the uint8 out: each class's logits from its own strided view, then _first_max."""
         _first_max(self._logits(own, P, 0), self._logits(own, P, 1), out)
@@ -970,23 +1007,26 @@ class _TwoLayer:
 
         out[b] is the argmax of forward(build_ops(g.flip(pairs[b:b + 1])),
         X)[rows], whose logits the flip groups compute bit for bit; a pair
-        outside 0 <= u < v < n raises DataError, as Graph.flip does, and a
-        row that is not a node id in [0, n) ValueError (node_ids).  The clean
-        pass runs once, then the flips run in _groups whose _flip_charges
-        sum to at most FORWARD_FLIPS_GROUP_BYTES.  Per group, one _flip_patch
-        call gives the operator rows each flip changes, through build_ops's
-        builder, as one CSR over the group's stacked columns; its twin over the
-        graph's columns gives their layer-1 products in one sparse product, and
-        the backbone's _flip_hidden hook their hidden activations in one call.
-        Each flip swaps its rows into a reused clean hidden array, runs _head
+        outside 0 <= u < v < n raises DataError, as Graph.flip does, and a row
+        that is not a node id in [0, n) ValueError (node_ids).  The clean pass
+        runs once, then the flips run in _groups whose _flip_charges sum to at
+        most FORWARD_FLIPS_GROUP_BYTES.  Per group, one _flip_patch call gives
+        the operator rows each flip changes, through build_ops's builder, as
+        one CSR over the group's stacked columns.  Layer 1 is row-local, since
+        every layer-1 dense product is the clean pass's S = X W (and X Wo): a
+        held row's pre-activation is its patch row times S, plus its row of X
+        Wo and b1, in the order of _pre, so one sparse product of the patch's
+        twin over the graph's columns, two adds and one ReLU in place give the
+        whole group's hidden rows, those of a full rebuild bit for bit.  Each
+        flip swaps its rows into a reused clean hidden array, runs _head
         full-shape into the group's (B, n, C) arrays and restores the rows: a
         row of a BLAS product depends on its position, so only full-shape dense
         products match the clean pass in the rows a flip leaves alone.  Layer 2
         then propagates over the rows alone: one sparse product of ops[rows],
         the clean pass's operator restricted to rows (each of its rows sums the
-        same stored entries in the same order as in the full operator), and
-        one of the patch, whose rows overwrite the held rows that are among
-        rows; one _emit call writes the group's classes.
+        same stored entries in the same order as in the full operator), and one
+        of the patch, whose rows overwrite the held rows that are among rows;
+        one _emit call writes the group's classes.
         """
         pairs = pair_array(pairs, g.n)
         n = g.n
@@ -1006,7 +1046,11 @@ class _TwoLayer:
             b, held, patch, offset = self._flip_patch(*adjacency, scale, u, v)
             twin = sparse.csr_matrix((patch.data, patch.indices - offset, patch.indptr), shape=(held.size, n))
             cuts = np.searchsorted(b, np.arange(u.size + 1))
-            H = self._flip_hidden(pre, twin @ pre[0], held, cuts)
+            H = twin @ pre[0]  # the held rows of the flipped ops @ S, then their hidden activations, in place
+            if len(pre) > 2:  # an own-row weight's X Wo
+                H += pre[1][held]
+            H += self.b1
+            np.maximum(H, 0.0, out=H)
             clean = h_clean[held]
             own, Y = None, np.empty((u.size, n, self.C))  # own stays None where _head has no own term (GCN)
             for c in range(u.size):
@@ -1038,7 +1082,7 @@ class _TwoLayer:
 
 
 class GcnModel(_TwoLayer):
-    """logits = A_hat relu(A_hat X W1 + b1) W2 + b2, A_hat = D^{-1/2} (A + I) D^{-1/2}
+    """logits = A_hat relu(A_hat (X W1) + b1) W2 + b2, A_hat = D^{-1/2} (A + I) D^{-1/2}
 
     D counts the self loop, so an isolated node's operator row is its
     identity row.
@@ -1046,6 +1090,7 @@ class GcnModel(_TwoLayer):
 
     backbone = "gcn"
     weight_names = ("W1", "b1", "W2", "b2")
+    layer1_weights = ("W1", None)
     self_loops = True
     descending = False
     # bound in the GCN's own namespace, where perfbench's per-layer tracer
@@ -1071,33 +1116,11 @@ class GcnModel(_TwoLayer):
         _, i, k = _row_entries(indptr, x)
         return i, indices[k]
 
-    def _pre(self, ops, X):
-        """(X W1, A_hat X W1 + b1), b1 added in place into the sparse product."""
-        XW = X @ self.W1
-        Z = ops @ XW
-        Z += self.b1
-        return XW, Z
-
-    def _hidden_at(self, z, cols, rows, deltas, b, k):
-        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta W1) + z, z = A_hat X W1 + b1 (pre[-1]) and cols a CSR."""
-        z1 = _shift_at(cols, k, deltas, self.W1, b)
-        z1 += z[k]
-        return z1
-
-    def _flip_hidden(self, pre, SR, held, cuts):
-        """np.maximum(SR + b1, 0.0), in place: a GCN's layer-1 rows are row-local."""
-        SR += self.b1
-        return np.maximum(SR, 0.0, out=SR)
-
     def _head(self, h, out=(None, None)):
         return None, np.matmul(h, self.W2, out=out[1])
 
     def _logits(self, own, P, c=slice(None)):
         return P[..., c] + self.b2[c]
-
-    def _layer1(self, z, cols, rows, shift, out):
-        """z, A_hat X W1 + b1 (pre[-1]) or a bound on it, plus cols @ shift(W1)."""
-        return _shifted(z, cols, shift(self.W1), out)
 
     def _backward(self, ops, X, pre, h, mask, dlogits):
         """(param_grads, A_hat dz1), the latter the gradient in X W1."""
@@ -1115,13 +1138,17 @@ class GcnModel(_TwoLayer):
 
 
 class SageModel(_TwoLayer):
-    """h = relu(X Ws1 + (M X) Wn1 + b1); logits = h Ws2 + M (h Wn2) + b2, M = D^{-1} A
+    """h = relu(X Ws1 + M (X Wn1) + b1); logits = h Ws2 + M (h Wn2) + b2, M = D^{-1} A
 
-    M has no self loops; an isolated node's row stays zero.
+    M has no self loops; an isolated node's row stays zero.  The mean
+    aggregator is linear, so M (X Wn1), the mean of the neighbours' rows of
+    X Wn1, is (M X) Wn1 in exact arithmetic; layer 1 propagates X Wn1, as
+    GCN's propagates X W1 and both layers 2 propagate h W.
     """
 
     backbone = "sage"
     weight_names = ("Ws1", "Wn1", "b1", "Ws2", "Wn2", "b2")
+    layer1_weights = ("Wn1", "Ws1")
     self_loops = False
     descending = True
 
@@ -1141,52 +1168,17 @@ class SageModel(_TwoLayer):
         """(i, x[i]): x[i]'s own row alone, since a row of M reads only its own degree and entries."""
         return np.arange(x.size), x
 
-    def _pre(self, ops, X):
-        """(X, M X, X Ws1, X Ws1 + (M X) Wn1 + b1)."""
-        pre = (X, ops @ X, X @ self.Ws1)
-        return *pre, self._hidden_rows(pre, pre[1], slice(None))
-
-    def _hidden_rows(self, pre, Q, rows):
-        """Layer 1's pre-activation in rows when M X is Q."""
-        return pre[2][rows] + (Q @ self.Wn1)[rows] + self.b1
-
-    def _hidden_at(self, z, cols, rows, deltas, b, k):
-        """Layer 1's pre-activation at node k[e] under draw deltas[b[e]], for every entry e: cols (delta Wn1) + z, z = pre[3], plus delta Ws1 where k[e] is a perturbed row; cols a CSR."""
-        z1 = _shift_at(cols, k, deltas, self.Wn1, b)
-        z1 += z[k]
-        j = np.full(z.shape[0], -1)
-        j[rows] = np.arange(rows.size)
-        e = np.flatnonzero(j[k] >= 0)  # the entries at perturbed rows
-        z1[e] += deltas[b[e], j[k[e]]] @ self.Ws1
-        return z1
-
-    def _flip_hidden(self, pre, SR, held, cuts):
-        """Each flip's hidden rows from its own full-shape (M X) Wn1, whose rows depend on their position: flip c swaps its rows SR[cuts[c]:cuts[c + 1]] into a copy of M X."""
-        Q, H = pre[1].copy(), np.empty((held.size, self.h))
-        for c in range(cuts.size - 1):
-            at = slice(cuts[c], cuts[c + 1])
-            Q[held[at]] = SR[at]
-            H[at] = np.maximum(self._hidden_rows(pre, Q, held[at]), 0.0)
-            Q[held[at]] = pre[1][held[at]]
-        return H
-
     def _head(self, h, out=(None, None)):
         return np.matmul(h, self.Ws2, out=out[0]), np.matmul(h, self.Wn2, out=out[1])
 
     def _logits(self, own, P, c=slice(None)):
         return own[..., c] + P[..., c] + self.b2[c]
 
-    def _layer1(self, z, cols, rows, shift, out):
-        """z, X Ws1 + (M X) Wn1 + b1 (pre[-1]) or a bound on it, plus cols @ shift(Wn1) and, in the perturbed rows, shift(Ws1)."""
-        z1 = _shifted(z, cols, shift(self.Wn1), out)
-        z1[:, rows] += shift(self.Ws1)
-        return z1
-
     def _backward(self, ops, X, pre, h, mask, dlogits):
         grads = {"Ws2": h.T @ dlogits, "Wn2": (ops @ h).T @ dlogits, "b2": dlogits.sum(axis=0)}
         dz1 = _relu_dropout_grad(dlogits @ self.Ws2.T + (ops.T @ dlogits) @ self.Wn2.T, pre[-1], mask)
         grads["Ws1"] = X.T @ dz1
-        grads["Wn1"] = pre[1].T @ dz1  # pre[1] is M X
+        grads["Wn1"] = X.T @ (ops.T @ dz1)
         grads["b1"] = dz1.sum(axis=0)
         return grads, dz1
 

@@ -55,6 +55,12 @@ def _require_integers(config, names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_seed(config, name) -> None:
+    """Raise ValueError naming config's integer field name unless it lies in [0, 2**64), the master seeds _key takes."""
+    if not 0 <= getattr(config, name) < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {getattr(config, name)}")
+
+
 def substream(master_seed: int, domain: int, stream_id: int) -> np.random.Generator:
     """Generator keyed by (master_seed, domain, stream_id); order independent."""
     return np.random.Generator(np.random.Philox(key=_key(master_seed, domain, stream_id)))
@@ -108,6 +114,7 @@ class SmoothingConfig:
 
     def __post_init__(self):
         _require_integers(self, ("n_outer", "n_inner", "k_max", "master_seed"))
+        _require_seed(self, "master_seed")
         if not isinstance(self.strict, bool):
             raise ValueError(f"strict must be a bool, got {self.strict!r}")
         if not 0 < self.sigma < math.inf:

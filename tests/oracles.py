@@ -227,7 +227,8 @@ def forward_many_oracle(model, ops, X, rows, deltas):
         z1 = shifted(ops @ (X @ model.W1) + model.b1, model.W1)
         h = np.maximum(z1, 0.0)
         return propagate(h @ model.W2) + model.b2
-    z1 = shifted(X @ model.Ws1 + (ops @ X) @ model.Wn1 + model.b1, model.Wn1)
+    # the mean aggregator is linear: M (X Wn1) is (M X) Wn1 in exact arithmetic, and the backbone propagates X Wn1
+    z1 = shifted(X @ model.Ws1 + ops @ (X @ model.Wn1) + model.b1, model.Wn1)
     z1[:, rows] += deltas @ model.Ws1
     h = np.maximum(z1, 0.0)
     return h @ model.Ws2 + propagate(h @ model.Wn2) + model.b2

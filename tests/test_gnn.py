@@ -1230,6 +1230,14 @@ def test_train_config_refuses_non_integers(field, value):
     TrainConfig(**{field: np.int64(3)})  # numpy integers are integers
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_train_config_refuses_a_seed_outside_64_bits(seed):
+    # at construction, not at train's first substream draw
+    with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        TrainConfig(seed=seed)
+    TrainConfig(seed=2**64 - 1)
+
+
 def test_train_config_accepts_the_range_ends():
     TrainConfig(weight_decay=0.0, train_noise_std=0.0, train_noise_flip_prob=0.0)
     TrainConfig(train_noise_flip_prob=1.0)
@@ -1296,6 +1304,23 @@ def test_passes_without_deltas_leave_pre_as_it_is(backbone):
     model.loss_grads(ops, X, y, train_idx, 0.5, np.random.default_rng(0), pre=pre)
     assert [p.tobytes() for p in pre] == before
     assert logits.tobytes() == model.forward(ops, X).tobytes()
+
+
+@pytest.mark.parametrize("cls", [GcnModel, SageModel])
+def test_clean_pre_activation_is_the_declared_layer_one(cls):
+    # layer1_weights names the weight layer 1 propagates and its own-row weight (None for none):
+    # pre[-1] is X Wo + ops @ (X W) + b1, added in that order, with SAGE's mean taken of X Wn1, not of X
+    rng = np.random.default_rng(31)
+    n, d, h = 80, 11, 24
+    model = cls.init(rng, d=d, hidden=h)
+    model = model.replace({**model.params(), "b1": rng.standard_normal(h)})
+    ops, X = model.build_ops(_random_sparse_graph(rng, n, 4 * n)), rng.standard_normal((n, d))
+    W, Wo = (name and getattr(model, name) for name in model.layer1_weights)
+    want = ops @ (X @ W)
+    if Wo is not None:
+        want = X @ Wo + want
+    want = want + model.b1
+    assert model._pre(ops, X)[-1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("self_loops", [True, False])

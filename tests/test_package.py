@@ -19,10 +19,15 @@ def test_star_import_binds_exactly_the_exports():
     assert sorted(namespace) == sorted(elegant.__all__)
 
 
-def test_code_lines_skip_blanks_comments_and_docstrings():
+def _code_lines_tool():
     spec = importlib.util.spec_from_file_location("code_lines", os.path.join(os.path.dirname(__file__), "..", "tools", "code_lines.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    tool = _code_lines_tool()
     source = '''"""Module docstring,
 on two lines."""
 
@@ -42,3 +47,38 @@ class A:
 '''
     # import, class, def, the string's two lines and return
     assert tool.code_lines(source) == 6
+
+
+def test_code_lines_print_each_top_level_class_under_its_module(tmp_path, capsys):
+    tool = _code_lines_tool()
+    source = '''"""Module docstring."""
+import dataclasses
+
+
+@dataclasses.dataclass
+class A:
+    """Class docstring."""
+
+    x: int = 0  # a comment
+
+    class Inner:
+        y = 1
+
+
+def f():
+    class Local:
+        pass
+    return Local
+
+
+class B:
+    z = 2
+'''
+    # the decorator and the nested class count in A; a class in a function is not top-level
+    assert tool.class_lines(source) == {"A": 5, "B": 2}
+    package = tmp_path / "elegant"
+    package.mkdir()
+    (package / "m.py").write_text(source)
+    (package / "n.py").write_text("x = 1\n")
+    assert tool.main(["--src", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["    12 m.py", "     5   m.py:A", "     2   m.py:B", "     1 n.py", "    13 total"]

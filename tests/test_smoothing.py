@@ -98,6 +98,14 @@ def test_config_refuses_non_integer_counts_and_seeds(field, value):
     SmoothingConfig(**{field: np.int64(3)})  # numpy integers are integers
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_config_refuses_a_master_seed_outside_64_bits(seed):
+    # at construction, not at the first substream draw
+    with pytest.raises(ValueError, match=rf"^master_seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        SmoothingConfig(master_seed=seed)
+    SmoothingConfig(master_seed=2**64 - 1)
+
+
 def test_config_refuses_a_strict_that_is_not_a_bool():
     with pytest.raises(ValueError, match="^strict must be a bool, got 'no'$"):
         SmoothingConfig(strict="no")
