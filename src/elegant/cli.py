@@ -11,8 +11,9 @@ Five commands share one JSON config file plus a handful of override flags:
 
 Seed precedence: --seed flag, then the ELEGANT_SEED environment variable,
 then the config file, then the default of 0.  Exit codes: 0 success,
-2 bad configuration, 3 missing or malformed data/models, 4 certification
-produced no certified test set at all.
+2 bad configuration, 3 missing or malformed data/models, 4 `fcr` certified
+none of its sampled test sets.  A `certify` that abstains exits 0 and
+writes "outcome": "ABSTAIN"; `sweep` and `attack` never exit 4.
 """
 
 from __future__ import annotations
@@ -193,15 +194,15 @@ def _model_paths(cfg: dict):
 
 
 def load_models(cfg: dict, d: int):
-    """The vanilla and noise-augmented models; each must take d attributes."""
+    """The vanilla and noise-augmented models; each must be of the config's backbone and take d attributes."""
     paths = _model_paths(cfg)
     for p in paths:
         if not os.path.exists(p):
             raise DataError(f"missing model file {p}; run the train command first")
     models = tuple(load_model(p) for p in paths)
     for p, model in zip(paths, models):
-        if model.d != d:
-            raise DataError(f"{p}: model takes {model.d} attributes, the dataset has {d}")
+        if (model.backbone, model.d) != (cfg["backbone"], d):
+            raise DataError(f"{p}: a {model.backbone} model of {model.d} attributes, but the config's backbone is {cfg['backbone']} and the dataset has {d} attributes")
     return models
 
 

@@ -1,13 +1,17 @@
 """Graph, label, and split containers plus dataset loading.
 
-A graph is its node count n plus one sorted, duplicate-free (m, 2) int64
-edge array whose rows (u, v) satisfy u < v; every layer reads that array
-and flips node pairs through `Graph.flip`, a set XOR on the linear keys
-u * n + v.  `Graph.edges` derives a frozenset of (u, v) tuples on demand
-for callers that want set semantics.  Attribute matrices are plain float64
-numpy arrays of shape (n, d).  Edge files may list each pair in both
-directions (the common export format for directed adjacency dumps);
-loading collapses each such pair into one edge without a warning.
+A graph is its node count n plus `keys`, the ascending, duplicate-free,
+read-only int64 array of the linear keys r * n + c of both entries (u, v)
+and (v, u) of every edge: the symmetric 0/1 adjacency that gnn builds its
+CSR operators from.  `Graph.flip` is the one toggle of node pairs: it
+looks their keys up with one searchsorted, deletes the present ones and
+inserts the absent ones, so a flipped graph is never sorted again.
+`Graph.edge_array()` (the (m, 2) rows (u, v), u < v) and `Graph.edges` (a
+frozenset of (u, v) tuples) derive from the keys on demand.  Attribute
+matrices are plain float64 numpy arrays of shape (n, d).  Edge files may
+list each pair in both directions (the common export format for directed
+adjacency dumps); loading collapses each such pair into one edge without a
+warning.
 """
 
 from __future__ import annotations
@@ -51,15 +55,17 @@ def pair_array(pairs, n: int) -> np.ndarray:
 
 
 class Graph:
-    """Undirected graph on nodes 0..n-1 with canonical (u < v) edge rows.
+    """Undirected graph on nodes 0..n-1, stored as its sorted adjacency keys.
 
-    edges may be any iterable of pairs or an (m, 2) integer array, in any
-    row order; rows are stored sorted by (u, v).  An n that is not a
-    positive integer (a fraction, NaN or inf included), rows with u >= v,
-    ids outside 0..n-1, duplicate rows and a wrong shape raise DataError.
+    edges may be any iterable of pairs (u, v), u < v, or an (m, 2) integer
+    array, in any row order.  keys, read-only, holds the ascending keys
+    r * n + c of both entries (u, v) and (v, u) of every edge.  An n that is
+    not a positive integer (a fraction, NaN or inf included), rows with
+    u >= v, ids outside 0..n-1, duplicate rows and a wrong shape raise
+    DataError.
     """
 
-    __slots__ = ("n", "_edges")
+    __slots__ = ("n", "keys")
 
     def __init__(self, n: int, edges=()):
         if not float(n).is_integer():
@@ -67,55 +73,62 @@ class Graph:
         if n < 1:
             raise DataError(f"graph needs at least one node, got n={n}")
         n = int(n)
-        e = pair_array(edges, n)
-        keys = e[:, 0] * n + e[:, 1]
-        if not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
-            e, keys = e[order], keys[order]
-            dup = np.flatnonzero(keys[1:] == keys[:-1])
-            if dup.size:
-                u, v = e[dup[0]]
-                raise DataError(f"duplicate edge ({u}, {v})")
-        e.flags.writeable = False
-        self.n = n
-        self._edges = e
+        u, v = pair_array(edges, n).T
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            raise DataError("duplicate edge ({}, {})".format(*divmod(keys[dup[0]], n)))
+        keys.flags.writeable = False
+        self.n, self.keys = n, keys
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._edges, other._edges)
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
 
     def __hash__(self):
-        return hash((self.n, self._edges.tobytes()))
+        return hash((self.n, self.keys.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, n_edges={self.n_edges})"
 
     @property
     def n_edges(self) -> int:
-        return self._edges.shape[0]
+        return self.keys.size // 2
 
     @property
     def edges(self) -> frozenset:
         """Read-only set view: the edge rows as (u, v) tuples of Python ints."""
-        return frozenset(map(tuple, self._edges.tolist()))
+        return frozenset(map(tuple, self.edge_array().tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as the stored sorted, read-only (m, 2) int64 array."""
-        return self._edges
+        """Edges as a new read-only (m, 2) int64 array of the rows (u, v), u < v, sorted: the keys above the diagonal."""
+        r, c = np.divmod(self.keys, self.n)
+        e = np.column_stack((r, c))[r < c]
+        e.flags.writeable = False
+        return e
 
     def flip(self, pairs) -> "Graph":
         """Toggle node pairs: present edges drop, absent ones appear.
 
-        pairs takes the same forms as the constructor's edges and must be
-        canonical and duplicate-free too.  Flipping the same pairs twice
-        restores the graph.
+        pairs takes the same forms as the constructor's edges and is
+        validated as they are, so it must be canonical and duplicate-free
+        too.  Both keys of each pair are looked up in keys with one
+        searchsorted; the present ones are deleted and the absent ones
+        inserted at their places, so the flipped graph's keys are neither
+        sorted nor validated again.  Flipping the same pairs twice restores
+        the graph.
         """
-        keys = np.setxor1d(self._keys(), Graph(self.n, pairs)._keys(), assume_unique=True)
-        return Graph(self.n, np.column_stack((keys // self.n, keys % self.n)))
-
-    def _keys(self) -> np.ndarray:
-        return self._edges[:, 0] * self.n + self._edges[:, 1]
+        toggle = Graph(self.n, pairs).keys
+        at = np.searchsorted(self.keys, toggle)
+        present = at < self.keys.size
+        present[present] = self.keys[at[present]] == toggle[present]
+        kept = np.delete(self.keys, at[present])
+        added = toggle[~present]
+        flipped = Graph.__new__(Graph)
+        flipped.n, flipped.keys = self.n, np.insert(kept, np.searchsorted(kept, added), added)
+        flipped.keys.flags.writeable = False
+        return flipped
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,9 @@ and `replace`, computing layer 1's products once per epoch: a step on the
 clean graph reuses those of the validation pass before it (`loss_grads`
 and `forward` take them as `pre`, which no pass writes into), the loss
 reads the training rows alone, a step computes no input gradient, and
-an augmented epoch toggles its flipped
-pairs in the clean graph's sorted adjacency keys (_toggled) rather than
-sorting a flipped graph's anew; every epoch keeps the bits of a fresh
-pass.
+an augmented epoch builds its operator from Graph.flip, which toggles the
+flipped pairs in the clean graph's sorted adjacency keys; every epoch
+keeps the bits of a fresh pass.
 
 Both reference backbones share one base, _TwoLayer: each names its
 operator by its entries (`self_loops`, `_scale`, `_values` and
@@ -198,10 +197,11 @@ class TrainConfig:
 
 
 def _adjacency_keys(g: Graph, self_loops: bool):
-    """The ascending keys r n + c of the entries (r, c) of g's symmetric 0/1 adjacency, plus the identity with self_loops."""
-    n, e = g.n, g.edge_array()
-    loops = np.arange(n if self_loops else 0)
-    return np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0], loops * (n + 1)]))
+    """The ascending keys r n + c of the entries (r, c) of g's symmetric 0/1 adjacency: g.keys, with self_loops the identity's keys inserted at their places."""
+    if not self_loops:
+        return g.keys
+    loops = np.arange(g.n) * (g.n + 1)
+    return np.insert(g.keys, np.searchsorted(g.keys, loops), loops)
 
 
 def _csr(keys, n):
@@ -211,23 +211,6 @@ def _csr(keys, n):
     """
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
     return indptr, keys % n, np.diff(indptr).astype(np.float64)
-
-
-def _toggled(keys, n, pairs):
-    """_adjacency_keys of g.flip(pairs) from keys, g's: both entries of each pair (u, v), u < v, drop if present and appear if absent.
-
-    pairs must be duplicate-free, as for Graph.flip.  Each key is looked up
-    in keys with one searchsorted; the present ones are deleted and the
-    absent ones inserted at their places, so no key is sorted again.
-    """
-    u, v = pairs.T
-    toggle = np.concatenate([u * n + v, v * n + u])
-    at = np.searchsorted(keys, toggle)
-    present = at < keys.size
-    present[present] = keys[at[present]] == toggle[present]
-    kept = np.delete(keys, at[present])
-    added = np.sort(toggle[~present])
-    return np.insert(kept, np.searchsorted(kept, added), added)
 
 
 def _row_entries(indptr, rows):
@@ -503,12 +486,8 @@ class _TwoLayer:
         return type(self)(**params)
 
     def build_ops(self, g: Graph):
-        """The propagation operator of g: _keyed_ops of _adjacency_keys(g, self_loops)."""
-        return self._keyed_ops(_adjacency_keys(g, self.self_loops), g.n)
-
-    def _keyed_ops(self, keys, n):
-        """The propagation operator of the n-node adjacency whose entries have the ascending keys r n + c: _operator over their _csr."""
-        indptr, indices, deg = _csr(keys, n)
+        """The propagation operator of g: _operator over the _csr of _adjacency_keys(g, self_loops)."""
+        indptr, indices, deg = _csr(_adjacency_keys(g, self.self_loops), g.n)
         return self._operator(indptr, indices, self._scale(deg))
 
     def _operator(self, indptr, indices, scale, rows=None):
@@ -528,19 +507,21 @@ class _TwoLayer:
         row_scale = np.repeat(scale if rows is None else scale[rows], lengths)
         return sparse.csr_matrix((self._values(row_scale, scale, indices), indices, indptr), shape=(lengths.size, scale.size))
 
-    def _flip_patch(self, indptr, indices, deg, scale, u, v):
-        """(b, held, patch, offset): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from the _csr arrays of the unflipped graph's _adjacency_keys and scale = _scale(deg).
+    def _flip_patch(self, keys, indptr, indices, deg, scale, u, v):
+        """(b, held, patch, offset): the operator rows that toggling the pair (u[b], v[b]) changes, for the B graphs b, from the unflipped graph's _adjacency_keys, their _csr arrays and scale = _scale(deg).
 
         Row i of patch is row held[i] of graph b[i], for every row of graph
         b in _held_rows of u[b] and v[b], ordered by b and then by row, as
         build_ops of graph b gives it but over the B graphs' stacked columns
         b n + j; offset[e] is the b n of entry e's row, so patch.indices -
-        offset are the graph's own columns.  Each pair is looked up in the
-        clean rows u[b] and v[b] on their linear keys; the held rows'
-        entries are then gathered from indices in one pass whose reads skip
-        a removed entry or make room for an added one, the scales of u[b],
-        v[b] are recomputed from their moved degrees in one copy of scale
-        per graph, and one _operator call builds the rest.
+        offset are the graph's own columns.  The pair's entry in row u[b],
+        or its insertion point, is searchsorted(keys, u[b] n + v[b]) -
+        indptr[u[b]], and likewise in row v[b], so no row's keys are
+        rebuilt; the held rows' entries are then gathered from indices in
+        one pass whose reads skip a removed entry or make room for an added
+        one, the scales of u[b], v[b] are recomputed from their moved
+        degrees in one copy of scale per graph, and one _operator call
+        builds the rest.
         """
         n, B = deg.size, u.size
         ends, other = np.concatenate([u, v]), np.concatenate([v, u])
@@ -552,13 +533,11 @@ class _TwoLayer:
         b = R // n
         held = R - b * n
         # each pair's entry, or its insertion point, as an offset into the clean rows u[b] and v[b]
-        _, t, k = _row_entries(indptr, ends)
-        keys = t * n + indices[k]  # ascending
-        first = np.arange(2 * B) * n  # the key of each row's column 0
-        at = np.searchsorted(keys, first + other)
+        toggle = ends * n + other
+        at = np.searchsorted(keys, toggle)
         present = at < keys.size
-        present[present] = keys[at[present]] == (first + other)[present]
-        off = at - np.searchsorted(keys, first)
+        present[present] = keys[at[present]] == toggle[present]
+        off = at - indptr[ends]
         sign = np.where(present, -1, 1)  # the moved degree and row length, per end
         at_end = np.searchsorted(R, base + ends)
         lengths = indptr[held + 1] - indptr[held]
@@ -1031,7 +1010,8 @@ class _TwoLayer:
         pairs = pair_array(pairs, g.n)
         n = g.n
         rows = np.arange(n) if rows is None else node_ids(rows, n, "rows")
-        indptr, indices, deg = adjacency = _csr(_adjacency_keys(g, self.self_loops), n)
+        keys = _adjacency_keys(g, self.self_loops)
+        indptr, indices, deg = adjacency = _csr(keys, n)
         scale = self._scale(deg)
         ops = self._operator(indptr, indices, scale)
         pre = self._pre(ops, X)
@@ -1043,7 +1023,7 @@ class _TwoLayer:
         found = np.searchsorted(rows[order], np.arange(n + 1))
         for start, stop in _groups(self._flip_charges(*adjacency, pairs), FORWARD_FLIPS_GROUP_BYTES):
             u, v = pairs[start:stop].T
-            b, held, patch, offset = self._flip_patch(*adjacency, scale, u, v)
+            b, held, patch, offset = self._flip_patch(keys, *adjacency, scale, u, v)
             twin = sparse.csr_matrix((patch.data, patch.indices - offset, patch.indptr), shape=(held.size, n))
             cuts = np.searchsorted(b, np.arange(u.size + 1))
             H = twin @ pre[0]  # the held rows of the flipped ops @ S, then their hidden activations, in place
@@ -1213,17 +1193,16 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
     them: with a validation split, _pre runs epochs + 1 times, not 2 epochs
     + 1.  The loss reads the training rows' logits alone, and a step
     computes no gradient in X (loss_grads runs no _pullback).  An augmented
-    epoch's operator comes from the clean graph's adjacency keys with the
-    flipped pairs toggled in place (_toggled), not from a flipped Graph
-    sorted anew.
+    epoch's operator is build_ops of g.flip(pairs), whose keys are the
+    clean graph's with the flipped pairs toggled in place, not sorted
+    anew.
     """
     rng = substream(cfg.seed, DOMAIN_TRAIN, 0)
     model = BACKBONES[backbone].init(rng, d=X.shape[1], hidden=cfg.hidden)
     y = labels.y
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.validation, dtype=np.int64)
-    keys = _adjacency_keys(g, model.self_loops)
-    clean_ops = model._keyed_ops(keys, g.n)
+    clean_ops = model.build_ops(g)
     vul = vulnerable_ids(split.vulnerable, g.n) if (augment and split.vulnerable) else None
     pairs = None if vul is None else eligible_pairs(g.n, vul)
 
@@ -1241,7 +1220,7 @@ def train(g: Graph, X, labels, split, cfg: TrainConfig, backbone: str = "gcn", a
         if pairs is not None:
             flip = rng.random(pairs.shape[0]) < cfg.train_noise_flip_prob
             if flip.any():
-                ops = model._keyed_ops(_toggled(keys, g.n, pairs[flip]), g.n)
+                ops = model.build_ops(g.flip(pairs[flip]))
             Xe = np.array(X, copy=True)
             Xe[vul] += cfg.train_noise_std * rng.standard_normal((vul.size, X.shape[1]))
         loss, grads = model.loss_grads(ops, Xe, y, train_idx, dropout=cfg.dropout, rng=rng, pre=None if pairs is not None else pre)

@@ -261,6 +261,23 @@ def test_fcr_exit_code_when_nothing_certifies(workdir, tmp_path):
     assert rc == 4
 
 
+def test_certify_that_abstains_exits_0(workdir, tmp_path):
+    # exit code 4 is fcr's alone: an abstaining certify reports its outcome in certify.json
+    out = _copy_models(workdir, tmp_path)
+    assert main(["certify", "--config", workdir["config"], "--out", str(out), "--eta", "0.0"]) == 0
+    with open(out / "certify.json") as fh:
+        assert json.load(fh)["outcome"] == "ABSTAIN"
+
+
+def test_models_of_another_backbone_exit_3(workdir, tmp_path, capsys):
+    # workdir's models are GCNs; certifying them as SAGE used to exit 0 and certify the GCN
+    out = _copy_models(workdir, tmp_path)
+    assert main(["certify", "--config", workdir["config"], "--out", str(out), "--backbone", "sage"]) == 3
+    err = capsys.readouterr().err
+    assert "model.bin: a gcn model" in err and "the config's backbone is sage" in err
+    assert not (out / "certify.json").exists()
+
+
 def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "config.json")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run"), "--seed", str(2**64)]) == 2

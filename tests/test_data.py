@@ -80,6 +80,15 @@ def test_graph_canonicalizes_any_pair_form():
     np.testing.assert_array_equal(g.edge_array(), [[0, 1], [0, 2], [1, 3]])
     assert g.edge_array().dtype == np.int64
     assert not g.edge_array().flags.writeable
+    # keys: the sorted u n + v and v n + u of every row, whatever the input form
+    want = sorted([u * 4 + v for u, v in rows] + [v * 4 + u for u, v in rows])
+    for form in (np.array(rows), rows, frozenset(rows), iter(rows), np.array(rows[::-1], dtype=float)):
+        keys = Graph(4, form).keys
+        assert keys.dtype == np.int64 and not keys.flags.writeable
+        assert keys.tolist() == want
+    empty = Graph(3)
+    assert empty.keys.dtype == np.int64 and empty.keys.shape == (0,) and not empty.keys.flags.writeable
+    assert empty.n_edges == 0 and empty.edges == frozenset()
     assert g == Graph(4, rows) == Graph(4, frozenset(rows)) == Graph(4, iter(rows))
     assert hash(g) == hash(Graph(4, rows))
     assert g != Graph(5, rows)
@@ -122,7 +131,13 @@ def test_flip_matches_set_symmetric_difference(data):
     flipped = g.flip(np.array(pairs, dtype=np.int64).reshape(-1, 2))
     assert flipped.edges == flip_oracle(edges, pairs)
     assert flipped.edge_array().tolist() == sorted(map(list, flip_oracle(edges, pairs)))
-    assert flipped.flip(pairs) == g
+    # the toggled keys are those of a graph built afresh from the oracle's edge set
+    fresh = Graph(n, flip_oracle(edges, pairs))
+    assert flipped.keys.dtype == np.int64 and flipped.keys.tobytes() == fresh.keys.tobytes()
+    assert not flipped.keys.flags.writeable
+    assert flipped == fresh and hash(flipped) == hash(fresh) and flipped.n_edges == fresh.n_edges
+    twice = flipped.flip(pairs)
+    assert twice == g and twice.keys.tobytes() == g.keys.tobytes() and not twice.keys.flags.writeable
 
 
 def test_flip_rejects_bad_pairs():

@@ -30,6 +30,7 @@ from oracles import (
     finite_difference_input_grad,
     finite_difference_loss_grads,
     flip_logits_oracle,
+    flip_oracle,
     flip_patch_oracle,
     forward_many_oracle,
     shift_bound_oracle,
@@ -102,8 +103,9 @@ def test_array_builder_equals_the_scipy_product_oracle(cls):
         _assert_same_csr(model.build_ops(graph), oracle(*adjacency_oracle(graph.edge_array(), n, model.self_loops)))
     for at in (slice(None), slice(0, 1), slice(3, 7)):
         u, v = pairs[at].T
-        indptr, indices, deg = gnn._csr(gnn._adjacency_keys(g, model.self_loops), n)
-        b, held, patch, offset = model._flip_patch(indptr, indices, deg, model._scale(deg), u, v)
+        keys = gnn._adjacency_keys(g, model.self_loops)
+        indptr, indices, deg = gnn._csr(keys, n)
+        b, held, patch, offset = model._flip_patch(keys, indptr, indices, deg, model._scale(deg), u, v)
         want_R, want = flip_patch_oracle(model.backbone, g.edge_array(), n, u, v)
         np.testing.assert_array_equal(b * n + held, want_R)
         _assert_same_csr(patch, want)
@@ -1329,10 +1331,12 @@ def test_toggled_keys_are_the_flipped_graphs(self_loops):
     for _ in range(30):
         n = int(rng.integers(2, 12))
         every = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
-        g = Graph(n, every[rng.random(len(every)) < 0.4])
+        edges = every[rng.random(len(every)) < 0.4]
         pairs = every[rng.random(len(every)) < rng.choice([0.0, 0.3, 1.0])]
-        got = gnn._toggled(gnn._adjacency_keys(g, self_loops), n, pairs)
-        np.testing.assert_array_equal(got, gnn._adjacency_keys(g.flip(pairs), self_loops))
+        got = gnn._adjacency_keys(Graph(n, edges).flip(pairs), self_loops)
+        flipped = flip_oracle(map(tuple, edges.tolist()), map(tuple, pairs.tolist()))
+        want = sorted([u * n + v for u, v in flipped] + [v * n + u for u, v in flipped] + [i * (n + 1) for i in range(n) if self_loops])
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
