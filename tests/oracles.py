@@ -1,11 +1,13 @@
 """Independent reference implementations used by the test suite.
 
-Only the propagation operators' oracles import scipy, and only three
+Only the propagation operators' oracles import scipy, and only four
 oracles import the package: the greedy attack's, which replays the
 library's own candidate pools, the per-set certificate's, which chains
 the library's scalar public functions one draw and one outer sample at a
-time, and training's, which runs the backbone's own passes in the plain
-loop, every product computed afresh.  Normal quantiles come from bisection on an erf-based CDF,
+time, training's, which runs the backbone's own passes in the plain
+loop, every product computed afresh, and the SBM generator's, which
+keys the library's random substream and draws every candidate pair at
+once.  Normal quantiles come from bisection on an erf-based CDF,
 incomplete-beta values from Simpson integration, the Neyman-Pearson optimum
 from exact rational enumeration, the region probabilities from a sum over
 every flip count, gradients from central differences, single-flip logits
@@ -198,6 +200,28 @@ def eligible_pairs_oracle(n, vulnerable):
             if u != v:
                 pairs.add((min(u, v), max(u, v)))
     return sorted(pairs)
+
+
+def make_sbm_oracle(n, d, seed, p_in, p_out, p_s_given_y1=0.65, p_s_given_y0=0.35, signal_cols=3, signal_shift=0.3, leak_cols=2, leak_shift=0.4, label_noise=0.0):
+    """fixtures.make_sbm's (Graph, X, NodeLabels) by one all-pairs draw: every
+    upper-triangle pair (np.triu_indices), its probability and its uniform
+    are materialized at once, O(n^2) memory."""
+    import numpy as np
+
+    from elegant.data import Graph, NodeLabels
+    from elegant.smoothing import DOMAIN_PROBE, substream
+
+    rng = substream(seed, DOMAIN_PROBE, 0)
+    y_clean = np.zeros(n, dtype=np.int64)
+    y_clean[rng.permutation(n)[: n // 2]] = 1
+    s = np.where(y_clean == 1, rng.random(n) < p_s_given_y1, rng.random(n) < p_s_given_y0).astype(np.int64)
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < np.where(y_clean[iu] == y_clean[iv], p_in, p_out)
+    X = rng.standard_normal((n, d))
+    X[:, :signal_cols] += signal_shift * (2.0 * y_clean[:, None] - 1.0)
+    X[:, signal_cols : signal_cols + leak_cols] += leak_shift * (2.0 * s[:, None] - 1.0)
+    y = np.where(rng.random(n) < label_noise, 1 - y_clean, y_clean)
+    return Graph(n, np.column_stack((iu[keep], iv[keep]))), X, NodeLabels(y=y, s=s)
 
 
 def flip_oracle(edges, pairs):

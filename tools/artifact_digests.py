@@ -1,8 +1,12 @@
-"""Print the sha256 of every CLI artifact on the bundled sbm200 graph.
+"""Print the sha256 of the generated fixtures and of every CLI artifact on the bundled sbm200 graph.
 
-Runs `elegant train`, `certify`, `fcr`, `sweep` and `attack` for both
-backbones at seed 0 with n_outer 60, n_inner 40 and FCR test sets of ratio
-0.5, count 120, each with `--jobs N` (default 1), then prints one
+First come `fixture/sbm-german` and `fixture/sbm-small` lines: the sha256
+of each generator's graph keys, `X`, `y` and `s` at its default seed, so
+the generated worlds are compared byte for byte, not only through the
+models and caches trained on them.  Then it runs `elegant train`,
+`certify`, `fcr`, `sweep` and `attack` for both backbones at seed 0 with
+n_outer 60, n_inner 40 and FCR test sets of ratio 0.5, count 120, each
+with `--jobs N` (default 1), and prints one
 `<backbone>/<file> <sha256>` line per artifact and model file, plus each
 command's exit code, and a `<backbone>/cache <sha256>` line: the digest
 of the classes `PredictionCache.build` writes for the trained
@@ -121,6 +125,20 @@ type(noise)._margin_bounds = lambda self, *args: None
 reference = PredictionCache.build(noise, g, X, split.vulnerable, scfg, jobs=cfg["jobs"]).classes
 print(hashlib.sha256(classes.tobytes()).hexdigest() if np.array_equal(classes, reference) else "mismatch")
 """
+# run in a child on the checkout under test: one line per generated fixture, the sha256 of its keys, X, y and s
+FIXTURE_DIGEST = """
+import hashlib
+from elegant.fixtures import make_german_like, make_small
+for name, make in (("sbm-german", make_german_like), ("sbm-small", make_small)):
+    g, X, labels = make()
+    print(f"fixture/{name}", hashlib.sha256(b"".join(a.tobytes() for a in (g.keys, X, labels.y, labels.s))).hexdigest())
+"""
+
+
+def fixture_digests(src: str) -> tuple[list[str], bool]:
+    """The fixture/<name> lines of the generators in src, and whether their child exited 0."""
+    done = subprocess.run([sys.executable, "-c", FIXTURE_DIGEST], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    return done.stdout.splitlines() or ["fixture/* missing"], done.returncode == 0
 
 
 def digests(src: str, backbone: str, out: str, jobs: int = 1) -> tuple[list[str], bool]:
@@ -216,7 +234,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.base:
         return against(args.base, args.src, args.jobs)
-    ok = True
+    lines, ok = fixture_digests(os.path.abspath(args.src))
+    print("\n".join(lines), flush=True)
     for backbone in BACKBONES:
         with tempfile.TemporaryDirectory() as out:
             lines, passed = digests(os.path.abspath(args.src), backbone, out, args.jobs)
